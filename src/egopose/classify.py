@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, DimMismatch, EmptyModel, LengthMismatch
+from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 
 
 def _recursion_headroom(n: int = 20000) -> None:
@@ -256,6 +256,23 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # 2^dim; above this dimension queries fall back to the vectorized scan.
 _KDTREE_MAX_DIM = 16
 _KDTREE_MIN_POINTS = 64
+# The scan measures _SCAN_QUERIES queries against one block of about
+# _SCAN_BYTES of points before it moves on, so the block and its squared
+# differences stay in cache instead of streaming through memory per query.
+_SCAN_QUERIES = 16
+_SCAN_BYTES = 1 << 19
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest d2 in ascending order, ties by the lower
+    position and NaN last: np.lexsort((positions, d2))[:k]."""
+    if k < len(d2):
+        kth = np.partition(d2, k - 1)[k - 1]
+        if not np.isnan(kth):
+            # the k smallest are all <= kth, so only those need sorting
+            cand = np.flatnonzero(d2 <= kth)
+            return cand[np.argsort(d2[cand], kind="stable")[:k]]
+    return np.argsort(d2, kind="stable")[:k]
 
 
 class KnnIndex:
@@ -301,7 +318,7 @@ class KnnIndex:
             raise DimMismatch("query dimension mismatch")
         k = min(k, len(self.points))
         if self.mode == "scan" or self._tree is None:
-            return self._scan(v, k)
+            return self._scan(v[None], k)[0]
         # best list kept as (d2, idx) with the worst entry last
         best: list = []
 
@@ -331,10 +348,39 @@ class KnnIndex:
         walk(self._tree)
         return np.array([i for _, i in best], dtype=int)
 
-    def _scan(self, v: np.ndarray, k: int) -> np.ndarray:
-        d2 = ((self.points - v) ** 2).sum(axis=1)
-        order = np.lexsort((np.arange(len(d2)), d2))
-        return order[:k]
+    def query_batch(self, vs: np.ndarray, k: int) -> np.ndarray:
+        """(m, k) indices whose row i equals query(vs[i], k)."""
+        if len(self.points) == 0:
+            raise EmptyModel("index holds no points")
+        vs = np.asarray(vs, dtype=float)
+        if vs.ndim != 2 or vs.shape[1] != self.points.shape[1]:
+            raise DimMismatch("query dimension mismatch")
+        k = min(k, len(self.points))
+        if self.mode == "scan" or self._tree is None:
+            return self._scan(vs, k)
+        return np.array([self.query(v, k) for v in vs], dtype=int).reshape(len(vs), k)
+
+    def _scan(self, vs: np.ndarray, k: int) -> np.ndarray:
+        """Exhaustive k nearest of each row of vs. Every squared distance is
+        the row sum of (point - v) ** 2, the same float value as in
+        ((points - v) ** 2).sum(axis=1), computed a block of points at a time."""
+        n, d = self.points.shape
+        rows = max(1, _SCAN_BYTES // (8 * d))
+        buf = np.empty((min(rows, n), d))
+        d2 = np.empty((min(_SCAN_QUERIES, len(vs)), n))
+        out = np.empty((len(vs), k), dtype=int)
+        for q0 in range(0, len(vs), _SCAN_QUERIES):
+            batch = vs[q0 : q0 + _SCAN_QUERIES]
+            for p0 in range(0, n, rows):
+                pts = self.points[p0 : p0 + rows]
+                b = buf[: len(pts)]
+                for j, v in enumerate(batch):
+                    np.subtract(pts, v, out=b)
+                    np.multiply(b, b, out=b)
+                    b.sum(axis=1, out=d2[j, p0 : p0 + len(pts)])
+            for j in range(len(batch)):
+                out[q0 + j] = _nearest(d2[j], k)
+        return out
 
 
 @dataclass
@@ -384,12 +430,18 @@ class KnnModel:
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
-    """Class distribution from the k nearest training features."""
+    """Class distribution from the k nearest training features; for an
+    (n, d) batch of features, the (n, n_classes) distributions row by row."""
     if len(model.features) == 0:
         raise EmptyModel("knn model holds no training points")
-    nn = model.index().query(np.asarray(v, dtype=float), k)
-    probs = np.bincount(model.classes[nn], minlength=model.n_classes).astype(float)
-    return probs / probs.sum()
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return knn_proba(model, v[None], k)[0]
+    nn = model.index().query_batch(v, k)
+    cells = np.arange(len(v))[:, None] * model.n_classes + model.classes[nn]
+    probs = np.bincount(cells.ravel(), minlength=len(v) * model.n_classes).astype(float)
+    probs = probs.reshape(len(v), model.n_classes)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +465,17 @@ def constant_static(n_frames: int, value: float = 0.5) -> np.ndarray:
     return np.full(n_frames, float(value))
 
 
+def check_static(h) -> np.ndarray:
+    """h as a float array; raises InvalidProbability on a value that is NaN,
+    infinite or outside [0, 1] (NaN would fail every tau comparison and
+    silently switch the sitting prior off)."""
+    h = np.asarray(h, dtype=float)
+    bad = np.flatnonzero(~((h >= 0.0) & (h <= 1.0)))
+    if len(bad):
+        raise InvalidProbability(f"static sitting probability {h[bad[0]]!r} at frame {bad[0]} is not in [0, 1]")
+    return h
+
+
 def save_static(path, h: np.ndarray) -> None:
     with open(path, "w") as f:
         for i, v in enumerate(np.asarray(h, dtype=float)):
@@ -427,7 +490,7 @@ def load_static(path, expected_frames: int | None = None) -> np.ndarray:
             if not line:
                 continue
             vals.append(float(json.loads(line)["h"]))
-    h = np.array(vals)
+    h = check_static(vals)
     if expected_frames is not None and len(h) != expected_frames:
         raise LengthMismatch(f"static file holds {len(h)} frames, expected {expected_frames}")
     return h

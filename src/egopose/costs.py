@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import dynamic_sit_stand
+from .classify import check_static, dynamic_sit_stand
 from .clustering import ExemplarBank, SitStand
 from .errors import LengthMismatch
 
@@ -68,14 +68,17 @@ def unary_costs(
 ) -> UnaryCosts:
     """Costs for every bank pose at every frame.
 
+    Every frame's index array is the same read-only arange over the bank.
+
     Parameters
     ----------
     dists : (N, K) per-frame cluster probability rows.
-    static_h : (N,) static sitting probabilities.
+    static_h : (N,) static sitting probabilities, each in [0, 1]; anything
+        else raises InvalidProbability.
     labels : per-cluster SitStand labels.
     """
     dists = np.asarray(dists, dtype=float)
-    static_h = np.asarray(static_h, dtype=float)
+    static_h = check_static(static_h)
     if len(static_h) != len(dists):
         raise LengthMismatch(f"{len(static_h)} static values for {len(dists)} frames")
     if dists.shape[1] != bank.k or len(labels) != bank.k:
@@ -85,6 +88,7 @@ def unary_costs(
     standing_pose = ~sitting_pose
     out = UnaryCosts()
     all_idx = np.arange(len(bank.poses))
+    all_idx.flags.writeable = False
     for n in range(len(dists)):
         base = 1.0 - dists[n][bank.cluster_of]
         h = static_h[n]
@@ -102,7 +106,7 @@ def unary_costs(
                 d[standing_pose] = params.delta
             elif h <= 1.0 - params.tau:
                 d[sitting_pose] = params.delta
-        out.indices.append(all_idx.copy())
+        out.indices.append(all_idx)
         out.costs.append(base + d)
     return out
 
@@ -110,13 +114,14 @@ def unary_costs(
 def prune(costs: UnaryCosts, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> UnaryCosts:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
-    A threshold of exactly 0 disables pruning. A frame that would lose all
-    its candidates keeps its single highest-probability pose (ties -> the
-    smallest exemplar index).
+    A threshold of exactly 0 disables pruning and returns the frames' arrays
+    as they are, without copies. A frame that would lose all its candidates
+    keeps its single highest-probability pose (ties -> the smallest exemplar
+    index).
     """
     thr = params.prune_threshold
     if thr == 0.0:
-        return UnaryCosts([i.copy() for i in costs.indices], [c.copy() for c in costs.costs])
+        return UnaryCosts(list(costs.indices), list(costs.costs))
     dists = np.asarray(dists, dtype=float)
     out = UnaryCosts()
     for n in range(costs.n_frames):

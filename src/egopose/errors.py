@@ -61,6 +61,10 @@ class LengthMismatch(EgoPoseError):
     """Per-frame input length disagrees with the frame count."""
 
 
+class InvalidProbability(EgoPoseError):
+    """A sitting probability is non-finite or outside [0, 1]."""
+
+
 # pathopt
 class Infeasible(EgoPoseError):
     """No finite-energy path through the trellis."""

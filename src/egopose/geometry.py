@@ -150,7 +150,10 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     a[1::2, 7] = -v * y
     a[1::2, 8] = -v
 
-    _, sing, vt = np.linalg.svd(a)
+    # the thin SVD skips the 2n x 2n U (a multithreaded LAPACK product) and
+    # gives the same singular values and V^T; 4 points (8 rows) need the full
+    # V^T, whose 9th row is the nullspace
+    _, sing, vt = np.linalg.svd(a, full_matrices=n < 5)
     # rank < 8 means the nullspace holds more than one solution
     if sing[7] / sing[0] < 1e-10:
         raise DegenerateConfiguration("correspondences do not pin down a homography")

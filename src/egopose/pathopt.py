@@ -17,14 +17,28 @@ solve_paper_dp runs the first-order recursion
 
 carrying each node's running step s and stationary count u from its best
 predecessor. The second-order terms make this a heuristic: the energy of the
-returned path can exceed the true optimum. solve_exact_dp augments the node
-state with the exact previous step and a saturation-clamped stationary count,
-which makes it a true minimizer, and brute_force enumerates everything.
+returned path can exceed the true optimum.
+
+Writing a_j = j + s(j, n-1) for the index predecessor j predicts, the speed
+term is q = mu * min(|a_j - i|, gamma): truncated-linear in i, as in the
+distance transforms of sampled functions (Felzenszwalb & Huttenlocher, ToC
+2012). So every predecessor that is not within gamma of its prediction and
+is not i, i-1 or i-2 scores the same saturated (h_j + delta) + mu * gamma.
+solve_paper_dp therefore scores each node against a bounded candidate set
+(the near predecessors, the special ones and one representative of the
+saturated rest) and still returns exactly the dense recursion's first
+minimum; its docstring gives the rule and the argument. Per frame this costs
+O(width * gamma + edges of the neighbor graph) instead of O(width^2).
+
+solve_exact_dp augments the node state with the exact previous step and a
+saturation-clamped stationary count, which makes it a true minimizer, and
+brute_force enumerates everything.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +78,8 @@ class Trellis:
     """Per-frame candidate exemplar indices with unary costs.
 
     Candidates are stored sorted by exemplar index (so first-minimum argmin
-    implements the smaller-index tie rule) and must be unique per frame.
+    implements the smaller-index tie rule) and must be unique per frame. A
+    frame given already sorted keeps its arrays as given, without a copy.
     """
 
     frames: list  # per frame: (indices int array, costs float array)
@@ -81,10 +96,11 @@ class Trellis:
                 raise ValueError(f"frame {n} has no candidates")
             if len(idx) != len(e):
                 raise ValueError(f"frame {n}: index/cost length mismatch")
-            order = np.argsort(idx, kind="stable")
-            idx, e = idx[order], e[order]
-            if len(np.unique(idx)) != len(idx):
-                raise ValueError(f"frame {n} repeats an exemplar index")
+            if not (idx[1:] > idx[:-1]).all():
+                order = np.argsort(idx, kind="stable")
+                idx, e = idx[order], e[order]
+                if not (idx[1:] > idx[:-1]).all():
+                    raise ValueError(f"frame {n} repeats an exemplar index")
             if idx[0] < 0 or idx[-1] >= len(self.bank.poses):
                 raise ValueError(f"frame {n}: exemplar index out of bank range")
             clean.append((idx, e))
@@ -208,14 +224,119 @@ def _frame_tables(trellis: Trellis):
     return out
 
 
+_REPS = 4  # at most 3 special predecessors, so one of 4 is not special
+_SPECIAL = np.arange(3)  # steps i - j that can have w = 0 or r > 0
+_NEAR_CHUNK = 1 << 16  # near pairs scored at a time; bounds memory per frame
+
+
+class _ClusterGraph:
+    """The bank's cluster neighbor graph as edge arrays grouped by source,
+    plus a dense k*k adjacency table (k^2 bytes) for vectorized lookups."""
+
+    def __init__(self, bank: ExemplarBank):
+        self.k = bank.k
+        self.src = np.repeat(np.arange(bank.k), [len(nb) for nb in bank.neighbors])
+        self.dst = np.concatenate(bank.neighbors).astype(int)
+        self.table = np.zeros(bank.k * bank.k, dtype=bool)
+        self.table[self.src * bank.k + self.dst] = True
+
+    def adjacent(self, cj, ci):
+        return self.table[cj * self.k + ci]
+
+
+def _near_reach(speed_gamma: float, n_poses: int) -> int:
+    """Largest integer x with x < speed_gamma, capped at 2 * n_poses, which
+    exceeds every |a_j - i| (a predicted index lies in [-(n-1), 2(n-1)])."""
+    if speed_gamma > 2 * n_poses:
+        return 2 * n_poses
+    return math.ceil(speed_gamma) - 1
+
+
+def _smallest_ranks(groups, ranks, n_groups: int, n: int):
+    """(n_groups, _REPS) table of each group's smallest ranks (unique, < n),
+    ascending and padded with n."""
+    keys = groups * (n + 1) + ranks
+    keys.sort()
+    g = keys // (n + 1)
+    nth = np.arange(len(keys)) - g.searchsorted(g)
+    keep = nth < _REPS
+    table = np.full((n_groups, _REPS), n)
+    table[g[keep], nth[keep]] = keys[keep] % (n + 1)
+    return table
+
+
+def _representatives(sat, p_idx, p_clusters, idx, clusters, graph: _ClusterGraph):
+    """Per node i, the position of the predecessor with the smallest
+    (sat_j, j) among those in neighbor clusters of i's cluster that are not
+    i, i-1 or i-2; len(p_idx) when there is none."""
+    n = len(p_idx)
+    order = sat.argsort(kind="stable")  # ties keep the smaller j
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    by_source = _smallest_ranks(p_clusters, rank, graph.k, n)
+    live = np.zeros((2, graph.k), dtype=bool)
+    live[0, clusters] = True
+    live[1, p_clusters] = True
+    edges = live[0, graph.src] & live[1, graph.dst]
+    ranks = by_source[graph.dst[edges]]
+    present = ranks < n
+    groups = graph.src[edges].repeat(_REPS)[present.ravel()]
+    by_target = _smallest_ranks(groups, ranks[present], graph.k, n)
+    reps = np.append(order, n)[by_target[clusters]]
+    step = idx[:, None] - p_idx.take(reps, mode="clip")
+    usable = (reps < n) & ((step < 0) | (step > 2))
+    first = usable.argmax(axis=1)
+    rep = reps[np.arange(len(idx)), first]
+    rep[~usable[np.arange(len(idx)), first]] = n
+    return rep
+
+
+def _near_pairs(a, idx, reach: int):
+    """(target, predecessor) position pairs with |a_j - i| <= reach, target
+    by target, in chunks of about _NEAR_CHUNK pairs."""
+    order = a.argsort()
+    a_sorted = a[order]
+    lo = a_sorted.searchsorted(idx - reach, side="left")
+    cnt = a_sorted.searchsorted(idx + reach, side="right") - lo
+    ends = cnt.cumsum()
+    t0 = 0
+    while t0 < len(idx):
+        t1 = max(t0 + 1, int(ends.searchsorted(ends[t0] - cnt[t0] + _NEAR_CHUNK, side="right")))
+        c = cnt[t0:t1]
+        tgt = np.arange(t0, t1).repeat(c)
+        yield tgt, order[np.arange(len(tgt)) + (lo[t0:t1] - (c.cumsum() - c)).repeat(c)]
+        t0 = t1
+
+
 def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tables: bool = False):
     """First-order recursion with carried (s, u); ties take the smaller index.
+
+    Node i of a frame is scored against a candidate set of predecessors j
+    from the previous frame, each filtered by cluster adjacency and scored
+    with the full h_j + w + q + r; the first minimum over (score, j) wins:
+
+    * near: the predicted index a_j = j + s_j has |a_j - i| < gamma;
+    * special: j is i, i-1 or i-2, the only steps that can have w = 0 or r > 0;
+    * representative: among the 4 smallest (sat_j, j) over the predecessors
+      in the neighbor clusters of i's cluster, where
+      sat_j = (h_j + delta) + mu * gamma, the first that is not special.
+
+    This is exact. A predecessor that is neither near nor special has
+    w = delta, r = 0 and q saturated at mu * gamma, so it scores exactly
+    sat_j. The representative is the smallest (sat_j, j) among non-special
+    predecessors, and since float rounding is monotone it scores at most its
+    own sat_j. So the first minimizer over every predecessor is always a
+    candidate, and paths, energies and node records equal those of a dense
+    scan. Per frame the cost is O(width * gamma + edges of the neighbor graph)
+    plus sorting the previous frame, instead of O(width^2).
 
     Returns a PosePath, or (PosePath, tables) with keep_tables where tables
     is a per-frame list of NodeState records.
     """
-    bank = trellis.bank
     meta = _frame_tables(trellis)
+    graph = _ClusterGraph(trellis.bank)
+    reach = _near_reach(params.speed_gamma, len(trellis.bank.poses))
+    sat_q = params.speed_mu * params.speed_gamma
     idx0, e0 = trellis.frames[0]
     h = e0.copy()
     u = np.zeros(len(idx0), dtype=int)
@@ -228,40 +349,51 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         clusters, br = meta[n]
         p_idx, _ = trellis.frames[n - 1]
         p_clusters, p_br = meta[n - 1]
+        n_prev = len(p_idx)  # also the "no candidate" marker
 
-        by_cluster: dict = {}
-        for pos, c in enumerate(p_clusters):
-            by_cluster.setdefault(int(c), []).append(pos)
+        def score(jp, i, bri):
+            step = i - p_idx[jp]
+            w = np.where((step >= 0) & (step <= 2) & ~(bri > p_br[jp]), 0.0, params.delta)
+            q = params.speed_mu * np.minimum(np.abs(s[jp] - step), params.speed_gamma)
+            r = np.where(step == 0, params.stat_mu * np.minimum(u[jp] + 1, params.stat_gamma), 0.0)
+            return h[jp] + w + q + r
 
-        h_new = np.full(len(idx), np.inf)
-        u_new = np.zeros(len(idx), dtype=int)
-        s_new = np.zeros(len(idx), dtype=int)
-        par = np.full(len(idx), -1, dtype=int)
+        # special predecessors and the representative: a (width, 4) block
+        back = idx[:, None] - _SPECIAL
+        pos = p_idx.searchsorted(back)
+        fixed = np.empty((len(idx), _REPS), dtype=int)
+        fixed[:, :3] = np.where(p_idx.take(pos, mode="clip") == back, pos, n_prev)
+        fixed[:, 3] = _representatives((h + params.delta) + sat_q, p_idx, p_clusters, idx, clusters, graph)
+        jf = np.minimum(fixed, n_prev - 1)
+        valid = (fixed < n_prev) & graph.adjacent(p_clusters[jf], clusters[:, None])
+        tot = np.where(valid, score(jf, idx[:, None], br[:, None]), np.inf)
+        best_tot = tot.min(axis=1)
+        best = np.where(valid & (tot == best_tot[:, None]), fixed, n_prev).min(axis=1)
 
-        for c in np.unique(clusters):
-            rows = np.flatnonzero(clusters == c)
-            j_pos = [p for nb in bank.neighbors[int(c)] for p in by_cluster.get(int(nb), [])]
-            if not j_pos:
+        # near predecessors; pairs come target by target
+        for tgt, jp in _near_pairs(p_idx + s, idx, reach) if reach >= 0 else ():
+            ok = graph.adjacent(p_clusters[jp], clusters[tgt])
+            tgt, jp = tgt[ok], jp[ok]
+            if not len(tgt):
                 continue
-            j_pos = np.array(sorted(j_pos), dtype=int)  # ascending exemplar index
-            pj = p_idx[j_pos]
-            step = idx[rows][:, None] - pj[None, :]
-            small_fwd = (step >= 0) & (step <= 2) & ~(br[rows][:, None] > p_br[j_pos][None, :])
-            w = np.where(small_fwd, 0.0, params.delta)
-            q = params.speed_mu * np.minimum(np.abs(s[j_pos][None, :] - step), params.speed_gamma)
-            r = np.where(
-                step == 0,
-                params.stat_mu * np.minimum(u[j_pos][None, :] + 1, params.stat_gamma),
-                0.0,
-            )
-            tot = h[j_pos][None, :] + w + q + r
-            best = tot.argmin(axis=1)  # first minimum -> smallest exemplar index
-            span = np.arange(len(rows))
-            h_new[rows] = e[rows] + tot[span, best]
-            chosen_step = step[span, best]
-            s_new[rows] = chosen_step
-            u_new[rows] = np.where(chosen_step == 0, u[j_pos[best]] + 1, 0)
-            par[rows] = j_pos[best]
+            tot = score(jp, idx[tgt], br[tgt])
+            head = np.empty(len(tgt), dtype=bool)
+            head[0] = True
+            np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
+            starts = head.nonzero()[0]
+            mn = np.minimum.reduceat(tot, starts)
+            jn = np.minimum.reduceat(np.where(tot == mn[head.cumsum() - 1], jp, n_prev), starts)
+            t = tgt[starts]
+            take = (mn < best_tot[t]) | ((mn == best_tot[t]) & (jn < best[t]))
+            best_tot[t[take]] = mn[take]
+            best[t[take]] = jn[take]
+
+        found = best < n_prev
+        chosen = np.minimum(best, n_prev - 1)
+        h_new = e + best_tot
+        s_new = np.where(found, idx - p_idx[chosen], 0)
+        u_new = np.where(found & (s_new == 0), u[chosen] + 1, 0)
+        par = np.where(found, best, -1)
 
         if keep_tables:
             tables[n] = [

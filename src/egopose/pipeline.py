@@ -142,7 +142,7 @@ class TrainedModels:
         x = np.asarray(x, dtype=float)
         if self.classifier == "forest":
             return forest_proba_batch(self.forest, x)
-        return np.stack([knn_proba(self.knn, v, self.knn_k) for v in x])
+        return knn_proba(self.knn, x, self.knn_k)
 
     def save(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)

@@ -15,7 +15,7 @@ from egopose.classify import (
     train_forest,
 )
 from egopose.clustering import SitStand
-from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, LengthMismatch
+from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 
 
 def two_blobs(rng, n=500, d=8, margin=1.0):
@@ -178,6 +178,44 @@ def test_knn_high_dim_uses_scan_path():
     assert np.array_equal(idx.query(q, 5), ref.query(q, 5))
 
 
+def _whole_array_scan(pts, v, k):
+    d2 = ((pts - v) ** 2).sum(axis=1)
+    return np.lexsort((np.arange(len(d2)), d2))[:k]
+
+
+@pytest.mark.parametrize("dim", [3, 261])
+def test_knn_blocked_scan_matches_whole_array_scan(dim):
+    rng = np.random.default_rng(11)
+    # a 1/4 grid gives many equal distances; 2 100 points span several blocks
+    pts = rng.integers(-4, 5, size=(2100, dim)) / 4.0
+    pts[5] = np.nan  # NaN distances sort last
+    idx = KnnIndex(pts, force_mode="scan")
+    queries = np.concatenate([rng.integers(-4, 5, size=(35, dim)) / 4.0, pts[[7, 7, 1999]]])
+    for k in (1, 20, 2100, 3000):
+        got = idx.query_batch(queries, k)
+        for v, row in zip(queries, got):
+            want = _whole_array_scan(pts, v, k)
+            assert np.array_equal(row, want)
+            assert np.array_equal(idx.query(v, k), want)
+
+
+def test_knn_batch_matches_single_queries():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(300, 20))
+    y = rng.integers(0, 7, size=300)
+    model = KnnModel(x, y, 7)
+    q = np.concatenate([rng.normal(size=(40, 20)), x[:3]])
+    probs = knn_proba(model, q, k=9)
+    assert probs.shape == (43, 7)
+    for v, row in zip(q, probs):
+        assert np.array_equal(row, knn_proba(model, v, k=9))
+    tree = KnnIndex(rng.normal(size=(300, 3)))
+    vs = rng.normal(size=(10, 3))
+    assert np.array_equal(tree.query_batch(vs, 4), np.stack([tree.query(v, 4) for v in vs]))
+    with pytest.raises(DimMismatch):
+        knn_proba(model, np.zeros((2, 19)))
+
+
 def test_dynamic_sit_stand_rules():
     labels = [SitStand.SITTING_LIKE, SitStand.STANDING_LIKE]
     assert dynamic_sit_stand(np.array([1.0, 0.0]), labels) == SitStand.SITTING_LIKE
@@ -206,6 +244,14 @@ def test_static_file_round_trip(tmp_path):
     assert np.allclose(back, [0.995, 0.01])
     with pytest.raises(LengthMismatch):
         load_static(path, expected_frames=3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_static_file_rejects_values_outside_unit_interval(tmp_path, bad):
+    path = tmp_path / "h.jsonl"
+    save_static(path, np.array([0.0, bad, 1.0]))
+    with pytest.raises(InvalidProbability, match="frame 1"):
+        load_static(path)
 
 
 def test_knn_model_file_round_trip(tmp_path):

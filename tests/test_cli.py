@@ -396,6 +396,36 @@ def test_missing_file_exits_3_with_json_stderr(workspace, tmp_path, capsys):
     assert set(err) == {"error", "message"}
 
 
+def test_invalid_static_prior_exits_3(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    lines = (data / "static_h.jsonl").read_text().splitlines()
+    lines[3] = json.dumps({"t": 3, "h": float("nan")})
+    bad = tmp_path / "static_h.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(
+        [
+            "infer",
+            "--input",
+            str(data / "homographies.jsonl"),
+            "--bank",
+            str(workspace["models"] / "bank.json"),
+            "--cluster-model",
+            str(workspace["models"] / "clusters.json"),
+            "--classifier-model",
+            str(workspace["models"] / "forest.json"),
+            "--static-h",
+            str(bad),
+            "--window",
+            "8",
+            "--out",
+            str(tmp_path / "p.jsonl"),
+        ]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InvalidProbability"
+
+
 def test_invalid_script_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"segments": [["sit_idle", 5], ["walk", 5]]}))

@@ -3,7 +3,7 @@ import pytest
 
 from egopose.clustering import ExemplarBank, SitStand
 from egopose.costs import CostParams, UnaryCosts, prune, unary_costs
-from egopose.errors import LengthMismatch
+from egopose.errors import InvalidProbability, LengthMismatch
 
 
 def make_bank(rng, n=40, k=4, breaks=()):
@@ -24,6 +24,16 @@ def test_params_validation():
         CostParams(tau=0.5)
     with pytest.raises(Exception):
         CostParams(prune_threshold=1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+def test_static_outside_unit_interval_rejected(bad):
+    # NaN fails every tau comparison, so it would silently drop the prior
+    rng = np.random.default_rng(0)
+    bank = make_bank(rng)
+    dists = np.full((3, bank.k), 1.0 / bank.k)
+    with pytest.raises(InvalidProbability):
+        unary_costs(dists, np.array([0.0, bad, 1.0]), bank, alternating_labels(bank.k))
 
 
 def test_perfect_confidence_neutral_static_gives_zero():
@@ -140,6 +150,11 @@ def test_prune_threshold_zero_is_identity():
     for n in range(4):
         assert np.array_equal(pruned.indices[n], out.indices[n])
         assert np.array_equal(pruned.costs[n], out.costs[n])
+        # no copies: a full-bank table is the largest array set of a decode
+        assert pruned.indices[n] is out.indices[n] and pruned.costs[n] is out.costs[n]
+    # every frame lists the whole bank through one shared read-only array
+    assert all(i is out.indices[0] for i in out.indices)
+    assert not out.indices[0].flags.writeable
 
 
 def test_prune_matches_reference_filter():

@@ -91,6 +91,20 @@ def test_estimate_order_invariant():
     assert np.abs(a.h - b.h).max() < 1e-9
 
 
+def test_estimate_thin_svd_matches_full_svd(monkeypatch):
+    rng = np.random.default_rng(2)
+    cases = []
+    for n in [4, 4, 5, 6, 8, 9, 12, 50, 120]:
+        h = random_homography(rng)
+        src = rng.uniform(0.0, 640.0, size=(n, 2))
+        cases.append((src, h.apply(src) + rng.normal(scale=0.5, size=(n, 2))))
+    thin = [estimate_homography(s, d).h for s, d in cases]
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True: svd(a))
+    for (s, d), got in zip(cases, thin):
+        assert np.array_equal(got, estimate_homography(s, d).h)
+
+
 def test_estimate_needs_four_points():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InsufficientPoints):

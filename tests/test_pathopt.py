@@ -9,6 +9,10 @@ Oracles used here and written independently of the module under test:
   only, used to pin the DP when the second-order penalties are switched off.
 * ``brute_force`` enumeration doubles as the optimality oracle for the small
   random instances.
+* ``_reference_paper_dp`` — the first-order recursion scored densely, one
+  block of every node of a cluster against every predecessor in its neighbor
+  clusters. ``solve_paper_dp`` scores a bounded candidate set per node and
+  must reproduce it exactly: paths, energies and node records.
 """
 
 import math
@@ -16,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+import egopose.pathopt as pathopt
 from egopose import (
     CostParams,
     ExemplarBank,
@@ -39,6 +44,7 @@ from egopose import (
     step_weight,
     unary_costs,
 )
+from egopose.cli import DEFAULT_CONFIG
 
 
 def make_bank(cluster_seq, breaks=(), seed=0):
@@ -150,6 +156,78 @@ def ref_viterbi(trellis, delta):
     return path, h[end]
 
 
+def _reference_paper_dp(trellis, params, keep_tables=False):
+    """Dense first-order recursion: for each cluster of a frame, score all of
+    its nodes against every predecessor in a neighbor cluster, with the same
+    float expression, and keep the first minimum (smaller exemplar index)."""
+    bank = trellis.bank
+    meta = [
+        (bank.cluster_of[idx], np.searchsorted(bank.sequence_breaks, idx, side="right"))
+        for idx, _ in trellis.frames
+    ]
+    idx0, e0 = trellis.frames[0]
+    h = e0.copy()
+    u = np.zeros(len(idx0), dtype=int)
+    s = np.zeros(len(idx0), dtype=int)
+    parents = [np.full(len(idx0), -1, dtype=int)]
+    tables = [[NodeState(float(e0[p]), 0, 0, -1) for p in range(len(idx0))]]
+
+    for n in range(1, trellis.n_frames):
+        idx, e = trellis.frames[n]
+        clusters, br = meta[n]
+        p_idx, _ = trellis.frames[n - 1]
+        p_clusters, p_br = meta[n - 1]
+
+        by_cluster: dict = {}
+        for pos, c in enumerate(p_clusters):
+            by_cluster.setdefault(int(c), []).append(pos)
+
+        h_new = np.full(len(idx), np.inf)
+        u_new = np.zeros(len(idx), dtype=int)
+        s_new = np.zeros(len(idx), dtype=int)
+        par = np.full(len(idx), -1, dtype=int)
+
+        for c in np.unique(clusters):
+            rows = np.flatnonzero(clusters == c)
+            j_pos = [p for nb in bank.neighbors[int(c)] for p in by_cluster.get(int(nb), [])]
+            if not j_pos:
+                continue
+            j_pos = np.array(sorted(j_pos), dtype=int)  # ascending exemplar index
+            pj = p_idx[j_pos]
+            step = idx[rows][:, None] - pj[None, :]
+            small_fwd = (step >= 0) & (step <= 2) & ~(br[rows][:, None] > p_br[j_pos][None, :])
+            w = np.where(small_fwd, 0.0, params.delta)
+            q = params.speed_mu * np.minimum(np.abs(s[j_pos][None, :] - step), params.speed_gamma)
+            r = np.where(
+                step == 0,
+                params.stat_mu * np.minimum(u[j_pos][None, :] + 1, params.stat_gamma),
+                0.0,
+            )
+            tot = h[j_pos][None, :] + w + q + r
+            best = tot.argmin(axis=1)  # first minimum -> smallest exemplar index
+            span = np.arange(len(rows))
+            h_new[rows] = e[rows] + tot[span, best]
+            chosen_step = step[span, best]
+            s_new[rows] = chosen_step
+            u_new[rows] = np.where(chosen_step == 0, u[j_pos[best]] + 1, 0)
+            par[rows] = j_pos[best]
+
+        tables.append([NodeState(float(h_new[p]), int(u_new[p]), int(s_new[p]), int(par[p])) for p in range(len(idx))])
+        h, u, s = h_new, u_new, s_new
+        parents.append(par)
+
+    end = int(h.argmin())
+    if not np.isfinite(h[end]):
+        raise Infeasible("no finite-energy path through the trellis")
+    positions = [end]
+    for n in range(trellis.n_frames - 1, 0, -1):
+        positions.append(int(parents[n][positions[-1]]))
+    positions.reverse()
+    indices = [int(trellis.frames[n][0][p]) for n, p in enumerate(positions)]
+    result = energy_of_path(trellis, indices, params)
+    return (result, tables) if keep_tables else result
+
+
 def random_instance(rng, max_frames=5, max_nodes=5, dyadic=False):
     n_poses = int(rng.integers(4, 9))
     k = int(rng.integers(1, 4))
@@ -172,6 +250,7 @@ def random_instance(rng, max_frames=5, max_nodes=5, dyadic=False):
 
 
 DYADIC = PathParams(delta=0.125, speed_gamma=10.0, speed_mu=1.0 / 128, stat_gamma=5.0, stat_mu=1.0 / 64)
+CLI_PARAMS = PathParams(**{key: DEFAULT_CONFIG[key] for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu")})
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +346,10 @@ def test_trellis_sorts_candidates_and_looks_up_costs():
     assert tr.cost_of(0, 3) == pytest.approx(0.3)
     with pytest.raises(ValueError):
         tr.cost_of(0, 1)
+    # an already sorted frame is kept as given, without a copy
+    idx, e = np.array([0, 2, 3]), np.array([0.0, 0.2, 0.3])
+    tr = Trellis([(idx, e)], bank)
+    assert tr.frames[0][0] is idx and tr.frames[0][1] is e
 
 
 def test_trellis_from_costs_matches_direct_construction():
@@ -563,6 +646,89 @@ def test_solved_paths_are_cluster_feasible_and_within_candidates():
         assert again.total == path.total
         checked += 1
     assert checked == 15
+
+
+# ---------------------------------------------------------------------------
+# candidate-set recursion against the dense reference
+
+ORACLE_PARAMS = [
+    CLI_PARAMS,
+    PathParams(delta=0.125, speed_gamma=2.5, speed_mu=1.0 / 8, stat_gamma=2.0, stat_mu=1.0 / 16),
+    PathParams(delta=0.25, speed_gamma=0.0, speed_mu=1.0 / 4, stat_gamma=3.0, stat_mu=1.0 / 8),
+    PathParams(delta=0.125, speed_gamma=1e6, speed_mu=1.0 / 64, stat_gamma=5.0, stat_mu=1.0 / 32),
+    PathParams(delta=0.0, speed_gamma=3.0, speed_mu=1.0 / 4, stat_gamma=2.0, stat_mu=1.0 / 4),
+    PathParams(delta=0.25, speed_gamma=math.inf, speed_mu=0.0, stat_gamma=1.0, stat_mu=0.0),
+]
+
+
+def oracle_instance(rng, dyadic):
+    """Up to 40 poses in up to 6 clusters, laid out in runs (a chain-like,
+    sparse neighbor graph) or at random (a dense one), with sequence breaks;
+    up to 8 frames of up to 24 candidates. Dyadic costs on a 1/4 grid make
+    many energies tie exactly."""
+    n_poses = int(rng.integers(3, 41))
+    k = int(rng.integers(1, min(6, n_poses) + 1))
+    cluster_seq = rng.integers(0, k, size=n_poses)
+    if rng.random() < 0.5:
+        cluster_seq = np.sort(cluster_seq)
+    _, cluster_seq = np.unique(cluster_seq, return_inverse=True)
+    breaks = sorted(set(int(b) for b in rng.integers(1, n_poses, size=int(rng.integers(0, 3))))) if n_poses > 1 else []
+    bank = make_bank(cluster_seq, breaks, seed=int(rng.integers(1 << 16)))
+    frames = []
+    for _ in range(int(rng.integers(1, 9))):
+        m = int(rng.integers(1, min(24, n_poses) + 1))
+        idx = rng.choice(n_poses, size=m, replace=False)
+        e = rng.integers(0, 5, size=m) / 4.0 if dyadic else rng.uniform(0.0, 1.0, size=m)
+        frames.append((idx, e))
+    return Trellis(frames, bank)
+
+
+def assert_same_as_reference(tr, params):
+    try:
+        want, want_tables = _reference_paper_dp(tr, params, keep_tables=True)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_paper_dp(tr, params)
+        return False
+    got, got_tables = solve_paper_dp(tr, params, keep_tables=True)
+    assert got.indices == want.indices
+    assert got.energy_dict() == want.energy_dict()
+    assert len(got_tables) == len(want_tables)
+    for got_frame, want_frame in zip(got_tables, want_tables):
+        assert len(got_frame) == len(want_frame)
+        for g, w in zip(got_frame, want_frame):
+            assert math.isfinite(g.h) == math.isfinite(w.h)
+            if math.isfinite(w.h):
+                assert (g.h, g.u, g.s, g.p) == (w.h, w.u, w.s, w.p)
+    return True
+
+
+def test_paper_dp_equals_dense_reference_on_random_trellises():
+    rng = np.random.default_rng(2024)
+    solved = 0
+    for trial in range(2400):
+        params = ORACLE_PARAMS[trial % len(ORACLE_PARAMS)]
+        solved += assert_same_as_reference(oracle_instance(rng, dyadic=trial % 2 == 0), params)
+    assert solved > 1500  # most instances are feasible; the rest check Infeasible parity
+
+
+def test_paper_dp_equals_dense_reference_in_small_near_chunks(monkeypatch):
+    """Near pairs are scored in chunks so that memory per frame stays bounded
+    when speed_gamma exceeds the bank; chunk boundaries must not matter."""
+    monkeypatch.setattr(pathopt, "_NEAR_CHUNK", 5)
+    rng = np.random.default_rng(77)
+    for trial in range(150):
+        params = ORACLE_PARAMS[trial % len(ORACLE_PARAMS)]
+        assert_same_as_reference(oracle_instance(rng, dyadic=True), params)
+
+
+def test_paper_dp_ties_resolve_to_smaller_index_among_saturated_predecessors():
+    """Every predecessor far from its prediction scores the same saturated
+    amount; the smallest exemplar index must win, as in the dense scan."""
+    bank = make_bank([0] * 30)
+    params = PathParams(delta=0.25, speed_gamma=2.0, speed_mu=0.25, stat_gamma=2.0, stat_mu=0.25)
+    tr = sparse_trellis(bank, [{j: 0.0 for j in (3, 9, 15, 21)}, {27: 0.0, 28: 0.0}, {1: 0.0, 12: 0.0}])
+    assert assert_same_as_reference(tr, params)
 
 
 # ---------------------------------------------------------------------------
