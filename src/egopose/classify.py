@@ -5,9 +5,10 @@ grown on a bootstrap sample to purity (or until fewer than two samples),
 choosing at every node the best Gini split among ceil(sqrt(d)) candidate
 features with midpoint thresholds. Tree probabilities are per-leaf
 normalized class histograms, averaged over trees. A k-NN classifier over the
-same features is available as an alternative probability provider, and a
-static per-frame sitting probability h can be read from file or held at the
-uninformative constant 0.5.
+same features is available as an alternative probability provider; it finds
+neighbors with one exact exhaustive scan, ties going to the lower training
+index. A static per-frame sitting probability h can be read from file or
+held at the uninformative constant 0.5.
 """
 
 from __future__ import annotations
@@ -252,10 +253,6 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact k-NN
 
-# A k-d tree only beats scanning when the training set is much larger than
-# 2^dim; above this dimension queries fall back to the vectorized scan.
-_KDTREE_MAX_DIM = 16
-_KDTREE_MIN_POINTS = 64
 # The scan measures _SCAN_QUERIES queries against one block of about
 # _SCAN_BYTES of points before it moves on, so the block and its squared
 # differences stay in cache instead of streaming through memory per query.
@@ -276,89 +273,33 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 class KnnIndex:
-    """Exact k-nearest-neighbor index with deterministic tie handling.
+    """Exact k-nearest-neighbor index: one exhaustive scan over all points.
 
-    Ties at equal distance are broken by the lower training index. Queries
-    use a k-d tree in low dimension and an exhaustive vectorized scan
-    otherwise; both return identical results.
+    A query's squared distances are the row sums of (point - v) ** 2; the k
+    smallest come nearest first, ties at equal distance go to the lower
+    training index, and NaN distances sort last.
     """
 
-    def __init__(self, points: np.ndarray, force_mode: str | None = None):
+    def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2:
             raise ValueError("points must be (n, d)")
         if len(self.points) == 0:
             raise EmptyModel("index holds no points")
-        n, d = self.points.shape
-        if force_mode is None:
-            self.mode = "tree" if (d <= _KDTREE_MAX_DIM and n >= _KDTREE_MIN_POINTS) else "scan"
-        else:
-            self.mode = force_mode
-        self._tree = self._build(np.arange(n), 0) if self.mode == "tree" and n else None
-
-    def _build(self, idx: np.ndarray, depth: int):
-        if len(idx) == 0:
-            return None
-        axis = depth % self.points.shape[1]
-        order = idx[np.argsort(self.points[idx, axis], kind="stable")]
-        mid = len(order) // 2
-        return {
-            "axis": axis,
-            "index": int(order[mid]),
-            "left": self._build(order[:mid], depth + 1),
-            "right": self._build(order[mid + 1 :], depth + 1),
-        }
 
     def query(self, v: np.ndarray, k: int) -> np.ndarray:
         """Indices of the k nearest points, nearest first."""
-        if len(self.points) == 0:
-            raise EmptyModel("index holds no points")
         v = np.asarray(v, dtype=float)
         if v.shape != (self.points.shape[1],):
             raise DimMismatch("query dimension mismatch")
-        k = min(k, len(self.points))
-        if self.mode == "scan" or self._tree is None:
-            return self._scan(v[None], k)[0]
-        # best list kept as (d2, idx) with the worst entry last
-        best: list = []
-
-        def consider(idx: int):
-            diff = self.points[idx] - v
-            cand = (float(diff @ diff), idx)
-            if len(best) < k:
-                best.append(cand)
-                best.sort()
-            elif cand < best[-1]:
-                best[-1] = cand
-                best.sort()
-
-        def walk(node):
-            if node is None:
-                return
-            axis, idx = node["axis"], node["index"]
-            consider(idx)
-            delta = v[axis] - self.points[idx, axis]
-            near, far = (node["left"], node["right"]) if delta <= 0 else (node["right"], node["left"])
-            walk(near)
-            # an equal-distance point with a lower index may still displace
-            # the current worst, so only prune on a strict excess
-            if len(best) < k or delta * delta <= best[-1][0]:
-                walk(far)
-
-        walk(self._tree)
-        return np.array([i for _, i in best], dtype=int)
+        return self.query_batch(v[None], k)[0]
 
     def query_batch(self, vs: np.ndarray, k: int) -> np.ndarray:
         """(m, k) indices whose row i equals query(vs[i], k)."""
-        if len(self.points) == 0:
-            raise EmptyModel("index holds no points")
         vs = np.asarray(vs, dtype=float)
         if vs.ndim != 2 or vs.shape[1] != self.points.shape[1]:
             raise DimMismatch("query dimension mismatch")
-        k = min(k, len(self.points))
-        if self.mode == "scan" or self._tree is None:
-            return self._scan(vs, k)
-        return np.array([self.query(v, k) for v in vs], dtype=int).reshape(len(vs), k)
+        return self._scan(vs, min(k, len(self.points)))
 
     def _scan(self, vs: np.ndarray, k: int) -> np.ndarray:
         """Exhaustive k nearest of each row of vs. Every squared distance is

@@ -16,15 +16,8 @@ import sys
 import numpy as np
 
 from .classify import ForestModel, KnnModel, load_static, train_forest
-from .clustering import (
-    ClusterModel,
-    ExemplarBank,
-    assign_clusters,
-    hip_height,
-    kmeans,
-    label_clusters,
-    sit_stand_threshold,
-)
+# kmeans and normalized_matrix go unused here; perfbench/layers.py wraps them at this binding
+from .clustering import ClusterModel, ExemplarBank, kmeans  # noqa: F401
 from .costs import CostParams
 from .errors import (
     DegenerateConfiguration,
@@ -41,10 +34,11 @@ from .errors import (
 from .evaluation import joint_errors
 from .geometry import CameraIntrinsics, estimate_homography, load_correspondences, load_homographies
 from .pathopt import PathParams
-from .pipeline import (
+from .pipeline import (  # noqa: F401
     SOLVERS,
     TrainedModels,
-    features_from_homographies,
+    build_bank,
+    build_features,
     infer,
     load_features,
     normalized_matrix,
@@ -171,52 +165,22 @@ def cmd_synth(args):
 
 def cmd_cluster(args):
     cfg = _load_config(args)
-    sequences = []
-    for path in args.poses:
-        seq, _ = load_pose_sequence_with_times(path)
-        sequences.append(seq)
-    mats, breaks, offset = [], [], 0
-    for seq in sequences:
-        if offset > 0:
-            breaks.append(offset)
-        mats.append(normalized_matrix(seq))
-        offset += len(seq)
-    all_poses = np.vstack(mats)
-
-    model = kmeans(all_poses, int(cfg["k"]), seed=int(cfg["seed"]))
-    theta = sit_stand_threshold(np.array([hip_height(v) for v in all_poses]))
-    label_clusters(model, all_poses, theta)
-    assignments = assign_clusters(model, all_poses)
-    bank = ExemplarBank.build(all_poses, assignments, breaks, model.k)
+    sequences = [load_pose_sequence_with_times(path)[0] for path in args.poses]
+    streams = [_load_stream(path) for path in args.homographies or ()]
+    model, bank, _ = build_bank(sequences, int(cfg["k"]), int(cfg["seed"]))
+    if streams:  # checked and built before anything is written
+        camera = _load_camera(args.camera) if args.camera else None
+        feats, frames = build_features(sequences, streams, int(cfg["window"]), cfg["feature_mode"], camera)
 
     model.save(_ensure_parent(args.out))
     bank_out = args.bank_out or os.path.join(os.path.dirname(os.path.abspath(args.out)), "bank.json")
     bank.save(_ensure_parent(bank_out))
     print(f"k-means objective: {model.objective:.6f} after {model.n_iter} iterations")
-
-    if args.homographies:
-        if len(args.homographies) != len(sequences):
-            raise ValueError("need one homography file per pose file")
-        camera = _load_camera(args.camera) if args.camera else None
-        rows, frames = [], []
-        offset = 0
-        for seq, hpath in zip(sequences, args.homographies):
-            hs = _load_stream(hpath)
-            if len(hs) != len(seq) - 1:
-                raise ValueError(f"{hpath}: need len(poses) - 1 homographies")
-            x, centers = features_from_homographies(hs, int(cfg["window"]), cfg["feature_mode"], camera)
-            if len(centers):
-                rows.append(x)
-                frames.append(centers + offset)
-            offset += len(seq)
-        if not rows:
-            raise ValueError("no frame has a full feature window")
-        feats = np.vstack(rows)
-        frames = np.concatenate(frames)
+    if streams:
         feat_out = args.features_out or os.path.join(
             os.path.dirname(os.path.abspath(args.out)), "features.jsonl"
         )
-        save_features(_ensure_parent(feat_out), frames, feats, assignments[frames])
+        save_features(_ensure_parent(feat_out), frames, feats, bank.cluster_of[frames])
         print(f"wrote {len(frames)} feature rows to {feat_out}")
     return 0
 
@@ -238,13 +202,14 @@ def cmd_train(args):
         model = KnnModel(x, classes, n_classes, frames)
         model.save(_ensure_parent(args.out))
         if args.loo:
+            # each row votes with its k nearest other rows
             k = int(cfg["knn_k"])
-            hits = 0
-            for i in range(len(x)):
-                nn = model.index().query(x[i], min(k + 1, len(x)))
-                nn = nn[nn != i][:k]
-                votes = np.bincount(classes[nn], minlength=n_classes)
-                hits += int(votes.argmax() == classes[i])
+            nn = model.index().query_batch(x, min(k + 1, len(x)))
+            others = nn != np.arange(len(x))[:, None]
+            keep = others & (others.cumsum(axis=1) <= k)
+            cells = keep.nonzero()[0] * n_classes + classes[nn[keep]]
+            votes = np.bincount(cells, minlength=len(x) * n_classes).reshape(len(x), n_classes)
+            hits = int((votes.argmax(axis=1) == classes).sum())
             print(f"leave-one-out accuracy: {hits / len(x):.4f}")
     return 0
 

@@ -29,7 +29,7 @@ class CostParams:
     literal_mismatch: bool = False  # frame-constant d from the dynamic verdict
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not (self.delta >= 0):  # NaN fails too
             raise ValueError("delta must be non-negative")
         if not (0.5 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0.5, 1]")

@@ -123,9 +123,5 @@ def baseline_kdtree(
     test_features: np.ndarray,
 ) -> PoseSequence:
     """1-NN lookup: each test feature takes its nearest training pose."""
-    index = KnnIndex(np.asarray(train_features, dtype=float))
-    poses = []
-    for v in np.asarray(test_features, dtype=float):
-        nn = index.query(v, 1)[0]
-        poses.append(Pose.from_vector(train_pose_vectors[nn], Frame.WEARER_LOCAL))
-    return PoseSequence(poses)
+    nn = KnnIndex(train_features).query_batch(test_features, 1)[:, 0]
+    return PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in train_pose_vectors[nn]])

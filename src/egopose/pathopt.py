@@ -57,9 +57,10 @@ class PathParams:
     stat_mu: float = 0.02
 
     def __post_init__(self):
-        if self.delta < 0 or self.speed_mu < 0 or self.stat_mu < 0:
+        # written as not (x >= 0) so that NaN fails too
+        if not (self.delta >= 0 and self.speed_mu >= 0 and self.stat_mu >= 0):
             raise ValueError("penalties must be non-negative")
-        if self.speed_gamma < 0 or self.stat_gamma < 0:
+        if not (self.speed_gamma >= 0 and self.stat_gamma >= 0):
             raise ValueError("saturation points must be non-negative")
 
 
@@ -345,6 +346,8 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     tables = [None] * trellis.n_frames
 
     for n in range(1, trellis.n_frames):
+        if not np.isfinite(h).any():  # no later node can become finite
+            raise Infeasible("no finite-energy path through the trellis")
         idx, e = trellis.frames[n]
         clusters, br = meta[n]
         p_idx, _ = trellis.frames[n - 1]

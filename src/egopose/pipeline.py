@@ -209,6 +209,69 @@ class TrainedModels:
         )
 
 
+def build_bank(
+    sequences,
+    k: int = 300,
+    seed: int = 0,
+    theta_sit: float | None = None,
+    up: np.ndarray = UP_AXIS,
+):
+    """Cluster the training poses, label the clusters sitting- or
+    standing-like, and build the exemplar bank with its neighbor graph.
+
+    The sequences are stacked in order; each sequence start after the first
+    becomes a bank break, so neighbor edges never span two recordings.
+    theta_sit=None estimates the sit/stand hip-height threshold from the
+    poses. Returns (cluster model, bank, theta_sit); bank.cluster_of holds
+    each stacked pose's cluster.
+    """
+    mats, breaks, offset = [], [], 0
+    for seq in sequences:
+        if offset > 0:
+            breaks.append(offset)
+        mats.append(normalized_matrix(seq, up))
+        offset += len(seq)
+    all_poses = np.vstack(mats)
+
+    cluster = kmeans(all_poses, k, seed=seed)
+    if theta_sit is None:
+        theta_sit = sit_stand_threshold(np.array([hip_height(v) for v in all_poses]))
+    label_clusters(cluster, all_poses, theta_sit)
+    assignments = assign_clusters(cluster, all_poses)
+    bank = ExemplarBank.build(all_poses, assignments, breaks, k)
+    return cluster, bank, float(theta_sit)
+
+
+def build_features(
+    sequences,
+    homographies_per_seq,
+    window: int = 30,
+    mode: str = "homography",
+    camera: CameraIntrinsics | None = None,
+):
+    """Motion features of every training frame with a full window.
+
+    sequences and homographies_per_seq run in parallel, one homography
+    between each pair of consecutive poses. Returns (features, frames), where
+    frames index the poses stacked in sequence order, as in build_bank.
+    """
+    if len(sequences) != len(homographies_per_seq):
+        raise LengthMismatch("one homography list per pose sequence required")
+    x_rows, frame_rows = [], []
+    offset = 0
+    for n, (seq, hs) in enumerate(zip(sequences, homographies_per_seq)):
+        if len(hs) != len(seq) - 1:
+            raise LengthMismatch(f"sequence {n}: {len(hs)} homographies for {len(seq)} poses, need len(poses) - 1")
+        x, centers = features_from_homographies(hs, window, mode, camera)
+        if len(centers):
+            x_rows.append(x)
+            frame_rows.append(centers + offset)
+        offset += len(seq)
+    if not x_rows:
+        raise OutOfRange("no frame has a full feature window")
+    return np.vstack(x_rows), np.concatenate(frame_rows)
+
+
 def train_models(
     sequences,
     homographies_per_seq,
@@ -223,44 +286,13 @@ def train_models(
     theta_sit: float | None = None,
     up: np.ndarray = UP_AXIS,
 ) -> TrainedModels:
-    """Cluster the training poses, label the clusters, build the bank and
-    the neighbor graph, then fit the per-frame classifier on motion features.
-
-    sequences and homographies_per_seq run in parallel; sequence boundaries
-    become bank breaks so neighbor edges never span two recordings.
+    """Build the bank (build_bank) and the training features
+    (build_features), then fit the per-frame classifier on those features
+    with each frame's cluster as its class.
     """
-    if len(sequences) != len(homographies_per_seq):
-        raise LengthMismatch("one homography list per pose sequence required")
-    mats, breaks, offset = [], [], 0
-    for seq, hs in zip(sequences, homographies_per_seq):
-        if len(hs) != len(seq) - 1:
-            raise LengthMismatch("need len(poses) - 1 homographies per sequence")
-        if offset > 0:
-            breaks.append(offset)
-        mats.append(normalized_matrix(seq, up))
-        offset += len(seq)
-    all_poses = np.vstack(mats)
-
-    cluster = kmeans(all_poses, k, seed=seed)
-    if theta_sit is None:
-        theta_sit = sit_stand_threshold(np.array([hip_height(v) for v in all_poses]))
-    label_clusters(cluster, all_poses, theta_sit)
-    assignments = assign_clusters(cluster, all_poses)
-    bank = ExemplarBank.build(all_poses, assignments, breaks, k)
-
-    x_rows, frame_rows = [], []
-    offset = 0
-    for seq, hs in zip(sequences, homographies_per_seq):
-        x, centers = features_from_homographies(hs, window, feature_mode, camera)
-        if len(centers):
-            x_rows.append(x)
-            frame_rows.append(centers + offset)
-        offset += len(seq)
-    if not x_rows:
-        raise OutOfRange("no frame has a full feature window")
-    features = np.vstack(x_rows)
-    feature_frames = np.concatenate(frame_rows)
-    targets = assignments[feature_frames]
+    cluster, bank, theta_sit = build_bank(sequences, k, seed, theta_sit, up)
+    features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
+    targets = bank.cluster_of[feature_frames]
 
     forest = knn = None
     if classifier == "forest":
@@ -272,7 +304,7 @@ def train_models(
     return TrainedModels(
         cluster,
         bank,
-        float(theta_sit),
+        theta_sit,
         window=window,
         feature_mode=feature_mode,
         camera=camera,

@@ -145,37 +145,16 @@ def test_knn_full_vote_gives_class_frequencies():
     assert np.allclose(probs, freq)
 
 
-def test_knn_index_matches_exhaustive_scan():
-    rng = np.random.default_rng(9)
-    pts = rng.normal(size=(300, 6))
-    tree = KnnIndex(pts, force_mode="tree")
-    scan = KnnIndex(pts, force_mode="scan")
-    for _ in range(100):
-        q = rng.normal(size=6)
-        for k in (1, 3, 10):
-            assert np.array_equal(tree.query(q, k), scan.query(q, k))
-
-
 def test_knn_distance_ties_take_lower_index():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    idx = KnnIndex(pts, force_mode="tree")
+    idx = KnnIndex(pts)
     assert list(idx.query(np.zeros(2), 2)) == [0, 1]
-    idx2 = KnnIndex(pts, force_mode="scan")
-    assert list(idx2.query(np.zeros(2), 2)) == [0, 1]
+    assert idx.query_batch(np.zeros((1, 2)), 2).tolist() == [[0, 1]]
 
 
 def test_knn_empty_training_raises():
     with pytest.raises(EmptyModel):
         KnnIndex(np.zeros((0, 3)))
-
-
-def test_knn_high_dim_uses_scan_path():
-    rng = np.random.default_rng(10)
-    pts = rng.normal(size=(200, 30))  # above the kd-tree dimension cutoff
-    idx = KnnIndex(pts)
-    ref = KnnIndex(pts, force_mode="scan")
-    q = rng.normal(size=30)
-    assert np.array_equal(idx.query(q, 5), ref.query(q, 5))
 
 
 def _whole_array_scan(pts, v, k):
@@ -189,7 +168,7 @@ def test_knn_blocked_scan_matches_whole_array_scan(dim):
     # a 1/4 grid gives many equal distances; 2 100 points span several blocks
     pts = rng.integers(-4, 5, size=(2100, dim)) / 4.0
     pts[5] = np.nan  # NaN distances sort last
-    idx = KnnIndex(pts, force_mode="scan")
+    idx = KnnIndex(pts)
     queries = np.concatenate([rng.integers(-4, 5, size=(35, dim)) / 4.0, pts[[7, 7, 1999]]])
     for k in (1, 20, 2100, 3000):
         got = idx.query_batch(queries, k)
@@ -209,9 +188,9 @@ def test_knn_batch_matches_single_queries():
     assert probs.shape == (43, 7)
     for v, row in zip(q, probs):
         assert np.array_equal(row, knn_proba(model, v, k=9))
-    tree = KnnIndex(rng.normal(size=(300, 3)))
+    low_dim = KnnIndex(rng.normal(size=(300, 3)))
     vs = rng.normal(size=(10, 3))
-    assert np.array_equal(tree.query_batch(vs, 4), np.stack([tree.query(v, 4) for v in vs]))
+    assert np.array_equal(low_dim.query_batch(vs, 4), np.stack([low_dim.query(v, 4) for v in vs]))
     with pytest.raises(DimMismatch):
         knn_proba(model, np.zeros((2, 19)))
 

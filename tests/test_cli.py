@@ -12,7 +12,20 @@ import os
 import numpy as np
 import pytest
 
-from egopose import Frame, Joint, Pose, PoseSequence, save_pose_sequence
+from egopose import (
+    ClusterModel,
+    ExemplarBank,
+    ForestModel,
+    Frame,
+    Joint,
+    Pose,
+    PoseSequence,
+    load_features,
+    load_homographies,
+    load_pose_sequence,
+    save_pose_sequence,
+    train_models,
+)
 from egopose.cli import main
 from egopose.synth import STAND_TEMPLATE
 
@@ -341,7 +354,14 @@ def test_knn_classifier_via_cli(workspace, tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "leave-one-out accuracy:" in out
+    # each row votes with its 5 nearest other rows, by a naive full sort
+    _, x, classes = load_features(models / "features.jsonl")
+    hits = 0
+    for i, v in enumerate(x):
+        d2 = ((x - v) ** 2).sum(axis=1)
+        order = [j for j in np.lexsort((np.arange(len(x)), d2)) if j != i][:5]
+        hits += int(np.bincount(classes[order], minlength=8).argmax() == classes[i])
+    assert f"leave-one-out accuracy: {hits / len(x):.4f}" in out
     rc = main(
         [
             "infer",
@@ -475,7 +495,36 @@ def test_homography_count_mismatch_exits_3(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 3
-    capsys.readouterr()
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "LengthMismatch"
+    assert not (tmp_path / "c.json").exists()  # checked before anything is written
+    assert not (tmp_path / "bank.json").exists()
+
+
+def test_nan_path_parameter_exits_3(workspace, tmp_path, capsys):
+    models = workspace["models"]
+    rc = main(
+        [
+            "infer",
+            "--input",
+            str(workspace["data"] / "homographies.jsonl"),
+            "--bank",
+            str(models / "bank.json"),
+            "--cluster-model",
+            str(models / "clusters.json"),
+            "--classifier-model",
+            str(models / "forest.json"),
+            "--window",
+            "8",
+            "--delta",
+            "nan",
+            "--out",
+            str(tmp_path / "p.jsonl"),
+        ]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
 
 
 def test_degenerate_pose_exits_4(workspace, tmp_path, capsys):
@@ -574,6 +623,52 @@ def test_model_fit_reruns_are_byte_identical(workspace, tmp_path):
         outs.append(d)
     for name in ("clusters.json", "bank.json", "features.jsonl", "forest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_training_equals_library_training(workspace, tmp_path):
+    """cluster + train on two recordings build the same models as train_models."""
+    script = workspace["script"]
+    recs = [tmp_path / "rec0", tmp_path / "rec1"]
+    for seed, rec in enumerate(recs):
+        assert main(["synth", "--script", str(script), "--out-dir", str(rec), "--seed", str(seed + 7)]) == 0
+    d = tmp_path / "cli"
+    assert (
+        main(
+            ["cluster", "--poses", *[str(r / "poses.jsonl") for r in recs]]
+            + ["--homographies", *[str(r / "homographies.jsonl") for r in recs]]
+            + ["--out", str(d / "clusters.json"), "--k", "8", "--window", "8", "--seed", "3"]
+        )
+        == 0
+    )
+    assert (
+        main(
+            ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
+            + ["--trees", "5", "--out", str(d / "forest.json"), "--seed", "3"]
+        )
+        == 0
+    )
+
+    seqs = [load_pose_sequence(r / "poses.jsonl") for r in recs]
+    hs = [load_homographies(r / "homographies.jsonl") for r in recs]
+    lib = train_models(seqs, hs, k=8, window=8, n_trees=5, seed=3)
+    cluster = ClusterModel.load(d / "clusters.json")
+    assert np.array_equal(cluster.centroids, lib.cluster.centroids)
+    assert cluster.labels == lib.cluster.labels
+    bank = ExemplarBank.load(d / "bank.json")
+    assert np.array_equal(bank.poses, lib.bank.poses)
+    assert np.array_equal(bank.cluster_of, lib.bank.cluster_of)
+    assert bank.sequence_breaks.tolist() == lib.bank.sequence_breaks.tolist() == [len(seqs[0])]
+    assert [n.tolist() for n in bank.neighbors] == [n.tolist() for n in lib.bank.neighbors]
+    frames, feats, classes = load_features(d / "features.jsonl")
+    assert np.array_equal(feats, lib.train_features)
+    assert np.array_equal(frames, lib.train_feature_frames)
+    assert frames.max() > len(seqs[0])  # the second recording's rows are offset
+    assert np.array_equal(classes, lib.bank.cluster_of[frames])
+    assert ForestModel.load(d / "forest.json").trees == lib.forest.trees
+    # and the files themselves are the ones the library bundle writes
+    lib.save(tmp_path / "lib")
+    for name in ("clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", "forest.json"):
+        assert (d / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
 def test_infer_reruns_are_byte_identical(workspace, tmp_path):

@@ -20,6 +20,12 @@ def test_params_validation():
     CostParams()  # defaults are legal
     with pytest.raises(Exception):
         CostParams(delta=-0.1)
+    with pytest.raises(ValueError):
+        CostParams(delta=float("nan"))
+    with pytest.raises(ValueError):
+        CostParams(tau=float("nan"))
+    with pytest.raises(ValueError):
+        CostParams(prune_threshold=float("nan"))
     with pytest.raises(Exception):
         CostParams(tau=0.5)
     with pytest.raises(Exception):

@@ -268,6 +268,10 @@ def test_params_reject_negative_values():
         PathParams(speed_gamma=-1.0)
     with pytest.raises(ValueError):
         PathParams(stat_gamma=-2.0)
+    for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu"):
+        with pytest.raises(ValueError):
+            PathParams(**{key: math.nan})
+    PathParams(speed_gamma=math.inf, stat_gamma=math.inf)  # saturation may be infinite
 
 
 def test_step_weight_examples():
@@ -522,6 +526,18 @@ def test_infeasible_trellis_raises_in_every_solver():
     for solver in (solve_paper_dp, solve_exact_dp, brute_force):
         with pytest.raises(Infeasible):
             solver(tr)
+
+
+def test_paper_dp_stops_at_the_first_dead_frame(monkeypatch):
+    # no neighbor-cluster predecessor reaches frame 1, so no later node is finite
+    bank = make_bank([0, 0, 1, 1, 2, 2])
+    tr = sparse_trellis(bank, [{0: 0.0}, {5: 0.0}] + [{4: 0.0, 5: 0.0}] * 30)
+    frames_scored = []
+    real = pathopt._representatives
+    monkeypatch.setattr(pathopt, "_representatives", lambda *a: frames_scored.append(1) or real(*a))
+    with pytest.raises(Infeasible):
+        solve_paper_dp(tr)
+    assert len(frames_scored) == 1
 
 
 def test_state_explosion_guard():
