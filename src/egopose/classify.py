@@ -3,7 +3,9 @@
 The primary classifier is a random forest over motion features: each tree is
 grown on a bootstrap sample to purity (or until fewer than two samples),
 choosing at every node the best Gini split among ceil(sqrt(d)) candidate
-features with midpoint thresholds. Tree probabilities are per-leaf
+features with midpoint thresholds. Trees are nested dicts from growth to
+file, grown from an explicit stack and read by one router that sends groups
+of rows down them, so neither step recurses. Tree probabilities are per-leaf
 normalized class histograms, averaged over trees. A k-NN classifier over the
 same features is available as an alternative probability provider; it finds
 neighbors with one exact exhaustive scan, ties going to the lower training
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +26,16 @@ import numpy as np
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 
 
-def _recursion_headroom(n: int = 20000) -> None:
-    # trees grown to purity can nest deeply; give tree recursion and the
-    # json encoder room to follow them
-    if sys.getrecursionlimit() < n:
-        sys.setrecursionlimit(n)
+@contextmanager
+def _recursion_headroom(n: int = 20000):
+    """Room for json, which recurses once per tree level, to follow trees
+    grown to purity; the interpreter's own limit is put back on exit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, n))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +44,9 @@ def _recursion_headroom(n: int = 20000) -> None:
 
 @dataclass
 class ForestModel:
-    """Trees as nested dicts: {"feat", "thresh", "left", "right"} | {"hist"}."""
+    """Trees as nested dicts, {"feat", "thresh", "left", "right"} for a split
+    (x[feat] <= thresh goes left) and {"hist"} for a leaf's class counts;
+    predictions route these dicts and files hold them as they are."""
 
     trees: list
     feature_dim: int
@@ -44,19 +54,17 @@ class ForestModel:
     oob_accuracy: float | None = None  # not serialized
 
     def save(self, path) -> None:
-        _recursion_headroom()
         rec = {
             "feature_dim": self.feature_dim,
             "n_classes": self.n_classes,
             "trees": self.trees,
         }
-        with open(path, "w") as f:
+        with open(path, "w") as f, _recursion_headroom():
             json.dump(rec, f)
 
     @classmethod
     def load(cls, path) -> "ForestModel":
-        _recursion_headroom()
-        with open(path) as f:
+        with open(path) as f, _recursion_headroom():
             rec = json.load(f)
         return cls(rec["trees"], int(rec["feature_dim"]), int(rec["n_classes"]))
 
@@ -93,30 +101,48 @@ def _gini_split(x_col: np.ndarray, y: np.ndarray, n_classes: int):
     return float(loss[pos]), float(thresh)
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: int, m_try: int):
-    sub_y = y[idx]
-    hist = np.bincount(sub_y, minlength=n_classes)
-    if len(idx) < 2 or hist.max() == len(idx):
-        return {"hist": hist.tolist()}
-    feats = rng.choice(x.shape[1], size=m_try, replace=False)
-    best = None
-    for f in feats:
-        res = _gini_split(x[idx, f], sub_y, n_classes)
-        if res is None:
+def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: int, m_try: int) -> dict:
+    """One tree on the samples idx, grown depth-first from an explicit stack,
+    left subtree before right, so the RNG draws come in preorder."""
+    root = {}
+    stack = [(root, idx)]
+    while stack:
+        node, idx = stack.pop()
+        sub_y = y[idx]
+        hist = np.bincount(sub_y, minlength=n_classes)
+        best = None
+        if len(idx) >= 2 and hist.max() < len(idx):
+            for f in rng.choice(x.shape[1], size=m_try, replace=False):
+                res = _gini_split(x[idx, f], sub_y, n_classes)
+                if res is not None and (best is None or res[0] < best[0]):
+                    best = (res[0], int(f), res[1])
+        if best is None:  # pure, a single sample, or candidates all constant
+            node["hist"] = hist.tolist()
             continue
-        loss, thresh = res
-        if best is None or loss < best[0]:
-            best = (loss, int(f), thresh)
-    if best is None:  # candidates all constant: no way to split
-        return {"hist": hist.tolist()}
-    _, feat, thresh = best
-    go_left = x[idx, feat] <= thresh
-    return {
-        "feat": feat,
-        "thresh": thresh,
-        "left": _grow_tree(x, y, idx[go_left], rng, n_classes, m_try),
-        "right": _grow_tree(x, y, idx[~go_left], rng, n_classes, m_try),
-    }
+        _, feat, thresh = best
+        go_left = x[idx, feat] <= thresh
+        node.update(feat=feat, thresh=thresh, left={}, right={})
+        stack.append((node["right"], idx[~go_left]))
+        stack.append((node["left"], idx[go_left]))
+    return root
+
+
+def _tree_proba(tree: dict, x: np.ndarray, n_classes: int) -> np.ndarray:
+    """(len(x), n_classes) normalized leaf histograms of one tree: the rows
+    go down the dicts in groups, one comparison per split a group reaches."""
+    out = np.zeros((len(x), n_classes))
+    stack = [(tree, np.arange(len(x)))]
+    while stack:
+        node, rows = stack.pop()
+        if "hist" in node:
+            hist = np.asarray(node["hist"], dtype=float)
+            out[rows] = hist / hist.sum()
+            continue
+        go_left = x[rows, node["feat"]] <= node["thresh"]
+        for child, sub in ((node["right"], rows[~go_left]), (node["left"], rows[go_left])):
+            if len(sub):
+                stack.append((child, sub))
+    return out
 
 
 def train_forest(
@@ -132,7 +158,7 @@ def train_forest(
     Parameters
     ----------
     features : (n, d) array of motion features.
-    classes : (n,) integer class (cluster) ids.
+    classes : (n,) integer class (cluster) ids in [0, n_classes).
     n_classes : histogram width; defaults to max(classes) + 1.
     """
     x = np.asarray(features, dtype=float)
@@ -141,12 +167,13 @@ def train_forest(
         raise DimMismatch("features and classes must have matching first dimension")
     if len(np.unique(y)) < 2:
         raise DegenerateLabels("training set has a single class")
+    if y.min() < 0:
+        raise DimMismatch("class ids must be non-negative")
     if n_classes is None:
         n_classes = int(y.max()) + 1
     elif y.max() >= n_classes:
         raise DimMismatch("class id exceeds n_classes")
 
-    _recursion_headroom()
     n, d = x.shape
     m_try = math.ceil(math.sqrt(d))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
@@ -160,7 +187,7 @@ def train_forest(
         if compute_oob:
             oob = np.setdiff1d(np.arange(n), boot, assume_unique=False)
             if len(oob) > 0:
-                votes[oob] += _tree_proba_batch(tree, x[oob], n_classes)
+                votes[oob] += _tree_proba(tree, x[oob], n_classes)
 
     model = ForestModel(trees, d, n_classes)
     if compute_oob:
@@ -175,77 +202,17 @@ def forest_proba(model: ForestModel, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.feature_dim,):
         raise DimMismatch(f"expected a {model.feature_dim}-vector, got {v.shape}")
-    acc = np.zeros(model.n_classes)
-    for tree in model.trees:
-        node = tree
-        while "hist" not in node:
-            node = node["left"] if v[node["feat"]] <= node["thresh"] else node["right"]
-        hist = np.asarray(node["hist"], dtype=float)
-        acc += hist / hist.sum()
-    acc /= len(model.trees)
-    return acc / acc.sum()
-
-
-def _flatten_tree(tree):
-    """Array form (feat, thresh, left, right, leaf_row) for batch routing."""
-    _recursion_headroom()
-    feats, threshs, lefts, rights, leaf_of = [], [], [], [], []
-    leaves = []
-
-    def add(node):
-        i = len(feats)
-        if "hist" in node:
-            feats.append(-1)
-            threshs.append(0.0)
-            lefts.append(-1)
-            rights.append(-1)
-            hist = np.asarray(node["hist"], dtype=float)
-            leaves.append(hist / hist.sum())
-            leaf_of.append(len(leaves) - 1)
-        else:
-            feats.append(node["feat"])
-            threshs.append(node["thresh"])
-            lefts.append(0)
-            rights.append(0)
-            leaf_of.append(-1)
-            l = add(node["left"])
-            r = add(node["right"])
-            lefts[i] = l
-            rights[i] = r
-        return i
-
-    add(tree)
-    return (
-        np.array(feats, dtype=int),
-        np.array(threshs, dtype=float),
-        np.array(lefts, dtype=int),
-        np.array(rights, dtype=int),
-        np.array(leaf_of, dtype=int),
-        np.stack(leaves) if leaves else np.zeros((0, 0)),
-    )
-
-
-def _tree_proba_batch(tree, x: np.ndarray, n_classes: int) -> np.ndarray:
-    feats, threshs, lefts, rights, leaf_of, leaves = _flatten_tree(tree)
-    pos = np.zeros(len(x), dtype=int)
-    active = feats[pos] >= 0
-    while active.any():
-        rows = np.flatnonzero(active)
-        p = pos[rows]
-        go_left = x[rows, feats[p]] <= threshs[p]
-        pos[rows] = np.where(go_left, lefts[p], rights[p])
-        active[rows] = feats[pos[rows]] >= 0
-    return leaves[leaf_of[pos]]
+    return forest_proba_batch(model, v[None])[0]
 
 
 def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """(n, n_classes) distributions; identical to row-wise forest_proba."""
+    """(n, n_classes) distributions, row i equal to forest_proba(model, x[i])."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise DimMismatch(f"expected (n, {model.feature_dim}) features")
     acc = np.zeros((len(x), model.n_classes))
     for tree in model.trees:
-        acc += _tree_proba_batch(tree, x, model.n_classes)
+        acc += _tree_proba(tree, x, model.n_classes)
     acc /= len(model.trees)
     return acc / acc.sum(axis=1, keepdims=True)
 
@@ -338,6 +305,8 @@ class KnnModel:
         self.classes = np.asarray(self.classes, dtype=int)
         if len(self.features) != len(self.classes):
             raise DimMismatch("features and classes must have matching length")
+        if len(self.classes) and not (0 <= self.classes.min() and self.classes.max() < self.n_classes):
+            raise DimMismatch(f"class ids must lie in [0, {self.n_classes})")
         if self.pose_indices is not None:
             self.pose_indices = np.asarray(self.pose_indices, dtype=int)
         self._index = None

@@ -26,6 +26,7 @@ from .errors import (
     EgoPoseError,
     Infeasible,
     InfeasiblePath,
+    LengthMismatch,
     NormalizationFailure,
     SingularMatrix,
     StateExplosion,
@@ -37,6 +38,7 @@ from .pathopt import PathParams
 from .pipeline import (  # noqa: F401
     SOLVERS,
     TrainedModels,
+    _check_lengths,
     build_bank,
     build_features,
     infer,
@@ -166,9 +168,14 @@ def cmd_synth(args):
 def cmd_cluster(args):
     cfg = _load_config(args)
     sequences = [load_pose_sequence_with_times(path)[0] for path in args.poses]
-    streams = [_load_stream(path) for path in args.homographies or ()]
+    paths = args.homographies or []
+    if paths and len(paths) != len(sequences):  # before the DLT of any stream
+        raise LengthMismatch(f"{len(paths)} homography streams for {len(sequences)} pose files")
+    streams = [_load_stream(path) for path in paths]
+    if streams:  # before the k-means
+        _check_lengths(sequences, streams)
     model, bank, _ = build_bank(sequences, int(cfg["k"]), int(cfg["seed"]))
-    if streams:  # checked and built before anything is written
+    if streams:  # built before anything is written
         camera = _load_camera(args.camera) if args.camera else None
         feats, frames = build_features(sequences, streams, int(cfg["window"]), cfg["feature_mode"], camera)
 
@@ -228,12 +235,12 @@ def cmd_infer(args):
     if args.solver in ("paper", "exact", "path-cluster"):
         if not args.classifier_model:
             raise ValueError(f"solver {args.solver} needs --classifier-model")
-        with open(args.classifier_model) as f:
-            rec = json.load(f)
-        if "trees" in rec:
+        try:
             forest = ForestModel.load(args.classifier_model)
-        else:
-            knn = KnnModel.load(args.classifier_model)
+        except KeyError as e:
+            if e.args != ("trees",):
+                raise
+            knn = KnnModel.load(args.classifier_model)  # a file without trees holds a kNN model
             classifier = "knn"
 
     train_feats = train_frames = None

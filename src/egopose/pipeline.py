@@ -242,6 +242,16 @@ def build_bank(
     return cluster, bank, float(theta_sit)
 
 
+def _check_lengths(sequences, homographies_per_seq) -> None:
+    """LengthMismatch unless there is one homography list per pose sequence,
+    each holding one homography fewer than its sequence holds poses."""
+    if len(sequences) != len(homographies_per_seq):
+        raise LengthMismatch("one homography list per pose sequence required")
+    for n, (seq, hs) in enumerate(zip(sequences, homographies_per_seq)):
+        if len(hs) != len(seq) - 1:
+            raise LengthMismatch(f"sequence {n}: {len(hs)} homographies for {len(seq)} poses, need len(poses) - 1")
+
+
 def build_features(
     sequences,
     homographies_per_seq,
@@ -255,13 +265,10 @@ def build_features(
     between each pair of consecutive poses. Returns (features, frames), where
     frames index the poses stacked in sequence order, as in build_bank.
     """
-    if len(sequences) != len(homographies_per_seq):
-        raise LengthMismatch("one homography list per pose sequence required")
+    _check_lengths(sequences, homographies_per_seq)
     x_rows, frame_rows = [], []
     offset = 0
-    for n, (seq, hs) in enumerate(zip(sequences, homographies_per_seq)):
-        if len(hs) != len(seq) - 1:
-            raise LengthMismatch(f"sequence {n}: {len(hs)} homographies for {len(seq)} poses, need len(poses) - 1")
+    for seq, hs in zip(sequences, homographies_per_seq):
         x, centers = features_from_homographies(hs, window, mode, camera)
         if len(centers):
             x_rows.append(x)
@@ -290,6 +297,7 @@ def train_models(
     (build_features), then fit the per-frame classifier on those features
     with each frame's cluster as its class.
     """
+    _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
     cluster, bank, theta_sit = build_bank(sequences, k, seed, theta_sit, up)
     features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
     targets = bank.cluster_of[feature_frames]

@@ -1,8 +1,14 @@
+import json
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from egopose.classify import (
     ForestModel,
+    _gini_split,
+    _grow_tree,
     KnnIndex,
     KnnModel,
     constant_static,
@@ -31,8 +37,6 @@ def two_blobs(rng, n=500, d=8, margin=1.0):
 
 def walk_tree(tree, v):
     node = tree
-    while "hist" in node if isinstance(node, dict) else False:
-        break
     while "feat" in node:
         node = node["left"] if v[node["feat"]] <= node["thresh"] else node["right"]
     h = np.array(node["hist"], dtype=float)
@@ -110,7 +114,125 @@ def test_forest_batch_equals_single():
     q = rng.normal(size=(20, x.shape[1]))
     batch = forest_proba_batch(model, q)
     for i in range(len(q)):
-        assert np.allclose(batch[i], forest_proba(model, q[i]), atol=1e-12)
+        ref = np.mean([walk_tree(t, q[i]) for t in model.trees], axis=0)
+        assert np.allclose(batch[i], ref / ref.sum(), atol=1e-12)
+        assert np.array_equal(batch[i], forest_proba(model, q[i]))
+
+
+def _reference_grow_tree(x, y, idx, rng, n_classes, m_try):
+    """The recursive grower: the stack-based _grow_tree must build the same
+    dicts, key order included, from the same RNG draws."""
+    sub_y = y[idx]
+    hist = np.bincount(sub_y, minlength=n_classes)
+    if len(idx) < 2 or hist.max() == len(idx):
+        return {"hist": hist.tolist()}
+    feats = rng.choice(x.shape[1], size=m_try, replace=False)
+    best = None
+    for f in feats:
+        res = _gini_split(x[idx, f], sub_y, n_classes)
+        if res is None:
+            continue
+        loss, thresh = res
+        if best is None or loss < best[0]:
+            best = (loss, int(f), thresh)
+    if best is None:  # candidates all constant: no way to split
+        return {"hist": hist.tolist()}
+    _, feat, thresh = best
+    go_left = x[idx, feat] <= thresh
+    return {
+        "feat": feat,
+        "thresh": thresh,
+        "left": _reference_grow_tree(x, y, idx[go_left], rng, n_classes, m_try),
+        "right": _reference_grow_tree(x, y, idx[~go_left], rng, n_classes, m_try),
+    }
+
+
+def _grow_cases(rng):
+    """(x, y, n_classes) training sets for the grower comparison."""
+    x = rng.normal(size=(150, 6))
+    yield x, rng.integers(0, 5, size=150), 5
+    # tied values, a constant column and a duplicated column
+    x = rng.integers(0, 3, size=(120, 5)).astype(float)
+    x[:, 1] = 7.0
+    x[:, 3] = x[:, 0]
+    yield x, rng.integers(0, 4, size=120), 4
+    # a class per sample: leaves hold a single sample
+    yield rng.normal(size=(40, 3)), np.arange(40), 40
+    # histograms wider than the classes present
+    yield rng.normal(size=(80, 4)), rng.choice([1, 4, 6], size=80), 12
+    # 1-D features
+    yield rng.normal(size=(100, 1)).round(1), rng.integers(0, 3, size=100), 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grow_tree_equals_recursive_reference(seed):
+    data = np.random.default_rng(100 + seed)
+    for x, y, n_classes in _grow_cases(data):
+        m_try = math.ceil(math.sqrt(x.shape[1]))
+        for tree_seed in range(3):
+            boot = np.random.default_rng(tree_seed).integers(0, len(x), size=len(x))
+            rng_a, rng_b = np.random.default_rng(seed * 10 + tree_seed), np.random.default_rng(seed * 10 + tree_seed)
+            got = _grow_tree(x, y, boot, rng_a, n_classes, m_try)
+            want = _reference_grow_tree(x, y, boot, rng_b, n_classes, m_try)
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)  # key order, as written to file
+            assert rng_a.random() == rng_b.random()  # the same number of draws
+
+
+def _chain_forest(depth, n_classes=3):
+    """One tree whose splits nest depth levels deep: split i sends
+    x[0] <= i + 0.5 to a leaf of class i % n_classes, the rest one level
+    down, and the last level to a uniform leaf."""
+    root = node = {}
+    for i in range(depth):
+        leaf = {"hist": [int(c == i % n_classes) for c in range(n_classes)]}
+        node.update(feat=0, thresh=i + 0.5, left=leaf, right={})
+        node = node["right"]
+    node["hist"] = [1] * n_classes
+    return ForestModel([root], 1, n_classes)
+
+
+def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
+    q = np.array([[0.0], [1.2], [1500.0], [2998.9], [2999.7]])
+    want = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3]])
+    rng = np.random.default_rng(13)
+    x, y = two_blobs(rng, n=40)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        model = _chain_forest(3000)
+        assert np.array_equal(forest_proba_batch(model, q), want)
+        assert np.array_equal(forest_proba(model, q[3]), want[3])
+        assert sys.getrecursionlimit() == 1000
+        path = tmp_path / "deep.json"
+        model.save(path)
+        assert sys.getrecursionlimit() == 1000
+        back = ForestModel.load(path)
+        assert sys.getrecursionlimit() == 1000
+        assert np.array_equal(forest_proba_batch(back, q), want)
+        trained = train_forest(x, y, n_trees=3, seed=0)
+        forest_proba_batch(trained, x[:5])
+        forest_proba(trained, x[0])
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_class_ids_outside_range_are_rejected(tmp_path, bad):
+    x = [[0.0], [1.0], [10.0], [11.0]]
+    y = [0, 0, 1, bad]
+    with pytest.raises(DimMismatch):
+        KnnModel(x, y, 2)
+    with pytest.raises(DimMismatch):
+        train_forest(x, y, n_trees=2, n_classes=2)
+    if bad < 0:
+        with pytest.raises(DimMismatch):
+            train_forest(x, y, n_trees=2)
+    path = tmp_path / "knn.json"
+    path.write_text(json.dumps({"n_classes": 2, "features": x, "classes": y, "pose_indices": None}))
+    with pytest.raises(DimMismatch):
+        KnnModel.load(path)
 
 
 def test_forest_file_round_trip(tmp_path):

@@ -501,6 +501,77 @@ def test_homography_count_mismatch_exits_3(workspace, tmp_path, capsys):
     assert not (tmp_path / "bank.json").exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the length checks")
+
+
+def test_stream_mismatch_is_found_before_dlt_and_kmeans(workspace, tmp_path, capsys, monkeypatch):
+    data = workspace["data"]
+    monkeypatch.setattr("egopose.pipeline.kmeans", _must_not_run)
+    monkeypatch.setattr("egopose.cli.estimate_homography", _must_not_run)
+    poses = ["--poses", str(data / "poses.jsonl"), str(data / "poses.jsonl")]
+    out = ["--out", str(tmp_path / "c.json"), "--k", "8", "--window", "8"]
+    # two pose files, one correspondence stream: no stream gets its DLT
+    rc = main(["cluster", *poses, "--homographies", str(data / "correspondences.jsonl"), *out])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "LengthMismatch"
+    # one stream per pose file, the second one short: no k-means
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n".join((data / "homographies.jsonl").read_text().splitlines()[:-1]) + "\n")
+    rc = main(["cluster", *poses, "--homographies", str(data / "homographies.jsonl"), str(short), *out])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "LengthMismatch"
+    assert os.listdir(tmp_path) == ["short.jsonl"]  # nothing written
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_train_class_id_outside_bank_exits_3(workspace, tmp_path, capsys, bad):
+    models = workspace["models"]
+    rows = [json.loads(line) for line in (models / "features.jsonl").read_text().splitlines()]
+    rows[3]["class"] = bad  # the bank holds 8 clusters
+    feats = tmp_path / "features.jsonl"
+    feats.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    for classifier in ("knn", "forest"):
+        rc = main(
+            ["train", "--features", str(feats), "--bank", str(models / "bank.json")]
+            + ["--classifier", classifier, "--trees", "2", "--out", str(tmp_path / "model.json")]
+        )
+        assert rc == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DimMismatch"
+        assert not (tmp_path / "model.json").exists()
+
+
+def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monkeypatch):
+    data, models = workspace["data"], workspace["models"]
+    forest = str(models / "forest.json")
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    def infer_with(model):
+        return main(
+            ["infer", "--input", str(data / "homographies.jsonl"), "--bank", str(models / "bank.json")]
+            + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(model)]
+            + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
+        )
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert infer_with(forest) == 0
+    assert opened.count(forest) == 1
+    monkeypatch.undo()
+    # malformed classifier files still exit 3
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"trees": [')
+    no_dim = tmp_path / "no_dim.json"
+    no_dim.write_text(json.dumps({"trees": [{"hist": [1, 0]}], "n_classes": 2}))
+    for model in (broken, no_dim):
+        assert infer_with(model) == 3
+        capsys.readouterr()
+
+
 def test_nan_path_parameter_exits_3(workspace, tmp_path, capsys):
     models = workspace["models"]
     rc = main(

@@ -134,8 +134,13 @@ def test_feature_file_round_trip(tmp_path):
 # training
 
 
-def test_train_models_validates_lengths():
+def test_train_models_validates_lengths(monkeypatch):
     sequences, streams, _, _ = training_material()
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran before the length checks")
+
+    monkeypatch.setattr("egopose.pipeline.kmeans", no_kmeans)
     with pytest.raises(LengthMismatch):
         train_models(sequences, streams[:1], k=4, window=8)
     with pytest.raises(LengthMismatch):
