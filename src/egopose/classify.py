@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
+from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch, load_json_object
 
 
 @contextmanager
@@ -64,8 +64,8 @@ class ForestModel:
 
     @classmethod
     def load(cls, path) -> "ForestModel":
-        with open(path) as f, _recursion_headroom():
-            rec = json.load(f)
+        with _recursion_headroom():
+            rec = load_json_object(path)
         return cls(rec["trees"], int(rec["feature_dim"]), int(rec["n_classes"]))
 
 
@@ -328,8 +328,7 @@ class KnnModel:
 
     @classmethod
     def load(cls, path) -> "KnnModel":
-        with open(path) as f:
-            rec = json.load(f)
+        rec = load_json_object(path)
         pi = rec.get("pose_indices")
         return cls(
             np.array(rec["features"], dtype=float),

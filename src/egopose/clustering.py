@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import TooFewPoses
+from .errors import TooFewPoses, load_json_object
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -61,8 +61,7 @@ class ClusterModel:
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
-        with open(path) as f:
-            rec = json.load(f)
+        rec = load_json_object(path)
         labels = [SitStand(l) for l in rec["labels"]] if rec.get("labels") else None
         return cls(np.array(rec["centroids"], dtype=float), labels)
 
@@ -194,15 +193,32 @@ def build_neighbor_graph(cluster_of: np.ndarray, sequence_breaks, k: int) -> lis
     indices that start a new source sequence.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
-    breaks = set(int(b) for b in sequence_breaks)
-    nbrs = [{c} for c in range(k)]
-    for i in range(len(cluster_of) - 1):
-        if (i + 1) in breaks:
-            continue
-        a, b = int(cluster_of[i]), int(cluster_of[i + 1])
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    return [np.array(sorted(s), dtype=int) for s in nbrs]
+    steps = ~np.isin(np.arange(1, len(cluster_of)), list(sequence_breaks))
+    a, b = cluster_of[:-1][steps], cluster_of[1:][steps]
+    adjacent = np.eye(k, dtype=bool)
+    adjacent[a, b] = adjacent[b, a] = True
+    return [np.flatnonzero(row) for row in adjacent]
+
+
+def _adjacency(neighbors, k: int) -> np.ndarray:
+    """The k*k table of per-cluster neighbor lists, which may come in any
+    order; raises ValueError unless the relation is a reflexive, symmetric
+    one over [0, k)."""
+    if len(neighbors) != k:
+        raise ValueError("one neighbor list per cluster required")
+    lists = [np.asarray(nb, dtype=int) for nb in neighbors]
+    if any(nb.ndim != 1 for nb in lists):
+        raise ValueError("each neighbor list must be a flat list of cluster ids")
+    ids = np.concatenate([np.zeros(0, dtype=int)] + lists)
+    if len(ids) and (ids.min() < 0 or ids.max() >= k):
+        raise ValueError(f"neighbor id outside [0, {k})")
+    adjacent = np.zeros((k, k), dtype=bool)
+    adjacent[np.arange(k).repeat([len(nb) for nb in lists]), ids] = True
+    if not adjacent.diagonal().all():
+        raise ValueError(f"cluster {int(np.argmin(adjacent.diagonal()))} must neighbor itself")
+    if not np.array_equal(adjacent, adjacent.T):
+        raise ValueError("neighbor relation must be symmetric")
+    return adjacent
 
 
 @dataclass
@@ -211,7 +227,14 @@ class ExemplarBank:
 
     poses: (n, 75) normalized pose vectors; cluster_of: (n,) cluster ids;
     sequence_breaks: sorted indices where a new source sequence starts;
-    neighbors: per-cluster sorted arrays of neighbor ids (self included).
+    neighbors: per-cluster arrays of neighbor ids (self included), the form
+    bank.json stores. Lists given in any order or with repeats are read as
+    the same relation and kept sorted and unique; ids must lie in [0, k).
+
+    Derived at construction, and what every solver reads:
+    adjacent: (k, k) bool table, adjacent[a, b] iff b is a neighbor of a;
+    segment_of: (n,) source-sequence id of each pose, so a step j -> i
+    stays inside one sequence iff segment_of[j] == segment_of[i].
     """
 
     poses: np.ndarray
@@ -219,12 +242,17 @@ class ExemplarBank:
     sequence_breaks: np.ndarray
     neighbors: list
     k: int
+    adjacent: np.ndarray = field(init=False, repr=False)
+    segment_of: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.poses = np.asarray(self.poses, dtype=float)
         self.cluster_of = np.asarray(self.cluster_of, dtype=int)
         self.sequence_breaks = np.asarray(sorted(int(b) for b in self.sequence_breaks), dtype=int)
         self.validate()
+        self.adjacent = _adjacency(self.neighbors, self.k)
+        self.neighbors = [np.flatnonzero(row) for row in self.adjacent]
+        self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
 
     def validate(self) -> None:
         if self.poses.ndim != 2 or self.poses.shape[1] != 75:
@@ -233,14 +261,6 @@ class ExemplarBank:
             raise ValueError("cluster_of length mismatch")
         if len(self.cluster_of) and (self.cluster_of.min() < 0 or self.cluster_of.max() >= self.k):
             raise ValueError("cluster id out of range")
-        if len(self.neighbors) != self.k:
-            raise ValueError("one neighbor list per cluster required")
-        for c, nb in enumerate(self.neighbors):
-            if c not in set(int(x) for x in nb):
-                raise ValueError(f"cluster {c} must neighbor itself")
-            for b in nb:
-                if c not in set(int(x) for x in self.neighbors[int(b)]):
-                    raise ValueError("neighbor relation must be symmetric")
         for b in self.sequence_breaks:
             if not (0 < b < len(self.poses)):
                 raise ValueError("sequence break outside pose range")
@@ -251,11 +271,8 @@ class ExemplarBank:
         return cls(poses, cluster_of, np.asarray(list(sequence_breaks), dtype=int), nbrs, k)
 
     def crosses_break(self, j: int, i: int) -> bool:
-        """True when the forward step j -> i spans a sequence boundary."""
-        lo, hi = (j, i) if j <= i else (i, j)
-        a = np.searchsorted(self.sequence_breaks, lo, side="right")
-        b = np.searchsorted(self.sequence_breaks, hi, side="right")
-        return bool(b > a)
+        """True when the step j -> i spans a sequence boundary."""
+        return bool(self.segment_of[j] != self.segment_of[i])
 
     def save(self, path, poses_file=None) -> None:
         """JSON with a pose-file reference; poses go to a sibling JSONL."""
@@ -276,8 +293,7 @@ class ExemplarBank:
 
     @classmethod
     def load(cls, path) -> "ExemplarBank":
-        with open(path) as f:
-            rec = json.load(f)
+        rec = load_json_object(path)
         pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
         seq = load_pose_sequence(pose_path)
         poses = seq.as_matrix()
@@ -285,6 +301,6 @@ class ExemplarBank:
             poses,
             np.array(rec["cluster_of"], dtype=int),
             np.array(rec["sequence_breaks"], dtype=int),
-            [np.array(nb, dtype=int) for nb in rec["neighbors"]],
+            rec["neighbors"],
             int(rec["k"]),
         )

@@ -2,11 +2,9 @@
 
 The cost of exemplar pose i at frame n is e = 1 - probs_n[c(p_i)] + d_{i,n}.
 The mismatch term d adds delta when a confident static sitting probability
-h_n contradicts the pose: by default a pose is penalized when its own
-cluster label disagrees with a confident h (h >= tau says sitting but the
-pose is standing-like, or h <= 1 - tau says standing but the pose is
-sitting-like). The literal variant instead compares h against the dynamic
-frame verdict and charges every pose of a mismatched frame.
+h_n contradicts the pose: a pose is penalized when its own cluster label
+disagrees with a confident h (h >= tau says sitting but the pose is
+standing-like, or h <= 1 - tau says standing but the pose is sitting-like).
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import check_static, dynamic_sit_stand
+from .classify import check_static
 from .clustering import ExemplarBank, SitStand
 from .errors import LengthMismatch
 
@@ -26,7 +24,6 @@ class CostParams:
     delta: float = 0.1
     tau: float = 0.99
     prune_threshold: float = 0.01
-    literal_mismatch: bool = False  # frame-constant d from the dynamic verdict
 
     def __post_init__(self):
         if not (self.delta >= 0):  # NaN fails too
@@ -93,19 +90,10 @@ def unary_costs(
         base = 1.0 - dists[n][bank.cluster_of]
         h = static_h[n]
         d = np.zeros(len(bank.poses))
-        if params.literal_mismatch:
-            verdict = dynamic_sit_stand(dists[n], labels)
-            says_sit = h >= params.tau
-            says_stand = h <= 1.0 - params.tau
-            if (says_sit and verdict == SitStand.STANDING_LIKE) or (
-                says_stand and verdict == SitStand.SITTING_LIKE
-            ):
-                d[:] = params.delta
-        else:
-            if h >= params.tau:
-                d[standing_pose] = params.delta
-            elif h <= 1.0 - params.tau:
-                d[sitting_pose] = params.delta
+        if h >= params.tau:
+            d[standing_pose] = params.delta
+        elif h <= 1.0 - params.tau:
+            d[sitting_pose] = params.delta
         out.indices.append(all_idx)
         out.costs.append(base + d)
     return out

@@ -1,8 +1,22 @@
 """Exception types shared across the package.
 
 Every recoverable failure raises one of these so callers (and the CLI) can
-map problems to exit codes without string matching.
+map problems to exit codes without string matching. load_json_object is the
+one reader of JSON model files, so a file of the wrong shape fails the same
+way for every model.
 """
+
+import json
+
+
+def load_json_object(path) -> dict:
+    """The JSON object a model file holds; ValueError naming the file when
+    it holds anything else."""
+    with open(path) as f:
+        rec = json.load(f)
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}: expected a JSON object, found {type(rec).__name__}")
+    return rec
 
 
 class EgoPoseError(Exception):

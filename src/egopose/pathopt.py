@@ -162,10 +162,7 @@ class PosePath:
 def step_weight(j: int, i: int, bank: ExemplarBank, params: PathParams) -> float:
     """w_{j,i}: 0 for a small forward step inside one source sequence, delta
     for any other step between neighboring clusters, +inf otherwise."""
-    cj, ci = int(bank.cluster_of[j]), int(bank.cluster_of[i])
-    nb = bank.neighbors[cj]
-    pos = int(np.searchsorted(nb, ci))
-    if pos >= len(nb) or nb[pos] != ci:
+    if not bank.adjacent[bank.cluster_of[j], bank.cluster_of[i]]:
         return float("inf")
     if 0 <= i - j <= 2 and not bank.crosses_break(j, i):
         return 0.0
@@ -214,35 +211,9 @@ def energy_of_path(trellis: Trellis, indices, params: PathParams = PathParams())
     return PosePath(indices, unary, transition, speed, stationary, total)
 
 
-def _frame_tables(trellis: Trellis):
-    """Cluster ids and break ranks for each frame's candidates."""
-    bank = trellis.bank
-    out = []
-    for idx, _ in trellis.frames:
-        clusters = bank.cluster_of[idx]
-        br = np.searchsorted(bank.sequence_breaks, idx, side="right")
-        out.append((clusters, br))
-    return out
-
-
 _REPS = 4  # at most 3 special predecessors, so one of 4 is not special
 _SPECIAL = np.arange(3)  # steps i - j that can have w = 0 or r > 0
 _NEAR_CHUNK = 1 << 16  # near pairs scored at a time; bounds memory per frame
-
-
-class _ClusterGraph:
-    """The bank's cluster neighbor graph as edge arrays grouped by source,
-    plus a dense k*k adjacency table (k^2 bytes) for vectorized lookups."""
-
-    def __init__(self, bank: ExemplarBank):
-        self.k = bank.k
-        self.src = np.repeat(np.arange(bank.k), [len(nb) for nb in bank.neighbors])
-        self.dst = np.concatenate(bank.neighbors).astype(int)
-        self.table = np.zeros(bank.k * bank.k, dtype=bool)
-        self.table[self.src * bank.k + self.dst] = True
-
-    def adjacent(self, cj, ci):
-        return self.table[cj * self.k + ci]
 
 
 def _near_reach(speed_gamma: float, n_poses: int) -> int:
@@ -266,23 +237,24 @@ def _smallest_ranks(groups, ranks, n_groups: int, n: int):
     return table
 
 
-def _representatives(sat, p_idx, p_clusters, idx, clusters, graph: _ClusterGraph):
+def _representatives(sat, p_idx, p_clusters, idx, clusters, src, dst, k: int):
     """Per node i, the position of the predecessor with the smallest
     (sat_j, j) among those in neighbor clusters of i's cluster that are not
-    i, i-1 or i-2; len(p_idx) when there is none."""
+    i, i-1 or i-2; len(p_idx) when there is none. src, dst list each edge of
+    the k-cluster neighbor graph once."""
     n = len(p_idx)
     order = sat.argsort(kind="stable")  # ties keep the smaller j
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    by_source = _smallest_ranks(p_clusters, rank, graph.k, n)
-    live = np.zeros((2, graph.k), dtype=bool)
+    by_source = _smallest_ranks(p_clusters, rank, k, n)
+    live = np.zeros((2, k), dtype=bool)
     live[0, clusters] = True
     live[1, p_clusters] = True
-    edges = live[0, graph.src] & live[1, graph.dst]
-    ranks = by_source[graph.dst[edges]]
+    edges = live[0, src] & live[1, dst]
+    ranks = by_source[dst[edges]]
     present = ranks < n
-    groups = graph.src[edges].repeat(_REPS)[present.ravel()]
-    by_target = _smallest_ranks(groups, ranks[present], graph.k, n)
+    groups = src[edges].repeat(_REPS)[present.ravel()]
+    by_target = _smallest_ranks(groups, ranks[present], k, n)
     reps = np.append(order, n)[by_target[clusters]]
     step = idx[:, None] - p_idx.take(reps, mode="clip")
     usable = (reps < n) & ((step < 0) | (step > 2))
@@ -334,11 +306,14 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     Returns a PosePath, or (PosePath, tables) with keep_tables where tables
     is a per-frame list of NodeState records.
     """
-    meta = _frame_tables(trellis)
-    graph = _ClusterGraph(trellis.bank)
-    reach = _near_reach(params.speed_gamma, len(trellis.bank.poses))
+    bank = trellis.bank
+    k = bank.k
+    src, dst = bank.adjacent.nonzero()
+    adjacent = bank.adjacent.ravel()  # a flat index is cheaper than a (row, column) pair
+    reach = _near_reach(params.speed_gamma, len(bank.poses))
     sat_q = params.speed_mu * params.speed_gamma
     idx0, e0 = trellis.frames[0]
+    clusters, seg = bank.cluster_of[idx0], bank.segment_of[idx0]
     h = e0.copy()
     u = np.zeros(len(idx0), dtype=int)
     s = np.zeros(len(idx0), dtype=int)
@@ -349,14 +324,14 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         if not np.isfinite(h).any():  # no later node can become finite
             raise Infeasible("no finite-energy path through the trellis")
         idx, e = trellis.frames[n]
-        clusters, br = meta[n]
         p_idx, _ = trellis.frames[n - 1]
-        p_clusters, p_br = meta[n - 1]
+        p_clusters, p_seg = clusters, seg
+        clusters, seg = bank.cluster_of[idx], bank.segment_of[idx]
         n_prev = len(p_idx)  # also the "no candidate" marker
 
-        def score(jp, i, bri):
+        def score(jp, i, seg_i):
             step = i - p_idx[jp]
-            w = np.where((step >= 0) & (step <= 2) & ~(bri > p_br[jp]), 0.0, params.delta)
+            w = np.where((step >= 0) & (step <= 2) & ~(seg_i > p_seg[jp]), 0.0, params.delta)
             q = params.speed_mu * np.minimum(np.abs(s[jp] - step), params.speed_gamma)
             r = np.where(step == 0, params.stat_mu * np.minimum(u[jp] + 1, params.stat_gamma), 0.0)
             return h[jp] + w + q + r
@@ -366,20 +341,21 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         pos = p_idx.searchsorted(back)
         fixed = np.empty((len(idx), _REPS), dtype=int)
         fixed[:, :3] = np.where(p_idx.take(pos, mode="clip") == back, pos, n_prev)
-        fixed[:, 3] = _representatives((h + params.delta) + sat_q, p_idx, p_clusters, idx, clusters, graph)
+        sat = (h + params.delta) + sat_q
+        fixed[:, 3] = _representatives(sat, p_idx, p_clusters, idx, clusters, src, dst, k)
         jf = np.minimum(fixed, n_prev - 1)
-        valid = (fixed < n_prev) & graph.adjacent(p_clusters[jf], clusters[:, None])
-        tot = np.where(valid, score(jf, idx[:, None], br[:, None]), np.inf)
+        valid = (fixed < n_prev) & adjacent[p_clusters[jf] * k + clusters[:, None]]
+        tot = np.where(valid, score(jf, idx[:, None], seg[:, None]), np.inf)
         best_tot = tot.min(axis=1)
         best = np.where(valid & (tot == best_tot[:, None]), fixed, n_prev).min(axis=1)
 
         # near predecessors; pairs come target by target
         for tgt, jp in _near_pairs(p_idx + s, idx, reach) if reach >= 0 else ():
-            ok = graph.adjacent(p_clusters[jp], clusters[tgt])
+            ok = adjacent[p_clusters[jp] * k + clusters[tgt]]
             tgt, jp = tgt[ok], jp[ok]
             if not len(tgt):
                 continue
-            tot = score(jp, idx[tgt], br[tgt])
+            tot = score(jp, idx[tgt], seg[tgt])
             head = np.empty(len(tgt), dtype=bool)
             head[0] = True
             np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
@@ -433,9 +409,7 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
     state count exceeds 1e7.
     """
     bank = trellis.bank
-    meta = _frame_tables(trellis)
     stat_cap = int(params.stat_gamma)
-    nbr_sets = [set(int(x) for x in bank.neighbors[c]) for c in range(bank.k)]
 
     idx0, e0 = trellis.frames[0]
     # state key: (position, previous step, clamped stationary count)
@@ -443,24 +417,22 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
 
     for n in range(1, trellis.n_frames):
         idx, e = trellis.frames[n]
-        clusters, br = meta[n]
         p_idx, _ = trellis.frames[n - 1]
-        p_clusters, p_br = meta[n - 1]
         if len(idx) * (len(p_idx) + stat_cap + 1) > 10_000_000:
             raise StateExplosion(f"frame {n}: state budget exceeded")
+        seg, p_seg = bank.segment_of[idx], bank.segment_of[p_idx]
+        # allowed[j, i]: the clusters of candidates j and i are neighbors
+        allowed = bank.adjacent[bank.cluster_of[p_idx][:, None], bank.cluster_of[idx]]
 
         prev = layers[-1]
         new_states: dict = {}
         for key in sorted(prev):  # ascending keys; first writer wins ties
             j_pos, s_prev, u_prev = key
             h_prev = prev[key][0]
-            cj = int(p_clusters[j_pos])
             pj = int(p_idx[j_pos])
-            for i_pos in range(len(idx)):
-                if int(clusters[i_pos]) not in nbr_sets[cj]:
-                    continue
+            for i_pos in allowed[j_pos].nonzero()[0].tolist():
                 step = int(idx[i_pos]) - pj
-                if 0 <= step <= 2 and not br[i_pos] > p_br[j_pos]:
+                if 0 <= step <= 2 and not seg[i_pos] > p_seg[j_pos]:
                     w = 0.0
                 else:
                     w = params.delta
@@ -557,54 +529,53 @@ def solve_path_cluster(trellis: Trellis, dists: np.ndarray, params: PathParams =
     dists = np.asarray(dists, dtype=float)
     if len(dists) != trellis.n_frames:
         raise ValueError("one distribution per frame required")
-    meta = _frame_tables(trellis)
     chosen = []
-    for n in range(trellis.n_frames):
-        present = np.unique(meta[n][0])
+    for n, present in enumerate(_present_clusters(trellis)):
         chosen.append(int(present[int(dists[n][present].argmax())]))
     try:
         return solve_paper_dp(_restrict(trellis, chosen), params)
     except Infeasible:
-        chosen = _cluster_viterbi(trellis, dists, meta)
+        chosen = _cluster_viterbi(trellis, dists)
         return solve_paper_dp(_restrict(trellis, chosen), params)
 
 
+def _present_clusters(trellis: Trellis) -> list:
+    """Per frame, the sorted cluster ids among its candidates."""
+    return [np.unique(trellis.bank.cluster_of[idx]) for idx, _ in trellis.frames]
+
+
 def _restrict(trellis: Trellis, chosen_clusters) -> Trellis:
-    meta = _frame_tables(trellis)
+    cluster_of = trellis.bank.cluster_of
     frames = []
-    for n, (idx, e) in enumerate(trellis.frames):
-        keep = meta[n][0] == chosen_clusters[n]
+    for (idx, e), c in zip(trellis.frames, chosen_clusters):
+        keep = cluster_of[idx] == c
         frames.append((idx[keep], e[keep]))
     return Trellis(frames, trellis.bank)
 
 
-def _cluster_viterbi(trellis: Trellis, dists: np.ndarray, meta) -> list:
-    """Cheapest neighbor-feasible cluster sequence under unary 1 - probs."""
-    bank = trellis.bank
-    nbr_sets = [set(int(x) for x in bank.neighbors[c]) for c in range(bank.k)]
-    present = [np.unique(m[0]) for m in meta]
-    h = {int(c): 1.0 - float(dists[0][c]) for c in present[0]}
+def _cluster_viterbi(trellis: Trellis, dists: np.ndarray) -> list:
+    """Cheapest neighbor-feasible cluster sequence under unary 1 - probs.
+
+    h[c] is the cheapest cost of a sequence ending in cluster c, +inf where
+    no feasible sequence ends; each cluster takes the first (smallest-id)
+    cheapest neighbor as its predecessor, and the end is the first minimum.
+    """
+    adjacent = trellis.bank.adjacent
+    present = _present_clusters(trellis)
+    h = np.full(len(adjacent), np.inf)
+    h[present[0]] = 1.0 - dists[0][present[0]]
     back = []
     for n in range(1, trellis.n_frames):
-        new_h = {}
-        bk = {}
-        for c in present[n]:
-            c = int(c)
-            best = None
-            for cp, hp in sorted(h.items()):
-                if c not in nbr_sets[cp]:
-                    continue
-                if best is None or hp < best[0]:
-                    best = (hp, cp)
-            if best is not None:
-                new_h[c] = best[0] + 1.0 - float(dists[n][c])
-                bk[c] = best[1]
-        if not new_h:
+        c = present[n]
+        scores = np.where(adjacent[:, c], h[:, None], np.inf)
+        prev, best = scores.argmin(axis=0), scores.min(axis=0)
+        ok = best < np.inf
+        if not ok.any():
             raise Infeasible("no neighbor-feasible cluster sequence")
-        h = new_h
-        back.append(bk)
-    end = min(sorted(h), key=lambda c: h[c])
-    seq = [end]
+        h = np.full(len(adjacent), np.inf)
+        h[c[ok]] = best[ok] + 1.0 - dists[n][c[ok]]
+        back.append(dict(zip(c.tolist(), prev.tolist())))
+    seq = [int(h.argmin())]
     for bk in reversed(back):
         seq.append(bk[seq[-1]])
     seq.reverse()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -398,7 +398,7 @@ def infer(
         thr = cost_params.prune_threshold
         retries = 0
         while True:
-            cp = CostParams(cost_params.delta, cost_params.tau, thr, cost_params.literal_mismatch)
+            cp = replace(cost_params, prune_threshold=thr)
             trellis = Trellis.from_costs(prune(costs, dists, bank, cp), bank)
             if retries == 0:
                 timings["costs_s"] = time.perf_counter() - t0

@@ -367,3 +367,12 @@ def test_knn_model_file_round_trip(tmp_path):
     assert np.array_equal(back.classes, y)
     assert back.n_classes == 3
     assert np.array_equal(back.pose_indices, np.arange(20))
+
+
+@pytest.mark.parametrize("model_class", [ForestModel, KnnModel])
+def test_model_file_holding_no_json_object_is_rejected(tmp_path, model_class):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="JSON object") as info:
+        model_class.load(path)
+    assert str(path) in str(info.value)

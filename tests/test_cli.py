@@ -446,6 +446,26 @@ def test_invalid_static_prior_exits_3(workspace, tmp_path, capsys):
     assert err["error"] == "InvalidProbability"
 
 
+@pytest.mark.parametrize("flag", ["--bank", "--cluster-model", "--classifier-model"])
+def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, flag):
+    models = workspace["models"]
+    files = {
+        "--bank": models / "bank.json",
+        "--cluster-model": models / "clusters.json",
+        "--classifier-model": models / "forest.json",
+    }
+    files[flag] = tmp_path / "list.json"
+    files[flag].write_text("[1, 2]")
+    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    rc = main(argv + ["--window", "8", "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert str(files[flag]) in err["message"]
+
+
 def test_invalid_script_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"segments": [["sit_idle", 5], ["walk", 5]]}))

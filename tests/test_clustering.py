@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from egopose import PathParams, Trellis, brute_force, solve_exact_dp, solve_paper_dp, step_weight
 from egopose.clustering import (
     ClusterModel,
     ExemplarBank,
@@ -147,6 +150,7 @@ def test_neighbor_graph_matches_reference_scan():
     rng = np.random.default_rng(7)
     seq = rng.integers(0, 12, size=1000)
     breaks = sorted(rng.choice(np.arange(1, 1000), size=6, replace=False))
+    breaks = [1] + breaks + [999]  # the second pose and the last pose start sequences
     nbrs = build_neighbor_graph(seq, breaks, k=12)
     ref = [{c} for c in range(12)]
     bset = set(breaks)
@@ -155,7 +159,7 @@ def test_neighbor_graph_matches_reference_scan():
             ref[seq[i]].add(int(seq[i + 1]))
             ref[seq[i + 1]].add(int(seq[i]))
     for c in range(12):
-        assert set(int(x) for x in nbrs[c]) == ref[c]
+        assert nbrs[c].tolist() == sorted(ref[c])
 
 
 def test_neighbor_graph_invariants_on_random_data():
@@ -187,6 +191,7 @@ def test_bank_crosses_break():
     assert bank.crosses_break(10, 45)
     assert bank.crosses_break(45, 10)  # symmetric in the endpoints
     assert not bank.crosses_break(20, 39)
+    assert bank.segment_of.tolist() == [0] * 20 + [1] * 20 + [2] * 20
 
 
 def test_bank_validate_rejects_asymmetric_neighbors():
@@ -200,6 +205,41 @@ def test_bank_validate_rejects_asymmetric_neighbors():
         ExemplarBank(bank.poses, bank.cluster_of, bank.sequence_breaks, bad, bank.k)
 
 
+def _bank_file(tmp_path, neighbors):
+    """bank.json for poses in clusters 0, 0, 0, 1, 1, 1 with the given
+    neighbor lists written as they are."""
+    bank = ExemplarBank.build(np.random.default_rng(14).normal(size=(6, 75)), [0, 0, 0, 1, 1, 1], [], 2)
+    path = tmp_path / "bank.json"
+    bank.save(path)
+    rec = json.loads(path.read_text())
+    rec["neighbors"] = neighbors
+    path.write_text(json.dumps(rec))
+    return path
+
+
+@pytest.mark.parametrize("neighbors", [[[0, 1, -1], [0, 1]], [[0, 1, 2], [0, 1]], [0, 1]])
+def test_bank_file_with_bad_neighbor_lists_is_rejected(tmp_path, neighbors):
+    # ids outside [0, k), and bare ids where lists belong
+    with pytest.raises(ValueError, match="neighbor"):
+        ExemplarBank.load(_bank_file(tmp_path, neighbors))
+
+
+def test_bank_file_neighbor_order_does_not_matter(tmp_path):
+    ordered = ExemplarBank.load(_bank_file(tmp_path, [[0, 1], [0, 1]]))
+    shuffled = ExemplarBank.load(_bank_file(tmp_path, [[1, 0], [1, 0, 1]]))
+    # the cheapest path steps 1 -> 0 and stays inside cluster 0
+    rows = np.full((4, 6), 0.5)
+    rows[[0, 1, 2, 3], [4, 1, 2, 2]] = 0.0
+    for solver in (solve_paper_dp, solve_exact_dp, brute_force):
+        want = solver(Trellis([(np.arange(6), r) for r in rows], ordered))
+        got = solver(Trellis([(np.arange(6), r) for r in rows], shuffled))
+        assert want.indices == got.indices == [4, 1, 2, 2]
+        assert got.energy_dict() == want.energy_dict()
+    assert step_weight(1, 2, shuffled, PathParams()) == 0.0
+    assert [nb.tolist() for nb in shuffled.neighbors] == [[0, 1], [0, 1]]
+    assert np.array_equal(shuffled.adjacent, ordered.adjacent)
+
+
 def test_bank_file_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     bank = make_bank(rng)
@@ -211,6 +251,9 @@ def test_bank_file_round_trip(tmp_path):
     assert np.array_equal(back.sequence_breaks, bank.sequence_breaks)
     for a, b in zip(back.neighbors, bank.neighbors):
         assert np.array_equal(a, b)
+    assert np.array_equal(back.adjacent, bank.adjacent)
+    for c in range(bank.k):
+        assert np.flatnonzero(back.adjacent[c]).tolist() == back.neighbors[c].tolist()
 
 
 def test_cluster_model_file_round_trip(tmp_path):

@@ -117,22 +117,6 @@ def test_length_mismatch():
         unary_costs(dists, np.full(2, 0.5), bank, labels)
 
 
-def test_literal_mismatch_mode_charges_whole_frame():
-    rng = np.random.default_rng(5)
-    bank = make_bank(rng)
-    labels = alternating_labels(bank.k)
-    # classifier says standing (all mass on an odd cluster), static says sitting
-    dists = np.zeros((1, bank.k))
-    dists[0, 1] = 1.0
-    params = CostParams(delta=0.1, tau=0.99, literal_mismatch=True)
-    out = unary_costs(dists, np.array([0.995]), bank, labels, params)
-    base = 1.0 - dists[0][bank.cluster_of]
-    assert np.allclose(out.costs[0], base + 0.1)
-    # agreeing verdicts charge nothing
-    out2 = unary_costs(np.eye(bank.k)[[0]], np.array([0.995]), bank, labels, params)
-    assert np.allclose(out2.costs[0], 1.0 - np.eye(bank.k)[0][bank.cluster_of])
-
-
 def test_prune_uniform_below_threshold_keeps_fallback():
     rng = np.random.default_rng(6)
     bank = make_bank(rng, n=50, k=4)

@@ -13,6 +13,9 @@ Oracles used here and written independently of the module under test:
   block of every node of a cluster against every predecessor in its neighbor
   clusters. ``solve_paper_dp`` scores a bounded candidate set per node and
   must reproduce it exactly: paths, energies and node records.
+* ``_reference_cluster_viterbi`` — the cluster-level Viterbi of the
+  path-cluster baseline written with dicts and per-cluster neighbor sets;
+  the module's masked-argmin version must return the same sequence.
 """
 
 import math
@@ -226,6 +229,40 @@ def _reference_paper_dp(trellis, params, keep_tables=False):
     indices = [int(trellis.frames[n][0][p]) for n, p in enumerate(positions)]
     result = energy_of_path(trellis, indices, params)
     return (result, tables) if keep_tables else result
+
+
+def _reference_cluster_viterbi(trellis, dists):
+    """Cheapest neighbor-feasible cluster sequence under unary 1 - probs,
+    scanning previous clusters in ascending id with strict improvement."""
+    bank = trellis.bank
+    nbr_sets = [set(int(x) for x in bank.neighbors[c]) for c in range(bank.k)]
+    present = [np.unique(bank.cluster_of[idx]) for idx, _ in trellis.frames]
+    h = {int(c): 1.0 - float(dists[0][c]) for c in present[0]}
+    back = []
+    for n in range(1, trellis.n_frames):
+        new_h = {}
+        bk = {}
+        for c in present[n]:
+            c = int(c)
+            best = None
+            for cp, hp in sorted(h.items()):
+                if c not in nbr_sets[cp]:
+                    continue
+                if best is None or hp < best[0]:
+                    best = (hp, cp)
+            if best is not None:
+                new_h[c] = best[0] + 1.0 - float(dists[n][c])
+                bk[c] = best[1]
+        if not new_h:
+            raise Infeasible("no neighbor-feasible cluster sequence")
+        h = new_h
+        back.append(bk)
+    end = min(sorted(h), key=lambda c: h[c])
+    seq = [end]
+    for bk in reversed(back):
+        seq.append(bk[seq[-1]])
+    seq.reverse()
+    return seq
 
 
 def random_instance(rng, max_frames=5, max_nodes=5, dyadic=False):
@@ -780,6 +817,43 @@ def test_path_cluster_falls_back_to_feasible_cluster_sequence():
     dists = np.array([[1.0, 0.0, 0.0], [0.1, 0.2, 0.7]])
     path = solve_path_cluster(tr, dists)
     assert path.indices == [0, 2]
+
+
+def viterbi_instance(rng):
+    """Up to 30 poses in up to 8 clusters, mostly laid out in runs, so the
+    neighbor graph is a chain that sequence breaks can cut; up to 6 frames of
+    up to 4 candidates, and cluster probabilities on a 1/4 grid."""
+    n_poses = int(rng.integers(2, 31))
+    k = int(rng.integers(1, min(8, n_poses) + 1))
+    cluster_seq = rng.integers(0, k, size=n_poses)
+    if rng.random() < 0.7:
+        cluster_seq = np.sort(cluster_seq)
+    _, cluster_seq = np.unique(cluster_seq, return_inverse=True)
+    breaks = sorted(set(rng.integers(1, n_poses, size=int(rng.integers(0, 4))).tolist()))
+    bank = make_bank(cluster_seq, breaks, seed=int(rng.integers(1 << 16)))
+    frames = []
+    for _ in range(int(rng.integers(1, 7))):
+        m = int(rng.integers(1, min(4, n_poses) + 1))
+        frames.append((rng.choice(n_poses, size=m, replace=False), np.zeros(m)))
+    tr = Trellis(frames, bank)
+    return tr, rng.integers(0, 5, size=(tr.n_frames, bank.k)) / 4.0
+
+
+def test_cluster_viterbi_equals_dict_reference():
+    rng = np.random.default_rng(5)
+    outcomes = {"solved": 0, "infeasible": 0}
+    for _ in range(1000):
+        tr, dists = viterbi_instance(rng)
+        try:
+            want = _reference_cluster_viterbi(tr, dists)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                pathopt._cluster_viterbi(tr, dists)
+            outcomes["infeasible"] += 1
+            continue
+        assert pathopt._cluster_viterbi(tr, dists) == want
+        outcomes["solved"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_path_cluster_requires_one_distribution_per_frame():
