@@ -3,14 +3,20 @@
 The primary classifier is a random forest over motion features: each tree is
 grown on a bootstrap sample to purity (or until fewer than two samples),
 choosing at every node the best Gini split among ceil(sqrt(d)) candidate
-features with midpoint thresholds. Trees are nested dicts from growth to
-file, grown from an explicit stack and read by one router that sends groups
-of rows down them, so neither step recurses. Tree probabilities are per-leaf
-normalized class histograms, averaged over trees. A k-NN classifier over the
-same features is available as an alternative probability provider; it finds
-neighbors with one exact exhaustive scan, ties going to the lower training
-index. A static per-frame sitting probability h can be read from file or
-held at the uninformative constant 0.5.
+features with midpoint thresholds. One search per node covers all candidate
+columns at once: a stable sort of each column, the sums of squared class
+counts left and right of every cut as integer cumsums along that order, and
+the loss at every cut between distinct values. The counts are exact
+integers, so each loss is the float a per-class count gives; ties go to the
+smallest threshold, then to the candidate drawn first. Trees are nested
+dicts from growth to file, grown from an explicit stack and read by one
+router that sends groups of rows down them, so neither step recurses. Tree
+probabilities are per-leaf normalized class histograms, averaged over trees.
+A k-NN classifier over the same features is available as an alternative
+probability provider; it finds neighbors with one exact exhaustive scan,
+ties going to the lower training index. A static per-frame sitting
+probability h can be read from file or held at the uninformative constant
+0.5.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch, load_json_object
+from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch, load_json_object, model_fields
 
 
 @contextmanager
 def _recursion_headroom(n: int = 20000):
-    """Room for json, which recurses once per tree level, to follow trees
-    grown to purity; the interpreter's own limit is put back on exit."""
+    """Room for json, whose C encoder and decoder also recurse once per tree
+    level and count against the interpreter's limit, to follow trees grown to
+    purity; the interpreter's own limit is put back on exit."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, n))
     try:
@@ -54,51 +61,89 @@ class ForestModel:
     oob_accuracy: float | None = None  # not serialized
 
     def save(self, path) -> None:
-        rec = {
-            "feature_dim": self.feature_dim,
-            "n_classes": self.n_classes,
-            "trees": self.trees,
-        }
+        """The bytes json.dump writes for {"feature_dim", "n_classes",
+        "trees"}, encoded a tree at a time by json.dumps, which runs the C
+        encoder that json.dump never uses."""
         with open(path, "w") as f, _recursion_headroom():
-            json.dump(rec, f)
+            f.write(f'{{"feature_dim": {json.dumps(self.feature_dim)}, "n_classes": {json.dumps(self.n_classes)}, "trees": [')
+            for i, tree in enumerate(self.trees):
+                f.write((", " if i else "") + json.dumps(tree))
+            f.write("]}")
 
     @classmethod
     def load(cls, path) -> "ForestModel":
         with _recursion_headroom():
             rec = load_json_object(path)
-        return cls(rec["trees"], int(rec["feature_dim"]), int(rec["n_classes"]))
+        trees = rec["trees"]  # KeyError: the file holds no forest
+        with model_fields(path):
+            model = cls(trees, int(rec["feature_dim"]), int(rec["n_classes"]))
+            _check_trees(model.trees, model.feature_dim, model.n_classes)
+        return model
 
 
-def _gini_split(x_col: np.ndarray, y: np.ndarray, n_classes: int):
-    """Best midpoint threshold for one feature, or None.
+def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
+    """ValueError unless trees is a list of trees whose every node is a split
+    {"feat": int in [0, feature_dim), "thresh": number, "left", "right"} or
+    a leaf {"hist": list of n_classes counts}; the counts are read only when
+    rows reach the leaf."""
+    if not isinstance(trees, list):
+        raise ValueError(f"trees must be a list, found {type(trees).__name__}")
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            raise ValueError(f"tree node must be an object, found {type(node).__name__}")
+        if "hist" in node:
+            if not (isinstance(node["hist"], list) and len(node["hist"]) == n_classes):
+                raise ValueError(f"leaf hist must be a list of {n_classes} counts")
+            continue
+        feat, thresh = node.get("feat"), node.get("thresh")
+        if type(feat) is not int or not 0 <= feat < feature_dim:
+            raise ValueError(f"split feat {feat!r} is not a feature index in [0, {feature_dim})")
+        if type(thresh) not in (int, float):
+            raise ValueError(f"split thresh {thresh!r} is not a number")
+        stack += (node.get("left"), node.get("right"))
 
-    Returns (loss, threshold) where loss = n - sum_c n_c^2/n summed over the
-    two children (n times the weighted Gini impurity, up to a constant).
+
+def _best_split(x_node: np.ndarray, y_node: np.ndarray, hist: np.ndarray):
+    """Best midpoint split of a node over its m candidate features, or None.
+
+    x_node is the node's (n, m) block of candidate columns, y_node its class
+    ids and hist their counts. Returns (loss, j, threshold) where loss = n -
+    sum_c n_c^2/n summed over the two children (n times the weighted Gini
+    impurity, up to a constant), j is the column of x_node, and ties go to
+    the smallest threshold, then to the lowest j.
     """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    ys = y[order]
-    n = len(xs)
-    valid = xs[1:] > xs[:-1]
-    if not valid.any():
-        return None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    cum = onehot.cumsum(axis=0)
-    total = cum[-1]
-    left_n = np.arange(1, n, dtype=float)
+    n, m = x_node.shape
+    cols = np.arange(m)
+    order = np.argsort(x_node, axis=0, kind="stable")
+    xs = x_node[order, cols]
+    ys = y_node[order]
+    # occ[p, j]: samples of class ys[p, j] sorted before position p in column
+    # j, read off a stable sort by class (a radix sort for small class ids)
+    by_class = np.argsort(ys.astype(np.min_scalar_type(len(hist) - 1)), axis=0, kind="stable")
+    occ = np.empty_like(by_class)
+    occ[by_class, cols] = np.arange(n)[:, None]
+    occ -= (np.cumsum(hist) - hist)[ys]
+    # sums of squared class counts left and right of each cut, as integer
+    # cumsums of the change one sample makes; each is below 2**53, so every
+    # loss is the float that summing squared per-class counts gives
+    sq_left = np.cumsum(2 * occ + 1, axis=0)[:-1]
+    sq_right = hist @ hist - np.cumsum(2 * (hist[ys] - occ) - 1, axis=0)[:-1]
+    left_n = np.arange(1, n, dtype=float)[:, None]
     right_n = n - left_n
-    sq_left = (cum[:-1] ** 2).sum(axis=1)
-    sq_right = ((total[None, :] - cum[:-1]) ** 2).sum(axis=1)
     loss = (left_n - sq_left / left_n) + (right_n - sq_right / right_n)
-    loss[~valid] = np.inf
-    pos = int(loss.argmin())  # first minimum -> smallest threshold
-    if not np.isfinite(loss[pos]):
+    loss[~(xs[1:] > xs[:-1])] = np.inf  # no cut between equal values
+    pos = loss.argmin(axis=0)  # first minimum -> smallest threshold
+    col_loss = loss[pos, cols]
+    j = int(col_loss.argmin())  # first column on ties
+    if not np.isfinite(col_loss[j]):
         return None
-    thresh = (xs[pos] + xs[pos + 1]) / 2.0
-    if not (thresh < xs[pos + 1]):  # midpoint rounded up: <= would empty the right side
-        thresh = xs[pos]
-    return float(loss[pos]), float(thresh)
+    lo, hi = xs[pos[j], j], xs[pos[j] + 1, j]
+    thresh = (lo + hi) / 2.0
+    if not (thresh < hi):  # midpoint rounded up: <= would empty the right side
+        thresh = lo
+    return float(col_loss[j]), j, float(thresh)
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: int, m_try: int) -> dict:
@@ -110,18 +155,17 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: in
         node, idx = stack.pop()
         sub_y = y[idx]
         hist = np.bincount(sub_y, minlength=n_classes)
-        best = None
+        split = None
         if len(idx) >= 2 and hist.max() < len(idx):
-            for f in rng.choice(x.shape[1], size=m_try, replace=False):
-                res = _gini_split(x[idx, f], sub_y, n_classes)
-                if res is not None and (best is None or res[0] < best[0]):
-                    best = (res[0], int(f), res[1])
-        if best is None:  # pure, a single sample, or candidates all constant
+            feats = rng.choice(x.shape[1], size=m_try, replace=False)
+            x_node = x[idx[:, None], feats]
+            split = _best_split(x_node, sub_y, hist)
+        if split is None:  # pure, a single sample, or candidates all constant
             node["hist"] = hist.tolist()
             continue
-        _, feat, thresh = best
-        go_left = x[idx, feat] <= thresh
-        node.update(feat=feat, thresh=thresh, left={}, right={})
+        _, j, thresh = split
+        go_left = x_node[:, j] <= thresh
+        node.update(feat=int(feats[j]), thresh=thresh, left={}, right={})
         stack.append((node["right"], idx[~go_left]))
         stack.append((node["left"], idx[go_left]))
     return root
@@ -324,18 +368,19 @@ class KnnModel:
             "pose_indices": None if self.pose_indices is None else self.pose_indices.tolist(),
         }
         with open(path, "w") as f:
-            json.dump(rec, f)
+            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
 
     @classmethod
     def load(cls, path) -> "KnnModel":
         rec = load_json_object(path)
         pi = rec.get("pose_indices")
-        return cls(
-            np.array(rec["features"], dtype=float),
-            np.array(rec["classes"], dtype=int),
-            int(rec["n_classes"]),
-            None if pi is None else np.array(pi, dtype=int),
-        )
+        with model_fields(path):
+            return cls(
+                np.array(rec["features"], dtype=float),
+                np.array(rec["classes"], dtype=int),
+                int(rec["n_classes"]),
+                None if pi is None else np.array(pi, dtype=int),
+            )
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:

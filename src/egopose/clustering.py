@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TooFewPoses, load_json_object
+from .errors import TooFewPoses, load_json_object, model_fields
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -57,13 +57,14 @@ class ClusterModel:
             "labels": [l.value for l in self.labels] if self.labels else None,
         }
         with open(path, "w") as f:
-            json.dump(rec, f)
+            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
         rec = load_json_object(path)
-        labels = [SitStand(l) for l in rec["labels"]] if rec.get("labels") else None
-        return cls(np.array(rec["centroids"], dtype=float), labels)
+        with model_fields(path):
+            labels = [SitStand(l) for l in rec["labels"]] if rec.get("labels") else None
+            return cls(np.array(rec["centroids"], dtype=float), labels)
 
 
 def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterModel:
@@ -257,8 +258,8 @@ class ExemplarBank:
     def validate(self) -> None:
         if self.poses.ndim != 2 or self.poses.shape[1] != 75:
             raise ValueError("bank poses must be (n, 75)")
-        if len(self.cluster_of) != len(self.poses):
-            raise ValueError("cluster_of length mismatch")
+        if self.cluster_of.shape != (len(self.poses),):
+            raise ValueError("cluster_of must hold one cluster id per pose")
         if len(self.cluster_of) and (self.cluster_of.min() < 0 or self.cluster_of.max() >= self.k):
             raise ValueError("cluster id out of range")
         for b in self.sequence_breaks:
@@ -289,18 +290,19 @@ class ExemplarBank:
             "neighbors": [nb.tolist() for nb in self.neighbors],
         }
         with open(path, "w") as f:
-            json.dump(rec, f)
+            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
 
     @classmethod
     def load(cls, path) -> "ExemplarBank":
         rec = load_json_object(path)
-        pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
-        seq = load_pose_sequence(pose_path)
-        poses = seq.as_matrix()
-        return cls(
-            poses,
-            np.array(rec["cluster_of"], dtype=int),
-            np.array(rec["sequence_breaks"], dtype=int),
-            rec["neighbors"],
-            int(rec["k"]),
-        )
+        with model_fields(path):
+            pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
+        poses = load_pose_sequence(pose_path).as_matrix()  # a fault there is the pose file's, not a field's
+        with model_fields(path):
+            return cls(
+                poses,
+                np.array(rec["cluster_of"], dtype=int),
+                np.array(rec["sequence_breaks"], dtype=int),
+                rec["neighbors"],
+                int(rec["k"]),
+            )

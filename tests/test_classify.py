@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import egopose.classify as classify
 from egopose.classify import (
     ForestModel,
-    _gini_split,
+    _best_split,
     _grow_tree,
     KnnIndex,
     KnnModel,
@@ -119,25 +120,102 @@ def test_forest_batch_equals_single():
         assert np.array_equal(batch[i], forest_proba(model, q[i]))
 
 
+def _reference_gini_split(x_col, y, n_classes):
+    """Best midpoint threshold for one feature, or None: the one-hot
+    cumsum that _best_split's integer counts must match float for float.
+
+    Returns (loss, threshold) where loss = n - sum_c n_c^2/n summed over the
+    two children (n times the weighted Gini impurity, up to a constant).
+    """
+    order = np.argsort(x_col, kind="stable")
+    xs = x_col[order]
+    ys = y[order]
+    n = len(xs)
+    valid = xs[1:] > xs[:-1]
+    if not valid.any():
+        return None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), ys] = 1.0
+    cum = onehot.cumsum(axis=0)
+    total = cum[-1]
+    left_n = np.arange(1, n, dtype=float)
+    right_n = n - left_n
+    sq_left = (cum[:-1] ** 2).sum(axis=1)
+    sq_right = ((total[None, :] - cum[:-1]) ** 2).sum(axis=1)
+    loss = (left_n - sq_left / left_n) + (right_n - sq_right / right_n)
+    loss[~valid] = np.inf
+    pos = int(loss.argmin())  # first minimum -> smallest threshold
+    if not np.isfinite(loss[pos]):
+        return None
+    thresh = (xs[pos] + xs[pos + 1]) / 2.0
+    if not (thresh < xs[pos + 1]):  # midpoint rounded up: <= would empty the right side
+        thresh = xs[pos]
+    return float(loss[pos]), float(thresh)
+
+
+def _reference_best_split(x_node, y_node, n_classes):
+    """One _reference_gini_split per column; the first column wins ties."""
+    best = None
+    for j in range(x_node.shape[1]):
+        res = _reference_gini_split(x_node[:, j], y_node, n_classes)
+        if res is not None and (best is None or res[0] < best[0]):
+            best = (res[0], j, res[1])
+    return best
+
+
+def _split_cases(rng):
+    """(x_node, y_node, n_classes) nodes for the split-search comparison."""
+    up = np.nextafter(1.0, 2.0)  # odd last bit: the midpoint with the next float rounds up
+    big = np.finfo(float).max
+    yield np.array([[up, 0.0], [np.nextafter(up, 2.0), 0.0]]), np.array([0, 1]), 2  # n=2, one constant
+    yield np.array([[1.0], [1.0]]), np.array([0, 1]), 3  # n=2, nothing to split
+    yield np.array([[big * 0.9], [big]]), np.array([1, 0]), 2  # the sum overflows to inf
+    yield np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, np.nan], [np.inf, 1.0]]), np.array([0, 1, 1, 0]), 2
+    yield np.array([[1.0], [np.nan], [1.0]]), np.array([0, 1, 0]), 2  # no cut next to a NaN
+    col = rng.normal(size=30)
+    yield np.stack([col, col.copy(), -col], axis=1), rng.integers(0, 3, size=30), 3  # equal losses in draw order
+    for _ in range(300):
+        n = int(rng.choice([2, 3, 5, 12, 60, 250]))
+        m = int(rng.choice([1, 2, 17]))
+        kind = rng.integers(4)
+        if kind == 0:  # a few values: long runs of ties
+            x = rng.integers(0, 4, size=(n, m)).astype(float)
+        elif kind == 1:  # consecutive floats: midpoints round either way
+            x = np.nextafter(1.0, 2.0) + rng.integers(0, 6, size=(n, m)) * np.spacing(1.0)
+        else:
+            x = rng.normal(size=(n, m))
+        x[:, rng.random(m) < 0.2] = 7.0  # constant columns
+        n_classes = int(rng.choice([2, 5, 40, 300]))  # ids past 255 need 16-bit sort keys
+        present = rng.choice(n_classes, size=min(n_classes, int(rng.integers(1, 6))), replace=False)
+        yield x, rng.choice(present, size=n), n_classes + int(rng.integers(0, 3))
+
+
+def test_best_split_equals_per_feature_reference():
+    splits = 0
+    for x, y, n_classes in _split_cases(np.random.default_rng(21)):
+        with np.errstate(over="ignore"):
+            got = _best_split(x, y, np.bincount(y, minlength=n_classes))
+            want = _reference_best_split(x, y, n_classes)
+        assert got == want
+        assert repr(got) == repr(want)  # the sign of a zero threshold too
+        splits += got is not None
+    assert splits > 200
+
+
 def _reference_grow_tree(x, y, idx, rng, n_classes, m_try):
-    """The recursive grower: the stack-based _grow_tree must build the same
-    dicts, key order included, from the same RNG draws."""
+    """The recursive grower with the per-feature one-hot split search: the
+    stack-based _grow_tree must build the same dicts, key order included,
+    from the same RNG draws."""
     sub_y = y[idx]
     hist = np.bincount(sub_y, minlength=n_classes)
     if len(idx) < 2 or hist.max() == len(idx):
         return {"hist": hist.tolist()}
     feats = rng.choice(x.shape[1], size=m_try, replace=False)
-    best = None
-    for f in feats:
-        res = _gini_split(x[idx, f], sub_y, n_classes)
-        if res is None:
-            continue
-        loss, thresh = res
-        if best is None or loss < best[0]:
-            best = (loss, int(f), thresh)
+    best = _reference_best_split(x[idx][:, feats], sub_y, n_classes)
     if best is None:  # candidates all constant: no way to split
         return {"hist": hist.tolist()}
-    _, feat, thresh = best
+    _, j, thresh = best
+    feat = int(feats[j])
     go_left = x[idx, feat] <= thresh
     return {
         "feat": feat,
@@ -177,6 +255,22 @@ def test_grow_tree_equals_recursive_reference(seed):
             assert got == want
             assert json.dumps(got) == json.dumps(want)  # key order, as written to file
             assert rng_a.random() == rng_b.random()  # the same number of draws
+
+
+def test_train_forest_equals_reference_grower(monkeypatch):
+    rng = np.random.default_rng(22)
+    # the forest-cli shape in small: many classes, few samples each, tied
+    # and constant columns
+    x = rng.normal(size=(240, 36)).round(2)
+    x[:, 5] = 1.0
+    x[:, 7] = x[:, 3]
+    y = rng.integers(0, 60, size=240)
+    got = train_forest(x, y, n_trees=6, seed=3, n_classes=64)
+    monkeypatch.setattr(classify, "_grow_tree", _reference_grow_tree)
+    want = train_forest(x, y, n_trees=6, seed=3, n_classes=64)
+    assert got.trees == want.trees
+    assert json.dumps(got.trees) == json.dumps(want.trees)
+    assert got.oob_accuracy == want.oob_accuracy
 
 
 def _chain_forest(depth, n_classes=3):
@@ -375,4 +469,82 @@ def test_model_file_holding_no_json_object_is_rejected(tmp_path, model_class):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object") as info:
         model_class.load(path)
+    assert str(path) in str(info.value)
+
+
+def _json_dump_bytes(rec, path):
+    with open(path, "w") as f, classify._recursion_headroom():
+        json.dump(rec, f)
+    return path.read_bytes()
+
+
+def test_model_writers_match_json_dump(tmp_path):
+    rng = np.random.default_rng(23)
+    x, y = two_blobs(rng, n=40)
+    forests = [train_forest(x, y, n_trees=4, seed=0), ForestModel([], 3, 2), _chain_forest(300)]
+    for n, model in enumerate(forests):
+        path = tmp_path / f"forest{n}.json"
+        model.save(path)
+        rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "trees": model.trees}
+        assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+    for n, pose_indices in enumerate([np.arange(len(x)), None]):
+        model = KnnModel(x, y, 2, pose_indices)
+        path = tmp_path / f"knn{n}.json"
+        model.save(path)
+        rec = {
+            "n_classes": 2,
+            "features": x.tolist(),
+            "classes": y.tolist(),
+            "pose_indices": None if pose_indices is None else pose_indices.tolist(),
+        }
+        assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+
+
+def _forest_record():
+    split = {"feat": 1, "thresh": 0.5, "left": {"hist": [2, 0]}, "right": {"hist": [0, 3]}}
+    return {"feature_dim": 2, "n_classes": 2, "trees": [{"hist": [1, 1]}, split]}
+
+
+def _with_node(**fields):
+    rec = _forest_record()
+    rec["trees"][1].update(fields)
+    return rec
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        {**_forest_record(), "feature_dim": None},
+        {**_forest_record(), "n_classes": [2]},
+        {**_forest_record(), "trees": 5},
+        {**_forest_record(), "trees": [5]},
+        _with_node(feat="1"),
+        _with_node(feat=2),
+        _with_node(feat=-1),
+        _with_node(thresh=None),
+        _with_node(left=5),
+        _with_node(right=None),
+        _with_node(left={"hist": 5}),
+        _with_node(left={"hist": [1, 2, 3]}),
+    ],
+)
+def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps(_forest_record()))
+    assert ForestModel.load(path).trees == _forest_record()["trees"]
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError) as info:
+        ForestModel.load(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("features", None), ("classes", None), ("classes", [["a"]]), ("n_classes", None), ("n_classes", "two")]
+)
+def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
+    path = tmp_path / "knn.json"
+    rec = {"n_classes": 2, "features": [[0.0], [1.0]], "classes": [0, 1], "pose_indices": None}
+    path.write_text(json.dumps({**rec, field: value}))
+    with pytest.raises(ValueError) as info:
+        KnnModel.load(path)
     assert str(path) in str(info.value)

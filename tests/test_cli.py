@@ -466,6 +466,40 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
     assert str(files[flag]) in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [
+        ("--bank", "neighbors", 5),
+        ("--bank", "cluster_of", None),
+        ("--bank", "sequence_breaks", [[1]]),
+        ("--cluster-model", "labels", 5),
+        ("--classifier-model", "feature_dim", None),
+        ("--classifier-model", "trees", [5]),
+    ],
+)
+def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag, field, value):
+    models = workspace["models"]
+    files = {
+        "--bank": models / "bank.json",
+        "--cluster-model": models / "clusters.json",
+        "--classifier-model": models / "forest.json",
+    }
+    rec = json.loads(files[flag].read_text())
+    if flag == "--bank":
+        rec["poses_file"] = str(models / rec["poses_file"])  # an absolute path, found from tmp_path
+    rec[field] = value
+    files[flag] = tmp_path / "wrong.json"
+    files[flag].write_text(json.dumps(rec))
+    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
+    for name, path in files.items():
+        argv += [name, str(path)]
+    rc = main(argv + ["--window", "8", "--out", str(tmp_path / "p.jsonl")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert str(files[flag]) in err["message"]
+
+
 def test_invalid_script_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"segments": [["sit_idle", 5], ["walk", 5]]}))

@@ -205,14 +205,14 @@ def test_bank_validate_rejects_asymmetric_neighbors():
         ExemplarBank(bank.poses, bank.cluster_of, bank.sequence_breaks, bad, bank.k)
 
 
-def _bank_file(tmp_path, neighbors):
+def _bank_file(tmp_path, **fields):
     """bank.json for poses in clusters 0, 0, 0, 1, 1, 1 with the given
-    neighbor lists written as they are."""
+    fields written as they are."""
     bank = ExemplarBank.build(np.random.default_rng(14).normal(size=(6, 75)), [0, 0, 0, 1, 1, 1], [], 2)
     path = tmp_path / "bank.json"
     bank.save(path)
     rec = json.loads(path.read_text())
-    rec["neighbors"] = neighbors
+    rec.update(fields)
     path.write_text(json.dumps(rec))
     return path
 
@@ -221,12 +221,23 @@ def _bank_file(tmp_path, neighbors):
 def test_bank_file_with_bad_neighbor_lists_is_rejected(tmp_path, neighbors):
     # ids outside [0, k), and bare ids where lists belong
     with pytest.raises(ValueError, match="neighbor"):
-        ExemplarBank.load(_bank_file(tmp_path, neighbors))
+        ExemplarBank.load(_bank_file(tmp_path, neighbors=neighbors))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("neighbors", 5), ("cluster_of", None), ("cluster_of", [[0]] * 6), ("sequence_breaks", [[1]]), ("k", None), ("poses_file", 5)],
+)
+def test_bank_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
+    path = _bank_file(tmp_path, **{field: value})
+    with pytest.raises(ValueError) as info:
+        ExemplarBank.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_bank_file_neighbor_order_does_not_matter(tmp_path):
-    ordered = ExemplarBank.load(_bank_file(tmp_path, [[0, 1], [0, 1]]))
-    shuffled = ExemplarBank.load(_bank_file(tmp_path, [[1, 0], [1, 0, 1]]))
+    ordered = ExemplarBank.load(_bank_file(tmp_path, neighbors=[[0, 1], [0, 1]]))
+    shuffled = ExemplarBank.load(_bank_file(tmp_path, neighbors=[[1, 0], [1, 0, 1]]))
     # the cheapest path steps 1 -> 0 and stays inside cluster 0
     rows = np.full((4, 6), 0.5)
     rows[[0, 1, 2, 3], [4, 1, 2, 2]] = 0.0
@@ -267,3 +278,47 @@ def test_cluster_model_file_round_trip(tmp_path):
     assert np.allclose(back.centroids, m.centroids)
     assert back.labels == m.labels
     assert back.k == 4
+
+
+@pytest.mark.parametrize("field, value", [("centroids", {"a": 1}), ("centroids", [[0.0] * 74]), ("labels", 5), ("labels", ["sideways"])])
+def test_cluster_model_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
+    path = tmp_path / "clusters.json"
+    rec = {"k": 1, "centroids": [[0.0] * 75], "labels": ["sitting"]}
+    path.write_text(json.dumps(rec))
+    assert ClusterModel.load(path).labels == [SitStand.SITTING_LIKE]
+    path.write_text(json.dumps({**rec, field: value}))
+    with pytest.raises(ValueError) as info:
+        ClusterModel.load(path)
+    assert str(path) in str(info.value)
+
+
+def _json_dump_bytes(rec, path):
+    with open(path, "w") as f:
+        json.dump(rec, f)
+    return path.read_bytes()
+
+
+def test_model_writers_match_json_dump(tmp_path):
+    rng = np.random.default_rng(15)
+    bank = make_bank(rng)
+    bank.save(tmp_path / "bank.json")
+    rec = {
+        "k": bank.k,
+        "poses_file": "bank_poses.jsonl",
+        "cluster_of": bank.cluster_of.tolist(),
+        "sequence_breaks": bank.sequence_breaks.tolist(),
+        "neighbors": [nb.tolist() for nb in bank.neighbors],
+    }
+    assert (tmp_path / "bank.json").read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+    x = rng.normal(size=(30, 75))
+    model = kmeans(x, 4, seed=0)
+    for labeled in (False, True):
+        if labeled:
+            label_clusters(model, x)
+        model.save(tmp_path / "clusters.json")
+        rec = {
+            "k": 4,
+            "centroids": model.centroids.tolist(),
+            "labels": [l.value for l in model.labels] if labeled else None,
+        }
+        assert (tmp_path / "clusters.json").read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
