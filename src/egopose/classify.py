@@ -13,10 +13,12 @@ dicts from growth to file, grown from an explicit stack and read by one
 router that sends groups of rows down them, so neither step recurses. Tree
 probabilities are per-leaf normalized class histograms, averaged over trees.
 A k-NN classifier over the same features is available as an alternative
-probability provider; it finds neighbors with one exact exhaustive scan,
-ties going to the lower training index. A static per-frame sitting
-probability h can be read from file or held at the uninformative constant
-0.5.
+probability provider. It finds neighbors exactly in two stages: one matrix
+product per block of queries bounds every squared distance within a proven
+rounding margin, and only the rows those bounds cannot rule out get the
+exact distance, the row sum of (point - v) ** 2; ties go to the lower
+training index. A static per-frame sitting probability h can be read from
+file or held at the uninformative constant 0.5.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ class ForestModel:
 def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
     """ValueError unless trees is a list of trees whose every node is a split
     {"feat": int in [0, feature_dim), "thresh": number, "left", "right"} or
-    a leaf {"hist": list of n_classes counts}; the counts are read only when
-    rows reach the leaf."""
+    a leaf {"hist": list of n_classes non-negative counts with a finite,
+    positive sum}, which normalizes to a class distribution."""
     if not isinstance(trees, list):
         raise ValueError(f"trees must be a list, found {type(trees).__name__}")
     stack = list(trees)
@@ -94,8 +96,15 @@ def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
         if not isinstance(node, dict):
             raise ValueError(f"tree node must be an object, found {type(node).__name__}")
         if "hist" in node:
-            if not (isinstance(node["hist"], list) and len(node["hist"]) == n_classes):
+            hist = node["hist"]
+            if not (isinstance(hist, list) and len(hist) == n_classes):
                 raise ValueError(f"leaf hist must be a list of {n_classes} counts")
+            try:  # min and sum walk the counts in C; NaN fails 0 < sum
+                counts_ok = min(hist) >= 0 and 0 < sum(hist) < math.inf
+            except (TypeError, ValueError):  # a count that is not a number, or no counts
+                counts_ok = False
+            if not counts_ok:
+                raise ValueError("leaf hist must hold non-negative counts with a finite, positive sum")
             continue
         feat, thresh = node.get("feat"), node.get("thresh")
         if type(feat) is not int or not 0 <= feat < feature_dim:
@@ -264,11 +273,13 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact k-NN
 
-# The scan measures _SCAN_QUERIES queries against one block of about
-# _SCAN_BYTES of points before it moves on, so the block and its squared
-# differences stay in cache instead of streaming through memory per query.
+# Queries per matrix product: each (queries, n) temporary of a block is a
+# 16-row table of distances or bounds.
 _SCAN_QUERIES = 16
-_SCAN_BYTES = 1 << 19
+# A bound at or above this may hide an intermediate that overflowed (the
+# exact path sums squares up to twice it), so such rows are candidates.
+_SAFE_NORM = 2.0**1020
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -284,11 +295,32 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 class KnnIndex:
-    """Exact k-nearest-neighbor index: one exhaustive scan over all points.
+    """Exact k-nearest-neighbor index: a matrix-product prefilter with a
+    proven rounding margin, then exact distances for the rows it keeps.
 
-    A query's squared distances are the row sums of (point - v) ** 2; the k
-    smallest come nearest first, ties at equal distance go to the lower
-    training index, and NaN distances sort last.
+    A query's exact squared distances are the row sums of (point - v) ** 2,
+    the same floats as ((points - v) ** 2).sum(axis=1); the k smallest come
+    nearest first, ties at equal distance go to the lower training index,
+    and NaN distances sort last.
+
+    Each block of queries gets approx = |p|^2 + |v|^2 - 2 p.v from one
+    matrix product, the squared norms of the points computed once. With
+    gamma_n = n u / (1 - n u) for the unit roundoff u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), a dot product of length d is
+    off by at most gamma_d times the sum of its |terms|, whatever the
+    summation order, thread split or fused multiply-add. So approx is within
+    2 gamma_d + 3u (to first order), and the exact float within
+    2 gamma_{d+2}, of the real distance, in units of |p|^2 + |v|^2, and
+
+        |approx - exact| <= m = 8 gamma_{d+3} (|p|^2 + |v|^2) + (d + 3) 2^-1071,
+
+    where the factor 8 leaves room for rounding m and approx +- m, and the
+    last term covers products that underflow. With T the k-th smallest
+    approx + m, a row with approx - m > T has k rows strictly nearer, so
+    only the rows with approx - m <= T get the exact distance. A row whose
+    |p|^2 + |v|^2 is NaN, infinite or near overflow is always kept, so NaN
+    and infinite entries, and k >= n, reach the exact distances on the same
+    path.
     """
 
     def __init__(self, points: np.ndarray):
@@ -297,6 +329,7 @@ class KnnIndex:
             raise ValueError("points must be (n, d)")
         if len(self.points) == 0:
             raise EmptyModel("index holds no points")
+        self._sq_norms = np.einsum("ij,ij->i", self.points, self.points)
 
     def query(self, v: np.ndarray, k: int) -> np.ndarray:
         """Indices of the k nearest points, nearest first."""
@@ -306,32 +339,46 @@ class KnnIndex:
         return self.query_batch(v[None], k)[0]
 
     def query_batch(self, vs: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) indices whose row i equals query(vs[i], k)."""
+        """(m, k) indices whose row i equals query(vs[i], k); ValueError for
+        k < 1."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
         vs = np.asarray(vs, dtype=float)
         if vs.ndim != 2 or vs.shape[1] != self.points.shape[1]:
             raise DimMismatch("query dimension mismatch")
         return self._scan(vs, min(k, len(self.points)))
 
     def _scan(self, vs: np.ndarray, k: int) -> np.ndarray:
-        """Exhaustive k nearest of each row of vs. Every squared distance is
-        the row sum of (point - v) ** 2, the same float value as in
-        ((points - v) ** 2).sum(axis=1), computed a block of points at a time."""
+        """k nearest of each row of vs, for 1 <= k <= n: the bounds of a
+        block of queries, then the exact distances of each query's
+        candidates."""
         n, d = self.points.shape
-        rows = max(1, _SCAN_BYTES // (8 * d))
-        buf = np.empty((min(rows, n), d))
-        d2 = np.empty((min(_SCAN_QUERIES, len(vs)), n))
+        gamma = (d + 3) * _UNIT_ROUNDOFF / (1 - (d + 3) * _UNIT_ROUNDOFF)
+        tiny = (d + 3) * 2.0**-1071
         out = np.empty((len(vs), k), dtype=int)
         for q0 in range(0, len(vs), _SCAN_QUERIES):
             batch = vs[q0 : q0 + _SCAN_QUERIES]
-            for p0 in range(0, n, rows):
-                pts = self.points[p0 : p0 + rows]
-                b = buf[: len(pts)]
-                for j, v in enumerate(batch):
-                    np.subtract(pts, v, out=b)
-                    np.multiply(b, b, out=b)
-                    b.sum(axis=1, out=d2[j, p0 : p0 + len(pts)])
-            for j in range(len(batch)):
-                out[q0 + j] = _nearest(d2[j], k)
+            with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsafe
+                norms = np.einsum("ij,ij->i", batch, batch)[:, None] + self._sq_norms
+                unsafe = ~(norms <= _SAFE_NORM)
+                approx = batch @ self.points.T
+                approx *= -2.0
+                approx += norms
+                margin = norms
+                margin *= 8.0 * gamma
+                margin += tiny
+                upper = approx + margin
+                lower = np.subtract(approx, margin, out=approx)
+            upper[unsafe] = np.inf
+            lower[unsafe] = -np.inf
+            upper.partition(k - 1, axis=1)
+            cut = upper[:, k - 1]
+            for j, v in enumerate(batch):
+                cand = np.flatnonzero(lower[j] <= cut[j])
+                diff = self.points[cand]
+                diff -= v
+                diff *= diff
+                out[q0 + j] = cand[_nearest(diff.sum(axis=1), k)]
         return out
 
 
@@ -385,7 +432,8 @@ class KnnModel:
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
     """Class distribution from the k nearest training features; for an
-    (n, d) batch of features, the (n, n_classes) distributions row by row."""
+    (n, d) batch of features, the (n, n_classes) distributions row by row.
+    ValueError for k < 1."""
     if len(model.features) == 0:
         raise EmptyModel("knn model holds no training points")
     v = np.asarray(v, dtype=float)

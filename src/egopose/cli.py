@@ -101,6 +101,13 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _knn_k(cfg) -> int:
+    k = int(cfg["knn_k"])
+    if k < 1:
+        raise ValueError(f"knn_k must be at least 1, got {k}")
+    return k
+
+
 def _cost_params(cfg) -> CostParams:
     return CostParams(delta=cfg["delta"], tau=cfg["tau"], prune_threshold=cfg["prune"])
 
@@ -206,11 +213,11 @@ def cmd_train(args):
         model.save(_ensure_parent(args.out))
         print(f"oob accuracy: {model.oob_accuracy:.4f}")
     else:
+        k = _knn_k(cfg)
         model = KnnModel(x, classes, n_classes, frames)
         model.save(_ensure_parent(args.out))
         if args.loo:
             # each row votes with its k nearest other rows
-            k = int(cfg["knn_k"])
             nn = model.index().query_batch(x, min(k + 1, len(x)))
             others = nn != np.arange(len(x))[:, None]
             keep = others & (others.cumsum(axis=1) <= k)
@@ -260,7 +267,7 @@ def cmd_infer(args):
         classifier=classifier,
         forest=forest,
         knn=knn,
-        knn_k=int(cfg["knn_k"]),
+        knn_k=_knn_k(cfg),
         train_features=train_feats,
         train_feature_frames=train_frames,
     )

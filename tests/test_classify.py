@@ -394,6 +394,65 @@ def test_knn_blocked_scan_matches_whole_array_scan(dim):
             assert np.array_equal(idx.query(v, k), want)
 
 
+def _adversarial_knn_cases():
+    rng = np.random.default_rng(13)
+
+    def grid(n, d=6):  # a 1/4 grid gives many equal distances
+        return rng.integers(-4, 5, size=(n, d)) / 4.0
+
+    pts = grid(400)
+    qs = np.concatenate([grid(20), pts[:5]])
+    inf_pts = pts.copy()
+    inf_pts[3, 1], inf_pts[10, 0], inf_pts[11] = np.inf, -np.inf, np.inf
+    inf_qs = np.concatenate([qs, inf_pts[[3, 10, 11]], np.full((1, 6), np.nan)])
+    inf_qs[0, 2] = np.inf
+    # |p|^2 + |v|^2 near or above the largest float: the nearest rows of
+    # these queries have squared norms that overflow, and their distances to
+    # the other queries overflow too
+    near, far = 1e153 * np.ones(6), 1e154 * np.ones(6)
+    big_pts = np.concatenate([pts, near + grid(30) * 1e140, far + grid(30) * 1e141, -far + grid(10) * 1e141])
+    big_qs = np.concatenate([qs, near + grid(3) * 1e140, far + grid(3) * 1e141, -far[None]])
+    # 3 000 identical rows behind 200 others, some queries equal to them
+    same = np.concatenate([grid(200), np.full((3000, 6), 0.25), grid(200)])
+    same_qs = np.concatenate([qs, np.full((3, 6), 0.25), np.full((2, 6), 0.5)])
+    # |p|^2 + |v|^2 - 2 p.v loses all but the leading digits of the distances
+    off_pts = 1e8 + rng.normal(size=(400, 6)) * 4.0
+    off_qs = np.concatenate([1e8 + rng.normal(size=(20, 6)) * 4.0, off_pts[:5]])
+    return {
+        "offset 1e8": (off_pts, off_qs),
+        # the squares underflow below the smallest normal float
+        "near 1e-160": (pts * 1e-160, qs * 1e-160),
+        "near 1e150": (pts * 1e150, qs * 1e150),
+        "near overflow": (big_pts, big_qs),
+        "inf and NaN": (inf_pts, inf_qs),
+        "3000 identical rows": (same, same_qs),
+        "one point": (grid(1), qs),
+        "d = 1": (grid(400, 1), grid(30, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_adversarial_knn_cases()))
+def test_knn_scan_is_exact_on_adversarial_inputs(case):
+    pts, queries = _adversarial_knn_cases()[case]
+    idx = KnnIndex(pts)
+    n = len(pts)
+    for k in sorted({1, 20, max(n - 1, 1), n, n + 5}):
+        got = idx.query_batch(queries, k)
+        for v, row in zip(queries, got):
+            want = _whole_array_scan(pts, v, k)
+            assert np.array_equal(row, want), (case, k, v)
+            assert np.array_equal(idx.query(v, k), want)
+
+
+def test_knn_k_below_one_is_rejected():
+    model = KnnModel(np.eye(3), [0, 1, 2], 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            model.index().query_batch(np.zeros((2, 3)), k)
+        with pytest.raises(ValueError):
+            knn_proba(model, np.zeros(3), k)
+
+
 def test_knn_batch_matches_single_queries():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(300, 20))
@@ -526,6 +585,12 @@ def _with_node(**fields):
         _with_node(right=None),
         _with_node(left={"hist": 5}),
         _with_node(left={"hist": [1, 2, 3]}),
+        _with_node(left={"hist": [None, 1]}),
+        _with_node(left={"hist": ["1", 2]}),
+        _with_node(left={"hist": [-3, 1]}),
+        _with_node(left={"hist": [float("nan"), 1]}),
+        _with_node(left={"hist": [float("inf"), 1]}),
+        _with_node(left={"hist": [0, 0]}),
     ],
 )
 def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):

@@ -384,6 +384,26 @@ def test_knn_classifier_via_cli(workspace, tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_knn_k_below_one_exits_3(workspace, tmp_path, capsys, k):
+    models = workspace["models"]
+    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    train += ["--classifier", "knn", "--out", str(tmp_path / "knn.json")]
+    assert main(train + ["--loo", "--knn-k", k]) == 3
+    assert "knn_k" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert not (tmp_path / "knn.json").exists()
+    assert main(train) == 0
+    capsys.readouterr()
+    rc = main(
+        ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--bank", str(models / "bank.json")]
+        + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(tmp_path / "knn.json")]
+        + ["--knn-k", k, "--window", "8", "--out", str(tmp_path / "p.jsonl")]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "knn_k" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error reporting
 
