@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch, load_json_object, model_fields
+from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
+from .records import load_json_object, model_fields, read_records, write_json_object, write_records
 
 
 @contextmanager
@@ -414,8 +415,7 @@ class KnnModel:
             "classes": self.classes.tolist(),
             "pose_indices": None if self.pose_indices is None else self.pose_indices.tolist(),
         }
-        with open(path, "w") as f:
-            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
+        write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "KnnModel":
@@ -479,20 +479,11 @@ def check_static(h) -> np.ndarray:
 
 
 def save_static(path, h: np.ndarray) -> None:
-    with open(path, "w") as f:
-        for i, v in enumerate(np.asarray(h, dtype=float)):
-            f.write(json.dumps({"t": i, "h": float(v)}) + "\n")
+    write_records(path, ({"t": i, "h": float(v)} for i, v in enumerate(np.asarray(h, dtype=float))))
 
 
 def load_static(path, expected_frames: int | None = None) -> np.ndarray:
-    vals = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            vals.append(float(json.loads(line)["h"]))
-    h = check_static(vals)
+    h = check_static(list(read_records(path, lambda rec: float(rec["h"]))))
     if expected_frames is not None and len(h) != expected_frames:
         raise LengthMismatch(f"static file holds {len(h)} frames, expected {expected_frames}")
     return h

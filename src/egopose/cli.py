@@ -46,6 +46,7 @@ from .pipeline import (  # noqa: F401
     normalized_matrix,
     save_features,
 )
+from .records import load_json_object, model_fields, read_records
 from .skeleton import load_pose_sequence_with_times, save_pose_sequence
 from .synth import MotionScript, generate
 
@@ -84,15 +85,23 @@ def _fail(err, code):
     return code
 
 
+def _json_type(val) -> str:
+    """A config value's JSON type: "number" for an int or float, not a bool."""
+    return "number" if type(val) in (int, float) else type(val).__name__
+
+
 def _load_config(args) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     path = getattr(args, "config", None)
     if path:
-        with open(path) as f:
-            loaded = json.load(f)
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        loaded = load_json_object(path)
+        with model_fields(path):
+            unknown = set(loaded) - set(cfg)
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            for key, val in loaded.items():
+                if _json_type(val) != _json_type(cfg[key]):
+                    raise TypeError(f"config {key} must be a {_json_type(cfg[key])}, found {val!r}")
         cfg.update(loaded)
     for key in cfg:
         val = getattr(args, key, None)
@@ -123,17 +132,17 @@ def _path_params(cfg) -> PathParams:
 
 
 def _load_camera(path) -> CameraIntrinsics:
-    with open(path) as f:
-        rec = json.load(f)
-    if "intrinsics" in rec:  # accept a synth manifest directly
-        rec = rec["intrinsics"]
-    return CameraIntrinsics(
-        fx=float(rec["fx"]),
-        fy=float(rec["fy"]),
-        cx=float(rec["cx"]),
-        cy=float(rec["cy"]),
-        skew=float(rec.get("skew", 0.0)),
-    )
+    rec = load_json_object(path)
+    with model_fields(path):
+        if "intrinsics" in rec:  # accept a synth manifest directly
+            rec = rec["intrinsics"]
+        return CameraIntrinsics(
+            fx=float(rec["fx"]),
+            fy=float(rec["fy"]),
+            cx=float(rec["cx"]),
+            cy=float(rec["cy"]),
+            skew=float(rec.get("skew", 0.0)),
+        )
 
 
 def _ensure_parent(path) -> str:
@@ -144,16 +153,9 @@ def _ensure_parent(path) -> str:
 
 def _load_stream(path):
     """Homography list from either a homography or a correspondence file."""
-    with open(path) as f:
-        first = ""
-        for line in f:
-            line = line.strip()
-            if line:
-                first = line
-                break
-    if not first:
+    keys = next(read_records(path, set), None)  # the first record's keys
+    if keys is None:
         raise ValueError(f"{path}: empty input stream")
-    keys = set(json.loads(first))
     if "h" in keys:
         return load_homographies(path)
     if {"src", "dst"} <= keys:
@@ -403,7 +405,7 @@ def main(argv=None) -> int:
         return _fail(e, 4)
     except EgoPoseError as e:
         return _fail(e, 3)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         return _fail(e, 3)
 
 

@@ -9,14 +9,14 @@ hip height of their centroid.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import TooFewPoses, load_json_object, model_fields
+from .errors import TooFewPoses
+from .records import load_json_object, model_fields, write_json_object
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -56,8 +56,7 @@ class ClusterModel:
             "centroids": self.centroids.tolist(),
             "labels": [l.value for l in self.labels] if self.labels else None,
         }
-        with open(path, "w") as f:
-            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
+        write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
@@ -275,10 +274,9 @@ class ExemplarBank:
         """True when the step j -> i spans a sequence boundary."""
         return bool(self.segment_of[j] != self.segment_of[i])
 
-    def save(self, path, poses_file=None) -> None:
-        """JSON with a pose-file reference; poses go to a sibling JSONL."""
-        if poses_file is None:
-            poses_file = os.path.splitext(os.path.basename(path))[0] + "_poses.jsonl"
+    def save(self, path) -> None:
+        """JSON with a pose-file reference; poses go to the sibling <stem>_poses.jsonl."""
+        poses_file = os.path.splitext(os.path.basename(path))[0] + "_poses.jsonl"
         pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), poses_file)
         seq = PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in self.poses])
         save_pose_sequence(pose_path, seq)
@@ -289,8 +287,7 @@ class ExemplarBank:
             "sequence_breaks": self.sequence_breaks.tolist(),
             "neighbors": [nb.tolist() for nb in self.neighbors],
         }
-        with open(path, "w") as f:
-            f.write(json.dumps(rec))  # the C encoder; json.dump never uses it
+        write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "ExemplarBank":

@@ -9,7 +9,6 @@ standing-like, or h <= 1 - tau says standing but the pose is sitting-like).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .classify import check_static
 from .clustering import ExemplarBank, SitStand
 from .errors import LengthMismatch
+from .records import write_records
 
 
 @dataclass
@@ -50,10 +50,8 @@ class UnaryCosts:
         return dict(zip(self.indices[n].tolist(), self.costs[n].tolist()))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            for n in range(self.n_frames):
-                entries = [[int(i), float(e)] for i, e in zip(self.indices[n], self.costs[n])]
-                f.write(json.dumps({"t": n, "entries": entries}) + "\n")
+        entries = ([[int(i), float(e)] for i, e in zip(idx, cost)] for idx, cost in zip(self.indices, self.costs))
+        write_records(path, ({"t": n, "entries": e} for n, e in enumerate(entries)))
 
 
 def unary_costs(

@@ -1,35 +1,10 @@
 """Exception types shared across the package.
 
 Every recoverable failure raises one of these so callers (and the CLI) can
-map problems to exit codes without string matching. load_json_object is the
-one reader of JSON model files, so a file of the wrong shape fails the same
-way for every model, and model_fields names the file when one of its fields
-has the wrong type or value.
+map problems to exit codes without string matching. A file of the wrong
+shape is not one of them: the readers in records.py raise ValueError naming
+the file, and the line for a JSONL stream.
 """
-
-import json
-from contextlib import contextmanager
-
-
-def load_json_object(path) -> dict:
-    """The JSON object a model file holds; ValueError naming the file when
-    it holds anything else."""
-    with open(path) as f:
-        rec = json.load(f)
-    if not isinstance(rec, dict):
-        raise ValueError(f"{path}: expected a JSON object, found {type(rec).__name__}")
-    return rec
-
-
-@contextmanager
-def model_fields(path):
-    """Scope in which a model is built from the record read from path: a
-    TypeError or ValueError raised there, from a field of the wrong JSON
-    type or value, leaves it as a ValueError naming the file."""
-    try:
-        yield
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{path}: {e}") from e
 
 
 class EgoPoseError(Exception):

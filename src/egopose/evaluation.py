@@ -9,7 +9,6 @@ head / elbows / wrists / knees / ankles grouping with left and right pooled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .classify import KnnIndex
 from .clustering import ExemplarBank, SitStand
 from .errors import DegeneratePose, EmptyLabel, FrameMismatch
+from .records import write_json_object
 from .skeleton import Frame, Joint, Pose, PoseSequence
 
 CM_PER_UNIT = 150.0  # five times the 30 cm reference shoulder
@@ -53,8 +53,7 @@ class ErrorReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
+        write_json_object(path, self.to_dict(), indent=2)
 
     def format_table(self) -> str:
         width = max(len(n) for n in self.groups)

@@ -10,7 +10,6 @@ frames centered on n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
+from .records import read_records, write_records
 
 
 @dataclass
@@ -106,6 +106,16 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
     )
 
 
+def _point_pairs(src, dst):
+    """src and dst as float arrays; ValueError unless they are matching
+    (n, 2) arrays."""
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
+        raise ValueError("src and dst must be matching (n, 2) arrays")
+    return src, dst
+
+
 def estimate_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     """Least-squares homography from (n, 2) point correspondences.
 
@@ -121,10 +131,7 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     ------
     InsufficientPoints, DegenerateConfiguration, NormalizationFailure.
     """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
-        raise ValueError("src and dst must be matching (n, 2) arrays")
+    src, dst = _point_pairs(src, dst)
     n = len(src)
     if n < 4:
         raise InsufficientPoints(f"need at least 4 correspondences, got {n}")
@@ -196,45 +203,19 @@ def feature_window(hs, center: int, window: int = 30) -> FeatureVector:
 
 def save_homographies(path, hs) -> None:
     """One JSON object per line: {"t": i, "h": 9 row-major reals}."""
-    with open(path, "w") as f:
-        for i, h in enumerate(hs):
-            m = h.h if isinstance(h, Homography) else np.asarray(h)
-            f.write(json.dumps({"t": i, "h": m.reshape(-1).tolist()}) + "\n")
+    mats = (h.h if isinstance(h, Homography) else np.asarray(h) for h in hs)
+    write_records(path, ({"t": i, "h": m.reshape(-1).tolist()} for i, m in enumerate(mats)))
 
 
 def load_homographies(path) -> list:
-    hs = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            hs.append(Homography(np.array(rec["h"], dtype=float).reshape(3, 3)))
-    return hs
+    return list(read_records(path, lambda rec: Homography(np.array(rec["h"], dtype=float).reshape(3, 3))))
 
 
 def save_correspondences(path, pairs) -> None:
     """One JSON object per line: {"t": i, "src": [[x, y]...], "dst": [[x, y]...]}."""
-    with open(path, "w") as f:
-        for i, (src, dst) in enumerate(pairs):
-            rec = {
-                "t": i,
-                "src": np.asarray(src, dtype=float).tolist(),
-                "dst": np.asarray(dst, dtype=float).tolist(),
-            }
-            f.write(json.dumps(rec) + "\n")
+    arrays = ((np.asarray(src, dtype=float), np.asarray(dst, dtype=float)) for src, dst in pairs)
+    write_records(path, ({"t": i, "src": src.tolist(), "dst": dst.tolist()} for i, (src, dst) in enumerate(arrays)))
 
 
 def load_correspondences(path) -> list:
-    pairs = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            pairs.append(
-                (np.array(rec["src"], dtype=float), np.array(rec["dst"], dtype=float))
-            )
-    return pairs
+    return list(read_records(path, lambda rec: _point_pairs(rec["src"], rec["dst"])))

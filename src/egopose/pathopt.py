@@ -37,7 +37,6 @@ brute_force enumerates everything.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,6 +45,7 @@ import numpy as np
 from .clustering import ExemplarBank
 from .costs import UnaryCosts
 from .errors import Infeasible, InfeasiblePath, StateExplosion, TooLarge
+from .records import write_json_object, write_records
 
 
 @dataclass
@@ -149,14 +149,11 @@ class PosePath:
         }
 
     def save(self, path, bank: ExemplarBank) -> None:
-        with open(path, "w") as f:
-            for n, i in enumerate(self.indices):
-                rec = {"t": n, "exemplar": int(i), "cluster": int(bank.cluster_of[i])}
-                f.write(json.dumps(rec) + "\n")
+        recs = ({"t": n, "exemplar": int(i), "cluster": int(bank.cluster_of[i])} for n, i in enumerate(self.indices))
+        write_records(path, recs)
 
     def save_energy(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.energy_dict(), f)
+        write_json_object(path, self.energy_dict())
 
 
 def step_weight(j: int, i: int, bank: ExemplarBank, params: PathParams) -> float:

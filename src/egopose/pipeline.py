@@ -8,7 +8,6 @@ inference time.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -45,6 +44,7 @@ from .pathopt import (
     solve_paper_dp,
     solve_path_cluster,
 )
+from .records import load_json_object, model_fields, read_records, write_json_object, write_records
 from .skeleton import Frame, Pose, PoseSequence, normalize_pose
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
@@ -103,24 +103,24 @@ def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray
 
 
 def save_features(path, frames, x: np.ndarray, classes) -> None:
-    with open(path, "w") as f:
-        for t, v, c in zip(frames, x, classes):
-            f.write(json.dumps({"t": int(t), "v": [float(a) for a in v], "class": int(c)}) + "\n")
+    rows = np.asarray(x, dtype=float)  # one row at a time to lists, never the whole matrix
+    recs = ({"t": int(t), "v": v.tolist(), "class": int(c)} for t, v, c in zip(frames, rows, classes))
+    write_records(path, recs)
 
 
 def load_features(path):
-    frames, rows, classes = [], [], []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            frames.append(int(rec["t"]))
-            rows.append(np.array(rec["v"], dtype=float))
-            classes.append(int(rec["class"]))
+    rows = []
+
+    def record(rec):
+        v = np.array(rec["v"], dtype=float)
+        if v.ndim != 1 or (rows and len(v) != len(rows[0])):
+            raise ValueError(f"feature v must be a flat list as long as the first row's, found shape {v.shape}")
+        rows.append(v)
+        return int(rec["t"]), int(rec["class"])
+
+    frames_classes = list(read_records(path, record))
     x = np.stack(rows) if rows else np.empty((0, 0))
-    return np.array(frames, dtype=int), x, np.array(classes, dtype=int)
+    return np.array([t for t, _ in frames_classes], dtype=int), x, np.array([c for _, c in frames_classes], dtype=int)
 
 
 @dataclass
@@ -170,13 +170,12 @@ class TrainedModels:
         if self.camera is not None:
             c = self.camera
             meta["camera"] = {"fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy, "skew": c.skew}
-        with open(os.path.join(out_dir, "meta.json"), "w") as f:
-            json.dump(meta, f, indent=2)
+        write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
-        with open(os.path.join(in_dir, "meta.json")) as f:
-            meta = json.load(f)
+        meta_path = os.path.join(in_dir, "meta.json")
+        meta = load_json_object(meta_path)
         cluster = ClusterModel.load(os.path.join(in_dir, "clusters.json"))
         bank = ExemplarBank.load(os.path.join(in_dir, "bank.json"))
         forest = knn = None
@@ -186,27 +185,25 @@ class TrainedModels:
         kpath = os.path.join(in_dir, "knn.json")
         if os.path.exists(kpath):
             knn = KnnModel.load(kpath)
-        camera = None
-        if "camera" in meta:
-            camera = CameraIntrinsics(**meta["camera"])
         feats = frames = None
         feat_path = os.path.join(in_dir, "features.jsonl")
         if os.path.exists(feat_path):
             frames, feats, _ = load_features(feat_path)
-        return cls(
-            cluster,
-            bank,
-            float(meta["theta_sit"]),
-            window=int(meta["window"]),
-            feature_mode=meta["feature_mode"],
-            camera=camera,
-            classifier=meta["classifier"],
-            forest=forest,
-            knn=knn,
-            knn_k=int(meta.get("knn_k", 30)),
-            train_features=feats,
-            train_feature_frames=frames,
-        )
+        with model_fields(meta_path):
+            return cls(
+                cluster,
+                bank,
+                float(meta["theta_sit"]),
+                window=int(meta["window"]),
+                feature_mode=meta["feature_mode"],
+                camera=CameraIntrinsics(**meta["camera"]) if "camera" in meta else None,
+                classifier=meta["classifier"],
+                forest=forest,
+                knn=knn,
+                knn_k=int(meta.get("knn_k", 30)),
+                train_features=feats,
+                train_feature_frames=frames,
+            )
 
 
 def build_bank(
@@ -341,8 +338,7 @@ class InferenceResult:
         if self.path is not None and bank is not None:
             self.path.save(os.path.join(out_dir, "path.jsonl"), bank)
             self.path.save_energy(os.path.join(out_dir, "energy.json"))
-        with open(os.path.join(out_dir, "timings.json"), "w") as f:
-            json.dump(self.timings, f, indent=2)
+        write_json_object(os.path.join(out_dir, "timings.json"), self.timings, indent=2)
 
 
 def infer(

@@ -10,13 +10,13 @@ distance is exactly 0.2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
 
 from .errors import DegeneratePose, FrameMismatch
+from .records import read_records, write_records
 
 N_JOINTS = 25
 
@@ -161,10 +161,8 @@ def save_pose_sequence(path, seq: PoseSequence, times=None) -> None:
     """Write one JSON object per line: {"t", "frame", "joints"}."""
     if times is None:
         times = range(len(seq))
-    with open(path, "w") as f:
-        for t, p in zip(times, seq.poses):
-            rec = {"t": int(t), "frame": p.frame.value, "joints": p.joints.tolist()}
-            f.write(json.dumps(rec) + "\n")
+    recs = ({"t": int(t), "frame": p.frame.value, "joints": p.joints.tolist()} for t, p in zip(times, seq.poses))
+    write_records(path, recs)
 
 
 def load_pose_sequence(path, frame_rate_hz: float = 30.0) -> PoseSequence:
@@ -175,19 +173,14 @@ def load_pose_sequence(path, frame_rate_hz: float = 30.0) -> PoseSequence:
 
 def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
     """Like load_pose_sequence but also returns the stored frame indices."""
-    poses = []
     times = []
-    last_t = None
-    with open(path) as f:
-        for lineno, line in enumerate(f):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            t = int(rec["t"])
-            if last_t is not None and t <= last_t:
-                raise ValueError(f"{path}:{lineno + 1}: frame indices must increase")
-            last_t = t
-            times.append(t)
-            poses.append(Pose(np.array(rec["joints"], dtype=float), Frame(rec["frame"])))
+
+    def pose(rec) -> Pose:
+        t = int(rec["t"])
+        if times and t <= times[-1]:
+            raise ValueError("frame indices must increase")
+        times.append(t)
+        return Pose(np.array(rec["joints"], dtype=float), Frame(rec["frame"]))
+
+    poses = list(read_records(path, pose))
     return PoseSequence(poses, frame_rate_hz), np.array(times, dtype=int)

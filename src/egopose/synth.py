@@ -15,7 +15,6 @@ script generates bit-identical data on every run.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,7 @@ import numpy as np
 
 from .errors import ScriptError
 from .geometry import CameraIntrinsics, Homography, save_correspondences, save_homographies
+from .records import load_json_object, model_fields, read_records, write_json_object, write_records
 from .skeleton import Frame, Joint, Pose, PoseSequence, save_pose_sequence
 from .classify import save_static
 
@@ -172,15 +172,15 @@ class MotionScript:
 
     @classmethod
     def from_json(cls, path) -> "MotionScript":
-        with open(path) as f:
-            rec = json.load(f)
-        return cls(
-            [(s, int(d)) for s, d in rec["segments"]],
-            seed=int(rec.get("seed", 0)),
-            joint_jitter=float(rec.get("joint_jitter", 0.004)),
-            pixel_noise=float(rec.get("pixel_noise", 0.5)),
-            translation_noise=float(rec.get("translation_noise", 0.0)),
-        )
+        rec = load_json_object(path)
+        with model_fields(path):
+            return cls(
+                [(s, int(d)) for s, d in rec["segments"]],
+                seed=int(rec.get("seed", 0)),
+                joint_jitter=float(rec.get("joint_jitter", 0.004)),
+                pixel_noise=float(rec.get("pixel_noise", 0.5)),
+                translation_noise=float(rec.get("translation_noise", 0.0)),
+            )
 
 
 def default_camera() -> CameraIntrinsics:
@@ -211,9 +211,8 @@ class SynthResult:
         save_homographies(os.path.join(out_dir, files["homographies"]), self.homographies)
         save_correspondences(os.path.join(out_dir, files["correspondences"]), self.correspondences)
         save_static(os.path.join(out_dir, files["static_h"]), self.static_h)
-        with open(os.path.join(out_dir, files["labels"]), "w") as f:
-            for n, sit in enumerate(self.sit_labels):
-                f.write(json.dumps({"t": n, "sitting": bool(sit)}) + "\n")
+        labels = ({"t": n, "sitting": bool(sit)} for n, sit in enumerate(self.sit_labels))
+        write_records(os.path.join(out_dir, files["labels"]), labels)
         k = self.intrinsics
         manifest = {
             "files": files,
@@ -226,8 +225,7 @@ class SynthResult:
             "translation_noise": self.script.translation_noise,
             "intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "skew": k.skew},
         }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2)
+        write_json_object(os.path.join(out_dir, "manifest.json"), manifest, indent=2)
         return manifest
 
 
@@ -390,11 +388,12 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
     )
 
 
+def _sitting(rec) -> bool:
+    sit = rec["sitting"]
+    if not isinstance(sit, bool):
+        raise ValueError(f"sitting must be true or false, found {sit!r}")
+    return sit
+
+
 def load_labels(path) -> np.ndarray:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(bool(json.loads(line)["sitting"]))
-    return np.array(out, dtype=bool)
+    return np.array(list(read_records(path, _sitting)), dtype=bool)

@@ -8,6 +8,7 @@ objects on stderr, and byte-identical rerun determinism.
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,7 +467,7 @@ def test_invalid_static_prior_exits_3(workspace, tmp_path, capsys):
     assert err["error"] == "InvalidProbability"
 
 
-@pytest.mark.parametrize("flag", ["--bank", "--cluster-model", "--classifier-model"])
+@pytest.mark.parametrize("flag", ["--bank", "--cluster-model", "--classifier-model", "--camera", "--config"])
 def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, flag):
     models = workspace["models"]
     files = {
@@ -527,6 +528,112 @@ def test_invalid_script_exits_3(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ScriptError"
+
+
+def _infer_argv(workspace, tmp_path, *extra):
+    models = workspace["models"]
+    return [
+        "infer",
+        "--input",
+        str(workspace["data"] / "homographies.jsonl"),
+        "--bank",
+        str(models / "bank.json"),
+        "--cluster-model",
+        str(models / "clusters.json"),
+        "--classifier-model",
+        str(models / "forest.json"),
+        "--window",
+        "8",
+        "--out",
+        str(tmp_path / "p.jsonl"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--camera", {"fx": None, "fy": 1.0, "cx": 0.5, "cy": 0.4}),
+        ("--camera", {"intrinsics": {"fx": 1.0}}),
+        ("--config", 5),
+        ("--config", {"delta": None}),
+        ("--config", {"k": True}),
+        ("--config", {"feature_mode": 3}),
+    ],
+)
+def test_malformed_json_input_exits_3_naming_the_file(workspace, tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    rc = main(_infer_argv(workspace, tmp_path, flag, str(bad)))
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{bad}: ")
+
+
+def test_config_values_keep_their_json_type(tmp_path):
+    from egopose.cli import _load_config
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"speed_gamma": 2.5, "delta": 1, "feature_mode": "rotation"}))
+    loaded = _load_config(SimpleNamespace(config=str(cfg)))
+    assert loaded["speed_gamma"] == 2.5
+    assert type(loaded["delta"]) is int and loaded["feature_mode"] == "rotation"
+
+
+@pytest.mark.parametrize("bad_line", [0, 1])
+def test_malformed_stream_record_exits_3_naming_file_and_line(workspace, tmp_path, capsys, bad_line):
+    data = workspace["data"]
+    lines = (data / "homographies.jsonl").read_text().splitlines()
+    lines[bad_line] = "5"
+    stream = tmp_path / "h.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    argv = ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(stream)]
+    rc = main(argv + ["--out", str(tmp_path / "c.json"), "--k", "8", "--window", "8"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == f"{stream}:{bad_line + 1}: expected a JSON object, found int"
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_null_static_prior_exits_3_naming_file_and_line(workspace, tmp_path, capsys):
+    lines = (workspace["data"] / "static_h.jsonl").read_text().splitlines()
+    lines[2] = json.dumps({"h": None})
+    bad = tmp_path / "static_h.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(_infer_argv(workspace, tmp_path, "--static-h", str(bad)))
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{bad}:3: ")
+
+
+def test_unnormalized_homography_record_exits_4(workspace, tmp_path, capsys):
+    lines = (workspace["data"] / "homographies.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["h"][0] = 2.0
+    lines[4] = json.dumps(rec)
+    stream = tmp_path / "h.jsonl"
+    stream.write_text("\n".join(lines) + "\n")
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--input") + 1] = str(stream)
+    assert main(argv) == 4
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "NormalizationFailure"
+
+
+@pytest.mark.parametrize(
+    "script",
+    [{"segments": 5}, {"segments": [["walk"]]}, {"segments": [["fly", 5]]}, {"segments": [["walk", 5]], "seed": None}, [1]],
+)
+def test_malformed_script_exits_3_naming_the_file(tmp_path, capsys, script):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(script))
+    rc = main(["synth", "--script", str(bad), "--out-dir", str(tmp_path / "d")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{bad}: ")
+    assert not (tmp_path / "d").exists()
 
 
 def test_unknown_config_key_exits_3(workspace, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Integration tests for feature building, model training, and inference."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -191,6 +194,21 @@ def test_trained_models_save_load_parity(tmp_path):
     assert np.array_equal(again.train_feature_frames, models.train_feature_frames)
     x = models.train_features[:6]
     assert np.allclose(again.cluster_probs(x), models.cluster_probs(x))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [[1, 2], {"window": None}, {"camera": {"fx": None, "fy": 1.0, "cx": 0.5, "cy": 0.4}}, {"camera": 5}],
+)
+def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
+    sequences, streams, _, _ = training_material(seed=20)
+    train_models(sequences, streams, k=5, window=8, n_trees=2, seed=1).save(tmp_path)
+    path = tmp_path / "meta.json"
+    if isinstance(meta, dict):
+        meta = {**json.loads(path.read_text()), **meta}
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        TrainedModels.load(tmp_path)
 
 
 # ---------------------------------------------------------------------------
