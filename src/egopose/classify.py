@@ -85,12 +85,14 @@ class ForestModel:
 
 
 def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
-    """ValueError unless trees is a list of trees whose every node is a split
-    {"feat": int in [0, feature_dim), "thresh": number, "left", "right"} or
-    a leaf {"hist": list of n_classes non-negative counts with a finite,
-    positive sum}, which normalizes to a class distribution."""
+    """ValueError unless trees is a non-empty list of trees whose every node
+    is a split {"feat": int in [0, feature_dim), "thresh": number, "left",
+    "right"} or a leaf {"hist": list of n_classes non-negative counts with a
+    finite, positive sum}, which normalizes to a class distribution."""
     if not isinstance(trees, list):
         raise ValueError(f"trees must be a list, found {type(trees).__name__}")
+    if not trees:
+        raise ValueError("trees must hold at least one tree")
     stack = list(trees)
     while stack:
         node = stack.pop()
@@ -215,6 +217,8 @@ def train_forest(
     classes : (n,) integer class (cluster) ids in [0, n_classes).
     n_classes : histogram width; defaults to max(classes) + 1.
     """
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(classes, dtype=int)
     if x.ndim != 2 or len(x) != len(y):

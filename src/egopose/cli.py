@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .classify import ForestModel, KnnModel, load_static, train_forest
-# kmeans and normalized_matrix go unused here; perfbench/layers.py wraps them at this binding
+# kmeans goes unused here; perfbench/layers.py wraps it at this binding
 from .clustering import ClusterModel, ExemplarBank, kmeans  # noqa: F401
 from .costs import CostParams
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 from .evaluation import joint_errors
 from .geometry import CameraIntrinsics, estimate_homography, load_correspondences, load_homographies
 from .pathopt import PathParams
-from .pipeline import (  # noqa: F401
+from .pipeline import (
     SOLVERS,
     TrainedModels,
     _check_lengths,
@@ -47,7 +47,7 @@ from .pipeline import (  # noqa: F401
     save_features,
 )
 from .records import load_json_object, model_fields, read_records
-from .skeleton import load_pose_sequence_with_times, save_pose_sequence
+from .skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from .synth import MotionScript, generate
 
 DEFAULT_CONFIG = {
@@ -309,18 +309,13 @@ def cmd_eval(args):
     common, pi, gi = np.intersect1d(pred_t, gt_t, return_indices=True)
     if len(common) == 0:
         raise ValueError("prediction and ground truth share no frame indices")
-    from .skeleton import Frame, Pose, PoseSequence, normalize_pose
 
-    def subset(seq, idx):
-        poses = []
-        for i in idx:
-            p = seq.poses[i]
-            if p.frame != Frame.WEARER_LOCAL:
-                p = normalize_pose(p, np.array([0.0, 0.0, 1.0]))
-            poses.append(p)
-        return PoseSequence(poses)
+    def wearer_local(seq, idx):
+        """The poses at idx, normalized when they are sensor-frame ones."""
+        x = normalized_matrix(PoseSequence([seq[i] for i in idx]))
+        return PoseSequence([Pose.from_vector(v) for v in x])
 
-    report = joint_errors(subset(pred, pi), subset(gt, gi))
+    report = joint_errors(wearer_local(pred, pi), wearer_local(gt, gi))
     report.save(_ensure_parent(args.out))
     print(report.format_table())
     return 0

@@ -73,6 +73,8 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
     re-seeded from the point farthest from its centroid. The objective
     (sum of squared distances) never increases across iterations.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n < k:
@@ -140,10 +142,16 @@ def assign_clusters(model: ClusterModel, x: np.ndarray) -> np.ndarray:
     return _sq_distances(np.asarray(x, dtype=float), model.centroids).argmin(axis=1)
 
 
+def hip_heights(x: np.ndarray) -> np.ndarray:
+    """(n,) up-axis hip midpoint minus mean ankle height of n pose vectors
+    (n, 75), in normalized units."""
+    x = np.asarray(x, dtype=float)
+    return x[:, _HIP_Z].mean(axis=1) - x[:, _ANKLE_Z].mean(axis=1)
+
+
 def hip_height(pose_vec: np.ndarray) -> float:
-    """Up-axis hip midpoint minus mean ankle height, in normalized units."""
-    v = np.asarray(pose_vec, dtype=float)
-    return float(v[_HIP_Z].mean() - v[_ANKLE_Z].mean())
+    """Hip height of one pose vector: hip_heights of one row."""
+    return float(hip_heights(np.asarray(pose_vec)[None])[0])
 
 
 def sit_stand_threshold(heights: np.ndarray) -> float:
@@ -174,12 +182,9 @@ def label_clusters(model: ClusterModel, train_vectors: np.ndarray, theta_sit: fl
     the threshold.
     """
     if theta_sit is None:
-        heights = np.array([hip_height(v) for v in np.asarray(train_vectors, dtype=float)])
-        theta_sit = sit_stand_threshold(heights)
-    labels = [
-        SitStand.SITTING_LIKE if hip_height(c) < theta_sit else SitStand.STANDING_LIKE
-        for c in model.centroids
-    ]
+        theta_sit = sit_stand_threshold(hip_heights(train_vectors))
+    sitting = hip_heights(model.centroids) < theta_sit
+    labels = [SitStand.SITTING_LIKE if s else SitStand.STANDING_LIKE for s in sitting]
     model.labels = labels
     return labels
 

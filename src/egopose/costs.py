@@ -79,7 +79,7 @@ def unary_costs(
     if dists.shape[1] != bank.k or len(labels) != bank.k:
         raise LengthMismatch("distribution width and labels must match bank clusters")
 
-    sitting_pose = np.array([labels[c] == SitStand.SITTING_LIKE for c in bank.cluster_of])
+    sitting_pose = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)[bank.cluster_of]
     standing_pose = ~sitting_pose
     out = UnaryCosts()
     all_idx = np.arange(len(bank.poses))

@@ -17,7 +17,7 @@ from .classify import KnnIndex
 from .clustering import ExemplarBank, SitStand
 from .errors import DegeneratePose, EmptyLabel, FrameMismatch
 from .records import write_json_object
-from .skeleton import Frame, Joint, Pose, PoseSequence
+from .skeleton import N_JOINTS, Frame, Joint, Pose, PoseSequence
 
 CM_PER_UNIT = 150.0  # five times the 30 cm reference shoulder
 
@@ -28,7 +28,6 @@ JOINT_GROUPS = {
     "Knees": [Joint.KneeLeft, Joint.KneeRight],
     "Ankles": [Joint.AnkleLeft, Joint.AnkleRight],
 }
-EVALUATED_JOINTS = [j for joints in JOINT_GROUPS.values() for j in joints]
 
 
 @dataclass
@@ -64,42 +63,52 @@ class ErrorReport:
         return "\n".join(lines)
 
 
-def align_for_eval(p: Pose) -> Pose:
-    """Translate SpineBase to the origin and remove yaw.
-
-    The pose is rotated about the up axis until the ShoulderLeft ->
+def _aligned(joints: np.ndarray) -> np.ndarray:
+    """Align n wearer-local poses (n, 25, 3) for scoring: SpineBase to the
+    origin, then each pose rotated about the up axis until its ShoulderLeft ->
     ShoulderRight vector has no first-axis component (and points along +y).
-    Idempotent; raises DegeneratePose when the shoulder direction has no
-    ground-plane component.
-    """
-    if p.frame != Frame.WEARER_LOCAL:
-        raise FrameMismatch("alignment expects wearer-local poses")
-    joints = p.joints - p.joints[Joint.SpineBase]
-    d = joints[Joint.ShoulderRight] - joints[Joint.ShoulderLeft]
-    if np.hypot(d[0], d[1]) < 1e-12:
-        raise DegeneratePose("shoulder direction vertical; yaw undefined")
-    phi = np.arctan2(d[0], d[1])
+    Raises DegeneratePose, naming the first bad pose, when a shoulder
+    direction has no ground-plane component."""
+    joints = joints - joints[:, Joint.SpineBase, None]
+    d = joints[:, Joint.ShoulderRight] - joints[:, Joint.ShoulderLeft]
+    bad = np.hypot(d[:, 0], d[:, 1]) < 1e-12
+    if bad.any():
+        raise DegeneratePose(f"pose {int(bad.argmax())}: shoulder direction vertical; yaw undefined")
+    phi = np.arctan2(d[:, 0], d[:, 1])
     c, s = np.cos(phi), np.sin(phi)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose(joints @ rot.T, Frame.WEARER_LOCAL)
+    rot = np.zeros((len(joints), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1], rot[:, 2, 2] = c, -s, s, c, 1.0
+    return joints @ rot.transpose(0, 2, 1)
+
+
+def _local_joints(poses) -> np.ndarray:
+    """(n, 25, 3) joints of wearer-local poses; FrameMismatch otherwise."""
+    if len(poses) and poses[0].frame != Frame.WEARER_LOCAL:  # a PoseSequence holds one frame tag
+        raise FrameMismatch("alignment expects wearer-local poses")
+    return np.array([p.joints for p in poses]).reshape(-1, N_JOINTS, 3)
+
+
+def align_for_eval(p: Pose) -> Pose:
+    """Translate SpineBase to the origin and remove yaw: _aligned of one row.
+
+    Idempotent; raises FrameMismatch unless the pose is wearer-local, and
+    DegeneratePose when the shoulder direction has no ground-plane component.
+    """
+    return Pose(_aligned(_local_joints([p]))[0], Frame.WEARER_LOCAL)
 
 
 def joint_errors(pred: PoseSequence, gt: PoseSequence) -> ErrorReport:
     """Per-group mean / standard-error joint distances in centimeters."""
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions for {len(gt)} ground-truth poses")
-    per_joint = {j: [] for j in EVALUATED_JOINTS}
-    for a, b in zip(pred.poses, gt.poses):
-        pa = align_for_eval(a).joints
-        pb = align_for_eval(b).joints
-        dist = np.linalg.norm(pa - pb, axis=1) * CM_PER_UNIT
-        for j in EVALUATED_JOINTS:
-            per_joint[j].append(dist[j])
+    pa = _aligned(_local_joints(pred.poses))
+    pb = _aligned(_local_joints(gt.poses))
+    dist = np.linalg.norm(pa - pb, axis=2) * CM_PER_UNIT  # (n, 25)
 
     groups = {}
     all_errors = []
     for name, joints in JOINT_GROUPS.items():
-        vals = np.concatenate([np.asarray(per_joint[j]) for j in joints])
+        vals = dist[:, joints].T.ravel()  # joint by joint, frames in order
         all_errors.append(vals)
         se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
         groups[name] = GroupError(float(vals.mean()), se, len(vals))
@@ -110,7 +119,7 @@ def joint_errors(pred: PoseSequence, gt: PoseSequence) -> ErrorReport:
 def baseline_constant(bank: ExemplarBank, labels, mode: SitStand) -> Pose:
     """Mean of the bank poses whose cluster carries the requested label."""
     mode = SitStand(mode)
-    mask = np.array([labels[c] == mode for c in bank.cluster_of])
+    mask = np.array([l == mode for l in labels], dtype=bool)[bank.cluster_of]
     if not mask.any():
         raise EmptyLabel(f"no training pose labeled {mode.value}")
     return Pose.from_vector(bank.poses[mask].mean(axis=0), Frame.WEARER_LOCAL)

@@ -10,6 +10,7 @@ frames centered on n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,8 @@ class CameraIntrinsics:
     skew: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy, self.skew)):
+            raise ValueError("camera intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 

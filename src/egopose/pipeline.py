@@ -27,7 +27,7 @@ from .clustering import (
     ExemplarBank,
     SitStand,
     assign_clusters,
-    hip_height,
+    hip_heights,
     kmeans,
     label_clusters,
     sit_stand_threshold,
@@ -44,8 +44,8 @@ from .pathopt import (
     solve_paper_dp,
     solve_path_cluster,
 )
-from .records import load_json_object, model_fields, read_records, write_json_object, write_records
-from .skeleton import Frame, Pose, PoseSequence, normalize_pose
+from .records import integral, load_json_object, model_fields, read_records, write_json_object, write_records
+from .skeleton import Frame, Pose, PoseSequence, normalize_poses
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -94,12 +94,10 @@ def features_from_homographies(
 
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
     """Wearer-local (n, 75) matrix; sensor-frame poses get normalized."""
-    rows = []
-    for p in seq.poses:
-        if p.frame != Frame.WEARER_LOCAL:
-            p = normalize_pose(p, up)
-        rows.append(p.to_vector())
-    return np.stack(rows) if rows else np.empty((0, 75))
+    x = seq.as_matrix()
+    if len(seq) and seq[0].frame != Frame.WEARER_LOCAL:  # one frame tag per sequence
+        x = normalize_poses(x, up).reshape(-1, 75)
+    return x
 
 
 def save_features(path, frames, x: np.ndarray, classes) -> None:
@@ -116,7 +114,7 @@ def load_features(path):
         if v.ndim != 1 or (rows and len(v) != len(rows[0])):
             raise ValueError(f"feature v must be a flat list as long as the first row's, found shape {v.shape}")
         rows.append(v)
-        return int(rec["t"]), int(rec["class"])
+        return integral(rec, "t"), integral(rec, "class")
 
     frames_classes = list(read_records(path, record))
     x = np.stack(rows) if rows else np.empty((0, 0))
@@ -232,7 +230,7 @@ def build_bank(
 
     cluster = kmeans(all_poses, k, seed=seed)
     if theta_sit is None:
-        theta_sit = sit_stand_threshold(np.array([hip_height(v) for v in all_poses]))
+        theta_sit = sit_stand_threshold(hip_heights(all_poses))
     label_clusters(cluster, all_poses, theta_sit)
     assignments = assign_clusters(cluster, all_poses)
     bank = ExemplarBank.build(all_poses, assignments, breaks, k)

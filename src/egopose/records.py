@@ -52,6 +52,15 @@ def read_records(path, convert):
         raise ValueError(f"{path}:{lineno}: {_describe(e)}") from e
 
 
+def integral(rec: dict, key: str) -> int:
+    """rec[key] as an int; ValueError unless it is an integral JSON number
+    (so 3 and 3.0 read as 3, while 0.7, true and "1" are errors)."""
+    val = rec[key]
+    if type(val) is int or (type(val) is float and val.is_integer()):
+        return int(val)
+    raise ValueError(f"{key} must be an integer, found {json.dumps(val)}")
+
+
 def write_json_object(path, rec, indent=None) -> None:
     """Write one JSON object; json.dumps runs the C encoder (when indent is
     None), which json.dump never uses, and writes the same bytes."""

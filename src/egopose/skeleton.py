@@ -2,7 +2,7 @@
 
 A pose is a (25, 3) array of joint positions in the standard Kinect V2 joint
 order. Poses are either in the raw sensor frame (meters, arbitrary origin) or
-in the wearer-local frame produced by :func:`normalize_pose`: origin at
+in the wearer-local frame produced by :func:`normalize_poses`: origin at
 SpineBase, third axis along `up`, second axis along the ground-projected
 shoulder direction, scaled by five times the shoulder length so the shoulder
 distance is exactly 0.2.
@@ -16,7 +16,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .errors import DegeneratePose, FrameMismatch
-from .records import read_records, write_records
+from .records import integral, read_records, write_records
 
 N_JOINTS = 25
 
@@ -121,14 +121,24 @@ def shoulder_length(p: Pose) -> float:
     return length
 
 
-def normalize_pose(p: Pose, up: np.ndarray) -> Pose:
-    """Map a pose into the wearer-local frame.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (n, 3) arrays, each formed by the same
+    kernel np.dot uses for one pair of 3-vectors, so a row's value does not
+    depend on the batch it came in."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def normalize_poses(joints: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Map n poses, (n, 25, 3) or (n, 75), into the wearer-local frame.
 
     Axes: axis3 = up; axis2 = ground-projected ShoulderLeft->ShoulderRight
     direction; axis1 = axis2 x axis3. Origin at SpineBase, coordinates divided
     by five times the shoulder length, so the output shoulder distance is 0.2.
     Translation- and yaw-invariant by construction; idempotent on its own
-    output when called with up = +z.
+    output when called with up = +z. Returns (n, 25, 3).
+
+    Raises DegeneratePose, naming the first bad pose, when its shoulders
+    (near-)coincide or its shoulder line is parallel to up.
     """
     up = np.asarray(up, dtype=float)
     nu = np.linalg.norm(up)
@@ -136,18 +146,27 @@ def normalize_pose(p: Pose, up: np.ndarray) -> Pose:
         raise ValueError("up vector must be nonzero")
     a3 = up / nu
 
-    sl = shoulder_length(p)
-    d = p.joints[Joint.ShoulderRight] - p.joints[Joint.ShoulderLeft]
-    proj = d - np.dot(d, a3) * a3
-    np_len = np.linalg.norm(proj)
-    if np_len < 1e-12:
-        raise DegeneratePose("shoulder line parallel to up")
-    a2 = proj / np_len
+    j = np.asarray(joints, dtype=float).reshape(-1, N_JOINTS, 3)
+    d = j[:, Joint.ShoulderRight] - j[:, Joint.ShoulderLeft]
+    sl = np.sqrt(_rowdot(d, d))
+    proj = d - _rowdot(d, np.broadcast_to(a3, d.shape))[:, None] * a3
+    np_len = np.sqrt(_rowdot(proj, proj))
+    bad = (sl < 1e-9) | (np_len < 1e-12)
+    if bad.any():
+        i = int(bad.argmax())
+        why = "shoulders coincide" if sl[i] < 1e-9 else "shoulder line parallel to up"
+        raise DegeneratePose(f"pose {i}: {why}")
+    a2 = proj / np_len[:, None]
     a1 = np.cross(a2, a3)
 
-    rot = np.stack([a1, a2, a3])  # rows: local axes in input coordinates
-    local = (p.joints - p.joints[Joint.SpineBase]) @ rot.T
-    return Pose(local / (5.0 * sl), Frame.WEARER_LOCAL)
+    rot = np.stack([a1, a2, np.broadcast_to(a3, a2.shape)], axis=1)  # rows: local axes in input coordinates
+    local = (j - j[:, Joint.SpineBase, None]) @ rot.transpose(0, 2, 1)
+    return local / (5.0 * sl)[:, None, None]
+
+
+def normalize_pose(p: Pose, up: np.ndarray) -> Pose:
+    """Map one pose into the wearer-local frame: normalize_poses of one row."""
+    return Pose(normalize_poses(p.joints[None], up)[0], Frame.WEARER_LOCAL)
 
 
 def pose_distance(a: Pose, b: Pose) -> float:
@@ -176,7 +195,7 @@ def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
     times = []
 
     def pose(rec) -> Pose:
-        t = int(rec["t"])
+        t = integral(rec, "t")
         if times and t <= times[-1]:
             raise ValueError("frame indices must increase")
         times.append(t)

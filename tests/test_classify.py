@@ -79,6 +79,13 @@ def test_forest_rejects_degenerate_input():
         train_forest(x, np.array([0, 1]))
 
 
+@pytest.mark.parametrize("n_trees", [0, -2])
+def test_forest_needs_at_least_one_tree(n_trees):
+    x = np.arange(10.0)[:, None]
+    with pytest.raises(ValueError, match=f"n_trees must be at least 1, got {n_trees}"):
+        train_forest(x, np.arange(10) % 2, n_trees=n_trees)
+
+
 def test_forest_deterministic():
     rng = np.random.default_rng(2)
     x, y = two_blobs(rng, n=60)
@@ -577,6 +584,7 @@ def _with_node(**fields):
         {**_forest_record(), "n_classes": [2]},
         {**_forest_record(), "trees": 5},
         {**_forest_record(), "trees": [5]},
+        {**_forest_record(), "trees": []},
         _with_node(feat="1"),
         _with_node(feat=2),
         _with_node(feat=-1),

@@ -496,6 +496,7 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
         ("--cluster-model", "labels", 5),
         ("--classifier-model", "feature_dim", None),
         ("--classifier-model", "trees", [5]),
+        ("--classifier-model", "trees", []),
     ],
 )
 def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag, field, value):
@@ -703,6 +704,44 @@ def test_stream_mismatch_is_found_before_dlt_and_kmeans(workspace, tmp_path, cap
     assert rc == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "LengthMismatch"
     assert os.listdir(tmp_path) == ["short.jsonl"]  # nothing written
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_cluster_k_below_one_exits_3(workspace, tmp_path, capsys, k):
+    poses = str(workspace["data"] / "poses.jsonl")
+    rc = main(["cluster", "--poses", poses, "--out", str(tmp_path / "c.json"), "--k", k])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"k must be at least 1, got {k}"}
+    assert os.listdir(tmp_path) == []  # nothing written
+
+
+def test_train_zero_trees_exits_3(workspace, tmp_path, capsys):
+    models = workspace["models"]
+    rc = main(
+        ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+        + ["--trees", "0", "--out", str(tmp_path / "forest.json")]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "n_trees must be at least 1, got 0"}
+    assert os.listdir(tmp_path) == []
+
+
+def test_cluster_with_non_finite_intrinsics_exits_3(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    camera = tmp_path / "cam.json"
+    camera.write_text(json.dumps({"fx": float("nan"), "fy": 1.1, "cx": 0.5, "cy": 0.375}))
+    out = tmp_path / "out"
+    rc = main(
+        ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(data / "homographies.jsonl")]
+        + ["--feature-mode", "rotation", "--camera", str(camera), "--k", "8", "--window", "8"]
+        + ["--out", str(out / "clusters.json")]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{camera}: camera intrinsics must be finite"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [-1, 8])

@@ -12,6 +12,7 @@ from egopose.clustering import (
     assign_clusters,
     build_neighbor_graph,
     hip_height,
+    hip_heights,
     kmeans,
     label_clusters,
     sit_stand_threshold,
@@ -53,6 +54,12 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_too_few_poses():
     with pytest.raises(TooFewPoses):
         kmeans(np.zeros((2, 75)), 3, seed=0)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_kmeans_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        kmeans(np.zeros((5, 75)), k, seed=0)
 
 
 def test_kmeans_deterministic():
@@ -108,6 +115,35 @@ def test_hip_height_of_templates():
     # 1.7 m figure with 0.3 m shoulders
     assert 0.3 < stand < 0.8
     assert sit < stand / 2.0
+
+
+def _reference_hip_height(v):
+    """The per-vector body hip_height had before hip_heights."""
+    v = np.asarray(v, dtype=float)
+    hips = v[[3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]]
+    ankles = v[[3 * Joint.AnkleLeft + 2, 3 * Joint.AnkleRight + 2]]
+    return float(hips.mean() - ankles.mean())
+
+
+def test_hip_heights_equal_the_per_pose_reference():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(5000, 75)) * 10.0 ** rng.uniform(-3, 3, size=(5000, 1))
+    want = np.array([_reference_hip_height(v) for v in x])
+    assert np.array_equal(hip_heights(x), want)
+    assert hip_height(x[17]) == want[17]
+    assert hip_heights(np.zeros((0, 75))).shape == (0,)
+
+
+def test_label_clusters_equal_the_per_centroid_reference():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(2000, 75))
+    m = ClusterModel(rng.normal(size=(40, 75)))
+    theta = sit_stand_threshold(np.array([_reference_hip_height(v) for v in x]))
+    want = [SitStand.SITTING_LIKE if _reference_hip_height(c) < theta else SitStand.STANDING_LIKE for c in m.centroids]
+    assert label_clusters(m, x) == want == m.labels
+    assert label_clusters(m, x, theta_sit=0.0) == [
+        SitStand.SITTING_LIKE if _reference_hip_height(c) < 0.0 else SitStand.STANDING_LIKE for c in m.centroids
+    ]
 
 
 def test_sit_stand_threshold_is_midpoint_of_modes():

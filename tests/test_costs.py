@@ -91,6 +91,25 @@ def test_full_table_matches_scalar_reference():
             assert table[i] == pytest.approx(1.0 - dists[n][c] + d, abs=1e-12)
 
 
+def test_costs_equal_the_per_exemplar_label_mask():
+    rng = np.random.default_rng(12)
+    bank = make_bank(rng, n=3000, k=30)
+    labels = [SitStand.SITTING_LIKE if c % 3 == 0 else SitStand.STANDING_LIKE for c in range(bank.k)]
+    dists = rng.dirichlet(np.ones(bank.k), size=8)
+    h = np.array([0.5, 0.995, 0.002, 1.0, 0.0, 0.99, 0.01, 0.7])
+    params = CostParams()
+    out = unary_costs(dists, h, bank, labels, params)
+    # the mask as it was built before: one label lookup per exemplar
+    sitting_pose = np.array([labels[c] == SitStand.SITTING_LIKE for c in bank.cluster_of])
+    for n in range(len(dists)):
+        d = np.zeros(len(bank.poses))
+        if h[n] >= params.tau:
+            d[~sitting_pose] = params.delta
+        elif h[n] <= 1.0 - params.tau:
+            d[sitting_pose] = params.delta
+        assert np.array_equal(out.costs[n], 1.0 - dists[n][bank.cluster_of] + d)
+
+
 def test_costs_bounded_and_neutral_static_no_penalty():
     rng = np.random.default_rng(3)
     bank = make_bank(rng)

@@ -28,6 +28,7 @@ from egopose import (
     baseline_kdtree,
     joint_errors,
 )
+from egopose.evaluation import GroupError
 from egopose.synth import STAND_TEMPLATE
 
 
@@ -191,6 +192,69 @@ def test_report_save_and_table(tmp_path):
     assert ErrorReport(report.groups, report.overall_mean_cm).to_dict() == data
 
 
+def _reference_align(p: Pose) -> np.ndarray:
+    """The per-pose body align_for_eval had before the batch _aligned."""
+    joints = p.joints - p.joints[Joint.SpineBase]
+    d = joints[Joint.ShoulderRight] - joints[Joint.ShoulderLeft]
+    phi = np.arctan2(d[0], d[1])
+    c, s = np.cos(phi), np.sin(phi)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return joints @ rot.T
+
+
+def _reference_joint_errors(pred: PoseSequence, gt: PoseSequence) -> ErrorReport:
+    """joint_errors as it was before the batch: one pose pair at a time, and
+    each group concatenated joint by joint."""
+    per_joint = {j: [] for joints in JOINT_GROUPS.values() for j in joints}
+    for a, b in zip(pred.poses, gt.poses):
+        dist = np.linalg.norm(_reference_align(a) - _reference_align(b), axis=1) * CM_PER_UNIT
+        for j in per_joint:
+            per_joint[j].append(dist[j])
+    groups, all_errors = {}, []
+    for name, joints in JOINT_GROUPS.items():
+        vals = np.concatenate([np.asarray(per_joint[j]) for j in joints])
+        all_errors.append(vals)
+        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        groups[name] = GroupError(float(vals.mean()), se, len(vals))
+    return ErrorReport(groups, float(np.concatenate(all_errors).mean()))
+
+
+def wearer_local_sequence(n, seed, spread):
+    """n jittered, yawed, shifted standing poses, frame by frame."""
+    rng = np.random.default_rng(seed)
+    return PoseSequence(
+        [
+            standing_pose(seed=int(s), jitter=spread, yaw=float(y), shift=tuple(t))
+            for s, y, t in zip(rng.integers(1 << 30, size=n), rng.uniform(-3, 3, n), rng.normal(size=(n, 3)))
+        ]
+    )
+
+
+@pytest.mark.parametrize("n, spread", [(1, 0.01), (2, 0.05), (3000, 0.05)])
+def test_every_report_field_equals_the_per_pose_reference(n, spread):
+    pred, gt = wearer_local_sequence(n, 1, spread), wearer_local_sequence(n, 2, spread)
+    for p in pred.poses[:50]:
+        assert np.array_equal(align_for_eval(p).joints, _reference_align(p))
+    assert joint_errors(pred, gt) == _reference_joint_errors(pred, gt)
+
+
+def test_joint_errors_rejects_sensor_frame_poses():
+    local = PoseSequence([standing_pose()] * 2)
+    sensor = PoseSequence([Pose(STAND_TEMPLATE.copy(), Frame.SENSOR)] * 2)
+    for pred, gt in ((sensor, local), (local, sensor)):
+        with pytest.raises(FrameMismatch):
+            joint_errors(pred, gt)
+
+
+def test_joint_errors_names_a_degenerate_pose_in_mid_batch():
+    poses = [standing_pose(seed=i, jitter=0.01) for i in range(5)]
+    joints = poses[3].joints.copy()
+    joints[Joint.ShoulderRight] = joints[Joint.ShoulderLeft] + [0.0, 0.0, 0.2]
+    poses[3] = Pose(joints, Frame.WEARER_LOCAL)
+    with np.errstate(all="raise"), pytest.raises(DegeneratePose, match="^pose 3: "):
+        joint_errors(PoseSequence(poses), PoseSequence(poses))
+
+
 # ---------------------------------------------------------------------------
 # baselines
 
@@ -226,6 +290,17 @@ def test_baseline_constant_missing_label_raises():
     all_standing = [SitStand.STANDING_LIKE, SitStand.STANDING_LIKE]
     with pytest.raises(EmptyLabel):
         baseline_constant(bank, all_standing, SitStand.SITTING_LIKE)
+
+
+def test_baseline_constant_equals_the_per_exemplar_mask():
+    rng = np.random.default_rng(3)
+    k = 7
+    bank = ExemplarBank.build(rng.normal(size=(500, 75)), rng.integers(0, k, 500), [200], k)
+    labels = [SitStand.SITTING_LIKE if c in (1, 4, 5) else SitStand.STANDING_LIKE for c in range(k)]
+    for mode in SitStand:
+        mask = np.array([labels[c] == mode for c in bank.cluster_of])
+        want = bank.poses[mask].mean(axis=0)
+        assert np.array_equal(baseline_constant(bank, labels, mode).to_vector(), want)
 
 
 def test_kdtree_baseline_returns_exact_matches():

@@ -145,6 +145,15 @@ def test_rotation_singular_intrinsics():
         CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0)
 
 
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "skew"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_intrinsics_must_be_finite(field, bad):
+    good = {"fx": 1.1, "fy": 0.9, "cx": 0.5, "cy": 0.4, "skew": 0.01}
+    CameraIntrinsics(**good)
+    with pytest.raises(ValueError, match="finite"):
+        CameraIntrinsics(**{**good, field: bad})
+
+
 def test_feature_window_static_camera():
     hs = [Homography(np.eye(3)) for _ in range(40)]
     v = feature_window(hs, 20, window=30)

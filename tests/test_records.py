@@ -83,6 +83,21 @@ def test_loaders_skip_blank_lines(tmp_path, loader):
     assert n_records(load(path)) == 2
 
 
+@pytest.mark.parametrize("value", [0.7, True, "1", None])
+@pytest.mark.parametrize("loader, field", [("poses", "t"), ("features", "t"), ("features", "class")])
+def test_frame_index_and_class_must_be_integral_numbers(tmp_path, loader, field, value):
+    load, good = LOADERS[loader]
+    path = tmp_path / f"{loader}.jsonl"
+    path.write_text("\n".join(json.dumps(dict(good, t=t)) for t in (0, 2.0)) + "\n")  # 2.0 reads as 2
+    assert list(load(path)[1 if loader == "poses" else 0]) == [0, 2]
+    rec = dict(good, t=3)
+    rec[field] = value
+    path.write_text("\n".join([json.dumps(good), json.dumps(rec)]) + "\n")
+    found = re.escape(json.dumps(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {field} must be an integer, found {found}$"):
+        load(path)
+
+
 def test_pose_times_must_increase_naming_the_line(tmp_path):
     _, good = LOADERS["poses"]
     path = tmp_path / "poses.jsonl"

@@ -1,9 +1,12 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from egopose.errors import DegeneratePose, FrameMismatch
+from egopose.synth import MotionScript, generate
 from egopose.skeleton import (
     Frame,
     Joint,
@@ -13,6 +16,7 @@ from egopose.skeleton import (
     load_pose_sequence,
     load_pose_sequence_with_times,
     normalize_pose,
+    normalize_poses,
     pose_distance,
     save_pose_sequence,
     shoulder_length,
@@ -113,6 +117,74 @@ def test_normalize_shoulders_parallel_to_up_raises():
     j[Joint.ShoulderRight] = [0.0, 0.0, 1.6]
     with pytest.raises(DegeneratePose):
         normalize_pose(Pose(j, Frame.SENSOR), UP)
+
+
+def _reference_normalize_pose(p: Pose, up: np.ndarray) -> np.ndarray:
+    """The per-pose body normalize_pose had before normalize_poses: each
+    shoulder length and projection from a 1-D np.linalg.norm or np.dot."""
+    up = np.asarray(up, dtype=float)
+    a3 = up / np.linalg.norm(up)
+    d = p.joints[Joint.ShoulderRight] - p.joints[Joint.ShoulderLeft]
+    sl = float(np.linalg.norm(d))
+    proj = d - np.dot(d, a3) * a3
+    a2 = proj / np.linalg.norm(proj)
+    a1 = np.cross(a2, a3)
+    rot = np.stack([a1, a2, a3])
+    local = (p.joints - p.joints[Joint.SpineBase]) @ rot.T
+    return local / (5.0 * sl)
+
+
+@pytest.fixture(scope="module")
+def benchmark_joints():
+    """(n, 25, 3) sensor-frame joints of every pose the benchmark's training
+    and test scripts generate at seed 11 (knn-bank10k and forest-cli)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads as w
+    finally:
+        sys.path.pop(0)
+    knn_seeds, cli_seeds = w.script_seeds(11, 8), w.script_seeds(11, 5)
+    scripts = [(w.CRIT5_TRAIN, s) for s in knn_seeds[:6]]
+    scripts += list(zip(w.TEST_SCRIPTS[:2], knn_seeds[6:]))
+    scripts += [(w.scaled(sc, 1 / 3), s) for sc, s in zip(w.CRIT3_TRAIN, cli_seeds)]
+    scripts += [(w.scaled(sc, 0.5), s) for sc, s in zip(w.TEST_SCRIPTS, cli_seeds[2:])]
+    poses = [p for sc, s in scripts for p in generate(MotionScript(sc, seed=s)).poses.poses]
+    return np.stack([p.joints for p in poses])
+
+
+def random_joints(n, seed):
+    """n random poses, each at its own scale between 1e-3 and 1e3."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 1))
+    return rng.normal(size=(n, N_JOINTS, 3)) * scale + rng.normal(size=(n, 1, 3)) * scale
+
+
+@pytest.mark.parametrize("up", [UP, np.array([0.1, -0.2, 1.3])])
+def test_normalize_poses_equals_the_per_pose_reference_bit_for_bit(benchmark_joints, up):
+    joints = np.concatenate([benchmark_joints, random_joints(20_000, seed=1)])
+    assert len(benchmark_joints) > 14_000
+    want = np.stack([_reference_normalize_pose(Pose(j), up) for j in joints])
+    got = normalize_poses(joints, up)
+    assert got.shape == joints.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(normalize_poses(joints.reshape(-1, 75), up), want)  # (n, 75) rows too
+    assert np.array_equal(normalize_pose(Pose(joints[7]), up).joints, want[7])
+
+
+def test_normalize_poses_of_no_poses():
+    assert normalize_poses(np.zeros((0, N_JOINTS, 3)), UP).shape == (0, N_JOINTS, 3)
+
+
+@pytest.mark.parametrize(
+    "left, right, why",
+    [([0.0, 0.1, 1.4], [0.0, 0.1, 1.4], "shoulders coincide"), ([0.0, 0.0, 1.3], [0.0, 0.0, 1.6], "parallel to up")],
+)
+def test_normalize_poses_names_a_degenerate_pose_in_mid_batch(left, right, why):
+    joints = np.stack([standing_figure().joints] * 5)
+    joints[2, Joint.ShoulderLeft], joints[2, Joint.ShoulderRight] = left, right
+    joints[4, Joint.ShoulderRight] = joints[4, Joint.ShoulderLeft]  # a later bad pose is not the one named
+    with np.errstate(all="raise"), pytest.raises(DegeneratePose, match=f"^pose 2: .*{why}"):
+        normalize_poses(joints, UP)
 
 
 def test_pose_distance_identity_and_single_joint():
