@@ -63,6 +63,10 @@ class ForestModel:
     n_classes: int
     oob_accuracy: float | None = None  # not serialized
 
+    def __post_init__(self):
+        if not self.trees:  # a forest of no trees votes 0/0
+            raise ValueError("trees must hold at least one tree")
+
     def save(self, path) -> None:
         """The bytes json.dump writes for {"feature_dim", "n_classes",
         "trees"}, encoded a tree at a time by json.dumps, which runs the C
@@ -85,14 +89,12 @@ class ForestModel:
 
 
 def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
-    """ValueError unless trees is a non-empty list of trees whose every node
-    is a split {"feat": int in [0, feature_dim), "thresh": number, "left",
-    "right"} or a leaf {"hist": list of n_classes non-negative counts with a
-    finite, positive sum}, which normalizes to a class distribution."""
+    """ValueError unless trees is a list of trees whose every node is a split
+    {"feat": int in [0, feature_dim), "thresh": number, "left", "right"} or a
+    leaf {"hist": list of n_classes non-negative counts with a finite,
+    positive sum}, which normalizes to a class distribution."""
     if not isinstance(trees, list):
         raise ValueError(f"trees must be a list, found {type(trees).__name__}")
-    if not trees:
-        raise ValueError("trees must hold at least one tree")
     stack = list(trees)
     while stack:
         node = stack.pop()

@@ -16,7 +16,6 @@ import numpy as np
 from .classify import check_static
 from .clustering import ExemplarBank, SitStand
 from .errors import LengthMismatch
-from .records import write_records
 
 
 @dataclass
@@ -48,10 +47,6 @@ class UnaryCosts:
     def frame(self, n: int) -> dict:
         """Mapping view {exemplar index: cost} of one frame."""
         return dict(zip(self.indices[n].tolist(), self.costs[n].tolist()))
-
-    def save(self, path) -> None:
-        entries = ([[int(i), float(e)] for i, e in zip(idx, cost)] for idx, cost in zip(self.indices, self.costs))
-        write_records(path, ({"t": n, "entries": e} for n, e in enumerate(entries)))
 
 
 def unary_costs(

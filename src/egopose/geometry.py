@@ -4,8 +4,9 @@ Consecutive frames of a chest camera are related (up to parallax, which the
 downstream model ignores) by a 3x3 homography. Homographies are estimated
 with the normalized DLT: Hartley-normalize both point sets, solve the 2n x 9
 system by SVD, denormalize, and rescale so the top-left entry is 1. A motion
-feature for frame n stacks the window - 1 homographies covering a window of
-frames centered on n.
+feature for frame n stacks the window - 1 maps covering a window of frames
+centered on n; feature_windows copies every center's window at once out of
+one strided view of the stream's (n, 9) stack of maps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateConfiguration,
@@ -76,23 +78,6 @@ class CameraIntrinsics:
         return np.array(
             [[self.fx, self.skew, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
-
-
-@dataclass
-class FeatureVector:
-    """Stacked 3x3 maps over a centered frame window, flattened row-major.
-
-    length == 9 * (window - 1); in homography mode every 9-block starts
-    with the normalized 1.
-    """
-
-    values: np.ndarray
-    center_frame: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size % 9 != 0 or self.values.size == 0:
-            raise ValueError("feature length must be a positive multiple of 9")
 
 
 def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
@@ -172,36 +157,55 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
     return Homography.from_matrix(h)
 
 
-def rotation_from_homography(h: Homography, k: CameraIntrinsics) -> np.ndarray:
-    """Recover the camera rotation K^-1 H K, rescaled to determinant 1."""
+def _stacked(maps) -> np.ndarray:
+    """(n, 3, 3) float array of an (n, 3, 3) array or of Homography objects or 3x3 arrays."""
+    maps = maps if isinstance(maps, np.ndarray) else [m.h if isinstance(m, Homography) else m for m in maps]
+    return np.asarray(maps, dtype=float).reshape(-1, 3, 3)
+
+
+def rotations_from_homographies(hs, k: CameraIntrinsics) -> np.ndarray:
+    """(n, 3, 3) camera rotations K^-1 H K, each rescaled to determinant 1;
+    SingularMatrix when K or any conjugated matrix is singular."""
     km = k.k
     if abs(np.linalg.det(km)) < 1e-12:
         raise SingularMatrix("intrinsics matrix is singular")
-    m = np.linalg.inv(km) @ h.h @ km
+    m = np.linalg.inv(km) @ _stacked(hs) @ km
     det = np.linalg.det(m)
-    if abs(det) < 1e-12:
+    if np.any(np.abs(det) < 1e-12):
         raise SingularMatrix("conjugated matrix is singular")
-    return m / np.cbrt(det)
+    return m / np.cbrt(det)[:, None, None]
 
 
-def feature_window(hs, center: int, window: int = 30) -> FeatureVector:
-    """Stack the homographies covering a centered window of frames.
+def rotation_from_homography(h: Homography, k: CameraIntrinsics) -> np.ndarray:
+    """Recover the camera rotation K^-1 H K, rescaled to determinant 1."""
+    return rotations_from_homographies([h], k)[0]
 
-    `hs[i]` maps frame i to frame i + 1. The window spans frames
-    [center - floor((window-1)/2), center + ceil((window-1)/2)], i.e.
-    window - 1 consecutive homographies, flattened row-major in time order.
-    Raises OutOfRange when the window does not fit.
-    """
+
+def feature_windows(maps, centers, window: int = 30) -> np.ndarray:
+    """(len(centers), 9 * (window - 1)) rows, each the maps of one center's
+    window flattened row-major in time order; maps[i], a Homography or 3x3
+    array, maps frame i to frame i + 1, and the window of center c spans frames
+    [c - floor((window-1)/2), c + ceil((window-1)/2)]. Raises OutOfRange when
+    window < 2 or a window does not fit."""
     if window < 2:
         raise OutOfRange(f"window must be at least 2, got {window}")
-    lo = center - (window - 1) // 2
-    hi = center + (window - 1 + 1) // 2  # inclusive last frame
-    if lo < 0 or hi > len(hs):
-        raise OutOfRange(
-            f"window [{lo}, {hi}] outside available frames 0..{len(hs)}"
-        )
-    mats = [m.h if isinstance(m, Homography) else np.asarray(m, dtype=float) for m in hs[lo:hi]]
-    return FeatureVector(np.concatenate([m.reshape(-1) for m in mats]), center)
+    centers = np.asarray(centers, dtype=int)
+    flat = _stacked(maps).reshape(-1, 9)
+    lo = centers - (window - 1) // 2
+    hi = centers + window // 2  # inclusive last frame
+    bad = (lo < 0) | (hi > len(flat))
+    if bad.any():  # name the first misfit, as a per-center loop would
+        b = np.argmax(bad)
+        raise OutOfRange(f"window [{lo[b]}, {hi[b]}] outside available frames 0..{len(flat)}")
+    if not len(centers):  # the view needs at least one whole window
+        return np.empty((0, 9 * (window - 1)))
+    views = sliding_window_view(flat, (window - 1, 9))[:, 0]  # (n - window + 2, window - 1, 9), no copy
+    return views[lo].reshape(len(centers), -1)
+
+
+def feature_window(hs, center: int, window: int = 30) -> np.ndarray:
+    """The (9 * (window - 1),) feature of one center; see feature_windows."""
+    return feature_windows(hs, [center], window)[0]
 
 
 def save_homographies(path, hs) -> None:

@@ -35,7 +35,7 @@ from .clustering import (
 from .costs import CostParams, unary_costs, prune
 from .errors import Infeasible, LengthMismatch, OutOfRange
 from .evaluation import baseline_constant, baseline_kdtree
-from .geometry import CameraIntrinsics, feature_window, rotation_from_homography
+from .geometry import CameraIntrinsics, feature_windows, rotations_from_homographies
 from .pathopt import (
     PathParams,
     PosePath,
@@ -72,24 +72,19 @@ def features_from_homographies(
 
     mode "homography" stacks the normalized homographies themselves;
     "rotation" first converts each one to its infinitesimal camera rotation,
-    which needs the intrinsics.
-    """
-    n_frames = len(hs) + 1
+    which needs the intrinsics. Centers default to every frame whose window
+    fits."""
     if centers is None:
-        centers = valid_feature_centers(n_frames, window)
+        centers = valid_feature_centers(len(hs) + 1, window)
     centers = np.asarray(centers, dtype=int)
-    if mode == "homography":
-        mats = [h.h for h in hs]
-    elif mode == "rotation":
+    maps = hs
+    if mode == "rotation":
         if camera is None:
             raise ValueError("rotation features need camera intrinsics")
-        mats = [rotation_from_homography(h, camera) for h in hs]
-    else:
+        maps = rotations_from_homographies(hs, camera)
+    elif mode != "homography":
         raise ValueError(f"unknown feature mode {mode!r}")
-    rows = [feature_window(mats, int(c), window).values for c in centers]
-    if not rows:
-        return np.empty((0, 9 * (window - 1))), centers
-    return np.stack(rows), centers
+    return feature_windows(maps, centers, window), centers
 
 
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:

@@ -105,8 +105,8 @@ class PoseSequence:
         return self.poses[i]
 
     def as_matrix(self) -> np.ndarray:
-        """(N, 75) matrix of flattened poses."""
-        return np.stack([p.to_vector() for p in self.poses]) if self.poses else np.zeros((0, 75))
+        """(N, 75) matrix of flattened poses, each copied once."""
+        return np.array([p.joints for p in self.poses]).reshape(-1, 75)
 
 
 def shoulder_length(p: Pose) -> float:

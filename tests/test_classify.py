@@ -293,6 +293,11 @@ def _chain_forest(depth, n_classes=3):
     return ForestModel([root], 1, n_classes)
 
 
+def test_forest_of_no_trees_is_rejected_when_built():
+    with pytest.raises(ValueError, match="at least one tree"):
+        ForestModel([], 2, 2)
+
+
 def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
     q = np.array([[0.0], [1.2], [1500.0], [2998.9], [2999.7]])
     want = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1], [1 / 3, 1 / 3, 1 / 3]])
@@ -547,7 +552,7 @@ def _json_dump_bytes(rec, path):
 def test_model_writers_match_json_dump(tmp_path):
     rng = np.random.default_rng(23)
     x, y = two_blobs(rng, n=40)
-    forests = [train_forest(x, y, n_trees=4, seed=0), ForestModel([], 3, 2), _chain_forest(300)]
+    forests = [train_forest(x, y, n_trees=4, seed=0), _chain_forest(300)]
     for n, model in enumerate(forests):
         path = tmp_path / f"forest{n}.json"
         model.save(path)

@@ -194,19 +194,3 @@ def test_prune_keeps_argmin_above_threshold():
             best = out.indices[n][int(np.argmin(out.costs[n]))]
             if dists[n][bank.cluster_of[best]] > 0.01:
                 assert best in pruned.indices[n]
-
-
-def test_costs_debug_dump(tmp_path):
-    rng = np.random.default_rng(10)
-    bank = make_bank(rng, n=10, k=2)
-    labels = alternating_labels(bank.k)
-    dists = rng.dirichlet(np.ones(bank.k), size=2)
-    out = unary_costs(dists, np.full(2, 0.5), bank, labels)
-    path = tmp_path / "costs.jsonl"
-    out.save(path)
-    import json
-
-    lines = [json.loads(l) for l in open(path) if l.strip()]
-    assert lines[0]["t"] == 0
-    assert len(lines) == 2
-    assert len(lines[0]["entries"]) == 10

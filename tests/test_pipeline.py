@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from egopose import (
+    CameraIntrinsics,
     CostParams,
     Frame,
+    Homography,
     LengthMismatch,
     MotionScript,
     OutOfRange,
     PathParams,
+    SingularMatrix,
     TrainedModels,
     features_from_homographies,
     generate,
@@ -25,6 +28,7 @@ from egopose import (
     valid_feature_centers,
 )
 from egopose.pipeline import SOLVERS, UP_AXIS
+from egopose.synth import default_camera
 
 
 def make_homographies(n, seed=0, scale=0.02):
@@ -108,6 +112,117 @@ def test_unknown_feature_mode_rejected():
     hs = make_homographies(6)
     with pytest.raises(ValueError):
         features_from_homographies(hs, window=4, mode="affine")
+
+
+def _reference_rotation(h, camera):
+    """K^-1 H K over one matrix at a time, rescaled to determinant 1."""
+    km = camera.k
+    if abs(np.linalg.det(km)) < 1e-12:
+        raise SingularMatrix("intrinsics matrix is singular")
+    m = np.linalg.inv(km) @ h.h @ km
+    det = np.linalg.det(m)
+    if abs(det) < 1e-12:
+        raise SingularMatrix("conjugated matrix is singular")
+    return m / np.cbrt(det)
+
+
+def _reference_features(hs, window=30, mode="homography", camera=None, centers=None):
+    """Features built one matrix and one center at a time, each window
+    concatenated from its maps and the rows stacked at the end."""
+    if centers is None:
+        centers = valid_feature_centers(len(hs) + 1, window)
+    centers = np.asarray(centers, dtype=int)
+    if mode == "homography":
+        mats = [h.h for h in hs]
+    elif mode == "rotation":
+        if camera is None:
+            raise ValueError("rotation features need camera intrinsics")
+        mats = [_reference_rotation(h, camera) for h in hs]
+    else:
+        raise ValueError(f"unknown feature mode {mode!r}")
+    rows = []
+    for c in centers.tolist():
+        if window < 2:
+            raise OutOfRange(f"window must be at least 2, got {window}")
+        lo, hi = c - (window - 1) // 2, c + window // 2
+        if lo < 0 or hi > len(mats):
+            raise OutOfRange(f"window [{lo}, {hi}] outside available frames 0..{len(mats)}")
+        rows.append(np.concatenate([m.reshape(-1) for m in mats[lo:hi]]))
+    if not rows:
+        return np.empty((0, 9 * (window - 1))), centers
+    return np.stack(rows), centers
+
+
+def _assert_same_features(hs, **kw):
+    want_x, want_c = _reference_features(hs, **kw)
+    got_x, got_c = features_from_homographies(hs, **kw)
+    assert got_x.shape == want_x.shape and np.array_equal(got_x, want_x)
+    assert np.array_equal(got_c, want_c)
+
+
+def _assert_same_error(hs, error, **kw):
+    with pytest.raises(error) as want:
+        _reference_features(hs, **kw)
+    with pytest.raises(error) as got:
+        features_from_homographies(hs, **kw)
+    assert str(got.value) == str(want.value)
+
+
+FEATURE_MODES = [("homography", None), ("rotation", default_camera())]
+
+
+@pytest.mark.parametrize("mode, camera", FEATURE_MODES)
+@pytest.mark.parametrize("window", range(2, 32))
+def test_features_equal_the_per_center_loop(window, mode, camera):
+    hs = make_homographies(45, seed=window)
+    _assert_same_features(hs, window=window, mode=mode, camera=camera)
+    rng = np.random.default_rng(window)
+    fit = valid_feature_centers(len(hs) + 1, window)
+    picks = rng.choice(fit, size=7)  # unsorted, repeats allowed
+    for centers in (picks, fit[::-1], [fit[0], fit[-1]], []):
+        _assert_same_features(hs, window=window, mode=mode, camera=camera, centers=centers)
+
+
+@pytest.mark.parametrize("mode, camera", FEATURE_MODES)
+def test_features_of_a_synthetic_stream_equal_the_per_center_loop(mode, camera):
+    out = generate(MotionScript([("walk", 60), ("turn_left", 20), ("sit_down", 20), ("sit_idle", 30)], seed=5))
+    _assert_same_features(out.homographies, mode=mode, camera=camera)
+
+
+@pytest.mark.parametrize("mode, camera", FEATURE_MODES)
+@pytest.mark.parametrize("window", [2, 3, 4, 30, 31])
+def test_features_without_a_center_are_empty(window, mode, camera):
+    for n in (0, 1, window - 2):  # too short for one window
+        hs = make_homographies(n, seed=n)
+        _assert_same_features(hs, window=window, mode=mode, camera=camera)
+    hs = make_homographies(40, seed=9)
+    _assert_same_features(hs, window=window, mode=mode, camera=camera, centers=[])
+
+
+@pytest.mark.parametrize("mode, camera", FEATURE_MODES)
+@pytest.mark.parametrize(
+    "window, centers",
+    [(1, None), (0, None), (-3, None), (1, [5]), (4, [0]), (4, [19]), (4, [5, 19, 0]), (4, [-1]), (4, [-100]), (5, [2, -40])],
+)
+def test_features_raise_out_of_range_as_the_per_center_loop(window, centers, mode, camera):
+    hs = make_homographies(20, seed=4)
+    _assert_same_error(hs, OutOfRange, window=window, mode=mode, camera=camera, centers=centers)
+
+
+def test_features_raise_singular_matrix_as_the_per_center_loop():
+    hs = make_homographies(12, seed=5)
+    tiny = CameraIntrinsics(fx=1e-7, fy=1e-7, cx=0.5, cy=0.4)  # det K = 1e-14
+    _assert_same_error(hs, SingularMatrix, window=4, mode="rotation", camera=tiny)
+    flat = Homography(np.eye(3))
+    flat.h = np.diag([1.0, 1.0, 0.0])  # bypasses the constructor's singularity check
+    _assert_same_error(hs[:6] + [flat] + hs[6:], SingularMatrix, window=4, mode="rotation", camera=default_camera())
+
+
+def test_features_raise_value_error_as_the_per_center_loop():
+    hs = make_homographies(12, seed=6)
+    _assert_same_error(hs, ValueError, window=4, mode="affine")
+    _assert_same_error(hs, ValueError, window=4, mode="rotation")
+    _assert_same_error(hs, ValueError, window=1, mode="affine")  # the mode is checked first
 
 
 def test_normalized_matrix_converts_sensor_poses():

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from egopose.classify import load_static, save_static
-from egopose.costs import UnaryCosts
 from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
@@ -160,9 +159,6 @@ def test_writers_emit_one_json_dumps_line_per_record(tmp_path):
     path.save(tmp_path / "path", SimpleNamespace(cluster_of=np.array([4, 5, 6])))
     steps = [(2, 6), (0, 4), (1, 5)]
     cases.append(("path", [{"t": n, "exemplar": i, "cluster": c} for n, (i, c) in enumerate(steps)]))
-
-    UnaryCosts([np.array([0, 7]), np.array([3])], [np.array(EDGE[:2]), np.array(EDGE[2:])]).save(tmp_path / "u")
-    cases.append(("u", [{"t": 0, "entries": [[0, EDGE[0]], [7, EDGE[1]]]}, {"t": 1, "entries": [[3, EDGE[2]]]}]))
 
     for name, recs in cases:
         assert (tmp_path / name).read_text() == _expected(recs), name

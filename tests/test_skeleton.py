@@ -235,6 +235,15 @@ def test_vector_round_trip():
     assert np.array_equal(Pose.from_vector(v).joints, p.joints)
 
 
+def test_as_matrix_copies_each_pose_once():
+    rng = np.random.default_rng(4)
+    seq = PoseSequence([Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for _ in range(5)])
+    mat = seq.as_matrix()
+    assert np.array_equal(mat, np.stack([p.to_vector() for p in seq.poses]))
+    assert not any(np.shares_memory(mat, p.joints) for p in seq.poses)
+    assert PoseSequence([]).as_matrix().shape == (0, 75)
+
+
 def test_sequence_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     poses = [Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for _ in range(4)]
