@@ -8,115 +8,152 @@ columns at once: a stable sort of each column, the sums of squared class
 counts left and right of every cut as integer cumsums along that order, and
 the loss at every cut between distinct values. The counts are exact
 integers, so each loss is the float a per-class count gives; ties go to the
-smallest threshold, then to the candidate drawn first. Trees are nested
-dicts from growth to file, grown from an explicit stack and read by one
-router that sends groups of rows down them, so neither step recurses. Tree
-probabilities are per-leaf normalized class histograms, averaged over trees.
-A k-NN classifier over the same features is available as an alternative
-probability provider. It finds neighbors exactly in two stages: one matrix
-product per block of queries bounds every squared distance within a proven
-rounding margin, and only the rows those bounds cannot rule out get the
-exact distance, the row sum of (point - v) ** 2; ties go to the lower
-training index. A static per-frame sitting probability h can be read from
-file or held at the uninformative constant 0.5.
+smallest threshold, then to the candidate drawn first. A forest is one set
+of flat node arrays from growth to file, each tree in preorder and each
+leaf's nonzero class counts in a sparse (CSR) table. Growth appends to them
+from an explicit stack, and one router moves every row of every tree down a
+level per step, so nothing recurses. Tree probabilities are per-leaf
+normalized class histograms, averaged over trees. A k-NN classifier over the
+same features is available as an alternative probability provider. It finds
+neighbors exactly in two stages: one matrix product per block of queries
+bounds every squared distance within a proven rounding margin, and only the
+rows those bounds cannot rule out get the exact distance, the row sum of
+(point - v) ** 2; ties go to the lower training index. A static per-frame
+sitting probability h can be read from file or held at the uninformative
+constant 0.5.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
-from .records import load_json_object, model_fields, read_records, write_json_object, write_records
-
-
-@contextmanager
-def _recursion_headroom(n: int = 20000):
-    """Room for json, whose C encoder and decoder also recurse once per tree
-    level and count against the interpreter's limit, to follow trees grown to
-    purity; the interpreter's own limit is put back on exit."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
+from .records import integral, load_json_object, model_fields, read_records, write_json_object, write_records
 
 
 # ---------------------------------------------------------------------------
 # random forest
 
+# The node arrays of a forest, in file order.
+_NODE_ARRAYS = ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count")
+
 
 @dataclass
 class ForestModel:
-    """Trees as nested dicts, {"feat", "thresh", "left", "right"} for a split
-    (x[feat] <= thresh goes left) and {"hist"} for a leaf's class counts;
-    predictions route these dicts and files hold them as they are."""
+    """A forest as flat arrays over the nodes of all its trees, in memory and
+    in files: the layout of CART and scikit-learn's Tree. Tree t's nodes come
+    in preorder from roots[t] up to the next root. A split i (feat[i] >= 0)
+    sends x[feat[i]] <= thresh[i] to its left child i + 1 and the rest to
+    right[i], past the left child and inside the tree, so routing only moves
+    forward. A leaf has feat == -1 (right == -1, thresh == 0) and holds the
+    counts leaf_count[leaf_ptr[i]:leaf_ptr[i + 1]] of the increasing classes
+    leaf_class[...]; a split's range is empty."""
 
-    trees: list
     feature_dim: int
     n_classes: int
+    roots: np.ndarray
+    feat: np.ndarray
+    thresh: np.ndarray
+    right: np.ndarray
+    leaf_ptr: np.ndarray
+    leaf_class: np.ndarray
+    leaf_count: np.ndarray
     oob_accuracy: float | None = None  # not serialized
 
     def __post_init__(self):
-        if not self.trees:  # a forest of no trees votes 0/0
-            raise ValueError("trees must hold at least one tree")
+        """ValueError unless the arrays route every row to one leaf in each
+        tree, and each leaf normalizes to a class distribution."""
+        for name in _NODE_ARRAYS:
+            a = np.asarray(getattr(self, name))
+            if a.ndim != 1 or a.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be a list of numbers")
+            with np.errstate(invalid="ignore"):  # NaN or inf cast to an int: unequal below
+                setattr(self, name, a.astype(float if name == "thresh" else np.int64))
+            if not np.array_equal(getattr(self, name), a, equal_nan=True):  # 2.5 is not an index
+                raise ValueError(f"{name} must hold integers")
+        n, roots = len(self.feat), self.roots
+        lengths = (len(self.thresh), len(self.right), len(self.leaf_ptr) - 1, len(self.leaf_count))
+        if lengths != (n, n, n, len(self.leaf_class)):
+            raise ValueError("feat, thresh, right and leaf_ptr[1:] must match, and leaf_count leaf_class, in length")
+        if not (len(roots) and roots[0] == 0 and np.all(np.diff(roots) > 0) and roots[-1] < n):
+            raise ValueError(f"roots must hold at least one tree, rising strictly from 0 below {n}")
+        if np.any(self.feat < -1) or np.any(self.feat >= self.feature_dim):
+            raise ValueError(f"feat must be -1 at a leaf or a feature index in [0, {self.feature_dim})")
+        split = np.flatnonzero(self.feat >= 0)
+        tree_end = np.append(roots[1:], n)[np.searchsorted(roots, split, side="right") - 1]
+        if np.any(self.right[split] <= split + 1) or np.any(self.right[split] >= tree_end):
+            raise ValueError("a split's right child must lie past its left child, inside its tree")
+        leaf, size = self.feat == -1, np.diff(self.leaf_ptr)
+        ptr_ends = self.leaf_ptr[0] == 0 and self.leaf_ptr[-1] == len(self.leaf_class)
+        if not ptr_ends or np.any(np.sign(size) != leaf):  # sign 1 at a leaf, 0 at a split
+            raise ValueError("leaf_ptr must rise from 0 to len(leaf_class), at leaves only")
+        first = self.leaf_ptr[:-1][leaf]  # each leaf's first entry
+        rising = np.diff(self.leaf_class) > 0
+        rising[first[1:] - 1] = True  # the next leaf starts afresh
+        if not rising.all() or np.any(self.leaf_class < 0) or np.any(self.leaf_class >= self.n_classes):
+            raise ValueError(f"a leaf's classes must rise within [0, {self.n_classes})")
+        total = np.add.reduceat(self.leaf_count.astype(float), first)
+        if np.any(self.leaf_count < 0) or not np.all(total > 0):
+            raise ValueError("a leaf's counts must be non-negative with a positive sum")
+        self._leaf_p = self.leaf_count / np.repeat(total, size[leaf])  # normalized leaf histograms
+
+    @property
+    def trees(self) -> list:
+        """Each tree as nested dicts ({"feat", "thresh", "left", "right"} or
+        {"hist"}), built for the benchmark's traced node count; it goes when
+        the benchmark reads a node count instead (ROADMAP, benchmark v2)."""
+        nodes = [None] * len(self.feat)
+        for i in reversed(range(len(self.feat))):  # children before their parent
+            if self.feat[i] < 0:
+                lo, hi = self.leaf_ptr[i : i + 2]
+                hist = np.zeros(self.n_classes, dtype=np.int64)
+                hist[self.leaf_class[lo:hi]] = self.leaf_count[lo:hi]
+                nodes[i] = {"hist": hist.tolist()}
+            else:
+                split = {"feat": int(self.feat[i]), "thresh": float(self.thresh[i])}
+                nodes[i] = {**split, "left": nodes[i + 1], "right": nodes[self.right[i]]}
+        return [nodes[r] for r in self.roots]
 
     def save(self, path) -> None:
-        """The bytes json.dump writes for {"feature_dim", "n_classes",
-        "trees"}, encoded a tree at a time by json.dumps, which runs the C
-        encoder that json.dump never uses."""
-        with open(path, "w") as f, _recursion_headroom():
-            f.write(f'{{"feature_dim": {json.dumps(self.feature_dim)}, "n_classes": {json.dumps(self.n_classes)}, "trees": [')
-            for i, tree in enumerate(self.trees):
-                f.write((", " if i else "") + json.dumps(tree))
-            f.write("]}")
+        trees = {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
+        write_json_object(path, {"feature_dim": self.feature_dim, "n_classes": self.n_classes, "trees": trees})
 
     @classmethod
     def load(cls, path) -> "ForestModel":
-        with _recursion_headroom():
-            rec = load_json_object(path)
+        rec = load_json_object(path)
         trees = rec["trees"]  # KeyError: the file holds no forest
         with model_fields(path):
-            model = cls(trees, int(rec["feature_dim"]), int(rec["n_classes"]))
-            _check_trees(model.trees, model.feature_dim, model.n_classes)
-        return model
+            if not isinstance(trees, dict):  # a list of nested trees: the format before flat arrays
+                raise ValueError("trees must be an object of node arrays; retrain a forest of nested trees")
+            arrays = {name: trees[name] for name in _NODE_ARRAYS}  # KeyError: a missing array
+            return cls(integral(rec, "feature_dim"), integral(rec, "n_classes"), **arrays)
 
 
-def _check_trees(trees, feature_dim: int, n_classes: int) -> None:
-    """ValueError unless trees is a list of trees whose every node is a split
-    {"feat": int in [0, feature_dim), "thresh": number, "left", "right"} or a
-    leaf {"hist": list of n_classes non-negative counts with a finite,
-    positive sum}, which normalizes to a class distribution."""
-    if not isinstance(trees, list):
-        raise ValueError(f"trees must be a list, found {type(trees).__name__}")
-    stack = list(trees)
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, dict):
-            raise ValueError(f"tree node must be an object, found {type(node).__name__}")
-        if "hist" in node:
-            hist = node["hist"]
-            if not (isinstance(hist, list) and len(hist) == n_classes):
-                raise ValueError(f"leaf hist must be a list of {n_classes} counts")
-            try:  # min and sum walk the counts in C; NaN fails 0 < sum
-                counts_ok = min(hist) >= 0 and 0 < sum(hist) < math.inf
-            except (TypeError, ValueError):  # a count that is not a number, or no counts
-                counts_ok = False
-            if not counts_ok:
-                raise ValueError("leaf hist must hold non-negative counts with a finite, positive sum")
-            continue
-        feat, thresh = node.get("feat"), node.get("thresh")
-        if type(feat) is not int or not 0 <= feat < feature_dim:
-            raise ValueError(f"split feat {feat!r} is not a feature index in [0, {feature_dim})")
-        if type(thresh) not in (int, float):
-            raise ValueError(f"split thresh {thresh!r} is not a number")
-        stack += (node.get("left"), node.get("right"))
+def _vote(model: ForestModel, acc: np.ndarray, x: np.ndarray, rows_of_tree: list) -> None:
+    """Add the normalized class histogram of the leaf that x[r] reaches in
+    tree t to acc[r], for each row r in rows_of_tree[t], tree after tree.
+    Every (row, tree) pair moves down one level per step. A tree adds to
+    each (row, class) cell at most once and the zeros it skips add nothing,
+    so acc gets the floats that summing dense histograms in tree order gives."""
+    sizes = [len(rows) for rows in rows_of_tree]
+    rows, node = np.concatenate(rows_of_tree), np.repeat(model.roots, sizes)
+    live = np.flatnonzero(model.feat[node] >= 0)
+    while len(live):
+        at = node[live]
+        go_left = x[rows[live], model.feat[at]] <= model.thresh[at]
+        node[live] = np.where(go_left, at + 1, model.right[at])
+        live = live[model.feat[node[live]] >= 0]
+    start = model.leaf_ptr[node]
+    width = model.leaf_ptr[node + 1] - start
+    ends = np.cumsum(width)
+    entry = np.arange(width.sum()) + np.repeat(start - ends + width, width)
+    row, classes, p = np.repeat(rows, width), model.leaf_class[entry], model._leaf_p[entry]
+    cut = np.append(0, ends)[np.cumsum([0] + sizes)]  # each tree's entries
+    for lo, hi in zip(cut[:-1], cut[1:]):
+        acc[row[lo:hi], classes[lo:hi]] += p[lo:hi]
 
 
 def _best_split(x_node: np.ndarray, y_node: np.ndarray, hist: np.ndarray):
@@ -160,13 +197,17 @@ def _best_split(x_node: np.ndarray, y_node: np.ndarray, hist: np.ndarray):
     return float(col_loss[j]), j, float(thresh)
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: int, m_try: int) -> dict:
-    """One tree on the samples idx, grown depth-first from an explicit stack,
-    left subtree before right, so the RNG draws come in preorder."""
-    root = {}
-    stack = [(root, idx)]
+def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: int, m_try: int, nodes: dict) -> None:
+    """Append one tree on the samples idx to nodes, lists keyed like the
+    arrays of ForestModel. The tree grows depth-first from an explicit stack,
+    left subtree before right, so its nodes and the RNG draws both come in
+    preorder."""
+    stack = [(idx, -1)]  # a node's samples, and the split it is the right child of
     while stack:
-        node, idx = stack.pop()
+        idx, parent = stack.pop()
+        i = len(nodes["feat"])
+        if parent >= 0:
+            nodes["right"][parent] = i
         sub_y = y[idx]
         hist = np.bincount(sub_y, minlength=n_classes)
         split = None
@@ -175,32 +216,19 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: in
             x_node = x[idx[:, None], feats]
             split = _best_split(x_node, sub_y, hist)
         if split is None:  # pure, a single sample, or candidates all constant
-            node["hist"] = hist.tolist()
-            continue
-        _, j, thresh = split
-        go_left = x_node[:, j] <= thresh
-        node.update(feat=int(feats[j]), thresh=thresh, left={}, right={})
-        stack.append((node["right"], idx[~go_left]))
-        stack.append((node["left"], idx[go_left]))
-    return root
-
-
-def _tree_proba(tree: dict, x: np.ndarray, n_classes: int) -> np.ndarray:
-    """(len(x), n_classes) normalized leaf histograms of one tree: the rows
-    go down the dicts in groups, one comparison per split a group reaches."""
-    out = np.zeros((len(x), n_classes))
-    stack = [(tree, np.arange(len(x)))]
-    while stack:
-        node, rows = stack.pop()
-        if "hist" in node:
-            hist = np.asarray(node["hist"], dtype=float)
-            out[rows] = hist / hist.sum()
-            continue
-        go_left = x[rows, node["feat"]] <= node["thresh"]
-        for child, sub in ((node["right"], rows[~go_left]), (node["left"], rows[go_left])):
-            if len(sub):
-                stack.append((child, sub))
-    return out
+            present = np.flatnonzero(hist)
+            nodes["leaf_class"] += present.tolist()
+            nodes["leaf_count"] += hist[present].tolist()
+            feat, thresh = -1, 0.0
+        else:
+            _, j, thresh = split
+            go_left = x_node[:, j] <= thresh
+            feat = int(feats[j])
+            stack += [(idx[~go_left], i), (idx[go_left], -1)]  # left popped first
+        nodes["feat"].append(feat)
+        nodes["thresh"].append(thresh)
+        nodes["right"].append(-1)  # a split's is set when its right child is popped
+        nodes["leaf_ptr"].append(len(nodes["leaf_class"]))
 
 
 def train_forest(
@@ -236,21 +264,19 @@ def train_forest(
 
     n, d = x.shape
     m_try = math.ceil(math.sqrt(d))
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    votes = np.zeros((n, n_classes))
-    for ss in seeds:
+    nodes = {name: [0] if name == "leaf_ptr" else [] for name in _NODE_ARRAYS}
+    oob = []
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(ss)
         boot = rng.integers(0, n, size=n)
-        tree = _grow_tree(x, y, boot, rng, n_classes, m_try)
-        trees.append(tree)
-        if compute_oob:
-            oob = np.setdiff1d(np.arange(n), boot, assume_unique=False)
-            if len(oob) > 0:
-                votes[oob] += _tree_proba(tree, x[oob], n_classes)
+        nodes["roots"].append(len(nodes["feat"]))
+        _grow_tree(x, y, boot, rng, n_classes, m_try, nodes)
+        oob.append(np.setdiff1d(np.arange(n), boot))
 
-    model = ForestModel(trees, d, n_classes)
+    model = ForestModel(d, n_classes, **nodes)
     if compute_oob:
+        votes = np.zeros((n, n_classes))
+        _vote(model, votes, x, oob)
         seen = votes.sum(axis=1) > 0
         if seen.any():
             model.oob_accuracy = float((votes[seen].argmax(axis=1) == y[seen]).mean())
@@ -271,9 +297,8 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise DimMismatch(f"expected (n, {model.feature_dim}) features")
     acc = np.zeros((len(x), model.n_classes))
-    for tree in model.trees:
-        acc += _tree_proba(tree, x, model.n_classes)
-    acc /= len(model.trees)
+    _vote(model, acc, x, [np.arange(len(x))] * len(model.roots))
+    acc /= len(model.roots)
     return acc / acc.sum(axis=1, keepdims=True)
 
 
@@ -383,20 +408,21 @@ class KnnIndex:
             for j, v in enumerate(batch):
                 cand = np.flatnonzero(lower[j] <= cut[j])
                 diff = self.points[cand]
-                diff -= v
-                diff *= diff
-                out[q0 + j] = cand[_nearest(diff.sum(axis=1), k)]
+                with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN distances sort last
+                    diff -= v
+                    diff *= diff
+                    d2 = diff.sum(axis=1)
+                out[q0 + j] = cand[_nearest(d2, k)]
         return out
 
 
 @dataclass
 class KnnModel:
-    """Training features with class ids (and optionally bank pose indices)."""
+    """Training features with their class ids."""
 
     features: np.ndarray
     classes: np.ndarray
     n_classes: int
-    pose_indices: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -405,8 +431,6 @@ class KnnModel:
             raise DimMismatch("features and classes must have matching length")
         if len(self.classes) and not (0 <= self.classes.min() and self.classes.max() < self.n_classes):
             raise DimMismatch(f"class ids must lie in [0, {self.n_classes})")
-        if self.pose_indices is not None:
-            self.pose_indices = np.asarray(self.pose_indices, dtype=int)
         self._index = None
 
     def index(self) -> KnnIndex:
@@ -415,25 +439,15 @@ class KnnModel:
         return self._index
 
     def save(self, path) -> None:
-        rec = {
-            "n_classes": self.n_classes,
-            "features": self.features.tolist(),
-            "classes": self.classes.tolist(),
-            "pose_indices": None if self.pose_indices is None else self.pose_indices.tolist(),
-        }
+        rec = {"n_classes": self.n_classes, "features": self.features.tolist(), "classes": self.classes.tolist()}
         write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "KnnModel":
         rec = load_json_object(path)
-        pi = rec.get("pose_indices")
         with model_fields(path):
-            return cls(
-                np.array(rec["features"], dtype=float),
-                np.array(rec["classes"], dtype=int),
-                int(rec["n_classes"]),
-                None if pi is None else np.array(pi, dtype=int),
-            )
+            features = np.array(rec["features"], dtype=float)
+            return cls(features, np.array(rec["classes"], dtype=int), int(rec["n_classes"]))
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
@@ -454,18 +468,6 @@ def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # static sitting probability and the frame verdict
-
-
-def dynamic_sit_stand(probs: np.ndarray, labels):
-    """Frame verdict from cluster probabilities: sitting iff the summed
-    sitting-like mass exceeds 0.5; ties go to standing."""
-    from .clustering import SitStand
-
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != len(labels):
-        raise LengthMismatch("one label per cluster required")
-    sit_mass = float(probs[[l == SitStand.SITTING_LIKE for l in labels]].sum())
-    return SitStand.SITTING_LIKE if sit_mass > 0.5 else SitStand.STANDING_LIKE
 
 
 def constant_static(n_frames: int, value: float = 0.5) -> np.ndarray:

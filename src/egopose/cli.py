@@ -203,7 +203,7 @@ def cmd_cluster(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    frames, x, classes = load_features(args.features)
+    _, x, classes = load_features(args.features)
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
     if args.bank:
@@ -216,7 +216,7 @@ def cmd_train(args):
         print(f"oob accuracy: {model.oob_accuracy:.4f}")
     else:
         k = _knn_k(cfg)
-        model = KnnModel(x, classes, n_classes, frames)
+        model = KnnModel(x, classes, n_classes)
         model.save(_ensure_parent(args.out))
         if args.loo:
             # each row votes with its k nearest other rows

@@ -44,10 +44,6 @@ class UnaryCosts:
     def n_frames(self) -> int:
         return len(self.indices)
 
-    def frame(self, n: int) -> dict:
-        """Mapping view {exemplar index: cost} of one frame."""
-        return dict(zip(self.indices[n].tolist(), self.costs[n].tolist()))
-
 
 def unary_costs(
     dists: np.ndarray,

@@ -296,7 +296,7 @@ def train_models(
     if classifier == "forest":
         forest = train_forest(features, targets, n_trees=n_trees, seed=seed, n_classes=k)
     elif classifier == "knn":
-        knn = KnnModel(features, targets, k, feature_frames)
+        knn = KnnModel(features, targets, k)
     else:
         raise ValueError(f"unknown classifier {classifier!r}")
     return TrainedModels(

@@ -13,7 +13,6 @@ from egopose.classify import (
     KnnIndex,
     KnnModel,
     constant_static,
-    dynamic_sit_stand,
     forest_proba,
     forest_proba_batch,
     knn_proba,
@@ -21,7 +20,6 @@ from egopose.classify import (
     save_static,
     train_forest,
 )
-from egopose.clustering import SitStand
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 
 
@@ -37,11 +35,60 @@ def two_blobs(rng, n=500, d=8, margin=1.0):
 
 
 def walk_tree(tree, v):
+    """The normalized leaf histogram a nested-dict tree gives v."""
     node = tree
     while "feat" in node:
         node = node["left"] if v[node["feat"]] <= node["thresh"] else node["right"]
     h = np.array(node["hist"], dtype=float)
     return h / h.sum()
+
+
+def dict_forest_proba(trees, x, n_classes):
+    """The dict router forest_proba_batch must match float for float: each
+    tree's dense normalized leaf histograms summed in tree order."""
+    acc = np.zeros((len(x), n_classes))
+    for tree in trees:
+        acc += np.array([walk_tree(tree, v) for v in x]).reshape(len(x), n_classes)
+    acc /= len(trees)
+    return acc / acc.sum(axis=1, keepdims=True)
+
+
+def flatten(trees):
+    """The node arrays of nested-dict trees in preorder, {"hist"} leaves
+    keeping their nonzero counts: the layout train_forest must build."""
+    arrays = {name: [] for name in classify._NODE_ARRAYS}
+    arrays["leaf_ptr"].append(0)
+    for tree in trees:
+        arrays["roots"].append(len(arrays["feat"]))
+        stack = [(tree, -1)]
+        while stack:
+            node, parent = stack.pop()
+            if parent >= 0:
+                arrays["right"][parent] = len(arrays["feat"])
+            if "hist" in node:
+                hist = np.array(node["hist"])
+                arrays["leaf_class"] += np.flatnonzero(hist).tolist()
+                arrays["leaf_count"] += hist[hist > 0].tolist()
+                arrays["feat"].append(-1)
+                arrays["thresh"].append(0.0)
+            else:
+                stack += [(node["right"], len(arrays["feat"])), (node["left"], -1)]
+                arrays["feat"].append(node["feat"])
+                arrays["thresh"].append(node["thresh"])
+            arrays["right"].append(-1)
+            arrays["leaf_ptr"].append(len(arrays["leaf_class"]))
+    return {name: np.array(values, dtype=float if name == "thresh" else np.int64) for name, values in arrays.items()}
+
+
+def node_arrays(model):
+    return {name: getattr(model, name) for name in classify._NODE_ARRAYS}
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
 
 
 def test_forest_oob_on_separable_blobs():
@@ -56,7 +103,7 @@ def test_forest_default_is_100_trees():
     rng = np.random.default_rng(1)
     x, y = two_blobs(rng, n=30)
     model = train_forest(x, y, seed=0)
-    assert len(model.trees) == 100
+    assert len(model.roots) == 100
 
 
 def test_forest_memorizes_single_point_per_class():
@@ -91,7 +138,7 @@ def test_forest_deterministic():
     x, y = two_blobs(rng, n=60)
     a = train_forest(x, y, n_trees=10, seed=5)
     b = train_forest(x, y, n_trees=10, seed=5)
-    assert a.trees == b.trees
+    assert_same_arrays(node_arrays(a), node_arrays(b))
 
 
 def test_forest_proba_is_distribution():
@@ -108,9 +155,10 @@ def test_forest_proba_matches_manual_tree_walk():
     rng = np.random.default_rng(4)
     x, y = two_blobs(rng, n=60)
     model = train_forest(x, y, n_trees=12, seed=2)
+    trees, _ = reference_forest(x, y, 12, 2, 2)
     for _ in range(10):
         v = rng.normal(size=x.shape[1])
-        ref = np.mean([walk_tree(t, v) for t in model.trees], axis=0)
+        ref = np.mean([walk_tree(t, v) for t in trees], axis=0)
         ref = ref / ref.sum()
         assert np.allclose(forest_proba(model, v), ref, atol=1e-12)
 
@@ -119,10 +167,11 @@ def test_forest_batch_equals_single():
     rng = np.random.default_rng(5)
     x, y = two_blobs(rng, n=50)
     model = train_forest(x, y, n_trees=8, seed=1)
+    trees, _ = reference_forest(x, y, 8, 1, 2)
     q = rng.normal(size=(20, x.shape[1]))
     batch = forest_proba_batch(model, q)
     for i in range(len(q)):
-        ref = np.mean([walk_tree(t, q[i]) for t in model.trees], axis=0)
+        ref = np.mean([walk_tree(t, q[i]) for t in trees], axis=0)
         assert np.allclose(batch[i], ref / ref.sum(), atol=1e-12)
         assert np.array_equal(batch[i], forest_proba(model, q[i]))
 
@@ -210,9 +259,9 @@ def test_best_split_equals_per_feature_reference():
 
 
 def _reference_grow_tree(x, y, idx, rng, n_classes, m_try):
-    """The recursive grower with the per-feature one-hot split search: the
-    stack-based _grow_tree must build the same dicts, key order included,
-    from the same RNG draws."""
+    """The recursive grower of nested dicts with the per-feature one-hot
+    split search: the stack-based _grow_tree must build their flattened
+    arrays from the same RNG draws."""
     sub_y = y[idx]
     hist = np.bincount(sub_y, minlength=n_classes)
     if len(idx) < 2 or hist.max() == len(idx):
@@ -257,45 +306,70 @@ def test_grow_tree_equals_recursive_reference(seed):
         for tree_seed in range(3):
             boot = np.random.default_rng(tree_seed).integers(0, len(x), size=len(x))
             rng_a, rng_b = np.random.default_rng(seed * 10 + tree_seed), np.random.default_rng(seed * 10 + tree_seed)
-            got = _grow_tree(x, y, boot, rng_a, n_classes, m_try)
-            want = _reference_grow_tree(x, y, boot, rng_b, n_classes, m_try)
-            assert got == want
-            assert json.dumps(got) == json.dumps(want)  # key order, as written to file
+            got = {name: [] for name in classify._NODE_ARRAYS}
+            got["roots"].append(0)
+            got["leaf_ptr"].append(0)
+            _grow_tree(x, y, boot, rng_a, n_classes, m_try, got)
+            want = flatten([_reference_grow_tree(x, y, boot, rng_b, n_classes, m_try)])
+            assert_same_arrays(node_arrays(ForestModel(x.shape[1], n_classes, **got)), want)
             assert rng_a.random() == rng_b.random()  # the same number of draws
 
 
-def test_train_forest_equals_reference_grower(monkeypatch):
-    rng = np.random.default_rng(22)
+def reference_forest(x, y, n_trees, seed, n_classes):
+    """Nested-dict trees from _reference_grow_tree and the OOB accuracy of
+    their dict routes, drawn from the seeds train_forest spawns."""
+    n, d = x.shape
+    trees, votes = [], np.zeros((n, n_classes))
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(ss)
+        boot = rng.integers(0, n, size=n)
+        trees.append(_reference_grow_tree(x, y, boot, rng, n_classes, math.ceil(math.sqrt(d))))
+        oob = np.setdiff1d(np.arange(n), boot)
+        for r in oob:
+            votes[r] += walk_tree(trees[-1], x[r])
+    seen = votes.sum(axis=1) > 0
+    return trees, float((votes[seen].argmax(axis=1) == y[seen]).mean())
+
+
+def test_train_forest_equals_reference_grower():
     # the forest-cli shape in small: many classes, few samples each, tied
     # and constant columns
-    x = rng.normal(size=(240, 36)).round(2)
-    x[:, 5] = 1.0
-    x[:, 7] = x[:, 3]
-    y = rng.integers(0, 60, size=240)
-    got = train_forest(x, y, n_trees=6, seed=3, n_classes=64)
-    monkeypatch.setattr(classify, "_grow_tree", _reference_grow_tree)
-    want = train_forest(x, y, n_trees=6, seed=3, n_classes=64)
-    assert got.trees == want.trees
-    assert json.dumps(got.trees) == json.dumps(want.trees)
-    assert got.oob_accuracy == want.oob_accuracy
+    for seed in range(4):
+        rng = np.random.default_rng(22 + seed)
+        x = rng.normal(size=(240, 36)).round(2)
+        x[:, 5] = 1.0
+        x[:, 7] = x[:, 3]
+        y = rng.integers(0, 60, size=240)
+        got = train_forest(x, y, n_trees=6, seed=seed, n_classes=64)
+        trees, oob_accuracy = reference_forest(x, y, 6, seed, 64)
+        assert_same_arrays(node_arrays(got), flatten(trees))
+        assert got.oob_accuracy == oob_accuracy
+        q = np.concatenate([rng.normal(size=(50, 36)).round(2), x[:50]])
+        q[0, 3] = np.nan
+        assert np.array_equal(forest_proba_batch(got, q), dict_forest_proba(trees, q, 64))
 
 
-def _chain_forest(depth, n_classes=3):
-    """One tree whose splits nest depth levels deep: split i sends
-    x[0] <= i + 0.5 to a leaf of class i % n_classes, the rest one level
-    down, and the last level to a uniform leaf."""
+def _chain_trees(depth, n_classes=3):
+    """One nested-dict tree whose splits nest depth levels deep: split i
+    sends x[0] <= i + 0.5 to a leaf of class i % n_classes, the rest one
+    level down, and the last level to a uniform leaf."""
     root = node = {}
     for i in range(depth):
         leaf = {"hist": [int(c == i % n_classes) for c in range(n_classes)]}
         node.update(feat=0, thresh=i + 0.5, left=leaf, right={})
         node = node["right"]
     node["hist"] = [1] * n_classes
-    return ForestModel([root], 1, n_classes)
+    return [root]
+
+
+def _chain_forest(depth, n_classes=3):
+    return ForestModel(1, n_classes, **flatten(_chain_trees(depth, n_classes)))
 
 
 def test_forest_of_no_trees_is_rejected_when_built():
+    arrays = flatten(_chain_trees(2))
     with pytest.raises(ValueError, match="at least one tree"):
-        ForestModel([], 2, 2)
+        ForestModel(1, 3, **{**arrays, "roots": []})
 
 
 def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
@@ -306,15 +380,15 @@ def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
+        trees = _chain_trees(3000)
         model = _chain_forest(3000)
         assert np.array_equal(forest_proba_batch(model, q), want)
+        assert np.array_equal(forest_proba_batch(model, q), dict_forest_proba(trees, q, 3))
         assert np.array_equal(forest_proba(model, q[3]), want[3])
-        assert sys.getrecursionlimit() == 1000
         path = tmp_path / "deep.json"
         model.save(path)
-        assert sys.getrecursionlimit() == 1000
         back = ForestModel.load(path)
-        assert sys.getrecursionlimit() == 1000
+        assert_same_arrays(node_arrays(back), node_arrays(model))
         assert np.array_equal(forest_proba_batch(back, q), want)
         trained = train_forest(x, y, n_trees=3, seed=0)
         forest_proba_batch(trained, x[:5])
@@ -336,7 +410,7 @@ def test_class_ids_outside_range_are_rejected(tmp_path, bad):
         with pytest.raises(DimMismatch):
             train_forest(x, y, n_trees=2)
     path = tmp_path / "knn.json"
-    path.write_text(json.dumps({"n_classes": 2, "features": x, "classes": y, "pose_indices": None}))
+    path.write_text(json.dumps({"n_classes": 2, "features": x, "classes": y}))
     with pytest.raises(DimMismatch):
         KnnModel.load(path)
 
@@ -348,7 +422,8 @@ def test_forest_file_round_trip(tmp_path):
     path = tmp_path / "forest.json"
     model.save(path)
     back = ForestModel.load(path)
-    assert back.trees == model.trees
+    assert_same_arrays(node_arrays(back), node_arrays(model))
+    assert np.array_equal(forest_proba_batch(back, x), forest_proba_batch(model, x))
     assert back.feature_dim == model.feature_dim
     assert back.n_classes == model.n_classes
 
@@ -386,7 +461,8 @@ def test_knn_empty_training_raises():
 
 
 def _whole_array_scan(pts, v, k):
-    d2 = ((pts - v) ** 2).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN distances sort last
+        d2 = ((pts - v) ** 2).sum(axis=1)
     return np.lexsort((np.arange(len(d2)), d2))[:k]
 
 
@@ -482,22 +558,6 @@ def test_knn_batch_matches_single_queries():
         knn_proba(model, np.zeros((2, 19)))
 
 
-def test_dynamic_sit_stand_rules():
-    labels = [SitStand.SITTING_LIKE, SitStand.STANDING_LIKE]
-    assert dynamic_sit_stand(np.array([1.0, 0.0]), labels) == SitStand.SITTING_LIKE
-    assert dynamic_sit_stand(np.array([0.5, 0.5]), labels) == SitStand.STANDING_LIKE
-
-
-def test_dynamic_sit_stand_matches_reference_summation():
-    rng = np.random.default_rng(11)
-    labels = [SitStand.SITTING_LIKE if b else SitStand.STANDING_LIKE for b in rng.integers(0, 2, size=10)]
-    for _ in range(50):
-        p = rng.dirichlet(np.ones(10))
-        mass = sum(p[c] for c in range(10) if labels[c] == SitStand.SITTING_LIKE)
-        want = SitStand.SITTING_LIKE if mass > 0.5 else SitStand.STANDING_LIKE
-        assert dynamic_sit_stand(p, labels) == want
-
-
 def test_constant_static_provider():
     h = constant_static(7)
     assert np.array_equal(h, np.full(7, 0.5))
@@ -524,14 +584,17 @@ def test_knn_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 3, size=20)
-    model = KnnModel(x, y, 3, np.arange(20))
+    model = KnnModel(x, y, 3)
     path = tmp_path / "knn.json"
     model.save(path)
+    assert "pose_indices" not in json.loads(path.read_text())
     back = KnnModel.load(path)
     assert np.allclose(back.features, x)
     assert np.array_equal(back.classes, y)
     assert back.n_classes == 3
-    assert np.array_equal(back.pose_indices, np.arange(20))
+    # files written when the model also stored bank pose indices still load
+    path.write_text(json.dumps({**json.loads(path.read_text()), "pose_indices": list(range(20))}))
+    assert np.array_equal(KnnModel.load(path).classes, y)
 
 
 @pytest.mark.parametrize("model_class", [ForestModel, KnnModel])
@@ -544,7 +607,7 @@ def test_model_file_holding_no_json_object_is_rejected(tmp_path, model_class):
 
 
 def _json_dump_bytes(rec, path):
-    with open(path, "w") as f, classify._recursion_headroom():
+    with open(path, "w") as f:
         json.dump(rec, f)
     return path.read_bytes()
 
@@ -556,60 +619,86 @@ def test_model_writers_match_json_dump(tmp_path):
     for n, model in enumerate(forests):
         path = tmp_path / f"forest{n}.json"
         model.save(path)
-        rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "trees": model.trees}
+        trees = {name: values.tolist() for name, values in node_arrays(model).items()}
+        rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "trees": trees}
         assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
-    for n, pose_indices in enumerate([np.arange(len(x)), None]):
-        model = KnnModel(x, y, 2, pose_indices)
-        path = tmp_path / f"knn{n}.json"
-        model.save(path)
-        rec = {
-            "n_classes": 2,
-            "features": x.tolist(),
-            "classes": y.tolist(),
-            "pose_indices": None if pose_indices is None else pose_indices.tolist(),
-        }
-        assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+    model = KnnModel(x, y, 2)
+    path = tmp_path / "knn.json"
+    model.save(path)
+    rec = {"n_classes": 2, "features": x.tolist(), "classes": y.tolist()}
+    assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
 
 
-def _forest_record():
-    split = {"feat": 1, "thresh": 0.5, "left": {"hist": [2, 0]}, "right": {"hist": [0, 3]}}
-    return {"feature_dim": 2, "n_classes": 2, "trees": [{"hist": [1, 1]}, split]}
+def forest_record():
+    """A valid forest file: a leaf of classes 0 and 1, and a split on
+    feature 1 into a leaf of class 0 and a leaf of class 1."""
+    trees = {
+        "roots": [0, 1],
+        "feat": [-1, 1, -1, -1],
+        "thresh": [0.0, 0.5, 0.0, 0.0],
+        "right": [-1, 3, -1, -1],
+        "leaf_ptr": [0, 2, 2, 3, 4],
+        "leaf_class": [0, 1, 0, 1],
+        "leaf_count": [1, 1, 2, 3],
+    }
+    return {"feature_dim": 2, "n_classes": 2, "trees": trees}
 
 
-def _with_node(**fields):
-    rec = _forest_record()
-    rec["trees"][1].update(fields)
+def _with_trees(**arrays):
+    rec = forest_record()
+    rec["trees"].update(arrays)
     return rec
 
 
-@pytest.mark.parametrize(
-    "rec",
-    [
-        {**_forest_record(), "feature_dim": None},
-        {**_forest_record(), "n_classes": [2]},
-        {**_forest_record(), "trees": 5},
-        {**_forest_record(), "trees": [5]},
-        {**_forest_record(), "trees": []},
-        _with_node(feat="1"),
-        _with_node(feat=2),
-        _with_node(feat=-1),
-        _with_node(thresh=None),
-        _with_node(left=5),
-        _with_node(right=None),
-        _with_node(left={"hist": 5}),
-        _with_node(left={"hist": [1, 2, 3]}),
-        _with_node(left={"hist": [None, 1]}),
-        _with_node(left={"hist": ["1", 2]}),
-        _with_node(left={"hist": [-3, 1]}),
-        _with_node(left={"hist": [float("nan"), 1]}),
-        _with_node(left={"hist": [float("inf"), 1]}),
-        _with_node(left={"hist": [0, 0]}),
-    ],
-)
+MALFORMED_FOREST_RECORDS = [
+    {**forest_record(), "feature_dim": None},
+    {**forest_record(), "n_classes": [2]},
+    {**forest_record(), "trees": 5},
+    {**forest_record(), "trees": [5]},
+    {**forest_record(), "trees": []},
+    # the nested-dict format of older files
+    {**forest_record(), "trees": [{"hist": [1, 1]}, {"feat": 1, "thresh": 0.5, "left": {"hist": [2, 0]}, "right": {"hist": [0, 3]}}]},
+    {**forest_record(), "trees": {k: v for k, v in forest_record()["trees"].items() if k != "right"}},
+    _with_trees(right=[-1, 1, -1, -1]),  # a split that is its own right child: a cycle
+    _with_trees(right=[-1, 2, -1, -1]),  # the right child is the left one
+    _with_trees(right=[-1, 4, -1, -1]),  # past the last node
+    _with_trees(roots=[0, 1, 2], right=[-1, 3, -1, -1]),  # right child in the next tree
+    _with_trees(feat=[-1, 2, -1, -1]),  # feature_dim is 2
+    _with_trees(feat=[-2, 1, -1, -1]),  # a leaf is -1
+    _with_trees(feat=[-1, 2.5, -1, -1]),
+    _with_trees(feat=[-1, "1", -1, -1]),
+    _with_trees(right=[-1, 3.5, -1, -1]),
+    _with_trees(thresh=[0.0, None, 0.0, 0.0]),
+    _with_trees(thresh=[0.0, 0.5, 0.0]),
+    _with_trees(leaf_count=[1, 1, 2]),
+    _with_trees(leaf_ptr=[0, 2, 1, 3, 4]),  # not monotone
+    _with_trees(leaf_ptr=[0, 2, 2, 3, 4], leaf_class=[0, 1, 0, 1, 1], leaf_count=[1, 1, 2, 3, 1]),
+    _with_trees(leaf_ptr=[1, 2, 2, 3, 4]),
+    _with_trees(leaf_ptr=[0, 1, 2, 3, 4]),  # a split holding counts
+    _with_trees(leaf_ptr=[0, 2, 2, 2, 4]),  # a leaf without counts
+    _with_trees(leaf_class=[0, 1, 0, 2]),
+    _with_trees(leaf_class=[0, 1, -1, 1]),
+    _with_trees(leaf_class=[1, 0, 0, 1]),  # classes must increase within a leaf
+    _with_trees(leaf_class=[1, 1, 0, 1]),
+    _with_trees(leaf_count=[1, -3, 2, 3]),
+    _with_trees(leaf_count=[1, float("nan"), 2, 3]),
+    _with_trees(leaf_count=[1, float("inf"), 2, 3]),
+    _with_trees(leaf_count=[1, 2.5, 2, 3]),
+    _with_trees(leaf_count=[0, 0, 2, 3]),  # a zero-sum leaf
+    _with_trees(roots=[]),
+    _with_trees(roots=[0, 0]),
+    _with_trees(roots=[1]),
+    _with_trees(roots=[0, 1, 4]),
+    _with_trees(roots=[[0, 1]]),
+]
+
+
+@pytest.mark.parametrize("rec", MALFORMED_FOREST_RECORDS)
 def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
     path = tmp_path / "forest.json"
-    path.write_text(json.dumps(_forest_record()))
-    assert ForestModel.load(path).trees == _forest_record()["trees"]
+    path.write_text(json.dumps(forest_record()))
+    good = ForestModel.load(path)
+    assert np.array_equal(forest_proba_batch(good, [[0.0, 0.0], [0.0, 1.0]]), [[0.75, 0.25], [0.25, 0.75]])
     path.write_text(json.dumps(rec))
     with pytest.raises(ValueError) as info:
         ForestModel.load(path)
@@ -621,7 +710,7 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
 )
 def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
     path = tmp_path / "knn.json"
-    rec = {"n_classes": 2, "features": [[0.0], [1.0]], "classes": [0, 1], "pose_indices": None}
+    rec = {"n_classes": 2, "features": [[0.0], [1.0]], "classes": [0, 1]}
     path.write_text(json.dumps({**rec, field: value}))
     with pytest.raises(ValueError) as info:
         KnnModel.load(path)

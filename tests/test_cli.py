@@ -29,6 +29,7 @@ from egopose import (
 )
 from egopose.cli import main
 from egopose.synth import STAND_TEMPLATE
+from test_classify import MALFORMED_FOREST_RECORDS
 
 SCRIPT = {
     "segments": [
@@ -522,6 +523,22 @@ def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag
     assert str(files[flag]) in err["message"]
 
 
+@pytest.mark.parametrize("rec", MALFORMED_FOREST_RECORDS)
+def test_malformed_forest_file_exits_3(workspace, tmp_path, capsys, rec):
+    models = workspace["models"]
+    forest = tmp_path / "forest.json"
+    forest.write_text(json.dumps(rec))
+    rc = main(
+        ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--bank", str(models / "bank.json")]
+        + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(forest)]
+        + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
+    )
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert str(forest) in err["message"]
+
+
 def test_invalid_script_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"segments": [["sit_idle", 5], ["walk", 5]]}))
@@ -955,7 +972,9 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     assert np.array_equal(frames, lib.train_feature_frames)
     assert frames.max() > len(seqs[0])  # the second recording's rows are offset
     assert np.array_equal(classes, lib.bank.cluster_of[frames])
-    assert ForestModel.load(d / "forest.json").trees == lib.forest.trees
+    back = ForestModel.load(d / "forest.json")
+    for name in ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count"):
+        assert np.array_equal(getattr(back, name), getattr(lib.forest, name))
     # and the files themselves are the ones the library bundle writes
     lib.save(tmp_path / "lib")
     for name in ("clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", "forest.json"):
