@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
-from .records import integral, load_json_object, model_fields, read_records, write_json_object, write_records
+from .records import integral, integral_array, load_json_object, model_fields, read_records
+from .records import write_json_object, write_records
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +71,7 @@ class ForestModel:
             a = np.asarray(getattr(self, name))
             if a.ndim != 1 or a.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must be a list of numbers")
-            with np.errstate(invalid="ignore"):  # NaN or inf cast to an int: unequal below
-                setattr(self, name, a.astype(float if name == "thresh" else np.int64))
-            if not np.array_equal(getattr(self, name), a, equal_nan=True):  # 2.5 is not an index
-                raise ValueError(f"{name} must hold integers")
+            setattr(self, name, a.astype(float) if name == "thresh" else integral_array(a, name))
         n, roots = len(self.feat), self.roots
         lengths = (len(self.thresh), len(self.right), len(self.leaf_ptr) - 1, len(self.leaf_count))
         if lengths != (n, n, n, len(self.leaf_class)):
@@ -122,14 +120,16 @@ class ForestModel:
         write_json_object(path, {"feature_dim": self.feature_dim, "n_classes": self.n_classes, "trees": trees})
 
     @classmethod
+    def from_record(cls, rec: dict) -> "ForestModel":
+        trees = rec["trees"]
+        if not isinstance(trees, dict):  # a list of nested trees: the format before flat arrays
+            raise ValueError("trees must be an object of node arrays; retrain a forest of nested trees")
+        arrays = {name: trees[name] for name in _NODE_ARRAYS}  # KeyError: a missing array
+        return cls(integral(rec, "feature_dim"), integral(rec, "n_classes"), **arrays)
+
+    @classmethod
     def load(cls, path) -> "ForestModel":
-        rec = load_json_object(path)
-        trees = rec["trees"]  # KeyError: the file holds no forest
-        with model_fields(path):
-            if not isinstance(trees, dict):  # a list of nested trees: the format before flat arrays
-                raise ValueError("trees must be an object of node arrays; retrain a forest of nested trees")
-            arrays = {name: trees[name] for name in _NODE_ARRAYS}  # KeyError: a missing array
-            return cls(integral(rec, "feature_dim"), integral(rec, "n_classes"), **arrays)
+        return _read_model(path, cls.from_record)
 
 
 def _vote(model: ForestModel, acc: np.ndarray, x: np.ndarray, rows_of_tree: list) -> None:
@@ -426,7 +426,7 @@ class KnnModel:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.classes = np.asarray(self.classes, dtype=int)
+        self.classes = integral_array(self.classes, "classes")
         if len(self.features) != len(self.classes):
             raise DimMismatch("features and classes must have matching length")
         if len(self.classes) and not (0 <= self.classes.min() and self.classes.max() < self.n_classes):
@@ -443,20 +443,32 @@ class KnnModel:
         write_json_object(path, rec)
 
     @classmethod
+    def from_record(cls, rec: dict) -> "KnnModel":
+        return cls(np.array(rec["features"], dtype=float), rec["classes"], integral(rec, "n_classes"))
+
+    @classmethod
     def load(cls, path) -> "KnnModel":
-        rec = load_json_object(path)
-        with model_fields(path):
-            features = np.array(rec["features"], dtype=float)
-            return cls(features, np.array(rec["classes"], dtype=int), int(rec["n_classes"]))
+        return _read_model(path, cls.from_record)
+
+
+def _read_model(path, from_record):
+    """from_record of the JSON object in path; a field fault names the file."""
+    rec = load_json_object(path)
+    with model_fields(path):
+        return from_record(rec)
+
+
+def load_classifier(path) -> ForestModel | KnnModel:
+    """The classifier a model file holds, parsed once: a forest when its
+    record has trees, else a kNN model."""
+    return _read_model(path, lambda rec: (ForestModel if "trees" in rec else KnnModel).from_record(rec))
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
     """Class distribution from the k nearest training features; for an
     (n, d) batch of features, the (n, n_classes) distributions row by row.
     ValueError for k < 1."""
-    if len(model.features) == 0:
-        raise EmptyModel("knn model holds no training points")
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)  # a model without training points raises EmptyModel in index()
     if v.ndim == 1:
         return knn_proba(model, v[None], k)[0]
     nn = model.index().query_batch(v, k)

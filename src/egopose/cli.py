@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .classify import ForestModel, KnnModel, load_static, train_forest
-# kmeans goes unused here; perfbench/layers.py wraps it at this binding
+# kmeans and train_forest go unused here; perfbench/layers.py wraps them at these bindings
+from .classify import load_classifier, load_static, train_forest  # noqa: F401
 from .clustering import ClusterModel, ExemplarBank, kmeans  # noqa: F401
 from .costs import CostParams
 from .errors import (
@@ -41,6 +41,7 @@ from .pipeline import (
     _check_lengths,
     build_bank,
     build_features,
+    fit_classifier,
     infer,
     load_features,
     normalized_matrix,
@@ -206,27 +207,21 @@ def cmd_train(args):
     _, x, classes = load_features(args.features)
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
-    if args.bank:
-        n_classes = ExemplarBank.load(args.bank).k
-    else:
-        n_classes = int(classes.max()) + 1
+    n_classes = ExemplarBank.load(args.bank).k if args.bank else int(classes.max()) + 1
+    k = _knn_k(cfg) if args.classifier == "knn" else None
+    model = fit_classifier(args.classifier, x, classes, n_classes, int(cfg["trees"]), int(cfg["seed"]))
+    model.save(_ensure_parent(args.out))
     if args.classifier == "forest":
-        model = train_forest(x, classes, n_trees=int(cfg["trees"]), seed=int(cfg["seed"]), n_classes=n_classes)
-        model.save(_ensure_parent(args.out))
         print(f"oob accuracy: {model.oob_accuracy:.4f}")
-    else:
-        k = _knn_k(cfg)
-        model = KnnModel(x, classes, n_classes)
-        model.save(_ensure_parent(args.out))
-        if args.loo:
-            # each row votes with its k nearest other rows
-            nn = model.index().query_batch(x, min(k + 1, len(x)))
-            others = nn != np.arange(len(x))[:, None]
-            keep = others & (others.cumsum(axis=1) <= k)
-            cells = keep.nonzero()[0] * n_classes + classes[nn[keep]]
-            votes = np.bincount(cells, minlength=len(x) * n_classes).reshape(len(x), n_classes)
-            hits = int((votes.argmax(axis=1) == classes).sum())
-            print(f"leave-one-out accuracy: {hits / len(x):.4f}")
+    elif args.loo:
+        # each row votes with its k nearest other rows
+        nn = model.index().query_batch(x, min(k + 1, len(x)))
+        others = nn != np.arange(len(x))[:, None]
+        keep = others & (others.cumsum(axis=1) <= k)
+        cells = keep.nonzero()[0] * n_classes + classes[nn[keep]]
+        votes = np.bincount(cells, minlength=len(x) * n_classes).reshape(len(x), n_classes)
+        hits = int((votes.argmax(axis=1) == classes).sum())
+        print(f"leave-one-out accuracy: {hits / len(x):.4f}")
     return 0
 
 
@@ -239,18 +234,10 @@ def cmd_infer(args):
     if cluster.labels is None:
         raise ValueError("cluster model carries no sit/stand labels")
 
-    forest = knn = None
-    classifier = "forest"
-    if args.solver in ("paper", "exact", "path-cluster"):
-        if not args.classifier_model:
-            raise ValueError(f"solver {args.solver} needs --classifier-model")
-        try:
-            forest = ForestModel.load(args.classifier_model)
-        except KeyError as e:
-            if e.args != ("trees",):
-                raise
-            knn = KnnModel.load(args.classifier_model)  # a file without trees holds a kNN model
-            classifier = "knn"
+    path_solver = args.solver in ("paper", "exact", "path-cluster")
+    if path_solver and not args.classifier_model:
+        raise ValueError(f"solver {args.solver} needs --classifier-model")
+    classifier = load_classifier(args.classifier_model) if path_solver else None
 
     train_feats = train_frames = None
     if args.solver == "kdtree":
@@ -267,8 +254,6 @@ def cmd_infer(args):
         feature_mode=cfg["feature_mode"],
         camera=camera,
         classifier=classifier,
-        forest=forest,
-        knn=knn,
         knn_k=_knn_k(cfg),
         train_features=train_feats,
         train_feature_frames=train_frames,

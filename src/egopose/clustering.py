@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooFewPoses
-from .records import load_json_object, model_fields, write_json_object
+from .records import integral, integral_array, load_json_object, model_fields, write_json_object
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -211,7 +211,7 @@ def _adjacency(neighbors, k: int) -> np.ndarray:
     one over [0, k)."""
     if len(neighbors) != k:
         raise ValueError("one neighbor list per cluster required")
-    lists = [np.asarray(nb, dtype=int) for nb in neighbors]
+    lists = [integral_array(nb, "neighbors") for nb in neighbors]
     if any(nb.ndim != 1 for nb in lists):
         raise ValueError("each neighbor list must be a flat list of cluster ids")
     ids = np.concatenate([np.zeros(0, dtype=int)] + lists)
@@ -303,8 +303,8 @@ class ExemplarBank:
         with model_fields(path):
             return cls(
                 poses,
-                np.array(rec["cluster_of"], dtype=int),
-                np.array(rec["sequence_breaks"], dtype=int),
+                integral_array(rec["cluster_of"], "cluster_of"),
+                integral_array(rec["sequence_breaks"], "sequence_breaks"),
                 rec["neighbors"],
-                int(rec["k"]),
+                integral(rec, "k"),
             )

@@ -3,14 +3,19 @@
 A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature configuration needed to reproduce the classifier's inputs at
-inference time.
+inference time. TrainedModels.save writes clusters.json, bank.json with
+bank_poses.jsonl, features.jsonl (a {t, v, class} row per training frame),
+forest.json for a forest, and meta.json (theta_sit, window, feature_mode,
+classifier "forest" or "knn", knn_k, camera if set). A kNN model is its
+training rows, kept only in features.jsonl and rebuilt with the bank's k;
+the knn.json of older bundles is ignored.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .pathopt import (
     solve_path_cluster,
 )
 from .records import integral, load_json_object, model_fields, read_records, write_json_object, write_records
-from .skeleton import Frame, Pose, PoseSequence, normalize_poses
+from .skeleton import Frame, Pose, PoseSequence, normalize_poses, save_pose_sequence
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -116,6 +121,15 @@ def load_features(path):
     return np.array([t for t, _ in frames_classes], dtype=int), x, np.array([c for _, c in frames_classes], dtype=int)
 
 
+def _classifier_kind(model) -> str:
+    """"forest" or "knn"; ValueError for a bundle without a classifier."""
+    if isinstance(model, ForestModel):
+        return "forest"
+    if isinstance(model, KnnModel):
+        return "knn"
+    raise ValueError("no classifier: the path solvers need a forest or a kNN model")
+
+
 @dataclass
 class TrainedModels:
     cluster: ClusterModel
@@ -124,76 +138,65 @@ class TrainedModels:
     window: int = 30
     feature_mode: str = "homography"
     camera: CameraIntrinsics | None = None
-    classifier: str = "forest"
-    forest: ForestModel | None = None
-    knn: KnnModel | None = None
+    classifier: ForestModel | KnnModel | None = None  # None: only the baseline solvers run
     knn_k: int = 30
     train_features: np.ndarray | None = None
     train_feature_frames: np.ndarray | None = None
 
     def cluster_probs(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.classifier == "forest":
-            return forest_proba_batch(self.forest, x)
-        return knn_proba(self.knn, x, self.knn_k)
+        if _classifier_kind(self.classifier) == "forest":
+            return forest_proba_batch(self.classifier, x)
+        return knn_proba(self.classifier, x, self.knn_k)
 
     def save(self, out_dir) -> None:
+        kind = _classifier_kind(self.classifier)
+        if kind == "knn" and self.classifier.features is not self.train_features:
+            raise ValueError("a kNN bundle keeps its model as features.jsonl, so it must hold train_features")
         os.makedirs(out_dir, exist_ok=True)
         self.cluster.save(os.path.join(out_dir, "clusters.json"))
         self.bank.save(os.path.join(out_dir, "bank.json"))
-        if self.forest is not None:
-            self.forest.save(os.path.join(out_dir, "forest.json"))
-        if self.knn is not None:
-            self.knn.save(os.path.join(out_dir, "knn.json"))
+        if kind == "forest":
+            self.classifier.save(os.path.join(out_dir, "forest.json"))
         if self.train_features is not None:
-            classes = self.bank.cluster_of[self.train_feature_frames]
-            save_features(
-                os.path.join(out_dir, "features.jsonl"),
-                self.train_feature_frames,
-                self.train_features,
-                classes,
-            )
+            frames, path = self.train_feature_frames, os.path.join(out_dir, "features.jsonl")
+            save_features(path, frames, self.train_features, self.bank.cluster_of[frames])
         meta = {
             "theta_sit": self.theta_sit,
             "window": self.window,
             "feature_mode": self.feature_mode,
-            "classifier": self.classifier,
+            "classifier": kind,
             "knn_k": self.knn_k,
         }
         if self.camera is not None:
-            c = self.camera
-            meta["camera"] = {"fx": c.fx, "fy": c.fy, "cx": c.cx, "cy": c.cy, "skew": c.skew}
+            meta["camera"] = asdict(self.camera)
         write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
+        kind = meta.get("classifier")
+        if kind not in ("forest", "knn"):
+            raise ValueError(f"{meta_path}: classifier must be \"forest\" or \"knn\", found {kind!r}")
         cluster = ClusterModel.load(os.path.join(in_dir, "clusters.json"))
         bank = ExemplarBank.load(os.path.join(in_dir, "bank.json"))
-        forest = knn = None
-        fpath = os.path.join(in_dir, "forest.json")
-        if os.path.exists(fpath):
-            forest = ForestModel.load(fpath)
-        kpath = os.path.join(in_dir, "knn.json")
-        if os.path.exists(kpath):
-            knn = KnnModel.load(kpath)
         feats = frames = None
         feat_path = os.path.join(in_dir, "features.jsonl")
-        if os.path.exists(feat_path):
-            frames, feats, _ = load_features(feat_path)
+        if kind == "knn" or os.path.exists(feat_path):  # a kNN model is its features
+            frames, feats, classes = load_features(feat_path)
+        forest_path = os.path.join(in_dir, "forest.json")
+        classifier = KnnModel(feats, classes, bank.k) if kind == "knn" else ForestModel.load(forest_path)
         with model_fields(meta_path):
             return cls(
                 cluster,
                 bank,
                 float(meta["theta_sit"]),
-                window=int(meta["window"]),
+                window=integral(meta, "window"),
                 feature_mode=meta["feature_mode"],
                 camera=CameraIntrinsics(**meta["camera"]) if "camera" in meta else None,
-                classifier=meta["classifier"],
-                forest=forest,
-                knn=knn,
-                knn_k=int(meta.get("knn_k", 30)),
+                classifier=classifier,
+                knn_k=integral(meta, "knn_k") if "knn_k" in meta else 30,
                 train_features=feats,
                 train_feature_frames=frames,
             )
@@ -269,6 +272,17 @@ def build_features(
     return np.vstack(x_rows), np.concatenate(frame_rows)
 
 
+def fit_classifier(kind: str, features, classes, n_classes: int, n_trees: int, seed: int):
+    """The per-frame classifier of the given kind ("forest" or "knn") on the
+    training features labeled with classes in [0, n_classes): a forest of
+    n_trees grown from seed, or the kNN model that holds the features."""
+    if kind == "forest":
+        return train_forest(features, classes, n_trees=n_trees, seed=seed, n_classes=n_classes)
+    if kind == "knn":
+        return KnnModel(features, classes, n_classes)
+    raise ValueError(f"unknown classifier {kind!r}")
+
+
 def train_models(
     sequences,
     homographies_per_seq,
@@ -290,15 +304,7 @@ def train_models(
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
     cluster, bank, theta_sit = build_bank(sequences, k, seed, theta_sit, up)
     features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
-    targets = bank.cluster_of[feature_frames]
-
-    forest = knn = None
-    if classifier == "forest":
-        forest = train_forest(features, targets, n_trees=n_trees, seed=seed, n_classes=k)
-    elif classifier == "knn":
-        knn = KnnModel(features, targets, k)
-    else:
-        raise ValueError(f"unknown classifier {classifier!r}")
+    model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed)
     return TrainedModels(
         cluster,
         bank,
@@ -306,9 +312,7 @@ def train_models(
         window=window,
         feature_mode=feature_mode,
         camera=camera,
-        classifier=classifier,
-        forest=forest,
-        knn=knn,
+        classifier=model,
         knn_k=knn_k,
         train_features=features,
         train_feature_frames=feature_frames,
@@ -325,8 +329,6 @@ class InferenceResult:
 
     def save(self, out_dir, bank: ExemplarBank | None = None) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        from .skeleton import save_pose_sequence
-
         save_pose_sequence(os.path.join(out_dir, "poses.jsonl"), self.poses, times=self.centers)
         if self.path is not None and bank is not None:
             self.path.save(os.path.join(out_dir, "path.jsonl"), bank)

@@ -8,6 +8,8 @@ through unchanged.
 import json
 from contextlib import contextmanager
 
+import numpy as np
+
 
 def _describe(e: Exception) -> str:
     """The message of a field error; a KeyError's alone is just the key."""
@@ -59,6 +61,20 @@ def integral(rec: dict, key: str) -> int:
     if type(val) is int or (type(val) is float and val.is_integer()):
         return int(val)
     raise ValueError(f"{key} must be an integer, found {json.dumps(val)}")
+
+
+def integral_array(values, name: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless every entry is an
+    integral number (so [0, 1.0] reads as [0, 1], while [0.5], [NaN] and
+    ["1"] are errors)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a list of numbers")
+    with np.errstate(invalid="ignore"):  # NaN or inf cast to an int: unequal below
+        ints = a.astype(np.int64)
+    if not np.array_equal(ints, a):
+        raise ValueError(f"{name} must hold integers")
+    return ints
 
 
 def write_json_object(path, rec, indent=None) -> None:

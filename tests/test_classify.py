@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from egopose.classify import (
     forest_proba,
     forest_proba_batch,
     knn_proba,
+    load_classifier,
     load_static,
     save_static,
     train_forest,
@@ -700,18 +702,49 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
     good = ForestModel.load(path)
     assert np.array_equal(forest_proba_batch(good, [[0.0, 0.0], [0.0, 1.0]]), [[0.75, 0.25], [0.25, 0.75]])
     path.write_text(json.dumps(rec))
-    with pytest.raises(ValueError) as info:
-        ForestModel.load(path)
-    assert str(path) in str(info.value)
+    for load in (ForestModel.load, load_classifier):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize(
-    "field, value", [("features", None), ("classes", None), ("classes", [["a"]]), ("n_classes", None), ("n_classes", "two")]
+    "field, value",
+    [
+        ("features", None),
+        ("classes", None),
+        ("classes", [["a"]]),
+        ("n_classes", None),
+        ("n_classes", "two"),
+        ("classes", [0, 1.9]),
+        ("classes", [0, float("nan")]),
+        ("n_classes", 2.5),
+    ],
 )
 def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
     path = tmp_path / "knn.json"
     rec = {"n_classes": 2, "features": [[0.0], [1.0]], "classes": [0, 1]}
     path.write_text(json.dumps({**rec, field: value}))
-    with pytest.raises(ValueError) as info:
-        KnnModel.load(path)
-    assert str(path) in str(info.value)
+    for load in (KnnModel.load, load_classifier):
+        with pytest.raises(ValueError) as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+
+def test_load_classifier_builds_the_model_the_file_holds(tmp_path):
+    rng = np.random.default_rng(24)
+    x, y = two_blobs(rng, n=30)
+    forest_path, knn_path = tmp_path / "forest.json", tmp_path / "knn.json"
+    train_forest(x, y, n_trees=3, seed=0).save(forest_path)
+    KnnModel(x, y, 2).save(knn_path)
+    forest = load_classifier(forest_path)
+    assert isinstance(forest, ForestModel)
+    assert_same_arrays(node_arrays(forest), node_arrays(ForestModel.load(forest_path)))
+    knn = load_classifier(knn_path)
+    assert isinstance(knn, KnnModel) and knn.n_classes == 2
+    assert np.array_equal(knn.features, KnnModel.load(knn_path).features)
+    assert np.array_equal(knn.classes, y)
+    # each class reads only its own kind of file
+    for load, path, field in ((ForestModel.load, knn_path, "trees"), (KnnModel.load, forest_path, "features")):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'"):
+            load(path)

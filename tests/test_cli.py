@@ -27,6 +27,7 @@ from egopose import (
     save_pose_sequence,
     train_models,
 )
+from egopose.classify import load_classifier
 from egopose.cli import main
 from egopose.synth import STAND_TEMPLATE
 from test_classify import MALFORMED_FOREST_RECORDS
@@ -498,6 +499,8 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
         ("--classifier-model", "feature_dim", None),
         ("--classifier-model", "trees", [5]),
         ("--classifier-model", "trees", []),
+        ("--bank", "sequence_breaks", [2.6]),
+        ("--bank", "k", 8.5),
     ],
 )
 def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag, field, value):
@@ -795,18 +798,28 @@ def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monke
             + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
         )
 
+    knn = str(tmp_path / "knn.json")
+    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    assert main(train + ["--classifier", "knn", "--out", knn]) == 0
     monkeypatch.setattr("builtins.open", counting_open)
-    assert infer_with(forest) == 0
-    assert opened.count(forest) == 1
+    for model in (forest, knn):
+        assert infer_with(model) == 0
+        assert opened.count(model) == 1
     monkeypatch.undo()
-    # malformed classifier files still exit 3
+    # malformed classifier files still exit 3, naming the file
     broken = tmp_path / "broken.json"
     broken.write_text('{"trees": [')
     no_dim = tmp_path / "no_dim.json"
     no_dim.write_text(json.dumps({"trees": [{"hist": [1, 0]}], "n_classes": 2}))
-    for model in (broken, no_dim):
+    rec = json.loads((tmp_path / "knn.json").read_text())
+    cut_classes = tmp_path / "cut_classes.json"
+    cut_classes.write_text(json.dumps({**rec, "classes": [c + 0.5 for c in rec["classes"]]}))
+    cut_n_classes = tmp_path / "cut_n_classes.json"
+    cut_n_classes.write_text(json.dumps({**rec, "n_classes": rec["n_classes"] + 0.5}))
+    for model in (broken, no_dim, cut_classes, cut_n_classes):
         assert infer_with(model) == 3
-        capsys.readouterr()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and str(model) in err["message"]
 
 
 def test_nan_path_parameter_exits_3(workspace, tmp_path, capsys):
@@ -974,11 +987,19 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     assert np.array_equal(classes, lib.bank.cluster_of[frames])
     back = ForestModel.load(d / "forest.json")
     for name in ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count"):
-        assert np.array_equal(getattr(back, name), getattr(lib.forest, name))
+        assert np.array_equal(getattr(back, name), getattr(lib.classifier, name))
     # and the files themselves are the ones the library bundle writes
     lib.save(tmp_path / "lib")
     for name in ("clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", "forest.json"):
         assert (d / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    # a kNN model from train is the one train_models holds
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
+    assert main(train + ["--classifier", "knn", "--out", str(d / "knn.json")]) == 0
+    knn = load_classifier(d / "knn.json")
+    lib_knn = train_models(seqs, hs, k=8, window=8, classifier="knn", seed=3).classifier
+    assert np.array_equal(knn.features, lib_knn.features)
+    assert np.array_equal(knn.classes, lib_knn.classes)
+    assert knn.n_classes == lib_knn.n_classes == 8
 
 
 def test_infer_reruns_are_byte_identical(workspace, tmp_path):

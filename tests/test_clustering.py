@@ -253,16 +253,26 @@ def _bank_file(tmp_path, **fields):
     return path
 
 
-@pytest.mark.parametrize("neighbors", [[[0, 1, -1], [0, 1]], [[0, 1, 2], [0, 1]], [0, 1]])
+@pytest.mark.parametrize("neighbors", [[[0, 1, -1], [0, 1]], [[0, 1, 2], [0, 1]], [0, 1], [[0, 1.5], [0.4, 1]]])
 def test_bank_file_with_bad_neighbor_lists_is_rejected(tmp_path, neighbors):
-    # ids outside [0, k), and bare ids where lists belong
+    # ids outside [0, k), bare ids where lists belong, and non-integral ids
     with pytest.raises(ValueError, match="neighbor"):
         ExemplarBank.load(_bank_file(tmp_path, neighbors=neighbors))
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("neighbors", 5), ("cluster_of", None), ("cluster_of", [[0]] * 6), ("sequence_breaks", [[1]]), ("k", None), ("poses_file", 5)],
+    [
+        ("neighbors", 5),
+        ("cluster_of", None),
+        ("cluster_of", [[0]] * 6),
+        ("sequence_breaks", [[1]]),
+        ("k", None),
+        ("poses_file", 5),
+        ("cluster_of", [0, 0, 0.5, 1.7, 1, 1]),
+        ("sequence_breaks", [2.6]),
+        ("k", 2.9),
+    ],
 )
 def test_bank_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
     path = _bank_file(tmp_path, **{field: value})

@@ -27,6 +27,7 @@ from egopose import (
     train_models,
     valid_feature_centers,
 )
+from egopose.classify import ForestModel, KnnModel
 from egopose.pipeline import SOLVERS, UP_AXIS
 from egopose.synth import default_camera
 
@@ -273,7 +274,7 @@ def test_train_models_builds_consistent_bundle():
     assert models.bank.sequence_breaks.tolist() == [len(sequences[0])]
     assert models.bank.k == 6
     assert len(models.cluster.labels) == 6
-    assert models.classifier == "forest" and models.forest is not None
+    assert isinstance(models.classifier, ForestModel)
     # feature frames must carry the per-sequence offset
     first_len = len(sequences[0])
     in_second = models.train_feature_frames >= first_len
@@ -286,7 +287,9 @@ def test_train_models_builds_consistent_bundle():
 def test_train_models_knn_classifier():
     sequences, streams, _, _ = training_material(seed=10)
     models = train_models(sequences, streams, k=5, window=8, classifier="knn", knn_k=7)
-    assert models.forest is None and models.knn is not None
+    assert isinstance(models.classifier, KnnModel)
+    assert models.classifier.features is models.train_features  # held once
+    assert models.knn_k == 7
     probs = models.cluster_probs(models.train_features[:4])
     assert probs.shape == (4, 5)
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -302,7 +305,7 @@ def test_trained_models_save_load_parity(tmp_path):
     assert again.theta_sit == pytest.approx(models.theta_sit)
     assert again.window == models.window
     assert again.feature_mode == models.feature_mode
-    assert again.classifier == models.classifier
+    assert isinstance(again.classifier, ForestModel)
     assert np.array_equal(again.bank.cluster_of, models.bank.cluster_of)
     assert np.array_equal(again.bank.sequence_breaks, models.bank.sequence_breaks)
     assert np.allclose(again.bank.poses, models.bank.poses)
@@ -313,7 +316,19 @@ def test_trained_models_save_load_parity(tmp_path):
 
 @pytest.mark.parametrize(
     "meta",
-    [[1, 2], {"window": None}, {"camera": {"fx": None, "fy": 1.0, "cx": 0.5, "cy": 0.4}}, {"camera": 5}],
+    [
+        [1, 2],
+        {"window": None},
+        {"camera": {"fx": None, "fy": 1.0, "cx": 0.5, "cy": 0.4}},
+        {"camera": 5},
+        {"window": 8.5},
+        {"window": "8"},
+        {"knn_k": 2.5},
+        {"knn_k": True},
+        {"classifier": "svm"},
+        {"classifier": None},
+        {"classifier": ["forest"]},
+    ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
     sequences, streams, _, _ = training_material(seed=20)
@@ -324,6 +339,78 @@ def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
     path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         TrainedModels.load(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def knn_bundle():
+    """A kNN bundle from train_models, and a recording to decode with it."""
+    sequences, streams, _, _ = training_material(seed=50)
+    models = train_models(sequences, streams, k=5, window=8, classifier="knn", knn_k=4, seed=2)
+    probe = generate(MotionScript([("stand_idle", 20), ("sit_down", 20), ("sit_idle", 20)], seed=98))
+    return models, probe
+
+
+def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path, knn_bundle):
+    models, probe = knn_bundle
+    models.save(tmp_path / "new")
+    assert not (tmp_path / "new" / "knn.json").exists()
+    assert json.loads((tmp_path / "new" / "meta.json").read_text())["classifier"] == "knn"
+    # a bundle written before the features were stored once also holds knn.json; it is ignored
+    models.save(tmp_path / "old")
+    models.classifier.save(tmp_path / "old" / "knn.json")
+    want = infer(probe.homographies, models, static_h=probe.static_h)
+    for name in ("new", "old"):
+        again = TrainedModels.load(tmp_path / name)
+        assert isinstance(again.classifier, KnnModel) and again.knn_k == 4
+        assert again.classifier.features is again.train_features
+        assert np.array_equal(again.classifier.features, models.classifier.features)
+        assert np.array_equal(again.classifier.classes, models.classifier.classes)
+        assert again.classifier.n_classes == models.classifier.n_classes
+        x = models.train_features[::7]
+        assert np.array_equal(again.cluster_probs(x), models.cluster_probs(x))
+        got = infer(probe.homographies, again, static_h=probe.static_h)
+        assert np.array_equal(got.dists, want.dists)
+        assert got.path.indices == want.path.indices
+        assert got.path.energy_dict() == want.path.energy_dict()
+
+
+def test_bundle_meta_that_disagrees_with_its_files_is_rejected(tmp_path, knn_bundle):
+    models, _ = knn_bundle
+    models.save(tmp_path)
+    meta_path = tmp_path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "classifier": "forest"}))
+    with pytest.raises(OSError) as info:
+        TrainedModels.load(tmp_path)
+    assert str(tmp_path / "forest.json") in str(info.value)
+    meta_path.write_text(json.dumps({**meta, "classifier": "svm"}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(meta_path))}: .*svm"):
+        TrainedModels.load(tmp_path)
+    # a kNN bundle is its features: without them it cannot load
+    meta_path.write_text(json.dumps(meta))
+    (tmp_path / "features.jsonl").unlink()
+    with pytest.raises(OSError) as info:
+        TrainedModels.load(tmp_path)
+    assert str(tmp_path / "features.jsonl") in str(info.value)
+
+
+def test_knn_bundle_must_hold_its_training_features(tmp_path, knn_bundle):
+    models, _ = knn_bundle
+    bare = TrainedModels(models.cluster, models.bank, models.theta_sit, classifier=models.classifier)
+    with pytest.raises(ValueError, match="train_features"):
+        bare.save(tmp_path)
+    assert not (tmp_path / "meta.json").exists()
+
+
+def test_path_solvers_name_a_missing_classifier(tmp_path, trained, test_stream):
+    bare = TrainedModels(trained.cluster, trained.bank, trained.theta_sit, window=trained.window)
+    for solver in ("paper", "exact", "path-cluster"):
+        with pytest.raises(ValueError, match="classifier"):
+            infer(test_stream.homographies, bare, solver=solver)
+    with pytest.raises(ValueError, match="classifier"):
+        bare.save(tmp_path)
+    result = infer(test_stream.homographies, bare, solver="always-standing")
+    assert len(result.poses) == len(result.centers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
 from egopose.pipeline import load_features, save_features
-from egopose.records import load_json_object, read_records
+from egopose.records import integral_array, load_json_object, read_records
 from egopose.skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from egopose.synth import MotionScript, generate, load_labels
 
@@ -177,3 +177,15 @@ def test_load_json_object_names_the_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         load_json_object(path)
+
+
+@pytest.mark.parametrize("values", [[0, 0.5], [1, float("nan")], [float("inf")], [2.0**63], [True], ["1"], [None]])
+def test_integer_lists_are_checked_not_truncated(values):
+    with pytest.raises(ValueError, match="^ids must "):
+        integral_array(values, "ids")
+
+
+def test_integer_lists_read_integral_floats_as_ints():
+    got = integral_array([0, 2.0, -3], "ids")
+    assert got.dtype == np.int64 and got.tolist() == [0, 2, -3]
+    assert integral_array([], "ids").tolist() == []
