@@ -68,10 +68,11 @@ class ForestModel:
         """ValueError unless the arrays route every row to one leaf in each
         tree, and each leaf normalizes to a class distribution."""
         for name in _NODE_ARRAYS:
-            a = np.asarray(getattr(self, name))
+            values = getattr(self, name)
+            a = np.asarray(values) if name == "thresh" else integral_array(values, name)
             if a.ndim != 1 or a.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must be a list of numbers")
-            setattr(self, name, a.astype(float) if name == "thresh" else integral_array(a, name))
+            setattr(self, name, a.astype(float) if name == "thresh" else a)
         n, roots = len(self.feat), self.roots
         lengths = (len(self.thresh), len(self.right), len(self.leaf_ptr) - 1, len(self.leaf_count))
         if lengths != (n, n, n, len(self.leaf_class)):

@@ -1,15 +1,15 @@
 """Per-frame unary costs over exemplar poses, plus candidate pruning.
 
-The cost of exemplar pose i at frame n is e = 1 - probs_n[c(p_i)] + d_{i,n}.
-The mismatch term d adds delta when a confident static sitting probability
-h_n contradicts the pose: a pose is penalized when its own cluster label
-disagrees with a confident h (h >= tau says sitting but the pose is
-standing-like, or h <= 1 - tau says standing but the pose is sitting-like).
+The cost of exemplar pose i of cluster c at frame n is e = 1 - probs_n[c] +
+d_{n,c}, where d adds delta when a confident static sitting probability h_n
+contradicts c's label (h >= tau says sitting but c is standing-like, or
+h <= 1 - tau says standing but c is sitting-like). As e depends on a pose only
+through its cluster, UnaryCosts keeps an (N, K) table of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,14 +35,30 @@ class CostParams:
 
 @dataclass
 class UnaryCosts:
-    """Sparse per-frame costs: parallel arrays of exemplar indices and e."""
+    """An (N, K) table of costs per (frame, cluster), the bank's cluster_of,
+    and per frame the ascending (m,) int array of its candidate poses."""
 
-    indices: list = field(default_factory=list)  # per frame: (m,) int array
-    costs: list = field(default_factory=list)  # per frame: (m,) float array
+    table: np.ndarray
+    cluster_of: np.ndarray
+    indices: list
 
     @property
-    def n_frames(self) -> int:
-        return len(self.indices)
+    def costs(self) -> list:
+        """Per frame, the (m,) costs of its candidates, read from the table."""
+        return [row[self.cluster_of[idx]] for row, idx in zip(self.table, self.indices)]
+
+    def admits_path(self, adjacent: np.ndarray) -> bool:
+        """Whether one candidate per frame can be chosen so that every step
+        joins neighbor clusters of the bank's (K, K) adjacent table, that is,
+        whether a path of finite energy exists; reach is a forward pass."""
+        reach = None
+        for idx in self.indices:
+            live = np.zeros(len(adjacent), dtype=bool)
+            live[self.cluster_of[idx]] = True
+            reach = live if reach is None else live & adjacent[reach].any(axis=0)
+            if not reach.any():
+                return False
+        return True
 
 
 def unary_costs(
@@ -70,44 +86,32 @@ def unary_costs(
     if dists.shape[1] != bank.k or len(labels) != bank.k:
         raise LengthMismatch("distribution width and labels must match bank clusters")
 
-    sitting_pose = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)[bank.cluster_of]
-    standing_pose = ~sitting_pose
-    out = UnaryCosts()
+    sitting = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)
+    sure_sit, sure_stand = (static_h >= params.tau)[:, None], (static_h <= 1.0 - params.tau)[:, None]
+    table = (1.0 - dists) + np.where((sure_sit & ~sitting) | (sure_stand & sitting), params.delta, 0.0)
     all_idx = np.arange(len(bank.poses))
     all_idx.flags.writeable = False
-    for n in range(len(dists)):
-        base = 1.0 - dists[n][bank.cluster_of]
-        h = static_h[n]
-        d = np.zeros(len(bank.poses))
-        if h >= params.tau:
-            d[standing_pose] = params.delta
-        elif h <= 1.0 - params.tau:
-            d[sitting_pose] = params.delta
-        out.indices.append(all_idx)
-        out.costs.append(base + d)
-    return out
+    return UnaryCosts(table, bank.cluster_of, [all_idx] * len(dists))
 
 
 def prune(costs: UnaryCosts, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> UnaryCosts:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
-    A threshold of exactly 0 disables pruning and returns the frames' arrays
-    as they are, without copies. A frame that would lose all its candidates
-    keeps its single highest-probability pose (ties -> the smallest exemplar
-    index).
+    A threshold of exactly 0 disables pruning and returns costs itself.
+    Otherwise the result holds new index arrays over the same table. A frame
+    that would lose all its candidates keeps its single highest-probability
+    pose (ties -> the smallest exemplar index).
     """
     thr = params.prune_threshold
     if thr == 0.0:
-        return UnaryCosts(list(costs.indices), list(costs.costs))
+        return costs
     dists = np.asarray(dists, dtype=float)
-    out = UnaryCosts()
-    for n in range(costs.n_frames):
-        idx = costs.indices[n]
-        p = dists[n][bank.cluster_of[idx]]
-        keep = p > thr
+    kept = []
+    for n, idx in enumerate(costs.indices):
+        clusters = bank.cluster_of[idx]
+        keep = (dists[n] > thr)[clusters]
         if not keep.any():
-            keep = np.zeros(len(idx), dtype=bool)
-            keep[int(p.argmax())] = True  # argmax takes the first maximum
-        out.indices.append(idx[keep])
-        out.costs.append(costs.costs[n][keep])
-    return out
+            first = int(dists[n][clusters].argmax())  # argmax takes the first maximum
+            keep = slice(first, first + 1)
+        kept.append(idx[keep])
+    return replace(costs, indices=kept)

@@ -13,6 +13,8 @@ the knn.json of older bundles is ignored.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -38,7 +40,7 @@ from .clustering import (
     sit_stand_threshold,
 )
 from .costs import CostParams, unary_costs, prune
-from .errors import Infeasible, LengthMismatch, OutOfRange
+from .errors import LengthMismatch, OutOfRange
 from .evaluation import baseline_constant, baseline_kdtree
 from .geometry import CameraIntrinsics, feature_windows, rotations_from_homographies
 from .pathopt import (
@@ -82,14 +84,17 @@ def features_from_homographies(
     if centers is None:
         centers = valid_feature_centers(len(hs) + 1, window)
     centers = np.asarray(centers, dtype=int)
-    maps = hs
-    if mode == "rotation":
-        if camera is None:
-            raise ValueError("rotation features need camera intrinsics")
-        maps = rotations_from_homographies(hs, camera)
-    elif mode != "homography":
-        raise ValueError(f"unknown feature mode {mode!r}")
+    _check_feature_mode(mode, camera)
+    maps = rotations_from_homographies(hs, camera) if mode == "rotation" else hs
     return feature_windows(maps, centers, window), centers
+
+
+def _check_feature_mode(mode: str, camera: CameraIntrinsics | None) -> None:
+    """ValueError unless mode is "homography", or "rotation" with a camera."""
+    if mode not in ("homography", "rotation"):
+        raise ValueError(f"unknown feature mode {mode!r}")
+    if mode == "rotation" and camera is None:
+        raise ValueError("rotation features need camera intrinsics")
 
 
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
@@ -176,9 +181,19 @@ class TrainedModels:
     def load(cls, in_dir) -> "TrainedModels":
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
-        kind = meta.get("classifier")
-        if kind not in ("forest", "knn"):
-            raise ValueError(f"{meta_path}: classifier must be \"forest\" or \"knn\", found {kind!r}")
+        with model_fields(meta_path):  # every meta field is checked before the model files are read
+            kind, theta_sit = meta.get("classifier"), meta["theta_sit"]
+            if kind not in ("forest", "knn"):
+                raise ValueError(f"classifier must be \"forest\" or \"knn\", found {kind!r}")
+            if type(theta_sit) not in (int, float) or not math.isfinite(theta_sit):
+                raise ValueError(f"theta_sit must be a finite number, found {json.dumps(theta_sit)}")
+            fields = {
+                "window": integral(meta, "window"),
+                "feature_mode": meta["feature_mode"],
+                "camera": CameraIntrinsics(**meta["camera"]) if "camera" in meta else None,
+                "knn_k": integral(meta, "knn_k") if "knn_k" in meta else 30,
+            }
+            _check_feature_mode(fields["feature_mode"], fields["camera"])
         cluster = ClusterModel.load(os.path.join(in_dir, "clusters.json"))
         bank = ExemplarBank.load(os.path.join(in_dir, "bank.json"))
         feats = frames = None
@@ -187,19 +202,15 @@ class TrainedModels:
             frames, feats, classes = load_features(feat_path)
         forest_path = os.path.join(in_dir, "forest.json")
         classifier = KnnModel(feats, classes, bank.k) if kind == "knn" else ForestModel.load(forest_path)
-        with model_fields(meta_path):
-            return cls(
-                cluster,
-                bank,
-                float(meta["theta_sit"]),
-                window=integral(meta, "window"),
-                feature_mode=meta["feature_mode"],
-                camera=CameraIntrinsics(**meta["camera"]) if "camera" in meta else None,
-                classifier=classifier,
-                knn_k=integral(meta, "knn_k") if "knn_k" in meta else 30,
-                train_features=feats,
-                train_feature_frames=frames,
-            )
+        return cls(
+            cluster,
+            bank,
+            float(theta_sit),
+            classifier=classifier,
+            train_features=feats,
+            train_feature_frames=frames,
+            **fields,
+        )
 
 
 def build_bank(
@@ -350,6 +361,11 @@ def infer(
     uninformative constant 0.5. Solvers: the first-order DP ("paper"), the
     exact DP ("exact"), the two-stage baseline ("path-cluster"), nearest
     feature neighbor ("kdtree"), and the constant-pose baselines.
+
+    The path solvers decode one trellis, pruned at the first threshold of
+    cost_params.prune_threshold, /10, ... (0 once below 1e-6) whose candidates
+    admit a finite-energy path (UnaryCosts.admits_path). 0 keeps every pose,
+    so it always does. timings["prune_retries"] counts the thresholds skipped.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -379,32 +395,21 @@ def infer(
     t0 = time.perf_counter()
     if solver in ("paper", "exact", "path-cluster"):
         costs = unary_costs(dists, static_h[centers], bank, labels, cost_params)
-        solve = {
-            "paper": lambda tr: solve_paper_dp(tr, path_params),
-            "exact": lambda tr: solve_exact_dp(tr, path_params),
-            "path-cluster": lambda tr: solve_path_cluster(tr, dists, path_params),
-        }[solver]
-        # an over-aggressive prune can strand the path; relax until feasible
-        # (threshold 0 always is: staying put costs a finite amount)
-        thr = cost_params.prune_threshold
-        retries = 0
-        while True:
-            cp = replace(cost_params, prune_threshold=thr)
-            trellis = Trellis.from_costs(prune(costs, dists, bank, cp), bank)
-            if retries == 0:
-                timings["costs_s"] = time.perf_counter() - t0
-                t0 = time.perf_counter()
-            try:
-                path = solve(trellis)
-                break
-            except Infeasible:
-                if thr == 0.0:
-                    raise
-                thr = 0.0 if thr < 1e-6 else thr / 10.0
-                retries += 1
+        thr, retries = cost_params.prune_threshold, 0
+        kept = prune(costs, dists, bank, cost_params)
+        while thr > 0.0 and not kept.admits_path(bank.adjacent):
+            thr = 0.0 if thr < 1e-6 else thr / 10.0
+            retries += 1
+            kept = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
+        trellis = Trellis.from_costs(kept, bank)
+        timings["costs_s"] = time.perf_counter() - t0
         timings["prune_retries"] = retries
-        vecs = bank.poses[path.indices]
-        poses = PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in vecs])
+        t0 = time.perf_counter()
+        if solver == "path-cluster":
+            path = solve_path_cluster(trellis, dists, path_params)
+        else:
+            path = (solve_paper_dp if solver == "paper" else solve_exact_dp)(trellis, path_params)
+        poses = PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in bank.poses[path.indices]])
     elif solver == "kdtree":
         if models.train_features is None:
             raise ValueError("kdtree solver needs stored training features")

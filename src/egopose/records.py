@@ -65,10 +65,11 @@ def integral(rec: dict, key: str) -> int:
 
 def integral_array(values, name: str) -> np.ndarray:
     """values as an int64 array; ValueError unless every entry is an
-    integral number (so [0, 1.0] reads as [0, 1], while [0.5], [NaN] and
-    ["1"] are errors)."""
+    integral number (so [0, 1.0] reads as [0, 1], while [0.5], [NaN],
+    ["1"] and [0, true] are errors). NumPy casts a boolean among numbers to
+    0 or 1, so a list is checked for one; an array is trusted to its dtype."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or (isinstance(values, list) and bool in set(map(type, values))):
         raise ValueError(f"{name} must be a list of numbers")
     with np.errstate(invalid="ignore"):  # NaN or inf cast to an int: unequal below
         ints = a.astype(np.int64)

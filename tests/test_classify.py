@@ -692,6 +692,8 @@ MALFORMED_FOREST_RECORDS = [
     _with_trees(roots=[1]),
     _with_trees(roots=[0, 1, 4]),
     _with_trees(roots=[[0, 1]]),
+    _with_trees(feat=[-1, True, -1, -1]),  # NumPy would read true as 1
+    _with_trees(leaf_count=[1, 1, 2, True]),
 ]
 
 
@@ -719,6 +721,7 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
         ("classes", [0, 1.9]),
         ("classes", [0, float("nan")]),
         ("n_classes", 2.5),
+        ("classes", [0, True]),
     ],
 )
 def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):

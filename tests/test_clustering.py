@@ -253,7 +253,9 @@ def _bank_file(tmp_path, **fields):
     return path
 
 
-@pytest.mark.parametrize("neighbors", [[[0, 1, -1], [0, 1]], [[0, 1, 2], [0, 1]], [0, 1], [[0, 1.5], [0.4, 1]]])
+@pytest.mark.parametrize(
+    "neighbors", [[[0, 1, -1], [0, 1]], [[0, 1, 2], [0, 1]], [0, 1], [[0, 1.5], [0.4, 1]], [[0, True], [0, 1]]]
+)
 def test_bank_file_with_bad_neighbor_lists_is_rejected(tmp_path, neighbors):
     # ids outside [0, k), bare ids where lists belong, and non-integral ids
     with pytest.raises(ValueError, match="neighbor"):
@@ -272,6 +274,8 @@ def test_bank_file_with_bad_neighbor_lists_is_rejected(tmp_path, neighbors):
         ("cluster_of", [0, 0, 0.5, 1.7, 1, 1]),
         ("sequence_breaks", [2.6]),
         ("k", 2.9),
+        ("cluster_of", [0, 0, 0, True, 1, 1]),
+        ("sequence_breaks", [True]),
     ],
 )
 def test_bank_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):

@@ -4,6 +4,7 @@ import pytest
 from egopose.clustering import ExemplarBank, SitStand
 from egopose.costs import CostParams, UnaryCosts, prune, unary_costs
 from egopose.errors import InvalidProbability, LengthMismatch
+from egopose.pathopt import Trellis
 
 
 def make_bank(rng, n=40, k=4, breaks=()):
@@ -160,15 +161,18 @@ def test_prune_threshold_zero_is_identity():
     labels = alternating_labels(bank.k)
     dists = rng.dirichlet(np.ones(bank.k), size=4)
     out = unary_costs(dists, np.full(4, 0.5), bank, labels)
-    pruned = prune(out, dists, bank, CostParams(prune_threshold=0.0))
-    for n in range(4):
-        assert np.array_equal(pruned.indices[n], out.indices[n])
-        assert np.array_equal(pruned.costs[n], out.costs[n])
-        # no copies: a full-bank table is the largest array set of a decode
-        assert pruned.indices[n] is out.indices[n] and pruned.costs[n] is out.costs[n]
+    # no copies: costs live once per (frame, cluster), and prune at 0 returns its input
+    assert out.table.shape == (4, bank.k)
+    assert prune(out, dists, bank, CostParams(prune_threshold=0.0)) is out
     # every frame lists the whole bank through one shared read-only array
     assert all(i is out.indices[0] for i in out.indices)
     assert not out.indices[0].flags.writeable
+    assert np.array_equal(out.indices[0], np.arange(len(bank.poses)))
+    # and so does every frame of the trellis built from it
+    trellis = Trellis.from_costs(out, bank)
+    for n, (idx, e) in enumerate(trellis.frames):
+        assert idx is out.indices[0]
+        assert np.array_equal(e, out.costs[n])
 
 
 def test_prune_matches_reference_filter():

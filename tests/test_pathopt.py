@@ -32,6 +32,7 @@ from egopose import (
     NodeState,
     PathParams,
     PosePath,
+    SitStand,
     StateExplosion,
     TooLarge,
     Trellis,
@@ -396,12 +397,14 @@ def test_trellis_sorts_candidates_and_looks_up_costs():
 def test_trellis_from_costs_matches_direct_construction():
     bank = make_bank([0, 0, 1, 1])
     uc = UnaryCosts(
+        table=np.array([[0.1, 0.2], [0.3, 0.4]]),
+        cluster_of=bank.cluster_of,
         indices=[np.array([0, 2]), np.array([1, 3])],
-        costs=[np.array([0.1, 0.2]), np.array([0.3, 0.4])],
     )
     tr = Trellis.from_costs(uc, bank)
     assert tr.n_frames == 2
     assert tr.frames[0][0].tolist() == [0, 2]
+    assert tr.frames[0][1].tolist() == [0.1, 0.2]
     assert tr.frames[1][1].tolist() == [0.3, 0.4]
 
 
@@ -881,3 +884,49 @@ def test_trellis_built_from_pruned_costs_solves_end_to_end():
     path = solve_paper_dp(tr)
     assert len(path.indices) == n_frames
     assert np.isfinite(path.total)
+
+
+def _sparse_random_bank(rng):
+    """A bank of a few poses over a sparse random neighbor graph with one or
+    two sequence breaks; its last cluster has no member poses."""
+    k = int(rng.integers(3, 7))
+    n = int(rng.integers(k, 14))
+    cluster_of = rng.integers(0, k - 1, size=n)
+    linked = rng.random((k, k)) < 0.3
+    adjacent = linked | linked.T | np.eye(k, dtype=bool)
+    breaks = sorted(set(rng.integers(1, n, size=2).tolist()))
+    return ExemplarBank(rng.normal(size=(n, 75)), cluster_of, breaks, [np.flatnonzero(r) for r in adjacent], k)
+
+
+def _relaxed_thresholds(t):
+    """The thresholds infer walks: t, t/10, ..., then 0 once below 1e-6."""
+    while t > 0.0:
+        yield t
+        t = 0.0 if t < 1e-6 else t / 10.0
+    yield 0.0
+
+
+def test_admits_path_agrees_with_the_solvers_at_every_relaxed_threshold():
+    rng = np.random.default_rng(13)
+    seen = {"feasible": 0, "infeasible": 0, "fallback frames": 0}
+    for _ in range(150):
+        bank = _sparse_random_bank(rng)
+        labels = [SitStand.SITTING_LIKE if c % 2 else SitStand.STANDING_LIKE for c in range(bank.k)]
+        n_frames = int(rng.integers(2, 7))
+        dists = rng.dirichlet(np.full(bank.k, 0.3), size=n_frames)
+        costs = unary_costs(dists, rng.uniform(size=n_frames), bank, labels)
+        for thr in _relaxed_thresholds(float(rng.choice([0.9, 0.5, 0.2]))):
+            kept = prune(costs, dists, bank, CostParams(prune_threshold=thr))
+            admits = kept.admits_path(bank.adjacent)
+            trellis = Trellis.from_costs(kept, bank)
+            for solve in (solve_paper_dp, solve_exact_dp, lambda tr: solve_path_cluster(tr, dists)):
+                try:
+                    solve(trellis)
+                    solved = True
+                except Infeasible:
+                    solved = False
+                assert solved == admits, (thr, [idx.tolist() for idx in kept.indices])
+            assert admits or thr > 0.0  # every pose kept: staying put is always allowed
+            seen["feasible" if admits else "infeasible"] += 1
+            seen["fallback frames"] += int((dists.max(axis=1) <= thr).sum())
+    assert min(seen.values()) > 50, seen

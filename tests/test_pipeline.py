@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,11 @@ from egopose import (
     train_models,
     valid_feature_centers,
 )
+import egopose.pipeline as pipeline
 from egopose.classify import ForestModel, KnnModel
+from egopose.costs import UnaryCosts, prune, unary_costs
+from egopose.errors import Infeasible
+from egopose.pathopt import Trellis, solve_paper_dp
 from egopose.pipeline import SOLVERS, UP_AXIS
 from egopose.synth import default_camera
 
@@ -328,6 +333,14 @@ def test_trained_models_save_load_parity(tmp_path):
         {"classifier": "svm"},
         {"classifier": None},
         {"classifier": ["forest"]},
+        {"theta_sit": True},
+        {"theta_sit": "0.5"},
+        {"theta_sit": float("nan")},
+        {"theta_sit": float("inf")},
+        {"theta_sit": None},
+        {"feature_mode": "sideways"},
+        {"feature_mode": None},
+        {"feature_mode": "rotation"},  # the bundle holds no camera
     ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
@@ -490,23 +503,78 @@ def test_infer_default_static_is_uninformative(trained, test_stream):
     assert implicit.path.total == pytest.approx(explicit.path.total)
 
 
-def test_infer_survives_overconfident_classifier():
+@pytest.fixture(scope="module")
+def overconfident():
+    """Two-tree forests whose pruned trellises strand the path: (models,
+    probe, threshold, retries infer needs) for a model that relaxes once and
+    one that relaxes down to threshold 0."""
+    probe = generate(MotionScript([("stand_idle", 30), ("walk", 30)], seed=77, pixel_noise=0.0))
+    cases = []
+    for seed, k, thr, retries in ((40, 8, 0.5, 1), (30, 12, 0.2, 7)):
+        sequences, streams, _, _ = training_material(seed=seed)
+        cases.append((train_models(sequences, streams, k=k, window=8, n_trees=2, seed=3), probe, thr, retries))
+    return cases
+
+
+def test_infer_survives_overconfident_classifier(overconfident):
     """Noise-free idle blocks give bit-identical features; the forest then
     votes probability one and aggressive pruning can strand the path. The
     solver must relax the threshold instead of failing."""
-    sequences, streams, _, _ = training_material(seed=40)
-    models = train_models(sequences, streams, k=8, window=8, n_trees=15, seed=3)
-    probe = generate(
-        MotionScript([("stand_idle", 30), ("walk", 30)], seed=77, pixel_noise=0.0)
-    )
+    models, probe, _, _ = overconfident[0]
     result = infer(
         probe.homographies,
         models,
         static_h=probe.static_h,
-        cost_params=CostParams(prune_threshold=0.2),
+        cost_params=CostParams(prune_threshold=0.5),
     )
     assert len(result.path.indices) == len(result.centers)
-    assert result.timings["prune_retries"] >= 0
+    assert result.timings["prune_retries"] == 1  # 0.5 strands the path, 0.05 does not
+
+
+def _reference_relaxed_decode(hs, models, static_h, cost_params):
+    """The paper decode as infer ran it before it checked reachability: build
+    a trellis and run the DP at each threshold t, t/10, ... (0 once below
+    1e-6) until the DP stops raising Infeasible. Returns (path, retries,
+    the threshold of the path)."""
+    x, centers = features_from_homographies(hs, models.window, models.feature_mode, models.camera)
+    dists, bank = models.cluster_probs(x), models.bank
+    costs = unary_costs(dists, static_h[centers], bank, models.cluster.labels, cost_params)
+    thr, retries = cost_params.prune_threshold, 0
+    while True:
+        kept = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
+        try:
+            return solve_paper_dp(Trellis.from_costs(kept, bank)), retries, thr
+        except Infeasible:
+            if thr == 0.0:
+                raise
+            thr = 0.0 if thr < 1e-6 else thr / 10.0
+            retries += 1
+
+
+def test_infer_matches_the_retry_loop_and_solves_once(overconfident, monkeypatch):
+    calls = {"solve": 0, "check": 0}
+    solve, check = pipeline.solve_paper_dp, UnaryCosts.admits_path
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "solve_paper_dp", counted("solve", solve))
+    monkeypatch.setattr(UnaryCosts, "admits_path", counted("check", check))
+    for models, probe, thr, retries in overconfident:
+        for params in (CostParams(prune_threshold=thr), CostParams(prune_threshold=0.0)):
+            want, want_retries, last_thr = _reference_relaxed_decode(probe.homographies, models, probe.static_h, params)
+            calls.update(solve=0, check=0)
+            got = infer(probe.homographies, models, static_h=probe.static_h, cost_params=params)
+            assert got.path.indices == want.indices
+            assert got.path.energy_dict() == want.energy_dict()
+            assert got.timings["prune_retries"] == want_retries == (retries if params.prune_threshold else 0)
+            # one DP call; threshold 0 is never checked, since every pose is kept there
+            assert calls["solve"] == 1
+            assert calls["check"] == want_retries + (last_thr > 0.0)
 
 
 def test_inference_result_save(tmp_path, trained, test_stream):

@@ -179,7 +179,9 @@ def test_load_json_object_names_the_file(tmp_path, text):
         load_json_object(path)
 
 
-@pytest.mark.parametrize("values", [[0, 0.5], [1, float("nan")], [float("inf")], [2.0**63], [True], ["1"], [None]])
+@pytest.mark.parametrize(
+    "values", [[0, 0.5], [1, float("nan")], [float("inf")], [2.0**63], [True], ["1"], [None], [0, True], [2.0, False]]
+)
 def test_integer_lists_are_checked_not_truncated(values):
     with pytest.raises(ValueError, match="^ids must "):
         integral_array(values, "ids")
