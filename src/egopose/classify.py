@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 from .records import integral, integral_array, load_json_object, model_fields, read_records
 from .records import write_json_object, write_records
+from .sqdist import SAFE_NORM, rounding_margin
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +310,6 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # Queries per matrix product: each (queries, n) temporary of a block is a
 # 16-row table of distances or bounds.
 _SCAN_QUERIES = 16
-# A bound at or above this may hide an intermediate that overflowed (the
-# exact path sums squares up to twice it), so such rows are candidates.
-_SAFE_NORM = 2.0**1020
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -337,23 +334,13 @@ class KnnIndex:
     and NaN distances sort last.
 
     Each block of queries gets approx = |p|^2 + |v|^2 - 2 p.v from one
-    matrix product, the squared norms of the points computed once. With
-    gamma_n = n u / (1 - n u) for the unit roundoff u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1), a dot product of length d is
-    off by at most gamma_d times the sum of its |terms|, whatever the
-    summation order, thread split or fused multiply-add. So approx is within
-    2 gamma_d + 3u (to first order), and the exact float within
-    2 gamma_{d+2}, of the real distance, in units of |p|^2 + |v|^2, and
-
-        |approx - exact| <= m = 8 gamma_{d+3} (|p|^2 + |v|^2) + (d + 3) 2^-1071,
-
-    where the factor 8 leaves room for rounding m and approx +- m, and the
-    last term covers products that underflow. With T the k-th smallest
-    approx + m, a row with approx - m > T has k rows strictly nearer, so
-    only the rows with approx - m <= T get the exact distance. A row whose
-    |p|^2 + |v|^2 is NaN, infinite or near overflow is always kept, so NaN
-    and infinite entries, and k >= n, reach the exact distances on the same
-    path.
+    matrix product, the squared norms of the points computed once, and
+    sqdist.rounding_margin's proven m with approx - m <= exact <= approx + m.
+    With T the k-th smallest approx + m, a row with approx - m > T has k
+    rows strictly nearer, so only the rows with approx - m <= T get the
+    exact distance. A row whose |p|^2 + |v|^2 is NaN, infinite or above
+    SAFE_NORM is always kept, so NaN and infinite entries, and k >= n, reach
+    the exact distances on the same path.
     """
 
     def __init__(self, points: np.ndarray):
@@ -385,21 +372,17 @@ class KnnIndex:
         """k nearest of each row of vs, for 1 <= k <= n: the bounds of a
         block of queries, then the exact distances of each query's
         candidates."""
-        n, d = self.points.shape
-        gamma = (d + 3) * _UNIT_ROUNDOFF / (1 - (d + 3) * _UNIT_ROUNDOFF)
-        tiny = (d + 3) * 2.0**-1071
+        d = self.points.shape[1]
         out = np.empty((len(vs), k), dtype=int)
         for q0 in range(0, len(vs), _SCAN_QUERIES):
             batch = vs[q0 : q0 + _SCAN_QUERIES]
             with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsafe
                 norms = np.einsum("ij,ij->i", batch, batch)[:, None] + self._sq_norms
-                unsafe = ~(norms <= _SAFE_NORM)
+                unsafe = ~(norms <= SAFE_NORM)
                 approx = batch @ self.points.T
                 approx *= -2.0
                 approx += norms
-                margin = norms
-                margin *= 8.0 * gamma
-                margin += tiny
+                margin = rounding_margin(norms, d, out=norms)
                 upper = approx + margin
                 lower = np.subtract(approx, margin, out=approx)
             upper[unsafe] = np.inf

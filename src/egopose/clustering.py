@@ -18,6 +18,7 @@ import numpy as np
 from .errors import TooFewPoses
 from .records import integral, integral_array, load_json_object, model_fields, write_json_object
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
+from .sqdist import SAFE_NORM, rounding_margin
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
 _ANKLE_Z = [3 * Joint.AnkleLeft + 2, 3 * Joint.AnkleRight + 2]
@@ -34,10 +35,12 @@ class ClusterModel:
 
     centroids: np.ndarray
     labels: list | None = None
-    # training diagnostics, not serialized
+    # training diagnostics, not serialized; assignment is each training
+    # row's nearest centroid
     objective: float | None = None
     n_iter: int | None = None
     converged: bool | None = None
+    assignment: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=float)
@@ -67,21 +70,45 @@ class ClusterModel:
 
 
 def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterModel:
-    """Lloyd's algorithm with k-means++ seeding.
+    """Lloyd's algorithm with k-means++ seeding (Arthur & Vassilvitskii,
+    SODA 2007).
 
     Stops when assignments are stable or after max_iters. Empty clusters are
     re-seeded from the point farthest from its centroid. The objective
-    (sum of squared distances) never increases across iterations.
+    (sum of squared distances) never increases across iterations. The
+    returned model's assignment holds each row's nearest returned centroid.
+    A row that is not finite, or whose squared norm exceeds SAFE_NORM,
+    raises ValueError before seeding.
+
+    Every float equals that of the plain algorithm:
+    - Seeding keeps d2, each row's exact squared distance (the row sum of
+      (x - c) ** 2) to its nearest centre so far, under np.minimum. One
+      mat-vec gives approx = |x|^2 + |c|^2 - 2 x.c for a new centre c, and
+      sqdist.rounding_margin's m bounds the exact distance from below by
+      approx - m (both norms are at most SAFE_NORM, so the proof holds). A
+      row with approx - m >= d2 keeps d2 under np.minimum anyway, so only
+      the other rows get the exact distance, and d2 and every draw are
+      unchanged (the skip of Raff, IJCAI 2021).
+    - Assignment takes (|x|^2 + |c|^2) - 2 x.c from one full matrix product,
+      then clips at 0 and takes the argmin (ties -> lowest id) in row blocks
+      of one reused buffer: the same operations on the same floats.
+    - A centroid is the mean of its rows in ascending row order, taken as a
+      contiguous slice after one stable sort by cluster.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n, d = x.shape
     if n < k:
         raise TooFewPoses(f"{n} poses for {k} clusters")
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
+        xx = (x * x).sum(axis=1)
+    bad = np.flatnonzero(~(xx <= SAFE_NORM))
+    if len(bad):
+        raise ValueError(f"pose row {bad[0]} is not finite or its squared norm exceeds 2**1020")
     rng = np.random.default_rng(seed)
 
-    centroids = np.empty((k, x.shape[1]))
+    centroids = np.empty((k, d))
     centroids[0] = x[rng.integers(n)]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
     for c in range(1, k):
@@ -90,47 +117,76 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
             centroids[c] = x[rng.integers(n)]
         else:
             centroids[c] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
+        norms = xx + centroids[c] @ centroids[c]
+        # a one-column matrix product: a threaded OpenBLAS mat-vec of the
+        # same shape can take 8 ms against 0.2 ms on a 2-vCPU host
+        lower = (x @ centroids[c, :, None])[:, 0]
+        lower *= -2.0
+        lower += norms
+        lower -= rounding_margin(norms, d, out=norms)
+        near = np.flatnonzero(lower < d2)
+        d2[near] = np.minimum(d2[near], ((x[near] - centroids[c]) ** 2).sum(axis=1))
 
+    gram = np.empty((n, k))
+    rows = np.empty((n, d))
     assign = None
     prev_obj = np.inf
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iters + 1):
-        dist = _sq_distances(x, centroids)
-        new_assign = dist.argmin(axis=1)  # ties -> lowest cluster id
-        # direct-form objective: the expansion in dist carries cancellation
-        # noise that would keep a perfect clustering away from exactly 0
-        obj = float(((x - centroids[new_assign]) ** 2).sum())
+        new_assign, point_d = _nearest_centroids(x, xx, centroids, gram)
+        # direct-form objective: the expansion carries cancellation noise
+        # that would keep a perfect clustering away from exactly 0
+        np.take(centroids, new_assign, axis=0, out=rows, mode="clip")  # "raise" would buffer out
+        np.subtract(x, rows, out=rows)
+        rows *= rows
+        obj = float(rows.sum())
         assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj), "objective increased"
         prev_obj = obj
         if assign is not None and np.array_equal(new_assign, assign):
             converged = True
-            assign = new_assign
             break
         assign = new_assign
 
         counts = np.bincount(assign, minlength=k)
-        for c in range(k):
-            if counts[c] > 0:
-                centroids[c] = x[assign == c].mean(axis=0)
-        empties = np.flatnonzero(counts == 0)
-        if len(empties) > 0:
-            point_d = dist[np.arange(n), assign].copy()
-            for c in empties:
-                far = int(point_d.argmax())
-                centroids[c] = x[far]
-                point_d[far] = -1.0  # each reseed takes a distinct point
+        np.take(x, np.argsort(assign, kind="stable"), axis=0, out=rows, mode="clip")
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            centroids[c] = rows[ends[c] - counts[c] : ends[c]].mean(axis=0)
+        for c in np.flatnonzero(counts == 0):
+            far = int(point_d.argmax())
+            centroids[c] = x[far]
+            point_d[far] = -1.0  # each reseed takes a distinct point
+    if not converged:
+        assign, _ = _nearest_centroids(x, xx, centroids, gram)
 
-    return ClusterModel(
-        centroids.copy(), objective=prev_obj, n_iter=n_iter, converged=converged
-    )
+    return ClusterModel(centroids, objective=prev_obj, n_iter=n_iter, converged=converged, assignment=assign)
 
 
-def _sq_distances(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(n, K) squared Euclidean distances, clipped at 0 for fp safety."""
-    d = (x * x).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (x @ c.T)
-    return np.maximum(d, 0.0)
+# Rows per block of the assignment pass, so that at K = 300 the block's
+# buffer and its rows of the matrix product (600 KB each) stay in a 2 MB L2.
+_ASSIGN_ROWS = 256
+
+
+def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray, gram: np.ndarray | None = None):
+    """Per row of x, with xx its squared norms: the nearest centroid (ties
+    -> lowest id) by (xx + |c|^2) - 2 x.c clipped at 0, and that distance.
+    gram, an (n, K) buffer, receives x @ c.T."""
+    cc = (c * c).sum(axis=1)
+    gram = np.matmul(x, c.T, out=gram)
+    nearest = np.empty(len(x), dtype=np.intp)
+    dist = np.empty(len(x))
+    buf = np.empty((min(_ASSIGN_ROWS, len(x)), len(c)))
+    for r0 in range(0, len(x), _ASSIGN_ROWS):
+        g = gram[r0 : r0 + _ASSIGN_ROWS]
+        b = np.add(xx[r0 : r0 + len(g), None], cc, out=buf[: len(g)])
+        g *= 2.0
+        b -= g
+        np.maximum(b, 0.0, out=b)
+        idx = b.argmin(axis=1)
+        nearest[r0 : r0 + len(g)] = idx
+        dist[r0 : r0 + len(g)] = b[np.arange(len(g)), idx]
+    return nearest, dist
 
 
 def assign_cluster(model: ClusterModel, pose_vec: np.ndarray) -> int:
@@ -139,7 +195,8 @@ def assign_cluster(model: ClusterModel, pose_vec: np.ndarray) -> int:
 
 
 def assign_clusters(model: ClusterModel, x: np.ndarray) -> np.ndarray:
-    return _sq_distances(np.asarray(x, dtype=float), model.centroids).argmin(axis=1)
+    x = np.asarray(x, dtype=float)
+    return _nearest_centroids(x, (x * x).sum(axis=1), model.centroids)[0]
 
 
 def hip_heights(x: np.ndarray) -> np.ndarray:

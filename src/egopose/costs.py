@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import check_static
 from .clustering import ExemplarBank, SitStand
-from .errors import LengthMismatch
+from .errors import InvalidProbability, LengthMismatch
 
 
 @dataclass
@@ -74,7 +74,8 @@ def unary_costs(
 
     Parameters
     ----------
-    dists : (N, K) per-frame cluster probability rows.
+    dists : (N, K) per-frame cluster probability rows, each entry in
+        [0, 1]; anything else raises InvalidProbability.
     static_h : (N,) static sitting probabilities, each in [0, 1]; anything
         else raises InvalidProbability.
     labels : per-cluster SitStand labels.
@@ -85,6 +86,10 @@ def unary_costs(
         raise LengthMismatch(f"{len(static_h)} static values for {len(dists)} frames")
     if dists.shape[1] != bank.k or len(labels) != bank.k:
         raise LengthMismatch("distribution width and labels must match bank clusters")
+    valid = (dists >= 0.0) & (dists <= 1.0)  # NaN fails too
+    if not valid.all():
+        n, c = np.argwhere(~valid)[0]
+        raise InvalidProbability(f"cluster probability {dists[n, c]!r} at frame {n}, cluster {c} is not in [0, 1]")
 
     sitting = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)
     sure_sit, sure_stand = (static_h >= params.tau)[:, None], (static_h <= 1.0 - params.tau)[:, None]

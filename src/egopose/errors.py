@@ -64,7 +64,8 @@ class LengthMismatch(EgoPoseError):
 
 
 class InvalidProbability(EgoPoseError):
-    """A sitting probability is non-finite or outside [0, 1]."""
+    """A probability (a static sitting probability, or a classifier's
+    cluster probability) is NaN, infinite or outside [0, 1]."""
 
 
 # pathopt

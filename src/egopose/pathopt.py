@@ -520,20 +520,18 @@ def solve_path_cluster(trellis: Trellis, dists: np.ndarray, params: PathParams =
     restricted to that cluster's candidates.
 
     The argmax runs over clusters actually present among the frame's
-    candidates (ties -> smaller cluster id). If the restriction is infeasible
-    a neighbor-feasible cluster-level Viterbi replaces stage 1.
+    candidates (ties -> smaller cluster id). If that sequence steps between
+    clusters that are not neighbors, the restriction has no finite-energy
+    path, and a neighbor-feasible cluster-level Viterbi replaces stage 1.
     """
     dists = np.asarray(dists, dtype=float)
     if len(dists) != trellis.n_frames:
         raise ValueError("one distribution per frame required")
-    chosen = []
-    for n, present in enumerate(_present_clusters(trellis)):
-        chosen.append(int(present[int(dists[n][present].argmax())]))
-    try:
-        return solve_paper_dp(_restrict(trellis, chosen), params)
-    except Infeasible:
+    present = _present_clusters(trellis)
+    chosen = np.array([p[dists[n][p].argmax()] for n, p in enumerate(present)])
+    if not trellis.bank.adjacent[chosen[:-1], chosen[1:]].all():
         chosen = _cluster_viterbi(trellis, dists)
-        return solve_paper_dp(_restrict(trellis, chosen), params)
+    return solve_paper_dp(_restrict(trellis, chosen), params)
 
 
 def _present_clusters(trellis: Trellis) -> list:

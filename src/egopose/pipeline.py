@@ -33,7 +33,6 @@ from .clustering import (
     ClusterModel,
     ExemplarBank,
     SitStand,
-    assign_clusters,
     hip_heights,
     kmeans,
     label_clusters,
@@ -241,8 +240,7 @@ def build_bank(
     if theta_sit is None:
         theta_sit = sit_stand_threshold(hip_heights(all_poses))
     label_clusters(cluster, all_poses, theta_sit)
-    assignments = assign_clusters(cluster, all_poses)
-    bank = ExemplarBank.build(all_poses, assignments, breaks, k)
+    bank = ExemplarBank.build(all_poses, cluster.assignment, breaks, k)
     return cluster, bank, float(theta_sit)
 
 

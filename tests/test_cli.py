@@ -736,6 +736,22 @@ def test_cluster_k_below_one_exits_3(workspace, tmp_path, capsys, k):
     assert os.listdir(tmp_path) == []  # nothing written
 
 
+@pytest.mark.parametrize("bad", [1e200, 2.0**511])  # the reader rejects NaN and inf itself
+def test_cluster_pose_beyond_the_kmeans_bound_exits_3(workspace, tmp_path, capsys, bad):
+    lines = (workspace["data"] / "poses.jsonl").read_text().splitlines()
+    rec = json.loads(lines[7])
+    rec["joints"][Joint.Head][2] = bad
+    lines[7] = json.dumps(rec)
+    poses = tmp_path / "poses.jsonl"
+    poses.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = main(["cluster", "--poses", str(poses), "--out", str(out / "c.json"), "--k", "1"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "pose row 7 is not finite or its squared norm exceeds 2**1020"}
+    assert not out.exists()
+
+
 def test_train_zero_trees_exits_3(workspace, tmp_path, capsys):
     models = workspace["models"]
     rc = main(

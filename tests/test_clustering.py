@@ -18,6 +18,7 @@ from egopose.clustering import (
     sit_stand_threshold,
 )
 from egopose.errors import TooFewPoses
+from egopose.sqdist import SAFE_NORM, rounding_margin
 from egopose.skeleton import Frame, Joint, Pose, normalize_pose
 from egopose.synth import SIT_TEMPLATE, STAND_TEMPLATE
 
@@ -26,6 +27,133 @@ UP = np.array([0.0, 0.0, 1.0])
 
 def template_vector(template):
     return normalize_pose(Pose(template.copy(), Frame.SENSOR), UP).to_vector()
+
+
+def _reference_kmeans(x, k, seed, max_iters=100):
+    """kmeans as it was before its seeding skip, blocked assignment and
+    sorted update: (centroids, objective, n_iter, converged, the set of
+    branches taken: "zero total" and "reseed")."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    branches = set()
+
+    centroids = np.empty((k, x.shape[1]))
+    centroids[0] = x[rng.integers(n)]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            branches.add("zero total")
+            centroids[c] = x[rng.integers(n)]
+        else:
+            centroids[c] = x[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((x - centroids[c]) ** 2).sum(axis=1))
+
+    assign = None
+    prev_obj = np.inf
+    n_iter = 0
+    converged = False
+    for n_iter in range(1, max_iters + 1):
+        dist = (x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1)[None, :] - 2.0 * (x @ centroids.T)
+        dist = np.maximum(dist, 0.0)
+        new_assign = dist.argmin(axis=1)
+        obj = float(((x - centroids[new_assign]) ** 2).sum())
+        prev_obj = obj
+        if assign is not None and np.array_equal(new_assign, assign):
+            converged = True
+            assign = new_assign
+            break
+        assign = new_assign
+
+        counts = np.bincount(assign, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                centroids[c] = x[assign == c].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties) > 0:
+            branches.add("reseed")
+            point_d = dist[np.arange(n), assign].copy()
+            for c in empties:
+                far = int(point_d.argmax())
+                centroids[c] = x[far]
+                point_d[far] = -1.0
+    return centroids.copy(), prev_obj, n_iter, converged, branches
+
+
+def _kmeans_cases():
+    """(name, x, k, seed, max_iters, branches the reference must take)."""
+    rng = np.random.default_rng(21)
+    blobs = np.repeat(rng.normal(size=(6, 75)), 40, axis=0) + 0.05 * rng.normal(size=(240, 75))
+    plane = np.zeros((10, 75))  # seed 0 leaves a cluster empty after its first update
+    plane[:, 0] = [-2.3, -0.1, 0, 0, 0, 5.3, -0.1, 4.8, 1.2, -0.5]
+    plane[:, 1] = [4.2, 0, -1.4, -0.1, 0, -4.3, 0.3, -1.7, 0.2, -0.9]
+    few = rng.normal(size=(5, 75))
+    line = np.zeros((60, 75))
+    line[:, 3] = np.sort(rng.integers(0, 5, size=60))  # exact ties on 5 integer points
+    lattice = rng.integers(-1, 2, size=(90, 75)).astype(float)  # exact, often equidistant
+    return [
+        ("random", rng.normal(size=(300, 75)), 7, 3, 100, set()),
+        ("blocks of the assignment pass", rng.normal(size=(3001, 75)), 8, 4, 100, set()),
+        ("duplicate rows", few[rng.integers(0, 5, size=50)], 8, 5, 100, {"zero total", "reseed"}),
+        ("equidistant ties", lattice, 6, 6, 100, set()),
+        ("integer points on a line", line, 9, 7, 100, {"zero total", "reseed"}),
+        ("empty cluster after an update", plane, 4, 0, 100, {"reseed"}),
+        ("n == k", rng.normal(size=(12, 75)), 12, 9, 100, set()),
+        ("all rows identical", np.tile(rng.integers(-3, 4, size=75), (20, 1)), 3, 10, 100, {"zero total", "reseed"}),
+        ("k == 1", rng.normal(size=(50, 75)), 1, 11, 100, set()),
+        ("cut before convergence", blobs, 12, 12, 2, set()),
+        ("no iterations", blobs, 5, 13, 0, set()),
+        ("tiny rows, squares underflow", 1e-160 * rng.normal(size=(200, 75)), 6, 14, 100, set()),
+        ("huge rows", 2.0**480 * rng.normal(size=(200, 75)), 6, 15, 100, set()),
+    ]
+
+
+_KMEANS_CASES = _kmeans_cases()
+
+
+@pytest.mark.parametrize("name, x, k, seed, max_iters, branches", _KMEANS_CASES, ids=[c[0] for c in _KMEANS_CASES])
+def test_kmeans_equals_the_plain_reference(name, x, k, seed, max_iters, branches):
+    centroids, objective, n_iter, converged, taken = _reference_kmeans(x, k, seed, max_iters)
+    m = kmeans(x, k, seed, max_iters)
+    assert branches <= taken
+    assert np.array_equal(m.centroids, centroids)
+    assert m.objective == objective and m.n_iter == n_iter and m.converged == converged
+    assert converged == (name not in ("cut before convergence", "no iterations"))
+    # the assignment is that of the returned centroids, by the plain formula
+    plain = np.maximum((x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1) - 2.0 * (x @ centroids.T), 0.0)
+    assert np.array_equal(m.assignment, plain.argmin(axis=1))
+    assert np.array_equal(m.assignment, assign_clusters(m, x))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e200, 2.0**511])
+def test_kmeans_rejects_a_row_beyond_the_bound_before_seeding(bad, k):
+    # with k >= 2 such a row used to end in "probabilities contain NaN", and
+    # with k == 1 in an AssertionError
+    x = np.random.default_rng(16).normal(size=(10, 75))
+    x[6, 40] = bad
+    with pytest.raises(ValueError, match=r"pose row 6 is not finite or its squared norm exceeds 2\*\*1020"):
+        kmeans(x, k, seed=0)
+    x[6, 40] = 2.0**510  # a squared norm of 2**1020 is still covered
+    centroids, objective, _, _, _ = _reference_kmeans(x, k, 0)
+    m = kmeans(x, k, seed=0)
+    assert np.array_equal(m.centroids, centroids) and m.objective == objective
+
+
+def test_rounding_margin_covers_the_proven_error_bounds():
+    # approx is within 2 gamma_d + 3u and the exact float within
+    # 2 gamma_{d+2} of the real distance, in units of |p|^2 + |v|^2
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    norms = np.array([2.0**-1000, 1e-300, 1.0, 3.7e5, SAFE_NORM * 2])
+    for d in (1, 2, 75, 261, 10_000):
+        need = (2 * gamma(d) + 3 * u + 2 * gamma(d + 2)) * norms
+        assert np.all(rounding_margin(norms, d) > need)
+        assert rounding_margin(np.zeros(1), d)[0] == (d + 3) * 2.0**-1071  # products that underflow
 
 
 def test_kmeans_saturated_k_zero_objective():

@@ -43,6 +43,19 @@ def test_static_outside_unit_interval_rejected(bad):
         unary_costs(dists, np.array([0.0, bad, 1.0]), bank, alternating_labels(bank.k))
 
 
+@pytest.mark.parametrize("row", [[float("nan"), 1.0], [1.5, -0.5], [float("inf"), 0.0], [0.5, -1e-300]])
+def test_cluster_probability_outside_unit_interval_rejected(row):
+    # a NaN row used to end in Infeasible("no finite-energy path"), and
+    # [1.5, -0.5] in negative costs
+    bank = ExemplarBank.build(np.random.default_rng(1).normal(size=(10, 75)), [0] * 5 + [1] * 5, [], 2)
+    dists = np.array([[0.5, 0.5], [0.5, 0.5], row])
+    bad = int(np.flatnonzero(~((dists[2] >= 0) & (dists[2] <= 1)))[0])
+    with pytest.raises(InvalidProbability, match=rf"at frame 2, cluster {bad} is not in \[0, 1\]"):
+        unary_costs(dists, np.full(3, 0.5), bank, alternating_labels(2))
+    edge = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0]])  # the interval's ends are probabilities
+    assert unary_costs(edge, np.full(3, 0.5), bank, alternating_labels(2)).table.min() == 0.0
+
+
 def cost_at(out, n, pose):
     """The cost of exemplar pose at frame n, which must list it once."""
     (at,) = np.flatnonzero(out.indices[n] == pose)

@@ -28,6 +28,7 @@ from egopose import (
     train_models,
     valid_feature_centers,
 )
+import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
 from egopose.classify import ForestModel, KnnModel
 from egopose.costs import UnaryCosts, prune, unary_costs
@@ -575,6 +576,51 @@ def test_infer_matches_the_retry_loop_and_solves_once(overconfident, monkeypatch
             # one DP call; threshold 0 is never checked, since every pose is kept there
             assert calls["solve"] == 1
             assert calls["check"] == want_retries + (last_thr > 0.0)
+
+
+def _reference_path_cluster(trellis, dists, params):
+    """solve_path_cluster as it was before it checked the argmax sequence:
+    solve the restriction to each frame's argmax cluster, and on Infeasible
+    solve again on the cluster-level Viterbi sequence."""
+    chosen = [int(p[int(dists[n][p].argmax())]) for n, p in enumerate(pathopt._present_clusters(trellis))]
+    try:
+        return pathopt.solve_paper_dp(pathopt._restrict(trellis, chosen), params)
+    except Infeasible:
+        chosen = pathopt._cluster_viterbi(trellis, dists)
+        return pathopt.solve_paper_dp(pathopt._restrict(trellis, chosen), params)
+
+
+def test_path_cluster_checks_the_argmax_sequence_and_solves_once(overconfident, monkeypatch):
+    calls = {"solve": 0}
+    solve, path_cluster = pathopt.solve_paper_dp, pipeline.solve_path_cluster
+    decodes = []
+
+    def counted(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def recorded(*args):
+        decodes.append(args)
+        return path_cluster(*args)
+
+    monkeypatch.setattr(pathopt, "solve_paper_dp", counted)
+    monkeypatch.setattr(pipeline, "solve_path_cluster", recorded)
+    fallbacks = 0
+    for models, probe, _, _ in overconfident:
+        for thr in (0.01, 0.5):
+            decodes.clear()
+            params = CostParams(prune_threshold=thr)
+            got = infer(probe.homographies, models, static_h=probe.static_h, cost_params=params, solver="path-cluster")
+            (args,) = decodes
+            calls["solve"] = 0
+            want = _reference_path_cluster(*args)
+            fallbacks += calls["solve"] - 1
+            assert got.path.indices == want.indices
+            assert got.path.energy_dict() == want.energy_dict()
+            calls["solve"] = 0
+            path_cluster(*args)
+            assert calls["solve"] == 1
+    assert fallbacks == 4  # the argmax restriction strands every one of these decodes
 
 
 def test_inference_result_save(tmp_path, trained, test_stream):
