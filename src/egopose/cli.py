@@ -133,17 +133,10 @@ def _path_params(cfg) -> PathParams:
 
 
 def _load_camera(path) -> CameraIntrinsics:
+    """Intrinsics from a camera file or a synth manifest's "intrinsics"."""
     rec = load_json_object(path)
     with model_fields(path):
-        if "intrinsics" in rec:  # accept a synth manifest directly
-            rec = rec["intrinsics"]
-        return CameraIntrinsics(
-            fx=float(rec["fx"]),
-            fy=float(rec["fy"]),
-            cx=float(rec["cx"]),
-            cy=float(rec["cy"]),
-            skew=float(rec.get("skew", 0.0)),
-        )
+        return CameraIntrinsics.from_record(rec["intrinsics"] if "intrinsics" in rec else rec)
 
 
 def _ensure_parent(path) -> str:

@@ -78,7 +78,11 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
     (sum of squared distances) never increases across iterations. The
     returned model's assignment holds each row's nearest returned centroid.
     A row that is not finite, or whose squared norm exceeds SAFE_NORM,
-    raises ValueError before seeding.
+    raises ValueError before seeding. So does input whose distance sums
+    could overflow: every centre is a row or a mean of rows, so no sum of n
+    squared distances (the seeding's d2.sum(), the objective) exceeds
+    B = sum_i (|x_i| + max_j |x_j|)^2, and B must stay 1/16 below 2^1024;
+    the error names the row of the largest norm.
 
     Every float equals that of the plain algorithm:
     - Seeding keeps d2, each row's exact squared distance (the row sum of
@@ -106,6 +110,13 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
     bad = np.flatnonzero(~(xx <= SAFE_NORM))
     if len(bad):
         raise ValueError(f"pose row {bad[0]} is not finite or its squared norm exceeds 2**1020")
+    r = np.sqrt(xx) * 2.0**-510  # norms in units of 2^510, so each term of B / 2^1020 is at most 4
+    if ((r + r.max()) ** 2).sum() > 15.0:
+        big = int(xx.argmax())
+        raise ValueError(
+            f"pose row {big} has squared norm {xx[big]:.4g}: at that scale "
+            f"the squared distances of {n} rows could overflow"
+        )
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((k, d))
@@ -231,25 +242,20 @@ def sit_stand_threshold(heights: np.ndarray) -> float:
     return float((lo + hi) / 2.0)
 
 
-def label_clusters(model: ClusterModel, train_vectors: np.ndarray, theta_sit: float | None = None) -> list:
-    """Label each centroid sitting/standing by hip height against theta_sit.
-
-    theta_sit defaults to the 2-means midpoint of the training pose hip
-    heights. A centroid is sitting-like iff its hip height is strictly below
-    the threshold.
-    """
-    if theta_sit is None:
-        theta_sit = sit_stand_threshold(hip_heights(train_vectors))
+def label_clusters(model: ClusterModel, theta_sit: float) -> list:
+    """Label each centroid sitting/standing by hip height against theta_sit:
+    a centroid is sitting-like iff its hip height is strictly below it."""
     sitting = hip_heights(model.centroids) < theta_sit
     labels = [SitStand.SITTING_LIKE if s else SitStand.STANDING_LIKE for s in sitting]
     model.labels = labels
     return labels
 
 
-def build_neighbor_graph(cluster_of: np.ndarray, sequence_breaks, k: int) -> list:
-    """Symmetric cluster adjacency from consecutive training frames.
+def build_neighbor_graph(cluster_of: np.ndarray, sequence_breaks, k: int) -> np.ndarray:
+    """(k, k) bool table of the symmetric cluster adjacency observed across
+    consecutive training frames.
 
-    neighbors(a) always contains a. Clusters a, b are neighbors iff some
+    Every cluster neighbors itself. Clusters a, b are neighbors iff some
     training step i -> i+1 that does not cross a sequence break has
     {cluster_of[i], cluster_of[i+1]} == {a, b}. sequence_breaks lists the
     indices that start a new source sequence.
@@ -259,27 +265,6 @@ def build_neighbor_graph(cluster_of: np.ndarray, sequence_breaks, k: int) -> lis
     a, b = cluster_of[:-1][steps], cluster_of[1:][steps]
     adjacent = np.eye(k, dtype=bool)
     adjacent[a, b] = adjacent[b, a] = True
-    return [np.flatnonzero(row) for row in adjacent]
-
-
-def _adjacency(neighbors, k: int) -> np.ndarray:
-    """The k*k table of per-cluster neighbor lists, which may come in any
-    order; raises ValueError unless the relation is a reflexive, symmetric
-    one over [0, k)."""
-    if len(neighbors) != k:
-        raise ValueError("one neighbor list per cluster required")
-    lists = [integral_array(nb, "neighbors") for nb in neighbors]
-    if any(nb.ndim != 1 for nb in lists):
-        raise ValueError("each neighbor list must be a flat list of cluster ids")
-    ids = np.concatenate([np.zeros(0, dtype=int)] + lists)
-    if len(ids) and (ids.min() < 0 or ids.max() >= k):
-        raise ValueError(f"neighbor id outside [0, {k})")
-    adjacent = np.zeros((k, k), dtype=bool)
-    adjacent[np.arange(k).repeat([len(nb) for nb in lists]), ids] = True
-    if not adjacent.diagonal().all():
-        raise ValueError(f"cluster {int(np.argmin(adjacent.diagonal()))} must neighbor itself")
-    if not np.array_equal(adjacent, adjacent.T):
-        raise ValueError("neighbor relation must be symmetric")
     return adjacent
 
 
@@ -287,36 +272,31 @@ def _adjacency(neighbors, k: int) -> np.ndarray:
 class ExemplarBank:
     """All training poses in time order plus cluster structure.
 
-    poses: (n, 75) normalized pose vectors; cluster_of: (n,) cluster ids;
-    sequence_breaks: sorted indices where a new source sequence starts;
-    neighbors: per-cluster arrays of neighbor ids (self included), the form
-    bank.json stores. Lists given in any order or with repeats are read as
-    the same relation and kept sorted and unique; ids must lie in [0, k).
+    poses: (n, 75) normalized pose vectors; cluster_of: (n,) cluster ids in
+    [0, k); sequence_breaks: indices where a new source sequence starts,
+    kept sorted.
 
     Derived at construction, and what every solver reads:
-    adjacent: (k, k) bool table, adjacent[a, b] iff b is a neighbor of a;
+    adjacent: (k, k) bool table, adjacent[a, b] iff clusters a and b are
+    neighbors, from build_neighbor_graph;
     segment_of: (n,) source-sequence id of each pose, so a step j -> i
     stays inside one sequence iff segment_of[j] == segment_of[i].
+    neighbors: the sorted ids of each row of adjacent, a view kept because
+    perfbench/layers.py reads it (ROADMAP item 8 deletes it).
     """
 
     poses: np.ndarray
     cluster_of: np.ndarray
     sequence_breaks: np.ndarray
-    neighbors: list
     k: int
     adjacent: np.ndarray = field(init=False, repr=False)
     segment_of: np.ndarray = field(init=False, repr=False)
+    neighbors: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.poses = np.asarray(self.poses, dtype=float)
         self.cluster_of = np.asarray(self.cluster_of, dtype=int)
         self.sequence_breaks = np.asarray(sorted(int(b) for b in self.sequence_breaks), dtype=int)
-        self.validate()
-        self.adjacent = _adjacency(self.neighbors, self.k)
-        self.neighbors = [np.flatnonzero(row) for row in self.adjacent]
-        self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
-
-    def validate(self) -> None:
         if self.poses.ndim != 2 or self.poses.shape[1] != 75:
             raise ValueError("bank poses must be (n, 75)")
         if self.cluster_of.shape != (len(self.poses),):
@@ -326,11 +306,13 @@ class ExemplarBank:
         for b in self.sequence_breaks:
             if not (0 < b < len(self.poses)):
                 raise ValueError("sequence break outside pose range")
+        self.adjacent = build_neighbor_graph(self.cluster_of, self.sequence_breaks, self.k)
+        self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
+        self.neighbors = [np.flatnonzero(row) for row in self.adjacent]
 
     @classmethod
     def build(cls, poses: np.ndarray, cluster_of: np.ndarray, sequence_breaks, k: int) -> "ExemplarBank":
-        nbrs = build_neighbor_graph(cluster_of, sequence_breaks, k)
-        return cls(poses, cluster_of, np.asarray(list(sequence_breaks), dtype=int), nbrs, k)
+        return cls(poses, cluster_of, sequence_breaks, k)
 
     def crosses_break(self, j: int, i: int) -> bool:
         """True when the step j -> i spans a sequence boundary."""
@@ -347,12 +329,13 @@ class ExemplarBank:
             "poses_file": poses_file,
             "cluster_of": self.cluster_of.tolist(),
             "sequence_breaks": self.sequence_breaks.tolist(),
-            "neighbors": [nb.tolist() for nb in self.neighbors],
         }
         write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "ExemplarBank":
+        """The bank save wrote; a neighbors key, which older files hold, is
+        ignored, since the graph is derived from cluster_of and the breaks."""
         rec = load_json_object(path)
         with model_fields(path):
             pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
@@ -362,6 +345,5 @@ class ExemplarBank:
                 poses,
                 integral_array(rec["cluster_of"], "cluster_of"),
                 integral_array(rec["sequence_breaks"], "sequence_breaks"),
-                rec["neighbors"],
                 integral(rec, "k"),
             )

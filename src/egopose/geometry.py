@@ -12,7 +12,7 @@ one strided view of the stream's (n, 9) stack of maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .records import read_records, write_records
+from .records import number, read_records, write_records
 
 
 @dataclass
@@ -72,6 +72,15 @@ class CameraIntrinsics:
             raise ValueError("camera intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "CameraIntrinsics":
+        """Intrinsics from a JSON object of fx, fy, cx, cy and optionally
+        skew; ValueError for any other key or a value that is no number."""
+        unknown = set(rec) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown camera keys: {sorted(unknown)}")
+        return cls(**{key: number(rec, key) for key in rec})
 
     @property
     def k(self) -> np.ndarray:

@@ -13,7 +13,6 @@ the knn.json of older bundles is ignored.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -50,7 +49,7 @@ from .pathopt import (
     solve_paper_dp,
     solve_path_cluster,
 )
-from .records import integral, load_json_object, model_fields, read_records, write_json_object, write_records
+from .records import integral, load_json_object, model_fields, number, read_records, write_json_object, write_records
 from .skeleton import Frame, Pose, PoseSequence, normalize_poses, save_pose_sequence
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
@@ -181,15 +180,15 @@ class TrainedModels:
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
         with model_fields(meta_path):  # every meta field is checked before the model files are read
-            kind, theta_sit = meta.get("classifier"), meta["theta_sit"]
+            kind, theta_sit = meta.get("classifier"), number(meta, "theta_sit")
             if kind not in ("forest", "knn"):
                 raise ValueError(f"classifier must be \"forest\" or \"knn\", found {kind!r}")
-            if type(theta_sit) not in (int, float) or not math.isfinite(theta_sit):
-                raise ValueError(f"theta_sit must be a finite number, found {json.dumps(theta_sit)}")
+            if not math.isfinite(theta_sit):
+                raise ValueError(f"theta_sit must be finite, found {theta_sit}")
             fields = {
                 "window": integral(meta, "window"),
                 "feature_mode": meta["feature_mode"],
-                "camera": CameraIntrinsics(**meta["camera"]) if "camera" in meta else None,
+                "camera": CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None,
                 "knn_k": integral(meta, "knn_k") if "knn_k" in meta else 30,
             }
             _check_feature_mode(fields["feature_mode"], fields["camera"])
@@ -204,7 +203,7 @@ class TrainedModels:
         return cls(
             cluster,
             bank,
-            float(theta_sit),
+            theta_sit,
             classifier=classifier,
             train_features=feats,
             train_feature_frames=frames,
@@ -239,7 +238,7 @@ def build_bank(
     cluster = kmeans(all_poses, k, seed=seed)
     if theta_sit is None:
         theta_sit = sit_stand_threshold(hip_heights(all_poses))
-    label_clusters(cluster, all_poses, theta_sit)
+    label_clusters(cluster, theta_sit)
     bank = ExemplarBank.build(all_poses, cluster.assignment, breaks, k)
     return cluster, bank, float(theta_sit)
 

@@ -63,6 +63,15 @@ def integral(rec: dict, key: str) -> int:
     raise ValueError(f"{key} must be an integer, found {json.dumps(val)}")
 
 
+def number(rec: dict, key: str) -> float:
+    """rec[key] as a float; ValueError unless it is a JSON number (so 1 and
+    1.5 read as 1.0 and 1.5, while true and "1.5" are errors)."""
+    val = rec[key]
+    if type(val) in (int, float):
+        return float(val)
+    raise ValueError(f"{key} must be a number, found {json.dumps(val)}")
+
+
 def integral_array(values, name: str) -> np.ndarray:
     """values as an int64 array; ValueError unless every entry is an
     integral number (so [0, 1.0] reads as [0, 1], while [0.5], [NaN],

@@ -16,14 +16,14 @@ script generates bit-identical data on every run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ScriptError
 from .geometry import CameraIntrinsics, Homography, save_correspondences, save_homographies
-from .records import load_json_object, model_fields, read_records, write_json_object, write_records
+from .records import integral, integral_array, load_json_object, model_fields, number, read_records, write_json_object, write_records
 from .skeleton import Frame, Joint, Pose, PoseSequence, save_pose_sequence
 from .classify import save_static
 
@@ -172,15 +172,18 @@ class MotionScript:
 
     @classmethod
     def from_json(cls, path) -> "MotionScript":
+        """The script a JSON file holds: segments as [primitive, frames]
+        pairs, and optionally seed and the three noise levels. A duration or
+        seed that is no integer, or a noise level that is no number, raises
+        ValueError naming the file."""
         rec = load_json_object(path)
         with model_fields(path):
-            return cls(
-                [(s, int(d)) for s, d in rec["segments"]],
-                seed=int(rec.get("seed", 0)),
-                joint_jitter=float(rec.get("joint_jitter", 0.004)),
-                pixel_noise=float(rec.get("pixel_noise", 0.5)),
-                translation_noise=float(rec.get("translation_noise", 0.0)),
-            )
+            prims = [s for s, _ in rec["segments"]]
+            durations = integral_array([d for _, d in rec["segments"]], "segment durations")
+            kw = {key: number(rec, key) for key in ("joint_jitter", "pixel_noise", "translation_noise") if key in rec}
+            if "seed" in rec:
+                kw["seed"] = integral(rec, "seed")
+            return cls(list(zip(prims, durations.tolist())), **kw)
 
 
 def default_camera() -> CameraIntrinsics:
@@ -213,7 +216,6 @@ class SynthResult:
         save_static(os.path.join(out_dir, files["static_h"]), self.static_h)
         labels = ({"t": n, "sitting": bool(sit)} for n, sit in enumerate(self.sit_labels))
         write_records(os.path.join(out_dir, files["labels"]), labels)
-        k = self.intrinsics
         manifest = {
             "files": files,
             "frames": len(self.poses),
@@ -223,7 +225,7 @@ class SynthResult:
             "joint_jitter": self.script.joint_jitter,
             "pixel_noise": self.script.pixel_noise,
             "translation_noise": self.script.translation_noise,
-            "intrinsics": {"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy, "skew": k.skew},
+            "intrinsics": asdict(self.intrinsics),
         }
         write_json_object(os.path.join(out_dir, "manifest.json"), manifest, indent=2)
         return manifest

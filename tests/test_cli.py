@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from egopose import (
+    CameraIntrinsics,
     ClusterModel,
     ExemplarBank,
     ForestModel,
@@ -28,8 +29,8 @@ from egopose import (
     train_models,
 )
 from egopose.classify import load_classifier
-from egopose.cli import main
-from egopose.synth import STAND_TEMPLATE
+from egopose.cli import _load_camera, main
+from egopose.synth import STAND_TEMPLATE, default_camera
 from test_classify import MALFORMED_FOREST_RECORDS
 
 SCRIPT = {
@@ -149,6 +150,8 @@ def test_synth_artifacts(workspace):
     assert manifest["frames"] == 110
     for name in ("poses.jsonl", "homographies.jsonl", "correspondences.jsonl", "static_h.jsonl", "labels.jsonl"):
         assert (data / name).exists()
+    # --camera reads a synth manifest's intrinsics as it reads a camera file
+    assert _load_camera(data / "manifest.json") == CameraIntrinsics(**manifest["intrinsics"]) == default_camera()
 
 
 def test_cluster_artifacts(workspace):
@@ -492,7 +495,7 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
 @pytest.mark.parametrize(
     "flag, field, value",
     [
-        ("--bank", "neighbors", 5),
+        ("--bank", "poses_file", 5),
         ("--bank", "cluster_of", None),
         ("--bank", "sequence_breaks", [[1]]),
         ("--cluster-model", "labels", 5),
@@ -580,6 +583,10 @@ def _infer_argv(workspace, tmp_path, *extra):
         ("--config", {"delta": None}),
         ("--config", {"k": True}),
         ("--config", {"feature_mode": 3}),
+        ("--camera", {"fx": "1.1", "fy": 1.1, "cx": 0.5, "cy": 0.375}),
+        ("--camera", {"fx": 1.1, "fy": True, "cx": 0.5, "cy": 0.375}),
+        ("--camera", {"fx": 1.1, "fy": 1.1, "cx": 0.5, "cy": 0.375, "k1": 0.1}),
+        ("--camera", {"intrinsics": {"fx": 1.1, "fy": 1.1, "cx": 0.5, "cy": 0.375, "skew": "0"}}),
     ],
 )
 def test_malformed_json_input_exits_3_naming_the_file(workspace, tmp_path, capsys, flag, content):
@@ -644,7 +651,17 @@ def test_unnormalized_homography_record_exits_4(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "script",
-    [{"segments": 5}, {"segments": [["walk"]]}, {"segments": [["fly", 5]]}, {"segments": [["walk", 5]], "seed": None}, [1]],
+    [
+        {"segments": 5},
+        {"segments": [["walk"]]},
+        {"segments": [["fly", 5]]},
+        {"segments": [["walk", 5]], "seed": None},
+        [1],
+        {"segments": [["walk", 40.7]]},
+        {"segments": [["stand_idle", 5], ["walk", "30"]]},
+        {"segments": [["walk", 5]], "seed": 2.5},
+        {"segments": [["walk", 5]], "joint_jitter": "0.004"},
+    ],
 )
 def test_malformed_script_exits_3_naming_the_file(tmp_path, capsys, script):
     bad = tmp_path / "bad.json"
@@ -995,7 +1012,7 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     assert np.array_equal(bank.poses, lib.bank.poses)
     assert np.array_equal(bank.cluster_of, lib.bank.cluster_of)
     assert bank.sequence_breaks.tolist() == lib.bank.sequence_breaks.tolist() == [len(seqs[0])]
-    assert [n.tolist() for n in bank.neighbors] == [n.tolist() for n in lib.bank.neighbors]
+    assert np.array_equal(bank.adjacent, lib.bank.adjacent)
     frames, feats, classes = load_features(d / "features.jsonl")
     assert np.array_equal(feats, lib.train_features)
     assert np.array_equal(frames, lib.train_feature_frames)

@@ -92,7 +92,7 @@ def ref_energy(trellis, path, params):
     for n in range(1, len(path)):
         j, i = path[n - 1], path[n]
         cj, ci = int(bank.cluster_of[j]), int(bank.cluster_of[i])
-        if ci not in set(int(x) for x in bank.neighbors[cj]):
+        if not bank.adjacent[cj, ci]:
             return None
         step = i - j
         lo, hi = min(i, j), max(i, j)
@@ -123,7 +123,7 @@ def ref_viterbi(trellis, delta):
     """
     bank = trellis.bank
     breaks = np.asarray(bank.sequence_breaks)
-    nbrs = [set(int(x) for x in bank.neighbors[c]) for c in range(bank.k)]
+    nbrs = [set(np.flatnonzero(row).tolist()) for row in bank.adjacent]
 
     idx0, e0 = trellis.frames[0]
     h = [float(v) for v in e0]
@@ -193,7 +193,7 @@ def _reference_paper_dp(trellis, params, keep_tables=False):
 
         for c in np.unique(clusters):
             rows = np.flatnonzero(clusters == c)
-            j_pos = [p for nb in bank.neighbors[int(c)] for p in by_cluster.get(int(nb), [])]
+            j_pos = [p for nb in np.flatnonzero(bank.adjacent[int(c)]) for p in by_cluster.get(int(nb), [])]
             if not j_pos:
                 continue
             j_pos = np.array(sorted(j_pos), dtype=int)  # ascending exemplar index
@@ -236,7 +236,7 @@ def _reference_cluster_viterbi(trellis, dists):
     """Cheapest neighbor-feasible cluster sequence under unary 1 - probs,
     scanning previous clusters in ascending id with strict improvement."""
     bank = trellis.bank
-    nbr_sets = [set(int(x) for x in bank.neighbors[c]) for c in range(bank.k)]
+    nbr_sets = [set(np.flatnonzero(row).tolist()) for row in bank.adjacent]
     present = [np.unique(bank.cluster_of[idx]) for idx, _ in trellis.frames]
     h = {int(c): 1.0 - float(dists[0][c]) for c in present[0]}
     back = []
@@ -887,15 +887,17 @@ def test_trellis_built_from_pruned_costs_solves_end_to_end():
 
 
 def _sparse_random_bank(rng):
-    """A bank of a few poses over a sparse random neighbor graph with one or
-    two sequence breaks; its last cluster has no member poses."""
+    """A bank over a sparse random neighbor graph: one two-pose sequence per
+    edge and a few one-cluster sequences, in random order, with a break
+    before each sequence; its last cluster has no member poses."""
     k = int(rng.integers(3, 7))
-    n = int(rng.integers(k, 14))
-    cluster_of = rng.integers(0, k - 1, size=n)
-    linked = rng.random((k, k)) < 0.3
-    adjacent = linked | linked.T | np.eye(k, dtype=bool)
-    breaks = sorted(set(rng.integers(1, n, size=2).tolist()))
-    return ExemplarBank(rng.normal(size=(n, 75)), cluster_of, breaks, [np.flatnonzero(r) for r in adjacent], k)
+    edges = np.argwhere(np.triu(rng.random((k - 1, k - 1)) < 0.3, 1))
+    lone = rng.integers(0, k - 1, size=int(rng.integers(1, 4)))
+    segments = [e[rng.permutation(2)] for e in edges] + [[c] * int(rng.integers(1, 3)) for c in lone]
+    segments = [segments[i] for i in rng.permutation(len(segments))]
+    cluster_of = np.concatenate(segments)
+    breaks = np.cumsum([len(seg) for seg in segments])[:-1]
+    return ExemplarBank(rng.normal(size=(len(cluster_of), 75)), cluster_of, breaks, k)
 
 
 def _relaxed_thresholds(t):

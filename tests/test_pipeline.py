@@ -342,6 +342,9 @@ def test_trained_models_save_load_parity(tmp_path):
         {"feature_mode": "sideways"},
         {"feature_mode": None},
         {"feature_mode": "rotation"},  # the bundle holds no camera
+        {"camera": {"fx": True, "fy": 1.0, "cx": 0.5, "cy": 0.4}},
+        {"camera": {"fx": 1.0, "fy": "1.1", "cx": 0.5, "cy": 0.4}},
+        {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": 0.4, "focal": 1.0}},
     ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):

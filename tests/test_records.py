@@ -17,7 +17,7 @@ from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
 from egopose.pipeline import load_features, save_features
-from egopose.records import integral_array, load_json_object, read_records
+from egopose.records import integral_array, load_json_object, number, read_records
 from egopose.skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from egopose.synth import MotionScript, generate, load_labels
 
@@ -191,3 +191,11 @@ def test_integer_lists_read_integral_floats_as_ints():
     got = integral_array([0, 2.0, -3], "ids")
     assert got.dtype == np.int64 and got.tolist() == [0, 2, -3]
     assert integral_array([], "ids").tolist() == []
+
+
+def test_numbers_are_checked_not_cast():
+    rec = {"a": 1, "b": 1.5, "t": True, "s": "1.5", "n": None}
+    assert type(number(rec, "a")) is float and number(rec, "a") == 1.0 and number(rec, "b") == 1.5
+    for key in ("t", "s", "n"):
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            number(rec, key)
