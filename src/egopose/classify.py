@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
-from .records import integral, integral_array, load_json_object, model_fields, read_records
+from .records import integral, integral_array, load_json_object, model_fields, number, number_array, read_records
 from .records import write_json_object, write_records
 from .sqdist import SAFE_NORM, rounding_margin
 
@@ -70,10 +70,10 @@ class ForestModel:
         tree, and each leaf normalizes to a class distribution."""
         for name in _NODE_ARRAYS:
             values = getattr(self, name)
-            a = np.asarray(values) if name == "thresh" else integral_array(values, name)
-            if a.ndim != 1 or a.dtype.kind not in "iuf":
+            a = number_array(values, name) if name == "thresh" else integral_array(values, name)
+            if a.ndim != 1:
                 raise ValueError(f"{name} must be a list of numbers")
-            setattr(self, name, a.astype(float) if name == "thresh" else a)
+            setattr(self, name, a)
         n, roots = len(self.feat), self.roots
         lengths = (len(self.thresh), len(self.right), len(self.leaf_ptr) - 1, len(self.leaf_count))
         if lengths != (n, n, n, len(self.leaf_class)):
@@ -428,7 +428,7 @@ class KnnModel:
 
     @classmethod
     def from_record(cls, rec: dict) -> "KnnModel":
-        return cls(np.array(rec["features"], dtype=float), rec["classes"], integral(rec, "n_classes"))
+        return cls(number_array(rec["features"], "features"), rec["classes"], integral(rec, "n_classes"))
 
     @classmethod
     def load(cls, path) -> "KnnModel":
@@ -487,7 +487,7 @@ def save_static(path, h: np.ndarray) -> None:
 
 
 def load_static(path, expected_frames: int | None = None) -> np.ndarray:
-    h = check_static(list(read_records(path, lambda rec: float(rec["h"]))))
+    h = check_static(list(read_records(path, lambda rec: number(rec, "h"))))
     if expected_frames is not None and len(h) != expected_frames:
         raise LengthMismatch(f"static file holds {len(h)} frames, expected {expected_frames}")
     return h

@@ -3,12 +3,15 @@
 One JSON config carries every tunable (cost and path parameters, cluster
 count, feature window); explicit flags override config values. Errors print
 a machine-readable JSON object on stderr. Exit codes: 0 success, 2 usage or
-config error, 3 data error, 4 infeasible or degenerate input.
+config error, 3 data error, 4 infeasible or degenerate input, 141 (128 +
+SIGPIPE) when the reader of stdout closed it; output files are written
+before anything is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,7 +50,7 @@ from .pipeline import (
     normalized_matrix,
     save_features,
 )
-from .records import load_json_object, model_fields, read_records
+from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from .synth import MotionScript, generate
 
@@ -66,6 +69,8 @@ DEFAULT_CONFIG = {
     "knn_k": 30,
     "seed": 0,
 }
+# config keys read as integral numbers; the other numbers may be fractional
+_INTEGRAL_KEYS = ("k", "window", "trees", "knn_k", "seed")
 
 _DEGENERATE = (
     Infeasible,
@@ -101,7 +106,9 @@ def _load_config(args) -> dict:
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
             for key, val in loaded.items():
-                if _json_type(val) != _json_type(cfg[key]):
+                if key in _INTEGRAL_KEYS:
+                    loaded[key] = integral(loaded, key)
+                elif _json_type(val) != _json_type(cfg[key]):
                     raise TypeError(f"config {key} must be a {_json_type(cfg[key])}, found {val!r}")
         cfg.update(loaded)
     for key in cfg:
@@ -112,7 +119,7 @@ def _load_config(args) -> dict:
 
 
 def _knn_k(cfg) -> int:
-    k = int(cfg["knn_k"])
+    k = cfg["knn_k"]
     if k < 1:
         raise ValueError(f"knn_k must be at least 1, got {k}")
     return k
@@ -177,32 +184,34 @@ def cmd_cluster(args):
     streams = [_load_stream(path) for path in paths]
     if streams:  # before the k-means
         _check_lengths(sequences, streams)
-    model, bank, _ = build_bank(sequences, int(cfg["k"]), int(cfg["seed"]))
+    model, bank = build_bank(sequences, cfg["k"], cfg["seed"])
     if streams:  # built before anything is written
         camera = _load_camera(args.camera) if args.camera else None
-        feats, frames = build_features(sequences, streams, int(cfg["window"]), cfg["feature_mode"], camera)
+        feats, frames = build_features(sequences, streams, cfg["window"], cfg["feature_mode"], camera)
 
     model.save(_ensure_parent(args.out))
     bank_out = args.bank_out or os.path.join(os.path.dirname(os.path.abspath(args.out)), "bank.json")
     bank.save(_ensure_parent(bank_out))
-    print(f"k-means objective: {model.objective:.6f} after {model.n_iter} iterations")
     if streams:
         feat_out = args.features_out or os.path.join(
             os.path.dirname(os.path.abspath(args.out)), "features.jsonl"
         )
-        save_features(_ensure_parent(feat_out), frames, feats, bank.cluster_of[frames])
+        save_features(_ensure_parent(feat_out), frames, feats)
+    print(f"k-means objective: {model.objective:.6f} after {model.n_iter} iterations")
+    if streams:
         print(f"wrote {len(frames)} feature rows to {feat_out}")
     return 0
 
 
 def cmd_train(args):
     cfg = _load_config(args)
-    _, x, classes = load_features(args.features)
+    bank = ExemplarBank.load(args.bank)
+    frames, x = load_features(args.features, len(bank.poses))
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
-    n_classes = ExemplarBank.load(args.bank).k if args.bank else int(classes.max()) + 1
+    classes, n_classes = bank.cluster_of[frames], bank.k
     k = _knn_k(cfg) if args.classifier == "knn" else None
-    model = fit_classifier(args.classifier, x, classes, n_classes, int(cfg["trees"]), int(cfg["seed"]))
+    model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"])
     model.save(_ensure_parent(args.out))
     if args.classifier == "forest":
         print(f"oob accuracy: {model.oob_accuracy:.4f}")
@@ -236,14 +245,13 @@ def cmd_infer(args):
     if args.solver == "kdtree":
         if not args.features:
             raise ValueError("solver kdtree needs --features")
-        train_frames, train_feats, _ = load_features(args.features)
+        train_frames, train_feats = load_features(args.features, len(bank.poses))
 
     camera = _load_camera(args.camera) if args.camera else None
     models = TrainedModels(
         cluster,
         bank,
-        theta_sit=0.0,
-        window=int(cfg["window"]),
+        window=cfg["window"],
         feature_mode=cfg["feature_mode"],
         camera=camera,
         classifier=classifier,
@@ -327,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the per-frame cluster classifier")
     p.add_argument("--features", required=True, help="feature JSONL from cluster")
-    p.add_argument("--bank", help="bank JSON, fixes the class count")
+    p.add_argument("--bank", required=True, help="bank JSON: each feature row's class is its pose's cluster")
     p.add_argument("--classifier", choices=("forest", "knn"), default="forest")
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--knn-k", dest="knn_k", type=int, default=None)
@@ -373,7 +381,14 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
     }
     try:
-        return handlers[args.cmd](args)
+        code = handlers[args.cmd](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout is gone
+        with contextlib.suppress(OSError, ValueError):  # a stdout that is no file reaches no pipe
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # so that the flush at exit raises nothing
+        return 141
     except _DEGENERATE as e:
         return _fail(e, 4)
     except EgoPoseError as e:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooFewPoses
-from .records import integral, integral_array, load_json_object, model_fields, write_json_object
+from .records import integral, integral_array, load_json_object, model_fields, number_array, write_json_object
 from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
 from .sqdist import SAFE_NORM, rounding_margin
 
@@ -49,24 +49,17 @@ class ClusterModel:
         if self.labels is not None and len(self.labels) != len(self.centroids):
             raise ValueError("one label per centroid required")
 
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
-
     def save(self, path) -> None:
-        rec = {
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "labels": [l.value for l in self.labels] if self.labels else None,
-        }
+        rec = {"centroids": self.centroids.tolist(), "labels": [l.value for l in self.labels] if self.labels else None}
         write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
+        """The model save wrote; the k key of older files is ignored."""
         rec = load_json_object(path)
         with model_fields(path):
             labels = [SitStand(l) for l in rec["labels"]] if rec.get("labels") else None
-            return cls(np.array(rec["centroids"], dtype=float), labels)
+            return cls(number_array(rec["centroids"], "centroids"), labels)
 
 
 def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterModel:

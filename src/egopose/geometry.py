@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .records import number, read_records, write_records
+from .records import number, number_array, read_records, write_records
 
 
 @dataclass
@@ -105,9 +105,9 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
 
 def _point_pairs(src, dst):
     """src and dst as float arrays; ValueError unless they are matching
-    (n, 2) arrays."""
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
+    (n, 2) arrays of numbers."""
+    src = number_array(src, "src")
+    dst = number_array(dst, "dst")
     if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
         raise ValueError("src and dst must be matching (n, 2) arrays")
     return src, dst
@@ -224,7 +224,7 @@ def save_homographies(path, hs) -> None:
 
 
 def load_homographies(path) -> list:
-    return list(read_records(path, lambda rec: Homography(np.array(rec["h"], dtype=float).reshape(3, 3))))
+    return list(read_records(path, lambda rec: Homography(number_array(rec["h"], "h").reshape(3, 3))))
 
 
 def save_correspondences(path, pairs) -> None:

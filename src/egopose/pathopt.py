@@ -45,7 +45,7 @@ import numpy as np
 from .clustering import ExemplarBank
 from .costs import UnaryCosts
 from .errors import Infeasible, InfeasiblePath, StateExplosion, TooLarge
-from .records import write_json_object, write_records
+from .records import write_records
 
 
 @dataclass
@@ -151,9 +151,6 @@ class PosePath:
     def save(self, path, bank: ExemplarBank) -> None:
         recs = ({"t": n, "exemplar": int(i), "cluster": int(bank.cluster_of[i])} for n, i in enumerate(self.indices))
         write_records(path, recs)
-
-    def save_energy(self, path) -> None:
-        write_json_object(path, self.energy_dict())
 
 
 def step_weight(j: int, i: int, bank: ExemplarBank, params: PathParams) -> float:

@@ -4,16 +4,15 @@ A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature configuration needed to reproduce the classifier's inputs at
 inference time. TrainedModels.save writes clusters.json, bank.json with
-bank_poses.jsonl, features.jsonl (a {t, v, class} row per training frame),
-forest.json for a forest, and meta.json (theta_sit, window, feature_mode,
-classifier "forest" or "knn", knn_k, camera if set). A kNN model is its
-training rows, kept only in features.jsonl and rebuilt with the bank's k;
-the knn.json of older bundles is ignored.
+bank_poses.jsonl, features.jsonl (a {t, v} row per training frame, whose
+class is bank.cluster_of[t]), forest.json for a forest, and meta.json
+(window, feature_mode, classifier "forest" or "knn", knn_k, camera if set).
+A kNN model is its training rows, kept only in features.jsonl. What older
+bundles also hold (a row's class, theta_sit, knn.json) is ignored.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -49,8 +48,8 @@ from .pathopt import (
     solve_paper_dp,
     solve_path_cluster,
 )
-from .records import integral, load_json_object, model_fields, number, read_records, write_json_object, write_records
-from .skeleton import Frame, Pose, PoseSequence, normalize_poses, save_pose_sequence
+from .records import integral, load_json_object, model_fields, number_array, read_records, write_json_object, write_records
+from .skeleton import Frame, Pose, PoseSequence, normalize_poses
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -103,25 +102,29 @@ def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray
     return x
 
 
-def save_features(path, frames, x: np.ndarray, classes) -> None:
+def save_features(path, frames, x: np.ndarray) -> None:
+    """One {"t", "v"} row per training frame: its bank pose and features."""
     rows = np.asarray(x, dtype=float)  # one row at a time to lists, never the whole matrix
-    recs = ({"t": int(t), "v": v.tolist(), "class": int(c)} for t, v, c in zip(frames, rows, classes))
-    write_records(path, recs)
+    write_records(path, ({"t": int(t), "v": v.tolist()} for t, v in zip(frames, rows)))
 
 
-def load_features(path):
+def load_features(path, n_poses: int):
+    """(frames, x) of a feature file over a bank of n_poses poses; ValueError
+    naming path:line for a t outside [0, n_poses). An older row's class is ignored."""
     rows = []
 
     def record(rec):
-        v = np.array(rec["v"], dtype=float)
+        t = integral(rec, "t")
+        if not 0 <= t < n_poses:
+            raise ValueError(f"t must index one of the bank's {n_poses} poses, found {t}")
+        v = number_array(rec["v"], "v")
         if v.ndim != 1 or (rows and len(v) != len(rows[0])):
             raise ValueError(f"feature v must be a flat list as long as the first row's, found shape {v.shape}")
         rows.append(v)
-        return integral(rec, "t"), integral(rec, "class")
+        return t
 
-    frames_classes = list(read_records(path, record))
-    x = np.stack(rows) if rows else np.empty((0, 0))
-    return np.array([t for t, _ in frames_classes], dtype=int), x, np.array([c for _, c in frames_classes], dtype=int)
+    frames = np.array(list(read_records(path, record)), dtype=int)
+    return frames, np.stack(rows) if rows else np.empty((0, 0))
 
 
 def _classifier_kind(model) -> str:
@@ -137,7 +140,6 @@ def _classifier_kind(model) -> str:
 class TrainedModels:
     cluster: ClusterModel
     bank: ExemplarBank
-    theta_sit: float
     window: int = 30
     feature_mode: str = "homography"
     camera: CameraIntrinsics | None = None
@@ -162,10 +164,8 @@ class TrainedModels:
         if kind == "forest":
             self.classifier.save(os.path.join(out_dir, "forest.json"))
         if self.train_features is not None:
-            frames, path = self.train_feature_frames, os.path.join(out_dir, "features.jsonl")
-            save_features(path, frames, self.train_features, self.bank.cluster_of[frames])
+            save_features(os.path.join(out_dir, "features.jsonl"), self.train_feature_frames, self.train_features)
         meta = {
-            "theta_sit": self.theta_sit,
             "window": self.window,
             "feature_mode": self.feature_mode,
             "classifier": kind,
@@ -180,11 +180,9 @@ class TrainedModels:
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
         with model_fields(meta_path):  # every meta field is checked before the model files are read
-            kind, theta_sit = meta.get("classifier"), number(meta, "theta_sit")
+            kind = meta.get("classifier")
             if kind not in ("forest", "knn"):
                 raise ValueError(f"classifier must be \"forest\" or \"knn\", found {kind!r}")
-            if not math.isfinite(theta_sit):
-                raise ValueError(f"theta_sit must be finite, found {theta_sit}")
             fields = {
                 "window": integral(meta, "window"),
                 "feature_mode": meta["feature_mode"],
@@ -197,13 +195,14 @@ class TrainedModels:
         feats = frames = None
         feat_path = os.path.join(in_dir, "features.jsonl")
         if kind == "knn" or os.path.exists(feat_path):  # a kNN model is its features
-            frames, feats, classes = load_features(feat_path)
-        forest_path = os.path.join(in_dir, "forest.json")
-        classifier = KnnModel(feats, classes, bank.k) if kind == "knn" else ForestModel.load(forest_path)
+            frames, feats = load_features(feat_path, len(bank.poses))
+        if kind == "knn":
+            classifier = KnnModel(feats, bank.cluster_of[frames], bank.k)
+        else:
+            classifier = ForestModel.load(os.path.join(in_dir, "forest.json"))
         return cls(
             cluster,
             bank,
-            theta_sit,
             classifier=classifier,
             train_features=feats,
             train_feature_frames=frames,
@@ -211,21 +210,14 @@ class TrainedModels:
         )
 
 
-def build_bank(
-    sequences,
-    k: int = 300,
-    seed: int = 0,
-    theta_sit: float | None = None,
-    up: np.ndarray = UP_AXIS,
-):
+def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS):
     """Cluster the training poses, label the clusters sitting- or
     standing-like, and build the exemplar bank with its neighbor graph.
 
     The sequences are stacked in order; each sequence start after the first
-    becomes a bank break, so neighbor edges never span two recordings.
-    theta_sit=None estimates the sit/stand hip-height threshold from the
-    poses. Returns (cluster model, bank, theta_sit); bank.cluster_of holds
-    each stacked pose's cluster.
+    becomes a bank break, so neighbor edges never span two recordings. The
+    sit/stand hip-height threshold is estimated from the poses. Returns
+    (cluster model, bank); bank.cluster_of holds each stacked pose's cluster.
     """
     mats, breaks, offset = [], [], 0
     for seq in sequences:
@@ -236,11 +228,8 @@ def build_bank(
     all_poses = np.vstack(mats)
 
     cluster = kmeans(all_poses, k, seed=seed)
-    if theta_sit is None:
-        theta_sit = sit_stand_threshold(hip_heights(all_poses))
-    label_clusters(cluster, theta_sit)
-    bank = ExemplarBank.build(all_poses, cluster.assignment, breaks, k)
-    return cluster, bank, float(theta_sit)
+    label_clusters(cluster, sit_stand_threshold(hip_heights(all_poses)))
+    return cluster, ExemplarBank.build(all_poses, cluster.assignment, breaks, k)
 
 
 def _check_lengths(sequences, homographies_per_seq) -> None:
@@ -302,7 +291,6 @@ def train_models(
     n_trees: int = 100,
     knn_k: int = 30,
     seed: int = 0,
-    theta_sit: float | None = None,
     up: np.ndarray = UP_AXIS,
 ) -> TrainedModels:
     """Build the bank (build_bank) and the training features
@@ -310,13 +298,12 @@ def train_models(
     with each frame's cluster as its class.
     """
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
-    cluster, bank, theta_sit = build_bank(sequences, k, seed, theta_sit, up)
+    cluster, bank = build_bank(sequences, k, seed, up)
     features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
     model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed)
     return TrainedModels(
         cluster,
         bank,
-        theta_sit,
         window=window,
         feature_mode=feature_mode,
         camera=camera,
@@ -334,14 +321,6 @@ class InferenceResult:
     path: PosePath | None  # None for the non-path solvers
     dists: np.ndarray  # (M, K) classifier outputs
     timings: dict = field(default_factory=dict)
-
-    def save(self, out_dir, bank: ExemplarBank | None = None) -> None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_pose_sequence(os.path.join(out_dir, "poses.jsonl"), self.poses, times=self.centers)
-        if self.path is not None and bank is not None:
-            self.path.save(os.path.join(out_dir, "path.jsonl"), bank)
-            self.path.save_energy(os.path.join(out_dir, "energy.json"))
-        write_json_object(os.path.join(out_dir, "timings.json"), self.timings, indent=2)
 
 
 def infer(

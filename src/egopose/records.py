@@ -5,6 +5,7 @@ line for a stream; an EgoPoseError raised while converting a record passes
 through unchanged.
 """
 
+import itertools
 import json
 from contextlib import contextmanager
 
@@ -72,19 +73,34 @@ def number(rec: dict, key: str) -> float:
     raise ValueError(f"{key} must be a number, found {json.dumps(val)}")
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """values as an array; ValueError unless every entry is a number. NumPy
+    casts a boolean among numbers to 0 or 1, so a list is checked for one
+    at every depth of nesting; an array is trusted to its dtype."""
+    a, entries = np.asarray(values), values
+    for _ in range(a.ndim - 1):  # lazily, down to the entries
+        entries = itertools.chain.from_iterable(entries)
+    if a.dtype.kind not in "iuf" or (isinstance(values, list) and {bool, np.bool_} & set(map(type, entries))):
+        raise ValueError(f"{name} must be a list of numbers")
+    return a
+
+
 def integral_array(values, name: str) -> np.ndarray:
     """values as an int64 array; ValueError unless every entry is an
     integral number (so [0, 1.0] reads as [0, 1], while [0.5], [NaN],
-    ["1"] and [0, true] are errors). NumPy casts a boolean among numbers to
-    0 or 1, so a list is checked for one; an array is trusted to its dtype."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iuf" or (isinstance(values, list) and bool in set(map(type, values))):
-        raise ValueError(f"{name} must be a list of numbers")
+    ["1"] and [0, true] are errors)."""
+    a = _numbers(values, name)
     with np.errstate(invalid="ignore"):  # NaN or inf cast to an int: unequal below
         ints = a.astype(np.int64)
     if not np.array_equal(ints, a):
         raise ValueError(f"{name} must hold integers")
     return ints
+
+
+def number_array(values, name: str) -> np.ndarray:
+    """values as a float array of any shape; ValueError unless every entry
+    is a number (so [1, 1.5] reads as [1.0, 1.5]; ["1.5"] and [[true]] fail)."""
+    return _numbers(values, name).astype(float, copy=False)
 
 
 def write_json_object(path, rec, indent=None) -> None:

@@ -16,7 +16,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .errors import DegeneratePose, FrameMismatch
-from .records import integral, read_records, write_records
+from .records import integral, number_array, read_records, write_records
 
 N_JOINTS = 25
 
@@ -199,7 +199,7 @@ def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
         if times and t <= times[-1]:
             raise ValueError("frame indices must increase")
         times.append(t)
-        return Pose(np.array(rec["joints"], dtype=float), Frame(rec["frame"]))
+        return Pose(number_array(rec["joints"], "joints"), Frame(rec["frame"]))
 
     poses = list(read_records(path, pose))
     return PoseSequence(poses, frame_rate_hz), np.array(times, dtype=int)

@@ -143,16 +143,16 @@ class MotionScript:
     translation_noise: float = 0.0  # pixels; fakes parallax from camera translation
 
     def __post_init__(self):
+        """ValueError for a duration that is no integral number (40.7, "30",
+        True); ScriptError for an empty script or an impossible segment."""
         if not self.segments:
             raise ScriptError("script needs at least one segment")
-        parsed = []
-        for prim, dur in self.segments:
-            prim = Primitive(prim)
-            dur = int(dur)
+        prims = [Primitive(prim) for prim, _ in self.segments]
+        durations = integral_array([dur for _, dur in self.segments], "segment durations").tolist()
+        for prim, dur in zip(prims, durations):
             if dur < 1:
                 raise ScriptError(f"{prim.value}: duration must be at least one frame")
-            parsed.append((prim, dur))
-        self.segments = parsed
+        self.segments = list(zip(prims, durations))
         seated = self.segments[0][0] in (Primitive.SIT_IDLE, Primitive.STAND_UP)
         for prim, _ in self.segments:
             if prim in _STANDING_ONLY or prim == Primitive.SIT_DOWN:
@@ -178,12 +178,10 @@ class MotionScript:
         ValueError naming the file."""
         rec = load_json_object(path)
         with model_fields(path):
-            prims = [s for s, _ in rec["segments"]]
-            durations = integral_array([d for _, d in rec["segments"]], "segment durations")
             kw = {key: number(rec, key) for key in ("joint_jitter", "pixel_noise", "translation_noise") if key in rec}
             if "seed" in rec:
                 kw["seed"] = integral(rec, "seed")
-            return cls(list(zip(prims, durations.tolist())), **kw)
+            return cls(rec["segments"], **kw)
 
 
 def default_camera() -> CameraIntrinsics:

@@ -6,13 +6,19 @@ codes (0 success, 2 usage, 3 data error, 4 degenerate input), JSON error
 objects on stderr, and byte-identical rerun determinism.
 """
 
+import io
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import egopose
 from egopose import (
     CameraIntrinsics,
     ClusterModel,
@@ -32,6 +38,7 @@ from egopose.classify import load_classifier
 from egopose.cli import _load_camera, main
 from egopose.synth import STAND_TEMPLATE, default_camera
 from test_classify import MALFORMED_FOREST_RECORDS
+from test_pipeline import as_older_files
 
 SCRIPT = {
     "segments": [
@@ -157,13 +164,13 @@ def test_synth_artifacts(workspace):
 def test_cluster_artifacts(workspace):
     models = workspace["models"]
     clusters = json.loads((models / "clusters.json").read_text())
-    assert len(clusters["labels"]) == 8
+    assert list(clusters) == ["centroids", "labels"] and len(clusters["labels"]) == 8
     bank = json.loads((models / "bank.json").read_text())
     assert bank["k"] == 8
     rows = [json.loads(x) for x in (models / "features.jsonl").read_text().splitlines() if x]
     assert len(rows) == 103  # frames 3..105 carry a full 8-frame window
     assert len(rows[0]["v"]) == 9 * 7
-    assert all(0 <= r["class"] < 8 for r in rows)
+    assert all(list(r) == ["t", "v"] for r in rows)  # a row's class is its bank pose's cluster
 
 
 def test_infer_artifacts(workspace):
@@ -361,7 +368,9 @@ def test_knn_classifier_via_cli(workspace, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     # each row votes with its 5 nearest other rows, by a naive full sort
-    _, x, classes = load_features(models / "features.jsonl")
+    bank = ExemplarBank.load(models / "bank.json")
+    frames, x = load_features(models / "features.jsonl", len(bank.poses))
+    classes = bank.cluster_of[frames]
     hits = 0
     for i, v in enumerate(x):
         d2 = ((x - v) ** 2).sum(axis=1)
@@ -420,6 +429,9 @@ def test_usage_errors_exit_2(workspace):
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
         main(["explode", "--now"])
+    assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--features", "f.jsonl", "--out", "m.json"])  # the bank gives each row its class
     assert e.value.code == 2
 
 
@@ -587,6 +599,11 @@ def _infer_argv(workspace, tmp_path, *extra):
         ("--camera", {"fx": 1.1, "fy": True, "cx": 0.5, "cy": 0.375}),
         ("--camera", {"fx": 1.1, "fy": 1.1, "cx": 0.5, "cy": 0.375, "k1": 0.1}),
         ("--camera", {"intrinsics": {"fx": 1.1, "fy": 1.1, "cx": 0.5, "cy": 0.375, "skew": "0"}}),
+        ("--config", {"k": 20.5}),  # integral keys are checked, not truncated
+        ("--config", {"window": 7.9}),
+        ("--config", {"trees": 2.5}),
+        ("--config", {"knn_k": 5.5}),
+        ("--config", {"seed": 1.5}),
     ],
 )
 def test_malformed_json_input_exits_3_naming_the_file(workspace, tmp_path, capsys, flag, content):
@@ -603,10 +620,11 @@ def test_config_values_keep_their_json_type(tmp_path):
     from egopose.cli import _load_config
 
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"speed_gamma": 2.5, "delta": 1, "feature_mode": "rotation"}))
+    cfg.write_text(json.dumps({"speed_gamma": 2.5, "delta": 1, "feature_mode": "rotation", "window": 8.0}))
     loaded = _load_config(SimpleNamespace(config=str(cfg)))
     assert loaded["speed_gamma"] == 2.5
     assert type(loaded["delta"]) is int and loaded["feature_mode"] == "rotation"
+    assert type(loaded["window"]) is int and loaded["window"] == 8
 
 
 @pytest.mark.parametrize("bad_line", [0, 1])
@@ -797,21 +815,34 @@ def test_cluster_with_non_finite_intrinsics_exits_3(workspace, tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", [-1, 8])
-def test_train_class_id_outside_bank_exits_3(workspace, tmp_path, capsys, bad):
+def test_train_takes_each_row_class_from_the_bank(workspace, tmp_path):
     models = workspace["models"]
+    bank = ExemplarBank.load(models / "bank.json")
     rows = [json.loads(line) for line in (models / "features.jsonl").read_text().splitlines()]
-    rows[3]["class"] = bad  # the bank holds 8 clusters
+    shifted = tmp_path / "shifted.jsonl"  # an older file's class key, contradicting the bank: ignored
+    shifted.write_text("".join(json.dumps({**r, "class": (int(bank.cluster_of[r["t"]]) + 1) % 8}) + "\n" for r in rows))
+    train = ["train", "--features", str(shifted), "--bank", str(models / "bank.json"), "--trees", "15"]
+    assert main(train + ["--out", str(tmp_path / "forest.json")]) == 0
+    assert (tmp_path / "forest.json").read_bytes() == (models / "forest.json").read_bytes()
+
+
+@pytest.mark.parametrize("t", ["-1", "n_poses"])
+def test_feature_row_outside_the_bank_exits_3_naming_its_line(workspace, tmp_path, capsys, t):
+    models = workspace["models"]
+    n_poses = len(ExemplarBank.load(models / "bank.json").poses)
+    lines = (models / "features.jsonl").read_text().splitlines()
+    lines[3] = json.dumps({**json.loads(lines[3]), "t": -1 if t == "-1" else n_poses})
     feats = tmp_path / "features.jsonl"
-    feats.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    for classifier in ("knn", "forest"):
-        rc = main(
-            ["train", "--features", str(feats), "--bank", str(models / "bank.json")]
-            + ["--classifier", classifier, "--trees", "2", "--out", str(tmp_path / "model.json")]
-        )
-        assert rc == 3
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "DimMismatch"
-        assert not (tmp_path / "model.json").exists()
+    feats.write_text("\n".join(lines) + "\n")
+    train = ["train", "--features", str(feats), "--bank", str(models / "bank.json"), "--trees", "2"]
+    runs = [train + ["--classifier", kind, "--out", str(tmp_path / "model.json")] for kind in ("forest", "knn")]
+    runs.append(_infer_argv(workspace, tmp_path, "--solver", "kdtree", "--features", str(feats)))
+    for argv in runs:
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{feats}:4: t must index one of the bank's {n_poses} poses")
+    assert os.listdir(tmp_path) == ["features.jsonl"]
 
 
 def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monkeypatch):
@@ -1013,11 +1044,10 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     assert np.array_equal(bank.cluster_of, lib.bank.cluster_of)
     assert bank.sequence_breaks.tolist() == lib.bank.sequence_breaks.tolist() == [len(seqs[0])]
     assert np.array_equal(bank.adjacent, lib.bank.adjacent)
-    frames, feats, classes = load_features(d / "features.jsonl")
+    frames, feats = load_features(d / "features.jsonl", len(bank.poses))
     assert np.array_equal(feats, lib.train_features)
     assert np.array_equal(frames, lib.train_feature_frames)
     assert frames.max() > len(seqs[0])  # the second recording's rows are offset
-    assert np.array_equal(classes, lib.bank.cluster_of[frames])
     back = ForestModel.load(d / "forest.json")
     for name in ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count"):
         assert np.array_equal(getattr(back, name), getattr(lib.classifier, name))
@@ -1033,6 +1063,71 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     assert np.array_equal(knn.features, lib_knn.features)
     assert np.array_equal(knn.classes, lib_knn.classes)
     assert knn.n_classes == lib_knn.n_classes == 8
+
+
+def _decode_over(workspace, d, capsys, *flags):
+    """The energy line and the output files of one infer over the model files
+    in d; "{d}" in a flag stands for d."""
+    out = d / "out" / "path.jsonl"
+    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
+    argv += ["--static-h", str(workspace["data"] / "static_h.jsonl"), "--window", "8"]
+    argv += ["--bank", str(d / "bank.json"), "--cluster-model", str(d / "clusters.json")]
+    assert main(argv + [f.format(d=d) for f in flags] + ["--out", str(out)]) == 0
+    energy = [line for line in capsys.readouterr().out.splitlines() if line.startswith("energy: ")]
+    files = {p.name: p.read_bytes() for p in out.parent.iterdir()}
+    shutil.rmtree(out.parent)
+    return energy, files
+
+
+def test_model_files_in_the_older_format_decode_the_same(workspace, tmp_path, capsys):
+    models = workspace["models"]
+    for name in ("new", "old"):
+        shutil.copytree(models, tmp_path / name)
+    knn = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    assert main(knn + ["--classifier", "knn", "--out", str(tmp_path / "new" / "knn.json")]) == 0
+    shutil.copy(tmp_path / "new" / "knn.json", tmp_path / "old" / "knn.json")  # a format that did not change
+    as_older_files(tmp_path / "old")
+    capsys.readouterr()
+    for flags in (
+        ["--classifier-model", "{d}/forest.json"],
+        ["--classifier-model", "{d}/knn.json"],
+        ["--solver", "kdtree", "--features", "{d}/features.jsonl"],
+    ):
+        new, old = (_decode_over(workspace, tmp_path / name, capsys, *flags) for name in ("new", "old"))
+        assert new == old
+        assert len(new[0]) == (flags[0] != "--solver") and len(new[1]) == 1 + len(new[0])
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_after_writing_the_outputs(workspace, tmp_path, capsys, monkeypatch):
+    assert main(_infer_argv(workspace, tmp_path / "open")) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(_infer_argv(workspace, tmp_path / "closed")) == 141
+    monkeypatch.undo()
+    assert capsys.readouterr().err == ""
+    for name in ("p.jsonl", "p_poses.jsonl"):
+        assert (tmp_path / "closed" / name).read_bytes() == (tmp_path / "open" / name).read_bytes()
+
+
+def test_closed_stdout_prints_nothing_at_exit(tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"segments": [["stand_idle", 5]]}))
+    src = str(Path(egopose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["synth", "--script", str(script), "--out-dir", str(tmp_path / "d")]
+    cmd = [sys.executable, "-c", "import sys; from egopose.cli import main; sys.exit(main())", *argv]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # no reader left: the first write to stdout fails
+    err = proc.communicate(timeout=120)[1]
+    assert (proc.returncode, err) == (141, b"")
+    assert (tmp_path / "d" / "poses.jsonl").exists()
 
 
 def test_infer_reruns_are_byte_identical(workspace, tmp_path):

@@ -233,7 +233,7 @@ def test_assign_cluster_exact_centroid_and_identity():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(30, 75))
     m = kmeans(x, 9, seed=0)
-    for j in range(m.k):
+    for j in range(len(m.centroids)):
         assert assign_cluster(m, m.centroids[j]) == j
     assert assign_cluster(m, m.centroids[7]) == 7
 
@@ -480,7 +480,7 @@ def test_cluster_model_file_round_trip(tmp_path):
     back = ClusterModel.load(path)
     assert np.allclose(back.centroids, m.centroids)
     assert back.labels == m.labels
-    assert back.k == 4
+    assert len(back.centroids) == 4
 
 
 @pytest.mark.parametrize("field, value", [("centroids", {"a": 1}), ("centroids", [[0.0] * 74]), ("labels", 5), ("labels", ["sideways"])])
@@ -519,7 +519,6 @@ def test_model_writers_match_json_dump(tmp_path):
             label_clusters(model, sit_stand_threshold(hip_heights(x)))
         model.save(tmp_path / "clusters.json")
         rec = {
-            "k": 4,
             "centroids": model.centroids.tolist(),
             "labels": [l.value for l in model.labels] if labeled else None,
         }

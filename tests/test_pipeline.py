@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from egopose import (
 import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
 from egopose.classify import ForestModel, KnnModel
+from egopose.clustering import ExemplarBank, hip_heights, sit_stand_threshold
 from egopose.costs import UnaryCosts, prune, unary_costs
 from egopose.errors import Infeasible
 from egopose.pathopt import Trellis, solve_paper_dp
@@ -246,13 +248,31 @@ def test_feature_file_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     frames = np.array([3, 4, 9])
     x = rng.normal(size=(3, 27))
-    classes = np.array([0, 2, 1])
     path = tmp_path / "features.jsonl"
-    save_features(path, frames, x, classes)
-    f2, x2, c2 = load_features(path)
+    save_features(path, frames, x)
+    assert [set(json.loads(line)) for line in path.read_text().splitlines()] == [{"t", "v"}] * 3
+    f2, x2 = load_features(path, 10)
     assert np.array_equal(f2, frames)
     assert np.array_equal(x2, x)
-    assert np.array_equal(c2, classes)
+
+
+def as_older_files(model_dir):
+    """Rewrite the model files in model_dir as older versions wrote them:
+    clusters.json with a leading k, each features.jsonl row with the class
+    of its bank pose, and meta.json with a leading theta_sit, the hip-height
+    threshold build_bank estimates from the bank poses."""
+    model_dir = Path(model_dir)
+    bank = ExemplarBank.load(model_dir / "bank.json")
+    clusters = model_dir / "clusters.json"
+    clusters.write_text(json.dumps({"k": bank.k, **json.loads(clusters.read_text())}))
+    features = model_dir / "features.jsonl"
+    if features.exists():
+        rows = [json.loads(line) for line in features.read_text().splitlines()]
+        features.write_text("".join(json.dumps({**r, "class": int(bank.cluster_of[r["t"]])}) + "\n" for r in rows))
+    meta = model_dir / "meta.json"
+    if meta.exists():
+        theta_sit = sit_stand_threshold(hip_heights(bank.poses))
+        meta.write_text(json.dumps({"theta_sit": theta_sit, **json.loads(meta.read_text())}, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +327,9 @@ def test_trained_models_save_load_parity(tmp_path):
     sequences, streams, _, _ = training_material(seed=20)
     models = train_models(sequences, streams, k=5, window=8, n_trees=10, seed=1)
     models.save(tmp_path)
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert list(meta) == ["window", "feature_mode", "classifier", "knn_k"]
     again = TrainedModels.load(tmp_path)
-    assert again.theta_sit == pytest.approx(models.theta_sit)
     assert again.window == models.window
     assert again.feature_mode == models.feature_mode
     assert isinstance(again.classifier, ForestModel)
@@ -334,11 +355,11 @@ def test_trained_models_save_load_parity(tmp_path):
         {"classifier": "svm"},
         {"classifier": None},
         {"classifier": ["forest"]},
-        {"theta_sit": True},
-        {"theta_sit": "0.5"},
-        {"theta_sit": float("nan")},
-        {"theta_sit": float("inf")},
-        {"theta_sit": None},
+        {"window": True},
+        {"knn_k": None},
+        {"feature_mode": 5},
+        {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5}},
+        {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": float("nan")}},
         {"feature_mode": "sideways"},
         {"feature_mode": None},
         {"feature_mode": "rotation"},  # the bundle holds no camera
@@ -411,16 +432,46 @@ def test_bundle_meta_that_disagrees_with_its_files_is_rejected(tmp_path, knn_bun
     assert str(tmp_path / "features.jsonl") in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["forest", "knn"])
+def test_bundle_in_the_older_format_loads_and_decodes_the_same(tmp_path, kind, test_stream):
+    sequences, streams, _, _ = training_material(seed=20)
+    models = train_models(sequences, streams, k=5, window=8, classifier=kind, n_trees=4, knn_k=4, seed=1)
+    for name in ("new", "old"):
+        models.save(tmp_path / name)
+    as_older_files(tmp_path / "old")
+    for name in ("new", "old"):
+        again = TrainedModels.load(tmp_path / name)
+        for solver in ("paper", "kdtree"):
+            want = infer(test_stream.homographies, models, static_h=test_stream.static_h, solver=solver)
+            got = infer(test_stream.homographies, again, static_h=test_stream.static_h, solver=solver)
+            assert np.array_equal(got.poses.as_matrix(), want.poses.as_matrix())
+            if solver == "paper":
+                assert got.path.indices == want.path.indices
+                assert got.path.energy_dict() == want.path.energy_dict()
+
+
+@pytest.mark.parametrize("t", ["-1", "n_poses"])
+def test_bundle_feature_row_outside_the_bank_names_its_line(tmp_path, knn_bundle, t):
+    models, _ = knn_bundle
+    models.save(tmp_path)
+    path = tmp_path / "features.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "t": -1 if t == "-1" else len(models.bank.poses)})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: t must index one of the bank's"):
+        TrainedModels.load(tmp_path)
+
+
 def test_knn_bundle_must_hold_its_training_features(tmp_path, knn_bundle):
     models, _ = knn_bundle
-    bare = TrainedModels(models.cluster, models.bank, models.theta_sit, classifier=models.classifier)
+    bare = TrainedModels(models.cluster, models.bank, classifier=models.classifier)
     with pytest.raises(ValueError, match="train_features"):
         bare.save(tmp_path)
     assert not (tmp_path / "meta.json").exists()
 
 
 def test_path_solvers_name_a_missing_classifier(tmp_path, trained, test_stream):
-    bare = TrainedModels(trained.cluster, trained.bank, trained.theta_sit, window=trained.window)
+    bare = TrainedModels(trained.cluster, trained.bank, window=trained.window)
     for solver in ("paper", "exact", "path-cluster"):
         with pytest.raises(ValueError, match="classifier"):
             infer(test_stream.homographies, bare, solver=solver)
@@ -624,20 +675,6 @@ def test_path_cluster_checks_the_argmax_sequence_and_solves_once(overconfident, 
             path_cluster(*args)
             assert calls["solve"] == 1
     assert fallbacks == 4  # the argmax restriction strands every one of these decodes
-
-
-def test_inference_result_save(tmp_path, trained, test_stream):
-    result = infer(test_stream.homographies, trained, static_h=test_stream.static_h)
-    result.save(tmp_path, trained.bank)
-    assert (tmp_path / "poses.jsonl").exists()
-    assert (tmp_path / "path.jsonl").exists()
-    assert (tmp_path / "energy.json").exists()
-    assert (tmp_path / "timings.json").exists()
-    import json
-
-    energy = json.loads((tmp_path / "energy.json").read_text())
-    assert energy["total"] == pytest.approx(result.path.total)
-    assert set(energy) == {"U", "T", "V", "S", "total"}
 
 
 def test_solver_registry_is_complete():

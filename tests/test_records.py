@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from egopose.classify import load_static, save_static
+from egopose.classify import ForestModel, KnnModel, load_static, save_static
+from egopose.clustering import ClusterModel
 from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
@@ -20,6 +21,7 @@ from egopose.pipeline import load_features, save_features
 from egopose.records import integral_array, load_json_object, number, read_records
 from egopose.skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from egopose.synth import MotionScript, generate, load_labels
+from test_classify import forest_record
 
 EDGE = [-0.0, 1e-300, 0.1 + 0.2]  # a signed zero, a tiny normal, a sum that repr must round-trip
 SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
@@ -30,7 +32,7 @@ LOADERS = {
     "homographies": (load_homographies, {"t": 0, "h": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]}),
     "correspondences": (load_correspondences, {"t": 0, "src": SQUARE, "dst": SQUARE}),
     "static": (load_static, {"t": 0, "h": 0.5}),
-    "features": (load_features, {"t": 0, "v": [0.0, 1.0], "class": 0}),
+    "features": (lambda path: load_features(path, 10), {"t": 0, "v": [0.0, 1.0]}),
     "labels": (load_labels, {"t": 0, "sitting": True}),
 }
 BAD = {  # loader -> (missing field, null field, field of the wrong shape and its value)
@@ -38,7 +40,7 @@ BAD = {  # loader -> (missing field, null field, field of the wrong shape and it
     "homographies": ("h", "h", ("h", [1.0, 0.0, 0.0])),
     "correspondences": ("dst", "src", ("src", [0.0, 0.0, 1.0, 0.0])),
     "static": ("h", "h", ("h", [0.5])),
-    "features": ("class", "v", ("v", [[0.0, 1.0]])),
+    "features": ("v", "t", ("v", [[0.0, 1.0]])),
     "labels": ("sitting", "sitting", ("sitting", [True])),
 }
 
@@ -83,7 +85,7 @@ def test_loaders_skip_blank_lines(tmp_path, loader):
 
 
 @pytest.mark.parametrize("value", [0.7, True, "1", None])
-@pytest.mark.parametrize("loader, field", [("poses", "t"), ("features", "t"), ("features", "class")])
+@pytest.mark.parametrize("loader, field", [("poses", "t"), ("features", "t")])
 def test_frame_index_and_class_must_be_integral_numbers(tmp_path, loader, field, value):
     load, good = LOADERS[loader]
     path = tmp_path / f"{loader}.jsonl"
@@ -94,6 +96,40 @@ def test_frame_index_and_class_must_be_integral_numbers(tmp_path, loader, field,
     path.write_text("\n".join([json.dumps(good), json.dumps(rec)]) + "\n")
     found = re.escape(json.dumps(value))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {field} must be an integer, found {found}$"):
+        load(path)
+
+
+# reader, a valid file's record (a stream's when it holds t), and the keys
+# down to one of its numbers
+NUMBER_READERS = {
+    "homography": (load_homographies, LOADERS["homographies"][1], ("h", 4)),
+    "correspondence": (load_correspondences, LOADERS["correspondences"][1], ("dst", 1, 0)),
+    "pose": (load_pose_sequence_with_times, LOADERS["poses"][1], ("joints", 3, 1)),
+    "feature": (LOADERS["features"][0], LOADERS["features"][1], ("v", 1)),
+    "static": (load_static, LOADERS["static"][1], ("h",)),
+    "clusters": (ClusterModel.load, {"centroids": [[1.0] * 75], "labels": None}, ("centroids", 0, 3)),
+    "knn": (KnnModel.load, {"n_classes": 2, "features": [[0.0, 1.0], [1.0, 0.0]], "classes": [0, 1]}, ("features", 0, 1)),
+    "forest": (ForestModel.load, forest_record(), ("trees", "thresh", 1)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1", "0.5"])
+@pytest.mark.parametrize("reader", list(NUMBER_READERS))
+def test_numbers_in_data_files_must_be_json_numbers(tmp_path, reader, bad):
+    load, good, keys = NUMBER_READERS[reader]
+    stream = "t" in good
+    path = tmp_path / ("data.jsonl" if stream else "model.json")
+    path.write_text(json.dumps(good) + "\n")
+    load(path)
+    rec = json.loads(json.dumps(good))  # a copy whose lists share nothing
+    node = rec
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = bad  # NumPy would read true as 1.0 and a numeric string as its number
+    path.write_text(json.dumps(rec) + "\n")
+    field = [key for key in keys if isinstance(key, str)][-1]
+    where = f"{path}:1: " if stream else f"{path}: "
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}{field} must be a "):
         load(path)
 
 
@@ -152,8 +188,8 @@ def test_writers_emit_one_json_dumps_line_per_record(tmp_path):
     save_static(tmp_path / "s", np.array(EDGE))
     cases.append(("s", [{"t": i, "h": v} for i, v in enumerate(EDGE)]))
 
-    save_features(tmp_path / "f", np.array([3, 5]), np.array([EDGE, EDGE[::-1]]), np.array([1, 0]))
-    cases.append(("f", [{"t": 3, "v": EDGE, "class": 1}, {"t": 5, "v": EDGE[::-1], "class": 0}]))
+    save_features(tmp_path / "f", np.array([3, 5]), np.array([EDGE, EDGE[::-1]]))
+    cases.append(("f", [{"t": 3, "v": EDGE}, {"t": 5, "v": EDGE[::-1]}]))
 
     path = PosePath([2, 0, 1], 1.0, 0.0, 0.0, 0.0, 1.0)
     path.save(tmp_path / "path", SimpleNamespace(cluster_of=np.array([4, 5, 6])))

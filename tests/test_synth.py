@@ -80,6 +80,18 @@ def test_script_accepts_enum_and_string_segments():
     assert s.n_frames == 15
 
 
+@pytest.mark.parametrize("duration", [40.7, "30", True, np.bool_(True), None])
+def test_script_durations_are_checked_not_cast(duration):
+    with pytest.raises(ValueError, match="^segment durations must "):
+        MotionScript([("walk", 5), ("walk", duration)])
+
+
+def test_script_durations_read_integral_numbers_as_ints():
+    s = MotionScript([("walk", np.int64(5)), ("walk", 6.0), ("walk", 7)])
+    assert s.segments == [(Primitive.WALK, 5), (Primitive.WALK, 6), (Primitive.WALK, 7)]
+    assert all(type(d) is int for _, d in s.segments)
+
+
 def test_script_from_json(tmp_path):
     path = tmp_path / "script.json"
     path.write_text(
