@@ -18,14 +18,16 @@ same features is available as an alternative probability provider. It finds
 neighbors exactly in two stages: one matrix product per block of queries
 bounds every squared distance within a proven rounding margin, and only the
 rows those bounds cannot rule out get the exact distance, the row sum of
-(point - v) ** 2; ties go to the lower training index. A static per-frame
-sitting probability h can be read from file or held at the uninformative
-constant 0.5.
+(point - v) ** 2; ties go to the lower training index. Training features
+are kept one {t, v} row per frame, t indexing the bank pose whose cluster is
+the row's class. A static per-frame sitting probability h can be read from
+file or held at the uninformative constant 0.5.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +133,9 @@ class ForestModel:
 
     @classmethod
     def load(cls, path) -> "ForestModel":
-        return _read_model(path, cls.from_record)
+        rec = load_json_object(path)
+        with model_fields(path):
+            return cls.from_record(rec)
 
 
 def _vote(model: ForestModel, acc: np.ndarray, x: np.ndarray, rows_of_tree: list) -> None:
@@ -402,7 +406,8 @@ class KnnIndex:
 
 @dataclass
 class KnnModel:
-    """Training features with their class ids."""
+    """Training features with their class ids. Its file only names the
+    feature file of its rows: each row's class is its bank pose's cluster."""
 
     features: np.ndarray
     classes: np.ndarray
@@ -422,30 +427,27 @@ class KnnModel:
             self._index = KnnIndex(self.features)
         return self._index
 
-    def save(self, path) -> None:
-        rec = {"n_classes": self.n_classes, "features": self.features.tolist(), "classes": self.classes.tolist()}
-        write_json_object(path, rec)
+    def save(self, path, rows_path) -> None:
+        """Write the kNN file: the path of the feature file that holds this
+        model's rows (written by save_features), relative to the kNN file."""
+        rows = os.path.relpath(rows_path, os.path.dirname(os.path.abspath(path)))
+        write_json_object(path, {"features": rows})
+
+    @staticmethod
+    def rows_file(path, rec: dict) -> str:
+        """The feature file that the kNN record read from path names;
+        ValueError naming path for a record that holds rows or classes."""
+        with model_fields(path):
+            if not isinstance(rec["features"], str) or {"classes", "n_classes"} & rec.keys():
+                raise ValueError("a kNN file names its feature file and holds no row or class; re-run egopose train")
+        return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), rec["features"]))
 
     @classmethod
-    def from_record(cls, rec: dict) -> "KnnModel":
-        return cls(number_array(rec["features"], "features"), rec["classes"], integral(rec, "n_classes"))
-
-    @classmethod
-    def load(cls, path) -> "KnnModel":
-        return _read_model(path, cls.from_record)
-
-
-def _read_model(path, from_record):
-    """from_record of the JSON object in path; a field fault names the file."""
-    rec = load_json_object(path)
-    with model_fields(path):
-        return from_record(rec)
-
-
-def load_classifier(path) -> ForestModel | KnnModel:
-    """The classifier a model file holds, parsed once: a forest when its
-    record has trees, else a kNN model."""
-    return _read_model(path, lambda rec: (ForestModel if "trees" in rec else KnnModel).from_record(rec))
+    def load(cls, path, bank) -> "KnnModel":
+        """The model over the rows of the feature file that the kNN file at
+        path names, each row's class its bank pose's cluster."""
+        frames, x = load_features(cls.rows_file(path, load_json_object(path)), len(bank.poses))
+        return cls(x, bank.cluster_of[frames], bank.k)
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
@@ -460,6 +462,31 @@ def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
     probs = np.bincount(cells.ravel(), minlength=len(v) * model.n_classes).astype(float)
     probs = probs.reshape(len(v), model.n_classes)
     return probs / probs.sum(axis=1, keepdims=True)
+
+
+def save_features(path, frames, x: np.ndarray) -> None:
+    """One {"t", "v"} row per training frame: its bank pose and features."""
+    rows = np.asarray(x, dtype=float)  # one row at a time to lists, never the whole matrix
+    write_records(path, ({"t": int(t), "v": v.tolist()} for t, v in zip(frames, rows)))
+
+
+def load_features(path, n_poses: int):
+    """(frames, x) of a feature file over a bank of n_poses poses; ValueError
+    naming path:line for a t outside [0, n_poses). An older row's class is ignored."""
+    rows = []
+
+    def record(rec):
+        t = integral(rec, "t")
+        if not 0 <= t < n_poses:
+            raise ValueError(f"t must index one of the bank's {n_poses} poses, found {t}")
+        v = number_array(rec["v"], "v")
+        if v.ndim != 1 or (rows and len(v) != len(rows[0])):
+            raise ValueError(f"feature v must be a flat list as long as the first row's, found shape {v.shape}")
+        rows.append(v)
+        return t
+
+    frames = np.array(list(read_records(path, record)), dtype=int)
+    return frames, np.stack(rows) if rows else np.empty((0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 # kmeans and train_forest go unused here; perfbench/layers.py wraps them at these bindings
-from .classify import load_classifier, load_static, train_forest  # noqa: F401
-from .clustering import ClusterModel, ExemplarBank, kmeans  # noqa: F401
+from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
+from .clustering import ExemplarBank, kmeans  # noqa: F401
 from .costs import CostParams
 from .errors import (
     DegenerateConfiguration,
@@ -40,15 +40,14 @@ from .geometry import CameraIntrinsics, estimate_homography, load_correspondence
 from .pathopt import PathParams
 from .pipeline import (
     SOLVERS,
-    TrainedModels,
+    _check_knn_k,
     _check_lengths,
     build_bank,
     build_features,
     fit_classifier,
     infer,
-    load_features,
+    load_models,
     normalized_matrix,
-    save_features,
 )
 from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
@@ -118,25 +117,12 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _knn_k(cfg) -> int:
-    k = cfg["knn_k"]
-    if k < 1:
-        raise ValueError(f"knn_k must be at least 1, got {k}")
-    return k
-
-
 def _cost_params(cfg) -> CostParams:
     return CostParams(delta=cfg["delta"], tau=cfg["tau"], prune_threshold=cfg["prune"])
 
 
 def _path_params(cfg) -> PathParams:
-    return PathParams(
-        delta=cfg["delta"],
-        speed_gamma=cfg["speed_gamma"],
-        speed_mu=cfg["speed_mu"],
-        stat_gamma=cfg["stat_gamma"],
-        stat_mu=cfg["stat_mu"],
-    )
+    return PathParams(**{key: cfg[key] for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu")})
 
 
 def _load_camera(path) -> CameraIntrinsics:
@@ -190,12 +176,10 @@ def cmd_cluster(args):
         feats, frames = build_features(sequences, streams, cfg["window"], cfg["feature_mode"], camera)
 
     model.save(_ensure_parent(args.out))
-    bank_out = args.bank_out or os.path.join(os.path.dirname(os.path.abspath(args.out)), "bank.json")
-    bank.save(_ensure_parent(bank_out))
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    bank.save(_ensure_parent(args.bank_out or os.path.join(out_dir, "bank.json")))
     if streams:
-        feat_out = args.features_out or os.path.join(
-            os.path.dirname(os.path.abspath(args.out)), "features.jsonl"
-        )
+        feat_out = args.features_out or os.path.join(out_dir, "features.jsonl")
         save_features(_ensure_parent(feat_out), frames, feats)
     print(f"k-means objective: {model.objective:.6f} after {model.n_iter} iterations")
     if streams:
@@ -210,12 +194,14 @@ def cmd_train(args):
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
     classes, n_classes = bank.cluster_of[frames], bank.k
-    k = _knn_k(cfg) if args.classifier == "knn" else None
+    k = _check_knn_k(cfg["knn_k"]) if args.classifier == "knn" else None
     model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"])
-    model.save(_ensure_parent(args.out))
     if args.classifier == "forest":
+        model.save(_ensure_parent(args.out))
         print(f"oob accuracy: {model.oob_accuracy:.4f}")
-    elif args.loo:
+        return 0
+    model.save(_ensure_parent(args.out), args.features)
+    if args.loo:
         # each row votes with its k nearest other rows
         nn = model.index().query_batch(x, min(k + 1, len(x)))
         others = nn != np.arange(len(x))[:, None]
@@ -230,37 +216,20 @@ def cmd_train(args):
 def cmd_infer(args):
     cfg = _load_config(args)
     hs = _load_stream(args.input)
-    n_frames = len(hs) + 1
-    cluster = ClusterModel.load(args.cluster_model)
-    bank = ExemplarBank.load(args.bank)
-    if cluster.labels is None:
-        raise ValueError("cluster model carries no sit/stand labels")
-
     path_solver = args.solver in ("paper", "exact", "path-cluster")
     if path_solver and not args.classifier_model:
         raise ValueError(f"solver {args.solver} needs --classifier-model")
-    classifier = load_classifier(args.classifier_model) if path_solver else None
-
-    train_feats = train_frames = None
-    if args.solver == "kdtree":
-        if not args.features:
-            raise ValueError("solver kdtree needs --features")
-        train_frames, train_feats = load_features(args.features, len(bank.poses))
-
-    camera = _load_camera(args.camera) if args.camera else None
-    models = TrainedModels(
-        cluster,
-        bank,
-        window=cfg["window"],
-        feature_mode=cfg["feature_mode"],
-        camera=camera,
-        classifier=classifier,
-        knn_k=_knn_k(cfg),
-        train_features=train_feats,
-        train_feature_frames=train_frames,
+    if args.solver == "kdtree" and not args.features:
+        raise ValueError("solver kdtree needs --features")
+    models = load_models(
+        args.cluster_model,
+        args.bank,
+        args.classifier_model if path_solver else None,
+        args.features if args.solver == "kdtree" else None,
+        camera=_load_camera(args.camera) if args.camera else None,
+        **{key: cfg[key] for key in ("window", "feature_mode", "knn_k")},
     )
-
-    static_h = load_static(args.static_h, expected_frames=n_frames) if args.static_h else None
+    static_h = load_static(args.static_h, expected_frames=len(hs) + 1) if args.static_h else None
     result = infer(
         hs,
         models,
@@ -273,7 +242,7 @@ def cmd_infer(args):
     poses_out = args.poses_out or (os.path.splitext(args.out)[0] + "_poses.jsonl")
     save_pose_sequence(_ensure_parent(poses_out), result.poses, times=result.centers)
     if result.path is not None:
-        result.path.save(_ensure_parent(args.out), bank)
+        result.path.save(_ensure_parent(args.out), models.bank)
         e = result.path.energy_dict()
         print(
             "energy: U={U:.6f} T={T:.6f} V={V:.6f} S={S:.6f} total={total:.6f}".format(**e)

@@ -3,12 +3,13 @@
 A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature configuration needed to reproduce the classifier's inputs at
-inference time. TrainedModels.save writes clusters.json, bank.json with
-bank_poses.jsonl, features.jsonl (a {t, v} row per training frame, whose
-class is bank.cluster_of[t]), forest.json for a forest, and meta.json
-(window, feature_mode, classifier "forest" or "knn", knn_k, camera if set).
-A kNN model is its training rows, kept only in features.jsonl. What older
-bundles also hold (a row's class, theta_sit, knn.json) is ignored.
+inference time. TrainedModels.save writes the files egopose cluster and
+train write, clusters.json, bank.json with bank_poses.jsonl, features.jsonl
+(a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
+forest.json or knn.json (which names features.jsonl), plus meta.json (window,
+feature_mode, classifier "forest" or "knn", knn_k, camera if set).
+load_models reads them for TrainedModels.load and egopose infer. An older
+bundle's row classes and theta_sit are ignored.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .classify import (
     constant_static,
     forest_proba_batch,
     knn_proba,
+    load_features,
+    save_features,
     train_forest,
 )
 from .clustering import (
@@ -48,7 +51,7 @@ from .pathopt import (
     solve_paper_dp,
     solve_path_cluster,
 )
-from .records import integral, load_json_object, model_fields, number_array, read_records, write_json_object, write_records
+from .records import integral, load_json_object, model_fields, write_json_object
 from .skeleton import Frame, Pose, PoseSequence, normalize_poses
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
@@ -94,37 +97,19 @@ def _check_feature_mode(mode: str, camera: CameraIntrinsics | None) -> None:
         raise ValueError("rotation features need camera intrinsics")
 
 
+def _check_knn_k(knn_k: int) -> int:
+    """knn_k; ValueError unless it is at least 1."""
+    if knn_k < 1:
+        raise ValueError(f"knn_k must be at least 1, got {knn_k}")
+    return knn_k
+
+
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
     """Wearer-local (n, 75) matrix; sensor-frame poses get normalized."""
     x = seq.as_matrix()
     if len(seq) and seq[0].frame != Frame.WEARER_LOCAL:  # one frame tag per sequence
         x = normalize_poses(x, up).reshape(-1, 75)
     return x
-
-
-def save_features(path, frames, x: np.ndarray) -> None:
-    """One {"t", "v"} row per training frame: its bank pose and features."""
-    rows = np.asarray(x, dtype=float)  # one row at a time to lists, never the whole matrix
-    write_records(path, ({"t": int(t), "v": v.tolist()} for t, v in zip(frames, rows)))
-
-
-def load_features(path, n_poses: int):
-    """(frames, x) of a feature file over a bank of n_poses poses; ValueError
-    naming path:line for a t outside [0, n_poses). An older row's class is ignored."""
-    rows = []
-
-    def record(rec):
-        t = integral(rec, "t")
-        if not 0 <= t < n_poses:
-            raise ValueError(f"t must index one of the bank's {n_poses} poses, found {t}")
-        v = number_array(rec["v"], "v")
-        if v.ndim != 1 or (rows and len(v) != len(rows[0])):
-            raise ValueError(f"feature v must be a flat list as long as the first row's, found shape {v.shape}")
-        rows.append(v)
-        return t
-
-    frames = np.array(list(read_records(path, record)), dtype=int)
-    return frames, np.stack(rows) if rows else np.empty((0, 0))
 
 
 def _classifier_kind(model) -> str:
@@ -161,53 +146,74 @@ class TrainedModels:
         os.makedirs(out_dir, exist_ok=True)
         self.cluster.save(os.path.join(out_dir, "clusters.json"))
         self.bank.save(os.path.join(out_dir, "bank.json"))
+        feat_path = os.path.join(out_dir, "features.jsonl")
+        if self.train_features is not None:
+            save_features(feat_path, self.train_feature_frames, self.train_features)
         if kind == "forest":
             self.classifier.save(os.path.join(out_dir, "forest.json"))
-        if self.train_features is not None:
-            save_features(os.path.join(out_dir, "features.jsonl"), self.train_feature_frames, self.train_features)
-        meta = {
-            "window": self.window,
-            "feature_mode": self.feature_mode,
-            "classifier": kind,
-            "knn_k": self.knn_k,
-        }
+        else:
+            self.classifier.save(os.path.join(out_dir, "knn.json"), feat_path)
+        meta = {"window": self.window, "feature_mode": self.feature_mode, "classifier": kind, "knn_k": self.knn_k}
         if self.camera is not None:
             meta["camera"] = asdict(self.camera)
         write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
+        """The bundle save wrote, read by load_models; a kNN bundle without
+        knn.json, from before kNN files named their rows, is its features."""
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
         with model_fields(meta_path):  # every meta field is checked before the model files are read
             kind = meta.get("classifier")
             if kind not in ("forest", "knn"):
                 raise ValueError(f"classifier must be \"forest\" or \"knn\", found {kind!r}")
-            fields = {
+            settings = {
                 "window": integral(meta, "window"),
                 "feature_mode": meta["feature_mode"],
                 "camera": CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None,
                 "knn_k": integral(meta, "knn_k") if "knn_k" in meta else 30,
             }
-            _check_feature_mode(fields["feature_mode"], fields["camera"])
-        cluster = ClusterModel.load(os.path.join(in_dir, "clusters.json"))
-        bank = ExemplarBank.load(os.path.join(in_dir, "bank.json"))
-        feats = frames = None
-        feat_path = os.path.join(in_dir, "features.jsonl")
-        if kind == "knn" or os.path.exists(feat_path):  # a kNN model is its features
-            frames, feats = load_features(feat_path, len(bank.poses))
-        if kind == "knn":
-            classifier = KnnModel(feats, bank.cluster_of[frames], bank.k)
+            _check_feature_mode(settings["feature_mode"], settings["camera"])
+            _check_knn_k(settings["knn_k"])
+        names = ("clusters.json", "bank.json", f"{kind}.json", "features.jsonl")
+        clusters, bank, model_file, feats = (os.path.join(in_dir, name) for name in names)
+        rows_only = kind == "knn" and not os.path.exists(model_file)  # a kNN model's rows are its features
+        has_feats = rows_only or (kind == "forest" and os.path.exists(feats))
+        models = load_models(clusters, bank, None if rows_only else model_file, feats if has_feats else None, **settings)
+        if rows_only:
+            classes = models.bank.cluster_of[models.train_feature_frames]
+            models.classifier = KnnModel(models.train_features, classes, models.bank.k)
+        return models
+
+
+def load_models(clusters, bank, classifier=None, features=None, *, window, feature_mode, camera, knn_k) -> TrainedModels:
+    """The models in the given files, each read once: a cluster model, a
+    bank, optionally a classifier (a forest when its record holds trees, else
+    a kNN file naming its feature file) and training features, which are a
+    kNN model's rows unless given. Every check across files runs here:
+    ValueError for knn_k < 1 or a bad feature mode before any file is read,
+    and naming the file for a cluster model without a sit/stand label per
+    bank cluster, a forest of another class count, or a t outside the bank."""
+    _check_feature_mode(feature_mode, camera)
+    _check_knn_k(knn_k)
+    cluster, bank = ClusterModel.load(clusters), ExemplarBank.load(bank)
+    if cluster.labels is None or len(cluster.labels) != bank.k:
+        raise ValueError(f"{clusters}: the cluster model must hold sit/stand labels for the bank's {bank.k} clusters")
+    model = frames = x = None
+    if classifier is not None:
+        rec = load_json_object(classifier)
+        if "trees" in rec:
+            with model_fields(classifier):
+                model = ForestModel.from_record(rec)
+                if model.n_classes != bank.k:
+                    raise ValueError(f"n_classes must be the bank's {bank.k} clusters, found {model.n_classes}")
         else:
-            classifier = ForestModel.load(os.path.join(in_dir, "forest.json"))
-        return cls(
-            cluster,
-            bank,
-            classifier=classifier,
-            train_features=feats,
-            train_feature_frames=frames,
-            **fields,
-        )
+            frames, x = load_features(KnnModel.rows_file(classifier, rec), len(bank.poses))
+            model = KnnModel(x, bank.cluster_of[frames], bank.k)
+    if features is not None:
+        frames, x = load_features(features, len(bank.poses))
+    return TrainedModels(cluster, bank, window, feature_mode, camera, model, knn_k, train_features=x, train_feature_frames=frames)
 
 
 def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS):
@@ -302,15 +308,7 @@ def train_models(
     features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
     model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed)
     return TrainedModels(
-        cluster,
-        bank,
-        window=window,
-        feature_mode=feature_mode,
-        camera=camera,
-        classifier=model,
-        knn_k=knn_k,
-        train_features=features,
-        train_feature_frames=feature_frames,
+        cluster, bank, window, feature_mode, camera, model, knn_k, train_features=features, train_feature_frames=feature_frames
     )
 
 

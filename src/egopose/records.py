@@ -77,7 +77,10 @@ def _numbers(values, name: str) -> np.ndarray:
     """values as an array; ValueError unless every entry is a number. NumPy
     casts a boolean among numbers to 0 or 1, so a list is checked for one
     at every depth of nesting; an array is trusted to its dtype."""
-    a, entries = np.asarray(values), values
+    try:
+        a, entries = np.asarray(values), values
+    except ValueError:  # a ragged list, which NumPy's message does not name
+        raise ValueError(f"{name} must be a list of numbers, its lists all of one shape") from None
     for _ in range(a.ndim - 1):  # lazily, down to the entries
         entries = itertools.chain.from_iterable(entries)
     if a.dtype.kind not in "iuf" or (isinstance(values, list) and {bool, np.bool_} & set(map(type, entries))):

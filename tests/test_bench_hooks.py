@@ -6,11 +6,14 @@ or moved makes every benchmark run fail with a KeyError; this test installs
 the hooks the way a traced run does, so such a change fails here first.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import egopose.cli as cli
 import egopose.evaluation as evaluation
 import egopose.pipeline as pipeline
+from egopose import MotionScript, generate, train_models
 from egopose.classify import ForestModel, KnnModel
 from egopose.clustering import ClusterModel, ExemplarBank
 from egopose.evaluation import ErrorReport
@@ -20,20 +23,45 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 OWNERS = (cli, evaluation, pipeline, ForestModel, KnnModel, ClusterModel, ExemplarBank, ErrorReport, PosePath, Trellis)
 
 
-def test_benchmark_hooks_install_and_restore(monkeypatch):
+@contextlib.contextmanager
+def traced(monkeypatch):
+    """The benchmark's hooks, installed as a traced run installs them; yields
+    their recorder, and restores every hooked name on exit."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import spans
     import workloads
 
-    before = {owner: dict(vars(owner)) for owner in OWNERS}
     patches, recorder = spans.Patches(), spans.Recorder()
     try:
-        probe = workloads.Probe(patches, recorder, keep_all=True)
-        layers.Layers(recorder, patches, probe)
-        wrapped = {(owner, name) for owner in OWNERS for name, v in vars(owner).items() if v is not before[owner][name]}
+        layers.Layers(recorder, patches, workloads.Probe(patches, recorder, keep_all=True))
+        yield recorder
     finally:
         patches.restore()
+
+
+def test_benchmark_hooks_install_and_restore(monkeypatch):
+    before = {owner: dict(vars(owner)) for owner in OWNERS}
+    with traced(monkeypatch):
+        wrapped = {(owner, name) for owner in OWNERS for name, v in vars(owner).items() if v is not before[owner][name]}
     assert {(cli, "infer"), (cli, "load_features"), (cli, "save_features"), (ExemplarBank, "load")} <= wrapped
     for owner in OWNERS:
         assert all(vars(owner)[name] is v for name, v in before[owner].items()), owner
+
+
+def test_cli_decode_records_a_span_for_each_file_it_reads_and_writes(monkeypatch, tmp_path):
+    """A load or write that moves off the binding the benchmark wraps would
+    read 0 in the per-layer numbers instead of failing; here it fails."""
+    synth = generate(MotionScript([("stand_idle", 20), ("sit_down", 20), ("sit_idle", 20)], seed=3))
+    synth.write(tmp_path / "data")
+    train_models([synth.poses], [synth.homographies], k=4, window=8, n_trees=2).save(tmp_path / "model")
+    argv = ["infer", "--input", str(tmp_path / "data" / "homographies.jsonl"), "--window", "8"]
+    argv += ["--static-h", str(tmp_path / "data" / "static_h.jsonl"), "--out", str(tmp_path / "out" / "path.jsonl")]
+    for flag, name in (("--bank", "bank"), ("--cluster-model", "clusters"), ("--classifier-model", "forest")):
+        argv += [flag, str(tmp_path / "model" / f"{name}.json")]
+    with traced(monkeypatch) as recorder:
+        with recorder.span("decode"), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    names = {sp.name for sp in recorder.spans}
+    loads = {"clustering.bank_load", "io.ClusterModel.load", "io.cli.load_static"}
+    assert loads | {"io.cli.save_pose_sequence", "io.PosePath.save"} <= names

@@ -17,11 +17,12 @@ from egopose.classify import (
     forest_proba,
     forest_proba_batch,
     knn_proba,
-    load_classifier,
     load_static,
+    save_features,
     save_static,
     train_forest,
 )
+from egopose.clustering import ExemplarBank
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 
 
@@ -34,6 +35,11 @@ def two_blobs(rng, n=500, d=8, margin=1.0):
     y = np.array([0] * n + [1] * n)
     perm = rng.permutation(len(x))
     return x[perm], y[perm]
+
+
+def bank_of(cluster_of, k):
+    """A bank whose poses (all zero) lie in the given clusters."""
+    return ExemplarBank(np.zeros((len(cluster_of), 75)), cluster_of, [], k)
 
 
 def walk_tree(tree, v):
@@ -411,10 +417,12 @@ def test_class_ids_outside_range_are_rejected(tmp_path, bad):
     if bad < 0:
         with pytest.raises(DimMismatch):
             train_forest(x, y, n_trees=2)
+    # a kNN file holds no class id, each row's comes from the bank: one that does is from an older version
     path = tmp_path / "knn.json"
     path.write_text(json.dumps({"n_classes": 2, "features": x, "classes": y}))
-    with pytest.raises(DimMismatch):
-        KnnModel.load(path)
+    with pytest.raises(ValueError, match="egopose train") as info:
+        KnnModel.load(path, bank_of([0, 0, 1, 1], 2))
+    assert str(path) in str(info.value)
 
 
 def test_forest_file_round_trip(tmp_path):
@@ -582,21 +590,22 @@ def test_static_file_rejects_values_outside_unit_interval(tmp_path, bad):
         load_static(path)
 
 
-def test_knn_model_file_round_trip(tmp_path):
+def test_knn_model_file_round_trip(tmp_path, monkeypatch):
     rng = np.random.default_rng(12)
     x = rng.normal(size=(20, 4))
-    y = rng.integers(0, 3, size=20)
-    model = KnnModel(x, y, 3)
+    frames = rng.permutation(30)[:20]
+    bank = bank_of(rng.integers(0, 3, size=30), 3)
+    model = KnnModel(x, bank.cluster_of[frames], 3)
+    (tmp_path / "rows").mkdir()
+    save_features(tmp_path / "rows" / "features.jsonl", frames, x)
     path = tmp_path / "knn.json"
-    model.save(path)
-    assert "pose_indices" not in json.loads(path.read_text())
-    back = KnnModel.load(path)
-    assert np.allclose(back.features, x)
-    assert np.array_equal(back.classes, y)
+    model.save(path, tmp_path / "rows" / "features.jsonl")
+    assert json.loads(path.read_text()) == {"features": "rows/features.jsonl"}  # no row and no class
+    monkeypatch.chdir(tmp_path / "rows")  # the name is relative to the kNN file, not to the working directory
+    back = KnnModel.load(path, bank)
+    assert np.array_equal(back.features, x)
+    assert np.array_equal(back.classes, bank.cluster_of[frames])
     assert back.n_classes == 3
-    # files written when the model also stored bank pose indices still load
-    path.write_text(json.dumps({**json.loads(path.read_text()), "pose_indices": list(range(20))}))
-    assert np.array_equal(KnnModel.load(path).classes, y)
 
 
 @pytest.mark.parametrize("model_class", [ForestModel, KnnModel])
@@ -604,7 +613,7 @@ def test_model_file_holding_no_json_object_is_rejected(tmp_path, model_class):
     path = tmp_path / "model.json"
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object") as info:
-        model_class.load(path)
+        model_class.load(path, *([bank_of([0], 1)] if model_class is KnnModel else []))
     assert str(path) in str(info.value)
 
 
@@ -626,9 +635,8 @@ def test_model_writers_match_json_dump(tmp_path):
         assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
     model = KnnModel(x, y, 2)
     path = tmp_path / "knn.json"
-    model.save(path)
-    rec = {"n_classes": 2, "features": x.tolist(), "classes": y.tolist()}
-    assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+    model.save(path, tmp_path / "features.jsonl")
+    assert path.read_bytes() == _json_dump_bytes({"features": "features.jsonl"}, tmp_path / "want.json")
 
 
 def forest_record():
@@ -704,10 +712,9 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
     good = ForestModel.load(path)
     assert np.array_equal(forest_proba_batch(good, [[0.0, 0.0], [0.0, 1.0]]), [[0.75, 0.25], [0.25, 0.75]])
     path.write_text(json.dumps(rec))
-    for load in (ForestModel.load, load_classifier):
-        with pytest.raises(ValueError) as info:
-            load(path)
-        assert str(path) in str(info.value)
+    with pytest.raises(ValueError) as info:
+        ForestModel.load(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -722,32 +729,20 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
         ("classes", [0, float("nan")]),
         ("n_classes", 2.5),
         ("classes", [0, True]),
+        ("features", 5),
+        ("features", [[0.0], [1.0]]),  # the rows themselves
     ],
 )
 def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
+    """A kNN file only names its feature file. One that holds rows or
+    classes, as files of older versions did, is rejected rather than read."""
+    save_features(tmp_path / "features.jsonl", [0, 1], [[0.0], [1.0]])
     path = tmp_path / "knn.json"
-    rec = {"n_classes": 2, "features": [[0.0], [1.0]], "classes": [0, 1]}
+    rec = {"features": "features.jsonl"}
+    path.write_text(json.dumps(rec))
+    bank = bank_of([1, 0], 2)
+    assert KnnModel.load(path, bank).classes.tolist() == [1, 0]
     path.write_text(json.dumps({**rec, field: value}))
-    for load in (KnnModel.load, load_classifier):
-        with pytest.raises(ValueError) as info:
-            load(path)
-        assert str(path) in str(info.value)
-
-
-def test_load_classifier_builds_the_model_the_file_holds(tmp_path):
-    rng = np.random.default_rng(24)
-    x, y = two_blobs(rng, n=30)
-    forest_path, knn_path = tmp_path / "forest.json", tmp_path / "knn.json"
-    train_forest(x, y, n_trees=3, seed=0).save(forest_path)
-    KnnModel(x, y, 2).save(knn_path)
-    forest = load_classifier(forest_path)
-    assert isinstance(forest, ForestModel)
-    assert_same_arrays(node_arrays(forest), node_arrays(ForestModel.load(forest_path)))
-    knn = load_classifier(knn_path)
-    assert isinstance(knn, KnnModel) and knn.n_classes == 2
-    assert np.array_equal(knn.features, KnnModel.load(knn_path).features)
-    assert np.array_equal(knn.classes, y)
-    # each class reads only its own kind of file
-    for load, path, field in ((ForestModel.load, knn_path, "trees"), (KnnModel.load, forest_path, "features")):
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{field}'"):
-            load(path)
+    with pytest.raises(ValueError) as info:
+        KnnModel.load(path, bank)
+    assert str(path) in str(info.value)

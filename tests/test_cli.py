@@ -34,8 +34,8 @@ from egopose import (
     save_pose_sequence,
     train_models,
 )
-from egopose.classify import load_classifier
-from egopose.cli import _load_camera, main
+from egopose.classify import KnnModel
+from egopose.cli import DEFAULT_CONFIG, _cost_params, _load_camera, _path_params, main
 from egopose.synth import STAND_TEMPLATE, default_camera
 from test_classify import MALFORMED_FOREST_RECORDS
 from test_pipeline import as_older_files
@@ -516,6 +516,7 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
         ("--classifier-model", "trees", []),
         ("--bank", "sequence_breaks", [2.6]),
         ("--bank", "k", 8.5),
+        ("--cluster-model", "labels", None),  # a cluster model without sit/stand labels
     ],
 )
 def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag, field, value):
@@ -862,13 +863,14 @@ def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monke
             + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
         )
 
-    knn = str(tmp_path / "knn.json")
-    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    knn, features = str(tmp_path / "knn.json"), str(models / "features.jsonl")
+    train = ["train", "--features", features, "--bank", str(models / "bank.json")]
     assert main(train + ["--classifier", "knn", "--out", knn]) == 0
     monkeypatch.setattr("builtins.open", counting_open)
     for model in (forest, knn):
         assert infer_with(model) == 0
         assert opened.count(model) == 1
+    assert opened.count(features) == 1  # the kNN model's rows
     monkeypatch.undo()
     # malformed classifier files still exit 3, naming the file
     broken = tmp_path / "broken.json"
@@ -876,11 +878,11 @@ def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monke
     no_dim = tmp_path / "no_dim.json"
     no_dim.write_text(json.dumps({"trees": [{"hist": [1, 0]}], "n_classes": 2}))
     rec = json.loads((tmp_path / "knn.json").read_text())
-    cut_classes = tmp_path / "cut_classes.json"
-    cut_classes.write_text(json.dumps({**rec, "classes": [c + 0.5 for c in rec["classes"]]}))
-    cut_n_classes = tmp_path / "cut_n_classes.json"
-    cut_n_classes.write_text(json.dumps({**rec, "n_classes": rec["n_classes"] + 0.5}))
-    for model in (broken, no_dim, cut_classes, cut_n_classes):
+    with_classes = tmp_path / "with_classes.json"
+    with_classes.write_text(json.dumps({**rec, "classes": [0.5]}))
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text(json.dumps({"features": 0.5}))
+    for model in (broken, no_dim, with_classes, unnamed):
         assert infer_with(model) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and str(model) in err["message"]
@@ -1051,18 +1053,59 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     back = ForestModel.load(d / "forest.json")
     for name in ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count"):
         assert np.array_equal(getattr(back, name), getattr(lib.classifier, name))
-    # and the files themselves are the ones the library bundle writes
-    lib.save(tmp_path / "lib")
-    for name in ("clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", "forest.json"):
-        assert (d / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
     # a kNN model from train is the one train_models holds
     train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
     assert main(train + ["--classifier", "knn", "--out", str(d / "knn.json")]) == 0
-    knn = load_classifier(d / "knn.json")
-    lib_knn = train_models(seqs, hs, k=8, window=8, classifier="knn", seed=3).classifier
-    assert np.array_equal(knn.features, lib_knn.features)
-    assert np.array_equal(knn.classes, lib_knn.classes)
-    assert knn.n_classes == lib_knn.n_classes == 8
+    knn = KnnModel.load(d / "knn.json", bank)
+    lib_knn = train_models(seqs, hs, k=8, window=8, classifier="knn", seed=3)
+    assert np.array_equal(knn.features, lib_knn.classifier.features)
+    assert np.array_equal(knn.classes, lib_knn.classifier.classes)
+    assert knn.n_classes == lib_knn.classifier.n_classes == 8
+    # and the files themselves are the library bundle's, which adds only meta.json
+    for kind, models in (("forest", lib), ("knn", lib_knn)):
+        models.save(tmp_path / kind)
+        names = {"clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", f"{kind}.json"}
+        assert set(os.listdir(tmp_path / kind)) == names | {"meta.json"}
+        for name in names:
+            assert (d / name).read_bytes() == (tmp_path / kind / name).read_bytes()
+
+
+def test_knn_files_decode_as_the_library_bundle(workspace, tmp_path, capsys):
+    """infer over the CLI's kNN files prints the energy line and writes the
+    path file that infer over the library bundle, loaded back, gives."""
+    data = workspace["data"]
+    d = tmp_path / "cli"
+    shutil.copytree(workspace["models"], d)
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
+    assert main(train + ["--classifier", "knn", "--out", str(d / "knn.json")]) == 0
+    capsys.readouterr()
+    energy, files = _decode_over(workspace, d, capsys, "--classifier-model", "{d}/knn.json")
+    hs = load_homographies(data / "homographies.jsonl")
+    train_models([load_pose_sequence(data / "poses.jsonl")], [hs], k=8, window=8, classifier="knn").save(tmp_path / "lib")
+    models = egopose.TrainedModels.load(tmp_path / "lib")
+    static_h = egopose.load_static(data / "static_h.jsonl")
+    result = egopose.infer(hs, models, static_h, _cost_params(DEFAULT_CONFIG), _path_params(DEFAULT_CONFIG))
+    result.path.save(tmp_path / "path.jsonl", models.bank)
+    assert energy == ["energy: U={U:.6f} T={T:.6f} V={V:.6f} S={S:.6f} total={total:.6f}".format(**result.path.energy_dict())]
+    assert files["path.jsonl"] == (tmp_path / "path.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_knn_file_of_an_older_version_exits_3_naming_it(workspace, tmp_path, capsys, shift):
+    """A kNN file that holds its rows and their classes, as older versions
+    wrote it, is never read: its classes could contradict the bank."""
+    models = workspace["models"]
+    bank = ExemplarBank.load(models / "bank.json")
+    frames, x = load_features(models / "features.jsonl", len(bank.poses))
+    classes = (bank.cluster_of[frames] + shift) % bank.k
+    knn = tmp_path / "knn.json"
+    knn.write_text(json.dumps({"n_classes": bank.k, "features": x.tolist(), "classes": classes.tolist()}))
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--classifier-model") + 1] = str(knn)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{knn}: ") and "egopose train" in err["message"]
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def _decode_over(workspace, d, capsys, *flags):
@@ -1083,9 +1126,10 @@ def test_model_files_in_the_older_format_decode_the_same(workspace, tmp_path, ca
     models = workspace["models"]
     for name in ("new", "old"):
         shutil.copytree(models, tmp_path / name)
-    knn = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
-    assert main(knn + ["--classifier", "knn", "--out", str(tmp_path / "new" / "knn.json")]) == 0
-    shutil.copy(tmp_path / "new" / "knn.json", tmp_path / "old" / "knn.json")  # a format that did not change
+    new = tmp_path / "new"
+    knn = ["train", "--features", str(new / "features.jsonl"), "--bank", str(new / "bank.json")]
+    assert main(knn + ["--classifier", "knn", "--out", str(new / "knn.json")]) == 0
+    shutil.copy(new / "knn.json", tmp_path / "old" / "knn.json")  # it names the rows beside it, which hold a class there
     as_older_files(tmp_path / "old")
     capsys.readouterr()
     for flags in (

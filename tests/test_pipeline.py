@@ -36,7 +36,7 @@ from egopose.clustering import ExemplarBank, hip_heights, sit_stand_threshold
 from egopose.costs import UnaryCosts, prune, unary_costs
 from egopose.errors import Infeasible
 from egopose.pathopt import Trellis, solve_paper_dp
-from egopose.pipeline import SOLVERS, UP_AXIS
+from egopose.pipeline import SOLVERS, UP_AXIS, load_models
 from egopose.synth import default_camera
 
 
@@ -259,8 +259,9 @@ def test_feature_file_round_trip(tmp_path):
 def as_older_files(model_dir):
     """Rewrite the model files in model_dir as older versions wrote them:
     clusters.json with a leading k, each features.jsonl row with the class
-    of its bank pose, and meta.json with a leading theta_sit, the hip-height
-    threshold build_bank estimates from the bank poses."""
+    of its bank pose, and a bundle without knn.json and with a leading
+    theta_sit in meta.json, the hip-height threshold build_bank estimates
+    from the bank poses."""
     model_dir = Path(model_dir)
     bank = ExemplarBank.load(model_dir / "bank.json")
     clusters = model_dir / "clusters.json"
@@ -271,6 +272,7 @@ def as_older_files(model_dir):
         features.write_text("".join(json.dumps({**r, "class": int(bank.cluster_of[r["t"]])}) + "\n" for r in rows))
     meta = model_dir / "meta.json"
     if meta.exists():
+        (model_dir / "knn.json").unlink(missing_ok=True)
         theta_sit = sit_stand_threshold(hip_heights(bank.poses))
         meta.write_text(json.dumps({"theta_sit": theta_sit, **json.loads(meta.read_text())}, indent=2))
 
@@ -366,6 +368,7 @@ def test_trained_models_save_load_parity(tmp_path):
         {"camera": {"fx": True, "fy": 1.0, "cx": 0.5, "cy": 0.4}},
         {"camera": {"fx": 1.0, "fy": "1.1", "cx": 0.5, "cy": 0.4}},
         {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": 0.4, "focal": 1.0}},
+        {"knn_k": 0},  # checked on load, not at the first decode
     ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
@@ -391,11 +394,11 @@ def knn_bundle():
 def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path, knn_bundle):
     models, probe = knn_bundle
     models.save(tmp_path / "new")
-    assert not (tmp_path / "new" / "knn.json").exists()
+    assert json.loads((tmp_path / "new" / "knn.json").read_text()) == {"features": "features.jsonl"}
     assert json.loads((tmp_path / "new" / "meta.json").read_text())["classifier"] == "knn"
-    # a bundle written before the features were stored once also holds knn.json; it is ignored
+    # a bundle written before kNN files named their rows holds no knn.json
     models.save(tmp_path / "old")
-    models.classifier.save(tmp_path / "old" / "knn.json")
+    (tmp_path / "old" / "knn.json").unlink()
     want = infer(probe.homographies, models, static_h=probe.static_h)
     for name in ("new", "old"):
         again = TrainedModels.load(tmp_path / name)
@@ -410,6 +413,53 @@ def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path,
         assert np.array_equal(got.dists, want.dists)
         assert got.path.indices == want.path.indices
         assert got.path.energy_dict() == want.path.energy_dict()
+    # one written before that held a second copy of the rows, with their classes: retrain it
+    inline = {"n_classes": 5, "features": models.train_features.tolist(), "classes": models.classifier.classes.tolist()}
+    (tmp_path / "new" / "knn.json").write_text(json.dumps(inline))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'new' / 'knn.json'))}: .*egopose train"):
+        TrainedModels.load(tmp_path / "new")
+
+
+def test_load_models_builds_the_classifier_the_file_holds(tmp_path, knn_bundle):
+    models, _ = knn_bundle
+    models.save(tmp_path)
+    forest = train_models(*training_material(seed=50)[:2], k=5, window=8, n_trees=3, seed=2).classifier
+    forest.save(tmp_path / "forest.json")
+    files = [str(tmp_path / name) for name in ("clusters.json", "bank.json")]
+    settings = {"window": 8, "feature_mode": "homography", "camera": None, "knn_k": 4}
+    got = load_models(*files, tmp_path / "forest.json", **settings)
+    assert isinstance(got.classifier, ForestModel) and got.train_features is None
+    for name in ("feat", "thresh", "right", "leaf_count"):
+        assert np.array_equal(getattr(got.classifier, name), getattr(forest, name))
+    got = load_models(*files, tmp_path / "knn.json", **settings)
+    assert isinstance(got.classifier, KnnModel) and got.classifier.features is got.train_features
+    assert np.array_equal(got.classifier.features, models.classifier.features)
+    assert np.array_equal(got.classifier.classes, models.classifier.classes)
+    assert got.classifier.n_classes == 5
+    # each class reads only its own kind of file
+    bank = ExemplarBank.load(tmp_path / "bank.json")
+    for load, name, field in ((ForestModel.load, "knn.json", "trees"), (KnnModel.load, "forest.json", "features")):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / name))}: missing field '{field}'"):
+            load(tmp_path / name, *([bank] if load == KnnModel.load else []))
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("clusters.json", {"labels": None}),  # unlabeled: infer would fail on its first decode
+        ("clusters.json", "drop a cluster"),
+        ("forest.json", {"n_classes": 7}),  # valid on its own, since every leaf class is below 6
+    ],
+)
+def test_models_that_disagree_with_the_bank_are_rejected_on_load_naming_the_file(tmp_path, trained, name, change):
+    trained.save(tmp_path)
+    path = tmp_path / name
+    rec = json.loads(path.read_text())
+    if change == "drop a cluster":
+        change = {"centroids": rec["centroids"][:-1], "labels": rec["labels"][:-1]}
+    path.write_text(json.dumps({**rec, **change}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*the bank's 6 clusters"):
+        TrainedModels.load(tmp_path)
 
 
 def test_bundle_meta_that_disagrees_with_its_files_is_rejected(tmp_path, knn_bundle):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from egopose.classify import ForestModel, KnnModel, load_static, save_static
-from egopose.clustering import ClusterModel
+from egopose.clustering import ClusterModel, ExemplarBank
 from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
@@ -99,6 +99,14 @@ def test_frame_index_and_class_must_be_integral_numbers(tmp_path, loader, field,
         load(path)
 
 
+def _knn_over(path):
+    """The kNN model over the feature file at path, read through a kNN file
+    that names it, over a bank of 10 poses."""
+    knn = path.parent / "knn.json"
+    knn.write_text(json.dumps({"features": path.name}))
+    return KnnModel.load(knn, ExemplarBank(np.zeros((10, 75)), np.zeros(10, dtype=int), [], 1))
+
+
 # reader, a valid file's record (a stream's when it holds t), and the keys
 # down to one of its numbers
 NUMBER_READERS = {
@@ -108,12 +116,12 @@ NUMBER_READERS = {
     "feature": (LOADERS["features"][0], LOADERS["features"][1], ("v", 1)),
     "static": (load_static, LOADERS["static"][1], ("h",)),
     "clusters": (ClusterModel.load, {"centroids": [[1.0] * 75], "labels": None}, ("centroids", 0, 3)),
-    "knn": (KnnModel.load, {"n_classes": 2, "features": [[0.0, 1.0], [1.0, 0.0]], "classes": [0, 1]}, ("features", 0, 1)),
+    "knn": (_knn_over, LOADERS["features"][1], ("v", 1)),
     "forest": (ForestModel.load, forest_record(), ("trees", "thresh", 1)),
 }
 
 
-@pytest.mark.parametrize("bad", [True, "1", "0.5"])
+@pytest.mark.parametrize("bad", [True, "1", "0.5", [0.5]])  # the list makes a ragged one of its list
 @pytest.mark.parametrize("reader", list(NUMBER_READERS))
 def test_numbers_in_data_files_must_be_json_numbers(tmp_path, reader, bad):
     load, good, keys = NUMBER_READERS[reader]
@@ -125,7 +133,7 @@ def test_numbers_in_data_files_must_be_json_numbers(tmp_path, reader, bad):
     node = rec
     for key in keys[:-1]:
         node = node[key]
-    node[keys[-1]] = bad  # NumPy would read true as 1.0 and a numeric string as its number
+    node[keys[-1]] = bad  # NumPy would read true as 1.0 and a numeric string as its number, and name no field
     path.write_text(json.dumps(rec) + "\n")
     field = [key for key in keys if isinstance(key, str)][-1]
     where = f"{path}:1: " if stream else f"{path}: "
