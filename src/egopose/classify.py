@@ -15,13 +15,14 @@ from an explicit stack, and one router moves every row of every tree down a
 level per step, so nothing recurses. Tree probabilities are per-leaf
 normalized class histograms, averaged over trees. A k-NN classifier over the
 same features is available as an alternative probability provider. It finds
-neighbors exactly in two stages: one matrix product per block of queries
-bounds every squared distance within a proven rounding margin, and only the
-rows those bounds cannot rule out get the exact distance, the row sum of
-(point - v) ** 2; ties go to the lower training index. Training features
-are kept one {t, v} row per frame, t indexing the bank pose whose cluster is
-the row's class. A static per-frame sitting probability h can be read from
-file or held at the uninformative constant 0.5.
+neighbors exactly in two stages over the distinct training rows, each held
+once: one matrix product per block of queries bounds every squared distance
+within a proven rounding margin, and only the rows those bounds cannot rule
+out get the exact distance, the row sum of (point - v) ** 2; ties go to the
+lower training index. Training features are kept one {t, v} row per frame, t
+indexing the bank pose whose cluster is the row's class. A static per-frame
+sitting probability h can be read from file or held at the uninformative
+constant 0.5.
 """
 
 from __future__ import annotations
@@ -311,9 +312,9 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact k-NN
 
-# Queries per matrix product: each (queries, n) temporary of a block is a
-# 16-row table of distances or bounds.
-_SCAN_QUERIES = 16
+# Queries per matrix product: each (queries, distinct rows) temporary of a
+# block is a 32-row table of bounds.
+_SCAN_QUERIES = 32
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -329,36 +330,50 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 class KnnIndex:
-    """Exact k-nearest-neighbor index: a matrix-product prefilter with a
-    proven rounding margin, then exact distances for the rows it keeps.
+    """Exact k-nearest-neighbor index over the distinct training rows: a
+    matrix-product prefilter with a proven rounding margin, then exact
+    distances for the distinct rows it keeps.
 
     A query's exact squared distances are the row sums of (point - v) ** 2,
     the same floats as ((points - v) ** 2).sum(axis=1); the k smallest come
     nearest first, ties at equal distance go to the lower training index,
     and NaN distances sort last.
 
+    Each distinct row (rows are the same when their bytes are) is held once,
+    with its count and the ascending training indices of its copies. Copies
+    have bit-identical distances, so both stages run over distinct rows.
     Each block of queries gets approx = |p|^2 + |v|^2 - 2 p.v from one
-    matrix product, the squared norms of the points computed once, and
+    matrix product, the squared norms of the rows computed once, and
     sqdist.rounding_margin's proven m with approx - m <= exact <= approx + m.
-    With T the k-th smallest approx + m, a row with approx - m > T has k
+    With T the smallest approx + m at which the distinct rows at or below it
+    hold at least k training rows, a row with approx - m > T has k training
     rows strictly nearer, so only the rows with approx - m <= T get the
-    exact distance. A row whose |p|^2 + |v|^2 is NaN, infinite or above
-    SAFE_NORM is always kept, so NaN and infinite entries, and k >= n, reach
-    the exact distances on the same path.
+    exact distance. The first k copies of each such row, the only ones that
+    can be among the k nearest, are then ranked by (distance, training
+    index). A row whose |p|^2 + |v|^2 is NaN, infinite or above SAFE_NORM
+    is always kept, so NaN and infinite entries, and k >= n, reach the exact
+    distances on the same path.
     """
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=float)
-        if self.points.ndim != 2:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
             raise ValueError("points must be (n, d)")
-        if len(self.points) == 0:
+        if len(points) == 0:
             raise EmptyModel("index holds no points")
-        self._sq_norms = np.einsum("ij,ij->i", self.points, self.points)
+        ids: dict = {}  # one bytes key per distinct row; np.unique(axis=0) allocates far more
+        row_of = np.fromiter((ids.setdefault(p.tobytes(), len(ids)) for p in points), int, len(points))
+        # the training indices of distinct row r, ascending, are copies[starts[r] : starts[r] + counts[r]]
+        self._copies = np.argsort(row_of, kind="stable")
+        self._counts = np.bincount(row_of)
+        self._starts = np.cumsum(self._counts) - self._counts
+        self._rows = points if len(self._counts) == len(points) else points[self._copies[self._starts]]
+        self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
 
     def query(self, v: np.ndarray, k: int) -> np.ndarray:
         """Indices of the k nearest points, nearest first."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.points.shape[1],):
+        if v.shape != (self._rows.shape[1],):
             raise DimMismatch("query dimension mismatch")
         return self.query_batch(v[None], k)[0]
 
@@ -368,40 +383,63 @@ class KnnIndex:
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         vs = np.asarray(vs, dtype=float)
-        if vs.ndim != 2 or vs.shape[1] != self.points.shape[1]:
+        if vs.ndim != 2 or vs.shape[1] != self._rows.shape[1]:
             raise DimMismatch("query dimension mismatch")
-        return self._scan(vs, min(k, len(self.points)))
+        return self._scan(vs, min(k, len(self._copies)))
 
     def _scan(self, vs: np.ndarray, k: int) -> np.ndarray:
         """k nearest of each row of vs, for 1 <= k <= n: the bounds of a
-        block of queries, then the exact distances of each query's
-        candidates."""
-        d = self.points.shape[1]
+        block of queries, the exact distances of its (query, distinct row)
+        candidates, then each query's copies ranked."""
+        n = len(self._copies)
         out = np.empty((len(vs), k), dtype=int)
         for q0 in range(0, len(vs), _SCAN_QUERIES):
             batch = vs[q0 : q0 + _SCAN_QUERIES]
-            with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsafe
-                norms = np.einsum("ij,ij->i", batch, batch)[:, None] + self._sq_norms
-                unsafe = ~(norms <= SAFE_NORM)
-                approx = batch @ self.points.T
-                approx *= -2.0
-                approx += norms
-                margin = rounding_margin(norms, d, out=norms)
-                upper = approx + margin
-                lower = np.subtract(approx, margin, out=approx)
-            upper[unsafe] = np.inf
-            lower[unsafe] = -np.inf
-            upper.partition(k - 1, axis=1)
-            cut = upper[:, k - 1]
-            for j, v in enumerate(batch):
-                cand = np.flatnonzero(lower[j] <= cut[j])
-                diff = self.points[cand]
-                with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN distances sort last
-                    diff -= v
-                    diff *= diff
-                    d2 = diff.sum(axis=1)
-                out[q0 + j] = cand[_nearest(d2, k)]
+            q, row = self._candidates(batch, k)
+            diff = self._rows[row]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN distances sort last
+                diff -= batch[q]
+                diff *= diff
+                d2 = diff.sum(axis=1)
+            # each candidate's first k copies, ordered by query, then training index
+            length = np.minimum(self._counts[row], k)
+            end = np.cumsum(length)
+            at = self._copies[np.repeat(self._starts[row] - end + length, length) + np.arange(end[-1])]
+            key = np.repeat(q * n, length) + at
+            order = np.argsort(key)  # keys are unique
+            at, d2 = at[order], np.repeat(d2, length)[order]
+            bounds = np.searchsorted(key[order], np.arange(len(batch) + 1) * n)
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                out[q0 + j] = at[a:b][_nearest(d2[a:b], k)]
         return out
+
+    def _candidates(self, batch: np.ndarray, k: int):
+        """The (query, distinct row) pairs of a block whose lower bound is at
+        most the query's cut T, ordered by query, then row."""
+        u, d = self._rows.shape
+        with np.errstate(over="ignore", invalid="ignore"):  # such rows are unsafe
+            norms = np.einsum("ij,ij->i", batch, batch)[:, None] + self._sq_norms
+            unsafe = ~(norms <= SAFE_NORM)
+            approx = (batch * -2.0) @ self._rows.T  # -2 p.v, within the same proven error
+            approx += norms
+            margin = rounding_margin(norms, d, out=norms)
+            upper = approx + margin
+            lower = approx - margin
+        upper[unsafe] = np.inf
+        lower[unsafe] = -np.inf
+        # each distinct row holds a training row, so T is at most the k-th
+        # smallest upper bound, and every row kept has a lower bound below it
+        upper.partition(min(k, u) - 1, axis=1)
+        wide = np.flatnonzero(lower <= upper[:, min(k, u) - 1, None])
+        q, row = np.divmod(wide, u)
+        with np.errstate(over="ignore", invalid="ignore"):  # the upper bounds of those rows
+            bound = np.where(unsafe.ravel()[wide], np.inf, approx.ravel()[wide] + margin.ravel()[wide])
+        order = np.lexsort((bound, q))
+        held = np.cumsum(self._counts[row[order]])  # strictly rising, so searchsorted finds each query's T
+        before = np.r_[0, held][np.searchsorted(q, np.arange(len(batch)))]
+        cut = bound[order[np.searchsorted(held, before + k)]]
+        keep = lower.ravel()[wide] <= cut[q]
+        return q[keep], row[keep]
 
 
 @dataclass

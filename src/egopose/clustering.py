@@ -273,7 +273,9 @@ class ExemplarBank:
     adjacent: (k, k) bool table, adjacent[a, b] iff clusters a and b are
     neighbors, from build_neighbor_graph;
     segment_of: (n,) source-sequence id of each pose, so a step j -> i
-    stays inside one sequence iff segment_of[j] == segment_of[i].
+    stays inside one sequence iff segment_of[j] == segment_of[i];
+    members: the ascending pose indices of each cluster, one array per
+    cluster, from which prune builds a frame's candidates.
     neighbors: the sorted ids of each row of adjacent, a view kept because
     perfbench/layers.py reads it (ROADMAP item 8 deletes it).
     """
@@ -284,6 +286,7 @@ class ExemplarBank:
     k: int
     adjacent: np.ndarray = field(init=False, repr=False)
     segment_of: np.ndarray = field(init=False, repr=False)
+    members: list = field(init=False, repr=False)
     neighbors: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -301,6 +304,8 @@ class ExemplarBank:
                 raise ValueError("sequence break outside pose range")
         self.adjacent = build_neighbor_graph(self.cluster_of, self.sequence_breaks, self.k)
         self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
+        sizes = np.bincount(self.cluster_of, minlength=self.k)
+        self.members = np.split(np.argsort(self.cluster_of, kind="stable"), np.cumsum(sizes)[:-1])
         self.neighbors = [np.flatnonzero(row) for row in self.adjacent]
 
     @classmethod

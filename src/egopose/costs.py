@@ -102,21 +102,25 @@ def unary_costs(
 def prune(costs: UnaryCosts, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> UnaryCosts:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
-    A threshold of exactly 0 disables pruning and returns costs itself.
-    Otherwise the result holds new index arrays over the same table. A frame
-    that would lose all its candidates keeps its single highest-probability
-    pose (ties -> the smallest exemplar index).
+    costs must list every bank pose at every frame, as unary_costs returns
+    it. A threshold of exactly 0 disables pruning and returns costs itself.
+    Otherwise the result holds new index arrays over the same table: a
+    frame's kept poses are the members of its clusters above the threshold,
+    in ascending order. A frame that would lose all its candidates keeps its
+    single highest-probability pose (ties -> the smallest exemplar index).
     """
     thr = params.prune_threshold
     if thr == 0.0:
         return costs
+    if any(len(idx) != len(bank.poses) for idx in costs.indices):
+        raise ValueError("prune needs costs that list every bank pose at every frame")
     dists = np.asarray(dists, dtype=float)
     kept = []
-    for n, idx in enumerate(costs.indices):
-        clusters = bank.cluster_of[idx]
-        keep = (dists[n] > thr)[clusters]
-        if not keep.any():
-            first = int(dists[n][clusters].argmax())  # argmax takes the first maximum
-            keep = slice(first, first + 1)
-        kept.append(idx[keep])
+    for probs in dists:
+        members = [bank.members[c] for c in np.flatnonzero(probs > thr).tolist()]
+        if any(len(m) for m in members):
+            kept.append(np.sort(np.concatenate(members)))
+        else:
+            first = int(probs[bank.cluster_of].argmax())  # argmax takes the first maximum
+            kept.append(np.arange(first, first + 1))
     return replace(costs, indices=kept)

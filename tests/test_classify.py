@@ -542,6 +542,42 @@ def test_knn_scan_is_exact_on_adversarial_inputs(case):
             assert np.array_equal(idx.query(v, k), want)
 
 
+def _duplicate_knn_cases():
+    """(distinct rows, queries): each case draws many copies of its few
+    distinct rows, interleaved in index order."""
+    rng = np.random.default_rng(17)
+    grid = rng.integers(-4, 5, size=(4, 5)) / 4.0
+    # four rows at distance 1 from the origin and one at distance 2
+    ring = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 0.0]])
+    zeros = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 1.0]])
+    nan = np.array([[np.nan, 0.0], [-np.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    inf = np.array([[np.inf, 0.0], [-np.inf, 0.0], [np.inf, np.inf], [1.0, 0.0], [0.0, 1.0]])
+    plane = np.concatenate([np.zeros((1, 2)), ring[:3] * 0.5, [[np.inf, 0.0], [np.nan, 1.0]]])
+    return {
+        "interleaved copies": (grid, np.concatenate([rng.integers(-4, 5, size=(20, 5)) / 4.0, grid])),
+        "equal distances across rows": (ring, np.concatenate([plane[:4], ring, [[3.0, 0.0]]])),
+        "signed zeros": (zeros, np.concatenate([zeros, [[0.5, 0.5], [-0.0, 0.5]]])),
+        "NaN rows": (nan, plane),
+        "inf rows": (inf, plane),
+    }
+
+
+@pytest.mark.parametrize("case", list(_duplicate_knn_cases()))
+def test_knn_duplicate_rows_match_whole_array_scan(case):
+    distinct, queries = _duplicate_knn_cases()[case]
+    rng = np.random.default_rng(19)
+    pts = distinct[rng.permutation(np.repeat(np.arange(len(distinct)), 40))]
+    idx = KnnIndex(pts)
+    u, n = len(distinct), len(pts)
+    assert len(idx._rows) == u  # each distinct row is held once
+    for k in (1, 2, u - 1, u, u + 1, 39, 40, 41, 2 * 40 + 1, n - 1, n, n + 1):
+        got = idx.query_batch(queries, k)
+        for v, row in zip(queries, got):
+            want = _whole_array_scan(pts, v, k)
+            assert np.array_equal(row, want), (case, k, v)
+            assert np.array_equal(idx.query(v, k), want)
+
+
 def test_knn_k_below_one_is_rejected():
     model = KnnModel(np.eye(3), [0, 1, 2], 3)
     for k in (0, -1):

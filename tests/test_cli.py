@@ -399,6 +399,27 @@ def test_knn_classifier_via_cli(workspace, tmp_path, capsys):
     assert rc == 0
 
 
+def test_knn_leave_one_out_with_more_than_k_plus_one_copies_of_a_row(workspace, tmp_path, capsys):
+    models = workspace["models"]
+    bank = ExemplarBank.load(models / "bank.json")
+    frames, x = load_features(models / "features.jsonl", len(bank.poses))
+    # nine copies of row 12, four of them at lower indices; k + 1 = 6
+    copies = [2, 5, 7, 9, 12, 20, 31, 40, 41]
+    x[copies] = x[12]
+    features = tmp_path / "features.jsonl"
+    features.write_text("".join(json.dumps({"t": int(t), "v": v.tolist()}) + "\n" for t, v in zip(frames, x)))
+    train = ["train", "--features", str(features), "--bank", str(models / "bank.json"), "--classifier", "knn"]
+    assert main(train + ["--knn-k", "5", "--loo", "--out", str(tmp_path / "knn.json")]) == 0
+    # each row votes with its 5 nearest other rows, by a naive full sort
+    classes = bank.cluster_of[frames]
+    hits = 0
+    for i, v in enumerate(x):
+        d2 = ((x - v) ** 2).sum(axis=1)
+        order = [j for j in np.lexsort((np.arange(len(x)), d2)) if j != i][:5]
+        hits += int(np.bincount(classes[order], minlength=8).argmax() == classes[i])
+    assert f"leave-one-out accuracy: {hits / len(x):.4f}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_knn_k_below_one_exits_3(workspace, tmp_path, capsys, k):
     models = workspace["models"]

@@ -204,6 +204,28 @@ def test_prune_matches_reference_filter():
         assert list(pruned.indices[n]) == ref
 
 
+@pytest.mark.parametrize("thr", [1e-6, 0.05, 0.3, 0.9])
+def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
+    rng = np.random.default_rng(10)
+    bank = make_bank(rng, n=80, k=7)
+    bank = ExemplarBank.build(bank.poses, np.where(bank.cluster_of == 6, 0, bank.cluster_of), [], 7)  # 6 is empty
+    dists = rng.dirichlet(np.ones(bank.k), size=12)
+    dists[0] = 1.0 / bank.k  # every cluster above the lower thresholds
+    dists[1] = np.eye(bank.k)[6]  # only the empty cluster passes: the fallback
+    out = unary_costs(dists, np.full(12, 0.5), bank, alternating_labels(bank.k))
+    pruned = prune(out, dists, bank, CostParams(prune_threshold=thr))
+    for n, idx in enumerate(out.indices):
+        assert idx is out.indices[0]  # the shared read-only arange over the bank
+        want = idx[(dists[n] > thr)[bank.cluster_of[idx]]]
+        if not len(want):
+            first = int(dists[n][bank.cluster_of[idx]].argmax())
+            want = idx[first : first + 1]
+        assert pruned.indices[n].dtype == want.dtype
+        assert np.array_equal(pruned.indices[n], want)
+    with pytest.raises(ValueError, match="every bank pose"):
+        prune(pruned, dists, bank, CostParams(prune_threshold=thr))
+
+
 def test_prune_keeps_argmin_above_threshold():
     rng = np.random.default_rng(9)
     bank = make_bank(rng, n=40, k=5)
