@@ -20,7 +20,7 @@ import numpy as np
 
 # kmeans and train_forest go unused here; perfbench/layers.py wraps them at these bindings
 from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
-from .clustering import ExemplarBank, kmeans  # noqa: F401
+from .clustering import kmeans, read_bank_fields  # noqa: F401
 from .costs import CostParams
 from .errors import (
     DegenerateConfiguration,
@@ -189,11 +189,11 @@ def cmd_cluster(args):
 
 def cmd_train(args):
     cfg = _load_config(args)
-    bank = ExemplarBank.load(args.bank)
-    frames, x = load_features(args.features, len(bank.poses))
+    _, cluster_of, _, n_classes = read_bank_fields(args.bank)  # the poses are not needed
+    frames, x = load_features(args.features, len(cluster_of))
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
-    classes, n_classes = bank.cluster_of[frames], bank.k
+    classes = cluster_of[frames]
     k = _check_knn_k(cfg["knn_k"]) if args.classifier == "knn" else None
     model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"])
     if args.classifier == "forest":

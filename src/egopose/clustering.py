@@ -277,7 +277,7 @@ class ExemplarBank:
     members: the ascending pose indices of each cluster, one array per
     cluster, from which prune builds a frame's candidates.
     neighbors: the sorted ids of each row of adjacent, a view kept because
-    perfbench/layers.py reads it (ROADMAP item 8 deletes it).
+    perfbench/layers.py reads it (ROADMAP item 5 deletes it).
     """
 
     poses: np.ndarray
@@ -291,17 +291,9 @@ class ExemplarBank:
 
     def __post_init__(self):
         self.poses = np.asarray(self.poses, dtype=float)
-        self.cluster_of = np.asarray(self.cluster_of, dtype=int)
-        self.sequence_breaks = np.asarray(sorted(int(b) for b in self.sequence_breaks), dtype=int)
         if self.poses.ndim != 2 or self.poses.shape[1] != 75:
             raise ValueError("bank poses must be (n, 75)")
-        if self.cluster_of.shape != (len(self.poses),):
-            raise ValueError("cluster_of must hold one cluster id per pose")
-        if len(self.cluster_of) and (self.cluster_of.min() < 0 or self.cluster_of.max() >= self.k):
-            raise ValueError("cluster id out of range")
-        for b in self.sequence_breaks:
-            if not (0 < b < len(self.poses)):
-                raise ValueError("sequence break outside pose range")
+        self.cluster_of, self.sequence_breaks = _checked_clusters(self.cluster_of, self.sequence_breaks, self.k, len(self.poses))
         self.adjacent = build_neighbor_graph(self.cluster_of, self.sequence_breaks, self.k)
         self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
         sizes = np.bincount(self.cluster_of, minlength=self.k)
@@ -332,16 +324,42 @@ class ExemplarBank:
 
     @classmethod
     def load(cls, path) -> "ExemplarBank":
-        """The bank save wrote; a neighbors key, which older files hold, is
-        ignored, since the graph is derived from cluster_of and the breaks."""
-        rec = load_json_object(path)
-        with model_fields(path):
-            pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
+        """The bank save wrote, its fields read by read_bank_fields, with the
+        poses of the pose file it names."""
+        pose_path, cluster_of, sequence_breaks, k = read_bank_fields(path)
         poses = load_pose_sequence(pose_path).as_matrix()  # a fault there is the pose file's, not a field's
         with model_fields(path):
-            return cls(
-                poses,
-                integral_array(rec["cluster_of"], "cluster_of"),
-                integral_array(rec["sequence_breaks"], "sequence_breaks"),
-                integral(rec, "k"),
-            )
+            return cls(poses, cluster_of, sequence_breaks, k)
+
+
+def _checked_clusters(cluster_of, sequence_breaks, k: int, n_poses: int):
+    """cluster_of as an int array and the breaks as a sorted one; ValueError
+    unless they hold one cluster id in [0, k) per pose and breaks inside the
+    poses."""
+    cluster_of = np.asarray(cluster_of, dtype=int)
+    sequence_breaks = np.asarray(sorted(int(b) for b in sequence_breaks), dtype=int)
+    if cluster_of.shape != (n_poses,):
+        raise ValueError("cluster_of must hold one cluster id per pose")
+    if len(cluster_of) and (cluster_of.min() < 0 or cluster_of.max() >= k):
+        raise ValueError("cluster id out of range")
+    for b in sequence_breaks:
+        if not (0 < b < n_poses):
+            raise ValueError("sequence break outside pose range")
+    return cluster_of, sequence_breaks
+
+
+def read_bank_fields(path):
+    """(pose file path, cluster_of, sequence_breaks, k) of the bank file
+    ExemplarBank.save wrote, without reading the pose file. Every field is
+    checked, against the others too (one cluster id in [0, k) per pose as
+    cluster_of counts them), and a fault raises ValueError naming the file. A
+    neighbors key, which older files hold, is ignored, since the graph is
+    derived from cluster_of and the breaks."""
+    rec = load_json_object(path)
+    with model_fields(path):
+        pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
+        cluster_of = integral_array(rec["cluster_of"], "cluster_of")
+        k = integral(rec, "k")
+        breaks = integral_array(rec["sequence_breaks"], "sequence_breaks")
+        cluster_of, breaks = _checked_clusters(cluster_of, breaks, k, len(cluster_of))
+    return pose_path, cluster_of, breaks, k

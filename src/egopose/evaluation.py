@@ -129,7 +129,12 @@ def baseline_kdtree(
     train_features: np.ndarray,
     train_pose_vectors: np.ndarray,
     test_features: np.ndarray,
+    index: KnnIndex | None = None,
 ) -> PoseSequence:
-    """1-NN lookup: each test feature takes its nearest training pose."""
-    nn = KnnIndex(train_features).query_batch(test_features, 1)[:, 0]
+    """1-NN lookup: each test feature takes its nearest training pose. index,
+    when given, is a KnnIndex over train_features, such as a kNN
+    classifier's own, and saves building one."""
+    if index is None:
+        index = KnnIndex(train_features)
+    nn = index.query_batch(test_features, 1)[:, 0]
     return PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in train_pose_vectors[nn]])

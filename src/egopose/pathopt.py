@@ -23,11 +23,18 @@ Writing a_j = j + s(j, n-1) for the index predecessor j predicts, the speed
 term is q = mu * min(|a_j - i|, gamma): truncated-linear in i, as in the
 distance transforms of sampled functions (Felzenszwalb & Huttenlocher, ToC
 2012). So every predecessor that is not within gamma of its prediction and
-is not i, i-1 or i-2 scores the same saturated (h_j + delta) + mu * gamma.
-solve_paper_dp therefore scores each node against a bounded candidate set
-(the near predecessors, the special ones and one representative of the
-saturated rest) and still returns exactly the dense recursion's first
-minimum; its docstring gives the rule and the argument. Per frame this costs
+is not i, i-1 or i-2 scores the same saturated sat_j = (h_j + delta) +
+mu * gamma. solve_paper_dp therefore scores each node against a bounded
+candidate set and still returns exactly the dense recursion's first minimum:
+
+* one representative of the saturated rest, scored by looking up its sat_j;
+* the special predecessors i - d for d = 0, 1, 2, with the step fixed per d;
+* the near predecessors, dropped before any pair is made when h_j + delta,
+  a floor under each of their scores, exceeds the best score so far.
+
+The special positions and the live cluster edges of a frame pair are kept
+while both frames' candidate arrays repeat. The docstring of solve_paper_dp
+gives each rule's exactness argument. Per frame this costs
 O(width * gamma + edges of the neighbor graph) instead of O(width^2).
 
 solve_exact_dp augments the node state with the exact previous step and a
@@ -205,8 +212,7 @@ def energy_of_path(trellis: Trellis, indices, params: PathParams = PathParams())
     return PosePath(indices, unary, transition, speed, stationary, total)
 
 
-_REPS = 4  # at most 3 special predecessors, so one of 4 is not special
-_SPECIAL = np.arange(3)  # steps i - j that can have w = 0 or r > 0
+_SPECIAL = np.arange(3)[:, None]  # steps i - j that can have w = 0 or r > 0, one row each
 _NEAR_CHUNK = 1 << 16  # near pairs scored at a time; bounds memory per frame
 
 
@@ -218,97 +224,176 @@ def _near_reach(speed_gamma: float, n_poses: int) -> int:
     return math.ceil(speed_gamma) - 1
 
 
-def _smallest_ranks(groups, ranks, n_groups: int, n: int):
-    """(n_groups, _REPS) table of each group's smallest ranks (unique, < n),
-    ascending and padded with n."""
-    keys = groups * (n + 1) + ranks
-    keys.sort()
-    g = keys // (n + 1)
-    nth = np.arange(len(keys)) - g.searchsorted(g)
-    keep = nth < _REPS
-    table = np.full((n_groups, _REPS), n)
-    table[g[keep], nth[keep]] = keys[keep] % (n + 1)
-    return table
+def _far(step):
+    """step < 0 or step > 2, in one comparison: a negative step casts to a
+    huge unsigned one."""
+    return step.astype(np.uint64) > 2
 
 
-def _representatives(sat, p_idx, p_clusters, idx, clusters, src, dst, k: int):
-    """Per node i, the position of the predecessor with the smallest
-    (sat_j, j) among those in neighbor clusters of i's cluster that are not
-    i, i-1 or i-2; len(p_idx) when there is none. src, dst list each edge of
-    the k-cluster neighbor graph once."""
-    n = len(p_idx)
+def _runs(keys):
+    """Where each run of equal values in keys starts, and each element's run."""
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head.nonzero()[0], head.cumsum() - 1
+
+
+class _Frame:
+    """What the recursion reads of one frame's candidate indices alone."""
+
+    def __init__(self, idx, bank: ExemplarBank):
+        self.idx = idx
+        self.clusters = bank.cluster_of[idx]
+        self.seg = bank.segment_of[idx]
+        self.flat = self.clusters * bank.k  # row offsets into the flat adjacency table
+        # positions by cluster: group g is by_cluster[starts[g]:starts[g + 1]]
+        self.by_cluster = self.clusters.argsort(kind="stable")
+        ordered = self.clusters[self.by_cluster]
+        self.starts, self.group_of_sorted = _runs(ordered)
+        self.present = ordered[self.starts]  # the cluster of each group, ascending
+        self.group = np.full(bank.k, -1)  # group of each cluster, -1 when absent
+        self.group[self.present] = np.arange(len(self.present))
+        # below[x]: how many candidates have an index under x, for x in 0..n_poses
+        bounds = np.empty(len(idx) + 2, dtype=int)
+        bounds[0], bounds[1:-1], bounds[-1] = -1, idx, len(bank.poses)
+        self.below = np.arange(len(idx) + 1).repeat(np.diff(bounds))
+
+    def count_below(self, x):
+        return self.below[x.clip(0, len(self.below) - 1)]
+
+    def same_candidates(self, idx) -> bool:
+        return idx is self.idx or (len(idx) == len(self.idx) and np.array_equal(idx, self.idx))
+
+
+class _Pair:
+    """What the recursion reads of two consecutive frames' candidates: each
+    node's special predecessors with their w, and the live edges of the
+    neighbor graph grouped by target cluster."""
+
+    def __init__(self, prev: _Frame, cur: _Frame, bank: ExemplarBank, delta: float):
+        self.prev, self.cur = prev, cur
+        n = len(prev.idx)
+        back = cur.idx - _SPECIAL  # (3, width): the predecessor index of each special step
+        pos = prev.count_below(back)
+        j = np.minimum(pos, n - 1)
+        match = (prev.idx[j] == back) & bank.adjacent.ravel()[prev.flat[j] + cur.clusters]
+        # rows 0-2: the special predecessors (n where there is none); row 3
+        # receives each frame's representatives
+        self.positions = np.empty((4, len(cur.idx)), dtype=int)
+        self.special = self.positions[:3]
+        np.copyto(self.special, np.where(match, pos, n))
+        self.w = np.where(cur.seg > prev.seg[j], delta, 0.0)
+        target, self.edge_pred = bank.adjacent[np.ix_(cur.present, prev.present)].nonzero()
+        self.edge_starts, self.edge_run = _runs(target)
+        run_of_group = np.full(len(cur.present), len(self.edge_starts))
+        run_of_group[target[self.edge_starts]] = np.arange(len(self.edge_starts))
+        self.node_run = run_of_group[cur.group[cur.clusters]]  # past the end: no live edge
+
+
+def _representatives(sat, pair: _Pair):
+    """Per node i, the position of the predecessor that stands in for every
+    predecessor that scores sat_j, or len(sat) when none has to.
+
+    Walk the predecessors in the neighbor clusters of i's cluster by
+    ascending (sat_j, j): the first that is not special is the
+    representative. A first one with step 1 or 2 scores at most its own
+    sat_j with r = 0, so it beats every later one and none is needed. Only
+    the step-0 predecessor can score more (r > 0), and it is at most one,
+    so the walk ends by the second predecessor."""
+    n = len(sat)
+    p_idx, idx = pair.prev.idx, pair.cur.idx
+    reps = np.full(len(idx), n)
+    if not len(pair.edge_pred):
+        return reps
     order = sat.argsort(kind="stable")  # ties keep the smaller j
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    by_source = _smallest_ranks(p_clusters, rank, k, n)
-    live = np.zeros((2, k), dtype=bool)
-    live[0, clusters] = True
-    live[1, p_clusters] = True
-    edges = live[0, src] & live[1, dst]
-    ranks = by_source[dst[edges]]
-    present = ranks < n
-    groups = src[edges].repeat(_REPS)[present.ravel()]
-    by_target = _smallest_ranks(groups, ranks[present], k, n)
-    reps = np.append(order, n)[by_target[clusters]]
-    step = idx[:, None] - p_idx.take(reps, mode="clip")
-    usable = (reps < n) & ((step < 0) | (step > 2))
-    first = usable.argmax(axis=1)
-    rep = reps[np.arange(len(idx)), first]
-    rep[~usable[np.arange(len(idx)), first]] = n
-    return rep
+    grouped = rank[pair.prev.by_cluster]
+    first = np.minimum.reduceat(grouped, pair.prev.starts)  # per cluster of the previous frame
+    per_edge = first[pair.edge_pred]
+    best = np.minimum.reduceat(per_edge, pair.edge_starts)  # per cluster of this frame
+    order = np.append(order, n)
+    p_idx = np.append(p_idx, -3)  # the missing predecessor n is never special
+    rep = order[np.append(best, n)[pair.node_run]]
+    step = idx - p_idx[rep]
+    reps = np.where(_far(step), rep, n)
+    stay = (step == 0).nonzero()[0]
+    if len(stay):
+        second = np.minimum.reduceat(np.where(grouped == first[pair.prev.group_of_sorted], n, grouped), pair.prev.starts)
+        per_edge = np.where(per_edge == best[pair.edge_run], second[pair.edge_pred], per_edge)
+        rep = order[np.append(np.minimum.reduceat(per_edge, pair.edge_starts), n)[pair.node_run[stay]]]
+        reps[stay] = np.where(_far(idx[stay] - p_idx[rep]), rep, n)
+    return reps
 
 
-def _near_pairs(a, idx, reach: int):
-    """(target, predecessor) position pairs with |a_j - i| <= reach, target
-    by target, in chunks of about _NEAR_CHUNK pairs."""
-    order = a.argsort()
-    a_sorted = a[order]
-    lo = a_sorted.searchsorted(idx - reach, side="left")
-    cnt = a_sorted.searchsorted(idx + reach, side="right") - lo
+def _near_pairs(preds, lo, hi):
+    """(target, predecessor) position pairs that join preds[m] to the
+    targets lo[m]..hi[m] - 1, predecessor by predecessor, in chunks of about
+    _NEAR_CHUNK pairs."""
+    cnt = hi - lo
     ends = cnt.cumsum()
-    t0 = 0
-    while t0 < len(idx):
-        t1 = max(t0 + 1, int(ends.searchsorted(ends[t0] - cnt[t0] + _NEAR_CHUNK, side="right")))
-        c = cnt[t0:t1]
-        tgt = np.arange(t0, t1).repeat(c)
-        yield tgt, order[np.arange(len(tgt)) + (lo[t0:t1] - (c.cumsum() - c)).repeat(c)]
-        t0 = t1
+    m0 = 0
+    while m0 < len(preds):
+        m1 = max(m0 + 1, int(ends.searchsorted(ends[m0] - cnt[m0] + _NEAR_CHUNK, side="right")))
+        c = cnt[m0:m1]
+        jp = preds[m0:m1].repeat(c)
+        yield np.arange(len(jp)) + (lo[m0:m1] - (c.cumsum() - c)).repeat(c), jp
+        m0 = m1
 
 
 def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tables: bool = False):
     """First-order recursion with carried (s, u); ties take the smaller index.
 
     Node i of a frame is scored against a candidate set of predecessors j
-    from the previous frame, each filtered by cluster adjacency and scored
-    with the full h_j + w + q + r; the first minimum over (score, j) wins:
+    from the previous frame, all in neighbor clusters of i's cluster, and the
+    first minimum over (score, j) wins. The dense score is
+    ((h_j + w) + q) + r; write sat_j = (h_j + delta) + mu * gamma and
+    a_j = j + s_j. Each candidate rule is exact:
 
-    * near: the predicted index a_j = j + s_j has |a_j - i| < gamma;
-    * special: j is i, i-1 or i-2, the only steps that can have w = 0 or r > 0;
-    * representative: among the 4 smallest (sat_j, j) over the predecessors
-      in the neighbor clusters of i's cluster, where
-      sat_j = (h_j + delta) + mu * gamma, the first that is not special.
+    * Special: j = i - d for d = 0, 1, 2, the only steps that can have w = 0
+      or r > 0. The step is fixed per d, so w = delta iff seg_i > seg_j (the
+      step crosses a sequence break), q = mu * min(|s_j - d|, gamma), and r
+      is added only for d = 0: the dense expression with the step put in.
+    * Near: |a_j - i| < gamma and j is not special, so w = delta, r = 0 and
+      q = mu * |a_j - i| is below saturation. The score is
+      (h_j + delta) + mu * |a_j - i|, never below h_j + delta. So a near j
+      whose h_j + delta exceeds the largest best score so far is dropped
+      before any pair is made, and a pair whose h_j + delta exceeds its
+      node's best score so far is dropped before it is scored. Both tests
+      keep equality, so a tie still reaches the index rule.
+    * Representative: any other j has w = delta, r = 0 and q saturated, so
+      it scores exactly sat_j. The representative is the first non-special j
+      in ascending (sat_j, j), and it is scored as sat_j by lookup. If it is
+      not near, that is its exact score; if it is near, the near stage scores
+      it exactly at no more than sat_j, or drops it as unable to reach the
+      best score. When a special j with step 1 or 2 comes first in that order,
+      it scores at most its own sat_j (w <= delta, q <= mu * gamma, r = 0),
+      so it beats every later j and no representative is taken.
 
-    This is exact. A predecessor that is neither near nor special has
-    w = delta, r = 0 and q saturated at mu * gamma, so it scores exactly
-    sat_j. The representative is the smallest (sat_j, j) among non-special
-    predecessors, and since float rounding is monotone it scores at most its
-    own sat_j. So the first minimizer over every predecessor is always a
-    candidate, and paths, energies and node records equal those of a dense
-    scan. Per frame the cost is O(width * gamma + edges of the neighbor graph)
-    plus sorting the previous frame, instead of O(width^2).
+    Float rounding is monotone, so each bound holds in floating point too,
+    and the first minimizer over every predecessor is always a candidate with
+    its exact score: paths, energies and node records equal those of a dense
+    scan.
+
+    The special positions with their w and the live edges between the two
+    frames' clusters depend only on the two candidate arrays. They are held
+    for the current frame pair only, and reused while both arrays stay the
+    same (one object, or equal), as when every frame holds the whole bank.
+    Per frame the cost is O(width * gamma + edges of the neighbor graph) plus
+    sorting the previous frame by sat_j, instead of O(width^2).
 
     Returns a PosePath, or (PosePath, tables) with keep_tables where tables
     is a per-frame list of NodeState records.
     """
     bank = trellis.bank
-    k = bank.k
-    src, dst = bank.adjacent.nonzero()
     adjacent = bank.adjacent.ravel()  # a flat index is cheaper than a (row, column) pair
     reach = _near_reach(params.speed_gamma, len(bank.poses))
+    any_far = reach < 2 * len(bank.poses)  # else every predecessor is near or special
     sat_q = params.speed_mu * params.speed_gamma
     idx0, e0 = trellis.frames[0]
-    clusters, seg = bank.cluster_of[idx0], bank.segment_of[idx0]
-    h = e0.copy()
+    cur = _Frame(idx0, bank)
+    pair = None
+    h = np.append(e0, np.inf)  # the last entry scores the missing predecessor
     u = np.zeros(len(idx0), dtype=int)
     s = np.zeros(len(idx0), dtype=int)
     parents = [np.full(len(idx0), -1, dtype=int)]
@@ -318,52 +403,55 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         if not np.isfinite(h).any():  # no later node can become finite
             raise Infeasible("no finite-energy path through the trellis")
         idx, e = trellis.frames[n]
-        p_idx, _ = trellis.frames[n - 1]
-        p_clusters, p_seg = clusters, seg
-        clusters, seg = bank.cluster_of[idx], bank.segment_of[idx]
+        prev = cur
+        if not prev.same_candidates(idx):
+            cur = _Frame(idx, bank)
+        if pair is None or pair.prev is not prev or pair.cur is not cur:
+            pair = _Pair(prev, cur, bank, params.delta)
+        p_idx, idx = prev.idx, cur.idx
         n_prev = len(p_idx)  # also the "no candidate" marker
+        hd = h + params.delta
 
-        def score(jp, i, seg_i):
-            step = i - p_idx[jp]
-            w = np.where((step >= 0) & (step <= 2) & ~(seg_i > p_seg[jp]), 0.0, params.delta)
-            q = params.speed_mu * np.minimum(np.abs(s[jp] - step), params.speed_gamma)
-            r = np.where(step == 0, params.stat_mu * np.minimum(u[jp] + 1, params.stat_gamma), 0.0)
-            return h[jp] + w + q + r
+        # special predecessors and the representative: a (4, width) block
+        tot = np.empty((4, len(idx)))
+        special = pair.special
+        np.add(h[special], pair.w, out=tot[:3])
+        tot[:3] += params.speed_mu * np.minimum(np.abs(s.take(special, mode="clip") - _SPECIAL), params.speed_gamma)
+        tot[0] += params.stat_mu * np.minimum(u.take(special[0], mode="clip") + 1, params.stat_gamma)
+        if any_far:
+            sat = hd + sat_q
+            pair.positions[3] = _representatives(sat[:n_prev], pair)
+            tot[3] = sat[pair.positions[3]]  # the last entry of sat is inf
+        else:
+            pair.positions[3] = n_prev
+            tot[3] = np.inf
+        best_tot = tot.min(axis=0)
+        best = np.where(tot == best_tot, pair.positions, n_prev).min(axis=0)
 
-        # special predecessors and the representative: a (width, 4) block
-        back = idx[:, None] - _SPECIAL
-        pos = p_idx.searchsorted(back)
-        fixed = np.empty((len(idx), _REPS), dtype=int)
-        fixed[:, :3] = np.where(p_idx.take(pos, mode="clip") == back, pos, n_prev)
-        sat = (h + params.delta) + sat_q
-        fixed[:, 3] = _representatives(sat, p_idx, p_clusters, idx, clusters, src, dst, k)
-        jf = np.minimum(fixed, n_prev - 1)
-        valid = (fixed < n_prev) & adjacent[p_clusters[jf] * k + clusters[:, None]]
-        tot = np.where(valid, score(jf, idx[:, None], seg[:, None]), np.inf)
-        best_tot = tot.min(axis=1)
-        best = np.where(valid & (tot == best_tot[:, None]), fixed, n_prev).min(axis=1)
-
-        # near predecessors; pairs come target by target
-        for tgt, jp in _near_pairs(p_idx + s, idx, reach) if reach >= 0 else ():
-            ok = adjacent[p_clusters[jp] * k + clusters[tgt]]
-            tgt, jp = tgt[ok], jp[ok]
-            if not len(tgt):
+        # near predecessors: one is dropped while h_j + delta exceeds the best
+        # score so far of every node, and a pair while it exceeds the node's
+        keep = (hd[:n_prev] <= best_tot.max()).nonzero()[0] if reach >= 0 else np.empty(0, dtype=int)
+        a = p_idx + s
+        lo, hi = cur.count_below(a[keep] - reach), cur.count_below(a[keep] + (reach + 1))
+        for tgt, jp in _near_pairs(keep, lo, hi):
+            hj = hd[jp]
+            step = idx[tgt] - p_idx[jp]
+            ok = (hj <= best_tot[tgt]) & _far(step) & adjacent[prev.flat[jp] + cur.clusters[tgt]]
+            if not ok.any():
                 continue
-            tot = score(jp, idx[tgt], seg[tgt])
-            head = np.empty(len(tgt), dtype=bool)
-            head[0] = True
-            np.not_equal(tgt[1:], tgt[:-1], out=head[1:])
-            starts = head.nonzero()[0]
-            mn = np.minimum.reduceat(tot, starts)
-            jn = np.minimum.reduceat(np.where(tot == mn[head.cumsum() - 1], jp, n_prev), starts)
-            t = tgt[starts]
-            take = (mn < best_tot[t]) | ((mn == best_tot[t]) & (jn < best[t]))
-            best_tot[t[take]] = mn[take]
-            best[t[take]] = jn[take]
+            tgt, jp = tgt[ok], jp[ok]
+            near = hj[ok] + params.speed_mu * np.abs(a[jp] - idx[tgt])
+            before = best_tot.copy()
+            np.minimum.at(best_tot, tgt, near)
+            best[best_tot < before] = n_prev  # a strictly better near pair displaces the old best
+            win = near == best_tot[tgt]
+            np.minimum.at(best, tgt[win], jp[win])
 
         found = best < n_prev
         chosen = np.minimum(best, n_prev - 1)
-        h_new = e + best_tot
+        h_new = np.empty(len(idx) + 1)
+        h_new[-1] = np.inf
+        np.add(e, best_tot, out=h_new[:-1])
         s_new = np.where(found, idx - p_idx[chosen], 0)
         u_new = np.where(found & (s_new == 0), u[chosen] + 1, 0)
         par = np.where(found, best, -1)
@@ -381,6 +469,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
             NodeState(float(e0[p]), 0, 0, -1) for p in range(len(idx0))
         ]
 
+    h = h[:-1]
     end = int(h.argmin())
     if not np.isfinite(h[end]):
         raise Infeasible("no finite-energy path through the trellis")

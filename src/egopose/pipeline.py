@@ -387,7 +387,9 @@ def infer(
     elif solver == "kdtree":
         if models.train_features is None:
             raise ValueError("kdtree solver needs stored training features")
-        poses = baseline_kdtree(models.train_features, bank.poses[models.train_feature_frames], x)
+        own = isinstance(models.classifier, KnnModel) and models.classifier.features is models.train_features
+        index = models.classifier.index() if own else None
+        poses = baseline_kdtree(models.train_features, bank.poses[models.train_feature_frames], x, index)
     else:
         mode = SitStand.STANDING_LIKE if solver == "always-standing" else SitStand.SITTING_LIKE
         p = baseline_constant(bank, labels, mode)

@@ -848,6 +848,25 @@ def test_train_takes_each_row_class_from_the_bank(workspace, tmp_path):
     assert (tmp_path / "forest.json").read_bytes() == (models / "forest.json").read_bytes()
 
 
+def test_train_reads_the_bank_file_but_not_its_poses(workspace, tmp_path, capsys):
+    """train needs only each pose's cluster: with the pose file gone it
+    writes the same model, and a bad field still exits 3 naming the file."""
+    models = workspace["models"]
+    bank = tmp_path / "bank.json"
+    shutil.copy(models / "bank.json", bank)  # without bank_poses.jsonl beside it
+    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(bank), "--trees", "15"]
+    assert main(train + ["--out", str(tmp_path / "forest.json")]) == 0
+    assert (tmp_path / "forest.json").read_bytes() == (models / "forest.json").read_bytes()
+    capsys.readouterr()
+    rec = json.loads(bank.read_text())
+    for field, value in (("k", 2.5), ("cluster_of", [rec["k"]] * len(rec["cluster_of"])), ("sequence_breaks", [0])):
+        bank.write_text(json.dumps({**rec, field: value}))
+        assert main(train + ["--out", str(tmp_path / "bad.json")]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{bank}: ")
+    assert not (tmp_path / "bad.json").exists()
+
+
 @pytest.mark.parametrize("t", ["-1", "n_poses"])
 def test_feature_row_outside_the_bank_exits_3_naming_its_line(workspace, tmp_path, capsys, t):
     models = workspace["models"]

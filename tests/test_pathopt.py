@@ -778,6 +778,70 @@ def test_paper_dp_equals_dense_reference_in_small_near_chunks(monkeypatch):
         assert_same_as_reference(oracle_instance(rng, dyadic=True), params)
 
 
+def _repeating_trellis(rng, case):
+    """An oracle bank with frames whose candidate arrays repeat: one shared
+    read-only array (as unary_costs returns at threshold 0), equal but
+    distinct arrays, or two sets in alternation."""
+    tr = oracle_instance(rng, dyadic=True)
+    n_poses = len(tr.bank.poses)
+    first = np.sort(rng.choice(n_poses, size=int(rng.integers(1, n_poses + 1)), replace=False))
+    sets = [first, np.setxor1d(first, [first[0] if len(first) > 1 else (first[0] + 1) % n_poses])]
+    shared = np.arange(n_poses)
+    shared.flags.writeable = False
+    frames = []
+    for n in range(int(rng.integers(3, 9))):
+        idx = {"shared": shared, "equal": sets[0].copy(), "alternating": sets[n % 2]}[case]
+        frames.append((idx, rng.integers(0, 5, size=len(idx)) / 4.0))
+    return Trellis(frames, tr.bank)
+
+
+@pytest.mark.parametrize("chunk", [pathopt._NEAR_CHUNK, 5])
+@pytest.mark.parametrize("case", ["shared", "equal", "alternating"])
+def test_paper_dp_reuses_frame_pair_structure_only_while_the_candidates_repeat(monkeypatch, case, chunk):
+    """The special positions and live edges of a frame pair are kept while
+    both candidate arrays stay the same; a stale copy would show as a node
+    record that differs from the dense reference."""
+    monkeypatch.setattr(pathopt, "_NEAR_CHUNK", chunk)
+    built = []
+    real = pathopt._Pair
+
+    class CountingPair(real):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pathopt, "_Pair", CountingPair)
+    rng = np.random.default_rng(["shared", "equal", "alternating"].index(case))
+    for params in ORACLE_PARAMS:
+        for _ in range(6):
+            tr = _repeating_trellis(rng, case)
+            built.clear()
+            if assert_same_as_reference(tr, params):
+                assert len(built) == (tr.n_frames - 1 if case == "alternating" else 1)
+
+
+def test_paper_dp_scores_a_near_predecessor_that_ties_the_best_score():
+    """Node 2 of the last frame has two best predecessors at energy 1:
+    exemplar 9, the representative (its speed term saturated), and exemplar
+    5, a near predecessor whose h + delta is exactly that best score. The
+    smaller index must win, so the near-predecessor cut must keep 5. In the
+    second trellis node 13 has no predecessor in a neighbor cluster, so its
+    best score stays inf and no predecessor may be cut for it."""
+    params = PathParams(delta=0.25, speed_gamma=2.0, speed_mu=0.25, stat_gamma=2.0, stat_mu=0.25)
+    bank = make_bank([0] * 12 + [1] * 2, breaks=[12])
+    assert not bank.adjacent[0, 1]
+    start, middle = {8: 0.0, 9: 0.0}, {5: 0.0, 9: 0.0}  # 5 arrives from 8 (s = -3), 9 from 8 (s = 1)
+    for last in ({2: 0.0}, {2: 0.0, 13: 0.0}):
+        tr = sparse_trellis(bank, [start, middle, last])
+        assert assert_same_as_reference(tr, params)
+        path, tables = solve_paper_dp(tr, params, keep_tables=True)
+        assert [tables[1][p].s for p in range(2)] == [-3, 1]
+        node = tables[2][0]
+        assert (node.h, node.p) == (1.0, 0)  # position 0 of frame 1: exemplar 5
+        assert path.indices == [8, 5, 2]
+    assert math.isinf(tables[2][1].h)
+
+
 def test_paper_dp_ties_resolve_to_smaller_index_among_saturated_predecessors():
     """Every predecessor far from its prediction scores the same saturated
     amount; the smallest exemplar index must win, as in the dense scan."""

@@ -29,6 +29,7 @@ from egopose import (
     train_models,
     valid_feature_centers,
 )
+import egopose.evaluation as evaluation
 import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
 from egopose.classify import ForestModel, KnnModel
@@ -586,6 +587,28 @@ def test_infer_kdtree_baseline(trained, test_stream):
     bank_rows = {tuple(np.round(v, 9)) for v in trained.bank.poses}
     for p in result.poses.poses:
         assert tuple(np.round(p.to_vector(), 9)) in bank_rows
+
+
+def test_infer_kdtree_reuses_the_knn_classifier_index(knn_bundle, monkeypatch):
+    """A kNN bundle's classifier holds the training features, so its index
+    answers the 1-NN baseline; only a bundle without one builds an index."""
+    models, probe = knn_bundle
+    built = []
+
+    class CountingIndex(evaluation.KnnIndex):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    forest_like = replace(models, classifier=None)
+    want = infer(probe.homographies, forest_like, solver="kdtree")
+    monkeypatch.setattr(evaluation, "KnnIndex", CountingIndex)
+    for _ in range(2):
+        got = infer(probe.homographies, models, solver="kdtree")
+        assert [p.to_vector().tolist() for p in got.poses.poses] == [p.to_vector().tolist() for p in want.poses.poses]
+    assert built == []
+    infer(probe.homographies, forest_like, solver="kdtree")
+    assert built == [1]
 
 
 def test_infer_validates_inputs(trained, test_stream):
