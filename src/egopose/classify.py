@@ -244,9 +244,9 @@ def train_forest(
     n_trees: int = 100,
     seed: int = 0,
     n_classes: int | None = None,
-    compute_oob: bool = True,
 ) -> ForestModel:
-    """Train a bootstrap forest; deterministic for a fixed seed.
+    """Train a bootstrap forest, with its out-of-bag accuracy; deterministic
+    for a fixed seed.
 
     Parameters
     ----------
@@ -281,12 +281,11 @@ def train_forest(
         oob.append(np.setdiff1d(np.arange(n), boot))
 
     model = ForestModel(d, n_classes, **nodes)
-    if compute_oob:
-        votes = np.zeros((n, n_classes))
-        _vote(model, votes, x, oob)
-        seen = votes.sum(axis=1) > 0
-        if seen.any():
-            model.oob_accuracy = float((votes[seen].argmax(axis=1) == y[seen]).mean())
+    votes = np.zeros((n, n_classes))
+    _vote(model, votes, x, oob)
+    seen = votes.sum(axis=1) > 0
+    if seen.any():
+        model.oob_accuracy = float((votes[seen].argmax(axis=1) == y[seen]).mean())
     return model
 
 

@@ -2,10 +2,10 @@
 
 One JSON config carries every tunable (cost and path parameters, cluster
 count, feature window); explicit flags override config values. Errors print
-a machine-readable JSON object on stderr. Exit codes: 0 success, 2 usage or
-config error, 3 data error, 4 infeasible or degenerate input, 141 (128 +
-SIGPIPE) when the reader of stdout closed it; output files are written
-before anything is printed.
+a machine-readable JSON object on stderr. Exit codes: 0 success, 2 usage
+error, 3 data or config error, 4 infeasible or degenerate input (an
+errors.Degenerate), 141 (128 + SIGPIPE) when the reader of stdout closed it;
+output files are written before anything is printed.
 """
 
 from __future__ import annotations
@@ -22,19 +22,7 @@ import numpy as np
 from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
 from .clustering import kmeans, read_bank_fields  # noqa: F401
 from .costs import CostParams
-from .errors import (
-    DegenerateConfiguration,
-    DegenerateLabels,
-    DegeneratePose,
-    EgoPoseError,
-    Infeasible,
-    InfeasiblePath,
-    LengthMismatch,
-    NormalizationFailure,
-    SingularMatrix,
-    StateExplosion,
-    TooLarge,
-)
+from .errors import Degenerate, EgoPoseError, LengthMismatch
 from .evaluation import joint_errors
 from .geometry import CameraIntrinsics, estimate_homography, load_correspondences, load_homographies
 from .pathopt import PathParams
@@ -70,18 +58,6 @@ DEFAULT_CONFIG = {
 }
 # config keys read as integral numbers; the other numbers may be fractional
 _INTEGRAL_KEYS = ("k", "window", "trees", "knn_k", "seed")
-
-_DEGENERATE = (
-    Infeasible,
-    InfeasiblePath,
-    StateExplosion,
-    TooLarge,
-    DegeneratePose,
-    DegenerateConfiguration,
-    DegenerateLabels,
-    SingularMatrix,
-    NormalizationFailure,
-)
 
 
 def _fail(err, code):
@@ -329,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--prune", type=float, default=None)
-    _add_config_flags(p)
+    p.add_argument("--config", help="JSON config; flags override its values")
 
     p = sub.add_parser("eval", help="per-joint error report, prediction vs ground truth")
     p.add_argument("--pred", required=True)
@@ -358,7 +334,7 @@ def main(argv=None) -> int:
             fd = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)  # so that the flush at exit raises nothing
         return 141
-    except _DEGENERATE as e:
+    except Degenerate as e:
         return _fail(e, 4)
     except EgoPoseError as e:
         return _fail(e, 3)

@@ -4,7 +4,9 @@ The cost of exemplar pose i of cluster c at frame n is e = 1 - probs_n[c] +
 d_{n,c}, where d adds delta when a confident static sitting probability h_n
 contradicts c's label (h >= tau says sitting but c is standing-like, or
 h <= 1 - tau says standing but c is sitting-like). As e depends on a pose only
-through its cluster, UnaryCosts keeps an (N, K) table of it.
+through its cluster, unary_costs returns a pathopt.Trellis over one (N, K)
+table of it, whose columns are the clusters; prune keeps that table and
+chooses new candidates.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .classify import check_static
 from .clustering import ExemplarBank, SitStand
 from .errors import InvalidProbability, LengthMismatch
+from .pathopt import Trellis
 
 
 @dataclass
@@ -33,44 +36,16 @@ class CostParams:
             raise ValueError("prune threshold must lie in [0, 1)")
 
 
-@dataclass
-class UnaryCosts:
-    """An (N, K) table of costs per (frame, cluster), the bank's cluster_of,
-    and per frame the ascending (m,) int array of its candidate poses."""
-
-    table: np.ndarray
-    cluster_of: np.ndarray
-    indices: list
-
-    @property
-    def costs(self) -> list:
-        """Per frame, the (m,) costs of its candidates, read from the table."""
-        return [row[self.cluster_of[idx]] for row, idx in zip(self.table, self.indices)]
-
-    def admits_path(self, adjacent: np.ndarray) -> bool:
-        """Whether one candidate per frame can be chosen so that every step
-        joins neighbor clusters of the bank's (K, K) adjacent table, that is,
-        whether a path of finite energy exists; reach is a forward pass."""
-        reach = None
-        for idx in self.indices:
-            live = np.zeros(len(adjacent), dtype=bool)
-            live[self.cluster_of[idx]] = True
-            reach = live if reach is None else live & adjacent[reach].any(axis=0)
-            if not reach.any():
-                return False
-        return True
-
-
 def unary_costs(
     dists: np.ndarray,
     static_h: np.ndarray,
     bank: ExemplarBank,
     labels,
     params: CostParams = CostParams(),
-) -> UnaryCosts:
-    """Costs for every bank pose at every frame.
-
-    Every frame's index array is the same read-only arange over the bank.
+) -> Trellis:
+    """Costs for every bank pose at every frame: a trellis over the (N, K)
+    table with column_of = bank.cluster_of, whose every frame holds the same
+    read-only arange over the bank as its candidates.
 
     Parameters
     ----------
@@ -96,18 +71,19 @@ def unary_costs(
     table = (1.0 - dists) + np.where((sure_sit & ~sitting) | (sure_stand & sitting), params.delta, 0.0)
     all_idx = np.arange(len(bank.poses))
     all_idx.flags.writeable = False
-    return UnaryCosts(table, bank.cluster_of, [all_idx] * len(dists))
+    return Trellis(table, bank.cluster_of, [all_idx] * len(dists), bank)
 
 
-def prune(costs: UnaryCosts, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> UnaryCosts:
+def prune(costs: Trellis, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> Trellis:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
     costs must list every bank pose at every frame, as unary_costs returns
     it. A threshold of exactly 0 disables pruning and returns costs itself.
-    Otherwise the result holds new index arrays over the same table: a
-    frame's kept poses are the members of its clusters above the threshold,
-    in ascending order. A frame that would lose all its candidates keeps its
-    single highest-probability pose (ties -> the smallest exemplar index).
+    Otherwise the result is a trellis with new index arrays over the same
+    table: a frame's kept poses are the members of its clusters above the
+    threshold, in ascending order. A frame that would lose all its
+    candidates keeps its single highest-probability pose (ties -> the
+    smallest exemplar index).
     """
     thr = params.prune_threshold
     if thr == 0.0:

@@ -11,8 +11,12 @@ class EgoPoseError(Exception):
     """Base class for all package errors."""
 
 
+class Degenerate(EgoPoseError):
+    """Infeasible or degenerate input: the CLI exits 4, not 3."""
+
+
 # skeleton
-class DegeneratePose(EgoPoseError):
+class DegeneratePose(Degenerate):
     """Shoulders coincide or the shoulder line is parallel to up."""
 
 
@@ -25,15 +29,15 @@ class InsufficientPoints(EgoPoseError):
     """Fewer than 4 correspondences."""
 
 
-class DegenerateConfiguration(EgoPoseError):
+class DegenerateConfiguration(Degenerate):
     """Correspondences do not determine a homography (rank-deficient system)."""
 
 
-class NormalizationFailure(EgoPoseError):
+class NormalizationFailure(Degenerate):
     """Top-left entry too small to normalize to 1."""
 
 
-class SingularMatrix(EgoPoseError):
+class SingularMatrix(Degenerate):
     """Matrix inversion or determinant-scaling impossible."""
 
 
@@ -47,7 +51,7 @@ class TooFewPoses(EgoPoseError):
 
 
 # classify
-class DegenerateLabels(EgoPoseError):
+class DegenerateLabels(Degenerate):
     """Training set has a single class."""
 
 
@@ -69,19 +73,19 @@ class InvalidProbability(EgoPoseError):
 
 
 # pathopt
-class Infeasible(EgoPoseError):
+class Infeasible(Degenerate):
     """No finite-energy path through the trellis."""
 
 
-class StateExplosion(EgoPoseError):
+class StateExplosion(Degenerate):
     """Exact solver state space exceeds its budget."""
 
 
-class TooLarge(EgoPoseError):
+class TooLarge(Degenerate):
     """Brute-force enumeration exceeds its budget."""
 
 
-class InfeasiblePath(EgoPoseError):
+class InfeasiblePath(Degenerate):
     """A supplied path uses a transition between non-neighbor clusters."""
 
 

@@ -37,6 +37,9 @@ while both frames' candidate arrays repeat. The docstring of solve_paper_dp
 gives each rule's exactness argument. Per frame this costs
 O(width * gamma + edges of the neighbor graph) instead of O(width^2).
 
+Every solver reads a Trellis: each frame's candidate exemplars over one
+table of unary costs, which a pruned or restricted trellis shares.
+
 solve_exact_dp augments the node state with the exact previous step and a
 saturation-clamped stationary count, which makes it a true minimizer, and
 brute_force enumerates everything.
@@ -45,12 +48,11 @@ brute_force enumerates everything.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clustering import ExemplarBank
-from .costs import UnaryCosts
 from .errors import Infeasible, InfeasiblePath, StateExplosion, TooLarge
 from .records import write_records
 
@@ -64,9 +66,10 @@ class PathParams:
     stat_mu: float = 0.02
 
     def __post_init__(self):
-        # written as not (x >= 0) so that NaN fails too
-        if not (self.delta >= 0 and self.speed_mu >= 0 and self.stat_mu >= 0):
-            raise ValueError("penalties must be non-negative")
+        # written as not (x >= 0) so that NaN fails too; an infinite slope
+        # times a zero difference would be NaN
+        if not (self.delta >= 0 and 0 <= self.speed_mu < math.inf and 0 <= self.stat_mu < math.inf):
+            raise ValueError("penalties must be non-negative, and the slopes finite")
         if not (self.speed_gamma >= 0 and self.stat_gamma >= 0):
             raise ValueError("saturation points must be non-negative")
 
@@ -83,51 +86,93 @@ class NodeState:
 
 @dataclass
 class Trellis:
-    """Per-frame candidate exemplar indices with unary costs.
+    """Per-frame candidate exemplars over one table of unary costs.
 
-    Candidates are stored sorted by exemplar index (so first-minimum argmin
-    implements the smaller-index tie rule) and must be unique per frame. A
-    frame given already sorted keeps its arrays as given, without a copy.
+    Candidate i of frame n costs table[n, column_of[i]]; unary_costs gives
+    the table one column per cluster (column_of = bank.cluster_of), so no
+    frame copies its costs. Each indices[n] is a strictly ascending int array
+    (so first-minimum argmin implements the smaller-index tie rule); nothing
+    sorts it, and unsorted or repeated candidates raise ValueError.
     """
 
-    frames: list  # per frame: (indices int array, costs float array)
+    table: np.ndarray  # (N, C) costs, one row per frame
+    column_of: np.ndarray  # (n_poses,) table column of each bank pose
+    indices: list  # per frame, the candidate exemplars
     bank: ExemplarBank
 
     def __post_init__(self):
-        if not self.frames:
+        self.table = np.asarray(self.table, dtype=float)
+        if not self.indices:
             raise ValueError("trellis needs at least one frame")
-        clean = []
-        for n, (idx, e) in enumerate(self.frames):
-            idx = np.asarray(idx, dtype=int)
-            e = np.asarray(e, dtype=float)
-            if len(idx) == 0:
-                raise ValueError(f"frame {n} has no candidates")
-            if len(idx) != len(e):
-                raise ValueError(f"frame {n}: index/cost length mismatch")
-            if not (idx[1:] > idx[:-1]).all():
-                order = np.argsort(idx, kind="stable")
-                idx, e = idx[order], e[order]
-                if not (idx[1:] > idx[:-1]).all():
-                    raise ValueError(f"frame {n} repeats an exemplar index")
-            if idx[0] < 0 or idx[-1] >= len(self.bank.poses):
-                raise ValueError(f"frame {n}: exemplar index out of bank range")
-            clean.append((idx, e))
-        self.frames = clean
+        if self.table.ndim != 2 or len(self.table) != len(self.indices):
+            raise ValueError(f"the cost table needs one row per frame, {len(self.indices)} rows")
+        col = self.column_of
+        if not (isinstance(col, np.ndarray) and col.shape == (len(self.bank.poses),) and col.dtype.kind in "iu"):
+            raise ValueError("column_of must be an integer array with one table column per bank pose")
+        if not (col.min() >= 0 and col.max() < self.table.shape[1]):
+            raise ValueError("column_of names a column outside the cost table")
+        first = {}  # a shared index array is checked once
+        for n, idx in enumerate(self.indices):
+            if first.setdefault(id(idx), n) == n:
+                _check_candidates(n, idx, len(self.bank.poses))
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return len(self.indices)
+
+    def frame(self, n: int):
+        """Frame n's candidates and their costs: (indices, costs) arrays."""
+        idx = self.indices[n]
+        return idx, self.table[n][self.column_of[idx]]
+
+    @property
+    def frames(self) -> list:
+        """Every frame's (indices, costs) pair, built on access."""
+        return [self.frame(n) for n in range(self.n_frames)]
+
+    @property
+    def costs(self) -> list:
+        """Every frame's candidate costs, built on access."""
+        return [e for _, e in self.frames]
 
     @classmethod
-    def from_costs(cls, costs: UnaryCosts, bank: ExemplarBank) -> "Trellis":
-        return cls([(i, c) for i, c in zip(costs.indices, costs.costs)], bank)
+    def from_costs(cls, costs: "Trellis", bank: ExemplarBank) -> "Trellis":
+        """costs itself: unary_costs already returns a trellis."""
+        return costs
 
     def cost_of(self, n: int, exemplar: int) -> float:
-        idx, e = self.frames[n]
+        idx = self.indices[n]
         pos = int(np.searchsorted(idx, exemplar))
         if pos >= len(idx) or idx[pos] != exemplar:
             raise ValueError(f"exemplar {exemplar} not a candidate at frame {n}")
-        return float(e[pos])
+        return float(self.table[n, self.column_of[exemplar]])
+
+    def admits_path(self) -> bool:
+        """Whether one candidate per frame can be chosen so that every step
+        joins neighbor clusters of the bank, that is, whether a path of
+        finite energy exists; reach is a forward pass."""
+        adjacent, cluster_of = self.bank.adjacent, self.bank.cluster_of
+        reach = None
+        for idx in self.indices:
+            live = np.zeros(len(adjacent), dtype=bool)
+            live[cluster_of[idx]] = True
+            reach = live if reach is None else live & adjacent[reach].any(axis=0)
+            if not reach.any():
+                return False
+        return True
+
+
+def _check_candidates(n: int, idx, n_poses: int) -> None:
+    """ValueError unless frame n's idx is a non-empty, strictly ascending 1-D
+    integer array in [0, n_poses)."""
+    if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind == "i"):
+        raise ValueError(f"frame {n}: candidates must be a 1-D integer array")
+    if len(idx) == 0:
+        raise ValueError(f"frame {n} has no candidates")
+    if not (idx[1:] > idx[:-1]).all():
+        raise ValueError(f"frame {n}: candidates must be strictly ascending")
+    if idx[0] < 0 or idx[-1] >= n_poses:
+        raise ValueError(f"frame {n}: exemplar index out of bank range")
 
 
 @dataclass
@@ -390,7 +435,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     reach = _near_reach(params.speed_gamma, len(bank.poses))
     any_far = reach < 2 * len(bank.poses)  # else every predecessor is near or special
     sat_q = params.speed_mu * params.speed_gamma
-    idx0, e0 = trellis.frames[0]
+    idx0, e0 = trellis.frame(0)
     cur = _Frame(idx0, bank)
     pair = None
     h = np.append(e0, np.inf)  # the last entry scores the missing predecessor
@@ -402,7 +447,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     for n in range(1, trellis.n_frames):
         if not np.isfinite(h).any():  # no later node can become finite
             raise Infeasible("no finite-energy path through the trellis")
-        idx, e = trellis.frames[n]
+        idx, e = trellis.frame(n)
         prev = cur
         if not prev.same_candidates(idx):
             cur = _Frame(idx, bank)
@@ -477,7 +522,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     for n in range(trellis.n_frames - 1, 0, -1):
         positions.append(int(parents[n][positions[-1]]))
     positions.reverse()
-    indices = [int(trellis.frames[n][0][p]) for n, p in enumerate(positions)]
+    indices = [int(trellis.indices[n][p]) for n, p in enumerate(positions)]
     result = energy_of_path(trellis, indices, params)
     return (result, tables) if keep_tables else result
 
@@ -494,13 +539,13 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
     bank = trellis.bank
     stat_cap = int(params.stat_gamma)
 
-    idx0, e0 = trellis.frames[0]
+    idx0, e0 = trellis.frame(0)
     # state key: (position, previous step, clamped stationary count)
     layers = [{(p, 0, 0): (float(e0[p]), None) for p in range(len(idx0))}]
 
     for n in range(1, trellis.n_frames):
-        idx, e = trellis.frames[n]
-        p_idx, _ = trellis.frames[n - 1]
+        idx, e = trellis.frame(n)
+        p_idx = trellis.indices[n - 1]
         if len(idx) * (len(p_idx) + stat_cap + 1) > 10_000_000:
             raise StateExplosion(f"frame {n}: state budget exceeded")
         seg, p_seg = bank.segment_of[idx], bank.segment_of[p_idx]
@@ -538,14 +583,14 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
         positions.append(key[0])
         key = layers[n][key][1]
     positions.reverse()
-    indices = [int(trellis.frames[n][0][p]) for n, p in enumerate(positions)]
+    indices = [int(trellis.indices[n][p]) for n, p in enumerate(positions)]
     return energy_of_path(trellis, indices, params)
 
 
 def brute_force(trellis: Trellis, params: PathParams = PathParams()) -> PosePath:
     """Enumerate every cluster-feasible path; ties keep the lexicographically
     smallest index sequence. Guarded by a 1e6 path budget."""
-    sizes = [len(idx) for idx, _ in trellis.frames]
+    sizes = [len(idx) for idx in trellis.indices]
     total = 1
     for m in sizes:
         total *= m
@@ -554,7 +599,7 @@ def brute_force(trellis: Trellis, params: PathParams = PathParams()) -> PosePath
 
     bank = trellis.bank
     n_frames = trellis.n_frames
-    frames = trellis.frames
+    frames = [trellis.frame(n) for n in range(n_frames)]
     best_energy = np.inf
     best_path = None
 
@@ -622,16 +667,13 @@ def solve_path_cluster(trellis: Trellis, dists: np.ndarray, params: PathParams =
 
 def _present_clusters(trellis: Trellis) -> list:
     """Per frame, the sorted cluster ids among its candidates."""
-    return [np.unique(trellis.bank.cluster_of[idx]) for idx, _ in trellis.frames]
+    return [np.unique(trellis.bank.cluster_of[idx]) for idx in trellis.indices]
 
 
 def _restrict(trellis: Trellis, chosen_clusters) -> Trellis:
+    """The trellis keeping, per frame, the candidates of its chosen cluster."""
     cluster_of = trellis.bank.cluster_of
-    frames = []
-    for (idx, e), c in zip(trellis.frames, chosen_clusters):
-        keep = cluster_of[idx] == c
-        frames.append((idx[keep], e[keep]))
-    return Trellis(frames, trellis.bank)
+    return replace(trellis, indices=[idx[cluster_of[idx] == c] for idx, c in zip(trellis.indices, chosen_clusters)])
 
 
 def _cluster_viterbi(trellis: Trellis, dists: np.ndarray) -> list:

@@ -46,7 +46,6 @@ from .geometry import CameraIntrinsics, feature_windows, rotations_from_homograp
 from .pathopt import (
     PathParams,
     PosePath,
-    Trellis,
     solve_exact_dp,
     solve_paper_dp,
     solve_path_cluster,
@@ -336,10 +335,12 @@ def infer(
     exact DP ("exact"), the two-stage baseline ("path-cluster"), nearest
     feature neighbor ("kdtree"), and the constant-pose baselines.
 
-    The path solvers decode one trellis, pruned at the first threshold of
-    cost_params.prune_threshold, /10, ... (0 once below 1e-6) whose candidates
-    admit a finite-energy path (UnaryCosts.admits_path). 0 keeps every pose,
-    so it always does. timings["prune_retries"] counts the thresholds skipped.
+    The path solvers decode one trellis: unary_costs' trellis over the (N, K)
+    cost table, pruned at the first threshold of cost_params.prune_threshold,
+    /10, ... (0 once below 1e-6) whose candidates admit a finite-energy path
+    (Trellis.admits_path). 0 keeps every pose, so it always does. Every
+    pruned trellis shares the one table, and the solver reads each frame's
+    costs from it. timings["prune_retries"] counts the thresholds skipped.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -370,12 +371,11 @@ def infer(
     if solver in ("paper", "exact", "path-cluster"):
         costs = unary_costs(dists, static_h[centers], bank, labels, cost_params)
         thr, retries = cost_params.prune_threshold, 0
-        kept = prune(costs, dists, bank, cost_params)
-        while thr > 0.0 and not kept.admits_path(bank.adjacent):
+        trellis = prune(costs, dists, bank, cost_params)
+        while thr > 0.0 and not trellis.admits_path():
             thr = 0.0 if thr < 1e-6 else thr / 10.0
             retries += 1
-            kept = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
-        trellis = Trellis.from_costs(kept, bank)
+            trellis = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
         timings["costs_s"] = time.perf_counter() - t0
         timings["prune_retries"] = retries
         t0 = time.perf_counter()

@@ -26,7 +26,6 @@ from egopose import (
     PathParams,
     PoseSequence,
     SitStand,
-    Trellis,
     assign_clusters,
     brute_force,
     energy_of_path,
@@ -52,6 +51,7 @@ from egopose import (
 )
 from egopose.cli import main
 from egopose.synth import PIXEL_PITCH
+from trellis_util import trellis_of
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -91,7 +91,7 @@ def _random_instance(rng, max_frames, max_nodes):
         # unary costs on the 1/64 grid keep every partial sum exactly
         # representable, so optimal totals can be compared with ==
         frames.append((idx, rng.integers(0, 65, size=m) / 64.0))
-    return Trellis(frames, bank)
+    return trellis_of(frames, bank)
 
 
 def test_criterion_1_exact_solver_matches_brute_force(capfd):
@@ -305,8 +305,7 @@ def test_criterion_4_static_term_reduces_label_error(capfd):
     params = CostParams()  # delta 0.1, tau 0.99, prune 0.01
     label_err = {}
     for name, h in (("static", test.static_h), ("constant", np.full(n, 0.5))):
-        costs = prune(unary_costs(dists, h, bank, labels, params), dists, bank, params)
-        path = solve_paper_dp(Trellis.from_costs(costs, bank))
+        path = solve_paper_dp(prune(unary_costs(dists, h, bank, labels, params), dists, bank, params))
         pred_sit = np.array([labels[bank.cluster_of[i]].value == "sitting" for i in path.indices])
         label_err[name] = float((pred_sit != test.sit_labels).mean())
     ok = label_err["static"] < label_err["constant"]
@@ -466,7 +465,7 @@ def test_criterion_7_module_invariants(capfd, tmp_path):
     params = CostParams()
     costs = unary_costs(dists, h_vals, cbank, clabels, params)
     for n in range(6):
-        for i, e in zip(costs.indices[n], costs.costs[n]):
+        for i, e in zip(*costs.frame(n)):
             g = dists[n, cbank.cluster_of[i]]
             sitting = clabels[cbank.cluster_of[i]].value == "sitting"
             d = 0.0

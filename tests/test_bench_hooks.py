@@ -2,18 +2,22 @@
 
 perfbench/ times the library by wrapping its functions where their callers
 look them up (ROADMAP, "What perfbench/ pins"). A pinned name that is removed
-or moved makes every benchmark run fail with a KeyError; this test installs
-the hooks the way a traced run does, so such a change fails here first.
+or moved makes every benchmark run fail with a KeyError; these tests install
+the hooks the way a traced run does, so such a change fails here first. They
+also run a traced CLI decode and a traced library decode, the paths of the
+forest-cli and knn-bank10k workloads.
 """
 
 import contextlib
 import io
 from pathlib import Path
 
+import numpy as np
+
 import egopose.cli as cli
 import egopose.evaluation as evaluation
 import egopose.pipeline as pipeline
-from egopose import MotionScript, generate, train_models
+from egopose import MotionScript, energy_of_path, generate, train_models
 from egopose.classify import ForestModel, KnnModel
 from egopose.clustering import ClusterModel, ExemplarBank
 from egopose.evaluation import ErrorReport
@@ -26,7 +30,8 @@ OWNERS = (cli, evaluation, pipeline, ForestModel, KnnModel, ClusterModel, Exempl
 @contextlib.contextmanager
 def traced(monkeypatch):
     """The benchmark's hooks, installed as a traced run installs them; yields
-    their recorder, and restores every hooked name on exit."""
+    their Layers (with .rec and .probe), and restores every hooked name on
+    exit."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import spans
@@ -34,8 +39,7 @@ def traced(monkeypatch):
 
     patches, recorder = spans.Patches(), spans.Recorder()
     try:
-        layers.Layers(recorder, patches, workloads.Probe(patches, recorder, keep_all=True))
-        yield recorder
+        yield layers.Layers(recorder, patches, workloads.Probe(patches, recorder, keep_all=True))
     finally:
         patches.restore()
 
@@ -59,9 +63,39 @@ def test_cli_decode_records_a_span_for_each_file_it_reads_and_writes(monkeypatch
     argv += ["--static-h", str(tmp_path / "data" / "static_h.jsonl"), "--out", str(tmp_path / "out" / "path.jsonl")]
     for flag, name in (("--bank", "bank"), ("--cluster-model", "clusters"), ("--classifier-model", "forest")):
         argv += [flag, str(tmp_path / "model" / f"{name}.json")]
-    with traced(monkeypatch) as recorder:
-        with recorder.span("decode"), contextlib.redirect_stdout(io.StringIO()):
+    with traced(monkeypatch) as lay:
+        with lay.rec.span("decode"), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
-    names = {sp.name for sp in recorder.spans}
+    names = {sp.name for sp in lay.rec.spans}
     loads = {"clustering.bank_load", "io.ClusterModel.load", "io.cli.load_static"}
     assert loads | {"io.cli.save_pose_sequence", "io.PosePath.save"} <= names
+
+
+def test_library_decode_reads_the_trellis_it_solved(monkeypatch):
+    """knn-bank10k's path: the cost, prune and DP spans, the energies the
+    benchmark recomputes on the probe's trellis, and the widths and bytes it
+    reads through the trellis's .frames, .indices and .costs views."""
+    scripts = [[("stand_idle", 20), ("sit_down", 20), ("sit_idle", 20)], [("walk", 30), ("stand_idle", 20)]]
+    train = [generate(MotionScript(script, seed=s)) for s, script in enumerate(scripts, 3)]
+    test = generate(MotionScript([("stand_idle", 15), ("walk", 25)], seed=9))
+    models = train_models([t.poses for t in train], [t.homographies for t in train], k=4, window=8, classifier="knn", knn_k=5)
+    with traced(monkeypatch) as lay:
+        with lay.rec.span("decode"):
+            result = pipeline.infer(test.homographies, models, static_h=test.static_h)
+    import layers
+
+    assert {"costs.unary", "costs.prune", "pathopt.dp"} <= {sp.name for sp in lay.rec.spans}
+    trellis = lay.probe.trellis
+    assert energy_of_path(trellis, result.path.indices).energy_dict() == result.path.energy_dict()
+
+    bank = models.bank
+    widths = np.array([len(idx) for idx in trellis.indices])
+    figures = lay._solved_trellises()
+    assert figures["pathopt.width_mean"] == widths.mean() and figures["pathopt.width_max"] == widths.max()
+    assert figures["costs.kept_ratio"] == widths.sum() / (len(widths) * len(bank.poses))
+    counts = [np.bincount(bank.cluster_of[idx], minlength=bank.k) for idx in trellis.indices]
+    adjacent = bank.adjacent.astype(np.int64)
+    assert layers._pred_evals(trellis) == sum(int(c @ adjacent @ p) for p, c in zip(counts, counts[1:]))
+    # unary_costs lists every pose at every frame: an index and a cost each
+    cells = len(result.centers) * len(bank.poses)
+    assert lay.unary_bytes == [cells * (np.arange(1).itemsize + trellis.table.itemsize)]

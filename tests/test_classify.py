@@ -119,7 +119,7 @@ def test_forest_memorizes_single_point_per_class():
     # vote for it, so the training class gets the plurality, not all of it
     x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
     y = np.array([0, 1, 2])
-    model = train_forest(x, y, n_trees=40, seed=3, compute_oob=False)
+    model = train_forest(x, y, n_trees=40, seed=3)
     for i in range(3):
         probs = forest_proba(model, x[i])
         assert probs.argmax() == i

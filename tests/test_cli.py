@@ -6,6 +6,7 @@ codes (0 success, 2 usage, 3 data error, 4 degenerate input), JSON error
 objects on stderr, and byte-identical rerun determinism.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -19,6 +20,8 @@ import numpy as np
 import pytest
 
 import egopose
+import egopose.cli as cli
+import egopose.errors as errors
 from egopose import (
     CameraIntrinsics,
     ClusterModel,
@@ -456,6 +459,36 @@ def test_usage_errors_exit_2(workspace):
     assert e.value.code == 2
 
 
+def test_infer_takes_no_seed(workspace, tmp_path):
+    """infer draws nothing at random; a config file keeps the shared seed key."""
+    with pytest.raises(SystemExit) as e:
+        main(_infer_argv(workspace, tmp_path, "--seed", "1"))
+    assert e.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_infer_argv(workspace, tmp_path, "--config", str(cfg))) == 0
+
+
+ERROR_TYPES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.EgoPoseError)]
+
+
+@pytest.mark.parametrize("error", ERROR_TYPES, ids=[c.__name__ for c in ERROR_TYPES])
+def test_exit_code_follows_the_error_type(tmp_path, capsys, monkeypatch, error):
+    """Exit 4 for every Degenerate error raised inside a subcommand, 3 for
+    every other package error."""
+
+    def fail(script):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "generate", fail)
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT))
+    rc = main(["synth", "--script", str(script), "--out-dir", str(tmp_path / "d")])
+    assert rc == (4 if issubclass(error, errors.Degenerate) else 3)
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": error.__name__, "message": "planted"}
+
+
 def test_missing_file_exits_3_with_json_stderr(workspace, tmp_path, capsys):
     rc = main(
         [
@@ -636,6 +669,15 @@ def test_malformed_json_input_exits_3_naming_the_file(workspace, tmp_path, capsy
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert err["message"].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("text", ['{"speed_mu": Infinity}', '{"stat_mu": Infinity, "stat_gamma": 0}'])
+def test_infinite_slope_in_config_exits_3(workspace, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)  # json reads Infinity as a float
+    assert main(_infer_argv(workspace, tmp_path, "--config", str(cfg))) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "finite" in err["message"]
 
 
 def test_config_values_keep_their_json_type(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from egopose import PathParams, Trellis, brute_force, solve_exact_dp, solve_paper_dp, step_weight
+from egopose import PathParams, brute_force, solve_exact_dp, solve_paper_dp, step_weight
 from egopose.clustering import (
     ClusterModel,
     ExemplarBank,
@@ -21,6 +21,7 @@ from egopose.errors import TooFewPoses
 from egopose.sqdist import SAFE_NORM, rounding_margin
 from egopose.skeleton import Frame, Joint, Pose, normalize_pose
 from egopose.synth import SIT_TEMPLATE, STAND_TEMPLATE
+from trellis_util import trellis_of
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -447,8 +448,8 @@ def test_bank_file_neighbor_lists_are_not_read(tmp_path, neighbors):
     rows = np.full((4, 6), 0.5)
     rows[[0, 1, 2, 3], [4, 1, 2, 2]] = 0.0
     for solver in (solve_paper_dp, solve_exact_dp, brute_force):
-        want = solver(Trellis([(np.arange(6), r) for r in rows], derived))
-        got = solver(Trellis([(np.arange(6), r) for r in rows], bank))
+        want = solver(trellis_of([(np.arange(6), r) for r in rows], derived))
+        got = solver(trellis_of([(np.arange(6), r) for r in rows], bank))
         assert want.indices == got.indices == [4, 1, 2, 2]
         assert got.energy_dict() == want.energy_dict()
     assert step_weight(1, 2, bank, PathParams()) == 0.0

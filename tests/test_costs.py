@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from egopose.clustering import ExemplarBank, SitStand
-from egopose.costs import CostParams, UnaryCosts, prune, unary_costs
+from egopose.costs import CostParams, prune, unary_costs
 from egopose.errors import InvalidProbability, LengthMismatch
 from egopose.pathopt import Trellis
 
@@ -59,7 +59,7 @@ def test_cluster_probability_outside_unit_interval_rejected(row):
 def cost_at(out, n, pose):
     """The cost of exemplar pose at frame n, which must list it once."""
     (at,) = np.flatnonzero(out.indices[n] == pose)
-    return out.costs[n][at]
+    return out.frame(n)[1][at]
 
 
 def test_perfect_confidence_neutral_static_gives_zero():
@@ -126,7 +126,7 @@ def test_costs_equal_the_per_exemplar_label_mask():
             d[~sitting_pose] = params.delta
         elif h[n] <= 1.0 - params.tau:
             d[sitting_pose] = params.delta
-        assert np.array_equal(out.costs[n], 1.0 - dists[n][bank.cluster_of] + d)
+        assert np.array_equal(out.frame(n)[1], 1.0 - dists[n][bank.cluster_of] + d)
 
 
 def test_costs_bounded_and_neutral_static_no_penalty():
@@ -138,7 +138,7 @@ def test_costs_bounded_and_neutral_static_no_penalty():
     params = CostParams(delta=0.1, tau=0.99)
     out = unary_costs(dists, np.full(n_frames, 0.5), bank, labels, params)
     for n in range(n_frames):
-        costs = out.costs[n]
+        costs = out.frame(n)[1]
         assert np.all(costs >= 0.0)
         assert np.all(costs <= 1.0 + params.delta + 1e-12)
         # h = 0.5 with tau > 0.5 must leave d = 0 everywhere
@@ -181,11 +181,13 @@ def test_prune_threshold_zero_is_identity():
     assert all(i is out.indices[0] for i in out.indices)
     assert not out.indices[0].flags.writeable
     assert np.array_equal(out.indices[0], np.arange(len(bank.poses)))
-    # and so does every frame of the trellis built from it
-    trellis = Trellis.from_costs(out, bank)
-    for n, (idx, e) in enumerate(trellis.frames):
+    # it is the trellis the solvers read: no frame holds a copy of its costs
+    assert Trellis.from_costs(out, bank) is out
+    assert set(vars(out)) == {"table", "column_of", "indices", "bank"}
+    for n in range(4):
+        idx, e = out.frame(n)
         assert idx is out.indices[0]
-        assert np.array_equal(e, out.costs[n])
+        assert np.array_equal(e, out.table[n][bank.cluster_of])
 
 
 def test_prune_matches_reference_filter():
@@ -235,6 +237,6 @@ def test_prune_keeps_argmin_above_threshold():
         out = unary_costs(dists, np.full(3, 0.5), bank, labels)
         pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
         for n in range(3):
-            best = out.indices[n][int(np.argmin(out.costs[n]))]
+            best = out.indices[n][int(np.argmin(out.frame(n)[1]))]
             if dists[n][bank.cluster_of[best]] > 0.01:
                 assert best in pruned.indices[n]

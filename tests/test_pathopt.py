@@ -36,7 +36,6 @@ from egopose import (
     StateExplosion,
     TooLarge,
     Trellis,
-    UnaryCosts,
     brute_force,
     energy_of_path,
     prune,
@@ -49,6 +48,7 @@ from egopose import (
     unary_costs,
 )
 from egopose.cli import DEFAULT_CONFIG
+from trellis_util import trellis_of
 
 
 def make_bank(cluster_seq, breaks=(), seed=0):
@@ -62,7 +62,7 @@ def full_trellis(bank, cost_rows):
     """One frame per row; each row holds a cost for every bank pose."""
     n = len(bank.poses)
     frames = [(np.arange(n), np.asarray(row, dtype=float)) for row in cost_rows]
-    return Trellis(frames, bank)
+    return trellis_of(frames, bank)
 
 
 def sparse_trellis(bank, frame_dicts):
@@ -70,7 +70,7 @@ def sparse_trellis(bank, frame_dicts):
     for d in frame_dicts:
         idx = np.array(sorted(d), dtype=int)
         frames.append((idx, np.array([d[i] for i in idx], dtype=float)))
-    return Trellis(frames, bank)
+    return trellis_of(frames, bank)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,7 @@ def random_instance(rng, max_frames=5, max_nodes=5, dyadic=False):
         else:
             e = rng.uniform(0.0, 1.0, size=m)
         frames.append((idx, e))
-    return Trellis(frames, bank)
+    return trellis_of(frames, bank)
 
 
 DYADIC = PathParams(delta=0.125, speed_gamma=10.0, speed_mu=1.0 / 128, stat_gamma=5.0, stat_mu=1.0 / 64)
@@ -309,7 +309,12 @@ def test_params_reject_negative_values():
     for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu"):
         with pytest.raises(ValueError):
             PathParams(**{key: math.nan})
-    PathParams(speed_gamma=math.inf, stat_gamma=math.inf)  # saturation may be infinite
+    for key in ("speed_mu", "stat_mu"):  # inf * 0 is NaN
+        with pytest.raises(ValueError, match="finite"):
+            PathParams(**{key: math.inf})
+    with pytest.raises(ValueError, match="finite"):
+        PathParams(stat_mu=math.inf, stat_gamma=0.0)
+    PathParams(delta=math.inf, speed_gamma=math.inf, stat_gamma=math.inf)  # saturation and delta may be infinite
 
 
 def test_step_weight_examples():
@@ -365,47 +370,76 @@ def test_stationary_term_examples():
 
 def test_trellis_validation():
     bank = make_bank([0] * 5)
-    with pytest.raises(ValueError):
-        Trellis([], bank)
-    with pytest.raises(ValueError):
-        Trellis([(np.array([], dtype=int), np.array([]))], bank)
-    with pytest.raises(ValueError):
-        Trellis([(np.array([0, 1]), np.array([0.5]))], bank)
-    with pytest.raises(ValueError):
-        Trellis([(np.array([2, 2]), np.array([0.1, 0.2]))], bank)
-    with pytest.raises(ValueError):
-        Trellis([(np.array([4, 5]), np.array([0.1, 0.2]))], bank)
-    with pytest.raises(ValueError):
-        Trellis([(np.array([-1]), np.array([0.1]))], bank)
+    ok = np.array([0, 2])
+
+    def build(indices, table=None, column_of=np.arange(5)):
+        return Trellis(np.zeros((len(indices), 5)) if table is None else table, column_of, indices, bank)
+
+    build([ok, ok])
+    with pytest.raises(ValueError, match="at least one frame"):
+        build([])
+    for rows in (1, 3):
+        with pytest.raises(ValueError, match="one row per frame"):
+            build([ok, ok], table=np.zeros((rows, 5)))
+    with pytest.raises(ValueError, match="one row per frame"):
+        build([ok], table=np.zeros(5))
+    bad = {
+        "empty": np.array([], dtype=int),
+        "unsorted": np.array([3, 0, 2]),
+        "repeated": np.array([2, 2]),
+        "negative": np.array([-1, 0]),
+        "past the bank": np.array([4, 5]),
+        "float": np.array([0.0, 1.0]),
+        "2-D": np.array([[0, 1]]),
+        "list": [0, 1],
+    }
+    for name, idx in bad.items():
+        with pytest.raises(ValueError, match="frame 1"):
+            build([ok, idx])
+    for column_of in (np.arange(4), np.arange(6), np.zeros((5, 1), dtype=int), np.arange(5.0), np.arange(5) + 1, np.arange(5) - 1):
+        with pytest.raises(ValueError, match="column"):
+            build([ok], column_of=column_of)
+    build([ok], table=np.zeros((1, 1)), column_of=np.zeros(5, dtype=int))  # one column for every pose
 
 
-def test_trellis_sorts_candidates_and_looks_up_costs():
-    bank = make_bank([0] * 5)
-    tr = Trellis([(np.array([3, 0, 2]), np.array([0.3, 0.0, 0.2]))], bank)
-    idx, e = tr.frames[0]
-    assert idx.tolist() == [0, 2, 3]
-    assert e.tolist() == [0.0, 0.2, 0.3]
-    assert tr.cost_of(0, 3) == pytest.approx(0.3)
+def test_trellis_frame_reads_costs_through_column_of():
+    bank = make_bank([0, 0, 1, 1, 1])
+    table = np.array([[0.5, 0.25], [0.75, 0.125]])
+    tr = Trellis(table, bank.cluster_of, [np.array([0, 2, 3]), np.array([1, 4])], bank)
+    for n, idx in enumerate(tr.indices):
+        got_idx, got = tr.frame(n)
+        assert got_idx is idx
+        assert np.array_equal(got, table[n][bank.cluster_of[idx]])
+    assert tr.frame(0)[1].tolist() == [0.5, 0.25, 0.25]
+    assert tr.cost_of(1, 4) == 0.125
     with pytest.raises(ValueError):
         tr.cost_of(0, 1)
-    # an already sorted frame is kept as given, without a copy
-    idx, e = np.array([0, 2, 3]), np.array([0.0, 0.2, 0.3])
-    tr = Trellis([(idx, e)], bank)
-    assert tr.frames[0][0] is idx and tr.frames[0][1] is e
+    assert [e.tolist() for e in tr.costs] == [[0.5, 0.25, 0.25], [0.75, 0.125]]
+    assert [(i.tolist(), e.tolist()) for i, e in tr.frames] == [([0, 2, 3], [0.5, 0.25, 0.25]), ([1, 4], [0.75, 0.125])]
 
 
-def test_trellis_from_costs_matches_direct_construction():
-    bank = make_bank([0, 0, 1, 1])
-    uc = UnaryCosts(
-        table=np.array([[0.1, 0.2], [0.3, 0.4]]),
-        cluster_of=bank.cluster_of,
-        indices=[np.array([0, 2]), np.array([1, 3])],
-    )
-    tr = Trellis.from_costs(uc, bank)
-    assert tr.n_frames == 2
-    assert tr.frames[0][0].tolist() == [0, 2]
-    assert tr.frames[0][1].tolist() == [0.1, 0.2]
-    assert tr.frames[1][1].tolist() == [0.3, 0.4]
+def test_from_costs_prune_and_restrict_share_the_table(monkeypatch):
+    bank = make_bank([0] * 4 + [1] * 4 + [2] * 4)
+    labels = [SitStand.STANDING_LIKE] * bank.k
+    dists = np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.0, 0.5, 0.5]])
+    calls = []
+    check = pathopt._check_candidates
+    monkeypatch.setattr(pathopt, "_check_candidates", lambda *a: calls.append(a) or check(*a))
+    full = unary_costs(dists, np.full(3, 0.5), bank, labels)
+    assert len(calls) == 1  # the shared full-bank arange is checked once, not once per frame
+    # a threshold-0 trellis holds the table and one index array, no cost per frame
+    assert set(vars(full)) == {"table", "column_of", "indices", "bank"}
+    assert full.table.shape == (3, bank.k) and full.column_of is bank.cluster_of
+    assert all(idx is full.indices[0] for idx in full.indices)
+    assert Trellis.from_costs(full, bank) is full
+    kept = prune(full, dists, bank, CostParams(prune_threshold=0.2))
+    assert kept.table is full.table and kept.column_of is full.column_of
+    assert [idx.tolist() for idx in kept.indices] == [list(range(8)), list(range(8, 12)), list(range(4, 12))]
+    restricted = pathopt._restrict(kept, [0, 2, 1])
+    assert restricted.table is full.table
+    assert [idx.tolist() for idx in restricted.indices] == [[0, 1, 2, 3], [8, 9, 10, 11], [4, 5, 6, 7]]
+    for n in range(3):
+        assert np.array_equal(restricted.frame(n)[1], 1.0 - dists[n][bank.cluster_of[restricted.indices[n]]])
 
 
 def test_pose_path_component_sum_enforced():
@@ -736,7 +770,7 @@ def oracle_instance(rng, dyadic):
         idx = rng.choice(n_poses, size=m, replace=False)
         e = rng.integers(0, 5, size=m) / 4.0 if dyadic else rng.uniform(0.0, 1.0, size=m)
         frames.append((idx, e))
-    return Trellis(frames, bank)
+    return trellis_of(frames, bank)
 
 
 def assert_same_as_reference(tr, params):
@@ -792,7 +826,7 @@ def _repeating_trellis(rng, case):
     for n in range(int(rng.integers(3, 9))):
         idx = {"shared": shared, "equal": sets[0].copy(), "alternating": sets[n % 2]}[case]
         frames.append((idx, rng.integers(0, 5, size=len(idx)) / 4.0))
-    return Trellis(frames, tr.bank)
+    return trellis_of(frames, tr.bank)
 
 
 @pytest.mark.parametrize("chunk", [pathopt._NEAR_CHUNK, 5])
@@ -902,7 +936,7 @@ def viterbi_instance(rng):
     for _ in range(int(rng.integers(1, 7))):
         m = int(rng.integers(1, min(4, n_poses) + 1))
         frames.append((rng.choice(n_poses, size=m, replace=False), np.zeros(m)))
-    tr = Trellis(frames, bank)
+    tr = trellis_of(frames, bank)
     return tr, rng.integers(0, 5, size=(tr.n_frames, bank.k)) / 4.0
 
 
@@ -943,8 +977,7 @@ def test_trellis_built_from_pruned_costs_solves_end_to_end():
     labels = np.array([False, True])
     params = CostParams()
     costs = unary_costs(dists, static_h, bank, labels, params)
-    kept = prune(costs, dists, bank, params)
-    tr = Trellis.from_costs(kept, bank)
+    tr = prune(costs, dists, bank, params)
     path = solve_paper_dp(tr)
     assert len(path.indices) == n_frames
     assert np.isfinite(path.total)
@@ -983,11 +1016,10 @@ def test_admits_path_agrees_with_the_solvers_at_every_relaxed_threshold():
         costs = unary_costs(dists, rng.uniform(size=n_frames), bank, labels)
         for thr in _relaxed_thresholds(float(rng.choice([0.9, 0.5, 0.2]))):
             kept = prune(costs, dists, bank, CostParams(prune_threshold=thr))
-            admits = kept.admits_path(bank.adjacent)
-            trellis = Trellis.from_costs(kept, bank)
+            admits = kept.admits_path()
             for solve in (solve_paper_dp, solve_exact_dp, lambda tr: solve_path_cluster(tr, dists)):
                 try:
-                    solve(trellis)
+                    solve(kept)
                     solved = True
                 except Infeasible:
                     solved = False

@@ -34,7 +34,7 @@ import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
 from egopose.classify import ForestModel, KnnModel
 from egopose.clustering import ExemplarBank, hip_heights, sit_stand_threshold
-from egopose.costs import UnaryCosts, prune, unary_costs
+from egopose.costs import prune, unary_costs
 from egopose.errors import Infeasible
 from egopose.pathopt import Trellis, solve_paper_dp
 from egopose.pipeline import SOLVERS, UP_AXIS, load_models
@@ -671,7 +671,7 @@ def _reference_relaxed_decode(hs, models, static_h, cost_params):
     while True:
         kept = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
         try:
-            return solve_paper_dp(Trellis.from_costs(kept, bank)), retries, thr
+            return solve_paper_dp(kept), retries, thr
         except Infeasible:
             if thr == 0.0:
                 raise
@@ -681,7 +681,7 @@ def _reference_relaxed_decode(hs, models, static_h, cost_params):
 
 def test_infer_matches_the_retry_loop_and_solves_once(overconfident, monkeypatch):
     calls = {"solve": 0, "check": 0}
-    solve, check = pipeline.solve_paper_dp, UnaryCosts.admits_path
+    solve, check = pipeline.solve_paper_dp, Trellis.admits_path
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -691,7 +691,7 @@ def test_infer_matches_the_retry_loop_and_solves_once(overconfident, monkeypatch
         return wrapper
 
     monkeypatch.setattr(pipeline, "solve_paper_dp", counted("solve", solve))
-    monkeypatch.setattr(UnaryCosts, "admits_path", counted("check", check))
+    monkeypatch.setattr(Trellis, "admits_path", counted("check", check))
     for models, probe, thr, retries in overconfident:
         for params in (CostParams(prune_threshold=thr), CostParams(prune_threshold=0.0)):
             want, want_retries, last_thr = _reference_relaxed_decode(probe.homographies, models, probe.static_h, params)
