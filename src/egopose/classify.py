@@ -289,16 +289,9 @@ def train_forest(
     return model
 
 
-def forest_proba(model: ForestModel, v: np.ndarray) -> np.ndarray:
-    """Class distribution for one feature vector: mean of per-leaf histograms."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.feature_dim,):
-        raise DimMismatch(f"expected a {model.feature_dim}-vector, got {v.shape}")
-    return forest_proba_batch(model, v[None])[0]
-
-
 def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
-    """(n, n_classes) distributions, row i equal to forest_proba(model, x[i])."""
+    """(n, n_classes) class distributions, row i the mean of the leaf
+    histograms that x[i] reaches."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.feature_dim:
         raise DimMismatch(f"expected (n, {model.feature_dim}) features")
@@ -369,16 +362,9 @@ class KnnIndex:
         self._rows = points if len(self._counts) == len(points) else points[self._copies[self._starts]]
         self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
 
-    def query(self, v: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k nearest points, nearest first."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self._rows.shape[1],):
-            raise DimMismatch("query dimension mismatch")
-        return self.query_batch(v[None], k)[0]
-
     def query_batch(self, vs: np.ndarray, k: int) -> np.ndarray:
-        """(m, k) indices whose row i equals query(vs[i], k); ValueError for
-        k < 1."""
+        """(m, k) indices: row i holds the k nearest points to vs[i],
+        nearest first. ValueError for k < 1."""
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         vs = np.asarray(vs, dtype=float)

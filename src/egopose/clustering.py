@@ -193,12 +193,8 @@ def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray, gram: np.nd
     return nearest, dist
 
 
-def assign_cluster(model: ClusterModel, pose_vec: np.ndarray) -> int:
-    """Nearest centroid id; ties go to the lowest id."""
-    return int(assign_clusters(model, np.asarray(pose_vec)[None, :])[0])
-
-
 def assign_clusters(model: ClusterModel, x: np.ndarray) -> np.ndarray:
+    """Nearest centroid id of each row of x; ties go to the lowest id."""
     x = np.asarray(x, dtype=float)
     return _nearest_centroids(x, (x * x).sum(axis=1), model.centroids)[0]
 
@@ -274,8 +270,6 @@ class ExemplarBank:
     neighbors, from build_neighbor_graph;
     segment_of: (n,) source-sequence id of each pose, so a step j -> i
     stays inside one sequence iff segment_of[j] == segment_of[i];
-    members: the ascending pose indices of each cluster, one array per
-    cluster, from which prune builds a frame's candidates.
     neighbors: the sorted ids of each row of adjacent, a view kept because
     perfbench/layers.py reads it (ROADMAP item 5 deletes it).
     """
@@ -286,7 +280,6 @@ class ExemplarBank:
     k: int
     adjacent: np.ndarray = field(init=False, repr=False)
     segment_of: np.ndarray = field(init=False, repr=False)
-    members: list = field(init=False, repr=False)
     neighbors: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -296,8 +289,6 @@ class ExemplarBank:
         self.cluster_of, self.sequence_breaks = _checked_clusters(self.cluster_of, self.sequence_breaks, self.k, len(self.poses))
         self.adjacent = build_neighbor_graph(self.cluster_of, self.sequence_breaks, self.k)
         self.segment_of = self.sequence_breaks.searchsorted(np.arange(len(self.poses)), side="right")
-        sizes = np.bincount(self.cluster_of, minlength=self.k)
-        self.members = np.split(np.argsort(self.cluster_of, kind="stable"), np.cumsum(sizes)[:-1])
         self.neighbors = [np.flatnonzero(row) for row in self.adjacent]
 
     @classmethod

@@ -5,8 +5,9 @@ d_{n,c}, where d adds delta when a confident static sitting probability h_n
 contradicts c's label (h >= tau says sitting but c is standing-like, or
 h <= 1 - tau says standing but c is sitting-like). As e depends on a pose only
 through its cluster, unary_costs returns a pathopt.Trellis over one (N, K)
-table of it, whose columns are the clusters; prune keeps that table and
-chooses new candidates.
+table of it, whose columns are the clusters, with every column kept. prune
+keeps that table and replaces only the (N, K) keep mask: one comparison of
+the cluster probabilities against the threshold.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def unary_costs(
     params: CostParams = CostParams(),
 ) -> Trellis:
     """Costs for every bank pose at every frame: a trellis over the (N, K)
-    table with column_of = bank.cluster_of, whose every frame holds the same
-    read-only arange over the bank as its candidates.
+    table with column_of = bank.cluster_of, whose keep mask is one read-only
+    broadcast True, so every frame lists the whole bank.
 
     Parameters
     ----------
@@ -69,34 +70,27 @@ def unary_costs(
     sitting = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)
     sure_sit, sure_stand = (static_h >= params.tau)[:, None], (static_h <= 1.0 - params.tau)[:, None]
     table = (1.0 - dists) + np.where((sure_sit & ~sitting) | (sure_stand & sitting), params.delta, 0.0)
-    all_idx = np.arange(len(bank.poses))
-    all_idx.flags.writeable = False
-    return Trellis(table, bank.cluster_of, [all_idx] * len(dists), bank)
+    return Trellis(table, bank.cluster_of, np.broadcast_to(True, table.shape), bank)
 
 
 def prune(costs: Trellis, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> Trellis:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
-    costs must list every bank pose at every frame, as unary_costs returns
-    it. A threshold of exactly 0 disables pruning and returns costs itself.
-    Otherwise the result is a trellis with new index arrays over the same
-    table: a frame's kept poses are the members of its clusters above the
-    threshold, in ascending order. A frame that would lose all its
-    candidates keeps its single highest-probability pose (ties -> the
-    smallest exemplar index).
+    costs must be unary_costs' trellis, which keeps every bank pose at every
+    frame. A threshold of exactly 0 disables pruning and returns costs itself.
+    Otherwise the result shares costs' table and keeps, per frame, the
+    clusters above the threshold. A frame where none of those has a member
+    pose keeps the whole most probable cluster that has one (ties -> the
+    smaller cluster id).
     """
     thr = params.prune_threshold
     if thr == 0.0:
         return costs
-    if any(len(idx) != len(bank.poses) for idx in costs.indices):
-        raise ValueError("prune needs costs that list every bank pose at every frame")
+    if costs.column_of is not bank.cluster_of or not costs.keep.all():
+        raise ValueError("prune needs unary_costs' trellis, which keeps every bank pose at every frame")
     dists = np.asarray(dists, dtype=float)
-    kept = []
-    for probs in dists:
-        members = [bank.members[c] for c in np.flatnonzero(probs > thr).tolist()]
-        if any(len(m) for m in members):
-            kept.append(np.sort(np.concatenate(members)))
-        else:
-            first = int(probs[bank.cluster_of].argmax())  # argmax takes the first maximum
-            kept.append(np.arange(first, first + 1))
-    return replace(costs, indices=kept)
+    held = costs.cluster_of_column >= 0  # the clusters with member poses
+    keep = (dists > thr) & held
+    lost = np.flatnonzero(~keep.any(axis=1))
+    keep[lost, np.where(held, dists[lost], -np.inf).argmax(axis=1)] = True
+    return replace(costs, keep=keep)

@@ -212,11 +212,6 @@ def feature_windows(maps, centers, window: int = 30) -> np.ndarray:
     return views[lo].reshape(len(centers), -1)
 
 
-def feature_window(hs, center: int, window: int = 30) -> np.ndarray:
-    """The (9 * (window - 1),) feature of one center; see feature_windows."""
-    return feature_windows(hs, [center], window)[0]
-
-
 def save_homographies(path, hs) -> None:
     """One JSON object per line: {"t": i, "h": 9 row-major reals}."""
     mats = (h.h if isinstance(h, Homography) else np.asarray(h) for h in hs)

@@ -33,12 +33,14 @@ candidate set and still returns exactly the dense recursion's first minimum:
   a floor under each of their scores, exceeds the best score so far.
 
 The special positions and the live cluster edges of a frame pair are kept
-while both frames' candidate arrays repeat. The docstring of solve_paper_dp
-gives each rule's exactness argument. Per frame this costs
+while both frames' candidates repeat. The docstring of solve_paper_dp gives
+each rule's exactness argument. Per frame this costs
 O(width * gamma + edges of the neighbor graph) instead of O(width^2).
 
-Every solver reads a Trellis: each frame's candidate exemplars over one
-table of unary costs, which a pruned or restricted trellis shares.
+Every solver reads a Trellis: one (N, C) table of unary costs, a map from
+bank poses to its columns, and an (N, C) bool mask of the columns whose poses
+are a frame's candidates. Pruning and restricting replace only the mask, so
+every trellis of a decode shares the one table, and no frame stores an array.
 
 solve_exact_dp augments the node state with the exact previous step and a
 saturation-clamped stationary count, which makes it a true minimizer, and
@@ -86,44 +88,66 @@ class NodeState:
 
 @dataclass
 class Trellis:
-    """Per-frame candidate exemplars over one table of unary costs.
+    """Per-frame candidate exemplars as one mask over a table of unary costs.
 
-    Candidate i of frame n costs table[n, column_of[i]]; unary_costs gives
-    the table one column per cluster (column_of = bank.cluster_of), so no
-    frame copies its costs. Each indices[n] is a strictly ascending int array
-    (so first-minimum argmin implements the smaller-index tie rule); nothing
-    sorts it, and unsorted or repeated candidates raise ValueError.
+    Pose i is a candidate at frame n iff keep[n, column_of[i]], and it then
+    costs table[n, column_of[i]]. unary_costs gives the table one column per
+    cluster (column_of = bank.cluster_of), so no frame copies its costs or its
+    candidates. candidates(n) derives them in ascending order, so first-minimum
+    argmin implements the smaller-index tie rule. No table column may hold
+    poses of two clusters, and every frame must keep a column that holds a
+    pose; anything else raises ValueError.
     """
 
     table: np.ndarray  # (N, C) costs, one row per frame
     column_of: np.ndarray  # (n_poses,) table column of each bank pose
-    indices: list  # per frame, the candidate exemplars
+    keep: np.ndarray  # (N, C) bool, the columns whose poses are candidates
     bank: ExemplarBank
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
-        if not self.indices:
-            raise ValueError("trellis needs at least one frame")
-        if self.table.ndim != 2 or len(self.table) != len(self.indices):
-            raise ValueError(f"the cost table needs one row per frame, {len(self.indices)} rows")
+        if self.table.ndim != 2 or not len(self.table):
+            raise ValueError("trellis needs a 2-D cost table with at least one frame")
         col = self.column_of
         if not (isinstance(col, np.ndarray) and col.shape == (len(self.bank.poses),) and col.dtype.kind in "iu"):
             raise ValueError("column_of must be an integer array with one table column per bank pose")
         if not (col.min() >= 0 and col.max() < self.table.shape[1]):
             raise ValueError("column_of names a column outside the cost table")
-        first = {}  # a shared index array is checked once
-        for n, idx in enumerate(self.indices):
-            if first.setdefault(id(idx), n) == n:
-                _check_candidates(n, idx, len(self.bank.poses))
+        clusters = self.cluster_of_column
+        if not np.array_equal(clusters[col], self.bank.cluster_of):
+            raise ValueError("a table column holds poses of two clusters")
+        keep = self.keep
+        if not (isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == self.table.shape):
+            raise ValueError(f"keep must be a bool array shaped like the cost table, {self.table.shape}")
+        empty = ~keep[:, clusters >= 0].any(axis=1)
+        if empty.any():
+            raise ValueError(f"frame {int(empty.argmax())} keeps no column that holds a pose")
 
     @property
     def n_frames(self) -> int:
-        return len(self.indices)
+        return len(self.table)
+
+    @property
+    def cluster_of_column(self) -> np.ndarray:
+        """(C,) the cluster of each table column's poses, -1 for a column of
+        no pose."""
+        out = np.full(self.table.shape[1], -1)
+        out[self.column_of] = self.bank.cluster_of
+        return out
+
+    def candidates(self, n: int) -> np.ndarray:
+        """Frame n's candidate exemplars, ascending."""
+        return np.flatnonzero(self.keep[n][self.column_of])
 
     def frame(self, n: int):
         """Frame n's candidates and their costs: (indices, costs) arrays."""
-        idx = self.indices[n]
+        idx = self.candidates(n)
         return idx, self.table[n][self.column_of[idx]]
+
+    @property
+    def indices(self) -> list:
+        """Every frame's candidates, built on access."""
+        return [self.candidates(n) for n in range(self.n_frames)]
 
     @property
     def frames(self) -> list:
@@ -141,38 +165,34 @@ class Trellis:
         return costs
 
     def cost_of(self, n: int, exemplar: int) -> float:
-        idx = self.indices[n]
-        pos = int(np.searchsorted(idx, exemplar))
-        if pos >= len(idx) or idx[pos] != exemplar:
+        if not 0 <= exemplar < len(self.column_of):
+            raise ValueError(f"exemplar {exemplar} is not in the bank")
+        column = self.column_of[exemplar]
+        if not self.keep[n, column]:
             raise ValueError(f"exemplar {exemplar} not a candidate at frame {n}")
-        return float(self.table[n, self.column_of[exemplar]])
+        return float(self.table[n, column])
+
+    def present(self) -> np.ndarray:
+        """(N, k) bool: whether frame n has a candidate in cluster c."""
+        clusters = self.cluster_of_column
+        held = np.flatnonzero(clusters >= 0)
+        held = held[clusters[held].argsort(kind="stable")]  # the columns of each cluster together
+        starts, _ = _runs(clusters[held])
+        out = np.zeros((self.n_frames, self.bank.k), dtype=bool)
+        out[:, clusters[held[starts]]] = np.logical_or.reduceat(self.keep[:, held], starts, axis=1)
+        return out
 
     def admits_path(self) -> bool:
         """Whether one candidate per frame can be chosen so that every step
         joins neighbor clusters of the bank, that is, whether a path of
         finite energy exists; reach is a forward pass."""
-        adjacent, cluster_of = self.bank.adjacent, self.bank.cluster_of
+        adjacent = self.bank.adjacent
         reach = None
-        for idx in self.indices:
-            live = np.zeros(len(adjacent), dtype=bool)
-            live[cluster_of[idx]] = True
+        for live in self.present():
             reach = live if reach is None else live & adjacent[reach].any(axis=0)
             if not reach.any():
                 return False
         return True
-
-
-def _check_candidates(n: int, idx, n_poses: int) -> None:
-    """ValueError unless frame n's idx is a non-empty, strictly ascending 1-D
-    integer array in [0, n_poses)."""
-    if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind == "i"):
-        raise ValueError(f"frame {n}: candidates must be a 1-D integer array")
-    if len(idx) == 0:
-        raise ValueError(f"frame {n} has no candidates")
-    if not (idx[1:] > idx[:-1]).all():
-        raise ValueError(f"frame {n}: candidates must be strictly ascending")
-    if idx[0] < 0 or idx[-1] >= n_poses:
-        raise ValueError(f"frame {n}: exemplar index out of bank range")
 
 
 @dataclass
@@ -306,9 +326,6 @@ class _Frame:
     def count_below(self, x):
         return self.below[x.clip(0, len(self.below) - 1)]
 
-    def same_candidates(self, idx) -> bool:
-        return idx is self.idx or (len(idx) == len(self.idx) and np.array_equal(idx, self.idx))
-
 
 class _Pair:
     """What the recursion reads of two consecutive frames' candidates: each
@@ -422,8 +439,8 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
 
     The special positions with their w and the live edges between the two
     frames' clusters depend only on the two candidate arrays. They are held
-    for the current frame pair only, and reused while both arrays stay the
-    same (one object, or equal), as when every frame holds the whole bank.
+    for the current frame pair only, and reused while both frames' rows of
+    trellis.keep stay the same, as when every frame holds the whole bank.
     Per frame the cost is O(width * gamma + edges of the neighbor graph) plus
     sorting the previous frame by sat_j, instead of O(width^2).
 
@@ -435,8 +452,11 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     reach = _near_reach(params.speed_gamma, len(bank.poses))
     any_far = reach < 2 * len(bank.poses)  # else every predecessor is near or special
     sat_q = params.speed_mu * params.speed_gamma
+    # a frame's candidates are derived again only where its keep row changes
+    changed = (trellis.keep[1:] != trellis.keep[:-1]).any(axis=1)
     idx0, e0 = trellis.frame(0)
     cur = _Frame(idx0, bank)
+    candidates = [idx0]  # per frame, for the backtrack; repeats share one array
     pair = None
     h = np.append(e0, np.inf)  # the last entry scores the missing predecessor
     u = np.zeros(len(idx0), dtype=int)
@@ -447,10 +467,11 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     for n in range(1, trellis.n_frames):
         if not np.isfinite(h).any():  # no later node can become finite
             raise Infeasible("no finite-energy path through the trellis")
-        idx, e = trellis.frame(n)
         prev = cur
-        if not prev.same_candidates(idx):
-            cur = _Frame(idx, bank)
+        if changed[n - 1]:
+            cur = _Frame(trellis.candidates(n), bank)
+        candidates.append(cur.idx)
+        e = trellis.table[n][trellis.column_of[cur.idx]]
         if pair is None or pair.prev is not prev or pair.cur is not cur:
             pair = _Pair(prev, cur, bank, params.delta)
         p_idx, idx = prev.idx, cur.idx
@@ -522,7 +543,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     for n in range(trellis.n_frames - 1, 0, -1):
         positions.append(int(parents[n][positions[-1]]))
     positions.reverse()
-    indices = [int(trellis.indices[n][p]) for n, p in enumerate(positions)]
+    indices = [int(candidates[n][p]) for n, p in enumerate(positions)]
     result = energy_of_path(trellis, indices, params)
     return (result, tables) if keep_tables else result
 
@@ -539,13 +560,15 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
     bank = trellis.bank
     stat_cap = int(params.stat_gamma)
 
-    idx0, e0 = trellis.frame(0)
+    idx, e = trellis.frame(0)
+    candidates = [idx]
     # state key: (position, previous step, clamped stationary count)
-    layers = [{(p, 0, 0): (float(e0[p]), None) for p in range(len(idx0))}]
+    layers = [{(p, 0, 0): (float(e[p]), None) for p in range(len(idx))}]
 
     for n in range(1, trellis.n_frames):
+        p_idx = idx
         idx, e = trellis.frame(n)
-        p_idx = trellis.indices[n - 1]
+        candidates.append(idx)
         if len(idx) * (len(p_idx) + stat_cap + 1) > 10_000_000:
             raise StateExplosion(f"frame {n}: state budget exceeded")
         seg, p_seg = bank.segment_of[idx], bank.segment_of[p_idx]
@@ -583,23 +606,23 @@ def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PoseP
         positions.append(key[0])
         key = layers[n][key][1]
     positions.reverse()
-    indices = [int(trellis.indices[n][p]) for n, p in enumerate(positions)]
+    indices = [int(candidates[n][p]) for n, p in enumerate(positions)]
     return energy_of_path(trellis, indices, params)
 
 
 def brute_force(trellis: Trellis, params: PathParams = PathParams()) -> PosePath:
     """Enumerate every cluster-feasible path; ties keep the lexicographically
     smallest index sequence. Guarded by a 1e6 path budget."""
-    sizes = [len(idx) for idx in trellis.indices]
-    total = 1
-    for m in sizes:
-        total *= m
+    n_frames = trellis.n_frames
+    frames, total = [], 1
+    for n in range(n_frames):
+        frames.append(trellis.frame(n))
+        total *= len(frames[-1][0])
         if total > 1_000_000:
             raise TooLarge("more than 1e6 candidate paths")
+    sizes = [len(idx) for idx, _ in frames]
 
     bank = trellis.bank
-    n_frames = trellis.n_frames
-    frames = [trellis.frame(n) for n in range(n_frames)]
     best_energy = np.inf
     best_path = None
 
@@ -658,22 +681,16 @@ def solve_path_cluster(trellis: Trellis, dists: np.ndarray, params: PathParams =
     dists = np.asarray(dists, dtype=float)
     if len(dists) != trellis.n_frames:
         raise ValueError("one distribution per frame required")
-    present = _present_clusters(trellis)
-    chosen = np.array([p[dists[n][p].argmax()] for n, p in enumerate(present)])
+    chosen = np.where(trellis.present(), dists, -np.inf).argmax(axis=1)
     if not trellis.bank.adjacent[chosen[:-1], chosen[1:]].all():
         chosen = _cluster_viterbi(trellis, dists)
     return solve_paper_dp(_restrict(trellis, chosen), params)
 
 
-def _present_clusters(trellis: Trellis) -> list:
-    """Per frame, the sorted cluster ids among its candidates."""
-    return [np.unique(trellis.bank.cluster_of[idx]) for idx in trellis.indices]
-
-
 def _restrict(trellis: Trellis, chosen_clusters) -> Trellis:
     """The trellis keeping, per frame, the candidates of its chosen cluster."""
-    cluster_of = trellis.bank.cluster_of
-    return replace(trellis, indices=[idx[cluster_of[idx] == c] for idx, c in zip(trellis.indices, chosen_clusters)])
+    chosen = np.asarray(chosen_clusters)[:, None]
+    return replace(trellis, keep=trellis.keep & (trellis.cluster_of_column == chosen))
 
 
 def _cluster_viterbi(trellis: Trellis, dists: np.ndarray) -> list:
@@ -684,12 +701,11 @@ def _cluster_viterbi(trellis: Trellis, dists: np.ndarray) -> list:
     cheapest neighbor as its predecessor, and the end is the first minimum.
     """
     adjacent = trellis.bank.adjacent
-    present = _present_clusters(trellis)
-    h = np.full(len(adjacent), np.inf)
-    h[present[0]] = 1.0 - dists[0][present[0]]
-    back = []
+    present = trellis.present()
+    h = np.where(present[0], 1.0 - dists[0], np.inf)
+    back = np.zeros(present.shape, dtype=int)  # back[n, c]: the predecessor of cluster c at frame n
     for n in range(1, trellis.n_frames):
-        c = present[n]
+        c = present[n].nonzero()[0]
         scores = np.where(adjacent[:, c], h[:, None], np.inf)
         prev, best = scores.argmin(axis=0), scores.min(axis=0)
         ok = best < np.inf
@@ -697,9 +713,9 @@ def _cluster_viterbi(trellis: Trellis, dists: np.ndarray) -> list:
             raise Infeasible("no neighbor-feasible cluster sequence")
         h = np.full(len(adjacent), np.inf)
         h[c[ok]] = best[ok] + 1.0 - dists[n][c[ok]]
-        back.append(dict(zip(c.tolist(), prev.tolist())))
+        back[n, c] = prev
     seq = [int(h.argmin())]
-    for bk in reversed(back):
-        seq.append(bk[seq[-1]])
+    for n in range(trellis.n_frames - 1, 0, -1):
+        seq.append(int(back[n, seq[-1]]))
     seq.reverse()
     return seq

@@ -338,9 +338,12 @@ def infer(
     The path solvers decode one trellis: unary_costs' trellis over the (N, K)
     cost table, pruned at the first threshold of cost_params.prune_threshold,
     /10, ... (0 once below 1e-6) whose candidates admit a finite-energy path
-    (Trellis.admits_path). 0 keeps every pose, so it always does. Every
-    pruned trellis shares the one table, and the solver reads each frame's
-    costs from it. timings["prune_retries"] counts the thresholds skipped.
+    (Trellis.admits_path). 0 keeps every pose, so it always does. A pruned
+    trellis is the one table with a new (N, K) mask of kept clusters, so a
+    rejected threshold costs one comparison and the reach pass. A frame
+    where no cluster above the threshold has poses keeps every pose of its
+    most probable cluster that has any. timings["prune_retries"] counts the
+    thresholds skipped.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")

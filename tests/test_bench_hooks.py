@@ -10,6 +10,7 @@ forest-cli and knn-bank10k workloads.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -53,22 +54,48 @@ def test_benchmark_hooks_install_and_restore(monkeypatch):
         assert all(vars(owner)[name] is v for name, v in before[owner].items()), owner
 
 
+def assert_figures_read_the_trellis(lay, trellis, bank):
+    """The widths and predecessor counts the benchmark reads through the
+    trellis's .frames view equal those of its .indices."""
+    import layers
+
+    widths = np.array([len(idx) for idx in trellis.indices])
+    figures = lay._solved_trellises()
+    assert figures["pathopt.width_mean"] == widths.mean() and figures["pathopt.width_max"] == widths.max()
+    assert figures["costs.kept_ratio"] == widths.sum() / (len(widths) * len(bank.poses))
+    counts = [np.bincount(bank.cluster_of[idx], minlength=bank.k) for idx in trellis.indices]
+    adjacent = bank.adjacent.astype(np.int64)
+    assert layers._pred_evals(trellis) == sum(int(c @ adjacent @ p) for p, c in zip(counts, counts[1:]))
+
+
 def test_cli_decode_records_a_span_for_each_file_it_reads_and_writes(monkeypatch, tmp_path):
     """A load or write that moves off the binding the benchmark wraps would
-    read 0 in the per-layer numbers instead of failing; here it fails."""
+    read 0 in the per-layer numbers instead of failing; here it fails. At
+    --prune 0 the decode solves the full-bank trellis, whose keep mask is one
+    broadcast True, and the benchmark's reads of it must still hold."""
     synth = generate(MotionScript([("stand_idle", 20), ("sit_down", 20), ("sit_idle", 20)], seed=3))
     synth.write(tmp_path / "data")
     train_models([synth.poses], [synth.homographies], k=4, window=8, n_trees=2).save(tmp_path / "model")
-    argv = ["infer", "--input", str(tmp_path / "data" / "homographies.jsonl"), "--window", "8"]
-    argv += ["--static-h", str(tmp_path / "data" / "static_h.jsonl"), "--out", str(tmp_path / "out" / "path.jsonl")]
+    out = tmp_path / "out" / "path.jsonl"
+    argv = ["infer", "--input", str(tmp_path / "data" / "homographies.jsonl"), "--window", "8", "--prune", "0"]
+    argv += ["--static-h", str(tmp_path / "data" / "static_h.jsonl"), "--out", str(out)]
     for flag, name in (("--bank", "bank"), ("--cluster-model", "clusters"), ("--classifier-model", "forest")):
         argv += [flag, str(tmp_path / "model" / f"{name}.json")]
     with traced(monkeypatch) as lay:
-        with lay.rec.span("decode"), contextlib.redirect_stdout(io.StringIO()):
+        with lay.rec.span("decode"), contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert cli.main(argv) == 0
     names = {sp.name for sp in lay.rec.spans}
     loads = {"clustering.bank_load", "io.ClusterModel.load", "io.cli.load_static"}
     assert loads | {"io.cli.save_pose_sequence", "io.PosePath.save"} <= names
+
+    trellis = lay.probe.trellis
+    assert trellis.keep.strides == (0, 0) and trellis.keep.all()
+    ((_, models, result),) = lay.probe.infers
+    written = [rec["exemplar"] for rec in map(json.loads, out.read_text().splitlines())]
+    energies = energy_of_path(trellis, written).energy_dict()
+    assert energies == result.path.energy_dict()
+    assert "energy: U={U:.6f} T={T:.6f} V={V:.6f} S={S:.6f} total={total:.6f}".format(**energies) in stdout.getvalue()
+    assert_figures_read_the_trellis(lay, trellis, models.bank)
 
 
 def test_library_decode_reads_the_trellis_it_solved(monkeypatch):
@@ -82,20 +109,12 @@ def test_library_decode_reads_the_trellis_it_solved(monkeypatch):
     with traced(monkeypatch) as lay:
         with lay.rec.span("decode"):
             result = pipeline.infer(test.homographies, models, static_h=test.static_h)
-    import layers
-
     assert {"costs.unary", "costs.prune", "pathopt.dp"} <= {sp.name for sp in lay.rec.spans}
     trellis = lay.probe.trellis
     assert energy_of_path(trellis, result.path.indices).energy_dict() == result.path.energy_dict()
 
     bank = models.bank
-    widths = np.array([len(idx) for idx in trellis.indices])
-    figures = lay._solved_trellises()
-    assert figures["pathopt.width_mean"] == widths.mean() and figures["pathopt.width_max"] == widths.max()
-    assert figures["costs.kept_ratio"] == widths.sum() / (len(widths) * len(bank.poses))
-    counts = [np.bincount(bank.cluster_of[idx], minlength=bank.k) for idx in trellis.indices]
-    adjacent = bank.adjacent.astype(np.int64)
-    assert layers._pred_evals(trellis) == sum(int(c @ adjacent @ p) for p, c in zip(counts, counts[1:]))
-    # unary_costs lists every pose at every frame: an index and a cost each
+    assert_figures_read_the_trellis(lay, trellis, bank)
+    # the tracer builds every frame's index and cost arrays of unary_costs' trellis on access
     cells = len(result.centers) * len(bank.poses)
     assert lay.unary_bytes == [cells * (np.arange(1).itemsize + trellis.table.itemsize)]

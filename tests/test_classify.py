@@ -14,7 +14,6 @@ from egopose.classify import (
     KnnIndex,
     KnnModel,
     constant_static,
-    forest_proba,
     forest_proba_batch,
     knn_proba,
     load_static,
@@ -121,7 +120,7 @@ def test_forest_memorizes_single_point_per_class():
     y = np.array([0, 1, 2])
     model = train_forest(x, y, n_trees=40, seed=3)
     for i in range(3):
-        probs = forest_proba(model, x[i])
+        probs = forest_proba_batch(model, x[i : i + 1])[0]
         assert probs.argmax() == i
         assert probs[i] > 0.5
 
@@ -154,7 +153,7 @@ def test_forest_proba_is_distribution():
     x, y = two_blobs(rng, n=80)
     model = train_forest(x, y, n_trees=15, seed=0)
     for _ in range(30):
-        p = forest_proba(model, rng.normal(size=x.shape[1]))
+        p = forest_proba_batch(model, rng.normal(size=(1, x.shape[1])))[0]
         assert np.all(p >= 0)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -168,7 +167,7 @@ def test_forest_proba_matches_manual_tree_walk():
         v = rng.normal(size=x.shape[1])
         ref = np.mean([walk_tree(t, v) for t in trees], axis=0)
         ref = ref / ref.sum()
-        assert np.allclose(forest_proba(model, v), ref, atol=1e-12)
+        assert np.allclose(forest_proba_batch(model, v[None])[0], ref, atol=1e-12)
 
 
 def test_forest_batch_equals_single():
@@ -181,7 +180,10 @@ def test_forest_batch_equals_single():
     for i in range(len(q)):
         ref = np.mean([walk_tree(t, q[i]) for t in trees], axis=0)
         assert np.allclose(batch[i], ref / ref.sum(), atol=1e-12)
-        assert np.array_equal(batch[i], forest_proba(model, q[i]))
+        assert np.array_equal(batch[i], forest_proba_batch(model, q[i : i + 1])[0])
+    for bad in (q[0], q[:, :-1], q[None]):
+        with pytest.raises(DimMismatch):
+            forest_proba_batch(model, bad)
 
 
 def _reference_gini_split(x_col, y, n_classes):
@@ -392,7 +394,7 @@ def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
         model = _chain_forest(3000)
         assert np.array_equal(forest_proba_batch(model, q), want)
         assert np.array_equal(forest_proba_batch(model, q), dict_forest_proba(trees, q, 3))
-        assert np.array_equal(forest_proba(model, q[3]), want[3])
+        assert np.array_equal(forest_proba_batch(model, q[3:4]), want[3:4])
         path = tmp_path / "deep.json"
         model.save(path)
         back = ForestModel.load(path)
@@ -400,7 +402,7 @@ def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
         assert np.array_equal(forest_proba_batch(back, q), want)
         trained = train_forest(x, y, n_trees=3, seed=0)
         forest_proba_batch(trained, x[:5])
-        forest_proba(trained, x[0])
+        forest_proba_batch(trained, x[:1])
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)
@@ -461,8 +463,10 @@ def test_knn_full_vote_gives_class_frequencies():
 def test_knn_distance_ties_take_lower_index():
     pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     idx = KnnIndex(pts)
-    assert list(idx.query(np.zeros(2), 2)) == [0, 1]
     assert idx.query_batch(np.zeros((1, 2)), 2).tolist() == [[0, 1]]
+    for bad in (np.zeros(2), np.zeros((1, 3))):
+        with pytest.raises(DimMismatch):
+            idx.query_batch(bad, 2)
 
 
 def test_knn_empty_training_raises():
@@ -489,7 +493,7 @@ def test_knn_blocked_scan_matches_whole_array_scan(dim):
         for v, row in zip(queries, got):
             want = _whole_array_scan(pts, v, k)
             assert np.array_equal(row, want)
-            assert np.array_equal(idx.query(v, k), want)
+            assert np.array_equal(idx.query_batch(v[None], k)[0], want)
 
 
 def _adversarial_knn_cases():
@@ -539,7 +543,7 @@ def test_knn_scan_is_exact_on_adversarial_inputs(case):
         for v, row in zip(queries, got):
             want = _whole_array_scan(pts, v, k)
             assert np.array_equal(row, want), (case, k, v)
-            assert np.array_equal(idx.query(v, k), want)
+            assert np.array_equal(idx.query_batch(v[None], k)[0], want)
 
 
 def _duplicate_knn_cases():
@@ -575,7 +579,7 @@ def test_knn_duplicate_rows_match_whole_array_scan(case):
         for v, row in zip(queries, got):
             want = _whole_array_scan(pts, v, k)
             assert np.array_equal(row, want), (case, k, v)
-            assert np.array_equal(idx.query(v, k), want)
+            assert np.array_equal(idx.query_batch(v[None], k)[0], want)
 
 
 def test_knn_k_below_one_is_rejected():
@@ -599,7 +603,7 @@ def test_knn_batch_matches_single_queries():
         assert np.array_equal(row, knn_proba(model, v, k=9))
     low_dim = KnnIndex(rng.normal(size=(300, 3)))
     vs = rng.normal(size=(10, 3))
-    assert np.array_equal(low_dim.query_batch(vs, 4), np.stack([low_dim.query(v, 4) for v in vs]))
+    assert np.array_equal(low_dim.query_batch(vs, 4), np.concatenate([low_dim.query_batch(v[None], 4) for v in vs]))
     with pytest.raises(DimMismatch):
         knn_proba(model, np.zeros((2, 19)))
 

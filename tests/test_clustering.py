@@ -8,7 +8,6 @@ from egopose.clustering import (
     ClusterModel,
     ExemplarBank,
     SitStand,
-    assign_cluster,
     assign_clusters,
     build_neighbor_graph,
     hip_height,
@@ -235,8 +234,8 @@ def test_assign_cluster_exact_centroid_and_identity():
     x = rng.normal(size=(30, 75))
     m = kmeans(x, 9, seed=0)
     for j in range(len(m.centroids)):
-        assert assign_cluster(m, m.centroids[j]) == j
-    assert assign_cluster(m, m.centroids[7]) == 7
+        assert assign_clusters(m, m.centroids[j][None])[0] == j
+    assert assign_clusters(m, m.centroids[7][None])[0] == 7
 
 
 def test_assign_cluster_tie_takes_lower_id():
@@ -246,7 +245,7 @@ def test_assign_cluster_tie_takes_lower_id():
     centroids[1, 1] = 50.0
     m = ClusterModel(centroids)
     v = np.zeros(75)
-    assert assign_cluster(m, v) == 0
+    assert assign_clusters(m, v[None])[0] == 0
 
 
 def test_assign_cluster_matches_linear_scan():
@@ -256,7 +255,7 @@ def test_assign_cluster_matches_linear_scan():
     for _ in range(25):
         v = rng.normal(size=75)
         dists = [np.linalg.norm(v - c) for c in m.centroids]
-        assert assign_cluster(m, v) == int(np.argmin(dists))
+        assert assign_clusters(m, v[None])[0] == int(np.argmin(dists))
 
 
 def test_hip_height_of_templates():

@@ -163,9 +163,32 @@ def test_prune_uniform_below_threshold_keeps_fallback():
     dists = np.full((2, bank.k), 1.0 / k300)
     out = unary_costs(dists, np.full(2, 0.5), bank, labels)
     pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
+    assert pruned.keep.tolist() == [[True, False, False, False]] * 2  # argmax tie -> cluster 0
     for n in range(2):
-        assert len(pruned.indices[n]) == 1
-        assert pruned.indices[n][0] == 0  # argmax tie -> first pose
+        assert np.array_equal(pruned.indices[n], np.flatnonzero(bank.cluster_of == 0))
+
+
+def fallback_bank():
+    """Clusters 2, 0 and 3 in index order; cluster 1 has no pose."""
+    return ExemplarBank.build(np.random.default_rng(5).normal(size=(6, 75)), [2, 2, 0, 0, 3, 3], [], 4)
+
+
+def test_prune_fallback_keeps_the_whole_most_probable_nonempty_cluster():
+    bank = fallback_bank()
+    dists = np.array(
+        [
+            [0.004, 0.0, 0.006, 0.002],  # nothing passes: cluster 2 is the most probable
+            [0.005, 0.0, 0.005, 0.002],  # a tie: the smaller cluster id, though cluster 2 holds pose 0
+            [0.004, 0.9, 0.003, 0.006],  # only the empty cluster passes: cluster 3
+            [0.0, 0.9, 0.0, 0.0],  # only the empty cluster has mass: all tie, cluster 0
+            [0.02, 0.9, 0.004, 0.006],  # cluster 0 passes: no fallback
+        ]
+    )
+    out = unary_costs(dists, np.full(len(dists), 0.5), bank, alternating_labels(bank.k))
+    pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
+    assert [idx.tolist() for idx in pruned.indices] == [[0, 1], [2, 3], [4, 5], [2, 3], [2, 3]]
+    for n, idx in enumerate(pruned.indices):
+        assert np.array_equal(pruned.frame(n)[1], out.table[n][bank.cluster_of[idx]])
 
 
 def test_prune_threshold_zero_is_identity():
@@ -177,17 +200,29 @@ def test_prune_threshold_zero_is_identity():
     # no copies: costs live once per (frame, cluster), and prune at 0 returns its input
     assert out.table.shape == (4, bank.k)
     assert prune(out, dists, bank, CostParams(prune_threshold=0.0)) is out
-    # every frame lists the whole bank through one shared read-only array
-    assert all(i is out.indices[0] for i in out.indices)
-    assert not out.indices[0].flags.writeable
-    assert np.array_equal(out.indices[0], np.arange(len(bank.poses)))
+    # every frame keeps every column through one read-only broadcast True
+    assert out.keep.shape == out.table.shape and out.keep.all()
+    assert out.keep.strides == (0, 0) and not out.keep.flags.writeable
     # it is the trellis the solvers read: no frame holds a copy of its costs
     assert Trellis.from_costs(out, bank) is out
-    assert set(vars(out)) == {"table", "column_of", "indices", "bank"}
+    assert set(vars(out)) == {"table", "column_of", "keep", "bank"}
     for n in range(4):
         idx, e = out.frame(n)
-        assert idx is out.indices[0]
+        assert np.array_equal(idx, np.arange(len(bank.poses)))
         assert np.array_equal(e, out.table[n][bank.cluster_of])
+
+
+def reference_prune(dists, bank, thr):
+    """Per frame, the ascending poses of the clusters above thr, or else of
+    the most probable cluster that has a pose (ties -> smaller id)."""
+    kept = []
+    for probs in dists:
+        idx = [i for i in range(len(bank.poses)) if probs[bank.cluster_of[i]] > thr]
+        if not idx:
+            best = max(set(bank.cluster_of.tolist()), key=lambda c: (probs[c], -c))
+            idx = [i for i in range(len(bank.poses)) if bank.cluster_of[i] == best]
+        kept.append(idx)
+    return kept
 
 
 def test_prune_matches_reference_filter():
@@ -198,12 +233,7 @@ def test_prune_matches_reference_filter():
     out = unary_costs(dists, np.full(8, 0.5), bank, labels)
     thr = 0.05
     pruned = prune(out, dists, bank, CostParams(prune_threshold=thr))
-    for n in range(8):
-        ref = [i for i in range(len(bank.poses)) if dists[n][bank.cluster_of[i]] > thr]
-        if not ref:
-            probs = dists[n][bank.cluster_of]
-            ref = [int(probs.argmax())]
-        assert list(pruned.indices[n]) == ref
+    assert [idx.tolist() for idx in pruned.indices] == reference_prune(dists, bank, thr)
 
 
 @pytest.mark.parametrize("thr", [1e-6, 0.05, 0.3, 0.9])
@@ -216,14 +246,15 @@ def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
     dists[1] = np.eye(bank.k)[6]  # only the empty cluster passes: the fallback
     out = unary_costs(dists, np.full(12, 0.5), bank, alternating_labels(bank.k))
     pruned = prune(out, dists, bank, CostParams(prune_threshold=thr))
+    assert pruned.table is out.table
     for n, idx in enumerate(out.indices):
-        assert idx is out.indices[0]  # the shared read-only arange over the bank
+        assert np.array_equal(idx, np.arange(len(bank.poses)))  # the full bank, derived per frame
         want = idx[(dists[n] > thr)[bank.cluster_of[idx]]]
         if not len(want):
-            first = int(dists[n][bank.cluster_of[idx]].argmax())
-            want = idx[first : first + 1]
-        assert pruned.indices[n].dtype == want.dtype
+            probs = np.where(np.bincount(bank.cluster_of, minlength=bank.k) > 0, dists[n], -1.0)
+            want = idx[bank.cluster_of[idx] == probs.argmax()]
         assert np.array_equal(pruned.indices[n], want)
+    assert pruned.indices[1].tolist() == np.flatnonzero(bank.cluster_of == 0).tolist()
     with pytest.raises(ValueError, match="every bank pose"):
         prune(pruned, dists, bank, CostParams(prune_threshold=thr))
 

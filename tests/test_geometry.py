@@ -12,7 +12,7 @@ from egopose.geometry import (
     CameraIntrinsics,
     Homography,
     estimate_homography,
-    feature_window,
+    feature_windows,
     load_correspondences,
     load_homographies,
     rotation_from_homography,
@@ -156,7 +156,7 @@ def test_intrinsics_must_be_finite(field, bad):
 
 def test_feature_window_static_camera():
     hs = [Homography(np.eye(3)) for _ in range(40)]
-    v = feature_window(hs, 20, window=30)
+    v = feature_windows(hs, [20], window=30)[0]
     assert v.shape == (261,)
     block = np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0])
     assert np.array_equal(v, np.tile(block, 29))
@@ -168,7 +168,7 @@ def test_feature_window_matches_manual_concatenation():
     rng = np.random.default_rng(4)
     hs = [random_homography(rng) for _ in range(40)]
     center, window = 17, 30
-    v = feature_window(hs, center, window)
+    v = feature_windows(hs, [center], window)[0]
     lo = center - (window - 1) // 2
     manual = np.concatenate([hs[i].h.reshape(-1) for i in range(lo, lo + window - 1)])
     assert np.array_equal(v, manual)
@@ -177,21 +177,21 @@ def test_feature_window_matches_manual_concatenation():
 def test_feature_window_translation_covariant():
     rng = np.random.default_rng(5)
     hs = [random_homography(rng) for _ in range(50)]
-    a = feature_window(hs, 20, 30)
-    b = feature_window(hs[3:], 17, 30)
+    a = feature_windows(hs, [20], 30)[0]
+    b = feature_windows(hs[3:], [17], 30)[0]
     assert np.array_equal(a, b)
 
 
 def test_feature_window_bounds():
     hs = [Homography(np.eye(3)) for _ in range(29)]
-    v = feature_window(hs, 14, 30)  # exactly fits 30 frames
+    v = feature_windows(hs, [14], 30)[0]  # exactly fits 30 frames
     assert v.shape == (261,)
     with pytest.raises(OutOfRange):
-        feature_window(hs, 13, 30)
+        feature_windows(hs, [13], 30)
     with pytest.raises(OutOfRange):
-        feature_window(hs, 15, 30)
+        feature_windows(hs, [15], 30)
     with pytest.raises(OutOfRange):
-        feature_window(hs, 14, 1)
+        feature_windows(hs, [14], 1)
 
 
 def test_homography_file_round_trip(tmp_path):

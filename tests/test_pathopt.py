@@ -369,77 +369,93 @@ def test_stationary_term_examples():
 
 
 def test_trellis_validation():
-    bank = make_bank([0] * 5)
-    ok = np.array([0, 2])
+    bank = make_bank([0, 0, 1, 1, 2])
+    keep = np.array([[True, False, True], [False, True, False]])
 
-    def build(indices, table=None, column_of=np.arange(5)):
-        return Trellis(np.zeros((len(indices), 5)) if table is None else table, column_of, indices, bank)
+    def build(keep=keep, table=np.zeros((2, 3)), column_of=bank.cluster_of):
+        return Trellis(table, column_of, keep, bank)
 
-    build([ok, ok])
-    with pytest.raises(ValueError, match="at least one frame"):
-        build([])
-    for rows in (1, 3):
-        with pytest.raises(ValueError, match="one row per frame"):
-            build([ok, ok], table=np.zeros((rows, 5)))
-    with pytest.raises(ValueError, match="one row per frame"):
-        build([ok], table=np.zeros(5))
-    bad = {
-        "empty": np.array([], dtype=int),
-        "unsorted": np.array([3, 0, 2]),
-        "repeated": np.array([2, 2]),
-        "negative": np.array([-1, 0]),
-        "past the bank": np.array([4, 5]),
-        "float": np.array([0.0, 1.0]),
-        "2-D": np.array([[0, 1]]),
-        "list": [0, 1],
-    }
-    for name, idx in bad.items():
-        with pytest.raises(ValueError, match="frame 1"):
-            build([ok, idx])
-    for column_of in (np.arange(4), np.arange(6), np.zeros((5, 1), dtype=int), np.arange(5.0), np.arange(5) + 1, np.arange(5) - 1):
+    build()
+    for table, keep_ in ((np.zeros((0, 3)), np.zeros((0, 3), dtype=bool)), (np.zeros(3), np.ones(3, dtype=bool))):
+        with pytest.raises(ValueError, match="at least one frame"):
+            build(keep_, table)
+    for bad in (keep.astype(int), keep.tolist(), keep[:1], keep[:, :2], keep.T, np.ones((3, 3), dtype=bool)):
+        with pytest.raises(ValueError, match="keep must be a bool array"):
+            build(bad)
+    # column 3 holds no pose: it may be kept, but a frame needs one that holds a pose
+    wide = build(np.array([[False, False, True, True], [True, True, True, True]]), np.zeros((2, 4)))
+    assert wide.cluster_of_column.tolist() == [0, 1, 2, -1]
+    for rows, frame in (([[False, False, False, True], [True] * 4], 0), ([[True] * 4, [False] * 4], 1)):
+        with pytest.raises(ValueError, match=f"frame {frame} keeps no column that holds a pose"):
+            build(np.array(rows), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="two clusters"):
+        build(column_of=np.array([0, 0, 0, 1, 2]))  # pose 2 of cluster 1 in cluster 0's column
+    bad_columns = (np.arange(4), np.arange(6), np.zeros((5, 1), dtype=int), np.arange(5.0), [0, 0, 1, 1, 2], bank.cluster_of + 1, bank.cluster_of - 1)
+    for column_of in bad_columns:
         with pytest.raises(ValueError, match="column"):
-            build([ok], column_of=column_of)
-    build([ok], table=np.zeros((1, 1)), column_of=np.zeros(5, dtype=int))  # one column for every pose
+            build(column_of=column_of)
+    build(np.ones((2, 5), dtype=bool), np.zeros((2, 5)), np.arange(5))  # one column per pose
+    one = make_bank([0] * 5)
+    Trellis(np.zeros((1, 1)), np.zeros(5, dtype=int), np.ones((1, 1), dtype=bool), one)  # one column for every pose
 
 
 def test_trellis_frame_reads_costs_through_column_of():
-    bank = make_bank([0, 0, 1, 1, 1])
+    bank = make_bank([0, 1, 0, 1, 1])  # interleaved, so a frame's candidates mix its clusters
     table = np.array([[0.5, 0.25], [0.75, 0.125]])
-    tr = Trellis(table, bank.cluster_of, [np.array([0, 2, 3]), np.array([1, 4])], bank)
-    for n, idx in enumerate(tr.indices):
-        got_idx, got = tr.frame(n)
-        assert got_idx is idx
-        assert np.array_equal(got, table[n][bank.cluster_of[idx]])
-    assert tr.frame(0)[1].tolist() == [0.5, 0.25, 0.25]
+    keep = np.array([[True, True], [False, True]])
+    tr = Trellis(table, bank.cluster_of, keep, bank)
+    assert set(vars(tr)) == {"table", "column_of", "keep", "bank"}  # no array per frame
+    for n in range(tr.n_frames):
+        idx, e = tr.frame(n)
+        assert np.array_equal(idx, tr.candidates(n)) and np.array_equal(idx, tr.indices[n])
+        assert (np.diff(idx) > 0).all()
+        assert idx.tolist() == [i for i in range(5) if keep[n, bank.cluster_of[i]]]
+        assert np.array_equal(e, table[n][bank.cluster_of[idx]])
+    assert [(i.tolist(), e.tolist()) for i, e in tr.frames] == [
+        ([0, 1, 2, 3, 4], [0.5, 0.25, 0.5, 0.25, 0.25]),
+        ([1, 3, 4], [0.125, 0.125, 0.125]),
+    ]
+    assert [e.tolist() for e in tr.costs] == [[0.5, 0.25, 0.5, 0.25, 0.25], [0.125, 0.125, 0.125]]
+    assert tr.present().tolist() == [[True, True], [False, True]]
     assert tr.cost_of(1, 4) == 0.125
-    with pytest.raises(ValueError):
-        tr.cost_of(0, 1)
-    assert [e.tolist() for e in tr.costs] == [[0.5, 0.25, 0.25], [0.75, 0.125]]
-    assert [(i.tolist(), e.tolist()) for i, e in tr.frames] == [([0, 2, 3], [0.5, 0.25, 0.25]), ([1, 4], [0.75, 0.125])]
+    with pytest.raises(ValueError, match="not a candidate"):
+        tr.cost_of(1, 0)
+    # -1 and -2 would wrap round to poses 4 and 3, which frame 1 keeps
+    for exemplar in (-1, -2, 5):
+        with pytest.raises(ValueError, match="not in the bank"):
+            tr.cost_of(1, exemplar)
+    # candidates given in any order come out ascending, each with its own cost
+    sparse = trellis_of([([4, 0, 2], [0.25, 0.5, 0.75]), ([3], [1.0])], bank)
+    assert [(i.tolist(), e.tolist()) for i, e in sparse.frames] == [([0, 2, 4], [0.5, 0.75, 0.25]), ([3], [1.0])]
+    assert sparse.present().tolist() == [[True, True], [False, True]]
+    with pytest.raises(ValueError, match="repeats"):
+        trellis_of([([1, 3, 1], [0.0, 0.0, 0.0])], bank)
 
 
-def test_from_costs_prune_and_restrict_share_the_table(monkeypatch):
+def test_from_costs_prune_and_restrict_share_the_table():
     bank = make_bank([0] * 4 + [1] * 4 + [2] * 4)
     labels = [SitStand.STANDING_LIKE] * bank.k
     dists = np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.0, 0.5, 0.5]])
-    calls = []
-    check = pathopt._check_candidates
-    monkeypatch.setattr(pathopt, "_check_candidates", lambda *a: calls.append(a) or check(*a))
     full = unary_costs(dists, np.full(3, 0.5), bank, labels)
-    assert len(calls) == 1  # the shared full-bank arange is checked once, not once per frame
-    # a threshold-0 trellis holds the table and one index array, no cost per frame
-    assert set(vars(full)) == {"table", "column_of", "indices", "bank"}
+    # a threshold-0 trellis holds the table and one broadcast True, no array per frame
+    assert set(vars(full)) == {"table", "column_of", "keep", "bank"}
     assert full.table.shape == (3, bank.k) and full.column_of is bank.cluster_of
-    assert all(idx is full.indices[0] for idx in full.indices)
+    assert full.keep.shape == full.table.shape and full.keep.all()
+    assert full.keep.strides == (0, 0) and not full.keep.flags.writeable
     assert Trellis.from_costs(full, bank) is full
     kept = prune(full, dists, bank, CostParams(prune_threshold=0.2))
     assert kept.table is full.table and kept.column_of is full.column_of
+    assert kept.keep.tolist() == [[True, True, False], [False, False, True], [False, True, True]]
     assert [idx.tolist() for idx in kept.indices] == [list(range(8)), list(range(8, 12)), list(range(4, 12))]
     restricted = pathopt._restrict(kept, [0, 2, 1])
-    assert restricted.table is full.table
+    assert restricted.table is full.table and restricted.column_of is full.column_of
+    assert restricted.keep.tolist() == [[True, False, False], [False, False, True], [False, True, False]]
     assert [idx.tolist() for idx in restricted.indices] == [[0, 1, 2, 3], [8, 9, 10, 11], [4, 5, 6, 7]]
     for n in range(3):
-        assert np.array_equal(restricted.frame(n)[1], 1.0 - dists[n][bank.cluster_of[restricted.indices[n]]])
+        idx, e = restricted.frame(n)
+        assert np.array_equal(e, 1.0 - dists[n][bank.cluster_of[idx]])
+    with pytest.raises(ValueError, match="every bank pose"):
+        prune(kept, dists, bank, CostParams(prune_threshold=0.2))
 
 
 def test_pose_path_component_sum_enforced():

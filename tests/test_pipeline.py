@@ -709,7 +709,8 @@ def _reference_path_cluster(trellis, dists, params):
     """solve_path_cluster as it was before it checked the argmax sequence:
     solve the restriction to each frame's argmax cluster, and on Infeasible
     solve again on the cluster-level Viterbi sequence."""
-    chosen = [int(p[int(dists[n][p].argmax())]) for n, p in enumerate(pathopt._present_clusters(trellis))]
+    present = [np.unique(trellis.bank.cluster_of[idx]) for idx in trellis.indices]
+    chosen = [int(p[int(dists[n][p].argmax())]) for n, p in enumerate(present)]
     try:
         return pathopt.solve_paper_dp(pathopt._restrict(trellis, chosen), params)
     except Infeasible:

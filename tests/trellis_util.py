@@ -11,17 +11,16 @@ from egopose import Trellis
 
 
 def trellis_of(frames, bank) -> Trellis:
-    """A Trellis over (indices, costs) pairs, one per frame. A frame whose
-    indices are not ascending is sorted with its costs; an ascending one keeps
-    its index array as given."""
+    """A Trellis over (indices, costs) pairs, one per frame, in any order:
+    frame n keeps the columns of its indices. Repeated indices raise
+    ValueError."""
     n_poses = len(bank.poses)
     table = np.full((len(frames), n_poses), np.nan)
-    indices = []
+    keep = np.zeros(table.shape, dtype=bool)
     for n, (idx, e) in enumerate(frames):
-        idx, e = np.asarray(idx, dtype=int), np.asarray(e, dtype=float)
-        if not (idx[1:] > idx[:-1]).all():
-            order = np.argsort(idx, kind="stable")
-            idx, e = idx[order], e[order]
+        idx = np.asarray(idx, dtype=int)
+        if len(np.unique(idx)) != len(idx):
+            raise ValueError(f"frame {n} repeats a candidate")
         table[n, idx] = e
-        indices.append(idx)
-    return Trellis(table, np.arange(n_poses), indices, bank)
+        keep[n, idx] = True
+    return Trellis(table, np.arange(n_poses), keep, bank)
