@@ -38,7 +38,7 @@ from .pipeline import (
     normalized_matrix,
 )
 from .records import integral, load_json_object, model_fields, read_records
-from .skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
+from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from .synth import MotionScript, generate
 
 DEFAULT_CONFIG = {
@@ -243,8 +243,7 @@ def cmd_eval(args):
 
     def wearer_local(seq, idx):
         """The poses at idx, normalized when they are sensor-frame ones."""
-        x = normalized_matrix(PoseSequence([seq[i] for i in idx]))
-        return PoseSequence([Pose.from_vector(v) for v in x])
+        return PoseSequence.of(normalized_matrix(PoseSequence.of(seq.joints[idx], seq.frame)), Frame.WEARER_LOCAL)
 
     report = joint_errors(wearer_local(pred, pi), wearer_local(gt, gi))
     report.save(_ensure_parent(args.out))

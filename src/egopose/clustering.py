@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TooFewPoses
 from .records import integral, integral_array, load_json_object, model_fields, number_array, write_json_object
-from .skeleton import Frame, Joint, Pose, save_pose_sequence, load_pose_sequence, PoseSequence
+from .skeleton import Frame, Joint, PoseSequence, load_pose_sequence, save_pose_sequence
 from .sqdist import SAFE_NORM, rounding_margin
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -303,8 +303,7 @@ class ExemplarBank:
         """JSON with a pose-file reference; poses go to the sibling <stem>_poses.jsonl."""
         poses_file = os.path.splitext(os.path.basename(path))[0] + "_poses.jsonl"
         pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), poses_file)
-        seq = PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in self.poses])
-        save_pose_sequence(pose_path, seq)
+        save_pose_sequence(pose_path, PoseSequence.of(self.poses, Frame.WEARER_LOCAL))
         rec = {
             "k": self.k,
             "poses_file": poses_file,
@@ -318,7 +317,7 @@ class ExemplarBank:
         """The bank save wrote, its fields read by read_bank_fields, with the
         poses of the pose file it names."""
         pose_path, cluster_of, sequence_breaks, k = read_bank_fields(path)
-        poses = load_pose_sequence(pose_path).as_matrix()  # a fault there is the pose file's, not a field's
+        poses = load_pose_sequence(pose_path).joints.reshape(-1, 75)  # a fault there is the pose file's, not a field's
         with model_fields(path):
             return cls(poses, cluster_of, sequence_breaks, k)
 

@@ -17,7 +17,7 @@ from .classify import KnnIndex
 from .clustering import ExemplarBank, SitStand
 from .errors import DegeneratePose, EmptyLabel, FrameMismatch
 from .records import write_json_object
-from .skeleton import N_JOINTS, Frame, Joint, Pose, PoseSequence
+from .skeleton import Frame, Joint, Pose, PoseSequence
 
 CM_PER_UNIT = 150.0  # five times the 30 cm reference shoulder
 
@@ -81,28 +81,13 @@ def _aligned(joints: np.ndarray) -> np.ndarray:
     return joints @ rot.transpose(0, 2, 1)
 
 
-def _local_joints(poses) -> np.ndarray:
-    """(n, 25, 3) joints of wearer-local poses; FrameMismatch otherwise."""
-    if len(poses) and poses[0].frame != Frame.WEARER_LOCAL:  # a PoseSequence holds one frame tag
-        raise FrameMismatch("alignment expects wearer-local poses")
-    return np.array([p.joints for p in poses]).reshape(-1, N_JOINTS, 3)
-
-
-def align_for_eval(p: Pose) -> Pose:
-    """Translate SpineBase to the origin and remove yaw: _aligned of one row.
-
-    Idempotent; raises FrameMismatch unless the pose is wearer-local, and
-    DegeneratePose when the shoulder direction has no ground-plane component.
-    """
-    return Pose(_aligned(_local_joints([p]))[0], Frame.WEARER_LOCAL)
-
-
 def joint_errors(pred: PoseSequence, gt: PoseSequence) -> ErrorReport:
     """Per-group mean / standard-error joint distances in centimeters."""
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions for {len(gt)} ground-truth poses")
-    pa = _aligned(_local_joints(pred.poses))
-    pb = _aligned(_local_joints(gt.poses))
+    if {pred.frame, gt.frame} != {Frame.WEARER_LOCAL}:
+        raise FrameMismatch("alignment expects wearer-local poses")
+    pa, pb = _aligned(pred.joints), _aligned(gt.joints)
     dist = np.linalg.norm(pa - pb, axis=2) * CM_PER_UNIT  # (n, 25)
 
     groups = {}
@@ -137,4 +122,4 @@ def baseline_kdtree(
     if index is None:
         index = KnnIndex(train_features)
     nn = index.query_batch(test_features, 1)[:, 0]
-    return PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in train_pose_vectors[nn]])
+    return PoseSequence.of(train_pose_vectors[nn], Frame.WEARER_LOCAL)

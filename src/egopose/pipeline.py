@@ -51,7 +51,7 @@ from .pathopt import (
     solve_path_cluster,
 )
 from .records import integral, load_json_object, model_fields, write_json_object
-from .skeleton import Frame, Pose, PoseSequence, normalize_poses
+from .skeleton import Frame, PoseSequence, normalize_poses
 
 UP_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -105,10 +105,9 @@ def _check_knn_k(knn_k: int) -> int:
 
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
     """Wearer-local (n, 75) matrix; sensor-frame poses get normalized."""
-    x = seq.as_matrix()
-    if len(seq) and seq[0].frame != Frame.WEARER_LOCAL:  # one frame tag per sequence
-        x = normalize_poses(x, up).reshape(-1, 75)
-    return x
+    if seq.frame == Frame.WEARER_LOCAL:
+        return seq.as_matrix()
+    return normalize_poses(seq.joints, up).reshape(-1, 75)
 
 
 def _classifier_kind(model) -> str:
@@ -386,7 +385,7 @@ def infer(
             path = solve_path_cluster(trellis, dists, path_params)
         else:
             path = (solve_paper_dp if solver == "paper" else solve_exact_dp)(trellis, path_params)
-        poses = PoseSequence([Pose.from_vector(v, Frame.WEARER_LOCAL) for v in bank.poses[path.indices]])
+        poses = PoseSequence.of(bank.poses[path.indices], Frame.WEARER_LOCAL)
     elif solver == "kdtree":
         if models.train_features is None:
             raise ValueError("kdtree solver needs stored training features")
@@ -396,7 +395,7 @@ def infer(
     else:
         mode = SitStand.STANDING_LIKE if solver == "always-standing" else SitStand.SITTING_LIKE
         p = baseline_constant(bank, labels, mode)
-        poses = PoseSequence([p] * len(centers))
+        poses = PoseSequence.of(np.tile(p.joints, (len(centers), 1, 1)), p.frame)
     timings["solve_s"] = time.perf_counter() - t0
     timings["solve_per_frame_s"] = timings["solve_s"] / len(centers)
     timings["total_s"] = sum(v for k, v in timings.items() if k.endswith("_s") and k != "solve_per_frame_s")

@@ -6,6 +6,9 @@ in the wearer-local frame produced by :func:`normalize_poses`: origin at
 SpineBase, third axis along `up`, second axis along the ground-projected
 shoulder direction, scaled by five times the shoulder length so the shoulder
 distance is exactly 0.2.
+
+A PoseSequence holds N poses as one (N, 25, 3) array with one frame tag;
+Pose is the one-pose view that seq[i], seq.poses and normalize_pose return.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .errors import DegeneratePose, FrameMismatch
-from .records import integral, number_array, read_records, write_records
+from .records import integral, integral_array, number_array, read_records, write_records
 
 N_JOINTS = 25
 
@@ -54,6 +57,16 @@ class Frame(str, Enum):
     WEARER_LOCAL = "wearer_local"
 
 
+def _joints(values) -> np.ndarray:
+    """values as a (25, 3) float array, every coordinate finite; else ValueError."""
+    joints = np.asarray(values, dtype=float)
+    if joints.shape != (N_JOINTS, 3):
+        raise ValueError(f"expected (25, 3) joints, got {joints.shape}")
+    if not np.isfinite(joints).all():
+        raise ValueError("joint coordinates must be finite")
+    return joints
+
+
 @dataclass
 class Pose:
     """Joint positions plus the frame they live in.
@@ -65,11 +78,7 @@ class Pose:
     frame: Frame = Frame.SENSOR
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=float)
-        if self.joints.shape != (N_JOINTS, 3):
-            raise ValueError(f"expected (25, 3) joints, got {self.joints.shape}")
-        if not np.all(np.isfinite(self.joints)):
-            raise ValueError("joint coordinates must be finite")
+        self.joints = _joints(self.joints)
         self.frame = Frame(self.frame)
 
     def to_vector(self) -> np.ndarray:
@@ -84,41 +93,52 @@ class Pose:
         return cls(v.reshape(N_JOINTS, 3), frame)
 
 
-@dataclass
 class PoseSequence:
-    """Equally spaced poses sharing one frame tag."""
+    """N equally spaced poses sharing one frame tag: joints (N, 25, 3), all
+    finite, and a positive, finite frame_rate_hz, checked once. of() takes
+    the array; PoseSequence(poses) stacks Pose objects (FrameMismatch when
+    their tags differ; none is sensor-frame); seq[i], .poses read it back."""
 
-    poses: list
-    frame_rate_hz: float = 30.0
-
-    def __post_init__(self):
-        if self.frame_rate_hz <= 0:
-            raise ValueError("frame_rate_hz must be positive")
-        frames = {p.frame for p in self.poses}
+    def __init__(self, poses=(), frame_rate_hz: float = 30.0):
+        frames = {p.frame for p in poses}
         if len(frames) > 1:
             raise FrameMismatch("sequence mixes frame tags")
+        joints = np.array([p.joints for p in poses]).reshape(-1, N_JOINTS, 3)
+        self._set(joints, frames.pop() if frames else Frame.SENSOR, frame_rate_hz)
+
+    @classmethod
+    def of(cls, joints, frame: Frame, frame_rate_hz: float = 30.0) -> "PoseSequence":
+        """The sequence of an (N, 25, 3) or (N, 75) float array, not copied."""
+        seq = cls.__new__(cls)
+        seq._set(joints, frame, frame_rate_hz)
+        return seq
+
+    def _set(self, joints, frame: Frame, frame_rate_hz: float) -> None:
+        joints = np.asarray(joints, dtype=float)
+        if joints.shape[1:] not in ((N_JOINTS, 3), (3 * N_JOINTS,)):
+            raise ValueError(f"expected (N, 25, 3) or (N, 75) joints, got {joints.shape}")
+        if not np.isfinite(joints).all():
+            raise ValueError("joint coordinates must be finite")
+        if not (0 < frame_rate_hz < np.inf):
+            raise ValueError(f"frame_rate_hz must be positive and finite, got {frame_rate_hz}")
+        self.joints = joints.reshape(-1, N_JOINTS, 3)
+        self.frame = Frame(frame)
+        self.frame_rate_hz = frame_rate_hz
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.joints)
 
-    def __getitem__(self, i):
-        return self.poses[i]
+    def __getitem__(self, i) -> Pose:
+        return Pose(self.joints[i], self.frame)
+
+    @property
+    def poses(self) -> list:
+        """One Pose per frame, each a view of its row of joints."""
+        return [Pose(j, self.frame) for j in self.joints]
 
     def as_matrix(self) -> np.ndarray:
-        """(N, 75) matrix of flattened poses, each copied once."""
-        return np.array([p.joints for p in self.poses]).reshape(-1, 75)
-
-
-def shoulder_length(p: Pose) -> float:
-    """Euclidean ShoulderLeft-ShoulderRight distance.
-
-    Raises DegeneratePose if the shoulders (near-)coincide.
-    """
-    d = p.joints[Joint.ShoulderRight] - p.joints[Joint.ShoulderLeft]
-    length = float(np.linalg.norm(d))
-    if length < 1e-9:
-        raise DegeneratePose("shoulders coincide")
-    return length
+        """(N, 75) copy of the joints, one flattened pose a row."""
+        return self.joints.reshape(-1, 3 * N_JOINTS).copy()
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,19 +189,17 @@ def normalize_pose(p: Pose, up: np.ndarray) -> Pose:
     return Pose(normalize_poses(p.joints[None], up)[0], Frame.WEARER_LOCAL)
 
 
-def pose_distance(a: Pose, b: Pose) -> float:
-    """L2 distance between two wearer-local poses (75-dim)."""
-    if a.frame != Frame.WEARER_LOCAL or b.frame != Frame.WEARER_LOCAL:
-        raise FrameMismatch("pose_distance requires wearer-local poses")
-    return float(np.linalg.norm(a.to_vector() - b.to_vector()))
-
-
 def save_pose_sequence(path, seq: PoseSequence, times=None) -> None:
-    """Write one JSON object per line: {"t", "frame", "joints"}."""
-    if times is None:
-        times = range(len(seq))
-    recs = ({"t": int(t), "frame": p.frame.value, "joints": p.joints.tolist()} for t, p in zip(times, seq.poses))
-    write_records(path, recs)
+    """Write one JSON object per line: {"t", "frame", "joints"}. times, one
+    integral frame index per pose, strictly increasing, default to 0, 1, ...;
+    any other times raise ValueError before the file is opened."""
+    times = np.arange(len(seq)) if times is None else integral_array(times, "times")
+    if times.shape != (len(seq),):
+        raise ValueError(f"times must hold one frame index per pose, found {times.size} for {len(seq)}")
+    if (np.diff(times) <= 0).any():
+        raise ValueError("times must increase")
+    tag = seq.frame.value
+    write_records(path, ({"t": t, "frame": tag, "joints": j.tolist()} for t, j in zip(times.tolist(), seq.joints)))
 
 
 def load_pose_sequence(path, frame_rate_hz: float = 30.0) -> PoseSequence:
@@ -191,15 +209,21 @@ def load_pose_sequence(path, frame_rate_hz: float = 30.0) -> PoseSequence:
 
 
 def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
-    """Like load_pose_sequence but also returns the stored frame indices."""
-    times = []
+    """Like load_pose_sequence but also returns the stored frame indices. A
+    bad record raises ValueError naming path:line; mixed tags FrameMismatch."""
+    times, frames = [], set()
 
-    def pose(rec) -> Pose:
+    def joints(rec) -> np.ndarray:
         t = integral(rec, "t")
         if times and t <= times[-1]:
             raise ValueError("frame indices must increase")
+        j, frame = number_array(rec["joints"], "joints"), Frame(rec["frame"])
+        frames.add(frame)
         times.append(t)
-        return Pose(number_array(rec["joints"], "joints"), Frame(rec["frame"]))
+        return _joints(j)
 
-    poses = list(read_records(path, pose))
-    return PoseSequence(poses, frame_rate_hz), np.array(times, dtype=int)
+    rows = np.array(list(read_records(path, joints))).reshape(-1, N_JOINTS, 3)
+    if len(frames) > 1:
+        raise FrameMismatch("sequence mixes frame tags")
+    frame = frames.pop() if frames else Frame.SENSOR
+    return PoseSequence.of(rows, frame, frame_rate_hz), np.array(times, dtype=int)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ScriptError
 from .geometry import CameraIntrinsics, Homography, save_correspondences, save_homographies
 from .records import integral, integral_array, load_json_object, model_fields, number, read_records, write_json_object, write_records
-from .skeleton import Frame, Joint, Pose, PoseSequence, save_pose_sequence
+from .skeleton import N_JOINTS, Frame, Joint, PoseSequence, save_pose_sequence
 from .classify import save_static
 
 
@@ -318,7 +318,7 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
         frame += dur
 
     # assemble joints
-    poses = []
+    poses = np.empty((n_frames, N_JOINTS, 3))
     sit_labels = np.zeros(n_frames, dtype=bool)
     for n in range(n_frames):
         joints = (1.0 - sit_mix[n]) * STAND_TEMPLATE + sit_mix[n] * SIT_TEMPLATE
@@ -345,8 +345,7 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
         joints[:, 2] += bob[n]
         sit_labels[n] = joints[[Joint.HipLeft, Joint.HipRight], 2].mean() - bob[n] < _SIT_LABEL_Z
 
-        joints = joints + rng.normal(0.0, script.joint_jitter, size=joints.shape)
-        poses.append(Pose(joints, Frame.SENSOR))
+        poses[n] = joints + rng.normal(0.0, script.joint_jitter, size=joints.shape)
 
     # camera orientations and relative-rotation homographies
     km = camera.k
@@ -378,7 +377,7 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
         correspondences.append((src, dst))
 
     return SynthResult(
-        PoseSequence(poses, fps),
+        PoseSequence.of(poses, Frame.SENSOR, fps),
         homographies,
         correspondences,
         static_h,

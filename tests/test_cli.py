@@ -29,16 +29,20 @@ from egopose import (
     ForestModel,
     Frame,
     Joint,
+    MotionScript,
     Pose,
     PoseSequence,
+    generate,
     load_features,
     load_homographies,
     load_pose_sequence,
     save_pose_sequence,
     train_models,
+    valid_feature_centers,
 )
 from egopose.classify import KnnModel
 from egopose.cli import DEFAULT_CONFIG, _cost_params, _load_camera, _path_params, main
+from egopose.pipeline import build_bank
 from egopose.synth import STAND_TEMPLATE, default_camera
 from test_classify import MALFORMED_FOREST_RECORDS
 from test_pipeline import as_older_files
@@ -1027,6 +1031,33 @@ def test_eval_disjoint_times_exits_3(workspace, tmp_path, capsys):
     )
     assert rc == 3
     capsys.readouterr()
+
+
+def _reference_pose_file(path, poses, times) -> None:
+    """The pose-file writer of one record per Pose object."""
+    with open(path, "w") as f:
+        for t, p in zip(times, poses):
+            f.write(json.dumps({"t": int(t), "frame": p.frame.value, "joints": p.joints.tolist()}) + "\n")
+
+
+def test_pose_files_keep_the_bytes_of_one_record_per_pose(workspace, tmp_path):
+    """synth's poses.jsonl, the bank's bank_poses.jsonl and infer's
+    path_poses.jsonl, each written from the sequence's array, are the bytes
+    of a writer that formats one Pose at a time."""
+    data, models, out = workspace["data"], workspace["models"], workspace["out"]
+    poses = generate(MotionScript.from_json(workspace["script"])).poses
+    _, bank = build_bank([poses], k=8, seed=0)
+    exemplars = [json.loads(line)["exemplar"] for line in (out / "path.jsonl").read_text().splitlines()]
+    bank_poses = [Pose.from_vector(v) for v in bank.poses]
+    cases = [
+        (data / "poses.jsonl", poses.poses, range(len(poses))),
+        (models / "bank_poses.jsonl", bank_poses, range(len(bank_poses))),
+        (out / "path_poses.jsonl", [bank_poses[e] for e in exemplars], valid_feature_centers(len(poses), 8)),
+    ]
+    for written, ref_poses, times in cases:
+        assert len(ref_poses) == len(times) > 0
+        _reference_pose_file(tmp_path / "ref.jsonl", ref_poses, times)
+        assert written.read_bytes() == (tmp_path / "ref.jsonl").read_bytes(), written.name
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from egopose import (
     Pose,
     PoseSequence,
     SitStand,
-    align_for_eval,
     baseline_constant,
     baseline_kdtree,
     joint_errors,
 )
-from egopose.evaluation import GroupError
+from egopose.evaluation import GroupError, _aligned
 from egopose.synth import STAND_TEMPLATE
 
 
@@ -62,11 +61,11 @@ def ref_align(joints):
 
 def test_align_idempotent():
     p = standing_pose(seed=1, jitter=0.01, yaw=0.8, shift=(0.4, -0.2, 0.1))
-    once = align_for_eval(p)
-    twice = align_for_eval(once)
-    assert np.allclose(once.joints, twice.joints, atol=1e-12)
-    assert np.allclose(once.joints[Joint.SpineBase], 0.0)
-    d = once.joints[Joint.ShoulderRight] - once.joints[Joint.ShoulderLeft]
+    once = _aligned(p.joints[None])
+    twice = _aligned(once)
+    assert np.allclose(once, twice, atol=1e-12)
+    assert np.allclose(once[0, Joint.SpineBase], 0.0)
+    d = once[0, Joint.ShoulderRight] - once[0, Joint.ShoulderLeft]
     assert abs(d[0]) < 1e-12
     assert d[1] > 0
 
@@ -74,17 +73,20 @@ def test_align_idempotent():
 def test_align_recovers_known_yaw():
     base = standing_pose()
     rotated = standing_pose(yaw=math.radians(37.0), shift=(1.0, 2.0, 0.0))
-    a, b = align_for_eval(base), align_for_eval(rotated)
-    assert np.allclose(a.joints, b.joints, atol=1e-9)
+    a, b = _aligned(np.stack([base.joints, rotated.joints]))
+    assert np.allclose(a, b, atol=1e-9)
+    report = joint_errors(PoseSequence([rotated]), PoseSequence([base]))
+    assert report.overall_mean_cm == pytest.approx(0.0, abs=1e-7)
 
 
 def test_align_rejects_vertical_shoulders_and_wrong_frame():
     joints = STAND_TEMPLATE.copy()
     joints[Joint.ShoulderRight] = joints[Joint.ShoulderLeft] + [0.0, 0.0, 0.2]
+    vertical = PoseSequence.of(joints[None], Frame.WEARER_LOCAL)
     with pytest.raises(DegeneratePose):
-        align_for_eval(Pose(joints, Frame.WEARER_LOCAL))
+        joint_errors(vertical, PoseSequence([standing_pose()]))
     with pytest.raises(FrameMismatch):
-        align_for_eval(Pose(STAND_TEMPLATE.copy(), Frame.SENSOR))
+        joint_errors(PoseSequence([Pose(STAND_TEMPLATE.copy(), Frame.SENSOR)]), PoseSequence([standing_pose()]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_report_save_and_table(tmp_path):
 
 
 def _reference_align(p: Pose) -> np.ndarray:
-    """The per-pose body align_for_eval had before the batch _aligned."""
+    """The per-pose alignment the package had before the batch _aligned."""
     joints = p.joints - p.joints[Joint.SpineBase]
     d = joints[Joint.ShoulderRight] - joints[Joint.ShoulderLeft]
     phi = np.arctan2(d[0], d[1])
@@ -233,8 +235,7 @@ def wearer_local_sequence(n, seed, spread):
 @pytest.mark.parametrize("n, spread", [(1, 0.01), (2, 0.05), (3000, 0.05)])
 def test_every_report_field_equals_the_per_pose_reference(n, spread):
     pred, gt = wearer_local_sequence(n, 1, spread), wearer_local_sequence(n, 2, spread)
-    for p in pred.poses[:50]:
-        assert np.array_equal(align_for_eval(p).joints, _reference_align(p))
+    assert np.array_equal(_aligned(pred.joints), np.stack([_reference_align(p) for p in pred.poses]))
     assert joint_errors(pred, gt) == _reference_joint_errors(pred, gt)
 
 

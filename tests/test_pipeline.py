@@ -751,6 +751,13 @@ def test_path_cluster_checks_the_argmax_sequence_and_solves_once(overconfident, 
     assert fallbacks == 4  # the argmax restriction strands every one of these decodes
 
 
+def test_every_exported_name_resolves():
+    import egopose
+
+    assert len(set(egopose.__all__)) == len(egopose.__all__)
+    assert [name for name in egopose.__all__ if not hasattr(egopose, name)] == []
+
+
 def test_solver_registry_is_complete():
     assert set(SOLVERS) == {
         "paper",

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -17,9 +18,7 @@ from egopose.skeleton import (
     load_pose_sequence_with_times,
     normalize_pose,
     normalize_poses,
-    pose_distance,
     save_pose_sequence,
-    shoulder_length,
 )
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -63,23 +62,20 @@ def test_pose_rejects_bad_shapes():
         Pose(bad, Frame.SENSOR)
 
 
-def test_shoulder_length_direct_distance():
-    p = standing_figure()
-    assert shoulder_length(p) == pytest.approx(0.3, abs=1e-12)
-
-
 def test_shoulder_length_after_normalization_is_point_two():
-    q = normalize_pose(standing_figure(), UP)
-    assert q.frame == Frame.WEARER_LOCAL
-    assert shoulder_length(q) == pytest.approx(0.2, abs=1e-12)
+    rng = np.random.default_rng(2)
+    moved = [standing_figure().joints @ yaw_matrix(a).T + rng.normal(size=3) for a in rng.uniform(-np.pi, np.pi, 4)]
+    q = normalize_poses(np.stack(moved), UP)
+    d = q[:, Joint.ShoulderRight] - q[:, Joint.ShoulderLeft]
+    assert np.allclose(np.linalg.norm(d, axis=1), 0.2, atol=1e-12)
+    assert normalize_pose(standing_figure(), UP).frame == Frame.WEARER_LOCAL
 
 
 def test_shoulder_length_coincident_raises():
-    p = standing_figure()
-    j = p.joints.copy()
+    j = standing_figure().joints.copy()
     j[Joint.ShoulderRight] = j[Joint.ShoulderLeft]
-    with pytest.raises(DegeneratePose):
-        shoulder_length(Pose(j, Frame.SENSOR))
+    with pytest.raises(DegeneratePose, match="shoulders coincide"):
+        normalize_poses(j[None], UP)
 
 
 def test_normalize_canonical_pose_is_pure_scale():
@@ -187,40 +183,6 @@ def test_normalize_poses_names_a_degenerate_pose_in_mid_batch(left, right, why):
         normalize_poses(joints, UP)
 
 
-def test_pose_distance_identity_and_single_joint():
-    q = normalize_pose(standing_figure(), UP)
-    assert pose_distance(q, q) == 0.0
-    j = q.joints.copy()
-    j[Joint.Head] += [0.3, 0.0, 0.4]
-    assert pose_distance(q, Pose(j, Frame.WEARER_LOCAL)) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pose_distance_matches_scalar_loop():
-    rng = np.random.default_rng(11)
-    a = Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL)
-    b = Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL)
-    acc = 0.0
-    for r in range(N_JOINTS):
-        for c in range(3):
-            acc += (a.joints[r, c] - b.joints[r, c]) ** 2
-    assert pose_distance(a, b) == pytest.approx(acc**0.5, rel=1e-12)
-
-
-def test_pose_distance_requires_wearer_local():
-    with pytest.raises(FrameMismatch):
-        pose_distance(standing_figure(), standing_figure())
-
-
-def test_pose_distance_is_a_metric():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        a, b, c = (Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for _ in range(3))
-        ab, ba = pose_distance(a, b), pose_distance(b, a)
-        assert ab == ba
-        assert ab >= 0.0
-        assert pose_distance(a, c) <= ab + pose_distance(b, c) + 1e-12
-
-
 def test_sequence_rejects_mixed_frames():
     p = standing_figure()
     q = normalize_pose(p, UP)
@@ -249,13 +211,13 @@ def test_sequence_file_round_trip(tmp_path):
     poses = [Pose(rng.normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for _ in range(4)]
     seq = PoseSequence(poses)
     path = tmp_path / "poses.jsonl"
-    save_pose_sequence(path, seq, times=[2, 5, 6, 9])
-    back, times = load_pose_sequence_with_times(path)
-    assert list(times) == [2, 5, 6, 9]
-    assert len(back) == 4
-    for a, b in zip(back.poses, poses):
-        assert np.allclose(a.joints, b.joints)
-        assert a.frame == Frame.WEARER_LOCAL
+    cases = [([2, 5, 6, 9], [2, 5, 6, 9]), (None, [0, 1, 2, 3]), ([4, 7.0, 9, 10], [4, 7, 9, 10]), (np.arange(14, 18), [14, 15, 16, 17])]
+    for times, want in cases:
+        save_pose_sequence(path, seq, times=times)
+        back, got = load_pose_sequence_with_times(path, 15.0)
+        assert got.tolist() == want
+        assert np.array_equal(back.joints, seq.joints)  # JSON floats round-trip exactly
+        assert back.frame == Frame.WEARER_LOCAL and back.frame_rate_hz == 15.0
 
 
 def test_sequence_file_requires_increasing_t(tmp_path):
@@ -265,4 +227,91 @@ def test_sequence_file_requires_increasing_t(tmp_path):
         f.write(json.dumps(rec) + "\n")
         f.write(json.dumps(rec) + "\n")
     with pytest.raises(ValueError):
+        load_pose_sequence(path)
+
+
+def test_sequence_of_holds_one_checked_array():
+    joints = np.random.default_rng(6).normal(size=(4, N_JOINTS, 3))
+    seq = PoseSequence.of(joints, Frame.WEARER_LOCAL, 25.0)
+    assert np.shares_memory(seq.joints, joints) and np.array_equal(seq.joints, joints)
+    assert seq.frame == Frame.WEARER_LOCAL and seq.frame_rate_hz == 25.0
+    assert len(seq) == 4
+    flat = PoseSequence.of(joints.reshape(4, 75), "wearer_local")
+    assert np.array_equal(flat.joints, joints) and flat.frame == Frame.WEARER_LOCAL
+    assert np.array_equal(seq.as_matrix(), joints.reshape(4, 75))
+    for bad in (joints[0], joints[:, :24], joints.reshape(4, 25, 3, 1), joints.reshape(-1)):
+        with pytest.raises(ValueError, match="expected"):
+            PoseSequence.of(bad, Frame.SENSOR)
+    for value in (np.nan, np.inf):
+        bad = joints.copy()
+        bad[2, 7, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            PoseSequence.of(bad, Frame.SENSOR)
+
+
+@pytest.mark.parametrize("rate", [0.0, -30.0, float("nan"), float("inf"), float("-inf")])
+def test_frame_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="frame_rate_hz"):
+        PoseSequence([], rate)
+    with pytest.raises(ValueError, match="frame_rate_hz"):
+        PoseSequence.of(np.zeros((2, N_JOINTS, 3)), Frame.SENSOR, rate)
+
+
+def test_pose_list_is_stacked_once_and_read_back_as_views():
+    poses = [Pose(np.random.default_rng(i).normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for i in range(3)]
+    seq = PoseSequence(poses, 10.0)
+    assert seq.joints.shape == (3, N_JOINTS, 3) and seq.frame == Frame.WEARER_LOCAL and seq.frame_rate_hz == 10.0
+    assert np.array_equal(seq.joints, np.stack([p.joints for p in poses]))
+    assert not any(np.shares_memory(seq.joints, p.joints) for p in poses)
+    views = seq.poses
+    assert [p.frame for p in views] == [Frame.WEARER_LOCAL] * 3
+    assert all(np.shares_memory(p.joints, seq.joints) for p in views + [seq[1]])
+    assert np.array_equal(seq[1].joints, poses[1].joints) and np.array_equal(seq[-1].joints, poses[2].joints)
+    empty = PoseSequence([])
+    assert len(empty) == 0 and empty.joints.shape == (0, N_JOINTS, 3) and empty.poses == []
+
+
+@pytest.mark.parametrize(
+    "times, why",
+    [
+        ([0, 1], "one frame index per pose"),
+        ([0, 1, 2, 3], "one frame index per pose"),
+        ([[0, 1, 2]], "one frame index per pose"),
+        ([5, 1, 0], "must increase"),
+        ([0, 2, 2], "must increase"),
+        ([0, 0.5, 1], "must hold integers"),
+        ([0, True, 2], "must be a list of numbers"),
+        (np.array([0.0, np.nan, 2.0]), "must hold integers"),
+    ],
+)
+def test_writer_requires_one_increasing_integral_time_per_pose(tmp_path, times, why):
+    seq = PoseSequence.of(np.zeros((3, N_JOINTS, 3)), Frame.SENSOR)
+    path = tmp_path / "p.jsonl"
+    with pytest.raises(ValueError, match=why):
+        save_pose_sequence(path, seq, times=times)
+    assert not path.exists()  # checked before the file is opened
+
+
+@pytest.mark.parametrize(
+    "field, value, why",
+    [
+        ("joints", [[0.0, 0.0, 0.0]] * 24, r"expected \(25, 3\) joints, got \(24, 3\)"),
+        ("joints", [[0.0, 0.0, float("nan")]] * 25, "joint coordinates must be finite"),
+        ("joints", [[0.0, float("inf"), 0.0]] * 25, "joint coordinates must be finite"),
+        ("frame", "world", "'world' is not a valid Frame"),
+    ],
+)
+def test_pose_file_record_errors_name_the_path_and_line(tmp_path, field, value, why):
+    good = {"t": 0, "frame": "sensor", "joints": [[0.0, 0.0, 0.0]] * 25}
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, t=1, **{field: value})) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {why}$"):
+        load_pose_sequence_with_times(path)
+
+
+def test_pose_file_mixing_frame_tags_raises_frame_mismatch(tmp_path):
+    good = {"t": 0, "frame": "sensor", "joints": [[0.0, 0.0, 0.0]] * 25}
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, t=1, frame="wearer_local")) + "\n")
+    with pytest.raises(FrameMismatch):
         load_pose_sequence(path)
