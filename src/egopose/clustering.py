@@ -16,8 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import TooFewPoses
-from .records import integral, integral_array, load_json_object, model_fields, number_array, write_json_object
-from .skeleton import Frame, Joint, PoseSequence, load_pose_sequence, save_pose_sequence
+from .records import integral, integral_array, load_array, load_json_object, model_fields, save_array, write_json_object
+from .skeleton import Joint
 from .sqdist import SAFE_NORM, rounding_margin
 
 _HIP_Z = [3 * Joint.HipLeft + 2, 3 * Joint.HipRight + 2]
@@ -50,16 +50,36 @@ class ClusterModel:
             raise ValueError("one label per centroid required")
 
     def save(self, path) -> None:
-        rec = {"centroids": self.centroids.tolist(), "labels": [l.value for l in self.labels] if self.labels else None}
+        """JSON with the labels and a centroid-file reference; the centroids go
+        to the sibling <stem>_centroids.npy."""
+        centroids_file = _sibling_name(path, "_centroids.npy")
+        save_array(_beside(path, centroids_file), self.centroids)
+        rec = {"centroids_file": centroids_file, "labels": [l.value for l in self.labels] if self.labels else None}
         write_json_object(path, rec)
 
     @classmethod
     def load(cls, path) -> "ClusterModel":
-        """The model save wrote; the k key of older files is ignored."""
+        """The model save wrote, with the centroids of the NPY file it names,
+        read by records.load_array. A file that holds its centroids as a
+        JSON list, as older versions wrote it, is rejected naming it."""
         rec = load_json_object(path)
         with model_fields(path):
             labels = [SitStand(l) for l in rec["labels"]] if rec.get("labels") else None
-            return cls(number_array(rec["centroids"], "centroids"), labels)
+            centroids_path = _beside(path, rec["centroids_file"])
+        centroids = load_array(centroids_path, 75)  # a fault there is the array file's, not a field's
+        with model_fields(path):
+            return cls(centroids, labels)
+
+
+def _sibling_name(path, suffix: str) -> str:
+    """The name of the file beside path that holds one of its arrays:
+    path's stem followed by suffix."""
+    return os.path.splitext(os.path.basename(path))[0] + suffix
+
+
+def _beside(path, name) -> str:
+    """The path of the file name that the record at path names."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)), name)
 
 
 def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterModel:
@@ -300,10 +320,10 @@ class ExemplarBank:
         return bool(self.segment_of[j] != self.segment_of[i])
 
     def save(self, path) -> None:
-        """JSON with a pose-file reference; poses go to the sibling <stem>_poses.jsonl."""
-        poses_file = os.path.splitext(os.path.basename(path))[0] + "_poses.jsonl"
-        pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), poses_file)
-        save_pose_sequence(pose_path, PoseSequence.of(self.poses, Frame.WEARER_LOCAL))
+        """JSON with a pose-file reference; the poses go to the sibling
+        <stem>_poses.npy, an (n, 75) float64 NPY file."""
+        poses_file = _sibling_name(path, "_poses.npy")
+        save_array(_beside(path, poses_file), self.poses)
         rec = {
             "k": self.k,
             "poses_file": poses_file,
@@ -315,9 +335,11 @@ class ExemplarBank:
     @classmethod
     def load(cls, path) -> "ExemplarBank":
         """The bank save wrote, its fields read by read_bank_fields, with the
-        poses of the pose file it names."""
+        poses of the NPY file it names, read by records.load_array. A file
+        that names a JSONL pose file, as older versions wrote it, is
+        rejected naming that file."""
         pose_path, cluster_of, sequence_breaks, k = read_bank_fields(path)
-        poses = load_pose_sequence(pose_path).joints.reshape(-1, 75)  # a fault there is the pose file's, not a field's
+        poses = load_array(pose_path, 75)  # a fault there is the pose file's, not a field's
         with model_fields(path):
             return cls(poses, cluster_of, sequence_breaks, k)
 
@@ -347,7 +369,7 @@ def read_bank_fields(path):
     derived from cluster_of and the breaks."""
     rec = load_json_object(path)
     with model_fields(path):
-        pose_path = os.path.join(os.path.dirname(os.path.abspath(path)), rec["poses_file"])
+        pose_path = _beside(path, rec["poses_file"])
         cluster_of = integral_array(rec["cluster_of"], "cluster_of")
         k = integral(rec, "k")
         breaks = integral_array(rec["sequence_breaks"], "sequence_breaks")

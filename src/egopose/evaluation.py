@@ -82,9 +82,13 @@ def _aligned(joints: np.ndarray) -> np.ndarray:
 
 
 def joint_errors(pred: PoseSequence, gt: PoseSequence) -> ErrorReport:
-    """Per-group mean / standard-error joint distances in centimeters."""
+    """Per-group mean / standard-error joint distances in centimeters;
+    ValueError unless pred and gt hold the same number of frames, at least
+    one."""
     if len(pred) != len(gt):
         raise ValueError(f"{len(pred)} predictions for {len(gt)} ground-truth poses")
+    if not len(gt):
+        raise ValueError("no frames to compare: both sequences are empty")
     if {pred.frame, gt.frame} != {Frame.WEARER_LOCAL}:
         raise FrameMismatch("alignment expects wearer-local poses")
     pa, pb = _aligned(pred.joints), _aligned(gt.joints)

@@ -4,12 +4,15 @@ A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature configuration needed to reproduce the classifier's inputs at
 inference time. TrainedModels.save writes the files egopose cluster and
-train write, clusters.json, bank.json with bank_poses.jsonl, features.jsonl
-(a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
-forest.json or knn.json (which names features.jsonl), plus meta.json (window,
-feature_mode, classifier "forest" or "knn", knn_k, camera if set).
+train write, clusters.json with clusters_centroids.npy, bank.json with
+bank_poses.npy, features.jsonl (a {t, v} row per training frame, whose class
+is bank.cluster_of[t]), and forest.json or knn.json (which names
+features.jsonl), plus meta.json (window, feature_mode, classifier "forest" or
+"knn", knn_k, camera if set). The two .npy files are NumPy's own format,
+written and read only by records.save_array and records.load_array.
 load_models reads them for TrainedModels.load and egopose infer. An older
-bundle's row classes and theta_sit are ignored.
+bundle, which held its centroids and bank poses as JSON text, is rejected
+naming clusters.json.
 """
 
 from __future__ import annotations
@@ -158,8 +161,7 @@ class TrainedModels:
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
-        """The bundle save wrote, read by load_models; a kNN bundle without
-        knn.json, from before kNN files named their rows, is its features."""
+        """The bundle save wrote, read by load_models."""
         meta_path = os.path.join(in_dir, "meta.json")
         meta = load_json_object(meta_path)
         with model_fields(meta_path):  # every meta field is checked before the model files are read
@@ -176,13 +178,8 @@ class TrainedModels:
             _check_knn_k(settings["knn_k"])
         names = ("clusters.json", "bank.json", f"{kind}.json", "features.jsonl")
         clusters, bank, model_file, feats = (os.path.join(in_dir, name) for name in names)
-        rows_only = kind == "knn" and not os.path.exists(model_file)  # a kNN model's rows are its features
-        has_feats = rows_only or (kind == "forest" and os.path.exists(feats))
-        models = load_models(clusters, bank, None if rows_only else model_file, feats if has_feats else None, **settings)
-        if rows_only:
-            classes = models.bank.cluster_of[models.train_feature_frames]
-            models.classifier = KnnModel(models.train_features, classes, models.bank.k)
-        return models
+        has_feats = kind == "forest" and os.path.exists(feats)  # a kNN model's rows are its features
+        return load_models(clusters, bank, model_file, feats if has_feats else None, **settings)
 
 
 def load_models(clusters, bank, classifier=None, features=None, *, window, feature_mode, camera, knn_k) -> TrainedModels:

@@ -1,8 +1,9 @@
 """The one reader of single-object JSON files (models, camera intrinsics,
-motion scripts, configs) and the one reader and writer of JSONL streams (one
-JSON object per line). A malformed file raises ValueError naming it, and the
-line for a stream; an EgoPoseError raised while converting a record passes
-through unchanged.
+motion scripts, configs), the one reader and writer of JSONL streams (one
+JSON object per line), and the one reader and writer of the NPY files (NumPy's
+own format, NEP 1) that hold a model's big float arrays. A malformed file
+raises ValueError naming it, and the line for a stream; an EgoPoseError
+raised while converting a record passes through unchanged.
 """
 
 import itertools
@@ -118,3 +119,33 @@ def write_records(path, records) -> None:
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec) + "\n")
+
+
+_NPY_MAGIC = b"\x93NUMPY"
+
+
+def save_array(path, a) -> None:
+    """Write a as one C-order NPY file, the file load_array reads; equal
+    arrays give equal bytes."""
+    with open(path, "wb") as f:
+        np.save(f, np.ascontiguousarray(a), allow_pickle=False)
+
+
+def load_array(path, cols: int) -> np.ndarray:
+    """The (n, cols) float64 array of the NPY file at path. ValueError naming
+    the file unless it is there and holds exactly that, every entry finite:
+    a missing, truncated or other file, an object array, another dtype or
+    shape. Pickles are never loaded, so a load runs no stored code."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
+                raise ValueError("not an NPY file")
+            f.seek(0)
+            a = np.load(f, allow_pickle=False)
+    except (OSError, ValueError) as e:  # ValueError: a truncated file, or an object array, which needs a pickle
+        raise ValueError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[1] != cols:
+        raise ValueError(f"{path}: expected an (n, {cols}) float64 array, found {a.dtype} {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{path}: every entry must be finite")
+    return a

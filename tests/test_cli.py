@@ -171,9 +171,11 @@ def test_synth_artifacts(workspace):
 def test_cluster_artifacts(workspace):
     models = workspace["models"]
     clusters = json.loads((models / "clusters.json").read_text())
-    assert list(clusters) == ["centroids", "labels"] and len(clusters["labels"]) == 8
+    assert list(clusters) == ["centroids_file", "labels"] and clusters["centroids_file"] == "clusters_centroids.npy"
+    assert len(clusters["labels"]) == 8 and np.load(models / "clusters_centroids.npy").shape == (8, 75)
     bank = json.loads((models / "bank.json").read_text())
-    assert bank["k"] == 8
+    assert bank["k"] == 8 and bank["poses_file"] == "bank_poses.npy"
+    assert np.load(models / "bank_poses.npy").shape == (110, 75)
     rows = [json.loads(x) for x in (models / "features.jsonl").read_text().splitlines() if x]
     assert len(rows) == 103  # frames 3..105 carry a full 8-frame window
     assert len(rows[0]["v"]) == 9 * 7
@@ -585,8 +587,9 @@ def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag
         "--classifier-model": models / "forest.json",
     }
     rec = json.loads(files[flag].read_text())
-    if flag == "--bank":
-        rec["poses_file"] = str(models / rec["poses_file"])  # an absolute path, found from tmp_path
+    for key in ("poses_file", "centroids_file"):  # as an absolute path, found from tmp_path
+        if key in rec:
+            rec[key] = str(models / rec[key])
     rec[field] = value
     files[flag] = tmp_path / "wrong.json"
     files[flag].write_text(json.dumps(rec))
@@ -899,7 +902,7 @@ def test_train_reads_the_bank_file_but_not_its_poses(workspace, tmp_path, capsys
     writes the same model, and a bad field still exits 3 naming the file."""
     models = workspace["models"]
     bank = tmp_path / "bank.json"
-    shutil.copy(models / "bank.json", bank)  # without bank_poses.jsonl beside it
+    shutil.copy(models / "bank.json", bank)  # without bank_poses.npy beside it
     train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(bank), "--trees", "15"]
     assert main(train + ["--out", str(tmp_path / "forest.json")]) == 0
     assert (tmp_path / "forest.json").read_bytes() == (models / "forest.json").read_bytes()
@@ -1041,17 +1044,16 @@ def _reference_pose_file(path, poses, times) -> None:
 
 
 def test_pose_files_keep_the_bytes_of_one_record_per_pose(workspace, tmp_path):
-    """synth's poses.jsonl, the bank's bank_poses.jsonl and infer's
-    path_poses.jsonl, each written from the sequence's array, are the bytes
-    of a writer that formats one Pose at a time."""
-    data, models, out = workspace["data"], workspace["models"], workspace["out"]
+    """synth's poses.jsonl and infer's path_poses.jsonl, each written from
+    the sequence's array, are the bytes of a writer that formats one Pose at
+    a time."""
+    data, out = workspace["data"], workspace["out"]
     poses = generate(MotionScript.from_json(workspace["script"])).poses
     _, bank = build_bank([poses], k=8, seed=0)
     exemplars = [json.loads(line)["exemplar"] for line in (out / "path.jsonl").read_text().splitlines()]
     bank_poses = [Pose.from_vector(v) for v in bank.poses]
     cases = [
         (data / "poses.jsonl", poses.poses, range(len(poses))),
-        (models / "bank_poses.jsonl", bank_poses, range(len(bank_poses))),
         (out / "path_poses.jsonl", [bank_poses[e] for e in exemplars], valid_feature_centers(len(poses), 8)),
     ]
     for written, ref_poses, times in cases:
@@ -1121,7 +1123,7 @@ def test_model_fit_reruns_are_byte_identical(workspace, tmp_path):
             == 0
         )
         outs.append(d)
-    for name in ("clusters.json", "bank.json", "features.jsonl", "forest.json"):
+    for name in ("clusters.json", "clusters_centroids.npy", "bank.json", "bank_poses.npy", "features.jsonl", "forest.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
@@ -1177,7 +1179,7 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     # and the files themselves are the library bundle's, which adds only meta.json
     for kind, models in (("forest", lib), ("knn", lib_knn)):
         models.save(tmp_path / kind)
-        names = {"clusters.json", "bank.json", "bank_poses.jsonl", "features.jsonl", f"{kind}.json"}
+        names = {"clusters.json", "clusters_centroids.npy", "bank.json", "bank_poses.npy", "features.jsonl", f"{kind}.json"}
         assert set(os.listdir(tmp_path / kind)) == names | {"meta.json"}
         for name in names:
             assert (d / name).read_bytes() == (tmp_path / kind / name).read_bytes()
@@ -1235,24 +1237,85 @@ def _decode_over(workspace, d, capsys, *flags):
     return energy, files
 
 
-def test_model_files_in_the_older_format_decode_the_same(workspace, tmp_path, capsys):
-    models = workspace["models"]
-    for name in ("new", "old"):
-        shutil.copytree(models, tmp_path / name)
-    new = tmp_path / "new"
-    knn = ["train", "--features", str(new / "features.jsonl"), "--bank", str(new / "bank.json")]
-    assert main(knn + ["--classifier", "knn", "--out", str(new / "knn.json")]) == 0
-    shutil.copy(new / "knn.json", tmp_path / "old" / "knn.json")  # it names the rows beside it, which hold a class there
-    as_older_files(tmp_path / "old")
+def test_model_files_in_the_older_format_exit_3_naming_clusters_json(workspace, tmp_path, capsys):
+    """Model files whose centroids and bank poses are JSON text, as older
+    versions wrote them, are rejected at the cluster model, whichever
+    classifier infer reads."""
+    old = tmp_path / "old"
+    shutil.copytree(workspace["models"], old)
+    knn = ["train", "--features", str(old / "features.jsonl"), "--bank", str(old / "bank.json")]
+    assert main(knn + ["--classifier", "knn", "--out", str(old / "knn.json")]) == 0
+    as_older_files(old)
     capsys.readouterr()
+    out = tmp_path / "out" / "path.jsonl"
+    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--window", "8"]
+    argv += ["--bank", str(old / "bank.json"), "--cluster-model", str(old / "clusters.json"), "--out", str(out)]
     for flags in (
-        ["--classifier-model", "{d}/forest.json"],
-        ["--classifier-model", "{d}/knn.json"],
-        ["--solver", "kdtree", "--features", "{d}/features.jsonl"],
+        ["--classifier-model", str(old / "forest.json")],
+        ["--classifier-model", str(old / "knn.json")],
+        ["--solver", "kdtree", "--features", str(old / "features.jsonl")],
     ):
-        new, old = (_decode_over(workspace, tmp_path / name, capsys, *flags) for name in ("new", "old"))
-        assert new == old
-        assert len(new[0]) == (flags[0] != "--solver") and len(new[1]) == 1 + len(new[0])
+        assert main(argv + flags) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"] == f"{old / 'clusters.json'}: missing field 'centroids_file'"
+    assert not out.parent.exists()
+
+
+def _truncated(path, a):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _with_entry(value):
+    def write(path, a):
+        a = a.copy()
+        a[-1, -1] = value
+        np.save(path, a)
+
+    return write
+
+
+ARRAY_DEFECTS = {
+    "truncated": _truncated,
+    "int-dtype": lambda path, a: np.save(path, a.astype(np.int64)),
+    "object-array": lambda path, a: np.save(path, a.astype(object)),
+    "74-columns": lambda path, a: np.save(path, a[:, :74]),
+    "1-D": lambda path, a: np.save(path, a.ravel()),
+    "NaN": _with_entry(np.nan),
+    "inf": _with_entry(np.inf),
+    "missing-file": lambda path, a: path.unlink(),
+}
+
+
+@pytest.mark.parametrize("defect", list(ARRAY_DEFECTS))
+@pytest.mark.parametrize("array_file", ["bank_poses.npy", "clusters_centroids.npy"])
+def test_malformed_model_array_file_exits_3_naming_it(workspace, tmp_path, capsys, array_file, defect):
+    d = tmp_path / "models"
+    shutil.copytree(workspace["models"], d)
+    path = d / array_file
+    ARRAY_DEFECTS[defect](path, np.load(path))
+    argv = _infer_argv(workspace, tmp_path)
+    for flag, name in (("--bank", "bank.json"), ("--cluster-model", "clusters.json"), ("--classifier-model", "forest.json")):
+        argv[argv.index(flag) + 1] = str(d / name)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{path}: ")
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_bank_file_naming_a_jsonl_pose_file_exits_3_naming_that_file(workspace, tmp_path, capsys):
+    """bank.json as older versions wrote it names bank_poses.jsonl, which is
+    not read as poses."""
+    d = tmp_path / "models"
+    shutil.copytree(workspace["models"], d)
+    as_older_files(d)
+    for name in ("clusters.json", "clusters_centroids.npy"):  # a current cluster model
+        shutil.copy(workspace["models"] / name, d / name)
+    argv = _infer_argv(workspace, tmp_path)
+    for flag, name in (("--bank", "bank.json"), ("--cluster-model", "clusters.json")):
+        argv[argv.index(flag) + 1] = str(d / name)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"] == f"{d / 'bank_poses.jsonl'}: not an NPY file"
 
 
 class _ClosedPipe(io.StringIO):

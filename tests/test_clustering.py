@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -460,7 +461,7 @@ def test_bank_file_round_trip(tmp_path):
     path = tmp_path / "bank.json"
     bank.save(path)
     back = ExemplarBank.load(path)
-    assert np.allclose(back.poses, bank.poses)
+    assert back.poses.dtype == np.float64 and np.array_equal(back.poses, bank.poses)
     assert np.array_equal(back.cluster_of, bank.cluster_of)
     assert np.array_equal(back.sequence_breaks, bank.sequence_breaks)
     for a, b in zip(back.neighbors, bank.neighbors):
@@ -478,21 +479,38 @@ def test_cluster_model_file_round_trip(tmp_path):
     path = tmp_path / "clusters.json"
     m.save(path)
     back = ClusterModel.load(path)
-    assert np.allclose(back.centroids, m.centroids)
+    assert back.centroids.dtype == np.float64 and np.array_equal(back.centroids, m.centroids)
     assert back.labels == m.labels
     assert len(back.centroids) == 4
 
 
-@pytest.mark.parametrize("field, value", [("centroids", {"a": 1}), ("centroids", [[0.0] * 74]), ("labels", 5), ("labels", ["sideways"])])
+@pytest.mark.parametrize(
+    "field, value",
+    [("centroids", {"a": 1}), ("centroids", [[0.0] * 74]), ("labels", 5), ("labels", ["sideways"]), ("centroids_file", 5)],
+)
 def test_cluster_model_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
+    """A bad field names clusters.json; bad centroids, an object array or
+    (1, 74) in the centroid file, name that file."""
     path = tmp_path / "clusters.json"
-    rec = {"k": 1, "centroids": [[0.0] * 75], "labels": ["sitting"]}
-    path.write_text(json.dumps(rec))
+    ClusterModel(np.zeros((1, 75)), [SitStand.SITTING_LIKE]).save(path)
     assert ClusterModel.load(path).labels == [SitStand.SITTING_LIKE]
-    path.write_text(json.dumps({**rec, field: value}))
+    rec = json.loads(path.read_text())
+    if field == "centroids":
+        path = tmp_path / rec["centroids_file"]
+        np.save(path, np.array(value, dtype=object if isinstance(value, dict) else float))
+    else:
+        path.write_text(json.dumps({**rec, field: value}))
     with pytest.raises(ValueError) as info:
-        ClusterModel.load(path)
+        ClusterModel.load(tmp_path / "clusters.json")
     assert str(path) in str(info.value)
+
+
+def test_cluster_model_file_of_the_older_format_is_rejected_naming_it(tmp_path):
+    """Older files held the centroids as a JSON list, and no centroid file."""
+    path = tmp_path / "clusters.json"
+    path.write_text(json.dumps({"k": 1, "centroids": [[0.0] * 75], "labels": ["sitting"]}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field 'centroids_file'$"):
+        ClusterModel.load(path)
 
 
 def _json_dump_bytes(rec, path):
@@ -501,17 +519,25 @@ def _json_dump_bytes(rec, path):
     return path.read_bytes()
 
 
+def _np_save_bytes(a, path):
+    np.save(path, a)
+    return path.read_bytes()
+
+
 def test_model_writers_match_json_dump(tmp_path):
+    """The JSON records are json.dump's bytes, and each array file is
+    np.save's bytes of the array."""
     rng = np.random.default_rng(15)
     bank = make_bank(rng)
     bank.save(tmp_path / "bank.json")
     rec = {
         "k": bank.k,
-        "poses_file": "bank_poses.jsonl",
+        "poses_file": "bank_poses.npy",
         "cluster_of": bank.cluster_of.tolist(),
         "sequence_breaks": bank.sequence_breaks.tolist(),
     }
     assert (tmp_path / "bank.json").read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+    assert (tmp_path / "bank_poses.npy").read_bytes() == _np_save_bytes(bank.poses, tmp_path / "want.npy")
     x = rng.normal(size=(30, 75))
     model = kmeans(x, 4, seed=0)
     for labeled in (False, True):
@@ -519,7 +545,8 @@ def test_model_writers_match_json_dump(tmp_path):
             label_clusters(model, sit_stand_threshold(hip_heights(x)))
         model.save(tmp_path / "clusters.json")
         rec = {
-            "centroids": model.centroids.tolist(),
+            "centroids_file": "clusters_centroids.npy",
             "labels": [l.value for l in model.labels] if labeled else None,
         }
         assert (tmp_path / "clusters.json").read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
+        assert (tmp_path / "clusters_centroids.npy").read_bytes() == _np_save_bytes(model.centroids, tmp_path / "want.npy")

@@ -93,6 +93,12 @@ def test_align_rejects_vertical_shoulders_and_wrong_frame():
 # grouped joint errors
 
 
+def test_empty_sequences_have_no_frames_to_compare():
+    empty = PoseSequence.of(np.zeros((0, 25, 3)), Frame.WEARER_LOCAL)
+    with pytest.raises(ValueError, match="no frames to compare"):
+        joint_errors(empty, empty)
+
+
 def test_zero_error_on_identical_sequences():
     seq = PoseSequence([standing_pose(seed=i, jitter=0.01) for i in range(4)])
     report = joint_errors(seq, seq)

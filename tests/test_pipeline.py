@@ -17,6 +17,7 @@ from egopose import (
     MotionScript,
     OutOfRange,
     PathParams,
+    PoseSequence,
     SingularMatrix,
     TrainedModels,
     features_from_homographies,
@@ -26,6 +27,7 @@ from egopose import (
     normalize_pose,
     normalized_matrix,
     save_features,
+    save_pose_sequence,
     train_models,
     valid_feature_centers,
 )
@@ -259,14 +261,22 @@ def test_feature_file_round_trip(tmp_path):
 
 def as_older_files(model_dir):
     """Rewrite the model files in model_dir as older versions wrote them:
-    clusters.json with a leading k, each features.jsonl row with the class
-    of its bank pose, and a bundle without knn.json and with a leading
-    theta_sit in meta.json, the hip-height threshold build_bank estimates
-    from the bank poses."""
+    clusters.json with a leading k and its centroids as a JSON list,
+    bank.json naming its poses' JSONL file, bank_poses.jsonl, each
+    features.jsonl row with the class of its bank pose, and a bundle without
+    knn.json and with a leading theta_sit in meta.json, the hip-height
+    threshold build_bank estimates from the bank poses."""
     model_dir = Path(model_dir)
     bank = ExemplarBank.load(model_dir / "bank.json")
     clusters = model_dir / "clusters.json"
-    clusters.write_text(json.dumps({"k": bank.k, **json.loads(clusters.read_text())}))
+    rec = json.loads(clusters.read_text())
+    centroids = model_dir / rec.pop("centroids_file")
+    clusters.write_text(json.dumps({"k": bank.k, "centroids": np.load(centroids).tolist(), **rec}))
+    centroids.unlink()
+    rec = json.loads((model_dir / "bank.json").read_text())
+    (model_dir / rec["poses_file"]).unlink()
+    save_pose_sequence(model_dir / "bank_poses.jsonl", PoseSequence.of(bank.poses, Frame.WEARER_LOCAL))
+    (model_dir / "bank.json").write_text(json.dumps({**rec, "poses_file": "bank_poses.jsonl"}))
     features = model_dir / "features.jsonl"
     if features.exists():
         rows = [json.loads(line) for line in features.read_text().splitlines()]
@@ -397,23 +407,25 @@ def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path,
     models.save(tmp_path / "new")
     assert json.loads((tmp_path / "new" / "knn.json").read_text()) == {"features": "features.jsonl"}
     assert json.loads((tmp_path / "new" / "meta.json").read_text())["classifier"] == "knn"
-    # a bundle written before kNN files named their rows holds no knn.json
-    models.save(tmp_path / "old")
-    (tmp_path / "old" / "knn.json").unlink()
     want = infer(probe.homographies, models, static_h=probe.static_h)
-    for name in ("new", "old"):
-        again = TrainedModels.load(tmp_path / name)
-        assert isinstance(again.classifier, KnnModel) and again.knn_k == 4
-        assert again.classifier.features is again.train_features
-        assert np.array_equal(again.classifier.features, models.classifier.features)
-        assert np.array_equal(again.classifier.classes, models.classifier.classes)
-        assert again.classifier.n_classes == models.classifier.n_classes
-        x = models.train_features[::7]
-        assert np.array_equal(again.cluster_probs(x), models.cluster_probs(x))
-        got = infer(probe.homographies, again, static_h=probe.static_h)
-        assert np.array_equal(got.dists, want.dists)
-        assert got.path.indices == want.path.indices
-        assert got.path.energy_dict() == want.path.energy_dict()
+    again = TrainedModels.load(tmp_path / "new")
+    assert isinstance(again.classifier, KnnModel) and again.knn_k == 4
+    assert again.classifier.features is again.train_features
+    assert np.array_equal(again.classifier.features, models.classifier.features)
+    assert np.array_equal(again.classifier.classes, models.classifier.classes)
+    assert again.classifier.n_classes == models.classifier.n_classes
+    x = models.train_features[::7]
+    assert np.array_equal(again.cluster_probs(x), models.cluster_probs(x))
+    got = infer(probe.homographies, again, static_h=probe.static_h)
+    assert np.array_equal(got.dists, want.dists)
+    assert got.path.indices == want.path.indices
+    assert got.path.energy_dict() == want.path.energy_dict()
+    # the bundle's model is knn.json: without it the bundle does not load
+    models.save(tmp_path / "bare")
+    (tmp_path / "bare" / "knn.json").unlink()
+    with pytest.raises(OSError) as info:
+        TrainedModels.load(tmp_path / "bare")
+    assert str(tmp_path / "bare" / "knn.json") in str(info.value)
     # one written before that held a second copy of the rows, with their classes: retrain it
     inline = {"n_classes": 5, "features": models.train_features.tolist(), "classes": models.classifier.classes.tolist()}
     (tmp_path / "new" / "knn.json").write_text(json.dumps(inline))
@@ -457,7 +469,9 @@ def test_models_that_disagree_with_the_bank_are_rejected_on_load_naming_the_file
     path = tmp_path / name
     rec = json.loads(path.read_text())
     if change == "drop a cluster":
-        change = {"centroids": rec["centroids"][:-1], "labels": rec["labels"][:-1]}
+        centroids = tmp_path / rec["centroids_file"]
+        np.save(centroids, np.load(centroids)[:-1])
+        change = {"labels": rec["labels"][:-1]}
     path.write_text(json.dumps({**rec, **change}))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*the bank's 6 clusters"):
         TrainedModels.load(tmp_path)
@@ -484,21 +498,15 @@ def test_bundle_meta_that_disagrees_with_its_files_is_rejected(tmp_path, knn_bun
 
 
 @pytest.mark.parametrize("kind", ["forest", "knn"])
-def test_bundle_in_the_older_format_loads_and_decodes_the_same(tmp_path, kind, test_stream):
+def test_bundle_in_the_older_format_is_rejected_naming_clusters_json(tmp_path, kind):
+    """An older bundle, whose centroids and bank poses are JSON text, is
+    rejected at its first file rather than read."""
     sequences, streams, _, _ = training_material(seed=20)
     models = train_models(sequences, streams, k=5, window=8, classifier=kind, n_trees=4, knn_k=4, seed=1)
-    for name in ("new", "old"):
-        models.save(tmp_path / name)
-    as_older_files(tmp_path / "old")
-    for name in ("new", "old"):
-        again = TrainedModels.load(tmp_path / name)
-        for solver in ("paper", "kdtree"):
-            want = infer(test_stream.homographies, models, static_h=test_stream.static_h, solver=solver)
-            got = infer(test_stream.homographies, again, static_h=test_stream.static_h, solver=solver)
-            assert np.array_equal(got.poses.as_matrix(), want.poses.as_matrix())
-            if solver == "paper":
-                assert got.path.indices == want.path.indices
-                assert got.path.energy_dict() == want.path.energy_dict()
+    models.save(tmp_path)
+    as_older_files(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'clusters.json'))}: missing field 'centroids_file'$"):
+        TrainedModels.load(tmp_path)
 
 
 @pytest.mark.parametrize("t", ["-1", "n_poses"])

@@ -1,4 +1,5 @@
-"""The JSONL record reader and writer every stream file goes through.
+"""The JSONL record reader and writer every stream file goes through, and
+the NPY reader and writer of the models' big arrays.
 
 Every loader reports a malformed record as a ValueError naming path:line,
 passes the package's own errors through unchanged, and skips blank lines;
@@ -6,6 +7,7 @@ every writer emits exactly json.dumps(record) + "\\n" per record.
 """
 
 import json
+import os
 import re
 from types import SimpleNamespace
 
@@ -13,12 +15,12 @@ import numpy as np
 import pytest
 
 from egopose.classify import ForestModel, KnnModel, load_static, save_static
-from egopose.clustering import ClusterModel, ExemplarBank
+from egopose.clustering import ExemplarBank, read_bank_fields
 from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
 from egopose.pipeline import load_features, save_features
-from egopose.records import integral_array, load_json_object, number, read_records
+from egopose.records import integral_array, load_array, load_json_object, number, read_records, save_array
 from egopose.skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from egopose.synth import MotionScript, generate, load_labels
 from test_classify import forest_record
@@ -115,7 +117,7 @@ NUMBER_READERS = {
     "pose": (load_pose_sequence_with_times, LOADERS["poses"][1], ("joints", 3, 1)),
     "feature": (LOADERS["features"][0], LOADERS["features"][1], ("v", 1)),
     "static": (load_static, LOADERS["static"][1], ("h",)),
-    "clusters": (ClusterModel.load, {"centroids": [[1.0] * 75], "labels": None}, ("centroids", 0, 3)),
+    "bank": (read_bank_fields, {"k": 2, "poses_file": "bank_poses.npy", "cluster_of": [0, 1, 1], "sequence_breaks": []}, ("cluster_of", 1)),
     "knn": (_knn_over, LOADERS["features"][1], ("v", 1)),
     "forest": (ForestModel.load, forest_record(), ("trees", "thresh", 1)),
 }
@@ -243,3 +245,28 @@ def test_numbers_are_checked_not_cast():
     for key in ("t", "s", "n"):
         with pytest.raises(ValueError, match=f"^{key} must be a number"):
             number(rec, key)
+
+
+class _MakesADirectory:
+    """An object whose unpickling creates the directory at path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.mkdir, (self.path,))
+
+
+def test_array_file_round_trips_bit_exact_and_never_runs_a_pickle(tmp_path):
+    a = np.array([EDGE * 25, [1.0] * 75])
+    path = tmp_path / "a.npy"
+    save_array(path, a)
+    back = load_array(path, 75)
+    assert back.dtype == np.float64 and np.array_equal(back, a) and np.signbit(back[0, 0])
+    save_array(tmp_path / "f.npy", np.asfortranarray(a))  # equal arrays, equal bytes
+    assert (tmp_path / "f.npy").read_bytes() == path.read_bytes()
+    ran = tmp_path / "ran"
+    np.save(path, np.array([[_MakesADirectory(str(ran))] * 75], dtype=object))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Object arrays cannot be loaded"):
+        load_array(path, 75)
+    assert not ran.exists()
