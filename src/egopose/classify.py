@@ -474,12 +474,10 @@ class KnnModel:
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
-    """Class distribution from the k nearest training features; for an
-    (n, d) batch of features, the (n, n_classes) distributions row by row.
-    ValueError for k < 1."""
+    """(n, n_classes) class distributions of an (n, d) batch of features,
+    row i from the k nearest training features of v[i]. ValueError for
+    k < 1."""
     v = np.asarray(v, dtype=float)  # a model without training points raises EmptyModel in index()
-    if v.ndim == 1:
-        return knn_proba(model, v[None], k)[0]
     nn = model.index().query_batch(v, k)
     cells = np.arange(len(v))[:, None] * model.n_classes + model.classes[nn]
     probs = np.bincount(cells.ravel(), minlength=len(v) * model.n_classes).astype(float)

@@ -1,6 +1,6 @@
 """Command line front end: synth, cluster, train, infer, eval.
 
-One JSON config carries every tunable (cost and path parameters, cluster
+One JSON config carries every tunable (the path energy's PathParams, cluster
 count, feature window); explicit flags override config values. Errors print
 a machine-readable JSON object on stderr. Exit codes: 0 success, 2 usage
 error, 3 data or config error, 4 infeasible or degenerate input (an
@@ -15,13 +15,13 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 # kmeans and train_forest go unused here; perfbench/layers.py wraps them at these bindings
 from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
 from .clustering import kmeans, read_bank_fields  # noqa: F401
-from .costs import CostParams
 from .errors import Degenerate, EgoPoseError, LengthMismatch
 from .evaluation import joint_errors
 from .geometry import CameraIntrinsics, estimate_homography, load_correspondences, load_homographies
@@ -41,14 +41,10 @@ from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from .synth import MotionScript, generate
 
+# config key of each PathParams field: its own name, but "prune" for prune_threshold
+_PARAM_FIELDS = {("prune" if f.name == "prune_threshold" else f.name): f.name for f in fields(PathParams)}
 DEFAULT_CONFIG = {
-    "delta": 0.1,
-    "tau": 0.99,
-    "prune": 0.01,
-    "speed_gamma": 10,
-    "speed_mu": 0.01,
-    "stat_gamma": 5,
-    "stat_mu": 0.02,
+    **{key: getattr(PathParams(), name) for key, name in _PARAM_FIELDS.items()},
     "k": 300,
     "window": 30,
     "feature_mode": "homography",
@@ -93,12 +89,8 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _cost_params(cfg) -> CostParams:
-    return CostParams(delta=cfg["delta"], tau=cfg["tau"], prune_threshold=cfg["prune"])
-
-
 def _path_params(cfg) -> PathParams:
-    return PathParams(**{key: cfg[key] for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu")})
+    return PathParams(**{name: cfg[key] for key, name in _PARAM_FIELDS.items()})
 
 
 def _load_camera(path) -> CameraIntrinsics:
@@ -174,7 +166,8 @@ def cmd_train(args):
     model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"])
     if args.classifier == "forest":
         model.save(_ensure_parent(args.out))
-        print(f"oob accuracy: {model.oob_accuracy:.4f}")
+        oob = model.oob_accuracy  # None when no row was out of bag in any tree
+        print("oob accuracy: no row was out of bag" if oob is None else f"oob accuracy: {oob:.4f}")
         return 0
     model.save(_ensure_parent(args.out), args.features)
     if args.loo:
@@ -210,8 +203,7 @@ def cmd_infer(args):
         hs,
         models,
         static_h=static_h,
-        cost_params=_cost_params(cfg),
-        path_params=_path_params(cfg),
+        params=_path_params(cfg),
         solver=args.solver,
     )
 

@@ -3,38 +3,24 @@
 The cost of exemplar pose i of cluster c at frame n is e = 1 - probs_n[c] +
 d_{n,c}, where d adds delta when a confident static sitting probability h_n
 contradicts c's label (h >= tau says sitting but c is standing-like, or
-h <= 1 - tau says standing but c is sitting-like). As e depends on a pose only
-through its cluster, unary_costs returns a pathopt.Trellis over one (N, K)
-table of it, whose columns are the clusters, with every column kept. prune
-keeps that table and replaces only the (N, K) keep mask: one comparison of
-the cluster probabilities against the threshold.
+h <= 1 - tau says standing but c is sitting-like). delta, tau and the prune
+threshold are fields of the one pathopt.PathParams, so U's delta is T's.
+As e depends on a pose only through its cluster, unary_costs returns a
+pathopt.Trellis over one (N, K) table of it, whose columns are the clusters,
+with every column kept. prune keeps that table and replaces only the (N, K)
+keep mask: one comparison of the cluster probabilities against the threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .classify import check_static
 from .clustering import ExemplarBank, SitStand
 from .errors import InvalidProbability, LengthMismatch
-from .pathopt import Trellis
-
-
-@dataclass
-class CostParams:
-    delta: float = 0.1
-    tau: float = 0.99
-    prune_threshold: float = 0.01
-
-    def __post_init__(self):
-        if not (self.delta >= 0):  # NaN fails too
-            raise ValueError("delta must be non-negative")
-        if not (0.5 < self.tau <= 1.0):
-            raise ValueError("tau must lie in (0.5, 1]")
-        if not (0.0 <= self.prune_threshold < 1.0):
-            raise ValueError("prune threshold must lie in [0, 1)")
+from .pathopt import PathParams, Trellis
 
 
 def unary_costs(
@@ -42,7 +28,7 @@ def unary_costs(
     static_h: np.ndarray,
     bank: ExemplarBank,
     labels,
-    params: CostParams = CostParams(),
+    params: PathParams = PathParams(),
 ) -> Trellis:
     """Costs for every bank pose at every frame: a trellis over the (N, K)
     table with column_of = bank.cluster_of, whose keep mask is one read-only
@@ -73,7 +59,7 @@ def unary_costs(
     return Trellis(table, bank.cluster_of, np.broadcast_to(True, table.shape), bank)
 
 
-def prune(costs: Trellis, dists: np.ndarray, bank: ExemplarBank, params: CostParams = CostParams()) -> Trellis:
+def prune(costs: Trellis, dists: np.ndarray, bank: ExemplarBank, params: PathParams = PathParams()) -> Trellis:
     """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
 
     costs must be unary_costs' trellis, which keeps every bank pose at every

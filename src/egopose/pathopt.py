@@ -61,11 +61,21 @@ from .records import write_records
 
 @dataclass
 class PathParams:
-    delta: float = 0.1  # backward / long-step / cluster-jump penalty
+    """The weights of the path energy and of its decode.
+
+    delta is both the static-prior correction in U (costs.unary_costs) and
+    the penalty of a backward, long or cluster-jumping step in T; tau is the
+    static probability that U counts as confident, and prune_threshold the
+    first cluster probability that costs.prune keeps above.
+    """
+
+    delta: float = 0.1
     speed_gamma: float = 10.0
     speed_mu: float = 0.01
     stat_gamma: float = 5.0
     stat_mu: float = 0.02
+    tau: float = 0.99
+    prune_threshold: float = 0.01
 
     def __post_init__(self):
         # written as not (x >= 0) so that NaN fails too; an infinite slope
@@ -74,6 +84,10 @@ class PathParams:
             raise ValueError("penalties must be non-negative, and the slopes finite")
         if not (self.speed_gamma >= 0 and self.stat_gamma >= 0):
             raise ValueError("saturation points must be non-negative")
+        if not (0.5 < self.tau <= 1.0):
+            raise ValueError("tau must lie in (0.5, 1]")
+        if not (0.0 <= self.prune_threshold < 1.0):
+            raise ValueError("prune threshold must lie in [0, 1)")
 
 
 @dataclass
@@ -324,7 +338,7 @@ class _Frame:
         self.below = np.arange(len(idx) + 1).repeat(np.diff(bounds))
 
     def count_below(self, x):
-        return self.below[x.clip(0, len(self.below) - 1)]
+        return self.below.take(x, mode="clip")
 
 
 class _Pair:

@@ -42,7 +42,7 @@ from .clustering import (
     label_clusters,
     sit_stand_threshold,
 )
-from .costs import CostParams, unary_costs, prune
+from .costs import unary_costs, prune
 from .errors import LengthMismatch, OutOfRange
 from .evaluation import baseline_constant, baseline_kdtree
 from .geometry import CameraIntrinsics, feature_windows, rotations_from_homographies
@@ -75,17 +75,14 @@ def features_from_homographies(
     window: int = 30,
     mode: str = "homography",
     camera: CameraIntrinsics | None = None,
-    centers=None,
 ):
-    """Stack per-frame motion features; returns (matrix, center indices).
+    """Stack per-frame motion features at every frame whose window fits;
+    returns (matrix, center indices).
 
     mode "homography" stacks the normalized homographies themselves;
     "rotation" first converts each one to its infinitesimal camera rotation,
-    which needs the intrinsics. Centers default to every frame whose window
-    fits."""
-    if centers is None:
-        centers = valid_feature_centers(len(hs) + 1, window)
-    centers = np.asarray(centers, dtype=int)
+    which needs the intrinsics."""
+    centers = valid_feature_centers(len(hs) + 1, window)
     _check_feature_mode(mode, camera)
     maps = rotations_from_homographies(hs, camera) if mode == "rotation" else hs
     return feature_windows(maps, centers, window), centers
@@ -320,8 +317,7 @@ def infer(
     hs,
     models: TrainedModels,
     static_h: np.ndarray | None = None,
-    cost_params: CostParams = CostParams(),
-    path_params: PathParams = PathParams(),
+    params: PathParams = PathParams(),
     solver: str = "paper",
 ) -> InferenceResult:
     """Decode a pose sequence from a homography stream.
@@ -329,10 +325,11 @@ def infer(
     static_h covers the full stream (len(hs) + 1 frames); None means the
     uninformative constant 0.5. Solvers: the first-order DP ("paper"), the
     exact DP ("exact"), the two-stage baseline ("path-cluster"), nearest
-    feature neighbor ("kdtree"), and the constant-pose baselines.
+    feature neighbor ("kdtree"), and the constant-pose baselines. params
+    weighs U and T, with one delta for both, and sets the prune threshold.
 
     The path solvers decode one trellis: unary_costs' trellis over the (N, K)
-    cost table, pruned at the first threshold of cost_params.prune_threshold,
+    cost table, pruned at the first threshold of params.prune_threshold,
     /10, ... (0 once below 1e-6) whose candidates admit a finite-energy path
     (Trellis.admits_path). 0 keeps every pose, so it always does. A pruned
     trellis is the one table with a new (N, K) mask of kept clusters, so a
@@ -368,20 +365,20 @@ def infer(
     path = None
     t0 = time.perf_counter()
     if solver in ("paper", "exact", "path-cluster"):
-        costs = unary_costs(dists, static_h[centers], bank, labels, cost_params)
-        thr, retries = cost_params.prune_threshold, 0
-        trellis = prune(costs, dists, bank, cost_params)
+        costs = unary_costs(dists, static_h[centers], bank, labels, params)
+        thr, retries = params.prune_threshold, 0
+        trellis = prune(costs, dists, bank, params)
         while thr > 0.0 and not trellis.admits_path():
             thr = 0.0 if thr < 1e-6 else thr / 10.0
             retries += 1
-            trellis = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
+            trellis = prune(costs, dists, bank, replace(params, prune_threshold=thr))
         timings["costs_s"] = time.perf_counter() - t0
         timings["prune_retries"] = retries
         t0 = time.perf_counter()
         if solver == "path-cluster":
-            path = solve_path_cluster(trellis, dists, path_params)
+            path = solve_path_cluster(trellis, dists, params)
         else:
-            path = (solve_paper_dp if solver == "paper" else solve_exact_dp)(trellis, path_params)
+            path = (solve_paper_dp if solver == "paper" else solve_exact_dp)(trellis, params)
         poses = PoseSequence.of(bank.poses[path.indices], Frame.WEARER_LOCAL)
     elif solver == "kdtree":
         if models.train_features is None:

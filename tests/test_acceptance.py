@@ -17,7 +17,6 @@ import numpy as np
 
 from egopose import (
     CameraIntrinsics,
-    CostParams,
     ExemplarBank,
     Homography,
     Infeasible,
@@ -302,7 +301,7 @@ def test_criterion_4_static_term_reduces_label_error(capfd):
         row[c] = 0.9
         dists[i] = row
 
-    params = CostParams()  # delta 0.1, tau 0.99, prune 0.01
+    params = PathParams()  # delta 0.1, tau 0.99, prune 0.01
     label_err = {}
     for name, h in (("static", test.static_h), ("constant", np.full(n, 0.5))):
         path = solve_paper_dp(prune(unary_costs(dists, h, bank, labels, params), dists, bank, params))
@@ -462,7 +461,7 @@ def test_criterion_7_module_invariants(capfd, tmp_path):
     h_vals = rng.uniform(0.0, 1.0, size=6)
     cbank = ExemplarBank.build(rng.normal(size=(15, 75)), np.repeat(np.arange(5), 3), [], 5)
     clabels = [SitStand.SITTING_LIKE if c % 2 else SitStand.STANDING_LIKE for c in range(5)]
-    params = CostParams()
+    params = PathParams()
     costs = unary_costs(dists, h_vals, cbank, clabels, params)
     for n in range(6):
         for i, e in zip(*costs.frame(n)):

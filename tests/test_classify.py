@@ -446,7 +446,7 @@ def test_knn_exact_match_single_neighbor():
     y = rng.integers(0, 12, size=50)
     y[17] = 9
     model = KnnModel(x, y, 12)
-    probs = knn_proba(model, x[17], k=1)
+    probs = knn_proba(model, x[17][None], k=1)[0]
     assert probs[9] == 1.0
 
 
@@ -455,7 +455,7 @@ def test_knn_full_vote_gives_class_frequencies():
     x = rng.normal(size=(40, 4))
     y = rng.integers(0, 5, size=40)
     model = KnnModel(x, y, 5)
-    probs = knn_proba(model, rng.normal(size=4), k=40)
+    probs = knn_proba(model, rng.normal(size=4)[None], k=40)[0]
     freq = np.bincount(y, minlength=5) / 40.0
     assert np.allclose(probs, freq)
 
@@ -588,7 +588,7 @@ def test_knn_k_below_one_is_rejected():
         with pytest.raises(ValueError):
             model.index().query_batch(np.zeros((2, 3)), k)
         with pytest.raises(ValueError):
-            knn_proba(model, np.zeros(3), k)
+            knn_proba(model, np.zeros((1, 3)), k)
 
 
 def test_knn_batch_matches_single_queries():
@@ -600,12 +600,13 @@ def test_knn_batch_matches_single_queries():
     probs = knn_proba(model, q, k=9)
     assert probs.shape == (43, 7)
     for v, row in zip(q, probs):
-        assert np.array_equal(row, knn_proba(model, v, k=9))
+        assert np.array_equal(row, knn_proba(model, v[None], k=9)[0])
     low_dim = KnnIndex(rng.normal(size=(300, 3)))
     vs = rng.normal(size=(10, 3))
     assert np.array_equal(low_dim.query_batch(vs, 4), np.concatenate([low_dim.query_batch(v[None], 4) for v in vs]))
-    with pytest.raises(DimMismatch):
-        knn_proba(model, np.zeros((2, 19)))
+    for wrong in (np.zeros((2, 19)), np.zeros(20)):  # a single row is a (1, d) batch too
+        with pytest.raises(DimMismatch):
+            knn_proba(model, wrong)
 
 
 def test_constant_static_provider():

@@ -41,7 +41,7 @@ from egopose import (
     valid_feature_centers,
 )
 from egopose.classify import KnnModel
-from egopose.cli import DEFAULT_CONFIG, _cost_params, _load_camera, _path_params, main
+from egopose.cli import DEFAULT_CONFIG, _load_camera, _path_params, main
 from egopose.pipeline import build_bank
 from egopose.synth import STAND_TEMPLATE, default_camera
 from test_classify import MALFORMED_FOREST_RECORDS
@@ -870,6 +870,21 @@ def test_train_zero_trees_exits_3(workspace, tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("seed", ["1", "2", "4"])
+def test_train_with_no_row_out_of_bag_says_so_and_exits_0(tmp_path, capsys, seed):
+    """Two rows and one tree: at these seeds the bootstrap draws both rows,
+    so no row is out of bag and there is no OOB accuracy to print."""
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"poses_file": "bank_poses.npy", "cluster_of": [0, 1], "k": 2, "sequence_breaks": []}))
+    feats = tmp_path / "features.jsonl"
+    feats.write_text('{"t": 0, "v": [0.0]}\n{"t": 1, "v": [1.0]}\n')
+    out = tmp_path / "forest.json"
+    rc = main(["train", "--features", str(feats), "--bank", str(bank), "--trees", "1", "--seed", seed, "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == "oob accuracy: no row was out of bag\n"
+    assert out.exists()
+
+
 def test_cluster_with_non_finite_intrinsics_exits_3(workspace, tmp_path, capsys):
     data = workspace["data"]
     camera = tmp_path / "cam.json"
@@ -1199,7 +1214,7 @@ def test_knn_files_decode_as_the_library_bundle(workspace, tmp_path, capsys):
     train_models([load_pose_sequence(data / "poses.jsonl")], [hs], k=8, window=8, classifier="knn").save(tmp_path / "lib")
     models = egopose.TrainedModels.load(tmp_path / "lib")
     static_h = egopose.load_static(data / "static_h.jsonl")
-    result = egopose.infer(hs, models, static_h, _cost_params(DEFAULT_CONFIG), _path_params(DEFAULT_CONFIG))
+    result = egopose.infer(hs, models, static_h, _path_params(DEFAULT_CONFIG))
     result.path.save(tmp_path / "path.jsonl", models.bank)
     assert energy == ["energy: U={U:.6f} T={T:.6f} V={V:.6f} S={S:.6f} total={total:.6f}".format(**result.path.energy_dict())]
     assert files["path.jsonl"] == (tmp_path / "path.jsonl").read_bytes()

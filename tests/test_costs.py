@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from egopose.clustering import ExemplarBank, SitStand
-from egopose.costs import CostParams, prune, unary_costs
+from egopose.costs import prune, unary_costs
 from egopose.errors import InvalidProbability, LengthMismatch
-from egopose.pathopt import Trellis
+from egopose.pathopt import PathParams, Trellis
 
 
 def make_bank(rng, n=40, k=4, breaks=()):
@@ -18,19 +18,19 @@ def alternating_labels(k):
 
 
 def test_params_validation():
-    CostParams()  # defaults are legal
+    PathParams()  # defaults are legal
     with pytest.raises(Exception):
-        CostParams(delta=-0.1)
+        PathParams(delta=-0.1)
     with pytest.raises(ValueError):
-        CostParams(delta=float("nan"))
+        PathParams(delta=float("nan"))
     with pytest.raises(ValueError):
-        CostParams(tau=float("nan"))
+        PathParams(tau=float("nan"))
     with pytest.raises(ValueError):
-        CostParams(prune_threshold=float("nan"))
+        PathParams(prune_threshold=float("nan"))
     with pytest.raises(Exception):
-        CostParams(tau=0.5)
+        PathParams(tau=0.5)
     with pytest.raises(Exception):
-        CostParams(prune_threshold=1.0)
+        PathParams(prune_threshold=1.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
@@ -84,7 +84,7 @@ def test_paper_arithmetic_standing_pose_confident_sit():
     c = bank.cluster_of[pose]
     dists = np.full((1, bank.k), (1.0 - 0.6) / (bank.k - 1))
     dists[0, c] = 0.6
-    out = unary_costs(dists, np.array([0.995]), bank, labels, CostParams(delta=0.1, tau=0.99))
+    out = unary_costs(dists, np.array([0.995]), bank, labels, PathParams(delta=0.1, tau=0.99))
     assert cost_at(out, 0, pose) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -97,7 +97,7 @@ def test_full_table_matches_scalar_reference():
     h = rng.uniform(size=n_frames)
     h[2] = 0.995
     h[4] = 0.002
-    params = CostParams(delta=0.1, tau=0.99)
+    params = PathParams(delta=0.1, tau=0.99)
     out = unary_costs(dists, h, bank, labels, params)
     for n in range(n_frames):
         for i in range(len(bank.poses)):
@@ -116,7 +116,7 @@ def test_costs_equal_the_per_exemplar_label_mask():
     labels = [SitStand.SITTING_LIKE if c % 3 == 0 else SitStand.STANDING_LIKE for c in range(bank.k)]
     dists = rng.dirichlet(np.ones(bank.k), size=8)
     h = np.array([0.5, 0.995, 0.002, 1.0, 0.0, 0.99, 0.01, 0.7])
-    params = CostParams()
+    params = PathParams()
     out = unary_costs(dists, h, bank, labels, params)
     # the mask as it was built before: one label lookup per exemplar
     sitting_pose = np.array([labels[c] == SitStand.SITTING_LIKE for c in bank.cluster_of])
@@ -135,7 +135,7 @@ def test_costs_bounded_and_neutral_static_no_penalty():
     labels = alternating_labels(bank.k)
     n_frames = 10
     dists = rng.dirichlet(np.ones(bank.k), size=n_frames)
-    params = CostParams(delta=0.1, tau=0.99)
+    params = PathParams(delta=0.1, tau=0.99)
     out = unary_costs(dists, np.full(n_frames, 0.5), bank, labels, params)
     for n in range(n_frames):
         costs = out.frame(n)[1]
@@ -162,7 +162,7 @@ def test_prune_uniform_below_threshold_keeps_fallback():
     k300 = 300  # uniform over 300 clusters sits below the 0.01 threshold
     dists = np.full((2, bank.k), 1.0 / k300)
     out = unary_costs(dists, np.full(2, 0.5), bank, labels)
-    pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
+    pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
     assert pruned.keep.tolist() == [[True, False, False, False]] * 2  # argmax tie -> cluster 0
     for n in range(2):
         assert np.array_equal(pruned.indices[n], np.flatnonzero(bank.cluster_of == 0))
@@ -185,7 +185,7 @@ def test_prune_fallback_keeps_the_whole_most_probable_nonempty_cluster():
         ]
     )
     out = unary_costs(dists, np.full(len(dists), 0.5), bank, alternating_labels(bank.k))
-    pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
+    pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
     assert [idx.tolist() for idx in pruned.indices] == [[0, 1], [2, 3], [4, 5], [2, 3], [2, 3]]
     for n, idx in enumerate(pruned.indices):
         assert np.array_equal(pruned.frame(n)[1], out.table[n][bank.cluster_of[idx]])
@@ -199,7 +199,7 @@ def test_prune_threshold_zero_is_identity():
     out = unary_costs(dists, np.full(4, 0.5), bank, labels)
     # no copies: costs live once per (frame, cluster), and prune at 0 returns its input
     assert out.table.shape == (4, bank.k)
-    assert prune(out, dists, bank, CostParams(prune_threshold=0.0)) is out
+    assert prune(out, dists, bank, PathParams(prune_threshold=0.0)) is out
     # every frame keeps every column through one read-only broadcast True
     assert out.keep.shape == out.table.shape and out.keep.all()
     assert out.keep.strides == (0, 0) and not out.keep.flags.writeable
@@ -232,7 +232,7 @@ def test_prune_matches_reference_filter():
     dists = rng.dirichlet(np.ones(bank.k) * 0.3, size=8)
     out = unary_costs(dists, np.full(8, 0.5), bank, labels)
     thr = 0.05
-    pruned = prune(out, dists, bank, CostParams(prune_threshold=thr))
+    pruned = prune(out, dists, bank, PathParams(prune_threshold=thr))
     assert [idx.tolist() for idx in pruned.indices] == reference_prune(dists, bank, thr)
 
 
@@ -245,7 +245,7 @@ def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
     dists[0] = 1.0 / bank.k  # every cluster above the lower thresholds
     dists[1] = np.eye(bank.k)[6]  # only the empty cluster passes: the fallback
     out = unary_costs(dists, np.full(12, 0.5), bank, alternating_labels(bank.k))
-    pruned = prune(out, dists, bank, CostParams(prune_threshold=thr))
+    pruned = prune(out, dists, bank, PathParams(prune_threshold=thr))
     assert pruned.table is out.table
     for n, idx in enumerate(out.indices):
         assert np.array_equal(idx, np.arange(len(bank.poses)))  # the full bank, derived per frame
@@ -256,7 +256,7 @@ def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
         assert np.array_equal(pruned.indices[n], want)
     assert pruned.indices[1].tolist() == np.flatnonzero(bank.cluster_of == 0).tolist()
     with pytest.raises(ValueError, match="every bank pose"):
-        prune(pruned, dists, bank, CostParams(prune_threshold=thr))
+        prune(pruned, dists, bank, PathParams(prune_threshold=thr))
 
 
 def test_prune_keeps_argmin_above_threshold():
@@ -266,7 +266,7 @@ def test_prune_keeps_argmin_above_threshold():
     for _ in range(20):
         dists = rng.dirichlet(np.ones(bank.k), size=3)
         out = unary_costs(dists, np.full(3, 0.5), bank, labels)
-        pruned = prune(out, dists, bank, CostParams(prune_threshold=0.01))
+        pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
         for n in range(3):
             best = out.indices[n][int(np.argmin(out.frame(n)[1]))]
             if dists[n][bank.cluster_of[best]] > 0.01:

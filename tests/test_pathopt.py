@@ -25,7 +25,6 @@ import pytest
 
 import egopose.pathopt as pathopt
 from egopose import (
-    CostParams,
     ExemplarBank,
     Infeasible,
     InfeasiblePath,
@@ -47,7 +46,7 @@ from egopose import (
     step_weight,
     unary_costs,
 )
-from egopose.cli import DEFAULT_CONFIG
+from egopose.cli import DEFAULT_CONFIG, _path_params
 from trellis_util import trellis_of
 
 
@@ -288,7 +287,7 @@ def random_instance(rng, max_frames=5, max_nodes=5, dyadic=False):
 
 
 DYADIC = PathParams(delta=0.125, speed_gamma=10.0, speed_mu=1.0 / 128, stat_gamma=5.0, stat_mu=1.0 / 64)
-CLI_PARAMS = PathParams(**{key: DEFAULT_CONFIG[key] for key in ("delta", "speed_gamma", "speed_mu", "stat_gamma", "stat_mu")})
+CLI_PARAMS = _path_params(DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def test_from_costs_prune_and_restrict_share_the_table():
     assert full.keep.shape == full.table.shape and full.keep.all()
     assert full.keep.strides == (0, 0) and not full.keep.flags.writeable
     assert Trellis.from_costs(full, bank) is full
-    kept = prune(full, dists, bank, CostParams(prune_threshold=0.2))
+    kept = prune(full, dists, bank, PathParams(prune_threshold=0.2))
     assert kept.table is full.table and kept.column_of is full.column_of
     assert kept.keep.tolist() == [[True, True, False], [False, False, True], [False, True, True]]
     assert [idx.tolist() for idx in kept.indices] == [list(range(8)), list(range(8, 12)), list(range(4, 12))]
@@ -455,7 +454,7 @@ def test_from_costs_prune_and_restrict_share_the_table():
         idx, e = restricted.frame(n)
         assert np.array_equal(e, 1.0 - dists[n][bank.cluster_of[idx]])
     with pytest.raises(ValueError, match="every bank pose"):
-        prune(kept, dists, bank, CostParams(prune_threshold=0.2))
+        prune(kept, dists, bank, PathParams(prune_threshold=0.2))
 
 
 def test_pose_path_component_sum_enforced():
@@ -991,7 +990,7 @@ def test_trellis_built_from_pruned_costs_solves_end_to_end():
     dists = rng.dirichlet(np.ones(2), size=n_frames)
     static_h = np.full(n_frames, 0.5)
     labels = np.array([False, True])
-    params = CostParams()
+    params = PathParams()
     costs = unary_costs(dists, static_h, bank, labels, params)
     tr = prune(costs, dists, bank, params)
     path = solve_paper_dp(tr)
@@ -1031,7 +1030,7 @@ def test_admits_path_agrees_with_the_solvers_at_every_relaxed_threshold():
         dists = rng.dirichlet(np.full(bank.k, 0.3), size=n_frames)
         costs = unary_costs(dists, rng.uniform(size=n_frames), bank, labels)
         for thr in _relaxed_thresholds(float(rng.choice([0.9, 0.5, 0.2]))):
-            kept = prune(costs, dists, bank, CostParams(prune_threshold=thr))
+            kept = prune(costs, dists, bank, PathParams(prune_threshold=thr))
             admits = kept.admits_path()
             for solve in (solve_paper_dp, solve_exact_dp, lambda tr: solve_path_cluster(tr, dists)):
                 try:

@@ -10,7 +10,6 @@ import pytest
 
 from egopose import (
     CameraIntrinsics,
-    CostParams,
     Frame,
     Homography,
     LengthMismatch,
@@ -31,6 +30,7 @@ from egopose import (
     train_models,
     valid_feature_centers,
 )
+from egopose.geometry import feature_windows, rotations_from_homographies
 import egopose.evaluation as evaluation
 import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
@@ -97,8 +97,7 @@ def test_features_match_manual_concatenation():
 def test_features_explicit_centers_subset():
     hs = make_homographies(12, seed=2)
     full, centers = features_from_homographies(hs, window=4)
-    some, got = features_from_homographies(hs, window=4, centers=[3, 7])
-    assert got.tolist() == [3, 7]
+    some = feature_windows(hs, [3, 7], 4)
     lookup = {c: row for c, row in zip(centers, full)}
     assert np.allclose(some[0], lookup[3])
     assert np.allclose(some[1], lookup[7])
@@ -165,9 +164,18 @@ def _reference_features(hs, window=30, mode="homography", camera=None, centers=N
     return np.stack(rows), centers
 
 
+def _features(hs, window=30, mode="homography", camera=None, centers=None):
+    """features_from_homographies at every center whose window fits, or
+    feature_windows over the same maps at chosen centers."""
+    if centers is None:
+        return features_from_homographies(hs, window, mode, camera)
+    maps = rotations_from_homographies(hs, camera) if mode == "rotation" else hs
+    return feature_windows(maps, centers, window), np.asarray(centers, dtype=int)
+
+
 def _assert_same_features(hs, **kw):
     want_x, want_c = _reference_features(hs, **kw)
-    got_x, got_c = features_from_homographies(hs, **kw)
+    got_x, got_c = _features(hs, **kw)
     assert got_x.shape == want_x.shape and np.array_equal(got_x, want_x)
     assert np.array_equal(got_c, want_c)
 
@@ -176,7 +184,7 @@ def _assert_same_error(hs, error, **kw):
     with pytest.raises(error) as want:
         _reference_features(hs, **kw)
     with pytest.raises(error) as got:
-        features_from_homographies(hs, **kw)
+        _features(hs, **kw)
     assert str(got.value) == str(want.value)
 
 
@@ -661,25 +669,25 @@ def test_infer_survives_overconfident_classifier(overconfident):
         probe.homographies,
         models,
         static_h=probe.static_h,
-        cost_params=CostParams(prune_threshold=0.5),
+        params=PathParams(prune_threshold=0.5),
     )
     assert len(result.path.indices) == len(result.centers)
     assert result.timings["prune_retries"] == 1  # 0.5 strands the path, 0.05 does not
 
 
-def _reference_relaxed_decode(hs, models, static_h, cost_params):
+def _reference_relaxed_decode(hs, models, static_h, params):
     """The paper decode as infer ran it before it checked reachability: build
     a trellis and run the DP at each threshold t, t/10, ... (0 once below
     1e-6) until the DP stops raising Infeasible. Returns (path, retries,
     the threshold of the path)."""
     x, centers = features_from_homographies(hs, models.window, models.feature_mode, models.camera)
     dists, bank = models.cluster_probs(x), models.bank
-    costs = unary_costs(dists, static_h[centers], bank, models.cluster.labels, cost_params)
-    thr, retries = cost_params.prune_threshold, 0
+    costs = unary_costs(dists, static_h[centers], bank, models.cluster.labels, params)
+    thr, retries = params.prune_threshold, 0
     while True:
-        kept = prune(costs, dists, bank, replace(cost_params, prune_threshold=thr))
+        kept = prune(costs, dists, bank, replace(params, prune_threshold=thr))
         try:
-            return solve_paper_dp(kept), retries, thr
+            return solve_paper_dp(kept, params), retries, thr
         except Infeasible:
             if thr == 0.0:
                 raise
@@ -701,10 +709,10 @@ def test_infer_matches_the_retry_loop_and_solves_once(overconfident, monkeypatch
     monkeypatch.setattr(pipeline, "solve_paper_dp", counted("solve", solve))
     monkeypatch.setattr(Trellis, "admits_path", counted("check", check))
     for models, probe, thr, retries in overconfident:
-        for params in (CostParams(prune_threshold=thr), CostParams(prune_threshold=0.0)):
+        for params in (PathParams(prune_threshold=thr), PathParams(prune_threshold=0.0)):
             want, want_retries, last_thr = _reference_relaxed_decode(probe.homographies, models, probe.static_h, params)
             calls.update(solve=0, check=0)
-            got = infer(probe.homographies, models, static_h=probe.static_h, cost_params=params)
+            got = infer(probe.homographies, models, static_h=probe.static_h, params=params)
             assert got.path.indices == want.indices
             assert got.path.energy_dict() == want.energy_dict()
             assert got.timings["prune_retries"] == want_retries == (retries if params.prune_threshold else 0)
@@ -745,8 +753,8 @@ def test_path_cluster_checks_the_argmax_sequence_and_solves_once(overconfident, 
     for models, probe, _, _ in overconfident:
         for thr in (0.01, 0.5):
             decodes.clear()
-            params = CostParams(prune_threshold=thr)
-            got = infer(probe.homographies, models, static_h=probe.static_h, cost_params=params, solver="path-cluster")
+            params = PathParams(prune_threshold=thr)
+            got = infer(probe.homographies, models, static_h=probe.static_h, params=params, solver="path-cluster")
             (args,) = decodes
             calls["solve"] = 0
             want = _reference_path_cluster(*args)
