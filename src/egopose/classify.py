@@ -429,12 +429,14 @@ class KnnIndex:
 
 @dataclass
 class KnnModel:
-    """Training features with their class ids. Its file only names the
-    feature file of its rows: each row's class is its bank pose's cluster."""
+    """Training features with their class ids, voting with the k nearest.
+    Its file holds k and names the feature file of its rows, each row's class
+    its bank pose's cluster."""
 
     features: np.ndarray
     classes: np.ndarray
     n_classes: int
+    k: int = 30
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -443,6 +445,8 @@ class KnnModel:
             raise DimMismatch("features and classes must have matching length")
         if len(self.classes) and not (0 <= self.classes.min() and self.classes.max() < self.n_classes):
             raise DimMismatch(f"class ids must lie in [0, {self.n_classes})")
+        if self.k < 1:
+            raise ValueError(f"knn_k must be at least 1, got {self.k}")
         self._index = None
 
     def index(self) -> KnnIndex:
@@ -451,26 +455,29 @@ class KnnModel:
         return self._index
 
     def save(self, path, rows_path) -> None:
-        """Write the kNN file: the path of the feature file that holds this
-        model's rows (written by save_features), relative to the kNN file."""
+        """Write the kNN file: k, and the path of the feature file holding
+        this model's rows (save_features wrote it), relative to the kNN file."""
         rows = os.path.relpath(rows_path, os.path.dirname(os.path.abspath(path)))
-        write_json_object(path, {"features": rows})
+        write_json_object(path, {"features": rows, "k": self.k})
 
-    @staticmethod
-    def rows_file(path, rec: dict) -> str:
-        """The feature file that the kNN record read from path names;
-        ValueError naming path for a record that holds rows or classes."""
+    @classmethod
+    def from_record(cls, path, rec: dict, bank):
+        """(model, frames): the model the kNN record read from path describes
+        and the bank poses of its rows. ValueError naming path for a record
+        without an integral k of at least 1, or that holds rows or classes."""
         with model_fields(path):
             if not isinstance(rec["features"], str) or {"classes", "n_classes"} & rec.keys():
                 raise ValueError("a kNN file names its feature file and holds no row or class; re-run egopose train")
-        return os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), rec["features"]))
+            k = integral(rec, "k")
+        rows = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(path)), rec["features"]))
+        frames, x = load_features(rows, len(bank.poses))
+        with model_fields(path):  # a k below 1
+            return cls(x, bank.cluster_of[frames], bank.k, k), frames
 
     @classmethod
     def load(cls, path, bank) -> "KnnModel":
-        """The model over the rows of the feature file that the kNN file at
-        path names, each row's class its bank pose's cluster."""
-        frames, x = load_features(cls.rows_file(path, load_json_object(path)), len(bank.poses))
-        return cls(x, bank.cluster_of[frames], bank.k)
+        """The model that the kNN file at path describes (from_record)."""
+        return cls.from_record(path, load_json_object(path), bank)[0]
 
 
 def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Command line front end: synth, cluster, train, infer, eval.
 
 One JSON config carries every tunable (the path energy's PathParams, cluster
-count, feature window); explicit flags override config values. Errors print
-a machine-readable JSON object on stderr. Exit codes: 0 success, 2 usage
-error, 3 data or config error, 4 infeasible or degenerate input (an
-errors.Degenerate), 141 (128 + SIGPIPE) when the reader of stdout closed it;
-output files are written before anything is printed.
+count, feature window); explicit flags override config values. infer reads
+the feature settings and the kNN vote size from the model files that
+cluster and train record them in. Errors print a machine-readable JSON
+object on stderr. Exit codes: 0 success, 2 usage error, 3 data or config
+error, 4 infeasible or degenerate input (an errors.Degenerate), 141 (128 +
+SIGPIPE) when the reader of stdout closed it; output files are written
+before anything is printed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .geometry import CameraIntrinsics, estimate_homography, load_correspondence
 from .pathopt import PathParams
 from .pipeline import (
     SOLVERS,
-    _check_knn_k,
+    _check_feature_mode,
     _check_lengths,
     build_bank,
     build_features,
@@ -36,6 +38,7 @@ from .pipeline import (
     infer,
     load_models,
     normalized_matrix,
+    save_meta,
 )
 from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
@@ -131,6 +134,8 @@ def cmd_synth(args):
 
 def cmd_cluster(args):
     cfg = _load_config(args)
+    camera = _load_camera(args.camera) if args.camera else None
+    _check_feature_mode(cfg["feature_mode"], camera)
     sequences = [load_pose_sequence_with_times(path)[0] for path in args.poses]
     paths = args.homographies or []
     if paths and len(paths) != len(sequences):  # before the DLT of any stream
@@ -140,11 +145,11 @@ def cmd_cluster(args):
         _check_lengths(sequences, streams)
     model, bank = build_bank(sequences, cfg["k"], cfg["seed"])
     if streams:  # built before anything is written
-        camera = _load_camera(args.camera) if args.camera else None
         feats, frames = build_features(sequences, streams, cfg["window"], cfg["feature_mode"], camera)
 
     model.save(_ensure_parent(args.out))
     out_dir = os.path.dirname(os.path.abspath(args.out))
+    save_meta(out_dir, cfg["window"], cfg["feature_mode"], camera)
     bank.save(_ensure_parent(args.bank_out or os.path.join(out_dir, "bank.json")))
     if streams:
         feat_out = args.features_out or os.path.join(out_dir, "features.jsonl")
@@ -156,14 +161,15 @@ def cmd_cluster(args):
 
 
 def cmd_train(args):
+    if args.loo and args.classifier != "knn":
+        raise ValueError("--loo scores a kNN model: it needs --classifier knn")
     cfg = _load_config(args)
     _, cluster_of, _, n_classes = read_bank_fields(args.bank)  # the poses are not needed
     frames, x = load_features(args.features, len(cluster_of))
     if len(x) == 0:
         raise ValueError(f"{args.features}: no feature rows")
     classes = cluster_of[frames]
-    k = _check_knn_k(cfg["knn_k"]) if args.classifier == "knn" else None
-    model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"])
+    model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"], cfg["knn_k"])
     if args.classifier == "forest":
         model.save(_ensure_parent(args.out))
         oob = model.oob_accuracy  # None when no row was out of bag in any tree
@@ -172,9 +178,9 @@ def cmd_train(args):
     model.save(_ensure_parent(args.out), args.features)
     if args.loo:
         # each row votes with its k nearest other rows
-        nn = model.index().query_batch(x, min(k + 1, len(x)))
+        nn = model.index().query_batch(x, min(model.k + 1, len(x)))
         others = nn != np.arange(len(x))[:, None]
-        keep = others & (others.cumsum(axis=1) <= k)
+        keep = others & (others.cumsum(axis=1) <= model.k)
         cells = keep.nonzero()[0] * n_classes + classes[nn[keep]]
         votes = np.bincount(cells, minlength=len(x) * n_classes).reshape(len(x), n_classes)
         hits = int((votes.argmax(axis=1) == classes).sum())
@@ -190,14 +196,8 @@ def cmd_infer(args):
         raise ValueError(f"solver {args.solver} needs --classifier-model")
     if args.solver == "kdtree" and not args.features:
         raise ValueError("solver kdtree needs --features")
-    models = load_models(
-        args.cluster_model,
-        args.bank,
-        args.classifier_model if path_solver else None,
-        args.features if args.solver == "kdtree" else None,
-        camera=_load_camera(args.camera) if args.camera else None,
-        **{key: cfg[key] for key in ("window", "feature_mode", "knn_k")},
-    )
+    classifier = args.classifier_model if path_solver else None
+    models = load_models(args.cluster_model, args.bank, classifier, args.features if args.solver == "kdtree" else None)
     static_h = load_static(args.static_h, expected_frames=len(hs) + 1) if args.static_h else None
     result = infer(
         hs,
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bank-out", help="bank output (default: bank.json beside --out)")
     p.add_argument("--homographies", nargs="*", default=None, help="emit features for these streams")
     p.add_argument("--features-out", help="feature output (default: features.jsonl beside --out)")
-    p.add_argument("--camera", help="intrinsics JSON, needed for rotation features")
+    p.add_argument("--camera", help="intrinsics JSON, needed for rotation features; recorded in meta.json")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--feature-mode", dest="feature_mode", choices=("homography", "rotation"), default=None)
@@ -286,13 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier-model", dest="classifier_model")
     p.add_argument("--static-h", dest="static_h", help="per-frame sitting probability JSONL")
     p.add_argument("--features", help="training features, needed by --solver kdtree")
-    p.add_argument("--camera", help="intrinsics JSON, needed for rotation features")
     p.add_argument("--solver", choices=SOLVERS, default="paper")
     p.add_argument("--out", required=True, help="pose path output JSONL")
     p.add_argument("--poses-out", dest="poses_out", help="default: <out>_poses.jsonl")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--feature-mode", dest="feature_mode", choices=("homography", "rotation"), default=None)
-    p.add_argument("--knn-k", dest="knn_k", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--prune", type=float, default=None)

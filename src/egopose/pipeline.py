@@ -2,17 +2,17 @@
 
 A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
-the feature configuration needed to reproduce the classifier's inputs at
+the feature settings needed to reproduce the classifier's inputs at
 inference time. TrainedModels.save writes the files egopose cluster and
-train write, clusters.json with clusters_centroids.npy, bank.json with
-bank_poses.npy, features.jsonl (a {t, v} row per training frame, whose class
-is bank.cluster_of[t]), and forest.json or knn.json (which names
-features.jsonl), plus meta.json (window, feature_mode, classifier "forest" or
-"knn", knn_k, camera if set). The two .npy files are NumPy's own format,
-written and read only by records.save_array and records.load_array.
-load_models reads them for TrainedModels.load and egopose infer. An older
-bundle, which held its centroids and bank poses as JSON text, is rejected
-naming clusters.json.
+train write, byte for byte: clusters.json with clusters_centroids.npy and
+meta.json beside it (the feature settings: window, feature_mode, and camera
+if set, written by save_meta), bank.json with bank_poses.npy, features.jsonl
+(a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
+forest.json or knn.json (which names features.jsonl and holds the vote size
+k). The two .npy files are NumPy's own format, written and read only by
+records.save_array and records.load_array. load_models reads them for
+TrainedModels.load and egopose infer. An older bundle, which held its
+centroids and bank poses as JSON text, is rejected naming clusters.json.
 """
 
 from __future__ import annotations
@@ -96,13 +96,6 @@ def _check_feature_mode(mode: str, camera: CameraIntrinsics | None) -> None:
         raise ValueError("rotation features need camera intrinsics")
 
 
-def _check_knn_k(knn_k: int) -> int:
-    """knn_k; ValueError unless it is at least 1."""
-    if knn_k < 1:
-        raise ValueError(f"knn_k must be at least 1, got {knn_k}")
-    return knn_k
-
-
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
     """Wearer-local (n, 75) matrix; sensor-frame poses get normalized."""
     if seq.frame == Frame.WEARER_LOCAL:
@@ -119,6 +112,15 @@ def _classifier_kind(model) -> str:
     raise ValueError("no classifier: the path solvers need a forest or a kNN model")
 
 
+def save_meta(out_dir, window: int, feature_mode: str, camera: CameraIntrinsics | None) -> None:
+    """Write out_dir/meta.json, the feature settings a model's classifier
+    reads: window, feature_mode and, when given, camera."""
+    meta = {"window": window, "feature_mode": feature_mode}
+    if camera is not None:
+        meta["camera"] = asdict(camera)
+    write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
+
+
 @dataclass
 class TrainedModels:
     cluster: ClusterModel
@@ -127,7 +129,6 @@ class TrainedModels:
     feature_mode: str = "homography"
     camera: CameraIntrinsics | None = None
     classifier: ForestModel | KnnModel | None = None  # None: only the baseline solvers run
-    knn_k: int = 30
     train_features: np.ndarray | None = None
     train_feature_frames: np.ndarray | None = None
 
@@ -135,7 +136,7 @@ class TrainedModels:
         x = np.asarray(x, dtype=float)
         if _classifier_kind(self.classifier) == "forest":
             return forest_proba_batch(self.classifier, x)
-        return knn_proba(self.classifier, x, self.knn_k)
+        return knn_proba(self.classifier, x, self.classifier.k)
 
     def save(self, out_dir) -> None:
         kind = _classifier_kind(self.classifier)
@@ -143,6 +144,7 @@ class TrainedModels:
             raise ValueError("a kNN bundle keeps its model as features.jsonl, so it must hold train_features")
         os.makedirs(out_dir, exist_ok=True)
         self.cluster.save(os.path.join(out_dir, "clusters.json"))
+        save_meta(out_dir, self.window, self.feature_mode, self.camera)
         self.bank.save(os.path.join(out_dir, "bank.json"))
         feat_path = os.path.join(out_dir, "features.jsonl")
         if self.train_features is not None:
@@ -151,44 +153,37 @@ class TrainedModels:
             self.classifier.save(os.path.join(out_dir, "forest.json"))
         else:
             self.classifier.save(os.path.join(out_dir, "knn.json"), feat_path)
-        meta = {"window": self.window, "feature_mode": self.feature_mode, "classifier": kind, "knn_k": self.knn_k}
-        if self.camera is not None:
-            meta["camera"] = asdict(self.camera)
-        write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
-        """The bundle save wrote, read by load_models."""
-        meta_path = os.path.join(in_dir, "meta.json")
-        meta = load_json_object(meta_path)
-        with model_fields(meta_path):  # every meta field is checked before the model files are read
-            kind = meta.get("classifier")
-            if kind not in ("forest", "knn"):
-                raise ValueError(f"classifier must be \"forest\" or \"knn\", found {kind!r}")
-            settings = {
-                "window": integral(meta, "window"),
-                "feature_mode": meta["feature_mode"],
-                "camera": CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None,
-                "knn_k": integral(meta, "knn_k") if "knn_k" in meta else 30,
-            }
-            _check_feature_mode(settings["feature_mode"], settings["camera"])
-            _check_knn_k(settings["knn_k"])
-        names = ("clusters.json", "bank.json", f"{kind}.json", "features.jsonl")
+        """The bundle save wrote, read by load_models. Its classifier is the
+        one of forest.json and knn.json that the directory holds: ValueError
+        naming in_dir when it holds both or neither."""
+        held = [name for name in ("forest.json", "knn.json") if os.path.exists(os.path.join(in_dir, name))]
+        if len(held) != 1:
+            raise ValueError(f"{in_dir}: a bundle holds one of forest.json and knn.json, found {held}")
+        names = ("clusters.json", "bank.json", *held, "features.jsonl")
         clusters, bank, model_file, feats = (os.path.join(in_dir, name) for name in names)
-        has_feats = kind == "forest" and os.path.exists(feats)  # a kNN model's rows are its features
-        return load_models(clusters, bank, model_file, feats if has_feats else None, **settings)
+        has_feats = held == ["forest.json"] and os.path.exists(feats)  # a kNN model's rows are its features
+        return load_models(clusters, bank, model_file, feats if has_feats else None)
 
 
-def load_models(clusters, bank, classifier=None, features=None, *, window, feature_mode, camera, knn_k) -> TrainedModels:
-    """The models in the given files, each read once: a cluster model, a
-    bank, optionally a classifier (a forest when its record holds trees, else
-    a kNN file naming its feature file) and training features, which are a
-    kNN model's rows unless given. Every check across files runs here:
-    ValueError for knn_k < 1 or a bad feature mode before any file is read,
-    and naming the file for a cluster model without a sit/stand label per
-    bank cluster, a forest of another class count, or a t outside the bank."""
-    _check_feature_mode(feature_mode, camera)
-    _check_knn_k(knn_k)
+def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels:
+    """The models in the given files, each read once: a cluster model with
+    the feature settings of the meta.json beside it, a bank, optionally a
+    classifier (a forest when its record holds trees, else a kNN file naming
+    its feature file) and training features, which are a kNN model's rows
+    unless given. Every check across files runs here, a ValueError naming the
+    file: first, before any model file is read, for meta.json settings that
+    are missing, malformed or unable to compute their feature mode (other keys
+    are ignored); then for a cluster model without a sit/stand label per bank
+    cluster, a forest of another class count, or a t outside the bank."""
+    meta_path = os.path.join(os.path.dirname(clusters), "meta.json")
+    meta = load_json_object(meta_path)
+    with model_fields(meta_path):
+        camera = CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None
+        settings = {"window": integral(meta, "window"), "feature_mode": meta["feature_mode"], "camera": camera}
+        _check_feature_mode(settings["feature_mode"], camera)
     cluster, bank = ClusterModel.load(clusters), ExemplarBank.load(bank)
     if cluster.labels is None or len(cluster.labels) != bank.k:
         raise ValueError(f"{clusters}: the cluster model must hold sit/stand labels for the bank's {bank.k} clusters")
@@ -201,11 +196,11 @@ def load_models(clusters, bank, classifier=None, features=None, *, window, featu
                 if model.n_classes != bank.k:
                     raise ValueError(f"n_classes must be the bank's {bank.k} clusters, found {model.n_classes}")
         else:
-            frames, x = load_features(KnnModel.rows_file(classifier, rec), len(bank.poses))
-            model = KnnModel(x, bank.cluster_of[frames], bank.k)
+            model, frames = KnnModel.from_record(classifier, rec, bank)
+            x = model.features
     if features is not None:
         frames, x = load_features(features, len(bank.poses))
-    return TrainedModels(cluster, bank, window, feature_mode, camera, model, knn_k, train_features=x, train_feature_frames=frames)
+    return TrainedModels(cluster, bank, **settings, classifier=model, train_features=x, train_feature_frames=frames)
 
 
 def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS):
@@ -267,14 +262,15 @@ def build_features(
     return np.vstack(x_rows), np.concatenate(frame_rows)
 
 
-def fit_classifier(kind: str, features, classes, n_classes: int, n_trees: int, seed: int):
+def fit_classifier(kind: str, features, classes, n_classes: int, n_trees: int, seed: int, knn_k: int):
     """The per-frame classifier of the given kind ("forest" or "knn") on the
     training features labeled with classes in [0, n_classes): a forest of
-    n_trees grown from seed, or the kNN model that holds the features."""
+    n_trees grown from seed, or the kNN model that holds the features and
+    votes with its knn_k nearest rows."""
     if kind == "forest":
         return train_forest(features, classes, n_trees=n_trees, seed=seed, n_classes=n_classes)
     if kind == "knn":
-        return KnnModel(features, classes, n_classes)
+        return KnnModel(features, classes, n_classes, knn_k)
     raise ValueError(f"unknown classifier {kind!r}")
 
 
@@ -298,9 +294,9 @@ def train_models(
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
     cluster, bank = build_bank(sequences, k, seed, up)
     features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
-    model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed)
+    model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed, knn_k)
     return TrainedModels(
-        cluster, bank, window, feature_mode, camera, model, knn_k, train_features=features, train_feature_frames=feature_frames
+        cluster, bank, window, feature_mode, camera, model, train_features=features, train_feature_frames=feature_frames
     )
 
 

@@ -63,7 +63,7 @@ def report(capfd, criterion: int, ok: bool, detail: str) -> None:
 
 
 def norm_seq(seq: PoseSequence, idx) -> PoseSequence:
-    return PoseSequence([normalize_pose(seq.poses[i], UP) for i in idx])
+    return PoseSequence([normalize_pose(seq[i], UP) for i in idx])
 
 
 def est_homographies(result):

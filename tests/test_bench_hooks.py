@@ -77,7 +77,7 @@ def test_cli_decode_records_a_span_for_each_file_it_reads_and_writes(monkeypatch
     synth.write(tmp_path / "data")
     train_models([synth.poses], [synth.homographies], k=4, window=8, n_trees=2).save(tmp_path / "model")
     out = tmp_path / "out" / "path.jsonl"
-    argv = ["infer", "--input", str(tmp_path / "data" / "homographies.jsonl"), "--window", "8", "--prune", "0"]
+    argv = ["infer", "--input", str(tmp_path / "data" / "homographies.jsonl"), "--prune", "0"]
     argv += ["--static-h", str(tmp_path / "data" / "static_h.jsonl"), "--out", str(out)]
     for flag, name in (("--bank", "bank"), ("--cluster-model", "clusters"), ("--classifier-model", "forest")):
         argv += [flag, str(tmp_path / "model" / f"{name}.json")]

@@ -585,6 +585,8 @@ def test_knn_duplicate_rows_match_whole_array_scan(case):
 def test_knn_k_below_one_is_rejected():
     model = KnnModel(np.eye(3), [0, 1, 2], 3)
     for k in (0, -1):
+        with pytest.raises(ValueError, match="knn_k must be at least 1"):
+            KnnModel(np.eye(3), [0, 1, 2], 3, k)
         with pytest.raises(ValueError):
             model.index().query_batch(np.zeros((2, 3)), k)
         with pytest.raises(ValueError):
@@ -636,17 +638,17 @@ def test_knn_model_file_round_trip(tmp_path, monkeypatch):
     x = rng.normal(size=(20, 4))
     frames = rng.permutation(30)[:20]
     bank = bank_of(rng.integers(0, 3, size=30), 3)
-    model = KnnModel(x, bank.cluster_of[frames], 3)
+    model = KnnModel(x, bank.cluster_of[frames], 3, k=7)
     (tmp_path / "rows").mkdir()
     save_features(tmp_path / "rows" / "features.jsonl", frames, x)
     path = tmp_path / "knn.json"
     model.save(path, tmp_path / "rows" / "features.jsonl")
-    assert json.loads(path.read_text()) == {"features": "rows/features.jsonl"}  # no row and no class
+    assert json.loads(path.read_text()) == {"features": "rows/features.jsonl", "k": 7}  # no row and no class
     monkeypatch.chdir(tmp_path / "rows")  # the name is relative to the kNN file, not to the working directory
     back = KnnModel.load(path, bank)
     assert np.array_equal(back.features, x)
     assert np.array_equal(back.classes, bank.cluster_of[frames])
-    assert back.n_classes == 3
+    assert back.n_classes == 3 and back.k == 7
 
 
 @pytest.mark.parametrize("model_class", [ForestModel, KnnModel])
@@ -677,7 +679,7 @@ def test_model_writers_match_json_dump(tmp_path):
     model = KnnModel(x, y, 2)
     path = tmp_path / "knn.json"
     model.save(path, tmp_path / "features.jsonl")
-    assert path.read_bytes() == _json_dump_bytes({"features": "features.jsonl"}, tmp_path / "want.json")
+    assert path.read_bytes() == _json_dump_bytes({"features": "features.jsonl", "k": 30}, tmp_path / "want.json")
 
 
 def forest_record():
@@ -772,14 +774,20 @@ def test_forest_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, rec):
         ("classes", [0, True]),
         ("features", 5),
         ("features", [[0.0], [1.0]]),  # the rows themselves
+        ("k", None),
+        ("k", 0),
+        ("k", 1.5),
+        ("k", True),
+        ("k", "1"),
     ],
 )
 def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, value):
-    """A kNN file only names its feature file. One that holds rows or
-    classes, as files of older versions did, is rejected rather than read."""
+    """A kNN file only names its feature file and holds its vote size k, an
+    integer of at least 1. One that holds rows or classes, as files of older
+    versions did, is rejected rather than read."""
     save_features(tmp_path / "features.jsonl", [0, 1], [[0.0], [1.0]])
     path = tmp_path / "knn.json"
-    rec = {"features": "features.jsonl"}
+    rec = {"features": "features.jsonl", "k": 1}
     path.write_text(json.dumps(rec))
     bank = bank_of([1, 0], 2)
     assert KnnModel.load(path, bank).classes.tolist() == [1, 0]

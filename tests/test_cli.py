@@ -10,9 +10,12 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,8 +131,6 @@ def workspace(tmp_path_factory, capsysbinary_placeholder=None):
                 str(models / "forest.json"),
                 "--static-h",
                 str(data / "static_h.jsonl"),
-                "--window",
-                "8",
                 "--out",
                 str(out / "path.jsonl"),
             ]
@@ -217,8 +218,6 @@ def test_stage_stdout_messages(workspace, capsys, tmp_path):
             str(models / "clusters.json"),
             "--classifier-model",
             str(models / "forest.json"),
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -246,8 +245,6 @@ def test_always_standing_needs_no_classifier(workspace, tmp_path):
             str(models / "clusters.json"),
             "--solver",
             "always-standing",
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -274,8 +271,6 @@ def test_kdtree_solver_uses_training_features(workspace, tmp_path):
             "kdtree",
             "--features",
             str(models / "features.jsonl"),
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -298,8 +293,6 @@ def test_kdtree_solver_requires_features_flag(workspace, tmp_path, capsys):
             str(models / "clusters.json"),
             "--solver",
             "kdtree",
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -320,8 +313,6 @@ def test_path_solver_requires_classifier_model(workspace, tmp_path, capsys):
             str(models / "bank.json"),
             "--cluster-model",
             str(models / "clusters.json"),
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -345,8 +336,6 @@ def test_infer_accepts_correspondence_input(workspace, tmp_path):
             str(models / "clusters.json"),
             "--classifier-model",
             str(models / "forest.json"),
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -397,10 +386,6 @@ def test_knn_classifier_via_cli(workspace, tmp_path, capsys):
             str(models / "clusters.json"),
             "--classifier-model",
             str(tmp_path / "knn.json"),
-            "--knn-k",
-            "5",
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -439,18 +424,66 @@ def test_knn_k_below_one_exits_3(workspace, tmp_path, capsys, k):
     assert not (tmp_path / "knn.json").exists()
     assert main(train) == 0
     capsys.readouterr()
+    # infer reads the vote size from the kNN file, and checks it there
+    knn = tmp_path / "knn.json"
+    knn.write_text(json.dumps({**json.loads(knn.read_text()), "k": int(k)}))
     rc = main(
         ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--bank", str(models / "bank.json")]
-        + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(tmp_path / "knn.json")]
-        + ["--knn-k", k, "--window", "8", "--out", str(tmp_path / "p.jsonl")]
+        + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(knn)]
+        + ["--out", str(tmp_path / "p.jsonl")]
     )
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ValueError" and "knn_k" in err["message"]
+    assert err["error"] == "ValueError" and err["message"] == f"{knn}: knn_k must be at least 1, got {k}"
+
+
+def test_knn_file_without_k_exits_3_naming_it(workspace, tmp_path, capsys):
+    """A kNN file written before it held its vote size k is not read with a
+    default k: re-running egopose train replaces it."""
+    models = workspace["models"]
+    knn = tmp_path / "knn.json"
+    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    assert main(train + ["--classifier", "knn", "--knn-k", "5", "--out", str(knn)]) == 0
+    knn.write_text(json.dumps({"features": json.loads(knn.read_text())["features"]}))
+    capsys.readouterr()
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--classifier-model") + 1] = str(knn)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{knn}: missing field 'k'"}
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_train_loo_with_a_forest_exits_3_before_writing(workspace, tmp_path, capsys):
+    """--loo scores a kNN model's rows; with a forest it is an error, not
+    ignored."""
+    models = workspace["models"]
+    train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(models / "bank.json")]
+    assert main(train + ["--trees", "2", "--loo", "--out", str(tmp_path / "forest.json")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and "--loo" in err["message"]
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
 # exit codes and error reporting
+
+
+def test_readme_commands_parse():
+    """Every egopose command in the README's sh blocks, continued lines
+    joined, is one the parser accepts, so a removed flag cannot linger in
+    the docs. Nothing runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("egopose ")]
+    assert {argv[0] for argv in commands} == {"synth", "cluster", "train", "infer", "eval"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README command egopose {shlex.join(argv)} does not parse")
 
 
 def test_usage_errors_exit_2(workspace):
@@ -533,8 +566,6 @@ def test_invalid_static_prior_exits_3(workspace, tmp_path, capsys):
             str(workspace["models"] / "forest.json"),
             "--static-h",
             str(bad),
-            "--window",
-            "8",
             "--out",
             str(tmp_path / "p.jsonl"),
         ]
@@ -552,16 +583,22 @@ def test_model_file_holding_no_json_object_exits_3(workspace, tmp_path, capsys, 
         "--cluster-model": models / "clusters.json",
         "--classifier-model": models / "forest.json",
     }
-    files[flag] = tmp_path / "list.json"
-    files[flag].write_text("[1, 2]")
-    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
-    for name, path in files.items():
-        argv += [name, str(path)]
-    rc = main(argv + ["--window", "8", "--out", str(tmp_path / "p.jsonl")])
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    shutil.copy(models / "meta.json", tmp_path)  # the feature settings beside the cluster model
+    if flag == "--camera":  # cluster reads it, and records the camera in meta.json
+        argv = ["cluster", "--poses", str(workspace["data"] / "poses.jsonl"), "--camera", str(bad)]
+    else:
+        files[flag] = bad
+        argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
+        for name, path in files.items():
+            argv += [name, str(path)]
+    rc = main(argv + ["--out", str(tmp_path / "out" / "p.jsonl")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
-    assert str(files[flag]) in err["message"]
+    assert str(bad) in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -593,10 +630,11 @@ def test_model_field_of_the_wrong_type_exits_3(workspace, tmp_path, capsys, flag
     rec[field] = value
     files[flag] = tmp_path / "wrong.json"
     files[flag].write_text(json.dumps(rec))
+    shutil.copy(models / "meta.json", tmp_path)  # the feature settings beside the cluster model
     argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
     for name, path in files.items():
         argv += [name, str(path)]
-    rc = main(argv + ["--window", "8", "--out", str(tmp_path / "p.jsonl")])
+    rc = main(argv + ["--out", str(tmp_path / "p.jsonl")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
@@ -611,7 +649,7 @@ def test_malformed_forest_file_exits_3(workspace, tmp_path, capsys, rec):
     rc = main(
         ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--bank", str(models / "bank.json")]
         + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(forest)]
-        + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
+        + ["--out", str(tmp_path / "p.jsonl")]
     )
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
@@ -640,8 +678,6 @@ def _infer_argv(workspace, tmp_path, *extra):
         str(models / "clusters.json"),
         "--classifier-model",
         str(models / "forest.json"),
-        "--window",
-        "8",
         "--out",
         str(tmp_path / "p.jsonl"),
         *extra,
@@ -671,11 +707,17 @@ def _infer_argv(workspace, tmp_path, *extra):
 def test_malformed_json_input_exits_3_naming_the_file(workspace, tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content))
-    rc = main(_infer_argv(workspace, tmp_path, flag, str(bad)))
+    if flag == "--camera":  # cluster reads it, before it writes anything
+        argv = ["cluster", "--poses", str(workspace["data"] / "poses.jsonl"), flag, str(bad)]
+        argv += ["--out", str(tmp_path / "out" / "clusters.json")]
+    else:
+        argv = _infer_argv(workspace, tmp_path / "out", flag, str(bad))
+    rc = main(argv)
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert err["message"].startswith(f"{bad}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", ['{"speed_mu": Infinity}', '{"stat_mu": Infinity, "stat_gamma": 0}'])
@@ -964,7 +1006,7 @@ def test_infer_reads_the_classifier_file_once(workspace, tmp_path, capsys, monke
         return main(
             ["infer", "--input", str(data / "homographies.jsonl"), "--bank", str(models / "bank.json")]
             + ["--cluster-model", str(models / "clusters.json"), "--classifier-model", str(model)]
-            + ["--window", "8", "--out", str(tmp_path / "p.jsonl")]
+            + ["--out", str(tmp_path / "p.jsonl")]
         )
 
     knn, features = str(tmp_path / "knn.json"), str(models / "features.jsonl")
@@ -1005,8 +1047,6 @@ def test_nan_path_parameter_exits_3(workspace, tmp_path, capsys):
             str(models / "clusters.json"),
             "--classifier-model",
             str(models / "forest.json"),
-            "--window",
-            "8",
             "--delta",
             "nan",
             "--out",
@@ -1157,6 +1197,8 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
         )
         == 0
     )
+    dk = tmp_path / "cli_knn"  # the same cluster output, for a kNN model
+    shutil.copytree(d, dk)
     assert (
         main(
             ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
@@ -1184,20 +1226,76 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
     for name in ("roots", "feat", "thresh", "right", "leaf_ptr", "leaf_class", "leaf_count"):
         assert np.array_equal(getattr(back, name), getattr(lib.classifier, name))
     # a kNN model from train is the one train_models holds
-    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json")]
-    assert main(train + ["--classifier", "knn", "--out", str(d / "knn.json")]) == 0
-    knn = KnnModel.load(d / "knn.json", bank)
-    lib_knn = train_models(seqs, hs, k=8, window=8, classifier="knn", seed=3)
+    train = ["train", "--features", str(dk / "features.jsonl"), "--bank", str(dk / "bank.json")]
+    assert main(train + ["--classifier", "knn", "--knn-k", "5", "--out", str(dk / "knn.json")]) == 0
+    knn = KnnModel.load(dk / "knn.json", bank)
+    lib_knn = train_models(seqs, hs, k=8, window=8, classifier="knn", knn_k=5, seed=3)
     assert np.array_equal(knn.features, lib_knn.classifier.features)
     assert np.array_equal(knn.classes, lib_knn.classifier.classes)
-    assert knn.n_classes == lib_knn.classifier.n_classes == 8
-    # and the files themselves are the library bundle's, which adds only meta.json
-    for kind, models in (("forest", lib), ("knn", lib_knn)):
-        models.save(tmp_path / kind)
-        names = {"clusters.json", "clusters_centroids.npy", "bank.json", "bank_poses.npy", "features.jsonl", f"{kind}.json"}
-        assert set(os.listdir(tmp_path / kind)) == names | {"meta.json"}
-        for name in names:
-            assert (d / name).read_bytes() == (tmp_path / kind / name).read_bytes()
+    assert knn.n_classes == lib_knn.classifier.n_classes == 8 and knn.k == lib_knn.classifier.k == 5
+    # and the files themselves are the library bundle's: the same set, byte for byte
+    for cli_dir, models, kind in ((d, lib, "forest"), (dk, lib_knn, "knn")):
+        lib_dir = tmp_path / f"lib_{kind}"
+        models.save(lib_dir)
+        names = {"clusters.json", "clusters_centroids.npy", "meta.json", "bank.json", "bank_poses.npy", "features.jsonl"}
+        assert set(os.listdir(cli_dir)) == set(os.listdir(lib_dir)) == names | {f"{kind}.json"}
+        for name in os.listdir(cli_dir):
+            assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+
+
+def test_infer_decodes_with_the_feature_settings_the_model_was_built_with(workspace, tmp_path, capsys):
+    """A model built from rotation features decodes with them: infer, given
+    no settings, takes the window, feature mode and camera from the
+    meta.json that cluster wrote, and writes the path and poses that the
+    library's infer gives on the same directory loaded as a bundle."""
+    data = workspace["data"]
+    d = tmp_path / "rotation"
+    argv = ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(data / "homographies.jsonl")]
+    argv += ["--feature-mode", "rotation", "--camera", str(data / "manifest.json"), "--k", "8", "--window", "8"]
+    assert main(argv + ["--out", str(d / "clusters.json")]) == 0
+    meta = json.loads((d / "meta.json").read_text())
+    assert meta == {"window": 8, "feature_mode": "rotation", "camera": asdict(default_camera())}
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json"), "--trees", "5"]
+    assert main(train + ["--out", str(d / "forest.json")]) == 0
+    capsys.readouterr()
+    energy, files = _decode_over(workspace, d, capsys, "--classifier-model", "{d}/forest.json")
+    models = egopose.TrainedModels.load(d)
+    assert (models.window, models.feature_mode, models.camera) == (8, "rotation", default_camera())
+    hs = load_homographies(data / "homographies.jsonl")
+    result = egopose.infer(hs, models, egopose.load_static(data / "static_h.jsonl"), _path_params(DEFAULT_CONFIG))
+    result.path.save(tmp_path / "path.jsonl", models.bank)
+    save_pose_sequence(tmp_path / "path_poses.jsonl", result.poses, times=result.centers)
+    assert energy == ["energy: U={U:.6f} T={T:.6f} V={V:.6f} S={S:.6f} total={total:.6f}".format(**result.path.energy_dict())]
+    for name in ("path.jsonl", "path_poses.jsonl"):
+        assert files[name] == (tmp_path / name).read_bytes(), name
+
+
+def test_cluster_rotation_features_without_a_camera_exit_3_before_writing(workspace, tmp_path, capsys):
+    """cluster records its feature settings even without homography streams,
+    so it checks them before it writes anything."""
+    data = workspace["data"]
+    out = ["--feature-mode", "rotation", "--k", "8", "--out", str(tmp_path / "m" / "clusters.json")]
+    for streams in ([], ["--homographies", str(data / "homographies.jsonl")]):
+        assert main(["cluster", "--poses", str(data / "poses.jsonl"), *streams, *out]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "rotation features need camera intrinsics"}
+    assert os.listdir(tmp_path) == []
+
+
+def test_model_files_without_meta_json_exit_3_naming_it(workspace, tmp_path, capsys):
+    """Model files whose cluster model has no meta.json beside it, as cluster
+    wrote them before it recorded its feature settings, are not decoded
+    with guessed settings."""
+    d = tmp_path / "models"
+    shutil.copytree(workspace["models"], d)
+    (d / "meta.json").unlink()
+    argv = _infer_argv(workspace, tmp_path)
+    for flag, name in (("--bank", "bank.json"), ("--cluster-model", "clusters.json"), ("--classifier-model", "forest.json")):
+        argv[argv.index(flag) + 1] = str(d / name)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FileNotFoundError" and str(d / "meta.json") in err["message"]
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def test_knn_files_decode_as_the_library_bundle(workspace, tmp_path, capsys):
@@ -1243,7 +1341,7 @@ def _decode_over(workspace, d, capsys, *flags):
     in d; "{d}" in a flag stands for d."""
     out = d / "out" / "path.jsonl"
     argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
-    argv += ["--static-h", str(workspace["data"] / "static_h.jsonl"), "--window", "8"]
+    argv += ["--static-h", str(workspace["data"] / "static_h.jsonl")]
     argv += ["--bank", str(d / "bank.json"), "--cluster-model", str(d / "clusters.json")]
     assert main(argv + [f.format(d=d) for f in flags] + ["--out", str(out)]) == 0
     energy = [line for line in capsys.readouterr().out.splitlines() if line.startswith("energy: ")]
@@ -1263,7 +1361,7 @@ def test_model_files_in_the_older_format_exit_3_naming_clusters_json(workspace, 
     as_older_files(old)
     capsys.readouterr()
     out = tmp_path / "out" / "path.jsonl"
-    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl"), "--window", "8"]
+    argv = ["infer", "--input", str(workspace["data"] / "homographies.jsonl")]
     argv += ["--bank", str(old / "bank.json"), "--cluster-model", str(old / "clusters.json"), "--out", str(out)]
     for flags in (
         ["--classifier-model", str(old / "forest.json")],
@@ -1385,8 +1483,6 @@ def test_infer_reruns_are_byte_identical(workspace, tmp_path):
                     str(models / "forest.json"),
                     "--static-h",
                     str(data / "static_h.jsonl"),
-                    "--window",
-                    "8",
                     "--out",
                     str(out / "path.jsonl"),
                 ]

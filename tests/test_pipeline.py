@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -271,9 +272,9 @@ def as_older_files(model_dir):
     """Rewrite the model files in model_dir as older versions wrote them:
     clusters.json with a leading k and its centroids as a JSON list,
     bank.json naming its poses' JSONL file, bank_poses.jsonl, each
-    features.jsonl row with the class of its bank pose, and a bundle without
-    knn.json and with a leading theta_sit in meta.json, the hip-height
-    threshold build_bank estimates from the bank poses."""
+    features.jsonl row with the class of its bank pose, a knn.json without
+    k, and meta.json, when there is one, with a leading theta_sit, the
+    hip-height threshold build_bank estimates from the bank poses."""
     model_dir = Path(model_dir)
     bank = ExemplarBank.load(model_dir / "bank.json")
     clusters = model_dir / "clusters.json"
@@ -289,9 +290,11 @@ def as_older_files(model_dir):
     if features.exists():
         rows = [json.loads(line) for line in features.read_text().splitlines()]
         features.write_text("".join(json.dumps({**r, "class": int(bank.cluster_of[r["t"]])}) + "\n" for r in rows))
+    knn = model_dir / "knn.json"
+    if knn.exists():
+        knn.write_text(json.dumps({key: v for key, v in json.loads(knn.read_text()).items() if key != "k"}))
     meta = model_dir / "meta.json"
     if meta.exists():
-        (model_dir / "knn.json").unlink(missing_ok=True)
         theta_sit = sit_stand_threshold(hip_heights(bank.poses))
         meta.write_text(json.dumps({"theta_sit": theta_sit, **json.loads(meta.read_text())}, indent=2))
 
@@ -336,7 +339,7 @@ def test_train_models_knn_classifier():
     models = train_models(sequences, streams, k=5, window=8, classifier="knn", knn_k=7)
     assert isinstance(models.classifier, KnnModel)
     assert models.classifier.features is models.train_features  # held once
-    assert models.knn_k == 7
+    assert models.classifier.k == 7
     probs = models.cluster_probs(models.train_features[:4])
     assert probs.shape == (4, 5)
     assert np.allclose(probs.sum(axis=1), 1.0)
@@ -349,7 +352,7 @@ def test_trained_models_save_load_parity(tmp_path):
     models = train_models(sequences, streams, k=5, window=8, n_trees=10, seed=1)
     models.save(tmp_path)
     meta = json.loads((tmp_path / "meta.json").read_text())
-    assert list(meta) == ["window", "feature_mode", "classifier", "knn_k"]
+    assert meta == {"window": 8, "feature_mode": "homography"}
     again = TrainedModels.load(tmp_path)
     assert again.window == models.window
     assert again.feature_mode == models.feature_mode
@@ -371,13 +374,13 @@ def test_trained_models_save_load_parity(tmp_path):
         {"camera": 5},
         {"window": 8.5},
         {"window": "8"},
-        {"knn_k": 2.5},
-        {"knn_k": True},
-        {"classifier": "svm"},
-        {"classifier": None},
-        {"classifier": ["forest"]},
+        {"window": [8]},
+        {"camera": None},
+        {"camera": []},
+        {"camera": "camera.json"},
+        {"feature_mode": ["rotation"]},
         {"window": True},
-        {"knn_k": None},
+        {"feature_mode": "Rotation"},
         {"feature_mode": 5},
         {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5}},
         {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": float("nan")}},
@@ -387,7 +390,7 @@ def test_trained_models_save_load_parity(tmp_path):
         {"camera": {"fx": True, "fy": 1.0, "cx": 0.5, "cy": 0.4}},
         {"camera": {"fx": 1.0, "fy": "1.1", "cx": 0.5, "cy": 0.4}},
         {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": 0.4, "focal": 1.0}},
-        {"knn_k": 0},  # checked on load, not at the first decode
+        {"window": {"n": 8}},
     ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
@@ -399,6 +402,24 @@ def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
     path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         TrainedModels.load(tmp_path)
+
+
+def test_bundle_without_its_feature_settings_is_rejected_naming_meta_json(tmp_path):
+    """The meta.json beside clusters.json is read and checked before any
+    model file is opened; without it nothing is read."""
+    sequences, streams, _, _ = training_material(seed=20)
+    train_models(sequences, streams, k=5, window=8, n_trees=2, seed=1).save(tmp_path)
+    meta = tmp_path / "meta.json"
+    settings = json.loads(meta.read_text())
+    (tmp_path / "clusters.json").unlink()  # a model file read before the settings would fail first
+    for key in settings:
+        meta.write_text(json.dumps({k: v for k, v in settings.items() if k != key}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(meta))}: missing field '{key}'$"):
+            TrainedModels.load(tmp_path)
+    meta.unlink()
+    with pytest.raises(FileNotFoundError) as info:
+        TrainedModels.load(tmp_path)
+    assert info.value.filename == str(meta)
 
 
 @pytest.fixture(scope="module")
@@ -413,11 +434,11 @@ def knn_bundle():
 def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path, knn_bundle):
     models, probe = knn_bundle
     models.save(tmp_path / "new")
-    assert json.loads((tmp_path / "new" / "knn.json").read_text()) == {"features": "features.jsonl"}
-    assert json.loads((tmp_path / "new" / "meta.json").read_text())["classifier"] == "knn"
+    assert json.loads((tmp_path / "new" / "knn.json").read_text()) == {"features": "features.jsonl", "k": 4}
+    assert json.loads((tmp_path / "new" / "meta.json").read_text()) == {"window": 8, "feature_mode": "homography"}
     want = infer(probe.homographies, models, static_h=probe.static_h)
     again = TrainedModels.load(tmp_path / "new")
-    assert isinstance(again.classifier, KnnModel) and again.knn_k == 4
+    assert isinstance(again.classifier, KnnModel) and again.classifier.k == 4
     assert again.classifier.features is again.train_features
     assert np.array_equal(again.classifier.features, models.classifier.features)
     assert np.array_equal(again.classifier.classes, models.classifier.classes)
@@ -431,9 +452,8 @@ def test_knn_bundle_keeps_its_features_once_and_reloads_the_same_model(tmp_path,
     # the bundle's model is knn.json: without it the bundle does not load
     models.save(tmp_path / "bare")
     (tmp_path / "bare" / "knn.json").unlink()
-    with pytest.raises(OSError) as info:
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'bare'))}: .* found \\[\\]$"):
         TrainedModels.load(tmp_path / "bare")
-    assert str(tmp_path / "bare" / "knn.json") in str(info.value)
     # one written before that held a second copy of the rows, with their classes: retrain it
     inline = {"n_classes": 5, "features": models.train_features.tolist(), "classes": models.classifier.classes.tolist()}
     (tmp_path / "new" / "knn.json").write_text(json.dumps(inline))
@@ -447,13 +467,14 @@ def test_load_models_builds_the_classifier_the_file_holds(tmp_path, knn_bundle):
     forest = train_models(*training_material(seed=50)[:2], k=5, window=8, n_trees=3, seed=2).classifier
     forest.save(tmp_path / "forest.json")
     files = [str(tmp_path / name) for name in ("clusters.json", "bank.json")]
-    settings = {"window": 8, "feature_mode": "homography", "camera": None, "knn_k": 4}
-    got = load_models(*files, tmp_path / "forest.json", **settings)
+    got = load_models(*files, tmp_path / "forest.json")
     assert isinstance(got.classifier, ForestModel) and got.train_features is None
+    assert (got.window, got.feature_mode, got.camera) == (8, "homography", None)  # the meta.json beside clusters.json
     for name in ("feat", "thresh", "right", "leaf_count"):
         assert np.array_equal(getattr(got.classifier, name), getattr(forest, name))
-    got = load_models(*files, tmp_path / "knn.json", **settings)
+    got = load_models(*files, tmp_path / "knn.json")
     assert isinstance(got.classifier, KnnModel) and got.classifier.features is got.train_features
+    assert got.classifier.k == 4
     assert np.array_equal(got.classifier.features, models.classifier.features)
     assert np.array_equal(got.classifier.classes, models.classifier.classes)
     assert got.classifier.n_classes == 5
@@ -485,20 +506,16 @@ def test_models_that_disagree_with_the_bank_are_rejected_on_load_naming_the_file
         TrainedModels.load(tmp_path)
 
 
-def test_bundle_meta_that_disagrees_with_its_files_is_rejected(tmp_path, knn_bundle):
+def test_bundle_with_two_classifiers_or_without_its_features_is_rejected(tmp_path, knn_bundle):
     models, _ = knn_bundle
     models.save(tmp_path)
-    meta_path = tmp_path / "meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta_path.write_text(json.dumps({**meta, "classifier": "forest"}))
-    with pytest.raises(OSError) as info:
-        TrainedModels.load(tmp_path)
-    assert str(tmp_path / "forest.json") in str(info.value)
-    meta_path.write_text(json.dumps({**meta, "classifier": "svm"}))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(meta_path))}: .*svm"):
+    # a forest saved into the same directory: which classifier decodes is not guessed
+    train_models(*training_material(seed=50)[:2], k=5, window=8, n_trees=2, seed=2).save(tmp_path / "forest")
+    shutil.copy(tmp_path / "forest" / "forest.json", tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}: .*found \\['forest.json', 'knn.json'\\]$"):
         TrainedModels.load(tmp_path)
     # a kNN bundle is its features: without them it cannot load
-    meta_path.write_text(json.dumps(meta))
+    (tmp_path / "forest.json").unlink()
     (tmp_path / "features.jsonl").unlink()
     with pytest.raises(OSError) as info:
         TrainedModels.load(tmp_path)
@@ -581,9 +598,15 @@ def test_infer_paper_returns_full_cover(trained, test_stream):
     assert result.dists.shape == (len(expected_centers), trained.bank.k)
 
 
-def test_infer_exact_never_worse_than_paper(trained, test_stream):
-    paper = infer(test_stream.homographies, trained, static_h=test_stream.static_h, solver="paper")
-    exact = infer(test_stream.homographies, trained, static_h=test_stream.static_h, solver="exact")
+@pytest.fixture(scope="module")
+def paper_and_exact(trained, test_stream):
+    """The paper and the exact decode of test_stream; the exact DP takes
+    seconds, so the tests that compare with it share one run."""
+    return [infer(test_stream.homographies, trained, static_h=test_stream.static_h, solver=s) for s in ("paper", "exact")]
+
+
+def test_infer_exact_never_worse_than_paper(paper_and_exact):
+    paper, exact = paper_and_exact
     assert exact.path.total <= paper.path.total + 1e-9
 
 
@@ -785,13 +808,12 @@ def test_solver_registry_is_complete():
     }
 
 
-def test_infer_path_cluster_runs(trained, test_stream):
+def test_infer_path_cluster_runs(trained, test_stream, paper_and_exact):
     result = infer(
         test_stream.homographies, trained, static_h=test_stream.static_h, solver="path-cluster"
     )
     assert result.path is not None
-    paper = infer(test_stream.homographies, trained, static_h=test_stream.static_h)
+    paper, exact = paper_and_exact
     # the restriction can only tie or lose against the unrestricted DP
-    exact = infer(test_stream.homographies, trained, static_h=test_stream.static_h, solver="exact")
     assert result.path.total >= exact.path.total - 1e-9
     assert paper.path.total >= exact.path.total - 1e-9

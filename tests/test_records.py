@@ -105,7 +105,7 @@ def _knn_over(path):
     """The kNN model over the feature file at path, read through a kNN file
     that names it, over a bank of 10 poses."""
     knn = path.parent / "knn.json"
-    knn.write_text(json.dumps({"features": path.name}))
+    knn.write_text(json.dumps({"features": path.name, "k": 1}))
     return KnnModel.load(knn, ExemplarBank(np.zeros((10, 75)), np.zeros(10, dtype=int), [], 1))
 
 
