@@ -454,6 +454,12 @@ class KnnModel:
             self._index = KnnIndex(self.features)
         return self._index
 
+    def votes(self, nn: np.ndarray) -> np.ndarray:
+        """(n, n_classes) counts of the classes of each row of training-row
+        indices nn (n, m)."""
+        cells = np.arange(len(nn))[:, None] * self.n_classes + self.classes[nn]
+        return np.bincount(cells.ravel(), minlength=len(nn) * self.n_classes).reshape(len(nn), self.n_classes)
+
     def save(self, path, rows_path) -> None:
         """Write the kNN file: k, and the path of the feature file holding
         this model's rows (save_features wrote it), relative to the kNN file."""
@@ -480,15 +486,11 @@ class KnnModel:
         return cls.from_record(path, load_json_object(path), bank)[0]
 
 
-def knn_proba(model: KnnModel, v: np.ndarray, k: int = 30) -> np.ndarray:
+def knn_proba(model: KnnModel, v: np.ndarray) -> np.ndarray:
     """(n, n_classes) class distributions of an (n, d) batch of features,
-    row i from the k nearest training features of v[i]. ValueError for
-    k < 1."""
+    row i from the model.k nearest training features of v[i]."""
     v = np.asarray(v, dtype=float)  # a model without training points raises EmptyModel in index()
-    nn = model.index().query_batch(v, k)
-    cells = np.arange(len(v))[:, None] * model.n_classes + model.classes[nn]
-    probs = np.bincount(cells.ravel(), minlength=len(v) * model.n_classes).astype(float)
-    probs = probs.reshape(len(v), model.n_classes)
+    probs = model.votes(model.index().query_batch(v, model.k)).astype(float)
     return probs / probs.sum(axis=1, keepdims=True)
 
 

@@ -30,7 +30,7 @@ from .geometry import CameraIntrinsics, estimate_homography, load_correspondence
 from .pathopt import PathParams
 from .pipeline import (
     SOLVERS,
-    _check_feature_mode,
+    FeatureSettings,
     _check_lengths,
     build_bank,
     build_features,
@@ -38,7 +38,6 @@ from .pipeline import (
     infer,
     load_models,
     normalized_matrix,
-    save_meta,
 )
 from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
@@ -135,7 +134,7 @@ def cmd_synth(args):
 def cmd_cluster(args):
     cfg = _load_config(args)
     camera = _load_camera(args.camera) if args.camera else None
-    _check_feature_mode(cfg["feature_mode"], camera)
+    settings = FeatureSettings(cfg["window"], cfg["feature_mode"], camera)  # before any pose is read
     sequences = [load_pose_sequence_with_times(path)[0] for path in args.poses]
     paths = args.homographies or []
     if paths and len(paths) != len(sequences):  # before the DLT of any stream
@@ -145,11 +144,11 @@ def cmd_cluster(args):
         _check_lengths(sequences, streams)
     model, bank = build_bank(sequences, cfg["k"], cfg["seed"])
     if streams:  # built before anything is written
-        feats, frames = build_features(sequences, streams, cfg["window"], cfg["feature_mode"], camera)
+        feats, frames = build_features(sequences, streams, settings)
 
     model.save(_ensure_parent(args.out))
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    save_meta(out_dir, cfg["window"], cfg["feature_mode"], camera)
+    settings.save(out_dir)
     bank.save(_ensure_parent(args.bank_out or os.path.join(out_dir, "bank.json")))
     if streams:
         feat_out = args.features_out or os.path.join(out_dir, "features.jsonl")
@@ -177,12 +176,11 @@ def cmd_train(args):
         return 0
     model.save(_ensure_parent(args.out), args.features)
     if args.loo:
-        # each row votes with its k nearest other rows
+        # each row votes with its k nearest other rows, min(k, n - 1) of them
         nn = model.index().query_batch(x, min(model.k + 1, len(x)))
         others = nn != np.arange(len(x))[:, None]
         keep = others & (others.cumsum(axis=1) <= model.k)
-        cells = keep.nonzero()[0] * n_classes + classes[nn[keep]]
-        votes = np.bincount(cells, minlength=len(x) * n_classes).reshape(len(x), n_classes)
+        votes = model.votes(nn[keep].reshape(len(x), -1))
         hits = int((votes.argmax(axis=1) == classes).sum())
         print(f"leave-one-out accuracy: {hits / len(x):.4f}")
     return 0

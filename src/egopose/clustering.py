@@ -226,11 +226,6 @@ def hip_heights(x: np.ndarray) -> np.ndarray:
     return x[:, _HIP_Z].mean(axis=1) - x[:, _ANKLE_Z].mean(axis=1)
 
 
-def hip_height(pose_vec: np.ndarray) -> float:
-    """Hip height of one pose vector: hip_heights of one row."""
-    return float(hip_heights(np.asarray(pose_vec)[None])[0])
-
-
 def sit_stand_threshold(heights: np.ndarray) -> float:
     """Midpoint of the two modes of a 1-D 2-means on training hip heights."""
     h = np.sort(np.asarray(heights, dtype=float))

@@ -185,11 +185,6 @@ def rotations_from_homographies(hs, k: CameraIntrinsics) -> np.ndarray:
     return m / np.cbrt(det)[:, None, None]
 
 
-def rotation_from_homography(h: Homography, k: CameraIntrinsics) -> np.ndarray:
-    """Recover the camera rotation K^-1 H K, rescaled to determinant 1."""
-    return rotations_from_homographies([h], k)[0]
-
-
 def feature_windows(maps, centers, window: int = 30) -> np.ndarray:
     """(len(centers), 9 * (window - 1)) rows, each the maps of one center's
     window flattened row-major in time order; maps[i], a Homography or 3x3

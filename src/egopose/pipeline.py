@@ -5,8 +5,8 @@ neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature settings needed to reproduce the classifier's inputs at
 inference time. TrainedModels.save writes the files egopose cluster and
 train write, byte for byte: clusters.json with clusters_centroids.npy and
-meta.json beside it (the feature settings: window, feature_mode, and camera
-if set, written by save_meta), bank.json with bank_poses.npy, features.jsonl
+meta.json beside it (the FeatureSettings: window, feature_mode, and camera
+if set), bank.json with bank_poses.npy, features.jsonl
 (a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
 forest.json or knn.json (which names features.jsonl and holds the vote size
 k). The two .npy files are NumPy's own format, written and read only by
@@ -70,30 +70,54 @@ def valid_feature_centers(n_frames: int, window: int = 30) -> np.ndarray:
     return np.arange(first, last + 1)
 
 
-def features_from_homographies(
-    hs,
-    window: int = 30,
-    mode: str = "homography",
-    camera: CameraIntrinsics | None = None,
-):
-    """Stack per-frame motion features at every frame whose window fits;
-    returns (matrix, center indices).
+@dataclass(frozen=True)
+class FeatureSettings:
+    """The motion features a classifier reads: windows of `window` frames
+    (window - 1 maps each) of the homographies themselves (mode
+    "homography"), or of the camera rotations they give through the
+    intrinsics (mode "rotation", which needs camera). Checked when built:
+    ValueError for an unknown mode, then for rotation without a camera, then
+    OutOfRange for a window below 2."""
 
-    mode "homography" stacks the normalized homographies themselves;
-    "rotation" first converts each one to its infinitesimal camera rotation,
-    which needs the intrinsics."""
-    centers = valid_feature_centers(len(hs) + 1, window)
-    _check_feature_mode(mode, camera)
-    maps = rotations_from_homographies(hs, camera) if mode == "rotation" else hs
-    return feature_windows(maps, centers, window), centers
+    window: int = 30
+    mode: str = "homography"
+    camera: CameraIntrinsics | None = None
 
+    def __post_init__(self):
+        if self.mode not in ("homography", "rotation"):
+            raise ValueError(f"unknown feature mode {self.mode!r}")
+        if self.mode == "rotation" and self.camera is None:
+            raise ValueError("rotation features need camera intrinsics")
+        if self.window < 2:
+            raise OutOfRange(f"window must be at least 2, got {self.window}")
 
-def _check_feature_mode(mode: str, camera: CameraIntrinsics | None) -> None:
-    """ValueError unless mode is "homography", or "rotation" with a camera."""
-    if mode not in ("homography", "rotation"):
-        raise ValueError(f"unknown feature mode {mode!r}")
-    if mode == "rotation" and camera is None:
-        raise ValueError("rotation features need camera intrinsics")
+    def rows(self, hs):
+        """(features, centers): the feature row of every frame of the
+        homography stream hs whose window fits, and those frames' indices."""
+        centers = valid_feature_centers(len(hs) + 1, self.window)
+        maps = rotations_from_homographies(hs, self.camera) if self.mode == "rotation" else hs
+        return feature_windows(maps, centers, self.window), centers
+
+    def save(self, out_dir) -> None:
+        """Write out_dir/meta.json: window, feature_mode and, when set, camera."""
+        meta = {"window": self.window, "feature_mode": self.mode}
+        if self.camera is not None:
+            meta["camera"] = asdict(self.camera)
+        write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
+
+    @classmethod
+    def load(cls, path) -> "FeatureSettings":
+        """The settings of the meta.json file at path. Every check, the
+        window's included, is a ValueError naming the file; other keys are
+        ignored."""
+        meta = load_json_object(path)
+        with model_fields(path):
+            camera = CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None
+            window = integral(meta, "window")
+            try:
+                return cls(window, meta["feature_mode"], camera)
+            except OutOfRange as e:  # an EgoPoseError, which model_fields passes through
+                raise ValueError(str(e)) from e
 
 
 def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
@@ -112,22 +136,11 @@ def _classifier_kind(model) -> str:
     raise ValueError("no classifier: the path solvers need a forest or a kNN model")
 
 
-def save_meta(out_dir, window: int, feature_mode: str, camera: CameraIntrinsics | None) -> None:
-    """Write out_dir/meta.json, the feature settings a model's classifier
-    reads: window, feature_mode and, when given, camera."""
-    meta = {"window": window, "feature_mode": feature_mode}
-    if camera is not None:
-        meta["camera"] = asdict(camera)
-    write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
-
-
 @dataclass
 class TrainedModels:
     cluster: ClusterModel
     bank: ExemplarBank
-    window: int = 30
-    feature_mode: str = "homography"
-    camera: CameraIntrinsics | None = None
+    settings: FeatureSettings = FeatureSettings()
     classifier: ForestModel | KnnModel | None = None  # None: only the baseline solvers run
     train_features: np.ndarray | None = None
     train_feature_frames: np.ndarray | None = None
@@ -136,7 +149,7 @@ class TrainedModels:
         x = np.asarray(x, dtype=float)
         if _classifier_kind(self.classifier) == "forest":
             return forest_proba_batch(self.classifier, x)
-        return knn_proba(self.classifier, x, self.classifier.k)
+        return knn_proba(self.classifier, x)
 
     def save(self, out_dir) -> None:
         kind = _classifier_kind(self.classifier)
@@ -144,7 +157,7 @@ class TrainedModels:
             raise ValueError("a kNN bundle keeps its model as features.jsonl, so it must hold train_features")
         os.makedirs(out_dir, exist_ok=True)
         self.cluster.save(os.path.join(out_dir, "clusters.json"))
-        save_meta(out_dir, self.window, self.feature_mode, self.camera)
+        self.settings.save(out_dir)
         self.bank.save(os.path.join(out_dir, "bank.json"))
         feat_path = os.path.join(out_dir, "features.jsonl")
         if self.train_features is not None:
@@ -175,15 +188,11 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
     its feature file) and training features, which are a kNN model's rows
     unless given. Every check across files runs here, a ValueError naming the
     file: first, before any model file is read, for meta.json settings that
-    are missing, malformed or unable to compute their feature mode (other keys
-    are ignored); then for a cluster model without a sit/stand label per bank
-    cluster, a forest of another class count, or a t outside the bank."""
-    meta_path = os.path.join(os.path.dirname(clusters), "meta.json")
-    meta = load_json_object(meta_path)
-    with model_fields(meta_path):
-        camera = CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None
-        settings = {"window": integral(meta, "window"), "feature_mode": meta["feature_mode"], "camera": camera}
-        _check_feature_mode(settings["feature_mode"], camera)
+    are missing or malformed, cannot compute their feature mode, or have a
+    window below 2 (FeatureSettings.load); then for a cluster model without a
+    sit/stand label per bank cluster, a forest of another class count, or a t
+    outside the bank."""
+    settings = FeatureSettings.load(os.path.join(os.path.dirname(clusters), "meta.json"))
     cluster, bank = ClusterModel.load(clusters), ExemplarBank.load(bank)
     if cluster.labels is None or len(cluster.labels) != bank.k:
         raise ValueError(f"{clusters}: the cluster model must hold sit/stand labels for the bank's {bank.k} clusters")
@@ -200,7 +209,7 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
             x = model.features
     if features is not None:
         frames, x = load_features(features, len(bank.poses))
-    return TrainedModels(cluster, bank, **settings, classifier=model, train_features=x, train_feature_frames=frames)
+    return TrainedModels(cluster, bank, settings, model, train_features=x, train_feature_frames=frames)
 
 
 def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS):
@@ -235,13 +244,7 @@ def _check_lengths(sequences, homographies_per_seq) -> None:
             raise LengthMismatch(f"sequence {n}: {len(hs)} homographies for {len(seq)} poses, need len(poses) - 1")
 
 
-def build_features(
-    sequences,
-    homographies_per_seq,
-    window: int = 30,
-    mode: str = "homography",
-    camera: CameraIntrinsics | None = None,
-):
+def build_features(sequences, homographies_per_seq, settings: FeatureSettings = FeatureSettings()):
     """Motion features of every training frame with a full window.
 
     sequences and homographies_per_seq run in parallel, one homography
@@ -252,7 +255,7 @@ def build_features(
     x_rows, frame_rows = [], []
     offset = 0
     for seq, hs in zip(sequences, homographies_per_seq):
-        x, centers = features_from_homographies(hs, window, mode, camera)
+        x, centers = settings.rows(hs)
         if len(centers):
             x_rows.append(x)
             frame_rows.append(centers + offset)
@@ -288,16 +291,16 @@ def train_models(
     up: np.ndarray = UP_AXIS,
 ) -> TrainedModels:
     """Build the bank (build_bank) and the training features
-    (build_features), then fit the per-frame classifier on those features
-    with each frame's cluster as its class.
+    (build_features) with FeatureSettings(window, feature_mode, camera),
+    then fit the per-frame classifier on those features with each frame's
+    cluster as its class. The settings are checked before the k-means.
     """
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
+    settings = FeatureSettings(window, feature_mode, camera)
     cluster, bank = build_bank(sequences, k, seed, up)
-    features, feature_frames = build_features(sequences, homographies_per_seq, window, feature_mode, camera)
+    features, feature_frames = build_features(sequences, homographies_per_seq, settings)
     model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed, knn_k)
-    return TrainedModels(
-        cluster, bank, window, feature_mode, camera, model, train_features=features, train_feature_frames=feature_frames
-    )
+    return TrainedModels(cluster, bank, settings, model, train_features=features, train_feature_frames=feature_frames)
 
 
 @dataclass
@@ -345,7 +348,7 @@ def infer(
 
     timings = {}
     t0 = time.perf_counter()
-    x, centers = features_from_homographies(hs, models.window, models.feature_mode, models.camera)
+    x, centers = models.settings.rows(hs)
     if not len(centers):
         raise OutOfRange("stream too short for one feature window")
     timings["features_s"] = time.perf_counter() - t0

@@ -18,6 +18,7 @@ import numpy as np
 from egopose import (
     CameraIntrinsics,
     ExemplarBank,
+    FeatureSettings,
     Homography,
     Infeasible,
     KnnIndex,
@@ -29,17 +30,16 @@ from egopose import (
     brute_force,
     energy_of_path,
     estimate_homography,
-    features_from_homographies,
     forest_proba_batch,
     generate,
-    hip_height,
+    hip_heights,
     infer,
     joint_errors,
     kmeans,
     knn_proba,
     normalize_pose,
     prune,
-    rotation_from_homography,
+    rotations_from_homographies,
     sit_stand_threshold,
     solve_exact_dp,
     solve_paper_dp,
@@ -168,7 +168,7 @@ def test_criterion_2_homography_estimation_tolerances(capfd):
         worst_clean = max(worst_clean, float(np.abs(clean.h - true.h).max()))
         noisy = estimate_homography(src, dst + rng.normal(0.0, 0.5 * PIXEL_PITCH, size=dst.shape))
         worst_noisy = max(worst_noisy, float(np.abs(noisy.h - true.h).max()))
-        recovered = rotation_from_homography(true, camera)
+        recovered = rotations_from_homographies([true], camera)[0]
         worst_rot = max(worst_rot, float(np.abs(recovered - rot).max()))
     assert worst_clean < 1e-6, worst_clean
     assert worst_noisy < 1e-2, worst_noisy
@@ -255,7 +255,7 @@ def test_criterion_4_static_term_reduces_label_error(capfd):
     train = generate(MotionScript(train_script, seed=7))
     vecs = np.stack([normalize_pose(p, UP).to_vector() for p in train.poses.poses])
     seg = np.concatenate([np.full(d, i) for i, (_, d) in enumerate(train_script)])
-    hips = np.array([hip_height(v) for v in vecs])
+    hips = hip_heights(vecs)
     theta = sit_stand_threshold(hips)
     cluster_of = np.empty(len(vecs), dtype=int)
     cluster_of[seg == 0] = 0
@@ -280,9 +280,7 @@ def test_criterion_4_static_term_reduces_label_error(capfd):
     ]
     test = generate(MotionScript(test_script, seed=313))
     n = len(test.poses)
-    gt_hips = np.array(
-        [hip_height(normalize_pose(p, UP).to_vector()) for p in test.poses.poses]
-    )
+    gt_hips = hip_heights(np.stack([normalize_pose(p, UP).to_vector() for p in test.poses.poses]))
     tseg = np.concatenate([np.full(d, i) for i, (_, d) in enumerate(test_script)])
     # classifier stand-in for the ambiguous-dynamics regime: every idle window
     # gets the same sitting-leaning row regardless of the true side (lean 0.06
@@ -498,7 +496,7 @@ def test_criterion_7_module_invariants(capfd, tmp_path):
     # pipeline: the valid-center window arithmetic
     assert np.array_equal(valid_feature_centers(100, 30), np.arange(14, 85))
     assert len(valid_feature_centers(29, 30)) == 0
-    feats, centers = features_from_homographies(r1.homographies, window=4)
+    feats, centers = FeatureSettings(window=4).rows(r1.homographies)
     assert feats.shape == (len(centers), 9 * 3)
 
     # cli: the synth entry point runs end to end

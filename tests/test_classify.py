@@ -445,8 +445,8 @@ def test_knn_exact_match_single_neighbor():
     x = rng.normal(size=(50, 6))
     y = rng.integers(0, 12, size=50)
     y[17] = 9
-    model = KnnModel(x, y, 12)
-    probs = knn_proba(model, x[17][None], k=1)[0]
+    model = KnnModel(x, y, 12, k=1)
+    probs = knn_proba(model, x[17][None])[0]
     assert probs[9] == 1.0
 
 
@@ -454,8 +454,8 @@ def test_knn_full_vote_gives_class_frequencies():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(40, 4))
     y = rng.integers(0, 5, size=40)
-    model = KnnModel(x, y, 5)
-    probs = knn_proba(model, rng.normal(size=4)[None], k=40)[0]
+    model = KnnModel(x, y, 5, k=40)
+    probs = knn_proba(model, rng.normal(size=4)[None])[0]
     freq = np.bincount(y, minlength=5) / 40.0
     assert np.allclose(probs, freq)
 
@@ -589,20 +589,18 @@ def test_knn_k_below_one_is_rejected():
             KnnModel(np.eye(3), [0, 1, 2], 3, k)
         with pytest.raises(ValueError):
             model.index().query_batch(np.zeros((2, 3)), k)
-        with pytest.raises(ValueError):
-            knn_proba(model, np.zeros((1, 3)), k)
 
 
 def test_knn_batch_matches_single_queries():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(300, 20))
     y = rng.integers(0, 7, size=300)
-    model = KnnModel(x, y, 7)
+    model = KnnModel(x, y, 7, k=9)
     q = np.concatenate([rng.normal(size=(40, 20)), x[:3]])
-    probs = knn_proba(model, q, k=9)
+    probs = knn_proba(model, q)
     assert probs.shape == (43, 7)
     for v, row in zip(q, probs):
-        assert np.array_equal(row, knn_proba(model, v[None], k=9)[0])
+        assert np.array_equal(row, knn_proba(model, v[None])[0])
     low_dim = KnnIndex(rng.normal(size=(300, 3)))
     vs = rng.normal(size=(10, 3))
     assert np.array_equal(low_dim.query_batch(vs, 4), np.concatenate([low_dim.query_batch(v[None], 4) for v in vs]))

@@ -7,6 +7,7 @@ objects on stderr, and byte-identical rerun determinism.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -484,6 +485,27 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"the README command egopose {shlex.join(argv)} does not parse")
+
+
+def test_readme_python_names_resolve():
+    """Every name the README's `from egopose import (...)` block imports, and
+    every backticked `pipeline.`, `egopose.`, `records.` or `geometry.` name,
+    exists, so a removed function cannot linger in the docs. Nothing runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^from egopose import \((.*?)\)", readme, re.M | re.S)
+    imported = [name for block in blocks for name in re.findall(r"\w+", re.sub(r"#.*", "", block))]
+    assert imported
+    missing = [name for name in imported if not hasattr(egopose, name)]
+    named = re.findall(r"`((?:pipeline|egopose|records|geometry)(?:\.\w+)+)", readme)
+    assert named
+    for dotted in named:
+        head, *attrs = dotted.split(".")
+        obj = egopose if head == "egopose" else importlib.import_module(f"egopose.{head}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(dotted)
+    assert not missing, f"the README names {missing}, which egopose does not define"
 
 
 def test_usage_errors_exit_2(workspace):
@@ -1260,7 +1282,7 @@ def test_infer_decodes_with_the_feature_settings_the_model_was_built_with(worksp
     capsys.readouterr()
     energy, files = _decode_over(workspace, d, capsys, "--classifier-model", "{d}/forest.json")
     models = egopose.TrainedModels.load(d)
-    assert (models.window, models.feature_mode, models.camera) == (8, "rotation", default_camera())
+    assert models.settings == egopose.FeatureSettings(8, "rotation", default_camera())
     hs = load_homographies(data / "homographies.jsonl")
     result = egopose.infer(hs, models, egopose.load_static(data / "static_h.jsonl"), _path_params(DEFAULT_CONFIG))
     result.path.save(tmp_path / "path.jsonl", models.bank)
@@ -1272,20 +1294,24 @@ def test_infer_decodes_with_the_feature_settings_the_model_was_built_with(worksp
 
 def test_cluster_rotation_features_without_a_camera_exit_3_before_writing(workspace, tmp_path, capsys):
     """cluster records its feature settings even without homography streams,
-    so it checks them before it writes anything."""
+    so it checks them before it writes anything: rotation features without a
+    camera, and a window below 2."""
     data = workspace["data"]
-    out = ["--feature-mode", "rotation", "--k", "8", "--out", str(tmp_path / "m" / "clusters.json")]
-    for streams in ([], ["--homographies", str(data / "homographies.jsonl")]):
-        assert main(["cluster", "--poses", str(data / "poses.jsonl"), *streams, *out]) == 3
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err == {"error": "ValueError", "message": "rotation features need camera intrinsics"}
+    out = ["--k", "8", "--out", str(tmp_path / "m" / "clusters.json")]
+    bad = [(["--feature-mode", "rotation"], "ValueError", "rotation features need camera intrinsics")]
+    bad += [(["--window", w], "OutOfRange", f"window must be at least 2, got {w}") for w in ("1", "0", "-1")]
+    for settings, error, message in bad:
+        for streams in ([], ["--homographies", str(data / "homographies.jsonl")]):
+            assert main(["cluster", "--poses", str(data / "poses.jsonl"), *streams, *settings, *out]) == 3
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err == {"error": error, "message": message}
     assert os.listdir(tmp_path) == []
 
 
 def test_model_files_without_meta_json_exit_3_naming_it(workspace, tmp_path, capsys):
     """Model files whose cluster model has no meta.json beside it, as cluster
     wrote them before it recorded its feature settings, are not decoded
-    with guessed settings."""
+    with guessed settings; nor are they with a recorded window below 2."""
     d = tmp_path / "models"
     shutil.copytree(workspace["models"], d)
     (d / "meta.json").unlink()
@@ -1296,6 +1322,12 @@ def test_model_files_without_meta_json_exit_3_naming_it(workspace, tmp_path, cap
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "FileNotFoundError" and str(d / "meta.json") in err["message"]
     assert not (tmp_path / "p.jsonl").exists()
+    for window in (1, 0, -1):
+        (d / "meta.json").write_text(json.dumps({"window": window, "feature_mode": "homography"}))
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": f"{d / 'meta.json'}: window must be at least 2, got {window}"}
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 def test_knn_files_decode_as_the_library_bundle(workspace, tmp_path, capsys):

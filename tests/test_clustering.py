@@ -11,7 +11,6 @@ from egopose.clustering import (
     SitStand,
     assign_clusters,
     build_neighbor_graph,
-    hip_height,
     hip_heights,
     kmeans,
     label_clusters,
@@ -260,8 +259,7 @@ def test_assign_cluster_matches_linear_scan():
 
 
 def test_hip_height_of_templates():
-    stand = hip_height(template_vector(STAND_TEMPLATE))
-    sit = hip_height(template_vector(SIT_TEMPLATE))
+    stand, sit = hip_heights(np.stack([template_vector(STAND_TEMPLATE), template_vector(SIT_TEMPLATE)]))
     # standing hips sit far above the ankles; roughly half a unit for a
     # 1.7 m figure with 0.3 m shoulders
     assert 0.3 < stand < 0.8
@@ -281,7 +279,7 @@ def test_hip_heights_equal_the_per_pose_reference():
     x = rng.normal(size=(5000, 75)) * 10.0 ** rng.uniform(-3, 3, size=(5000, 1))
     want = np.array([_reference_hip_height(v) for v in x])
     assert np.array_equal(hip_heights(x), want)
-    assert hip_height(x[17]) == want[17]
+    assert hip_heights(x[17:18])[0] == want[17]
     assert hip_heights(np.zeros((0, 75))).shape == (0,)
 
 

@@ -15,7 +15,7 @@ from egopose.geometry import (
     feature_windows,
     load_correspondences,
     load_homographies,
-    rotation_from_homography,
+    rotations_from_homographies,
     save_correspondences,
     save_homographies,
 )
@@ -122,7 +122,7 @@ def test_rotation_with_identity_intrinsics():
     r0 = rot_xyz(0.1, -0.2, 0.3)
     h = Homography.from_matrix(r0)
     k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-    assert np.abs(rotation_from_homography(h, k) - r0).max() < 1e-9
+    assert np.abs(rotations_from_homographies([h], k)[0] - r0).max() < 1e-9
 
 
 def test_rotation_round_trip_generic_intrinsics():
@@ -131,12 +131,12 @@ def test_rotation_round_trip_generic_intrinsics():
     for _ in range(20):
         r0 = rot_xyz(*rng.uniform(-0.5, 0.5, size=3))
         h = Homography.from_matrix(k.k @ r0 @ np.linalg.inv(k.k))
-        assert np.abs(rotation_from_homography(h, k) - r0).max() < 1e-6
+        assert np.abs(rotations_from_homographies([h], k)[0] - r0).max() < 1e-6
 
 
 def test_rotation_identity_homography():
     k = CameraIntrinsics(fx=1.1, fy=0.9, cx=0.5, cy=0.4)
-    got = rotation_from_homography(Homography(np.eye(3)), k)
+    got = rotations_from_homographies([Homography(np.eye(3))], k)[0]
     assert np.abs(got - np.eye(3)).max() < 1e-12
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from egopose import (
     CameraIntrinsics,
+    FeatureSettings,
     Frame,
     Homography,
     LengthMismatch,
@@ -20,7 +21,6 @@ from egopose import (
     PoseSequence,
     SingularMatrix,
     TrainedModels,
-    features_from_homographies,
     generate,
     infer,
     load_features,
@@ -35,7 +35,7 @@ from egopose.geometry import feature_windows, rotations_from_homographies
 import egopose.evaluation as evaluation
 import egopose.pathopt as pathopt
 import egopose.pipeline as pipeline
-from egopose.classify import ForestModel, KnnModel
+from egopose.classify import ForestModel, KnnModel, knn_proba
 from egopose.clustering import ExemplarBank, hip_heights, sit_stand_threshold
 from egopose.costs import prune, unary_costs
 from egopose.errors import Infeasible
@@ -87,7 +87,7 @@ def test_valid_feature_centers_bounds():
 
 def test_features_match_manual_concatenation():
     hs = make_homographies(12, seed=1)
-    x, centers = features_from_homographies(hs, window=4)
+    x, centers = FeatureSettings(window=4).rows(hs)
     assert x.shape == (len(centers), 9 * 3)
     for row, c in zip(x, centers):
         start = c - 1  # (window - 1) // 2 homographies to the left
@@ -97,7 +97,7 @@ def test_features_match_manual_concatenation():
 
 def test_features_explicit_centers_subset():
     hs = make_homographies(12, seed=2)
-    full, centers = features_from_homographies(hs, window=4)
+    full, centers = FeatureSettings(window=4).rows(hs)
     some = feature_windows(hs, [3, 7], 4)
     lookup = {c: row for c, row in zip(centers, full)}
     assert np.allclose(some[0], lookup[3])
@@ -107,15 +107,14 @@ def test_features_explicit_centers_subset():
 def test_rotation_features_need_camera():
     hs = make_homographies(8, seed=3, scale=0.005)
     with pytest.raises(ValueError):
-        features_from_homographies(hs, window=4, mode="rotation")
-    from egopose import rotation_from_homography
+        FeatureSettings(window=4, mode="rotation")
     from egopose.synth import default_camera
 
     cam = default_camera()
-    x, centers = features_from_homographies(hs, window=4, mode="rotation", camera=cam)
+    x, centers = FeatureSettings(window=4, mode="rotation", camera=cam).rows(hs)
     for row, c in zip(x, centers):
         expected = np.concatenate(
-            [rotation_from_homography(hs[i], cam).reshape(-1) for i in range(c - 1, c + 2)]
+            [rotations_from_homographies([hs[i]], cam)[0].reshape(-1) for i in range(c - 1, c + 2)]
         )
         assert np.allclose(row, expected)
 
@@ -123,7 +122,7 @@ def test_rotation_features_need_camera():
 def test_unknown_feature_mode_rejected():
     hs = make_homographies(6)
     with pytest.raises(ValueError):
-        features_from_homographies(hs, window=4, mode="affine")
+        FeatureSettings(window=4, mode="affine").rows(hs)
 
 
 def _reference_rotation(h, camera):
@@ -166,10 +165,10 @@ def _reference_features(hs, window=30, mode="homography", camera=None, centers=N
 
 
 def _features(hs, window=30, mode="homography", camera=None, centers=None):
-    """features_from_homographies at every center whose window fits, or
+    """FeatureSettings.rows at every center whose window fits, or
     feature_windows over the same maps at chosen centers."""
     if centers is None:
-        return features_from_homographies(hs, window, mode, camera)
+        return FeatureSettings(window, mode, camera).rows(hs)
     maps = rotations_from_homographies(hs, camera) if mode == "rotation" else hs
     return feature_windows(maps, centers, window), np.asarray(centers, dtype=int)
 
@@ -341,6 +340,7 @@ def test_train_models_knn_classifier():
     assert models.classifier.features is models.train_features  # held once
     assert models.classifier.k == 7
     probs = models.cluster_probs(models.train_features[:4])
+    assert np.array_equal(probs, knn_proba(models.classifier, models.train_features[:4]))  # the model's own k
     assert probs.shape == (4, 5)
     assert np.allclose(probs.sum(axis=1), 1.0)
     with pytest.raises(ValueError):
@@ -354,8 +354,7 @@ def test_trained_models_save_load_parity(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta == {"window": 8, "feature_mode": "homography"}
     again = TrainedModels.load(tmp_path)
-    assert again.window == models.window
-    assert again.feature_mode == models.feature_mode
+    assert again.settings == models.settings
     assert isinstance(again.classifier, ForestModel)
     assert np.array_equal(again.bank.cluster_of, models.bank.cluster_of)
     assert np.array_equal(again.bank.sequence_breaks, models.bank.sequence_breaks)
@@ -391,6 +390,9 @@ def test_trained_models_save_load_parity(tmp_path):
         {"camera": {"fx": 1.0, "fy": "1.1", "cx": 0.5, "cy": 0.4}},
         {"camera": {"fx": 1.0, "fy": 1.0, "cx": 0.5, "cy": 0.4, "focal": 1.0}},
         {"window": {"n": 8}},
+        {"window": 1},
+        {"window": 0},
+        {"window": -1},
     ],
 )
 def test_trained_models_meta_of_the_wrong_shape_names_the_file(tmp_path, meta):
@@ -469,7 +471,7 @@ def test_load_models_builds_the_classifier_the_file_holds(tmp_path, knn_bundle):
     files = [str(tmp_path / name) for name in ("clusters.json", "bank.json")]
     got = load_models(*files, tmp_path / "forest.json")
     assert isinstance(got.classifier, ForestModel) and got.train_features is None
-    assert (got.window, got.feature_mode, got.camera) == (8, "homography", None)  # the meta.json beside clusters.json
+    assert got.settings == FeatureSettings(8, "homography", None)  # the meta.json beside clusters.json
     for name in ("feat", "thresh", "right", "leaf_count"):
         assert np.array_equal(getattr(got.classifier, name), getattr(forest, name))
     got = load_models(*files, tmp_path / "knn.json")
@@ -555,7 +557,7 @@ def test_knn_bundle_must_hold_its_training_features(tmp_path, knn_bundle):
 
 
 def test_path_solvers_name_a_missing_classifier(tmp_path, trained, test_stream):
-    bare = TrainedModels(trained.cluster, trained.bank, window=trained.window)
+    bare = TrainedModels(trained.cluster, trained.bank, trained.settings)
     for solver in ("paper", "exact", "path-cluster"):
         with pytest.raises(ValueError, match="classifier"):
             infer(test_stream.homographies, bare, solver=solver)
@@ -586,7 +588,7 @@ def test_stream():
 def test_infer_paper_returns_full_cover(trained, test_stream):
     result = infer(test_stream.homographies, trained, static_h=test_stream.static_h)
     n_frames = len(test_stream.homographies) + 1
-    expected_centers = valid_feature_centers(n_frames, trained.window)
+    expected_centers = valid_feature_centers(n_frames, trained.settings.window)
     assert np.array_equal(result.centers, expected_centers)
     assert len(result.poses) == len(expected_centers)
     assert result.path is not None
@@ -703,7 +705,7 @@ def _reference_relaxed_decode(hs, models, static_h, params):
     a trellis and run the DP at each threshold t, t/10, ... (0 once below
     1e-6) until the DP stops raising Infeasible. Returns (path, retries,
     the threshold of the path)."""
-    x, centers = features_from_homographies(hs, models.window, models.feature_mode, models.camera)
+    x, centers = models.settings.rows(hs)
     dists, bank = models.cluster_probs(x), models.bank
     costs = unary_costs(dists, static_h[centers], bank, models.cluster.labels, params)
     thr, retries = params.prune_threshold, 0

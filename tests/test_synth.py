@@ -24,7 +24,7 @@ from egopose import (
     load_pose_sequence,
     load_static,
     normalize_pose,
-    rotation_from_homography,
+    rotations_from_homographies,
 )
 from egopose.synth import (
     POINTS_PER_FRAME,
@@ -155,7 +155,7 @@ def test_sit_down_pitches_camera_monotonically():
     out = generate(quiet([("sit_down", 30)]))
     steps = []
     for h in out.homographies:
-        r = rotation_from_homography(h, cam)
+        r = rotations_from_homographies([h], cam)[0]
         # a forward lean is a rotation about the camera's right (x) axis
         angle = math.atan2(r[2, 1], r[2, 2])
         off_axis = abs(r[0, 1]) + abs(r[0, 2]) + abs(r[1, 0]) + abs(r[2, 0])
