@@ -21,8 +21,7 @@ within a proven rounding margin, and only the rows those bounds cannot rule
 out get the exact distance, the row sum of (point - v) ** 2; ties go to the
 lower training index. Training features are kept one {t, v} row per frame, t
 indexing the bank pose whose cluster is the row's class. A static per-frame
-sitting probability h can be read from file or held at the uninformative
-constant 0.5.
+sitting probability h is read from file and checked here.
 """
 
 from __future__ import annotations
@@ -241,8 +240,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, idx: np.ndarray, rng, n_classes: in
 def train_forest(
     features: np.ndarray,
     classes: np.ndarray,
-    n_trees: int = 100,
-    seed: int = 0,
+    n_trees: int,
+    seed: int,
     n_classes: int | None = None,
 ) -> ForestModel:
     """Train a bootstrap forest, with its out-of-bag accuracy; deterministic
@@ -436,7 +435,7 @@ class KnnModel:
     features: np.ndarray
     classes: np.ndarray
     n_classes: int
-    k: int = 30
+    k: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -521,11 +520,6 @@ def load_features(path, n_poses: int):
 
 # ---------------------------------------------------------------------------
 # static sitting probability and the frame verdict
-
-
-def constant_static(n_frames: int, value: float = 0.5) -> np.ndarray:
-    """Uninformative static provider: h == value for every frame."""
-    return np.full(n_frames, float(value))
 
 
 def check_static(h) -> np.ndarray:

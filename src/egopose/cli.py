@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import sys
@@ -38,6 +39,7 @@ from .pipeline import (
     infer,
     load_models,
     normalized_matrix,
+    train_models,
 )
 from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
@@ -45,17 +47,19 @@ from .synth import MotionScript, generate
 
 # config key of each PathParams field: its own name, but "prune" for prune_threshold
 _PARAM_FIELDS = {("prune" if f.name == "prune_threshold" else f.name): f.name for f in fields(PathParams)}
+# the other defaults, each read from its one owner: FeatureSettings and train_models' signature
+_TRAIN = inspect.signature(train_models).parameters
 DEFAULT_CONFIG = {
     **{key: getattr(PathParams(), name) for key, name in _PARAM_FIELDS.items()},
-    "k": 300,
-    "window": 30,
-    "feature_mode": "homography",
-    "trees": 100,
-    "knn_k": 30,
-    "seed": 0,
+    "k": _TRAIN["k"].default,
+    "window": FeatureSettings.window,
+    "feature_mode": FeatureSettings.mode,
+    "trees": _TRAIN["n_trees"].default,
+    "knn_k": _TRAIN["knn_k"].default,
+    "seed": _TRAIN["seed"].default,
 }
-# config keys read as integral numbers; the other numbers may be fractional
-_INTEGRAL_KEYS = ("k", "window", "trees", "knn_k", "seed")
+# config keys read as integral numbers: those whose default is an int; the other numbers may be fractional
+_INTEGRAL_KEYS = {key for key, val in DEFAULT_CONFIG.items() if type(val) is int}
 
 
 def _fail(err, code):

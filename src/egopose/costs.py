@@ -3,12 +3,12 @@
 The cost of exemplar pose i of cluster c at frame n is e = 1 - probs_n[c] +
 d_{n,c}, where d adds delta when a confident static sitting probability h_n
 contradicts c's label (h >= tau says sitting but c is standing-like, or
-h <= 1 - tau says standing but c is sitting-like). delta, tau and the prune
-threshold are fields of the one pathopt.PathParams, so U's delta is T's.
-As e depends on a pose only through its cluster, unary_costs returns a
-pathopt.Trellis over one (N, K) table of it, whose columns are the clusters,
-with every column kept. prune keeps that table and replaces only the (N, K)
-keep mask: one comparison of the cluster probabilities against the threshold.
+h <= 1 - tau says standing but c is sitting-like). delta and tau are fields
+of the one pathopt.PathParams, so U's delta is T's. As e depends on a pose
+only through its cluster, unary_costs returns a pathopt.Trellis over one
+(N, K) table of it, whose columns are the clusters, with every column kept.
+prune keeps that table and replaces only the (N, K) keep mask: one
+comparison of the cluster probabilities against a threshold it is given.
 """
 
 from __future__ import annotations
@@ -59,24 +59,26 @@ def unary_costs(
     return Trellis(table, bank.cluster_of, np.broadcast_to(True, table.shape), bank)
 
 
-def prune(costs: Trellis, dists: np.ndarray, bank: ExemplarBank, params: PathParams = PathParams()) -> Trellis:
-    """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold.
+def prune(costs: Trellis, dists: np.ndarray, threshold: float) -> Trellis:
+    """Drop pose i at frame n iff probs_n[c(p_i)] <= threshold, which must
+    lie in [0, 1) (ValueError otherwise, NaN included).
 
-    costs must be unary_costs' trellis, which keeps every bank pose at every
-    frame. A threshold of exactly 0 disables pruning and returns costs itself.
-    Otherwise the result shares costs' table and keeps, per frame, the
-    clusters above the threshold. A frame where none of those has a member
-    pose keeps the whole most probable cluster that has one (ties -> the
-    smaller cluster id).
+    costs must be unary_costs' trellis, which keeps every pose of its bank at
+    every frame. A threshold of exactly 0 disables pruning and returns costs
+    itself. Otherwise the result shares costs' table and keeps, per frame,
+    the clusters above the threshold. A frame where none of those has a
+    member pose keeps the whole most probable cluster that has one (ties ->
+    the smaller cluster id).
     """
-    thr = params.prune_threshold
-    if thr == 0.0:
+    if not (0.0 <= threshold < 1.0):
+        raise ValueError("prune threshold must lie in [0, 1)")
+    if threshold == 0.0:
         return costs
-    if costs.column_of is not bank.cluster_of or not costs.keep.all():
+    if costs.column_of is not costs.bank.cluster_of or not costs.keep.all():
         raise ValueError("prune needs unary_costs' trellis, which keeps every bank pose at every frame")
     dists = np.asarray(dists, dtype=float)
     held = costs.cluster_of_column >= 0  # the clusters with member poses
-    keep = (dists > thr) & held
+    keep = (dists > threshold) & held
     lost = np.flatnonzero(~keep.any(axis=1))
     keep[lost, np.where(held, dists[lost], -np.inf).argmax(axis=1)] = True
     return replace(costs, keep=keep)

@@ -105,11 +105,14 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
 
 def _point_pairs(src, dst):
     """src and dst as float arrays; ValueError unless they are matching
-    (n, 2) arrays of numbers."""
+    (n, 2) arrays of finite numbers (a NaN or infinite coordinate would
+    reach the SVD)."""
     src = number_array(src, "src")
     dst = number_array(dst, "dst")
     if src.ndim != 2 or src.shape[1] != 2 or src.shape != dst.shape:
         raise ValueError("src and dst must be matching (n, 2) arrays")
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise ValueError("src and dst coordinates must be finite")
     return src, dst
 
 
@@ -126,7 +129,8 @@ def estimate_homography(src: np.ndarray, dst: np.ndarray) -> Homography:
 
     Raises
     ------
-    InsufficientPoints, DegenerateConfiguration, NormalizationFailure.
+    ValueError for points that are no matching (n, 2) arrays of finite
+    numbers; InsufficientPoints, DegenerateConfiguration, NormalizationFailure.
     """
     src, dst = _point_pairs(src, dst)
     n = len(src)
@@ -185,7 +189,7 @@ def rotations_from_homographies(hs, k: CameraIntrinsics) -> np.ndarray:
     return m / np.cbrt(det)[:, None, None]
 
 
-def feature_windows(maps, centers, window: int = 30) -> np.ndarray:
+def feature_windows(maps, centers, window: int) -> np.ndarray:
     """(len(centers), 9 * (window - 1)) rows, each the maps of one center's
     window flattened row-major in time order; maps[i], a Homography or 3x3
     array, maps frame i to frame i + 1, and the window of center c spans frames

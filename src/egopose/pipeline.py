@@ -17,16 +17,16 @@ centroids and bank poses as JSON text, is rejected naming clusters.json.
 
 from __future__ import annotations
 
+import operator
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .classify import (
     ForestModel,
     KnnModel,
-    constant_static,
     forest_proba_batch,
     knn_proba,
     load_features,
@@ -61,7 +61,7 @@ UP_AXIS = np.array([0.0, 0.0, 1.0])
 SOLVERS = ("paper", "exact", "path-cluster", "kdtree", "always-standing", "always-sitting")
 
 
-def valid_feature_centers(n_frames: int, window: int = 30) -> np.ndarray:
+def valid_feature_centers(n_frames: int, window: int) -> np.ndarray:
     """Frame indices whose feature window fits inside the stream."""
     first = (window - 1) // 2
     last = (n_frames - 1) - (window // 2)
@@ -77,7 +77,8 @@ class FeatureSettings:
     "homography"), or of the camera rotations they give through the
     intrinsics (mode "rotation", which needs camera). Checked when built:
     ValueError for an unknown mode, then for rotation without a camera, then
-    OutOfRange for a window below 2."""
+    TypeError for a window that is no integer (np.int64(8) reads as 8), and
+    OutOfRange for one below 2."""
 
     window: int = 30
     mode: str = "homography"
@@ -88,6 +89,7 @@ class FeatureSettings:
             raise ValueError(f"unknown feature mode {self.mode!r}")
         if self.mode == "rotation" and self.camera is None:
             raise ValueError("rotation features need camera intrinsics")
+        object.__setattr__(self, "window", operator.index(self.window))  # frozen: set once, here
         if self.window < 2:
             raise OutOfRange(f"window must be at least 2, got {self.window}")
 
@@ -120,11 +122,12 @@ class FeatureSettings:
                 raise ValueError(str(e)) from e
 
 
-def normalized_matrix(seq: PoseSequence, up: np.ndarray = UP_AXIS) -> np.ndarray:
-    """Wearer-local (n, 75) matrix; sensor-frame poses get normalized."""
+def normalized_matrix(seq: PoseSequence) -> np.ndarray:
+    """Wearer-local (n, 75) matrix; sensor-frame poses get normalized about
+    UP_AXIS, the +z up of every pose file."""
     if seq.frame == Frame.WEARER_LOCAL:
         return seq.as_matrix()
-    return normalize_poses(seq.joints, up).reshape(-1, 75)
+    return normalize_poses(seq.joints, UP_AXIS).reshape(-1, 75)
 
 
 def _classifier_kind(model) -> str:
@@ -212,7 +215,7 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
     return TrainedModels(cluster, bank, settings, model, train_features=x, train_feature_frames=frames)
 
 
-def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS):
+def build_bank(sequences, k: int, seed: int):
     """Cluster the training poses, label the clusters sitting- or
     standing-like, and build the exemplar bank with its neighbor graph.
 
@@ -225,7 +228,7 @@ def build_bank(sequences, k: int = 300, seed: int = 0, up: np.ndarray = UP_AXIS)
     for seq in sequences:
         if offset > 0:
             breaks.append(offset)
-        mats.append(normalized_matrix(seq, up))
+        mats.append(normalized_matrix(seq))
         offset += len(seq)
     all_poses = np.vstack(mats)
 
@@ -281,14 +284,13 @@ def train_models(
     sequences,
     homographies_per_seq,
     k: int = 300,
-    window: int = 30,
-    feature_mode: str = "homography",
+    window: int = FeatureSettings.window,
+    feature_mode: str = FeatureSettings.mode,
     camera: CameraIntrinsics | None = None,
     classifier: str = "forest",
     n_trees: int = 100,
     knn_k: int = 30,
     seed: int = 0,
-    up: np.ndarray = UP_AXIS,
 ) -> TrainedModels:
     """Build the bank (build_bank) and the training features
     (build_features) with FeatureSettings(window, feature_mode, camera),
@@ -297,7 +299,7 @@ def train_models(
     """
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
     settings = FeatureSettings(window, feature_mode, camera)
-    cluster, bank = build_bank(sequences, k, seed, up)
+    cluster, bank = build_bank(sequences, k, seed)
     features, feature_frames = build_features(sequences, homographies_per_seq, settings)
     model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed, knn_k)
     return TrainedModels(cluster, bank, settings, model, train_features=features, train_feature_frames=feature_frames)
@@ -340,9 +342,7 @@ def infer(
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     n_frames = len(hs) + 1
-    if static_h is None:
-        static_h = constant_static(n_frames)
-    static_h = np.asarray(static_h, dtype=float)
+    static_h = np.full(n_frames, 0.5) if static_h is None else np.asarray(static_h, dtype=float)
     if len(static_h) != n_frames:
         raise LengthMismatch(f"{len(static_h)} static values for {n_frames} frames")
 
@@ -366,11 +366,11 @@ def infer(
     if solver in ("paper", "exact", "path-cluster"):
         costs = unary_costs(dists, static_h[centers], bank, labels, params)
         thr, retries = params.prune_threshold, 0
-        trellis = prune(costs, dists, bank, params)
+        trellis = prune(costs, dists, thr)
         while thr > 0.0 and not trellis.admits_path():
             thr = 0.0 if thr < 1e-6 else thr / 10.0
             retries += 1
-            trellis = prune(costs, dists, bank, replace(params, prune_threshold=thr))
+            trellis = prune(costs, dists, thr)
         timings["costs_s"] = time.perf_counter() - t0
         timings["prune_retries"] = retries
         t0 = time.perf_counter()

@@ -108,10 +108,12 @@ def number_array(values, name: str) -> np.ndarray:
 
 
 def write_json_object(path, rec, indent=None) -> None:
-    """Write one JSON object; json.dumps runs the C encoder (when indent is
-    None), which json.dump never uses, and writes the same bytes."""
+    """Write one JSON object, encoded before the file is opened (a record
+    that cannot be leaves the file as it was); json.dumps runs the C encoder
+    (when indent is None), which json.dump never uses, and writes the same bytes."""
+    text = json.dumps(rec, indent=indent)
     with open(path, "w") as f:
-        f.write(json.dumps(rec, indent=indent))
+        f.write(text)
 
 
 def write_records(path, records) -> None:

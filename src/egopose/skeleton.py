@@ -94,36 +94,33 @@ class Pose:
 
 
 class PoseSequence:
-    """N equally spaced poses sharing one frame tag: joints (N, 25, 3), all
-    finite, and a positive, finite frame_rate_hz, checked once. of() takes
-    the array; PoseSequence(poses) stacks Pose objects (FrameMismatch when
-    their tags differ; none is sensor-frame); seq[i], .poses read it back."""
+    """N poses sharing one frame tag: joints (N, 25, 3), all finite, checked
+    once. of() takes the array; PoseSequence(poses) stacks Pose objects
+    (FrameMismatch when their tags differ; none is sensor-frame); seq[i],
+    .poses read it back."""
 
-    def __init__(self, poses=(), frame_rate_hz: float = 30.0):
+    def __init__(self, poses=()):
         frames = {p.frame for p in poses}
         if len(frames) > 1:
             raise FrameMismatch("sequence mixes frame tags")
         joints = np.array([p.joints for p in poses]).reshape(-1, N_JOINTS, 3)
-        self._set(joints, frames.pop() if frames else Frame.SENSOR, frame_rate_hz)
+        self._set(joints, frames.pop() if frames else Frame.SENSOR)
 
     @classmethod
-    def of(cls, joints, frame: Frame, frame_rate_hz: float = 30.0) -> "PoseSequence":
+    def of(cls, joints, frame: Frame) -> "PoseSequence":
         """The sequence of an (N, 25, 3) or (N, 75) float array, not copied."""
         seq = cls.__new__(cls)
-        seq._set(joints, frame, frame_rate_hz)
+        seq._set(joints, frame)
         return seq
 
-    def _set(self, joints, frame: Frame, frame_rate_hz: float) -> None:
+    def _set(self, joints, frame: Frame) -> None:
         joints = np.asarray(joints, dtype=float)
         if joints.shape[1:] not in ((N_JOINTS, 3), (3 * N_JOINTS,)):
             raise ValueError(f"expected (N, 25, 3) or (N, 75) joints, got {joints.shape}")
         if not np.isfinite(joints).all():
             raise ValueError("joint coordinates must be finite")
-        if not (0 < frame_rate_hz < np.inf):
-            raise ValueError(f"frame_rate_hz must be positive and finite, got {frame_rate_hz}")
         self.joints = joints.reshape(-1, N_JOINTS, 3)
         self.frame = Frame(frame)
-        self.frame_rate_hz = frame_rate_hz
 
     def __len__(self):
         return len(self.joints)
@@ -202,13 +199,13 @@ def save_pose_sequence(path, seq: PoseSequence, times=None) -> None:
     write_records(path, ({"t": t, "frame": tag, "joints": j.tolist()} for t, j in zip(times.tolist(), seq.joints)))
 
 
-def load_pose_sequence(path, frame_rate_hz: float = 30.0) -> PoseSequence:
+def load_pose_sequence(path) -> PoseSequence:
     """Read a pose JSONL file; frame indices must be strictly increasing."""
-    seq, _ = load_pose_sequence_with_times(path, frame_rate_hz)
+    seq, _ = load_pose_sequence_with_times(path)
     return seq
 
 
-def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
+def load_pose_sequence_with_times(path):
     """Like load_pose_sequence but also returns the stored frame indices. A
     bad record raises ValueError naming path:line; mixed tags FrameMismatch."""
     times, frames = [], set()
@@ -226,4 +223,4 @@ def load_pose_sequence_with_times(path, frame_rate_hz: float = 30.0):
     if len(frames) > 1:
         raise FrameMismatch("sequence mixes frame tags")
     frame = frames.pop() if frames else Frame.SENSOR
-    return PoseSequence.of(rows, frame, frame_rate_hz), np.array(times, dtype=int)
+    return PoseSequence.of(rows, frame), np.array(times, dtype=int)

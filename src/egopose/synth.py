@@ -41,6 +41,7 @@ class Primitive(str, Enum):
 _STANDING_ONLY = {Primitive.STAND_IDLE, Primitive.WALK, Primitive.TURN_LEFT, Primitive.TURN_RIGHT}
 
 # kinematic constants (meters, seconds, degrees)
+FRAME_RATE_HZ = 30.0
 WALK_CYCLE_HZ = 1.0  # one full gait cycle per second
 WALK_SPEED = 1.2
 WALK_ARM_SWING = 0.16  # wrist amplitude along the facing direction
@@ -217,7 +218,7 @@ class SynthResult:
         manifest = {
             "files": files,
             "frames": len(self.poses),
-            "frame_rate_hz": self.poses.frame_rate_hz,
+            "frame_rate_hz": FRAME_RATE_HZ,
             "seed": self.script.seed,
             "segments": [[p.value, d] for p, d in self.script.segments],
             "joint_jitter": self.script.joint_jitter,
@@ -248,17 +249,16 @@ def _rot_x(a):
 _CAM_IN_BODY = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 
 
-def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame_rate_hz: float = 30.0) -> SynthResult:
-    """Run the script through the keyframe model.
+def generate(script: MotionScript) -> SynthResult:
+    """Run the script through the keyframe model at FRAME_RATE_HZ, seen by
+    the default_camera().
 
     Deterministic for a fixed script (seed included). Returns ground-truth
     poses in the sensor frame, exact relative-rotation homographies, noisy
     correspondences, the scripted static h, and per-frame sit labels.
     """
-    if camera is None:
-        camera = default_camera()
+    camera = default_camera()
     rng = np.random.default_rng(script.seed)
-    fps = frame_rate_hz
     n_frames = script.n_frames
 
     # per-frame kinematic state
@@ -292,15 +292,15 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
             else:
                 static_h[n] = STATIC_H_SIT if seated else STATIC_H_STAND
             if prim == Primitive.WALK:
-                phase += 2.0 * np.pi * WALK_CYCLE_HZ / fps
+                phase += 2.0 * np.pi * WALK_CYCLE_HZ / FRAME_RATE_HZ
                 gait[n] = phase
-                cur_x += WALK_SPEED / fps * np.cos(cur_yaw)
-                cur_y += WALK_SPEED / fps * np.sin(cur_yaw)
+                cur_x += WALK_SPEED / FRAME_RATE_HZ * np.cos(cur_yaw)
+                cur_y += WALK_SPEED / FRAME_RATE_HZ * np.sin(cur_yaw)
                 bob[n] = WALK_BOB * 0.5 * (1.0 - np.cos(2.0 * phase))
             elif prim == Primitive.TURN_LEFT:
-                cur_yaw += np.deg2rad(TURN_RATE_DEG_S) / fps
+                cur_yaw += np.deg2rad(TURN_RATE_DEG_S) / FRAME_RATE_HZ
             elif prim == Primitive.TURN_RIGHT:
-                cur_yaw -= np.deg2rad(TURN_RATE_DEG_S) / fps
+                cur_yaw -= np.deg2rad(TURN_RATE_DEG_S) / FRAME_RATE_HZ
             sit_mix[n] = mix
             lean = np.deg2rad(SIT_LEAN_DEG) * mix
             sway = 0.0
@@ -377,7 +377,7 @@ def generate(script: MotionScript, camera: CameraIntrinsics | None = None, frame
         correspondences.append((src, dst))
 
     return SynthResult(
-        PoseSequence.of(poses, Frame.SENSOR, fps),
+        PoseSequence.of(poses, Frame.SENSOR),
         homographies,
         correspondences,
         static_h,

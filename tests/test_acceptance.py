@@ -302,7 +302,7 @@ def test_criterion_4_static_term_reduces_label_error(capfd):
     params = PathParams()  # delta 0.1, tau 0.99, prune 0.01
     label_err = {}
     for name, h in (("static", test.static_h), ("constant", np.full(n, 0.5))):
-        path = solve_paper_dp(prune(unary_costs(dists, h, bank, labels, params), dists, bank, params))
+        path = solve_paper_dp(prune(unary_costs(dists, h, bank, labels, params), dists, params.prune_threshold))
         pred_sit = np.array([labels[bank.cluster_of[i]].value == "sitting" for i in path.indices])
         label_err[name] = float((pred_sit != test.sit_labels).mean())
     ok = label_err["static"] < label_err["constant"]
@@ -471,7 +471,7 @@ def test_criterion_7_module_invariants(capfd, tmp_path):
             elif h_vals[n] <= 1.0 - params.tau and sitting:
                 d = params.delta
             assert abs(e - (1.0 - g + d)) < 1e-12
-    pruned = prune(costs, dists, cbank, params)
+    pruned = prune(costs, dists, params.prune_threshold)
     for n in range(6):
         kept = set(cbank.cluster_of[i] for i in pruned.indices[n])
         assert kept == {c for c in range(5) if dists[n, c] > params.prune_threshold}

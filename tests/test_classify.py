@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -13,7 +14,6 @@ from egopose.classify import (
     _grow_tree,
     KnnIndex,
     KnnModel,
-    constant_static,
     forest_proba_batch,
     knn_proba,
     load_static,
@@ -21,8 +21,10 @@ from egopose.classify import (
     save_static,
     train_forest,
 )
+from egopose.cli import DEFAULT_CONFIG
 from egopose.clustering import ExemplarBank
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
+from egopose.pipeline import train_models
 
 
 def two_blobs(rng, n=500, d=8, margin=1.0):
@@ -107,9 +109,12 @@ def test_forest_oob_on_separable_blobs():
 
 
 def test_forest_default_is_100_trees():
+    """train_models owns the tree count; egopose train reads it from there."""
+    default = inspect.signature(train_models).parameters["n_trees"].default
+    assert default == DEFAULT_CONFIG["trees"] == 100
     rng = np.random.default_rng(1)
     x, y = two_blobs(rng, n=30)
-    model = train_forest(x, y, seed=0)
+    model = train_forest(x, y, default, 0)
     assert len(model.roots) == 100
 
 
@@ -128,16 +133,16 @@ def test_forest_memorizes_single_point_per_class():
 def test_forest_rejects_degenerate_input():
     x = np.zeros((10, 3))
     with pytest.raises(DegenerateLabels):
-        train_forest(x, np.zeros(10, dtype=int))
+        train_forest(x, np.zeros(10, dtype=int), 2, 0)
     with pytest.raises(DimMismatch):
-        train_forest(x, np.array([0, 1]))
+        train_forest(x, np.array([0, 1]), 2, 0)
 
 
 @pytest.mark.parametrize("n_trees", [0, -2])
 def test_forest_needs_at_least_one_tree(n_trees):
     x = np.arange(10.0)[:, None]
     with pytest.raises(ValueError, match=f"n_trees must be at least 1, got {n_trees}"):
-        train_forest(x, np.arange(10) % 2, n_trees=n_trees)
+        train_forest(x, np.arange(10) % 2, n_trees=n_trees, seed=0)
 
 
 def test_forest_deterministic():
@@ -413,12 +418,12 @@ def test_class_ids_outside_range_are_rejected(tmp_path, bad):
     x = [[0.0], [1.0], [10.0], [11.0]]
     y = [0, 0, 1, bad]
     with pytest.raises(DimMismatch):
-        KnnModel(x, y, 2)
+        KnnModel(x, y, 2, 1)
     with pytest.raises(DimMismatch):
-        train_forest(x, y, n_trees=2, n_classes=2)
+        train_forest(x, y, n_trees=2, seed=0, n_classes=2)
     if bad < 0:
         with pytest.raises(DimMismatch):
-            train_forest(x, y, n_trees=2)
+            train_forest(x, y, n_trees=2, seed=0)
     # a kNN file holds no class id, each row's comes from the bank: one that does is from an older version
     path = tmp_path / "knn.json"
     path.write_text(json.dumps({"n_classes": 2, "features": x, "classes": y}))
@@ -583,7 +588,7 @@ def test_knn_duplicate_rows_match_whole_array_scan(case):
 
 
 def test_knn_k_below_one_is_rejected():
-    model = KnnModel(np.eye(3), [0, 1, 2], 3)
+    model = KnnModel(np.eye(3), [0, 1, 2], 3, 1)
     for k in (0, -1):
         with pytest.raises(ValueError, match="knn_k must be at least 1"):
             KnnModel(np.eye(3), [0, 1, 2], 3, k)
@@ -607,11 +612,6 @@ def test_knn_batch_matches_single_queries():
     for wrong in (np.zeros((2, 19)), np.zeros(20)):  # a single row is a (1, d) batch too
         with pytest.raises(DimMismatch):
             knn_proba(model, wrong)
-
-
-def test_constant_static_provider():
-    h = constant_static(7)
-    assert np.array_equal(h, np.full(7, 0.5))
 
 
 def test_static_file_round_trip(tmp_path):
@@ -674,7 +674,7 @@ def test_model_writers_match_json_dump(tmp_path):
         trees = {name: values.tolist() for name, values in node_arrays(model).items()}
         rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "trees": trees}
         assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
-    model = KnnModel(x, y, 2)
+    model = KnnModel(x, y, 2, 30)
     path = tmp_path / "knn.json"
     model.save(path, tmp_path / "features.jsonl")
     assert path.read_bytes() == _json_dump_bytes({"features": "features.jsonl", "k": 30}, tmp_path / "want.json")

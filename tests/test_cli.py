@@ -6,8 +6,11 @@ codes (0 success, 2 usage, 3 data error, 4 degenerate input), JSON error
 objects on stderr, and byte-identical rerun determinism.
 """
 
+import ast
 import contextlib
 import importlib
+import importlib.util
+import inspect
 import io
 import json
 import os
@@ -30,6 +33,7 @@ from egopose import (
     CameraIntrinsics,
     ClusterModel,
     ExemplarBank,
+    FeatureSettings,
     ForestModel,
     Frame,
     Joint,
@@ -508,6 +512,124 @@ def test_readme_python_names_resolve():
     assert not missing, f"the README names {missing}, which egopose does not define"
 
 
+# the CLI's defaults, pinned here so that a default changed at its owner (PathParams,
+# FeatureSettings or train_models) shows as a deliberate edit
+CONFIG_DEFAULTS = {
+    "delta": 0.1,
+    "speed_gamma": 10.0,
+    "speed_mu": 0.01,
+    "stat_gamma": 5.0,
+    "stat_mu": 0.02,
+    "tau": 0.99,
+    "prune": 0.01,
+    "k": 300,
+    "window": 30,
+    "feature_mode": "homography",
+    "trees": 100,
+    "knn_k": 30,
+    "seed": 0,
+}
+
+
+def test_default_config_keeps_its_keys_values_and_types():
+    assert DEFAULT_CONFIG == CONFIG_DEFAULTS
+    assert {key: type(val) for key, val in DEFAULT_CONFIG.items()} == {key: type(val) for key, val in CONFIG_DEFAULTS.items()}
+    assert cli._INTEGRAL_KEYS == {"k", "window", "trees", "knn_k", "seed"}
+
+
+def test_default_config_reads_each_training_default_from_its_owner():
+    """egopose cluster and train default to what train_models and
+    FeatureSettings() default to, and the inner routines default to nothing."""
+    train = inspect.signature(train_models).parameters
+    settings = FeatureSettings()
+    assert DEFAULT_CONFIG["window"] == settings.window == train["window"].default
+    assert DEFAULT_CONFIG["feature_mode"] == settings.mode == train["feature_mode"].default
+    for key, name in (("k", "k"), ("trees", "n_trees"), ("knn_k", "knn_k"), ("seed", "seed")):
+        assert DEFAULT_CONFIG[key] == train[name].default, key
+    inner = {
+        egopose.valid_feature_centers: ["window"],
+        egopose.feature_windows: ["window"],
+        build_bank: ["k", "seed"],
+        egopose.train_forest: ["n_trees", "seed"],
+        KnnModel: ["k"],
+    }
+    for func, names in inner.items():
+        params = inspect.signature(func).parameters
+        assert all(params[name].default is inspect.Parameter.empty for name in names), func.__name__
+
+
+def test_no_parameter_that_no_caller_sets_is_left():
+    rate, up = ("frame_rate_hz",), ("up",)
+    gone = {
+        PoseSequence: rate,
+        PoseSequence.of: rate,
+        load_pose_sequence: rate,
+        egopose.skeleton.load_pose_sequence_with_times: rate,
+        generate: ("camera", "frame_rate_hz"),
+        egopose.normalized_matrix: up,
+        build_bank: up,
+        train_models: up,
+    }
+    for func, names in gone.items():
+        assert not set(inspect.signature(func).parameters) & set(names), func
+    assert not hasattr(PoseSequence.of(np.zeros((1, 25, 3)), Frame.SENSOR), "frame_rate_hz")
+    assert not hasattr(egopose, "constant_static") and not hasattr(egopose.classify, "constant_static")
+    assert list(inspect.signature(egopose.prune).parameters) == ["costs", "dists", "threshold"]
+
+
+def _readme_call_forms(readme: str):
+    """(text, callable, [(name, shown default)]) for each inline backticked
+    call form of the README, such as `PoseSequence.of(joints, frame)`, whose
+    callable egopose defines; a bare name shows no default
+    (inspect.Parameter.empty). A form on an object the text only names
+    (`models.save(dir)`, `rows(hs)`, `len(...)`) is skipped."""
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)  # a code block's calls pass values, not defaults
+    for span in re.findall(r"`([^`]+)`", prose):
+        try:
+            call = ast.parse(span.replace("\n", " "), mode="eval").body
+        except SyntaxError:
+            continue
+        if not isinstance(call, ast.Call):
+            continue
+        dotted, node = [], call.func
+        while isinstance(node, ast.Attribute):
+            dotted.insert(0, node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            continue
+        if node.id == "egopose":
+            obj = egopose
+        elif importlib.util.find_spec(f"egopose.{node.id}") is not None:
+            obj = importlib.import_module(f"egopose.{node.id}")
+        elif hasattr(egopose, node.id):
+            obj = getattr(egopose, node.id)
+        else:
+            continue
+        for attr in dotted:
+            obj = getattr(obj, attr)  # a missing name fails here
+        shown = [(arg.id, inspect.Parameter.empty) for arg in call.args if isinstance(arg, ast.Name)]
+        shown += [(kw.arg, eval(compile(ast.Expression(kw.value), span, "eval"), vars(egopose))) for kw in call.keywords]
+        yield " ".join(span.split()), obj, shown
+
+
+def test_readme_call_forms_match_the_signatures():
+    """Every parameter a backticked call form in the README names exists on
+    the real callable, and every default it shows is the real default, so a
+    deleted parameter or a changed default cannot linger in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    checked, wrong = set(), []
+    for text, obj, shown in _readme_call_forms(readme):
+        checked.add(text.split("(")[0])
+        params = inspect.signature(obj).parameters
+        for name, default in shown:
+            if name not in params:
+                wrong.append(f"{text}: no parameter {name!r}")
+            elif default is not inspect.Parameter.empty and params[name].default != default:
+                wrong.append(f"{text}: {name} defaults to {params[name].default!r}, not {default!r}")
+    assert {"PoseSequence.of", "egopose.load_models", "pipeline.FeatureSettings"} <= checked
+    assert not wrong, wrong
+
+
 def test_usage_errors_exit_2(workspace):
     with pytest.raises(SystemExit) as e:
         main(["synth"])  # missing required flags
@@ -894,6 +1016,29 @@ def test_stream_mismatch_is_found_before_dlt_and_kmeans(workspace, tmp_path, cap
     assert rc == 3
     assert json.loads(capsys.readouterr().err.strip())["error"] == "LengthMismatch"
     assert os.listdir(tmp_path) == ["short.jsonl"]  # nothing written
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_correspondence_exits_3_naming_its_line(workspace, tmp_path, capsys, token):
+    """A NaN or infinite coordinate is rejected where it is read, naming the
+    file and line, before any homography is estimated or file written."""
+    data, models = workspace["data"], workspace["models"]
+    lines = (data / "correspondences.jsonl").read_text().splitlines()
+    rec = json.loads(lines[4])
+    rec["dst"][0][1] = float(token.lower())
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:4] + [json.dumps(rec)] + lines[5:]) + "\n")
+    assert token in bad.read_text()
+    want = {"error": "ValueError", "message": f"{bad}:5: src and dst coordinates must be finite"}
+    out = tmp_path / "out"
+    poses = str(data / "poses.jsonl")
+    rc = main(["cluster", "--poses", poses, "--homographies", str(bad), "--out", str(out / "c.json"), "--k", "8"])
+    assert rc == 3 and json.loads(capsys.readouterr().err.strip()) == want
+    model_flags = ["--bank", str(models / "bank.json"), "--cluster-model", str(models / "clusters.json")]
+    model_flags += ["--classifier-model", str(models / "forest.json")]
+    rc = main(["infer", "--input", str(bad), *model_flags, "--out", str(out / "p.jsonl")])
+    assert rc == 3 and json.loads(capsys.readouterr().err.strip()) == want
+    assert not out.exists()  # nothing written
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])

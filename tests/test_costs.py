@@ -162,7 +162,7 @@ def test_prune_uniform_below_threshold_keeps_fallback():
     k300 = 300  # uniform over 300 clusters sits below the 0.01 threshold
     dists = np.full((2, bank.k), 1.0 / k300)
     out = unary_costs(dists, np.full(2, 0.5), bank, labels)
-    pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
+    pruned = prune(out, dists, 0.01)
     assert pruned.keep.tolist() == [[True, False, False, False]] * 2  # argmax tie -> cluster 0
     for n in range(2):
         assert np.array_equal(pruned.indices[n], np.flatnonzero(bank.cluster_of == 0))
@@ -185,7 +185,7 @@ def test_prune_fallback_keeps_the_whole_most_probable_nonempty_cluster():
         ]
     )
     out = unary_costs(dists, np.full(len(dists), 0.5), bank, alternating_labels(bank.k))
-    pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
+    pruned = prune(out, dists, 0.01)
     assert [idx.tolist() for idx in pruned.indices] == [[0, 1], [2, 3], [4, 5], [2, 3], [2, 3]]
     for n, idx in enumerate(pruned.indices):
         assert np.array_equal(pruned.frame(n)[1], out.table[n][bank.cluster_of[idx]])
@@ -199,7 +199,7 @@ def test_prune_threshold_zero_is_identity():
     out = unary_costs(dists, np.full(4, 0.5), bank, labels)
     # no copies: costs live once per (frame, cluster), and prune at 0 returns its input
     assert out.table.shape == (4, bank.k)
-    assert prune(out, dists, bank, PathParams(prune_threshold=0.0)) is out
+    assert prune(out, dists, 0.0) is out
     # every frame keeps every column through one read-only broadcast True
     assert out.keep.shape == out.table.shape and out.keep.all()
     assert out.keep.strides == (0, 0) and not out.keep.flags.writeable
@@ -210,6 +210,17 @@ def test_prune_threshold_zero_is_identity():
         idx, e = out.frame(n)
         assert np.array_equal(idx, np.arange(len(bank.poses)))
         assert np.array_equal(e, out.table[n][bank.cluster_of])
+
+
+@pytest.mark.parametrize("thr", [-0.01, 1.0, 1.5, float("nan")])
+def test_prune_rejects_a_threshold_outside_zero_one(thr):
+    """prune checks its threshold as PathParams checks prune_threshold."""
+    rng = np.random.default_rng(7)
+    bank = make_bank(rng)
+    dists = rng.dirichlet(np.ones(bank.k), size=4)
+    out = unary_costs(dists, np.full(4, 0.5), bank, alternating_labels(bank.k))
+    with pytest.raises(ValueError, match=r"^prune threshold must lie in \[0, 1\)$"):
+        prune(out, dists, thr)
 
 
 def reference_prune(dists, bank, thr):
@@ -232,7 +243,7 @@ def test_prune_matches_reference_filter():
     dists = rng.dirichlet(np.ones(bank.k) * 0.3, size=8)
     out = unary_costs(dists, np.full(8, 0.5), bank, labels)
     thr = 0.05
-    pruned = prune(out, dists, bank, PathParams(prune_threshold=thr))
+    pruned = prune(out, dists, thr)
     assert [idx.tolist() for idx in pruned.indices] == reference_prune(dists, bank, thr)
 
 
@@ -245,7 +256,7 @@ def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
     dists[0] = 1.0 / bank.k  # every cluster above the lower thresholds
     dists[1] = np.eye(bank.k)[6]  # only the empty cluster passes: the fallback
     out = unary_costs(dists, np.full(12, 0.5), bank, alternating_labels(bank.k))
-    pruned = prune(out, dists, bank, PathParams(prune_threshold=thr))
+    pruned = prune(out, dists, thr)
     assert pruned.table is out.table
     for n, idx in enumerate(out.indices):
         assert np.array_equal(idx, np.arange(len(bank.poses)))  # the full bank, derived per frame
@@ -256,7 +267,7 @@ def test_prune_equals_filtering_the_shared_full_bank_arange(thr):
         assert np.array_equal(pruned.indices[n], want)
     assert pruned.indices[1].tolist() == np.flatnonzero(bank.cluster_of == 0).tolist()
     with pytest.raises(ValueError, match="every bank pose"):
-        prune(pruned, dists, bank, PathParams(prune_threshold=thr))
+        prune(pruned, dists, thr)
 
 
 def test_prune_keeps_argmin_above_threshold():
@@ -266,7 +277,7 @@ def test_prune_keeps_argmin_above_threshold():
     for _ in range(20):
         dists = rng.dirichlet(np.ones(bank.k), size=3)
         out = unary_costs(dists, np.full(3, 0.5), bank, labels)
-        pruned = prune(out, dists, bank, PathParams(prune_threshold=0.01))
+        pruned = prune(out, dists, 0.01)
         for n in range(3):
             best = out.indices[n][int(np.argmin(out.frame(n)[1]))]
             if dists[n][bank.cluster_of[best]] > 0.01:

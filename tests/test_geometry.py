@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,27 @@ def test_estimate_needs_four_points():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InsufficientPoints):
         estimate_homography(pts, pts)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_estimate_rejects_non_finite_points_before_the_svd(monkeypatch, side, bad):
+    src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.3]])
+    pts = {"src": src, "dst": src.copy()}
+    pts[side][2, 1] = bad
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: pytest.fail("the SVD ran"))
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        estimate_homography(pts["src"], pts["dst"])
+
+
+def test_correspondence_file_with_a_non_finite_coordinate_names_its_line(tmp_path):
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    path = tmp_path / "c.jsonl"
+    for token in ("NaN", "Infinity", "-Infinity"):
+        bad = f'{{"t": 1, "src": {square}, "dst": [[0.0, {token}], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}}'
+        path.write_text(f'{{"t": 0, "src": {square}, "dst": {square}}}\n{bad}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: src and dst coordinates must be finite$"):
+            load_correspondences(path)
 
 
 def test_estimate_collinear_degenerate():

@@ -442,7 +442,7 @@ def test_from_costs_prune_and_restrict_share_the_table():
     assert full.keep.shape == full.table.shape and full.keep.all()
     assert full.keep.strides == (0, 0) and not full.keep.flags.writeable
     assert Trellis.from_costs(full, bank) is full
-    kept = prune(full, dists, bank, PathParams(prune_threshold=0.2))
+    kept = prune(full, dists, 0.2)
     assert kept.table is full.table and kept.column_of is full.column_of
     assert kept.keep.tolist() == [[True, True, False], [False, False, True], [False, True, True]]
     assert [idx.tolist() for idx in kept.indices] == [list(range(8)), list(range(8, 12)), list(range(4, 12))]
@@ -454,7 +454,7 @@ def test_from_costs_prune_and_restrict_share_the_table():
         idx, e = restricted.frame(n)
         assert np.array_equal(e, 1.0 - dists[n][bank.cluster_of[idx]])
     with pytest.raises(ValueError, match="every bank pose"):
-        prune(kept, dists, bank, PathParams(prune_threshold=0.2))
+        prune(kept, dists, 0.2)
 
 
 def test_pose_path_component_sum_enforced():
@@ -992,7 +992,7 @@ def test_trellis_built_from_pruned_costs_solves_end_to_end():
     labels = np.array([False, True])
     params = PathParams()
     costs = unary_costs(dists, static_h, bank, labels, params)
-    tr = prune(costs, dists, bank, params)
+    tr = prune(costs, dists, params.prune_threshold)
     path = solve_paper_dp(tr)
     assert len(path.indices) == n_frames
     assert np.isfinite(path.total)
@@ -1030,7 +1030,7 @@ def test_admits_path_agrees_with_the_solvers_at_every_relaxed_threshold():
         dists = rng.dirichlet(np.full(bank.k, 0.3), size=n_frames)
         costs = unary_costs(dists, rng.uniform(size=n_frames), bank, labels)
         for thr in _relaxed_thresholds(float(rng.choice([0.9, 0.5, 0.2]))):
-            kept = prune(costs, dists, bank, PathParams(prune_threshold=thr))
+            kept = prune(costs, dists, thr)
             admits = kept.admits_path()
             for solve in (solve_paper_dp, solve_exact_dp, lambda tr: solve_path_cluster(tr, dists)):
                 try:

@@ -315,6 +315,25 @@ def test_train_models_validates_lengths(monkeypatch):
         train_models(sequences, [streams[0][:-2], streams[1]], k=4, window=8)
 
 
+def test_feature_settings_take_the_window_as_an_integer(tmp_path, monkeypatch):
+    """A NumPy integer window is that int and saves the same bytes; a
+    fractional one is a TypeError before the k-means runs."""
+    for name, window in (("int", 8), ("int64", np.int64(8))):
+        settings = FeatureSettings(window=window)
+        assert type(settings.window) is int and settings == FeatureSettings(window=8)
+        (tmp_path / name).mkdir()
+        settings.save(tmp_path / name)
+    assert (tmp_path / "int64" / "meta.json").read_bytes() == (tmp_path / "int" / "meta.json").read_bytes()
+    sequences, streams, _, _ = training_material()
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran before the window check")
+
+    monkeypatch.setattr("egopose.pipeline.kmeans", no_kmeans)
+    with pytest.raises(TypeError):
+        train_models(sequences, streams, k=4, window=8.5)
+
+
 def test_train_models_builds_consistent_bundle():
     sequences, streams, _, _ = training_material()
     models = train_models(sequences, streams, k=6, window=8, n_trees=15, seed=0)
@@ -710,7 +729,7 @@ def _reference_relaxed_decode(hs, models, static_h, params):
     costs = unary_costs(dists, static_h[centers], bank, models.cluster.labels, params)
     thr, retries = params.prune_threshold, 0
     while True:
-        kept = prune(costs, dists, bank, replace(params, prune_threshold=thr))
+        kept = prune(costs, dists, thr)
         try:
             return solve_paper_dp(kept, params), retries, thr
         except Infeasible:

@@ -20,7 +20,7 @@ from egopose.errors import NormalizationFailure, SingularMatrix
 from egopose.geometry import load_correspondences, load_homographies, save_correspondences, save_homographies
 from egopose.pathopt import PosePath
 from egopose.pipeline import load_features, save_features
-from egopose.records import integral_array, load_array, load_json_object, number, read_records, save_array
+from egopose.records import integral_array, load_array, load_json_object, number, read_records, save_array, write_json_object
 from egopose.skeleton import Pose, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
 from egopose.synth import MotionScript, generate, load_labels
 from test_classify import forest_record
@@ -270,3 +270,16 @@ def test_array_file_round_trips_bit_exact_and_never_runs_a_pickle(tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Object arrays cannot be loaded"):
         load_array(path, 75)
     assert not ran.exists()
+
+
+def test_json_object_that_cannot_be_encoded_leaves_the_file_as_it_was(tmp_path):
+    """The record is encoded before the file is opened: no empty file is
+    left behind, and an existing one keeps its bytes."""
+    path = tmp_path / "meta.json"
+    with pytest.raises(TypeError):
+        write_json_object(path, {"window": np.int64(8)})
+    assert not path.exists()
+    path.write_text('{"window": 8}')
+    with pytest.raises(TypeError):
+        write_json_object(path, {"window": object()}, indent=2)
+    assert path.read_text() == '{"window": 8}'

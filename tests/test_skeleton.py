@@ -214,10 +214,10 @@ def test_sequence_file_round_trip(tmp_path):
     cases = [([2, 5, 6, 9], [2, 5, 6, 9]), (None, [0, 1, 2, 3]), ([4, 7.0, 9, 10], [4, 7, 9, 10]), (np.arange(14, 18), [14, 15, 16, 17])]
     for times, want in cases:
         save_pose_sequence(path, seq, times=times)
-        back, got = load_pose_sequence_with_times(path, 15.0)
+        back, got = load_pose_sequence_with_times(path)
         assert got.tolist() == want
         assert np.array_equal(back.joints, seq.joints)  # JSON floats round-trip exactly
-        assert back.frame == Frame.WEARER_LOCAL and back.frame_rate_hz == 15.0
+        assert back.frame == Frame.WEARER_LOCAL
 
 
 def test_sequence_file_requires_increasing_t(tmp_path):
@@ -232,9 +232,9 @@ def test_sequence_file_requires_increasing_t(tmp_path):
 
 def test_sequence_of_holds_one_checked_array():
     joints = np.random.default_rng(6).normal(size=(4, N_JOINTS, 3))
-    seq = PoseSequence.of(joints, Frame.WEARER_LOCAL, 25.0)
+    seq = PoseSequence.of(joints, Frame.WEARER_LOCAL)
     assert np.shares_memory(seq.joints, joints) and np.array_equal(seq.joints, joints)
-    assert seq.frame == Frame.WEARER_LOCAL and seq.frame_rate_hz == 25.0
+    assert seq.frame == Frame.WEARER_LOCAL
     assert len(seq) == 4
     flat = PoseSequence.of(joints.reshape(4, 75), "wearer_local")
     assert np.array_equal(flat.joints, joints) and flat.frame == Frame.WEARER_LOCAL
@@ -249,18 +249,10 @@ def test_sequence_of_holds_one_checked_array():
             PoseSequence.of(bad, Frame.SENSOR)
 
 
-@pytest.mark.parametrize("rate", [0.0, -30.0, float("nan"), float("inf"), float("-inf")])
-def test_frame_rate_must_be_positive_and_finite(rate):
-    with pytest.raises(ValueError, match="frame_rate_hz"):
-        PoseSequence([], rate)
-    with pytest.raises(ValueError, match="frame_rate_hz"):
-        PoseSequence.of(np.zeros((2, N_JOINTS, 3)), Frame.SENSOR, rate)
-
-
 def test_pose_list_is_stacked_once_and_read_back_as_views():
     poses = [Pose(np.random.default_rng(i).normal(size=(N_JOINTS, 3)), Frame.WEARER_LOCAL) for i in range(3)]
-    seq = PoseSequence(poses, 10.0)
-    assert seq.joints.shape == (3, N_JOINTS, 3) and seq.frame == Frame.WEARER_LOCAL and seq.frame_rate_hz == 10.0
+    seq = PoseSequence(poses)
+    assert seq.joints.shape == (3, N_JOINTS, 3) and seq.frame == Frame.WEARER_LOCAL
     assert np.array_equal(seq.joints, np.stack([p.joints for p in poses]))
     assert not any(np.shares_memory(seq.joints, p.joints) for p in poses)
     views = seq.poses
