@@ -27,6 +27,7 @@ sitting probability h is read from file and checked here.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -444,6 +445,7 @@ class KnnModel:
             raise DimMismatch("features and classes must have matching length")
         if len(self.classes) and not (0 <= self.classes.min() and self.classes.max() < self.n_classes):
             raise DimMismatch(f"class ids must lie in [0, {self.n_classes})")
+        self.k = operator.index(self.k)  # a NumPy integer saves as a plain int
         if self.k < 1:
             raise ValueError(f"knn_k must be at least 1, got {self.k}")
         self._index = None

@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-# kmeans and train_forest go unused here; perfbench/layers.py wraps them at these bindings
+# kmeans, save_features and train_forest go unused here; perfbench/layers.py wraps them at these bindings
 from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
 from .clustering import kmeans, read_bank_fields  # noqa: F401
 from .errors import Degenerate, EgoPoseError, LengthMismatch
@@ -32,6 +32,7 @@ from .pathopt import PathParams
 from .pipeline import (
     SOLVERS,
     FeatureSettings,
+    TrainedModels,
     _check_lengths,
     build_bank,
     build_features,
@@ -40,6 +41,7 @@ from .pipeline import (
     load_models,
     normalized_matrix,
     train_models,
+    write_models,
 )
 from .records import integral, load_json_object, model_fields, read_records
 from .skeleton import Frame, PoseSequence, load_pose_sequence_with_times, save_pose_sequence
@@ -147,18 +149,13 @@ def cmd_cluster(args):
     if streams:  # before the k-means
         _check_lengths(sequences, streams)
     model, bank = build_bank(sequences, cfg["k"], cfg["seed"])
+    feats = frames = None
     if streams:  # built before anything is written
         feats, frames = build_features(sequences, streams, settings)
-
-    model.save(_ensure_parent(args.out))
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    settings.save(out_dir)
-    bank.save(_ensure_parent(args.bank_out or os.path.join(out_dir, "bank.json")))
-    if streams:
-        feat_out = args.features_out or os.path.join(out_dir, "features.jsonl")
-        save_features(_ensure_parent(feat_out), frames, feats)
+    write_models(TrainedModels(model, bank, settings, train_features=feats, train_feature_frames=frames), args.out)
     print(f"k-means objective: {model.objective:.6f} after {model.n_iter} iterations")
     if streams:
+        feat_out = os.path.join(os.path.dirname(os.path.abspath(args.out)), "features.jsonl")
         print(f"wrote {len(frames)} feature rows to {feat_out}")
     return 0
 
@@ -209,7 +206,7 @@ def cmd_infer(args):
         solver=args.solver,
     )
 
-    poses_out = args.poses_out or (os.path.splitext(args.out)[0] + "_poses.jsonl")
+    poses_out = os.path.splitext(args.out)[0] + "_poses.jsonl"
     save_pose_sequence(_ensure_parent(poses_out), result.poses, times=result.centers)
     if result.path is not None:
         result.path.save(_ensure_parent(args.out), models.bank)
@@ -261,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster poses, build the exemplar bank")
     p.add_argument("--poses", nargs="+", required=True, help="pose JSONL files, one per recording")
-    p.add_argument("--out", required=True, help="cluster model output")
-    p.add_argument("--bank-out", help="bank output (default: bank.json beside --out)")
+    p.add_argument("--out", required=True, help="cluster model output; the other model files go beside it")
     p.add_argument("--homographies", nargs="*", default=None, help="emit features for these streams")
-    p.add_argument("--features-out", help="feature output (default: features.jsonl beside --out)")
     p.add_argument("--camera", help="intrinsics JSON, needed for rotation features; recorded in meta.json")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--window", type=int, default=None)
@@ -289,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--static-h", dest="static_h", help="per-frame sitting probability JSONL")
     p.add_argument("--features", help="training features, needed by --solver kdtree")
     p.add_argument("--solver", choices=SOLVERS, default="paper")
-    p.add_argument("--out", required=True, help="pose path output JSONL")
-    p.add_argument("--poses-out", dest="poses_out", help="default: <out>_poses.jsonl")
+    p.add_argument("--out", required=True, help="pose path output JSONL; the poses go to <out>_poses.jsonl")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--prune", type=float, default=None)

@@ -9,6 +9,7 @@ hip height of their centroid.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -298,6 +299,7 @@ class ExemplarBank:
     neighbors: list = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.k = operator.index(self.k)  # a NumPy integer saves as a plain int
         self.poses = np.asarray(self.poses, dtype=float)
         if self.poses.ndim != 2 or self.poses.shape[1] != 75:
             raise ValueError("bank poses must be (n, 75)")

@@ -3,8 +3,8 @@
 A trained model bundle holds the pose clusters, the exemplar bank with its
 neighbor graph, the per-frame classifier (random forest or k-NN vote), and
 the feature settings needed to reproduce the classifier's inputs at
-inference time. TrainedModels.save writes the files egopose cluster and
-train write, byte for byte: clusters.json with clusters_centroids.npy and
+inference time. write_models is its one writer, for egopose cluster and for
+TrainedModels.save: clusters.json with clusters_centroids.npy and
 meta.json beside it (the FeatureSettings: window, feature_mode, and camera
 if set), bank.json with bank_poses.npy, features.jsonl
 (a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
@@ -17,8 +17,11 @@ centroids and bank poses as JSON text, is rejected naming clusters.json.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import os
+import shutil
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -155,20 +158,11 @@ class TrainedModels:
         return knn_proba(self.classifier, x)
 
     def save(self, out_dir) -> None:
-        kind = _classifier_kind(self.classifier)
-        if kind == "knn" and self.classifier.features is not self.train_features:
-            raise ValueError("a kNN bundle keeps its model as features.jsonl, so it must hold train_features")
-        os.makedirs(out_dir, exist_ok=True)
-        self.cluster.save(os.path.join(out_dir, "clusters.json"))
-        self.settings.save(out_dir)
-        self.bank.save(os.path.join(out_dir, "bank.json"))
-        feat_path = os.path.join(out_dir, "features.jsonl")
-        if self.train_features is not None:
-            save_features(feat_path, self.train_feature_frames, self.train_features)
-        if kind == "forest":
-            self.classifier.save(os.path.join(out_dir, "forest.json"))
-        else:
-            self.classifier.save(os.path.join(out_dir, "knn.json"), feat_path)
+        """Write the bundle to out_dir with write_models, its cluster model as
+        clusters.json; ValueError, before any file is written, for a bundle
+        without a classifier."""
+        _classifier_kind(self.classifier)
+        write_models(self, os.path.join(out_dir, "clusters.json"))
 
     @classmethod
     def load(cls, in_dir) -> "TrainedModels":
@@ -182,6 +176,45 @@ class TrainedModels:
         clusters, bank, model_file, feats = (os.path.join(in_dir, name) for name in names)
         has_feats = held == ["forest.json"] and os.path.exists(feats)  # a kNN model's rows are its features
         return load_models(clusters, bank, model_file, feats if has_feats else None)
+
+
+def write_models(models: TrainedModels, clusters) -> None:
+    """Write models' files, all or none of them: the cluster model at the path
+    clusters (its centroids in the <stem>_centroids.npy beside it) and, in
+    its directory, meta.json, bank.json with bank_poses.npy, features.jsonl
+    when models hold training features, and forest.json or knn.json when they
+    hold a classifier. Every file is written into a fresh directory inside
+    that one and moved into place only once all are written, so a write that
+    fails leaves the directory as it was. A features.jsonl that models do not
+    hold, and the other kind's classifier file, are then removed, so that no
+    file of an earlier write is read with these models; with no classifier,
+    a classifier file is left as it is."""
+    kind = None if models.classifier is None else _classifier_kind(models.classifier)
+    if kind == "knn" and models.classifier.features is not models.train_features:
+        raise ValueError("a kNN bundle keeps its model as features.jsonl, so it must hold train_features")
+    stale = ["features.jsonl"] if models.train_features is None else []
+    stale += {"forest": ["knn.json"], "knn": ["forest.json"]}.get(kind, [])
+    out_dir = os.path.dirname(os.path.abspath(clusters))
+    os.makedirs(out_dir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        models.cluster.save(os.path.join(stage, os.path.basename(clusters)))
+        models.settings.save(stage)
+        models.bank.save(os.path.join(stage, "bank.json"))
+        feat_path = os.path.join(stage, "features.jsonl")
+        if models.train_features is not None:
+            save_features(feat_path, models.train_feature_frames, models.train_features)
+        if kind == "forest":
+            models.classifier.save(os.path.join(stage, "forest.json"))
+        elif kind == "knn":
+            models.classifier.save(os.path.join(stage, "knn.json"), feat_path)  # names features.jsonl, staged beside it
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    for name in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
 
 def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels:
@@ -295,10 +328,13 @@ def train_models(
     """Build the bank (build_bank) and the training features
     (build_features) with FeatureSettings(window, feature_mode, camera),
     then fit the per-frame classifier on those features with each frame's
-    cluster as its class. The settings are checked before the k-means.
+    cluster as its class. The settings, K and the kNN vote size are checked
+    before the k-means: each of K and knn_k must be an integer (np.int64(5)
+    reads as 5; 5.5 is a TypeError).
     """
     _check_lengths(sequences, homographies_per_seq)  # before the k-means, not after
     settings = FeatureSettings(window, feature_mode, camera)
+    k, knn_k = operator.index(k), operator.index(knn_k)
     cluster, bank = build_bank(sequences, k, seed)
     features, feature_frames = build_features(sequences, homographies_per_seq, settings)
     model = fit_classifier(classifier, features, bank.cluster_of[feature_frames], k, n_trees, seed, knn_k)

@@ -6,6 +6,7 @@ codes (0 success, 2 usage, 3 data error, 4 degenerate input), JSON error
 objects on stderr, and byte-identical rerun determinism.
 """
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -90,12 +91,8 @@ def workspace(tmp_path_factory, capsysbinary_placeholder=None):
                 str(data / "poses.jsonl"),
                 "--out",
                 str(models / "clusters.json"),
-                "--bank-out",
-                str(models / "bank.json"),
                 "--homographies",
                 str(data / "homographies.jsonl"),
-                "--features-out",
-                str(models / "features.jsonl"),
                 "--k",
                 "8",
                 "--window",
@@ -489,6 +486,27 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"the README command egopose {shlex.join(argv)} does not parse")
+
+
+def test_readme_prose_flags_exist():
+    """Every --flag in a backticked span of the README's prose, outside its
+    code blocks, is one that the subcommand the span names (`cluster --k`)
+    accepts, or else one that some subcommand accepts, so a removed flag
+    cannot linger in the text either. Nothing runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: set(p._option_string_actions) for name, p in subparsers.choices.items()}
+    anywhere = set().union(*accepted.values())
+    seen, wrong = set(), []
+    for span in re.findall(r"`([^`]+)`", prose):
+        named = [word for word in span.split()[:2] if word in accepted]
+        for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span):
+            seen.add(flag)
+            if flag not in (accepted[named[0]] if named else anywhere):
+                wrong.append(f"`{' '.join(span.split())}`: {flag}")
+    assert {"--config", "--camera", "--homographies", "--classifier-model"} <= seen
+    assert not wrong, wrong
 
 
 def test_readme_python_names_resolve():
@@ -1314,12 +1332,8 @@ def test_model_fit_reruns_are_byte_identical(workspace, tmp_path):
                     str(data / "poses.jsonl"),
                     "--out",
                     str(d / "clusters.json"),
-                    "--bank-out",
-                    str(d / "bank.json"),
                     "--homographies",
                     str(data / "homographies.jsonl"),
-                    "--features-out",
-                    str(d / "features.jsonl"),
                     "--k",
                     "8",
                     "--window",
@@ -1408,6 +1422,62 @@ def test_cli_training_equals_library_training(workspace, tmp_path):
         assert set(os.listdir(cli_dir)) == set(os.listdir(lib_dir)) == names | {f"{kind}.json"}
         for name in os.listdir(cli_dir):
             assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+
+
+def test_removed_output_flags_are_usage_errors(workspace, tmp_path):
+    """cluster writes every model file beside --out, and infer its poses to
+    <out>_poses.jsonl: no flag moves one elsewhere."""
+    data = workspace["data"]
+    cluster = ["cluster", "--poses", str(data / "poses.jsonl"), "--out", str(tmp_path / "clusters.json")]
+    infer = _infer_argv(workspace, tmp_path, "--poses-out", str(tmp_path / "poses.jsonl"))
+    for argv in (cluster + ["--bank-out", str(tmp_path / "bank.json")], cluster + ["--features-out", "f.jsonl"], infer):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_cluster_that_fails_part_way_leaves_the_models_it_would_replace(workspace, tmp_path, capsys, monkeypatch):
+    """cluster stages its files and moves them into place only once all are
+    written: a write that fails leaves every file of the directory as it was,
+    still loadable, and no staging directory."""
+    d = tmp_path / "models"
+    shutil.copytree(workspace["models"], d)
+    before = {name: (d / name).read_bytes() for name in os.listdir(d)}
+
+    def fail(self, path):
+        raise OSError("planted")
+
+    monkeypatch.setattr(ExemplarBank, "save", fail)
+    data = workspace["data"]
+    argv = ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(data / "homographies.jsonl")]
+    assert main(argv + ["--k", "5", "--window", "6", "--out", str(d / "clusters.json")]) == 3
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "OSError", "message": "planted"}
+    assert {name: (d / name).read_bytes() for name in os.listdir(d)} == before
+    monkeypatch.undo()
+    assert egopose.TrainedModels.load(d).bank.k == 8
+
+
+def test_cluster_removes_the_features_of_an_earlier_run_that_it_does_not_write(workspace, tmp_path, capsys):
+    """A features.jsonl of rotation features, left by an earlier cluster
+    into the same directory, is never trained on beside a meta.json that
+    says homography: cluster without streams removes it, so train exits 3
+    naming the missing file."""
+    data = workspace["data"]
+    d = tmp_path / "m"
+    argv = ["cluster", "--poses", str(data / "poses.jsonl"), "--k", "8", "--window", "8", "--out", str(d / "clusters.json")]
+    rotation = ["--homographies", str(data / "homographies.jsonl"), "--feature-mode", "rotation"]
+    assert main(argv + rotation + ["--camera", str(data / "manifest.json")]) == 0
+    assert (d / "features.jsonl").exists()
+    assert main(argv) == 0
+    assert json.loads((d / "meta.json").read_text()) == {"window": 8, "feature_mode": "homography"}
+    assert sorted(os.listdir(d)) == ["bank.json", "bank_poses.npy", "clusters.json", "clusters_centroids.npy", "meta.json"]
+    capsys.readouterr()
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json"), "--trees", "2"]
+    assert main(train + ["--out", str(d / "forest.json")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "FileNotFoundError" and str(d / "features.jsonl") in err["message"]
+    assert not (d / "forest.json").exists()
 
 
 def test_infer_decodes_with_the_feature_settings_the_model_was_built_with(workspace, tmp_path, capsys):
@@ -1685,12 +1755,8 @@ def test_config_file_matches_flags(workspace, tmp_path):
                 str(data / "poses.jsonl"),
                 "--out",
                 str(d / "clusters.json"),
-                "--bank-out",
-                str(d / "bank.json"),
                 "--homographies",
                 str(data / "homographies.jsonl"),
-                "--features-out",
-                str(d / "features.jsonl"),
                 "--config",
                 str(cfg),
             ]

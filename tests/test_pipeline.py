@@ -1,6 +1,7 @@
 """Integration tests for feature building, model training, and inference."""
 
 import json
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -334,6 +335,33 @@ def test_feature_settings_take_the_window_as_an_integer(tmp_path, monkeypatch):
         train_models(sequences, streams, k=4, window=8.5)
 
 
+def test_numpy_integer_k_and_vote_size_save_the_bytes_of_plain_ints(tmp_path):
+    """np.int64 K and kNN vote size are stored as the ints they are, so a
+    bundle trained with them saves the same files as one trained with ints."""
+    sequences, streams, _, _ = training_material(seed=20)
+    for kind, knob, value in (("forest", "k", 5), ("knn", "knn_k", 7)):
+        dirs = [tmp_path / kind / "int", tmp_path / kind / "int64"]
+        for d, v in zip(dirs, (value, np.int64(value))):
+            models = train_models(sequences, streams, **{"k": 5, "knn_k": 7, knob: v}, window=8, classifier=kind, n_trees=2)
+            assert type(models.bank.k) is int and type(getattr(models.classifier, "k", 0)) is int
+            models.save(d)
+        assert sorted(os.listdir(dirs[0])) == sorted(os.listdir(dirs[1]))
+        for name in os.listdir(dirs[0]):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), (kind, name)
+
+
+@pytest.mark.parametrize("knob", [{"k": 5.5}, {"classifier": "knn", "knn_k": 2.5}])
+def test_fractional_k_or_vote_size_fails_before_the_k_means(monkeypatch, knob):
+    sequences, streams, _, _ = training_material()
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means ran before the K and vote size checks")
+
+    monkeypatch.setattr("egopose.pipeline.kmeans", no_kmeans)
+    with pytest.raises(TypeError):
+        train_models(sequences, streams, **{"k": 5, "window": 8, **knob})
+
+
 def test_train_models_builds_consistent_bundle():
     sequences, streams, _, _ = training_material()
     models = train_models(sequences, streams, k=6, window=8, n_trees=15, seed=0)
@@ -573,6 +601,49 @@ def test_knn_bundle_must_hold_its_training_features(tmp_path, knn_bundle):
     with pytest.raises(ValueError, match="train_features"):
         bare.save(tmp_path)
     assert not (tmp_path / "meta.json").exists()
+
+
+BUNDLE = {"clusters.json", "clusters_centroids.npy", "meta.json", "bank.json", "bank_poses.npy", "features.jsonl"}
+
+
+@pytest.mark.parametrize(
+    "failing", ["egopose.clustering.ClusterModel.save", "egopose.pipeline.save_features", "egopose.classify.KnnModel.save"]
+)
+def test_a_save_that_fails_part_way_leaves_the_bundle_it_would_replace(tmp_path, trained, knn_bundle, monkeypatch, failing):
+    """Every file is staged before any is moved into place: a save that
+    fails at its first, a middle or its last file leaves an existing bundle
+    byte-identical and loadable, and no staging directory."""
+    trained.save(tmp_path)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert set(before) == BUNDLE | {"forest.json"}
+
+    def fail(*args):
+        raise OSError("planted")
+
+    monkeypatch.setattr(failing, fail)
+    with pytest.raises(OSError, match="planted"):
+        knn_bundle[0].save(tmp_path)
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+    again = TrainedModels.load(tmp_path)
+    assert isinstance(again.classifier, ForestModel) and again.bank.k == trained.bank.k
+
+
+def test_a_save_removes_the_files_of_the_bundle_it_replaces(tmp_path, trained, knn_bundle):
+    """A save over another bundle removes that bundle's classifier file of
+    the other kind, and a features.jsonl it does not write, so the directory
+    loads as the bundle saved last."""
+    knn_models = knn_bundle[0]
+    knn_models.save(tmp_path)
+    trained.save(tmp_path)
+    assert set(os.listdir(tmp_path)) == BUNDLE | {"forest.json"}
+    assert isinstance(TrainedModels.load(tmp_path).classifier, ForestModel)
+    knn_models.save(tmp_path)
+    assert set(os.listdir(tmp_path)) == BUNDLE | {"knn.json"}
+    assert TrainedModels.load(tmp_path).classifier.k == knn_models.classifier.k
+    TrainedModels(trained.cluster, trained.bank, trained.settings, trained.classifier).save(tmp_path)
+    assert set(os.listdir(tmp_path)) == BUNDLE - {"features.jsonl"} | {"forest.json"}
+    assert TrainedModels.load(tmp_path).train_features is None
 
 
 def test_path_solvers_name_a_missing_classifier(tmp_path, trained, test_stream):
