@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import clustering_digest
 from .errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
-from .records import integral, integral_array, load_json_object, model_fields, number, number_array, read_records
-from .records import write_json_object, write_records
+from .records import integral, integral_array, load_json_object, model_fields, number, number_array, read_frames
+from .records import read_records, write_json_object, write_records
 from .sqdist import SAFE_NORM, rounding_margin
 
 
@@ -120,9 +121,12 @@ class ForestModel:
                 nodes[i] = {**split, "left": nodes[i + 1], "right": nodes[self.right[i]]}
         return [nodes[r] for r in self.roots]
 
-    def save(self, path) -> None:
+    def save(self, path, cluster_of) -> None:
+        """Write the forest, with the clustering_digest of cluster_of, the
+        bank clusters it was fit on, as "clustering"."""
         trees = {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
-        write_json_object(path, {"feature_dim": self.feature_dim, "n_classes": self.n_classes, "trees": trees})
+        rec = {"feature_dim": self.feature_dim, "n_classes": self.n_classes, "clustering": clustering_digest(cluster_of)}
+        write_json_object(path, {**rec, "trees": trees})
 
     @classmethod
     def from_record(cls, rec: dict) -> "ForestModel":
@@ -531,7 +535,7 @@ def check_static(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     bad = np.flatnonzero(~((h >= 0.0) & (h <= 1.0)))
     if len(bad):
-        raise InvalidProbability(f"static sitting probability {h[bad[0]]!r} at frame {bad[0]} is not in [0, 1]")
+        raise InvalidProbability(f"static sitting probability {float(h[bad[0]])} at frame {bad[0]} is not in [0, 1]")
     return h
 
 
@@ -540,7 +544,12 @@ def save_static(path, h: np.ndarray) -> None:
 
 
 def load_static(path, expected_frames: int | None = None) -> np.ndarray:
-    h = check_static(list(read_records(path, lambda rec: number(rec, "h"))))
-    if expected_frames is not None and len(h) != expected_frames:
-        raise LengthMismatch(f"static file holds {len(h)} frames, expected {expected_frames}")
+    """The static sitting probabilities of a {t, h} stream; every fault,
+    check_static's and a length other than expected_frames included, names
+    the file."""
+    h = list(read_frames(path, lambda rec: number(rec, "h")))
+    with model_fields(path):
+        h = check_static(h)
+        if expected_frames is not None and len(h) != expected_frames:
+            raise LengthMismatch(f"static file holds {len(h)} frames, expected {expected_frames}")
     return h

@@ -25,7 +25,7 @@ import numpy as np
 # kmeans, save_features and train_forest go unused here; perfbench/layers.py wraps them at these bindings
 from .classify import load_features, load_static, save_features, train_forest  # noqa: F401
 from .clustering import kmeans, read_bank_fields  # noqa: F401
-from .errors import Degenerate, EgoPoseError, LengthMismatch
+from .errors import Degenerate, EgoPoseError, LengthMismatch, OutOfRange
 from .evaluation import joint_errors
 from .geometry import CameraIntrinsics, estimate_homography, load_correspondences, load_homographies
 from .pathopt import PathParams
@@ -41,6 +41,7 @@ from .pipeline import (
     load_models,
     normalized_matrix,
     train_models,
+    valid_feature_centers,
     write_models,
 )
 from .records import integral, load_json_object, model_fields, read_records
@@ -171,7 +172,7 @@ def cmd_train(args):
     classes = cluster_of[frames]
     model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"], cfg["knn_k"])
     if args.classifier == "forest":
-        model.save(_ensure_parent(args.out))
+        model.save(_ensure_parent(args.out), cluster_of)
         oob = model.oob_accuracy  # None when no row was out of bag in any tree
         print("oob accuracy: no row was out of bag" if oob is None else f"oob accuracy: {oob:.4f}")
         return 0
@@ -197,6 +198,9 @@ def cmd_infer(args):
         raise ValueError("solver kdtree needs --features")
     classifier = args.classifier_model if path_solver else None
     models = load_models(args.cluster_model, args.bank, classifier, args.features if args.solver == "kdtree" else None)
+    window = models.settings.window
+    if not len(valid_feature_centers(len(hs) + 1, window)):  # infer's check, naming the file
+        raise OutOfRange(f"{args.input}: {len(hs) + 1} frames are too short for one {window}-frame feature window")
     static_h = load_static(args.static_h, expected_frames=len(hs) + 1) if args.static_h else None
     result = infer(
         hs,

@@ -9,6 +9,7 @@ hip height of their centroid.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import os
 from dataclasses import dataclass, field
@@ -372,3 +373,10 @@ def read_bank_fields(path):
         breaks = integral_array(rec["sequence_breaks"], "sequence_breaks")
         cluster_of, breaks = _checked_clusters(cluster_of, breaks, k, len(cluster_of))
     return pose_path, cluster_of, breaks, k
+
+
+def clustering_digest(cluster_of) -> str:
+    """A 16-hex-digit digest of a bank's cluster_of: a classifier file records
+    the one of the clustering it was fit on, so that it is never read with
+    another."""
+    return hashlib.sha256(np.ascontiguousarray(cluster_of, dtype="<i8").tobytes()).hexdigest()[:16]

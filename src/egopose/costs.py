@@ -51,7 +51,7 @@ def unary_costs(
     valid = (dists >= 0.0) & (dists <= 1.0)  # NaN fails too
     if not valid.all():
         n, c = np.argwhere(~valid)[0]
-        raise InvalidProbability(f"cluster probability {dists[n, c]!r} at frame {n}, cluster {c} is not in [0, 1]")
+        raise InvalidProbability(f"cluster probability {float(dists[n, c])} at frame {n}, cluster {c} is not in [0, 1]")
 
     sitting = np.array([l == SitStand.SITTING_LIKE for l in labels], dtype=bool)
     sure_sit, sure_stand = (static_h >= params.tau)[:, None], (static_h <= 1.0 - params.tau)[:, None]

@@ -24,7 +24,7 @@ from .errors import (
     OutOfRange,
     SingularMatrix,
 )
-from .records import number, number_array, read_records, write_records
+from .records import number, number_array, read_frames, write_records
 
 
 @dataclass
@@ -218,7 +218,7 @@ def save_homographies(path, hs) -> None:
 
 
 def load_homographies(path) -> list:
-    return list(read_records(path, lambda rec: Homography(number_array(rec["h"], "h").reshape(3, 3))))
+    return list(read_frames(path, lambda rec: Homography(number_array(rec["h"], "h").reshape(3, 3))))
 
 
 def save_correspondences(path, pairs) -> None:
@@ -228,4 +228,4 @@ def save_correspondences(path, pairs) -> None:
 
 
 def load_correspondences(path) -> list:
-    return list(read_records(path, lambda rec: _point_pairs(rec["src"], rec["dst"])))
+    return list(read_frames(path, lambda rec: _point_pairs(rec["src"], rec["dst"])))

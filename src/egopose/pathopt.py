@@ -10,7 +10,8 @@ any other step between neighboring clusters, infeasible otherwise), V is a
 truncated-linear penalty q on the change in step size between consecutive
 steps, and S a truncated-linear penalty t on the length of a stationary run.
 
-solve_paper_dp runs the first-order recursion
+The paper's decode, solve_paper_dp, is a forward pass of the first-order
+recursion followed by a backtrack, as in Viterbi decoding:
 
     H(i, n) = e_{i,n} + min_j [ H(j, n-1) + w_{j,i}
                                 + q(|s(j, n-1) - (i - j)|) + r(u(j, n-1), i) ]
@@ -24,8 +25,9 @@ term is q = mu * min(|a_j - i|, gamma): truncated-linear in i, as in the
 distance transforms of sampled functions (Felzenszwalb & Huttenlocher, ToC
 2012). So every predecessor that is not within gamma of its prediction and
 is not i, i-1 or i-2 scores the same saturated sat_j = (h_j + delta) +
-mu * gamma. solve_paper_dp therefore scores each node against a bounded
-candidate set and still returns exactly the dense recursion's first minimum:
+mu * gamma. The forward pass, _paper_dp_frames, therefore scores each node
+against a bounded candidate set and still finds exactly the dense
+recursion's first minimum:
 
 * one representative of the saturated rest, scored by looking up its sat_j;
 * the special predecessors i - d for d = 0, 1, 2, with the step fixed per d;
@@ -33,8 +35,8 @@ candidate set and still returns exactly the dense recursion's first minimum:
   a floor under each of their scores, exceeds the best score so far.
 
 The special positions and the live cluster edges of a frame pair are kept
-while both frames' candidates repeat. The docstring of solve_paper_dp gives
-each rule's exactness argument. Per frame this costs
+while both frames' candidates repeat. The docstring of _paper_dp_frames
+gives each rule's exactness argument. Per frame this costs
 O(width * gamma + edges of the neighbor graph) instead of O(width^2).
 
 Every solver reads a Trellis: one (N, C) table of unary costs, a map from
@@ -59,7 +61,7 @@ from .errors import Infeasible, InfeasiblePath, StateExplosion, TooLarge
 from .records import write_records
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathParams:
     """The weights of the path energy and of its decode.
 
@@ -88,16 +90,6 @@ class PathParams:
             raise ValueError("tau must lie in (0.5, 1]")
         if not (0.0 <= self.prune_threshold < 1.0):
             raise ValueError("prune threshold must lie in [0, 1)")
-
-
-@dataclass
-class NodeState:
-    """Per-node record of the first-order recursion."""
-
-    h: float  # best energy of any path ending here
-    u: int  # stationary count along that path
-    s: int  # last step taken along that path
-    p: int  # predecessor position in the previous frame (-1 at frame 0)
 
 
 @dataclass
@@ -417,8 +409,13 @@ def _near_pairs(preds, lo, hi):
         m0 = m1
 
 
-def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tables: bool = False):
-    """First-order recursion with carried (s, u); ties take the smaller index.
+def _paper_dp_frames(trellis: Trellis, params: PathParams):
+    """The forward pass of the first-order recursion with carried (s, u);
+    ties take the smaller index. Yields, frame by frame, the candidates idx
+    and the node arrays (h, u, s, p): each node's best energy, its
+    stationary count and last step along that path, and its predecessor's
+    position in the previous frame (-1 at frame 0 and where none is found).
+    Raises Infeasible at a frame whose previous frame holds no finite node.
 
     Node i of a frame is scored against a candidate set of predecessors j
     from the previous frame, all in neighbor clusters of i's cluster, and the
@@ -448,18 +445,15 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
 
     Float rounding is monotone, so each bound holds in floating point too,
     and the first minimizer over every predecessor is always a candidate with
-    its exact score: paths, energies and node records equal those of a dense
-    scan.
+    its exact score: every node's (h, u, s, p) equals that of a dense scan.
 
     The special positions with their w and the live edges between the two
     frames' clusters depend only on the two candidate arrays. They are held
     for the current frame pair only, and reused while both frames' rows of
-    trellis.keep stay the same, as when every frame holds the whole bank.
-    Per frame the cost is O(width * gamma + edges of the neighbor graph) plus
-    sorting the previous frame by sat_j, instead of O(width^2).
-
-    Returns a PosePath, or (PosePath, tables) with keep_tables where tables
-    is a per-frame list of NodeState records.
+    trellis.keep stay the same, as when every frame holds the whole bank;
+    idx is then one array shared by those frames. Per frame the cost is
+    O(width * gamma + edges of the neighbor graph) plus sorting the previous
+    frame by sat_j, instead of O(width^2).
     """
     bank = trellis.bank
     adjacent = bank.adjacent.ravel()  # a flat index is cheaper than a (row, column) pair
@@ -470,13 +464,11 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
     changed = (trellis.keep[1:] != trellis.keep[:-1]).any(axis=1)
     idx0, e0 = trellis.frame(0)
     cur = _Frame(idx0, bank)
-    candidates = [idx0]  # per frame, for the backtrack; repeats share one array
     pair = None
     h = np.append(e0, np.inf)  # the last entry scores the missing predecessor
     u = np.zeros(len(idx0), dtype=int)
     s = np.zeros(len(idx0), dtype=int)
-    parents = [np.full(len(idx0), -1, dtype=int)]
-    tables = [None] * trellis.n_frames
+    yield idx0, h[:-1], u, s, np.full(len(idx0), -1)
 
     for n in range(1, trellis.n_frames):
         if not np.isfinite(h).any():  # no later node can become finite
@@ -484,7 +476,6 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         prev = cur
         if changed[n - 1]:
             cur = _Frame(trellis.candidates(n), bank)
-        candidates.append(cur.idx)
         e = trellis.table[n][trellis.column_of[cur.idx]]
         if pair is None or pair.prev is not prev or pair.cur is not cur:
             pair = _Pair(prev, cur, bank, params.delta)
@@ -529,27 +520,22 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
 
         found = best < n_prev
         chosen = np.minimum(best, n_prev - 1)
-        h_new = np.empty(len(idx) + 1)
-        h_new[-1] = np.inf
-        np.add(e, best_tot, out=h_new[:-1])
-        s_new = np.where(found, idx - p_idx[chosen], 0)
-        u_new = np.where(found & (s_new == 0), u[chosen] + 1, 0)
-        par = np.where(found, best, -1)
+        h = np.empty(len(idx) + 1)
+        h[-1] = np.inf
+        np.add(e, best_tot, out=h[:-1])
+        s = np.where(found, idx - p_idx[chosen], 0)
+        u = np.where(found & (s == 0), u[chosen] + 1, 0)
+        yield idx, h[:-1], u, s, np.where(found, best, -1)
 
-        if keep_tables:
-            tables[n] = [
-                NodeState(float(h_new[p]), int(u_new[p]), int(s_new[p]), int(par[p]))
-                for p in range(len(idx))
-            ]
-        h, u, s = h_new, u_new, s_new
+
+def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams()) -> PosePath:
+    """The paper's decode: the forward pass of _paper_dp_frames, then a
+    backtrack from the first node of least energy in the last frame. Keeps
+    of each frame only its candidates and back-pointers."""
+    candidates, parents = [], []
+    for idx, h, _, _, par in _paper_dp_frames(trellis, params):
+        candidates.append(idx)
         parents.append(par)
-
-    if keep_tables:
-        tables[0] = [
-            NodeState(float(e0[p]), 0, 0, -1) for p in range(len(idx0))
-        ]
-
-    h = h[:-1]
     end = int(h.argmin())
     if not np.isfinite(h[end]):
         raise Infeasible("no finite-energy path through the trellis")
@@ -558,8 +544,7 @@ def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams(), keep_tab
         positions.append(int(parents[n][positions[-1]]))
     positions.reverse()
     indices = [int(candidates[n][p]) for n, p in enumerate(positions)]
-    result = energy_of_path(trellis, indices, params)
-    return (result, tables) if keep_tables else result
+    return energy_of_path(trellis, indices, params)
 
 
 def solve_exact_dp(trellis: Trellis, params: PathParams = PathParams()) -> PosePath:

@@ -8,8 +8,9 @@ TrainedModels.save: clusters.json with clusters_centroids.npy and
 meta.json beside it (the FeatureSettings: window, feature_mode, and camera
 if set), bank.json with bank_poses.npy, features.jsonl
 (a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
-forest.json or knn.json (which names features.jsonl and holds the vote size
-k). The two .npy files are NumPy's own format, written and read only by
+forest.json (which records the clustering_digest of the bank it was fit
+on) or knn.json (which names features.jsonl and holds the vote size k). The
+two .npy files are NumPy's own format, written and read only by
 records.save_array and records.load_array. load_models reads them for
 TrainedModels.load and egopose infer. An older bundle, which held its
 centroids and bank poses as JSON text, is rejected naming clusters.json.
@@ -40,6 +41,7 @@ from .clustering import (
     ClusterModel,
     ExemplarBank,
     SitStand,
+    clustering_digest,
     hip_heights,
     kmeans,
     label_clusters,
@@ -121,7 +123,7 @@ class FeatureSettings:
             window = integral(meta, "window")
             try:
                 return cls(window, meta["feature_mode"], camera)
-            except OutOfRange as e:  # an EgoPoseError, which model_fields passes through
+            except OutOfRange as e:  # model_fields would keep it an OutOfRange
                 raise ValueError(str(e)) from e
 
 
@@ -205,7 +207,7 @@ def write_models(models: TrainedModels, clusters) -> None:
         if models.train_features is not None:
             save_features(feat_path, models.train_feature_frames, models.train_features)
         if kind == "forest":
-            models.classifier.save(os.path.join(stage, "forest.json"))
+            models.classifier.save(os.path.join(stage, "forest.json"), models.bank.cluster_of)
         elif kind == "knn":
             models.classifier.save(os.path.join(stage, "knn.json"), feat_path)  # names features.jsonl, staged beside it
         for name in os.listdir(stage):
@@ -226,8 +228,9 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
     file: first, before any model file is read, for meta.json settings that
     are missing or malformed, cannot compute their feature mode, or have a
     window below 2 (FeatureSettings.load); then for a cluster model without a
-    sit/stand label per bank cluster, a forest of another class count, or a t
-    outside the bank."""
+    sit/stand label per bank cluster, a forest of another class count or fit
+    on another clustering of the bank (its "clustering" record), or a t
+    outside the bank. A kNN model reads its classes from the bank itself."""
     settings = FeatureSettings.load(os.path.join(os.path.dirname(clusters), "meta.json"))
     cluster, bank = ClusterModel.load(clusters), ExemplarBank.load(bank)
     if cluster.labels is None or len(cluster.labels) != bank.k:
@@ -240,6 +243,9 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
                 model = ForestModel.from_record(rec)
                 if model.n_classes != bank.k:
                     raise ValueError(f"n_classes must be the bank's {bank.k} clusters, found {model.n_classes}")
+                if rec.get("clustering") != clustering_digest(bank.cluster_of):
+                    fault = "records no clustering" if "clustering" not in rec else "was fit on another clustering"
+                    raise ValueError(f"the forest {fault} of the bank's poses; re-run egopose train")
         else:
             model, frames = KnnModel.from_record(classifier, rec, bank)
             x = model.features

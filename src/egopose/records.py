@@ -3,7 +3,8 @@ motion scripts, configs), the one reader and writer of JSONL streams (one
 JSON object per line), and the one reader and writer of the NPY files (NumPy's
 own format, NEP 1) that hold a model's big float arrays. A malformed file
 raises ValueError naming it, and the line for a stream; an EgoPoseError
-raised while converting a record passes through unchanged.
+raised while converting a record is raised again, of its own type, with the
+same location put before its message.
 """
 
 import itertools
@@ -12,10 +13,20 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import EgoPoseError
+
 
 def _describe(e: Exception) -> str:
     """The message of a field error; a KeyError's alone is just the key."""
     return f"missing field {e.args[0]!r}" if isinstance(e, KeyError) else str(e)
+
+
+def _located(e: Exception, where: str) -> Exception:
+    """e with where before its message: an EgoPoseError of its own type, and
+    a field error as a ValueError."""
+    if isinstance(e, EgoPoseError):
+        return type(e)(f"{where}: {e}")
+    return ValueError(f"{where}: {_describe(e)}")
 
 
 def load_json_object(path) -> dict:
@@ -30,18 +41,20 @@ def load_json_object(path) -> dict:
 
 @contextmanager
 def model_fields(path):
-    """Scope in which an object is built from the record read from path: a
-    missing field, or one of the wrong JSON type or value, raises ValueError
-    naming the file."""
+    """Scope in which an object is built from, or a value checked against,
+    what was read from path: a missing field, or one of the wrong JSON type
+    or value, raises ValueError naming the file, and an EgoPoseError is
+    raised again naming it."""
     try:
         yield
-    except (TypeError, ValueError, KeyError) as e:
-        raise ValueError(f"{path}: {_describe(e)}") from e
+    except (TypeError, ValueError, KeyError, EgoPoseError) as e:
+        raise _located(e, path) from e
 
 
 def read_records(path, convert):
     """Yield convert(rec) for each record of a JSONL file, skipping blank
-    lines; a bad record raises ValueError starting with path:line:."""
+    lines; a bad record raises ValueError starting with path:line:, and an
+    EgoPoseError from convert is raised again starting so."""
     lineno = 0
     try:
         with open(path) as f:
@@ -52,8 +65,24 @@ def read_records(path, convert):
                 if not isinstance(rec, dict):
                     raise ValueError(f"expected a JSON object, found {type(rec).__name__}")
                 yield convert(rec)
-    except (TypeError, ValueError, KeyError) as e:
-        raise ValueError(f"{path}:{lineno}: {_describe(e)}") from e
+    except (TypeError, ValueError, KeyError, EgoPoseError) as e:
+        raise _located(e, f"{path}:{lineno}") from e
+
+
+def read_frames(path, convert):
+    """read_records for a per-frame stream, whose n-th record holds t = n
+    (every writer of one counts 0, 1, 2, ...): a record whose t is missing,
+    not an integer, repeated, skipped or out of order raises ValueError
+    naming path:line."""
+    frames = itertools.count()
+
+    def frame(rec):
+        t, expected = integral(rec, "t"), next(frames)
+        if t != expected:
+            raise ValueError(f"t must count the frames 0, 1, 2, ...: expected {expected}, found {t}")
+        return convert(rec)
+
+    return read_records(path, frame)
 
 
 def integral(rec: dict, key: str) -> int:

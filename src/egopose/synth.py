@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ScriptError
 from .geometry import CameraIntrinsics, Homography, save_correspondences, save_homographies
-from .records import integral, integral_array, load_json_object, model_fields, number, read_records, write_json_object, write_records
+from .records import integral, integral_array, load_json_object, model_fields, number, read_frames, write_json_object, write_records
 from .skeleton import N_JOINTS, Frame, Joint, PoseSequence, save_pose_sequence
 from .classify import save_static
 
@@ -395,4 +395,4 @@ def _sitting(rec) -> bool:
 
 
 def load_labels(path) -> np.ndarray:
-    return np.array(list(read_records(path, _sitting)), dtype=bool)
+    return np.array(list(read_frames(path, _sitting)), dtype=bool)

@@ -22,7 +22,7 @@ from egopose.classify import (
     train_forest,
 )
 from egopose.cli import DEFAULT_CONFIG
-from egopose.clustering import ExemplarBank
+from egopose.clustering import ExemplarBank, clustering_digest
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 from egopose.pipeline import train_models
 
@@ -401,7 +401,7 @@ def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
         assert np.array_equal(forest_proba_batch(model, q), dict_forest_proba(trees, q, 3))
         assert np.array_equal(forest_proba_batch(model, q[3:4]), want[3:4])
         path = tmp_path / "deep.json"
-        model.save(path)
+        model.save(path, y)
         back = ForestModel.load(path)
         assert_same_arrays(node_arrays(back), node_arrays(model))
         assert np.array_equal(forest_proba_batch(back, q), want)
@@ -437,7 +437,7 @@ def test_forest_file_round_trip(tmp_path):
     x, y = two_blobs(rng, n=40)
     model = train_forest(x, y, n_trees=5, seed=0)
     path = tmp_path / "forest.json"
-    model.save(path)
+    model.save(path, y)
     back = ForestModel.load(path)
     assert_same_arrays(node_arrays(back), node_arrays(model))
     assert np.array_equal(forest_proba_batch(back, x), forest_proba_batch(model, x))
@@ -670,9 +670,10 @@ def test_model_writers_match_json_dump(tmp_path):
     forests = [train_forest(x, y, n_trees=4, seed=0), _chain_forest(300)]
     for n, model in enumerate(forests):
         path = tmp_path / f"forest{n}.json"
-        model.save(path)
+        model.save(path, y)
         trees = {name: values.tolist() for name, values in node_arrays(model).items()}
-        rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "trees": trees}
+        rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "clustering": clustering_digest(y)}
+        rec["trees"] = trees
         assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
     model = KnnModel(x, y, 2, 30)
     path = tmp_path / "knn.json"
@@ -793,3 +794,10 @@ def test_knn_file_with_fields_of_the_wrong_type_is_rejected(tmp_path, field, val
     with pytest.raises(ValueError) as info:
         KnnModel.load(path, bank)
     assert str(path) in str(info.value)
+
+
+def test_knn_index_and_model_check_their_shapes():
+    with pytest.raises(ValueError, match=r"points must be \(n, d\)"):
+        KnnIndex(np.zeros(3))
+    with pytest.raises(DimMismatch, match="matching length"):
+        KnnModel(np.zeros((3, 2)), [0, 1], 2, 1)

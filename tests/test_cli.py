@@ -734,7 +734,8 @@ def test_invalid_static_prior_exits_3(workspace, tmp_path, capsys):
     )
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "InvalidProbability"
+    message = f"{bad}: static sitting probability nan at frame 3 is not in [0, 1]"  # no NumPy scalar repr
+    assert err == {"error": "InvalidProbability", "message": message}
 
 
 @pytest.mark.parametrize("flag", ["--bank", "--cluster-model", "--classifier-model", "--camera", "--config"])
@@ -825,7 +826,7 @@ def test_invalid_script_exits_3(tmp_path, capsys):
     rc = main(["synth", "--script", str(bad), "--out-dir", str(tmp_path / "d")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "ScriptError"
+    assert err == {"error": "ScriptError", "message": f"{bad}: walk requires standing"}
 
 
 def _infer_argv(workspace, tmp_path, *extra):
@@ -1766,3 +1767,142 @@ def test_config_file_matches_flags(workspace, tmp_path):
     ref = workspace["models"]
     for name in ("clusters.json", "bank.json", "features.jsonl"):
         assert (d / name).read_bytes() == (ref / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# data errors name their file
+
+
+def _with_lines(src, dst, change):
+    """dst: the JSONL file src with change applied to its list of lines."""
+    lines = src.read_text().splitlines()
+    change(lines)
+    dst.write_text("".join(line + "\n" for line in lines))
+    return dst
+
+
+def test_static_file_one_record_short_exits_3_naming_it(workspace, tmp_path, capsys):
+    short = _with_lines(workspace["data"] / "static_h.jsonl", tmp_path / "static_h.jsonl", lambda lines: lines.pop())
+    assert main(_infer_argv(workspace, tmp_path, "--static-h", str(short))) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "LengthMismatch", "message": f"{short}: static file holds 109 frames, expected 110"}
+
+
+def test_singular_homography_record_exits_4_naming_its_line(workspace, tmp_path, capsys):
+    singular = json.dumps({"t": 4, "h": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]})
+    stream = _with_lines(workspace["data"] / "homographies.jsonl", tmp_path / "h.jsonl", lambda lines: lines.__setitem__(4, singular))
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--input") + 1] = str(stream)
+    assert main(argv) == 4
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "SingularMatrix", "message": f"{stream}:5: homography is singular"}
+
+
+def test_input_shorter_than_one_window_exits_3_naming_it(workspace, tmp_path, capsys):
+    stream = _with_lines(workspace["data"] / "homographies.jsonl", tmp_path / "h.jsonl", lambda lines: lines.__delitem__(slice(5, None)))
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--input") + 1] = str(stream)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "OutOfRange", "message": f"{stream}: 6 frames are too short for one 8-frame feature window"}
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def _swap(i, j):
+    def change(lines):
+        lines[i], lines[j] = lines[j], lines[i]
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "name, flag, change, line",
+    [
+        ("homographies.jsonl", "--input", _swap(40, 90), 41),
+        ("homographies.jsonl", "--input", lambda lines: lines.pop(50), 51),
+        ("correspondences.jsonl", "--input", _swap(10, 11), 11),
+        ("static_h.jsonl", "--static-h", _swap(30, 60), 31),
+    ],
+)
+def test_stream_records_out_of_frame_order_exit_3_naming_the_line(workspace, tmp_path, capsys, name, flag, change, line):
+    """A stream is read in file order, so a swapped or dropped record would
+    move every later frame; its t says so, and infer exits 3 at that line."""
+    stream = _with_lines(workspace["data"] / name, tmp_path / name, change)
+    argv = _infer_argv(workspace, tmp_path)
+    if flag == "--input":
+        argv[argv.index("--input") + 1] = str(stream)
+    else:
+        argv += [flag, str(stream)]
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{stream}:{line}: t must count the frames")
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+def test_forest_fit_on_another_clustering_exits_3_naming_it(workspace, tmp_path, capsys):
+    """forest.json records the clustering its classes name. cluster run again
+    into the directory with another seed gives other clusters, so the forest
+    that train fit before is rejected rather than decoded; the same seed
+    gives the same clusters, and the forest still loads. A forest file that
+    records no clustering is rejected too."""
+    data, d = workspace["data"], tmp_path / "m"
+    cluster = ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(data / "homographies.jsonl")]
+    cluster += ["--k", "8", "--window", "8", "--out", str(d / "clusters.json")]
+    assert main(cluster + ["--seed", "0"]) == 0
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json"), "--trees", "3"]
+    assert main(train + ["--out", str(d / "forest.json")]) == 0
+    argv = _infer_argv(workspace, tmp_path)
+    for flag, name in (("--bank", "bank.json"), ("--cluster-model", "clusters.json"), ("--classifier-model", "forest.json")):
+        argv[argv.index(flag) + 1] = str(d / name)
+    before = ExemplarBank.load(d / "bank.json").cluster_of
+    assert main(cluster + ["--seed", "0"]) == 0
+    assert main(argv) == 0
+    assert main(cluster + ["--seed", "5"]) == 0
+    assert not np.array_equal(ExemplarBank.load(d / "bank.json").cluster_of, before)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{d / 'forest.json'}: the forest was fit on another")
+    assert "re-run egopose train" in err["message"]
+    rec = json.loads((workspace["models"] / "forest.json").read_text())
+    del rec["clustering"]
+    unrecorded = tmp_path / "forest.json"
+    unrecorded.write_text(json.dumps(rec))
+    argv = _infer_argv(workspace, tmp_path)
+    argv[argv.index("--classifier-model") + 1] = str(unrecorded)
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"].startswith(f"{unrecorded}: the forest records no clustering")
+
+
+def test_empty_or_unknown_input_stream_exits_3_naming_it(workspace, tmp_path, capsys):
+    for content, message in (("\n", "empty input stream"), ('{"t": 0, "x": 1}\n', "expected homography or correspondence records")):
+        stream = tmp_path / "in.jsonl"
+        stream.write_text(content)
+        argv = _infer_argv(workspace, tmp_path)
+        argv[argv.index("--input") + 1] = str(stream)
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().err.strip()) == {"error": "ValueError", "message": f"{stream}: {message}"}
+
+
+def test_train_with_no_feature_rows_exits_3_before_writing(workspace, tmp_path, capsys):
+    empty = tmp_path / "features.jsonl"
+    empty.write_text("")
+    train = ["train", "--features", str(empty), "--bank", str(workspace["models"] / "bank.json")]
+    assert main(train + ["--out", str(tmp_path / "forest.json")]) == 3
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "ValueError", "message": f"{empty}: no feature rows"}
+    assert not (tmp_path / "forest.json").exists()
+
+
+def test_infer_warns_past_half_a_second_a_frame(workspace, tmp_path, capsys, monkeypatch):
+    real = cli.infer
+
+    def slow(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.timings["total_per_frame_s"] = 0.6
+        return result
+
+    monkeypatch.setattr(cli, "infer", slow)
+    assert main(_infer_argv(workspace, tmp_path)) == 0
+    assert "warning: 0.600 s/frame exceeds the 0.5 s/frame budget" in capsys.readouterr().out.splitlines()
+

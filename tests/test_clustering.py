@@ -548,3 +548,16 @@ def test_model_writers_match_json_dump(tmp_path):
         }
         assert (tmp_path / "clusters.json").read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
         assert (tmp_path / "clusters_centroids.npy").read_bytes() == _np_save_bytes(model.centroids, tmp_path / "want.npy")
+
+
+def test_cluster_model_and_bank_check_their_shapes():
+    with pytest.raises(ValueError, match=r"centroids must be \(K, 75\)"):
+        ClusterModel(np.zeros((2, 74)))
+    with pytest.raises(ValueError, match="one label per centroid"):
+        ClusterModel(np.zeros((2, 75)), [SitStand.SITTING_LIKE])
+    with pytest.raises(ValueError, match=r"bank poses must be \(n, 75\)"):
+        ExemplarBank(np.zeros((3, 74)), np.zeros(3, dtype=int), [], 1)
+
+
+def test_sit_stand_threshold_of_equal_heights_is_that_height():
+    assert sit_stand_threshold(np.full(5, 0.7)) == 0.7

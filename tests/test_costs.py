@@ -282,3 +282,13 @@ def test_prune_keeps_argmin_above_threshold():
             best = out.indices[n][int(np.argmin(out.frame(n)[1]))]
             if dists[n][bank.cluster_of[best]] > 0.01:
                 assert best in pruned.indices[n]
+
+
+def test_distribution_width_and_labels_must_match_the_bank():
+    rng = np.random.default_rng(3)
+    bank = make_bank(rng)
+    dists = np.full((2, bank.k), 1.0 / bank.k)
+    with pytest.raises(LengthMismatch, match="match bank clusters"):
+        unary_costs(dists[:, 1:], np.full(2, 0.5), bank, alternating_labels(bank.k))
+    with pytest.raises(LengthMismatch, match="match bank clusters"):
+        unary_costs(dists, np.full(2, 0.5), bank, alternating_labels(bank.k - 1))

@@ -238,3 +238,14 @@ def test_correspondence_file_round_trip(tmp_path):
     for (s1, d1), (s2, d2) in zip(back, pairs):
         assert np.allclose(s1, s2)
         assert np.allclose(d1, d2)
+
+
+def test_homography_checks_its_matrix():
+    with pytest.raises(ValueError, match="expected 3x3 matrix"):
+        Homography(np.eye(2))
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Homography(bad)
+    with pytest.raises(NormalizationFailure, match="too small to normalize"):
+        Homography.from_matrix(np.diag([0.0, 1.0, 1.0]))

@@ -12,13 +12,16 @@ Oracles used here and written independently of the module under test:
 * ``_reference_paper_dp`` — the first-order recursion scored densely, one
   block of every node of a cluster against every predecessor in its neighbor
   clusters. ``solve_paper_dp`` scores a bounded candidate set per node and
-  must reproduce it exactly: paths, energies and node records.
+  must reproduce it exactly: paths, energies and, read from its forward pass
+  ``_paper_dp_frames``, node records.
 * ``_reference_cluster_viterbi`` — the cluster-level Viterbi of the
   path-cluster baseline written with dicts and per-cluster neighbor sets;
   the module's masked-argmin version must return the same sequence.
 """
 
+import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -28,7 +31,6 @@ from egopose import (
     ExemplarBank,
     Infeasible,
     InfeasiblePath,
-    NodeState,
     PathParams,
     PosePath,
     SitStand,
@@ -48,6 +50,11 @@ from egopose import (
 )
 from egopose.cli import DEFAULT_CONFIG, _path_params
 from trellis_util import trellis_of
+
+# per-node record of the first-order recursion: best energy of any path ending
+# here, stationary count and last step along it, predecessor position in the
+# previous frame (-1 at frame 0)
+NodeState = namedtuple("NodeState", "h u s p")
 
 
 def make_bank(cluster_seq, breaks=(), seed=0):
@@ -159,10 +166,11 @@ def ref_viterbi(trellis, delta):
     return path, h[end]
 
 
-def _reference_paper_dp(trellis, params, keep_tables=False):
+def _reference_paper_dp(trellis, params):
     """Dense first-order recursion: for each cluster of a frame, score all of
     its nodes against every predecessor in a neighbor cluster, with the same
-    float expression, and keep the first minimum (smaller exemplar index)."""
+    float expression, and keep the first minimum (smaller exemplar index).
+    Returns the path and every frame's node records."""
     bank = trellis.bank
     meta = [
         (bank.cluster_of[idx], np.searchsorted(bank.sequence_breaks, idx, side="right"))
@@ -227,8 +235,16 @@ def _reference_paper_dp(trellis, params, keep_tables=False):
         positions.append(int(parents[n][positions[-1]]))
     positions.reverse()
     indices = [int(trellis.frames[n][0][p]) for n, p in enumerate(positions)]
-    result = energy_of_path(trellis, indices, params)
-    return (result, tables) if keep_tables else result
+    return energy_of_path(trellis, indices, params), tables
+
+
+def paper_dp_tables(trellis, params=PathParams()):
+    """Every frame's node records, read from the forward pass of
+    solve_paper_dp."""
+    return [
+        [NodeState(float(hp), int(up), int(sp), int(pp)) for hp, up, sp, pp in zip(h, u, s, p)]
+        for _, h, u, s, p in pathopt._paper_dp_frames(trellis, params)
+    ]
 
 
 def _reference_cluster_viterbi(trellis, dists):
@@ -648,10 +664,14 @@ def test_brute_force_path_budget_guard():
 def test_paper_dp_node_tables():
     bank = make_bank([0] * 6)
     tr = sparse_trellis(bank, [{0: 0.1, 1: 0.2}, {1: 0.0, 2: 0.3}, {3: 0.05}])
-    result, tables = solve_paper_dp(tr, keep_tables=True)
-    assert len(tables) == 3
+    result = solve_paper_dp(tr)
+    frames = list(pathopt._paper_dp_frames(tr, PathParams()))
+    assert len(frames) == 3
+    for n, (idx, *nodes) in enumerate(frames):
+        assert idx.tolist() == tr.candidates(n).tolist()
+        assert all(len(a) == len(idx) for a in nodes)
+    tables = paper_dp_tables(tr)
     for state in tables[0]:
-        assert isinstance(state, NodeState)
         assert state.p == -1 and state.u == 0 and state.s == 0
     for n in (1, 2):
         for state in tables[n]:
@@ -790,12 +810,12 @@ def oracle_instance(rng, dyadic):
 
 def assert_same_as_reference(tr, params):
     try:
-        want, want_tables = _reference_paper_dp(tr, params, keep_tables=True)
+        want, want_tables = _reference_paper_dp(tr, params)
     except Infeasible:
         with pytest.raises(Infeasible):
             solve_paper_dp(tr, params)
         return False
-    got, got_tables = solve_paper_dp(tr, params, keep_tables=True)
+    got, got_tables = solve_paper_dp(tr, params), paper_dp_tables(tr, params)
     assert got.indices == want.indices
     assert got.energy_dict() == want.energy_dict()
     assert len(got_tables) == len(want_tables)
@@ -864,8 +884,9 @@ def test_paper_dp_reuses_frame_pair_structure_only_while_the_candidates_repeat(m
     for params in ORACLE_PARAMS:
         for _ in range(6):
             tr = _repeating_trellis(rng, case)
-            built.clear()
             if assert_same_as_reference(tr, params):
+                built.clear()
+                solve_paper_dp(tr, params)
                 assert len(built) == (tr.n_frames - 1 if case == "alternating" else 1)
 
 
@@ -883,7 +904,7 @@ def test_paper_dp_scores_a_near_predecessor_that_ties_the_best_score():
     for last in ({2: 0.0}, {2: 0.0, 13: 0.0}):
         tr = sparse_trellis(bank, [start, middle, last])
         assert assert_same_as_reference(tr, params)
-        path, tables = solve_paper_dp(tr, params, keep_tables=True)
+        path, tables = solve_paper_dp(tr, params), paper_dp_tables(tr, params)
         assert [tables[1][p].s for p in range(2)] == [-3, 1]
         node = tables[2][0]
         assert (node.h, node.p) == (1.0, 0)  # position 0 of frame 1: exemplar 5
@@ -1043,3 +1064,13 @@ def test_admits_path_agrees_with_the_solvers_at_every_relaxed_threshold():
             seen["feasible" if admits else "infeasible"] += 1
             seen["fallback frames"] += int((dists.max(axis=1) <= thr).sum())
     assert min(seen.values()) > 50, seen
+
+
+def test_path_params_cannot_change_after_their_checks():
+    """PathParams are checked when built, and a PathParams() is the shared
+    default of several solvers, so no field may be set afterwards."""
+    params = PathParams()
+    for name, value in (("tau", 2.0), ("delta", -1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, value)
+    assert params == PathParams()

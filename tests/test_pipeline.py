@@ -41,7 +41,7 @@ from egopose.clustering import ExemplarBank, hip_heights, sit_stand_threshold
 from egopose.costs import prune, unary_costs
 from egopose.errors import Infeasible
 from egopose.pathopt import Trellis, solve_paper_dp
-from egopose.pipeline import SOLVERS, UP_AXIS, load_models
+from egopose.pipeline import SOLVERS, UP_AXIS, build_features, load_models
 from egopose.synth import default_camera
 
 
@@ -514,7 +514,7 @@ def test_load_models_builds_the_classifier_the_file_holds(tmp_path, knn_bundle):
     models, _ = knn_bundle
     models.save(tmp_path)
     forest = train_models(*training_material(seed=50)[:2], k=5, window=8, n_trees=3, seed=2).classifier
-    forest.save(tmp_path / "forest.json")
+    forest.save(tmp_path / "forest.json", models.bank.cluster_of)  # recorded as fit on this bundle's clusters
     files = [str(tmp_path / name) for name in ("clusters.json", "bank.json")]
     got = load_models(*files, tmp_path / "forest.json")
     assert isinstance(got.classifier, ForestModel) and got.train_features is None
@@ -749,6 +749,14 @@ def test_infer_validates_inputs(trained, test_stream):
         infer(test_stream.homographies, trained, static_h=np.zeros(3))
     with pytest.raises(OutOfRange):
         infer(test_stream.homographies[:3], trained)
+
+
+def test_kdtree_needs_training_features_and_features_need_a_full_window(trained, test_stream):
+    with pytest.raises(ValueError, match="kdtree solver needs stored training features"):
+        infer(test_stream.homographies, replace(trained, train_features=None), solver="kdtree")
+    sequences, streams, _, _ = training_material()
+    with pytest.raises(OutOfRange, match="no frame has a full feature window"):
+        build_features(sequences, streams, FeatureSettings(window=1000))
 
 
 def test_infer_default_static_is_uninformative(trained, test_stream):

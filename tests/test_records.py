@@ -159,10 +159,42 @@ def test_pose_times_must_increase_naming_the_line(tmp_path):
     ],
 )
 def test_package_errors_from_a_record_pass_through(tmp_path, h, error):
+    """A package error keeps its type, and so its exit code, and names the
+    file and line."""
     path = tmp_path / "h.jsonl"
     path.write_text(json.dumps({"t": 0, "h": h}) + "\n")
-    with pytest.raises(error):
+    with pytest.raises(error, match=f"^{re.escape(str(path))}:1: "):
         load_homographies(path)
+
+
+# per-frame streams: record n must hold t = n
+FRAME_STREAMS = ["homographies", "correspondences", "static", "labels"]
+T_FAULTS = {  # fault -> (its records' t, or None for no t, in file order; the message at the faulty line 3)
+    "missing": ([0, 1, None, 3], "missing field 't'"),
+    "non-integral": ([0, 1, 2.5, 3], "t must be an integer, found 2.5"),
+    "repeated": ([0, 1, 1, 2], "expected 2, found 1"),
+    "skipped": ([0, 1, 3, 4], "expected 2, found 3"),
+    "out of order": ([0, 1, 3, 2], "expected 2, found 3"),
+}
+
+
+@pytest.mark.parametrize("fault", list(T_FAULTS))
+@pytest.mark.parametrize("stream", FRAME_STREAMS)
+def test_frame_streams_must_count_t_from_zero(tmp_path, stream, fault):
+    """Every writer of a per-frame stream writes t = 0, 1, 2, ...; a reader
+    takes records in file order, so any other t is a ValueError naming the
+    file and line, not a frame silently misplaced."""
+    load, good = LOADERS[stream]
+    path = tmp_path / f"{stream}.jsonl"
+    path.write_text("".join(json.dumps(dict(good, t=t)) + "\n" for t in range(4)))
+    assert len(load(path)) == 4
+    times, message = T_FAULTS[fault]
+    recs = [dict(good, t=t) for t in times]
+    if times[2] is None:
+        del recs[2]["t"]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*{re.escape(message)}$"):
+        load(path)
 
 
 def test_read_records_reads_lazily(tmp_path):

@@ -307,3 +307,11 @@ def test_pose_file_mixing_frame_tags_raises_frame_mismatch(tmp_path):
     path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, t=1, frame="wearer_local")) + "\n")
     with pytest.raises(FrameMismatch):
         load_pose_sequence(path)
+
+
+def test_pose_vector_and_up_vector_are_checked():
+    with pytest.raises(ValueError, match="75-vector"):
+        Pose.from_vector(np.zeros(74))
+    joints = np.zeros((1, N_JOINTS, 3))
+    with pytest.raises(ValueError, match="up vector must be nonzero"):
+        normalize_poses(joints, np.zeros(3))

@@ -339,3 +339,20 @@ def test_write_and_reload_round_trip(tmp_path):
 
     assert np.array_equal(load_static(tmp_path / "static_h.jsonl"), out.static_h)
     assert np.array_equal(load_labels(tmp_path / "labels.jsonl"), out.sit_labels)
+
+
+def test_translation_noise_shifts_dst_deterministically_and_keeps_the_homographies():
+    """translation_noise moves each frame's dst by one random shift, scaled
+    per point, so every point moves along one direction; the homographies
+    stay the exact rotation-only maps of the noise-free script."""
+    segments = [("walk", 12), ("turn_left", 8)]
+    plain = generate(MotionScript(segments, seed=4, joint_jitter=0.0, pixel_noise=0.0))
+    runs = [generate(MotionScript(segments, seed=4, joint_jitter=0.0, pixel_noise=0.0, translation_noise=3.0)) for _ in range(2)]
+    for (sa, da), (sb, db) in zip(runs[0].correspondences, runs[1].correspondences):
+        assert np.array_equal(sa, sb) and np.array_equal(da, db)
+    for h, h0, (src, dst) in zip(runs[0].homographies, plain.homographies, runs[0].correspondences):
+        assert np.array_equal(h.h, h0.h)
+        moved = dst - h.apply(src)
+        assert np.linalg.norm(moved, axis=1).min() > 0.0
+        first = moved[0] / np.linalg.norm(moved[0])
+        assert np.abs(moved[:, 0] * first[1] - moved[:, 1] * first[0]).max() < 1e-12  # all along one direction
