@@ -121,11 +121,14 @@ class ForestModel:
                 nodes[i] = {**split, "left": nodes[i + 1], "right": nodes[self.right[i]]}
         return [nodes[r] for r in self.roots]
 
-    def save(self, path, cluster_of) -> None:
+    def save(self, path, cluster_of, settings: dict) -> None:
         """Write the forest, with the clustering_digest of cluster_of, the
-        bank clusters it was fit on, as "clustering"."""
+        bank clusters it was fit on, as "clustering", and the record of the
+        feature settings its rows were built with (FeatureSettings.record)
+        as "feature_settings"."""
         trees = {name: getattr(self, name).tolist() for name in _NODE_ARRAYS}
         rec = {"feature_dim": self.feature_dim, "n_classes": self.n_classes, "clustering": clustering_digest(cluster_of)}
+        rec["feature_settings"] = settings
         write_json_object(path, {**rec, "trees": trees})
 
     @classmethod

@@ -165,6 +165,8 @@ def cmd_train(args):
     if args.loo and args.classifier != "knn":
         raise ValueError("--loo scores a kNN model: it needs --classifier knn")
     cfg = _load_config(args)
+    if args.classifier == "forest":  # the forest records the settings of the bundle it is fit for
+        settings = FeatureSettings.load(os.path.join(os.path.dirname(args.bank), "meta.json"))
     _, cluster_of, _, n_classes = read_bank_fields(args.bank)  # the poses are not needed
     frames, x = load_features(args.features, len(cluster_of))
     if len(x) == 0:
@@ -172,7 +174,7 @@ def cmd_train(args):
     classes = cluster_of[frames]
     model = fit_classifier(args.classifier, x, classes, n_classes, cfg["trees"], cfg["seed"], cfg["knn_k"])
     if args.classifier == "forest":
-        model.save(_ensure_parent(args.out), cluster_of)
+        model.save(_ensure_parent(args.out), cluster_of, settings.record())
         oob = model.oob_accuracy  # None when no row was out of bag in any tree
         print("oob accuracy: no row was out of bag" if oob is None else f"oob accuracy: {oob:.4f}")
         return 0
@@ -272,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit the per-frame cluster classifier")
     p.add_argument("--features", required=True, help="feature JSONL from cluster")
-    p.add_argument("--bank", required=True, help="bank JSON: each feature row's class is its pose's cluster")
+    p.add_argument(
+        "--bank",
+        required=True,
+        help="bank JSON: each feature row's class is its pose's cluster; a forest records the meta.json beside it",
+    )
     p.add_argument("--classifier", choices=("forest", "knn"), default="forest")
     p.add_argument("--trees", type=int, default=None)
     p.add_argument("--knn-k", dest="knn_k", type=int, default=None)

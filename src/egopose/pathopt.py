@@ -35,9 +35,11 @@ recursion's first minimum:
   a floor under each of their scores, exceeds the best score so far.
 
 The special positions and the live cluster edges of a frame pair are kept
-while both frames' candidates repeat. The docstring of _paper_dp_frames
-gives each rule's exactness argument. Per frame this costs
-O(width * gamma + edges of the neighbor graph) instead of O(width^2).
+while both frames' candidates repeat, and once a pair repeats its near pairs
+are made only along live cluster edges. The docstring of _paper_dp_frames
+gives each rule's exactness argument and the cost of a frame,
+O(width + live edges + near pairs), where the dense recursion takes
+O(width^2).
 
 Every solver reads a Trellis: one (N, C) table of unary costs, a map from
 bank poses to its columns, and an (N, C) bool mask of the columns whose poses
@@ -101,8 +103,10 @@ class Trellis:
     cluster (column_of = bank.cluster_of), so no frame copies its costs or its
     candidates. candidates(n) derives them in ascending order, so first-minimum
     argmin implements the smaller-index tie rule. No table column may hold
-    poses of two clusters, and every frame must keep a column that holds a
-    pose; anything else raises ValueError.
+    poses of two clusters, every frame must keep a column that holds a pose,
+    and no kept column that holds a pose may cost NaN: the solvers compare
+    costs, and their tie rules and the paper DP's exactness assume that any
+    two are ordered. Anything else raises ValueError.
     """
 
     table: np.ndarray  # (N, C) costs, one row per frame
@@ -128,6 +132,10 @@ class Trellis:
         empty = ~keep[:, clusters >= 0].any(axis=1)
         if empty.any():
             raise ValueError(f"frame {int(empty.argmax())} keeps no column that holds a pose")
+        nan = np.isnan(self.table) & keep & (clusters >= 0)
+        if nan.any():
+            n, c = np.argwhere(nan)[0]
+            raise ValueError(f"the cost at frame {n}, column {c} is NaN")
 
     @property
     def n_frames(self) -> int:
@@ -285,6 +293,7 @@ def energy_of_path(trellis: Trellis, indices, params: PathParams = PathParams())
 
 _SPECIAL = np.arange(3)[:, None]  # steps i - j that can have w = 0 or r > 0, one row each
 _NEAR_CHUNK = 1 << 16  # near pairs scored at a time; bounds memory per frame
+_LIVE_CELLS = 1 << 22  # the largest (groups, width + 1) table _LiveTargets builds
 
 
 def _near_reach(speed_gamma: float, n_poses: int) -> int:
@@ -312,8 +321,11 @@ def _runs(keys):
 class _Frame:
     """What the recursion reads of one frame's candidate indices alone."""
 
-    def __init__(self, idx, bank: ExemplarBank):
+    def __init__(self, idx, trellis: Trellis):
+        bank = trellis.bank
         self.idx = idx
+        self.columns = trellis.column_of[idx]  # where the table holds each candidate's cost
+        self.ext = np.append(idx, -3)  # position len(idx), the missing predecessor, is never special
         self.clusters = bank.cluster_of[idx]
         self.seg = bank.segment_of[idx]
         self.flat = self.clusters * bank.k  # row offsets into the flat adjacency table
@@ -336,7 +348,8 @@ class _Frame:
 class _Pair:
     """What the recursion reads of two consecutive frames' candidates: each
     node's special predecessors with their w, and the live edges of the
-    neighbor graph grouped by target cluster."""
+    neighbor graph grouped by target cluster. live is None until the pair
+    repeats; see _LiveTargets."""
 
     def __init__(self, prev: _Frame, cur: _Frame, bank: ExemplarBank, delta: float):
         self.prev, self.cur = prev, cur
@@ -356,56 +369,114 @@ class _Pair:
         run_of_group = np.full(len(cur.present), len(self.edge_starts))
         run_of_group[target[self.edge_starts]] = np.arange(len(self.edge_starts))
         self.node_run = run_of_group[cur.group[cur.clusters]]  # past the end: no live edge
+        # the representative of each run, and past the end the missing predecessor
+        self.run_best = np.full(len(self.edge_starts) + 1, n)
+        self.live = None
 
 
-def _representatives(sat, pair: _Pair):
+class _LiveTargets:
+    """The live cluster edges of a frame pair, as near windows read them.
+
+    Row g lists, ascending, the current positions in the neighbor clusters
+    of the previous frame's group g: targets[start[g]:start[g + 1]]. counts
+    row g holds, at each position x of 0..width, how many of them lie below
+    x. So the near window [lo, hi) of a predecessor of group g holds exactly
+    the targets[start[g] + counts[g, lo] : start[g] + counts[g, hi]] of its
+    neighbor clusters: two lookups, where scanning the window and testing
+    each pair for adjacency makes every pair. row and start hold, per
+    predecessor, where its group's counts row and targets begin. Building it
+    costs one (groups, width) pass, so it is built only once a pair repeats,
+    and not past _LIVE_CELLS cells."""
+
+    def __init__(self, pair: _Pair, bank: ExemplarBank):
+        prev, width = pair.prev, len(pair.cur.idx)
+        live = bank.adjacent[prev.present][:, pair.cur.clusters]  # (groups, width)
+        counts = np.zeros((len(live), width + 1), dtype=np.int16 if width < 1 << 15 else np.int32)
+        np.cumsum(live, axis=1, dtype=counts.dtype, out=counts[:, 1:])
+        self.targets = np.flatnonzero(live) % width
+        self.counts = counts.ravel()
+        sizes = counts[:, -1].astype(int)
+        group = prev.group[prev.clusters]  # each predecessor's group
+        self.row = group * (width + 1)
+        self.start = (sizes.cumsum() - sizes)[group]
+
+    def window(self, preds, lo, hi):
+        """The predecessors' windows [lo, hi) of current positions, as
+        ranges of targets."""
+        row, start = self.row[preds], self.start[preds]
+        return start + self.counts[row + lo], start + self.counts[row + hi]
+
+
+def _representatives(sat, pair: _Pair, special_best):
     """Per node i, the position of the predecessor that stands in for every
-    predecessor that scores sat_j, or len(sat) when none has to.
+    predecessor that scores sat_j, or n when none has to; sat holds the n
+    predecessors' scores and, last, inf for the missing predecessor n, and
+    special_best each node's least score over its special predecessors.
 
     Walk the predecessors in the neighbor clusters of i's cluster by
     ascending (sat_j, j): the first that is not special is the
     representative. A first one with step 1 or 2 scores at most its own
     sat_j with r = 0, so it beats every later one and none is needed. Only
     the step-0 predecessor can score more (r > 0), and it is at most one,
-    so the walk ends by the second predecessor."""
-    n = len(sat)
-    p_idx, idx = pair.prev.idx, pair.cur.idx
-    reps = np.full(len(idx), n)
+    so the walk ends by the second predecessor. It goes on only where the
+    first one's sat_j is below special_best: else every later j scores at
+    least special_best, and as it comes later in the order it has a larger
+    index than the step-0 j, so also than the special predecessor that
+    scores special_best, and cannot win.
+
+    The first of the walk is found by segmented minima, with no sort: each
+    cluster group's least sat_j and the smallest j that has it, then the
+    least of those over each target cluster's live edges, ties again to the
+    smaller j. The second is found the same way with the first's group
+    standing in by its own second."""
+    n = len(sat) - 1
+    idx = pair.cur.idx
     if not len(pair.edge_pred):
-        return reps
-    order = sat.argsort(kind="stable")  # ties keep the smaller j
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
-    grouped = rank[pair.prev.by_cluster]
-    first = np.minimum.reduceat(grouped, pair.prev.starts)  # per cluster of the previous frame
-    per_edge = first[pair.edge_pred]
-    best = np.minimum.reduceat(per_edge, pair.edge_starts)  # per cluster of this frame
-    order = np.append(order, n)
-    p_idx = np.append(p_idx, -3)  # the missing predecessor n is never special
-    rep = order[np.append(best, n)[pair.node_run]]
-    step = idx - p_idx[rep]
+        return np.full(len(idx), n)
+    prev, edge_pred, edge_starts, edge_run = pair.prev, pair.edge_pred, pair.edge_starts, pair.edge_run
+    members, group_of = prev.by_cluster, prev.group_of_sorted
+    grouped = sat[members]
+    least = np.minimum.reduceat(grouped, prev.starts)  # per cluster of the previous frame
+    first = np.minimum.reduceat(np.where(grouped == least[group_of], members, n), prev.starts)
+    value, pos = least[edge_pred], first[edge_pred]
+    best = pair.run_best  # per cluster of this frame, then the missing predecessor n
+    run_least = np.minimum.reduceat(value, edge_starts)
+    np.minimum.reduceat(np.where(value == run_least[edge_run], pos, n), edge_starts, out=best[:-1])
+    rep = best[pair.node_run]
+    step = idx - prev.ext[rep]
     reps = np.where(_far(step), rep, n)
     stay = (step == 0).nonzero()[0]
+    stay = stay[sat[rep[stay]] < special_best[stay]]
     if len(stay):
-        second = np.minimum.reduceat(np.where(grouped == first[pair.prev.group_of_sorted], n, grouped), pair.prev.starts)
-        per_edge = np.where(per_edge == best[pair.edge_run], second[pair.edge_pred], per_edge)
-        rep = order[np.append(np.minimum.reduceat(per_edge, pair.edge_starts), n)[pair.node_run[stay]]]
-        reps[stay] = np.where(_far(idx[stay] - p_idx[rep]), rep, n)
+        rest = members != first[group_of]
+        grouped = np.where(rest, grouped, np.inf)
+        least = np.minimum.reduceat(grouped, prev.starts)
+        second = np.minimum.reduceat(np.where(rest & (grouped == least[group_of]), members, n), prev.starts)
+        top = pos == best[edge_run]  # the edge of the group that holds its run's first
+        value = np.where(top, least[edge_pred], value)
+        pos = np.where(top, second[edge_pred], pos)
+        run_least = np.minimum.reduceat(value, edge_starts)
+        np.minimum.reduceat(np.where(value == run_least[edge_run], pos, n), edge_starts, out=best[:-1])
+        rep = best[pair.node_run[stay]]
+        reps[stay] = np.where(_far(idx[stay] - prev.ext[rep]), rep, n)
     return reps
 
 
 def _near_pairs(preds, lo, hi):
-    """(target, predecessor) position pairs that join preds[m] to the
-    targets lo[m]..hi[m] - 1, predecessor by predecessor, in chunks of about
-    _NEAR_CHUNK pairs."""
+    """(k, predecessor) pairs that join preds[m] to each k of lo[m]..hi[m] - 1,
+    predecessor by predecessor, in chunks of about _NEAR_CHUNK pairs; k is a
+    target position, or an index into _LiveTargets.targets."""
     cnt = hi - lo
     ends = cnt.cumsum()
     m0 = 0
     while m0 < len(preds):
-        m1 = max(m0 + 1, int(ends.searchsorted(ends[m0] - cnt[m0] + _NEAR_CHUNK, side="right")))
+        base = ends[m0] - cnt[m0]  # the pairs before preds[m0]
+        m1 = len(preds)
+        if ends[-1] - base > _NEAR_CHUNK:
+            m1 = max(m0 + 1, int(ends.searchsorted(base + _NEAR_CHUNK, side="right")))
         c = cnt[m0:m1]
         jp = preds[m0:m1].repeat(c)
-        yield np.arange(len(jp)) + (lo[m0:m1] - (c.cumsum() - c)).repeat(c), jp
+        yield np.arange(len(jp)) + (lo[m0:m1] - (ends[m0:m1] - c - base)).repeat(c), jp
         m0 = m1
 
 
@@ -433,7 +504,9 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
       whose h_j + delta exceeds the largest best score so far is dropped
       before any pair is made, and a pair whose h_j + delta exceeds its
       node's best score so far is dropped before it is scored. Both tests
-      keep equality, so a tie still reaches the index rule.
+      keep equality, so a tie still reaches the index rule. A pair whose
+      clusters are not neighbors is never a candidate: it is either tested
+      and dropped, or, once the pair of frames repeats, never made.
     * Representative: any other j has w = delta, r = 0 and q saturated, so
       it scores exactly sat_j. The representative is the first non-special j
       in ascending (sat_j, j), and it is scored as sat_j by lookup. If it is
@@ -441,7 +514,11 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
       it exactly at no more than sat_j, or drops it as unable to reach the
       best score. When a special j with step 1 or 2 comes first in that order,
       it scores at most its own sat_j (w <= delta, q <= mu * gamma, r = 0),
-      so it beats every later j and no representative is taken.
+      so it beats every later j and no representative is taken. When the
+      step-0 j comes first and its sat_j is not below the node's best
+      special score, every later j scores at least that score with a larger
+      index than any special j, so none is taken either; otherwise the next
+      j in the order is the representative.
 
     Float rounding is monotone, so each bound holds in floating point too,
     and the first minimizer over every predecessor is always a candidate with
@@ -451,9 +528,18 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
     frames' clusters depend only on the two candidate arrays. They are held
     for the current frame pair only, and reused while both frames' rows of
     trellis.keep stay the same, as when every frame holds the whole bank;
-    idx is then one array shared by those frames. Per frame the cost is
-    O(width * gamma + edges of the neighbor graph) plus sorting the previous
-    frame by sat_j, instead of O(width^2).
+    idx is then one array shared by those frames. From the pair's second
+    frame on, _LiveTargets also holds each previous cluster's targets in
+    neighbor clusters, so that a near window yields only live pairs.
+
+    Per frame the cost is O(width + live edges) for the special and
+    representative blocks, and O(kept predecessors + near pairs) for the
+    near stage, instead of O(width^2). A near pair is a candidate within gamma of a_j: any such
+    candidate on a pair's first frame, and only those in neighbor clusters
+    of j's once the pair repeats. On a trellis that keeps all of a
+    1 220-pose bank in 300 interleaved clusters at every frame, that cuts
+    the pairs a frame makes from about 14 300 to about 2 800, of which
+    about 450 pass the score test.
     """
     bank = trellis.bank
     adjacent = bank.adjacent.ravel()  # a flat index is cheaper than a (row, column) pair
@@ -463,7 +549,7 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
     # a frame's candidates are derived again only where its keep row changes
     changed = (trellis.keep[1:] != trellis.keep[:-1]).any(axis=1)
     idx0, e0 = trellis.frame(0)
-    cur = _Frame(idx0, bank)
+    cur = _Frame(idx0, trellis)
     pair = None
     h = np.append(e0, np.inf)  # the last entry scores the missing predecessor
     u = np.zeros(len(idx0), dtype=int)
@@ -475,10 +561,12 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
             raise Infeasible("no finite-energy path through the trellis")
         prev = cur
         if changed[n - 1]:
-            cur = _Frame(trellis.candidates(n), bank)
-        e = trellis.table[n][trellis.column_of[cur.idx]]
+            cur = _Frame(trellis.candidates(n), trellis)
+        e = trellis.table[n][cur.columns]
         if pair is None or pair.prev is not prev or pair.cur is not cur:
             pair = _Pair(prev, cur, bank, params.delta)
+        elif pair.live is None and reach >= 0 and len(prev.present) * (len(cur.idx) + 1) <= _LIVE_CELLS:
+            pair.live = _LiveTargets(pair, bank)  # the pair repeats: index its live edges once
         p_idx, idx = prev.idx, cur.idx
         n_prev = len(p_idx)  # also the "no candidate" marker
         hd = h + params.delta
@@ -489,29 +577,39 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
         np.add(h[special], pair.w, out=tot[:3])
         tot[:3] += params.speed_mu * np.minimum(np.abs(s.take(special, mode="clip") - _SPECIAL), params.speed_gamma)
         tot[0] += params.stat_mu * np.minimum(u.take(special[0], mode="clip") + 1, params.stat_gamma)
+        best_tot = tot[:3].min(axis=0)
         if any_far:
             sat = hd + sat_q
-            pair.positions[3] = _representatives(sat[:n_prev], pair)
+            pair.positions[3] = _representatives(sat, pair, best_tot)
             tot[3] = sat[pair.positions[3]]  # the last entry of sat is inf
+            np.minimum(best_tot, tot[3], out=best_tot)
         else:
             pair.positions[3] = n_prev
             tot[3] = np.inf
-        best_tot = tot.min(axis=0)
         best = np.where(tot == best_tot, pair.positions, n_prev).min(axis=0)
 
         # near predecessors: one is dropped while h_j + delta exceeds the best
         # score so far of every node, and a pair while it exceeds the node's
         keep = (hd[:n_prev] <= best_tot.max()).nonzero()[0] if reach >= 0 else np.empty(0, dtype=int)
         a = p_idx + s
-        lo, hi = cur.count_below(a[keep] - reach), cur.count_below(a[keep] + (reach + 1))
-        for tgt, jp in _near_pairs(keep, lo, hi):
+        ak = a[keep]
+        lo, hi = cur.count_below(ak - reach), cur.count_below(ak + (reach + 1))
+        live = pair.live
+        if live is not None:
+            lo, hi = live.window(keep, lo, hi)
+        for k, jp in _near_pairs(keep, lo, hi):
+            tgt = k if live is None else live.targets[k]
             hj = hd[jp]
-            step = idx[tgt] - p_idx[jp]
-            ok = (hj <= best_tot[tgt]) & _far(step) & adjacent[prev.flat[jp] + cur.clusters[tgt]]
+            ok = (hj <= best_tot[tgt]).nonzero()[0]
+            tgt, jp, hj = tgt[ok], jp[ok], hj[ok]
+            i = idx[tgt]
+            ok = _far(i - p_idx[jp])
+            if live is None:
+                ok &= adjacent[prev.flat[jp] + cur.clusters[tgt]]
             if not ok.any():
                 continue
             tgt, jp = tgt[ok], jp[ok]
-            near = hj[ok] + params.speed_mu * np.abs(a[jp] - idx[tgt])
+            near = hj[ok] + params.speed_mu * np.abs(a[jp] - i[ok])
             before = best_tot.copy()
             np.minimum.at(best_tot, tgt, near)
             best[best_tot < before] = n_prev  # a strictly better near pair displaces the old best
@@ -531,11 +629,16 @@ def _paper_dp_frames(trellis: Trellis, params: PathParams):
 def solve_paper_dp(trellis: Trellis, params: PathParams = PathParams()) -> PosePath:
     """The paper's decode: the forward pass of _paper_dp_frames, then a
     backtrack from the first node of least energy in the last frame. Keeps
-    of each frame only its candidates and back-pointers."""
+    of each frame only its candidates and back-pointers, as int32 (no bank
+    holds 2**31 poses); frames that share one candidate array share its
+    copy."""
     candidates, parents = [], []
+    last = kept = None
     for idx, h, _, _, par in _paper_dp_frames(trellis, params):
-        candidates.append(idx)
-        parents.append(par)
+        if idx is not last:
+            last, kept = idx, idx.astype(np.int32)
+        candidates.append(kept)
+        parents.append(par.astype(np.int32))
     end = int(h.argmin())
     if not np.isfinite(h[end]):
         raise Infeasible("no finite-energy path through the trellis")

@@ -9,11 +9,12 @@ meta.json beside it (the FeatureSettings: window, feature_mode, and camera
 if set), bank.json with bank_poses.npy, features.jsonl
 (a {t, v} row per training frame, whose class is bank.cluster_of[t]), and
 forest.json (which records the clustering_digest of the bank it was fit
-on) or knn.json (which names features.jsonl and holds the vote size k). The
-two .npy files are NumPy's own format, written and read only by
-records.save_array and records.load_array. load_models reads them for
-TrainedModels.load and egopose infer. An older bundle, which held its
-centroids and bank poses as JSON text, is rejected naming clusters.json.
+on, and the FeatureSettings record of its rows) or knn.json (which names
+features.jsonl and holds the vote size k). The two .npy files are NumPy's
+own format, written and read only by records.save_array and
+records.load_array. load_models reads them for TrainedModels.load and
+egopose infer. An older bundle, which held its centroids and bank poses as
+JSON text, is rejected naming clusters.json.
 """
 
 from __future__ import annotations
@@ -105,26 +106,35 @@ class FeatureSettings:
         maps = rotations_from_homographies(hs, self.camera) if self.mode == "rotation" else hs
         return feature_windows(maps, centers, self.window), centers
 
-    def save(self, out_dir) -> None:
-        """Write out_dir/meta.json: window, feature_mode and, when set, camera."""
-        meta = {"window": self.window, "feature_mode": self.mode}
+    def record(self) -> dict:
+        """window, feature_mode and, when set, camera, as meta.json holds them."""
+        rec = {"window": self.window, "feature_mode": self.mode}
         if self.camera is not None:
-            meta["camera"] = asdict(self.camera)
-        write_json_object(os.path.join(out_dir, "meta.json"), meta, indent=2)
+            rec["camera"] = asdict(self.camera)
+        return rec
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "FeatureSettings":
+        """The settings of a record; every check, the window's included, is a
+        ValueError (or a KeyError or TypeError); other keys are ignored."""
+        camera = CameraIntrinsics.from_record(rec["camera"]) if "camera" in rec else None
+        window = integral(rec, "window")
+        try:
+            return cls(window, rec["feature_mode"], camera)
+        except OutOfRange as e:  # model_fields would keep it an OutOfRange
+            raise ValueError(str(e)) from e
+
+    def save(self, out_dir) -> None:
+        """Write out_dir/meta.json, the record."""
+        write_json_object(os.path.join(out_dir, "meta.json"), self.record(), indent=2)
 
     @classmethod
     def load(cls, path) -> "FeatureSettings":
-        """The settings of the meta.json file at path. Every check, the
-        window's included, is a ValueError naming the file; other keys are
-        ignored."""
+        """The settings of the meta.json file at path; every check is a
+        ValueError naming the file."""
         meta = load_json_object(path)
         with model_fields(path):
-            camera = CameraIntrinsics.from_record(meta["camera"]) if "camera" in meta else None
-            window = integral(meta, "window")
-            try:
-                return cls(window, meta["feature_mode"], camera)
-            except OutOfRange as e:  # model_fields would keep it an OutOfRange
-                raise ValueError(str(e)) from e
+            return cls.from_record(meta)
 
 
 def normalized_matrix(seq: PoseSequence) -> np.ndarray:
@@ -207,7 +217,7 @@ def write_models(models: TrainedModels, clusters) -> None:
         if models.train_features is not None:
             save_features(feat_path, models.train_feature_frames, models.train_features)
         if kind == "forest":
-            models.classifier.save(os.path.join(stage, "forest.json"), models.bank.cluster_of)
+            models.classifier.save(os.path.join(stage, "forest.json"), models.bank.cluster_of, models.settings.record())
         elif kind == "knn":
             models.classifier.save(os.path.join(stage, "knn.json"), feat_path)  # names features.jsonl, staged beside it
         for name in os.listdir(stage):
@@ -228,9 +238,11 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
     file: first, before any model file is read, for meta.json settings that
     are missing or malformed, cannot compute their feature mode, or have a
     window below 2 (FeatureSettings.load); then for a cluster model without a
-    sit/stand label per bank cluster, a forest of another class count or fit
-    on another clustering of the bank (its "clustering" record), or a t
-    outside the bank. A kNN model reads its classes from the bank itself."""
+    sit/stand label per bank cluster, a forest of another class count, fit
+    on another clustering of the bank (its "clustering" record) or on
+    features of other settings than meta.json's (its "feature_settings"
+    record), or whose rows are not 9 * (window - 1) long, and a t outside
+    the bank. A kNN model reads its classes from the bank itself."""
     settings = FeatureSettings.load(os.path.join(os.path.dirname(clusters), "meta.json"))
     cluster, bank = ClusterModel.load(clusters), ExemplarBank.load(bank)
     if cluster.labels is None or len(cluster.labels) != bank.k:
@@ -246,6 +258,17 @@ def load_models(clusters, bank, classifier=None, features=None) -> TrainedModels
                 if rec.get("clustering") != clustering_digest(bank.cluster_of):
                     fault = "records no clustering" if "clustering" not in rec else "was fit on another clustering"
                     raise ValueError(f"the forest {fault} of the bank's poses; re-run egopose train")
+                if "feature_settings" not in rec:
+                    raise ValueError("the forest records no feature settings; re-run egopose train")
+                fit = FeatureSettings.from_record(rec["feature_settings"])
+                if fit != settings:
+                    raise ValueError(
+                        f"the forest was fit on features {fit.record()}, not meta.json's {settings.record()};"
+                        " re-run egopose train"
+                    )
+                dim = 9 * (settings.window - 1)  # feature_windows' row length
+                if model.feature_dim != dim:
+                    raise ValueError(f"feature_dim must be {dim} for a window of {settings.window}, found {model.feature_dim}")
         else:
             model, frames = KnnModel.from_record(classifier, rec, bank)
             x = model.features

@@ -24,7 +24,7 @@ from egopose.classify import (
 from egopose.cli import DEFAULT_CONFIG
 from egopose.clustering import ExemplarBank, clustering_digest
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
-from egopose.pipeline import train_models
+from egopose.pipeline import FeatureSettings, train_models
 
 
 def two_blobs(rng, n=500, d=8, margin=1.0):
@@ -401,7 +401,7 @@ def test_deep_tree_needs_no_recursion_limit_change(tmp_path):
         assert np.array_equal(forest_proba_batch(model, q), dict_forest_proba(trees, q, 3))
         assert np.array_equal(forest_proba_batch(model, q[3:4]), want[3:4])
         path = tmp_path / "deep.json"
-        model.save(path, y)
+        model.save(path, y, FeatureSettings().record())
         back = ForestModel.load(path)
         assert_same_arrays(node_arrays(back), node_arrays(model))
         assert np.array_equal(forest_proba_batch(back, q), want)
@@ -437,7 +437,7 @@ def test_forest_file_round_trip(tmp_path):
     x, y = two_blobs(rng, n=40)
     model = train_forest(x, y, n_trees=5, seed=0)
     path = tmp_path / "forest.json"
-    model.save(path, y)
+    model.save(path, y, FeatureSettings().record())
     back = ForestModel.load(path)
     assert_same_arrays(node_arrays(back), node_arrays(model))
     assert np.array_equal(forest_proba_batch(back, x), forest_proba_batch(model, x))
@@ -670,9 +670,10 @@ def test_model_writers_match_json_dump(tmp_path):
     forests = [train_forest(x, y, n_trees=4, seed=0), _chain_forest(300)]
     for n, model in enumerate(forests):
         path = tmp_path / f"forest{n}.json"
-        model.save(path, y)
+        model.save(path, y, FeatureSettings().record())
         trees = {name: values.tolist() for name, values in node_arrays(model).items()}
         rec = {"feature_dim": model.feature_dim, "n_classes": model.n_classes, "clustering": clustering_digest(y)}
+        rec["feature_settings"] = {"window": 30, "feature_mode": "homography"}
         rec["trees"] = trees
         assert path.read_bytes() == _json_dump_bytes(rec, tmp_path / "want.json")
     model = KnnModel(x, y, 2, 30)

@@ -1104,6 +1104,7 @@ def test_train_with_no_row_out_of_bag_says_so_and_exits_0(tmp_path, capsys, seed
     so no row is out of bag and there is no OOB accuracy to print."""
     bank = tmp_path / "bank.json"
     bank.write_text(json.dumps({"poses_file": "bank_poses.npy", "cluster_of": [0, 1], "k": 2, "sequence_breaks": []}))
+    (tmp_path / "meta.json").write_text(json.dumps({"window": 2, "feature_mode": "homography"}))  # the forest records it
     feats = tmp_path / "features.jsonl"
     feats.write_text('{"t": 0, "v": [0.0]}\n{"t": 1, "v": [1.0]}\n')
     out = tmp_path / "forest.json"
@@ -1146,6 +1147,7 @@ def test_train_reads_the_bank_file_but_not_its_poses(workspace, tmp_path, capsys
     models = workspace["models"]
     bank = tmp_path / "bank.json"
     shutil.copy(models / "bank.json", bank)  # without bank_poses.npy beside it
+    shutil.copy(models / "meta.json", tmp_path / "meta.json")  # the forest records it
     train = ["train", "--features", str(models / "features.jsonl"), "--bank", str(bank), "--trees", "15"]
     assert main(train + ["--out", str(tmp_path / "forest.json")]) == 0
     assert (tmp_path / "forest.json").read_bytes() == (models / "forest.json").read_bytes()
@@ -1873,6 +1875,72 @@ def test_forest_fit_on_another_clustering_exits_3_naming_it(workspace, tmp_path,
     assert main(argv) == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["message"].startswith(f"{unrecorded}: the forest records no clustering")
+
+
+def _forest_of_other_settings(workspace, tmp_path, capsys, other):
+    """Fit a forest on a window-8 homography bundle, run cluster again into
+    its directory with the same seed (so the same clustering) and the flags
+    other, and return infer's exit code and error record."""
+    data, d = workspace["data"], tmp_path / "m"
+    cluster = ["cluster", "--poses", str(data / "poses.jsonl"), "--homographies", str(data / "homographies.jsonl")]
+    cluster += ["--k", "8", "--seed", "0", "--out", str(d / "clusters.json")]
+    assert main(cluster + ["--window", "8"]) == 0
+    train = ["train", "--features", str(d / "features.jsonl"), "--bank", str(d / "bank.json"), "--trees", "3"]
+    assert main(train + ["--out", str(d / "forest.json")]) == 0
+    before = ExemplarBank.load(d / "bank.json").cluster_of
+    assert main(cluster + other) == 0
+    assert np.array_equal(ExemplarBank.load(d / "bank.json").cluster_of, before)
+    argv = _infer_argv(workspace, tmp_path)
+    for flag, name in (("--bank", "bank.json"), ("--cluster-model", "clusters.json"), ("--classifier-model", "forest.json")):
+        argv[argv.index(flag) + 1] = str(d / name)
+    capsys.readouterr()
+    code = main(argv)
+    return code, json.loads(capsys.readouterr().err.strip() or "{}")
+
+
+def test_forest_fit_with_another_window_exits_3_naming_it(workspace, tmp_path, capsys):
+    """A forest's rows are 9 * (window - 1) long. One fit with window 8 and
+    decoded with window 6 used to fail later as a DimMismatch naming no file;
+    forest.json records its feature settings, so load_models rejects it."""
+    code, err = _forest_of_other_settings(workspace, tmp_path, capsys, ["--window", "6"])
+    assert code == 3
+    forest = tmp_path / "m" / "forest.json"
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{forest}: the forest was fit on features")
+    assert "'window': 8" in err["message"] and "'window': 6" in err["message"]
+    assert "re-run egopose train" in err["message"]
+
+
+def test_forest_fit_on_another_feature_mode_exits_3_naming_it(workspace, tmp_path, capsys):
+    """Homography and rotation rows have the same length, so a forest of
+    one mode used to decode the other's features silently."""
+    camera = tmp_path / "cam.json"
+    camera.write_text(json.dumps({"fx": 1.1, "fy": 1.1, "cx": 0.5, "cy": 0.375}))
+    other = ["--window", "8", "--feature-mode", "rotation", "--camera", str(camera)]
+    code, err = _forest_of_other_settings(workspace, tmp_path, capsys, other)
+    assert code == 3
+    forest = tmp_path / "m" / "forest.json"
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{forest}: the forest was fit on features")
+    assert "'feature_mode': 'homography'" in err["message"] and "'feature_mode': 'rotation'" in err["message"]
+
+
+def test_forest_without_feature_settings_or_of_another_row_length_exits_3(workspace, tmp_path, capsys):
+    """A forest written before the record, and one whose feature_dim is not
+    that of meta.json's window, are rejected naming the file."""
+    rec = json.loads((workspace["models"] / "forest.json").read_text())
+    window = json.loads((workspace["models"] / "meta.json").read_text())["window"]
+    unrecorded = {key: value for key, value in rec.items() if key != "feature_settings"}
+    wider = {**rec, "feature_dim": rec["feature_dim"] + 9}
+    for changed, message in (
+        (unrecorded, "the forest records no feature settings; re-run egopose train"),
+        (wider, f"feature_dim must be {9 * (window - 1)} for a window of {window}"),
+    ):
+        forest = tmp_path / "forest.json"
+        forest.write_text(json.dumps(changed))
+        argv = _infer_argv(workspace, tmp_path)
+        argv[argv.index("--classifier-model") + 1] = str(forest)
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{forest}: {message}")
 
 
 def test_empty_or_unknown_input_stream_exits_3_naming_it(workspace, tmp_path, capsys):

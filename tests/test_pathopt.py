@@ -21,6 +21,7 @@ Oracles used here and written independently of the module under test:
 
 import dataclasses
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -919,6 +920,112 @@ def test_paper_dp_ties_resolve_to_smaller_index_among_saturated_predecessors():
     params = PathParams(delta=0.25, speed_gamma=2.0, speed_mu=0.25, stat_gamma=2.0, stat_mu=0.25)
     tr = sparse_trellis(bank, [{j: 0.0 for j in (3, 9, 15, 21)}, {27: 0.0, 28: 0.0}, {1: 0.0, 12: 0.0}])
     assert assert_same_as_reference(tr, params)
+
+
+def test_paper_dp_skips_a_near_predecessor_in_a_cluster_that_is_not_a_neighbor():
+    """Node 7 (cluster C) has one predecessor within reach of its prediction,
+    exemplar 3 of cluster A, which is no neighbor of C; its one neighbor
+    predecessor, 15, is saturated. So 7 must come from 15, though 3 costs
+    less. The full-bank trellis repeats its frames, so its near pairs are
+    read from the live cluster edges."""
+    params = PathParams(delta=0.25, speed_gamma=5.0, speed_mu=0.25, stat_gamma=2.0, stat_mu=0.25)
+    bank = make_bank([0] * 5 + [1] + [2] * 4 + [1] * 6, breaks=[6])  # A-B and C-B are the only edges
+    assert not bank.adjacent[0, 2]
+    tr = sparse_trellis(bank, [{3: 0.0, 15: 0.5}, {7: 0.0}])
+    assert assert_same_as_reference(tr, params)
+    assert solve_paper_dp(tr, params).indices == [15, 7]
+    assert paper_dp_tables(tr, params)[1][0].p == 1  # position 1 of frame 0: exemplar 15
+    costs = np.full(16, 2.0)
+    costs[[3, 15]] = 0.0, 0.5
+    assert assert_same_as_reference(full_trellis(bank, [costs] * 6), params)
+
+
+def _interleaved_bank(rng, n_poses, k):
+    """Every cluster held, in random order, so that consecutive poses mostly
+    lie in different clusters, as k-means gives on a short bank; two breaks."""
+    cluster_of = rng.permutation(np.arange(n_poses) % k)
+    breaks = np.sort(rng.choice(np.arange(1, n_poses), size=2, replace=False))
+    return ExemplarBank(rng.normal(size=(n_poses, 75)), cluster_of, breaks, k)
+
+
+@pytest.mark.parametrize("live_cells", [pathopt._LIVE_CELLS, 0])
+def test_paper_dp_equals_dense_reference_on_interleaved_full_bank_trellises(monkeypatch, live_cells):
+    """Every frame holds the whole bank and the clusters interleave, so most
+    poses within reach of a prediction lie in clusters that are not
+    neighbors. Near pairs are made along live cluster edges from each pair's
+    second frame on, or, with no room for the live-edge table, tested pair
+    by pair; both must give the dense recursion's node records."""
+    monkeypatch.setattr(pathopt, "_LIVE_CELLS", live_cells)
+    rng = np.random.default_rng(33)
+    for trial in range(24):
+        bank = _interleaved_bank(rng, int(rng.integers(20, 61)), int(rng.integers(4, 16)))
+        cost_rows = rng.integers(0, 5, size=(int(rng.integers(3, 8)), len(bank.poses))) / 4.0
+        assert assert_same_as_reference(full_trellis(bank, cost_rows), ORACLE_PARAMS[trial % len(ORACLE_PARAMS)])
+
+
+def test_paper_dp_builds_the_live_edges_once_a_pair_repeats_and_again_after_a_change(monkeypatch):
+    """Frames 0-3 keep one set of clusters and frames 4-7 another: the live
+    edges of the first pair are built at frame 2, then the pair changes
+    twice, and the edges of the second set's pair are built at frame 6."""
+    built = []
+    real = pathopt._LiveTargets
+
+    class CountingLive(real):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pathopt, "_LiveTargets", CountingLive)
+    rng = np.random.default_rng(8)
+    checked = 0
+    for trial in range(12):
+        bank = _interleaved_bank(rng, 40, 8)
+        first = rng.random(bank.k) < 0.6
+        keep = np.array([first] * 4 + [~first | (rng.random(bank.k) < 0.3)] * 4)
+        keep[:, 0] = True  # one cluster all frames share
+        tr = Trellis(rng.integers(0, 5, size=keep.shape) / 4.0, bank.cluster_of, keep, bank)
+        params = ORACLE_PARAMS[trial % len(ORACLE_PARAMS)]
+        if assert_same_as_reference(tr, params):
+            built.clear()
+            solve_paper_dp(tr, params)
+            assert len(built) == (2 if params.speed_gamma > 0 else 0)  # with gamma 0 no predecessor is near
+            checked += 1
+    assert checked >= 8
+
+
+def test_paper_dp_memory_on_a_full_bank_stays_within_its_bound():
+    """One decode of a trellis shaped like the CLI's full-bank fallback: 301
+    frames that each keep all of a 1 220-pose bank in 300 interleaved
+    clusters. Its traced peak is the int32 back-pointers (1.47 MB) plus the
+    live-edge table (under 1 MB) plus one frame's work; int64 back-pointers
+    or an int32 table would exceed the bound."""
+    rng = np.random.default_rng(11)
+    bank = _interleaved_bank(rng, 1220, 300)
+    table = rng.uniform(size=(301, bank.k))
+    tr = Trellis(table, bank.cluster_of, np.broadcast_to(True, table.shape), bank)
+    tracemalloc.start()
+    try:
+        solve_paper_dp(tr, CLI_PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    back_pointers = 301 * 1220 * 4
+    assert peak < back_pointers + 2_000_000, peak
+
+
+def test_trellis_rejects_a_nan_cost_naming_its_frame_and_column():
+    """A NaN cost compares false with everything, so no solver could rank
+    it: at table[2, 1] the paper DP raised Infeasible, and the exact DP and
+    brute force returned different paths of the same total."""
+    rng = np.random.default_rng(0)
+    bank = make_bank([0] * 4 + [1] * 4 + [2] * 4)
+    table = rng.uniform(size=(5, 3))
+    table[2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^the cost at frame 2, column 1 is NaN$"):
+        Trellis(table, bank.cluster_of, np.ones(table.shape, dtype=bool), bank)
+    keep = np.ones(table.shape, dtype=bool)
+    keep[2, 1] = False  # a NaN in a column no frame keeps is never read
+    Trellis(table, bank.cluster_of, keep, bank)
 
 
 # ---------------------------------------------------------------------------

@@ -514,7 +514,7 @@ def test_load_models_builds_the_classifier_the_file_holds(tmp_path, knn_bundle):
     models, _ = knn_bundle
     models.save(tmp_path)
     forest = train_models(*training_material(seed=50)[:2], k=5, window=8, n_trees=3, seed=2).classifier
-    forest.save(tmp_path / "forest.json", models.bank.cluster_of)  # recorded as fit on this bundle's clusters
+    forest.save(tmp_path / "forest.json", models.bank.cluster_of, models.settings.record())  # fit on this bundle's clusters
     files = [str(tmp_path / name) for name in ("clusters.json", "bank.json")]
     got = load_models(*files, tmp_path / "forest.json")
     assert isinstance(got.classifier, ForestModel) and got.train_features is None
