@@ -99,7 +99,8 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
     B = sum_i (|x_i| + max_j |x_j|)^2, and B must stay 1/16 below 2^1024;
     the error names the row of the largest norm.
 
-    Every float equals that of the plain algorithm:
+    Every float equals that of the plain algorithm, up to the assignment's
+    last-bit rounding below:
     - Seeding keeps d2, each row's exact squared distance (the row sum of
       (x - c) ** 2) to its nearest centre so far, under np.minimum. One
       mat-vec gives approx = |x|^2 + |c|^2 - 2 x.c for a new centre c, and
@@ -108,9 +109,18 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
       row with approx - m >= d2 keeps d2 under np.minimum anyway, so only
       the other rows get the exact distance, and d2 and every draw are
       unchanged (the skip of Raff, IJCAI 2021).
-    - Assignment takes (|x|^2 + |c|^2) - 2 x.c from one full matrix product,
-      then clips at 0 and takes the argmin (ties -> lowest id) in row blocks
-      of one reused buffer: the same operations on the same floats.
+    - Assignment takes (|x|^2 + |c|^2) - 2 x.c, clips it at 0 and takes the
+      argmin (ties -> lowest id) in row blocks; x @ c.T comes one block of
+      _PRODUCT_ROWS rows at a time into a reused buffer, so no (n, K) array
+      is allocated. A BLAS may round an entry of a block's product in the
+      last bit otherwise than one full product does: OpenBLAS 0.3.31 does so
+      for 606 of the 3.24 million entries at 10 800 x 75 against K = 300
+      (in the last four columns), by at most 3e-15. So the assignment is the
+      plain algorithm's unless two centroids tie within that rounding;
+      test_kmeans_equals_the_plain_reference checks it, partial last blocks
+      included.
+    - Seeding's squared distances, the objective's differences and the
+      rows sorted by cluster all go through one (n, d) work array.
     - A centroid is the mean of its rows in ascending row order, taken as a
       contiguous slice after one stable sort by cluster.
     """
@@ -120,8 +130,9 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
     n, d = x.shape
     if n < k:
         raise TooFewPoses(f"{n} poses for {k} clusters")
+    rows = np.empty((n, d))  # the one (n, d) work array: squares, differences, sorted rows
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected
-        xx = (x * x).sum(axis=1)
+        xx = np.multiply(x, x, out=rows).sum(axis=1)
     bad = np.flatnonzero(~(xx <= SAFE_NORM))
     if len(bad):
         raise ValueError(f"pose row {bad[0]} is not finite or its squared norm exceeds 2**1020")
@@ -136,7 +147,7 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
 
     centroids = np.empty((k, d))
     centroids[0] = x[rng.integers(n)]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _row_sqdist(x, centroids[0], rows)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -151,16 +162,15 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
         lower += norms
         lower -= rounding_margin(norms, d, out=norms)
         near = np.flatnonzero(lower < d2)
-        d2[near] = np.minimum(d2[near], ((x[near] - centroids[c]) ** 2).sum(axis=1))
+        part = np.take(x, near, axis=0, out=rows[: len(near)], mode="clip")
+        d2[near] = np.minimum(d2[near], _row_sqdist(part, centroids[c], part))
 
-    gram = np.empty((n, k))
-    rows = np.empty((n, d))
     assign = None
     prev_obj = np.inf
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iters + 1):
-        new_assign, point_d = _nearest_centroids(x, xx, centroids, gram)
+        new_assign, point_d = _nearest_centroids(x, xx, centroids)
         # direct-form objective: the expansion carries cancellation noise
         # that would keep a perfect clustering away from exactly 0
         np.take(centroids, new_assign, axis=0, out=rows, mode="clip")  # "raise" would buffer out
@@ -184,34 +194,53 @@ def kmeans(x: np.ndarray, k: int, seed: int, max_iters: int = 100) -> ClusterMod
             centroids[c] = x[far]
             point_d[far] = -1.0  # each reseed takes a distinct point
     if not converged:
-        assign, _ = _nearest_centroids(x, xx, centroids, gram)
+        assign, _ = _nearest_centroids(x, xx, centroids)
 
     return ClusterModel(centroids, objective=prev_obj, n_iter=n_iter, converged=converged, assignment=assign)
 
 
-# Rows per block of the assignment pass, so that at K = 300 the block's
-# buffer and its rows of the matrix product (600 KB each) stay in a 2 MB L2.
+def _row_sqdist(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The row sums of (x - c) ** 2, the squares taken in out, an array
+    shaped like x (x itself may be out)."""
+    np.subtract(x, c, out=out)
+    out *= out
+    return out.sum(axis=1)
+
+
+# Rows per matrix product of the assignment pass, so that its buffer does
+# not grow with n. Each product is one threaded BLAS call, and under CPU
+# contention (another threaded BLAS process on the same 2 vCPUs) a call can
+# wait a scheduler time slice for its threads: kmeans at 10 800 x 75, K = 300
+# took 10.8-21.6 s with 256-row products, 2.6-4.0 s with 2048 rows and 2.1-4.1 s
+# with one full product.
+_PRODUCT_ROWS = 2048
+# Rows per block of the argmin, so that at K = 300 the block's buffer and
+# its rows of the matrix product (600 KB each) stay in a 2 MB L2.
 _ASSIGN_ROWS = 256
 
 
-def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray, gram: np.ndarray | None = None):
+def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray):
     """Per row of x, with xx its squared norms: the nearest centroid (ties
     -> lowest id) by (xx + |c|^2) - 2 x.c clipped at 0, and that distance.
-    gram, an (n, K) buffer, receives x @ c.T."""
+    x @ c.T is taken _PRODUCT_ROWS rows at a time into one reused buffer,
+    so nothing of n x K is allocated."""
     cc = (c * c).sum(axis=1)
-    gram = np.matmul(x, c.T, out=gram)
     nearest = np.empty(len(x), dtype=np.intp)
     dist = np.empty(len(x))
+    product = np.empty((min(_PRODUCT_ROWS, len(x)), len(c)))
     buf = np.empty((min(_ASSIGN_ROWS, len(x)), len(c)))
-    for r0 in range(0, len(x), _ASSIGN_ROWS):
-        g = gram[r0 : r0 + _ASSIGN_ROWS]
-        b = np.add(xx[r0 : r0 + len(g), None], cc, out=buf[: len(g)])
-        g *= 2.0
-        b -= g
-        np.maximum(b, 0.0, out=b)
-        idx = b.argmin(axis=1)
-        nearest[r0 : r0 + len(g)] = idx
-        dist[r0 : r0 + len(g)] = b[np.arange(len(g)), idx]
+    for p0 in range(0, len(x), _PRODUCT_ROWS):
+        gram = np.matmul(x[p0 : p0 + _PRODUCT_ROWS], c.T, out=product[: len(x) - p0])
+        for r0 in range(0, len(gram), _ASSIGN_ROWS):
+            g = gram[r0 : r0 + _ASSIGN_ROWS]
+            rows = slice(p0 + r0, p0 + r0 + len(g))
+            b = np.add(xx[rows, None], cc, out=buf[: len(g)])
+            g *= 2.0
+            b -= g
+            np.maximum(b, 0.0, out=b)
+            idx = b.argmin(axis=1)
+            nearest[rows] = idx
+            dist[rows] = b[np.arange(len(g)), idx]
     return nearest, dist
 
 

@@ -5,8 +5,8 @@ downstream model ignores) by a 3x3 homography. Homographies are estimated
 with the normalized DLT: Hartley-normalize both point sets, solve the 2n x 9
 system by SVD, denormalize, and rescale so the top-left entry is 1. A motion
 feature for frame n stacks the window - 1 maps covering a window of frames
-centered on n; feature_windows copies every center's window at once out of
-one strided view of the stream's (n, 9) stack of maps.
+centered on n; feature_windows copies the centers' windows, a block of rows
+at a time, out of one strided view of the stream's flattened maps.
 """
 
 from __future__ import annotations
@@ -189,26 +189,37 @@ def rotations_from_homographies(hs, k: CameraIntrinsics) -> np.ndarray:
     return m / np.cbrt(det)[:, None, None]
 
 
-def feature_windows(maps, centers, window: int) -> np.ndarray:
+# Rows per copy of feature_windows, so that the gathered block (535 KB at
+# window 30) is all it allocates beside its output.
+_COPY_ROWS = 256
+
+
+def feature_windows(maps, centers, window: int, out: np.ndarray | None = None) -> np.ndarray:
     """(len(centers), 9 * (window - 1)) rows, each the maps of one center's
     window flattened row-major in time order; maps[i], a Homography or 3x3
     array, maps frame i to frame i + 1, and the window of center c spans frames
-    [c - floor((window-1)/2), c + ceil((window-1)/2)]. Raises OutOfRange when
+    [c - floor((window-1)/2), c + ceil((window-1)/2)]. With out, an array of
+    that shape, the rows are written into it _COPY_ROWS at a time and out is
+    returned, so no array of all the rows is allocated. Raises OutOfRange when
     window < 2 or a window does not fit."""
     if window < 2:
         raise OutOfRange(f"window must be at least 2, got {window}")
     centers = np.asarray(centers, dtype=int)
-    flat = _stacked(maps).reshape(-1, 9)
+    stack = _stacked(maps)
     lo = centers - (window - 1) // 2
     hi = centers + window // 2  # inclusive last frame
-    bad = (lo < 0) | (hi > len(flat))
+    bad = (lo < 0) | (hi > len(stack))
     if bad.any():  # name the first misfit, as a per-center loop would
         b = np.argmax(bad)
-        raise OutOfRange(f"window [{lo[b]}, {hi[b]}] outside available frames 0..{len(flat)}")
+        raise OutOfRange(f"window [{lo[b]}, {hi[b]}] outside available frames 0..{len(stack)}")
+    if out is None:
+        out = np.empty((len(centers), 9 * (window - 1)))
     if not len(centers):  # the view needs at least one whole window
-        return np.empty((0, 9 * (window - 1)))
-    views = sliding_window_view(flat, (window - 1, 9))[:, 0]  # (n - window + 2, window - 1, 9), no copy
-    return views[lo].reshape(len(centers), -1)
+        return out
+    rows = sliding_window_view(stack.reshape(-1), 9 * (window - 1))[::9]  # (n - window + 2, 9 * (window - 1)), no copy
+    for r0 in range(0, len(lo), _COPY_ROWS):
+        out[r0 : r0 + _COPY_ROWS] = rows[lo[r0 : r0 + _COPY_ROWS]]
+    return out
 
 
 def save_homographies(path, hs) -> None:

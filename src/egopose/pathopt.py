@@ -104,9 +104,10 @@ class Trellis:
     candidates. candidates(n) derives them in ascending order, so first-minimum
     argmin implements the smaller-index tie rule. No table column may hold
     poses of two clusters, every frame must keep a column that holds a pose,
-    and no kept column that holds a pose may cost NaN: the solvers compare
-    costs, and their tie rules and the paper DP's exactness assume that any
-    two are ordered. Anything else raises ValueError.
+    and no kept column that holds a pose may cost NaN or -inf: the solvers
+    compare and add costs, and their tie rules and the paper DP's exactness
+    assume that any two are ordered and that every sum is a number (-inf +
+    inf is NaN). +inf is allowed. Anything else raises ValueError.
     """
 
     table: np.ndarray  # (N, C) costs, one row per frame
@@ -132,10 +133,11 @@ class Trellis:
         empty = ~keep[:, clusters >= 0].any(axis=1)
         if empty.any():
             raise ValueError(f"frame {int(empty.argmax())} keeps no column that holds a pose")
-        nan = np.isnan(self.table) & keep & (clusters >= 0)
-        if nan.any():
-            n, c = np.argwhere(nan)[0]
-            raise ValueError(f"the cost at frame {n}, column {c} is NaN")
+        bad = ~(self.table > -np.inf) & keep & (clusters >= 0)  # NaN or -inf
+        if bad.any():
+            n, c = np.argwhere(bad)[0]
+            what = "NaN" if np.isnan(self.table[n, c]) else "-inf"
+            raise ValueError(f"the cost at frame {n}, column {c} is {what}")
 
     @property
     def n_frames(self) -> int:
@@ -384,21 +386,30 @@ class _LiveTargets:
     the targets[start[g] + counts[g, lo] : start[g] + counts[g, hi]] of its
     neighbor clusters: two lookups, where scanning the window and testing
     each pair for adjacency makes every pair. row and start hold, per
-    predecessor, where its group's counts row and targets begin. Building it
-    costs one (groups, width) pass, so it is built only once a pair repeats,
+    predecessor, where its group's counts row and targets begin. The counts
+    are the targets' ranks, each repeated up to the next target, with no
+    running sum over the (groups, width) block. Building it still reads and
+    writes (groups, width) cells, so it is built only once a pair repeats,
     and not past _LIVE_CELLS cells."""
 
     def __init__(self, pair: _Pair, bank: ExemplarBank):
         prev, width = pair.prev, len(pair.cur.idx)
         live = bank.adjacent[prev.present][:, pair.cur.clusters]  # (groups, width)
-        counts = np.zeros((len(live), width + 1), dtype=np.int16 if width < 1 << 15 else np.int32)
-        np.cumsum(live, axis=1, dtype=counts.dtype, out=counts[:, 1:])
-        self.targets = np.flatnonzero(live) % width
-        self.counts = counts.ravel()
-        sizes = counts[:, -1].astype(int)
+        groups = len(live)
+        row_of, self.targets = np.divmod(np.flatnonzero(live), width)
+        sizes = np.bincount(row_of, minlength=groups)
+        ends = sizes.cumsum()
+        # over row g's targets t, with t[-1] = -1 and t[m] = width, counts
+        # holds k at t[k - 1] < x <= t[k]: each rank k repeated up to its
+        # bound t[k], the bounds taken as flat (groups, width + 1) positions
+        rows = np.arange(groups)
+        bounds = np.insert(self.targets + row_of * (width + 1), ends, rows * (width + 1) + width)
+        value = np.arange(len(bounds)) - np.repeat(ends - sizes + rows, sizes + 1)
+        dtype = np.int16 if width < 1 << 15 else np.int32
+        self.counts = value.astype(dtype).repeat(np.diff(bounds, prepend=-1))
         group = prev.group[prev.clusters]  # each predecessor's group
         self.row = group * (width + 1)
-        self.start = (sizes.cumsum() - sizes)[group]
+        self.start = (ends - sizes)[group]
 
     def window(self, preds, lo, hi):
         """The predecessors' windows [lo, hi) of current positions, as

@@ -99,12 +99,14 @@ class FeatureSettings:
         if self.window < 2:
             raise OutOfRange(f"window must be at least 2, got {self.window}")
 
-    def rows(self, hs):
+    def rows(self, hs, out: np.ndarray | None = None):
         """(features, centers): the feature row of every frame of the
-        homography stream hs whose window fits, and those frames' indices."""
+        homography stream hs whose window fits, and those frames' indices.
+        With out, one row per such frame, the features are written into it
+        (feature_windows' out)."""
         centers = valid_feature_centers(len(hs) + 1, self.window)
         maps = rotations_from_homographies(hs, self.camera) if self.mode == "rotation" else hs
-        return feature_windows(maps, centers, self.window), centers
+        return feature_windows(maps, centers, self.window, out), centers
 
     def record(self) -> dict:
         """window, feature_mode and, when set, camera, as meta.json holds them."""
@@ -282,17 +284,19 @@ def build_bank(sequences, k: int, seed: int):
     standing-like, and build the exemplar bank with its neighbor graph.
 
     The sequences are stacked in order; each sequence start after the first
-    becomes a bank break, so neighbor edges never span two recordings. The
-    sit/stand hip-height threshold is estimated from the poses. Returns
-    (cluster model, bank); bank.cluster_of holds each stacked pose's cluster.
+    becomes a bank break, so neighbor edges never span two recordings. Each
+    sequence's normalized poses are copied into one preallocated matrix, so
+    only one sequence's are alive beside it. The sit/stand hip-height
+    threshold is estimated from the poses. Returns (cluster model, bank);
+    bank.cluster_of holds each stacked pose's cluster.
     """
-    mats, breaks, offset = [], [], 0
+    all_poses = np.empty((sum(len(seq) for seq in sequences), 75))
+    breaks, offset = [], 0
     for seq in sequences:
         if offset > 0:
             breaks.append(offset)
-        mats.append(normalized_matrix(seq))
+        all_poses[offset : offset + len(seq)] = normalized_matrix(seq)
         offset += len(seq)
-    all_poses = np.vstack(mats)
 
     cluster = kmeans(all_poses, k, seed=seed)
     label_clusters(cluster, sit_stand_threshold(hip_heights(all_poses)))
@@ -315,19 +319,23 @@ def build_features(sequences, homographies_per_seq, settings: FeatureSettings = 
     sequences and homographies_per_seq run in parallel, one homography
     between each pair of consecutive poses. Returns (features, frames), where
     frames index the poses stacked in sequence order, as in build_bank.
+    Every stream's centers are found first, and its rows are then written
+    into one preallocated features array, so no other array of them is
+    allocated.
     """
     _check_lengths(sequences, homographies_per_seq)
-    x_rows, frame_rows = [], []
-    offset = 0
-    for seq, hs in zip(sequences, homographies_per_seq):
-        x, centers = settings.rows(hs)
-        if len(centers):
-            x_rows.append(x)
-            frame_rows.append(centers + offset)
+    centers = [valid_feature_centers(len(hs) + 1, settings.window) for hs in homographies_per_seq]
+    features = np.empty((sum(map(len, centers)), 9 * (settings.window - 1)))
+    frames = np.empty(len(features), dtype=int)
+    row = offset = 0
+    for seq, hs, c in zip(sequences, homographies_per_seq, centers):
+        settings.rows(hs, out=features[row : row + len(c)])
+        frames[row : row + len(c)] = c + offset
+        row += len(c)
         offset += len(seq)
-    if not x_rows:
+    if not len(features):
         raise OutOfRange("no frame has a full feature window")
-    return np.vstack(x_rows), np.concatenate(frame_rows)
+    return features, frames
 
 
 def fit_classifier(kind: str, features, classes, n_classes: int, n_trees: int, seed: int, knn_k: int):

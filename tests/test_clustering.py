@@ -20,6 +20,7 @@ from egopose.errors import TooFewPoses
 from egopose.sqdist import SAFE_NORM, rounding_margin
 from egopose.skeleton import Frame, Joint, Pose, normalize_pose
 from egopose.synth import SIT_TEMPLATE, STAND_TEMPLATE
+from memory_util import traced_peak
 from trellis_util import trellis_of
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -106,6 +107,9 @@ def _kmeans_cases():
         ("no iterations", blobs, 5, 13, 0, set()),
         ("tiny rows, squares underflow", 1e-160 * rng.normal(size=(200, 75)), 6, 14, 100, set()),
         ("huge rows", 2.0**480 * rng.normal(size=(200, 75)), 6, 15, 100, set()),
+        # the knn-bank10k shape: 10 800 = 5 x 2048 + 2 x 256 + 48 rows, so the
+        # last block of products and the last block of the argmin are partial
+        ("benchmark shape", np.repeat(rng.normal(size=(300, 75)), 36, axis=0) + 0.3 * rng.normal(size=(10800, 75)), 300, 16, 100, set()),
     ]
 
 
@@ -124,6 +128,18 @@ def test_kmeans_equals_the_plain_reference(name, x, k, seed, max_iters, branches
     plain = np.maximum((x * x).sum(axis=1)[:, None] + (centroids * centroids).sum(axis=1) - 2.0 * (x @ centroids.T), 0.0)
     assert np.array_equal(m.assignment, plain.argmin(axis=1))
     assert np.array_equal(m.assignment, assign_clusters(m, x))
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+def test_kmeans_memory_stays_within_its_work_array(max_iters):
+    """At the knn-bank10k shape, kmeans allocates its one (n, d) work array,
+    one (2048, K) buffer of products, and vectors and blocks that do not
+    grow with n x K: under those plus 3 MB (14.4 MB), where the (n, K)
+    matrix x @ c.T alone takes 25.9 MB. Taking that whole product, and the
+    seeding's (n, d) temporaries, peaked at 34 MB."""
+    x = np.random.default_rng(5).normal(size=(10800, 75))
+    peak = traced_peak(kmeans, x, 300, 0, max_iters)
+    assert peak < x.nbytes + 2048 * 300 * 8 + 3_000_000, peak
 
 
 @pytest.mark.parametrize("k", [1, 2])

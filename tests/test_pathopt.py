@@ -21,7 +21,6 @@ Oracles used here and written independently of the module under test:
 
 import dataclasses
 import math
-import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -50,6 +49,7 @@ from egopose import (
     unary_costs,
 )
 from egopose.cli import DEFAULT_CONFIG, _path_params
+from memory_util import traced_peak
 from trellis_util import trellis_of
 
 # per-node record of the first-order recursion: best energy of any path ending
@@ -948,6 +948,37 @@ def _interleaved_bank(rng, n_poses, k):
     return ExemplarBank(rng.normal(size=(n_poses, 75)), cluster_of, breaks, k)
 
 
+def _reference_live_table(pair, bank):
+    """_LiveTargets' targets and flat count table by a running sum over the
+    (groups, width) block of live cluster edges."""
+    live = bank.adjacent[pair.prev.present][:, pair.cur.clusters]
+    counts = np.zeros((len(live), live.shape[1] + 1), dtype=int)
+    np.cumsum(live, axis=1, out=counts[:, 1:])
+    return np.flatnonzero(live) % live.shape[1], counts.ravel()
+
+
+def test_live_targets_equal_the_running_sum_over_the_adjacency_block():
+    """Pairs of random masks over small banks, whose groups often have no
+    live target, and of interleaved full banks up to the CLI's 1 220 poses
+    in 300 clusters: the same targets, count table and group starts."""
+    rng = np.random.default_rng(34)
+    shapes = [(int(rng.integers(3, 80)), int(rng.integers(1, 12)), 0.3) for _ in range(40)]
+    shapes += [(int(rng.integers(20, 200)), int(rng.integers(4, 40)), 1.0) for _ in range(10)]
+    shapes += [(1220, 300, 1.0)]
+    for n_poses, k, kept in shapes:
+        bank = _interleaved_bank(rng, n_poses, min(k, n_poses))
+        keep = rng.random((2, bank.k)) < kept
+        keep[:, rng.integers(bank.k)] = True
+        tr = Trellis(rng.uniform(size=keep.shape), bank.cluster_of, keep, bank)
+        pair = pathopt._Pair(pathopt._Frame(tr.candidates(0), tr), pathopt._Frame(tr.candidates(1), tr), bank, 0.25)
+        live = pathopt._LiveTargets(pair, bank)
+        targets, counts = _reference_live_table(pair, bank)
+        assert np.array_equal(live.targets, targets)
+        assert live.counts.dtype == np.int16 and np.array_equal(live.counts, counts)
+        sizes = counts.reshape(len(pair.prev.present), -1)[:, -1]
+        assert np.array_equal(live.start, (sizes.cumsum() - sizes)[pair.prev.group[pair.prev.clusters]])
+
+
 @pytest.mark.parametrize("live_cells", [pathopt._LIVE_CELLS, 0])
 def test_paper_dp_equals_dense_reference_on_interleaved_full_bank_trellises(monkeypatch, live_cells):
     """Every frame holds the whole bank and the clusters interleave, so most
@@ -1003,12 +1034,7 @@ def test_paper_dp_memory_on_a_full_bank_stays_within_its_bound():
     bank = _interleaved_bank(rng, 1220, 300)
     table = rng.uniform(size=(301, bank.k))
     tr = Trellis(table, bank.cluster_of, np.broadcast_to(True, table.shape), bank)
-    tracemalloc.start()
-    try:
-        solve_paper_dp(tr, CLI_PARAMS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(solve_paper_dp, tr, CLI_PARAMS)
     back_pointers = 301 * 1220 * 4
     assert peak < back_pointers + 2_000_000, peak
 
@@ -1026,6 +1052,32 @@ def test_trellis_rejects_a_nan_cost_naming_its_frame_and_column():
     keep = np.ones(table.shape, dtype=bool)
     keep[2, 1] = False  # a NaN in a column no frame keeps is never read
     Trellis(table, bank.cluster_of, keep, bank)
+
+
+def test_trellis_rejects_a_minus_inf_cost_naming_its_frame_and_column():
+    """-inf + inf is NaN, so a -inf cost leaves the solvers as unranked as a
+    NaN: with -inf at table[1, 0] and +inf at table[3, 0], the paper DP
+    raised Infeasible, and the exact DP and brute force returned different
+    paths, both of total -inf. +inf stays allowed, and a -inf is never read
+    in a column no frame keeps, nor in one that holds no pose."""
+    rng = np.random.default_rng(0)
+    bank = make_bank([0] * 4 + [1] * 4 + [2] * 4)
+    table = rng.uniform(size=(5, 3))
+    table[1, 0], table[3, 0] = -np.inf, np.inf
+    everything = np.ones(table.shape, dtype=bool)
+    with pytest.raises(ValueError, match=r"^the cost at frame 1, column 0 is -inf$"):
+        Trellis(table, bank.cluster_of, everything, bank)
+    keep = everything.copy()
+    keep[1, 0] = False
+    tr = Trellis(table, bank.cluster_of, keep, bank)
+    assert assert_same_as_reference(tr, PathParams())
+    assert solve_paper_dp(tr).total == solve_exact_dp(tr).total == brute_force(tr).total
+    # a fourth column that holds no pose, -inf at every frame, kept or not
+    wide = np.column_stack([table, np.full(5, -np.inf)])
+    for kept in (False, True):
+        keep = np.column_stack([everything, np.full(5, kept)])
+        keep[1, 0] = False
+        Trellis(wide, bank.cluster_of, keep, bank)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from egopose.errors import Infeasible
 from egopose.pathopt import Trellis, solve_paper_dp
 from egopose.pipeline import SOLVERS, UP_AXIS, build_features, load_models
 from egopose.synth import default_camera
+from memory_util import traced_peak
 
 
 def make_homographies(n, seed=0, scale=0.02):
@@ -244,6 +245,46 @@ def test_features_raise_value_error_as_the_per_center_loop():
     _assert_same_error(hs, ValueError, window=4, mode="affine")
     _assert_same_error(hs, ValueError, window=4, mode="rotation")
     _assert_same_error(hs, ValueError, window=1, mode="affine")  # the mode is checked first
+
+
+@pytest.mark.parametrize("mode, camera", FEATURE_MODES)
+def test_build_features_equal_each_streams_rows_stacked(mode, camera):
+    """Streams of 600 and 421 frames (more than one block of copied rows,
+    the last one partial), one too short for a window and one of exactly one
+    window, in one preallocated array: the same floats and frames as
+    stacking each stream's rows of the per-center loop."""
+    settings = FeatureSettings(30, mode, camera)
+    streams = [make_homographies(n, seed=n) for n in (599, 10, 29, 420)]
+    sequences = [PoseSequence.of(np.zeros((len(hs) + 1, 25, 3)), Frame.SENSOR) for hs in streams]
+    x, frames = build_features(sequences, streams, settings)
+    parts = [_reference_features(hs, 30, mode, camera) for hs in streams]
+    offsets = np.cumsum([0] + [len(seq) for seq in sequences])
+    assert np.array_equal(x, np.vstack([rows for rows, _ in parts]))
+    assert np.array_equal(frames, np.concatenate([c + off for (_, c), off in zip(parts, offsets)]))
+    assert len(x) == 571 + 0 + 1 + 392
+
+
+def test_feature_windows_write_into_out_as_they_return():
+    hs = make_homographies(700, seed=6)
+    centers = np.random.default_rng(6).choice(valid_feature_centers(701, 30), size=600)  # unsorted, repeats
+    out = np.full((600, 9 * 29), np.nan)
+    assert feature_windows(hs, centers, 30, out) is out
+    assert np.array_equal(out, feature_windows(hs, centers, 30))
+    assert np.array_equal(out, _reference_features(hs, centers=centers)[0])
+
+
+def test_build_features_memory_is_its_output_and_one_streams_rows():
+    """Six streams of 1 840 frames, window 30, the knn-bank10k training set's
+    shape: the traced peak stays under the 22.7 MB output plus one stream's
+    rows (3.8 MB). Keeping every stream's rows and stacking them at the end
+    peaked at twice the output, 45.6 MB."""
+    rng = np.random.default_rng(7)
+    streams = [rng.normal(size=(1839, 3, 3)) for _ in range(6)]
+    sequences = [PoseSequence.of(np.zeros((1840, 25, 3)), Frame.SENSOR) for _ in streams]
+    rows_per_stream = 1840 - 29
+    output = 6 * rows_per_stream * 9 * 29 * 8
+    peak = traced_peak(build_features, sequences, streams, FeatureSettings())
+    assert peak < output + rows_per_stream * 9 * 29 * 8, peak
 
 
 def test_normalized_matrix_converts_sensor_poses():
