@@ -18,10 +18,11 @@ same features is available as an alternative probability provider. It finds
 neighbors exactly in two stages over the distinct training rows, each held
 once: one matrix product per block of queries bounds every squared distance
 within a proven rounding margin, and only the rows those bounds cannot rule
-out get the exact distance, the row sum of (point - v) ** 2; ties go to the
-lower training index. Training features are kept one {t, v} row per frame, t
-indexing the bank pose whose cluster is the row's class. A static per-frame
-sitting probability h is read from file and checked here.
+out get the exact distance, the row sum of (point - v) ** 2. One sort of a
+block's copies on (query, distance, training index), NaN last, ranks them, so
+ties go to the lower training index. Training features are kept one {t, v}
+row per frame, t indexing the bank pose whose cluster is the row's class. A
+static per-frame sitting probability h is read from file and checked here.
 """
 
 from __future__ import annotations
@@ -316,18 +317,6 @@ def forest_proba_batch(model: ForestModel, x: np.ndarray) -> np.ndarray:
 _SCAN_QUERIES = 32
 
 
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest d2 in ascending order, ties by the lower
-    position and NaN last: np.lexsort((positions, d2))[:k]."""
-    if k < len(d2):
-        kth = np.partition(d2, k - 1)[k - 1]
-        if not np.isnan(kth):
-            # the k smallest are all <= kth, so only those need sorting
-            cand = np.flatnonzero(d2 <= kth)
-            return cand[np.argsort(d2[cand], kind="stable")[:k]]
-    return np.argsort(d2, kind="stable")[:k]
-
-
 class KnnIndex:
     """Exact k-nearest-neighbor index over the distinct training rows: a
     matrix-product prefilter with a proven rounding margin, then exact
@@ -348,10 +337,11 @@ class KnnIndex:
     hold at least k training rows, a row with approx - m > T has k training
     rows strictly nearer, so only the rows with approx - m <= T get the
     exact distance. The first k copies of each such row, the only ones that
-    can be among the k nearest, are then ranked by (distance, training
-    index). A row whose |p|^2 + |v|^2 is NaN, infinite or above SAFE_NORM
-    is always kept, so NaN and infinite entries, and k >= n, reach the exact
-    distances on the same path.
+    can be among the k nearest, are then ranked by one sort of the block's
+    copies on (query, distance, training index), NaN last, and each query
+    takes its first k. A row whose |p|^2 + |v|^2 is NaN, infinite or above
+    SAFE_NORM is always kept, so NaN and infinite entries, and k >= n, reach
+    the exact distances on the same path.
     """
 
     def __init__(self, points: np.ndarray):
@@ -382,8 +372,7 @@ class KnnIndex:
     def _scan(self, vs: np.ndarray, k: int) -> np.ndarray:
         """k nearest of each row of vs, for 1 <= k <= n: the bounds of a
         block of queries, the exact distances of its (query, distinct row)
-        candidates, then each query's copies ranked."""
-        n = len(self._copies)
+        candidates, then all the block's copies ranked by one sort."""
         out = np.empty((len(vs), k), dtype=int)
         for q0 in range(0, len(vs), _SCAN_QUERIES):
             batch = vs[q0 : q0 + _SCAN_QUERIES]
@@ -393,16 +382,14 @@ class KnnIndex:
                 diff -= batch[q]
                 diff *= diff
                 d2 = diff.sum(axis=1)
-            # each candidate's first k copies, ordered by query, then training index
+            # each candidate's first k copies; every query has at least k
             length = np.minimum(self._counts[row], k)
             end = np.cumsum(length)
             at = self._copies[np.repeat(self._starts[row] - end + length, length) + np.arange(end[-1])]
-            key = np.repeat(q * n, length) + at
-            order = np.argsort(key)  # keys are unique
-            at, d2 = at[order], np.repeat(d2, length)[order]
-            bounds = np.searchsorted(key[order], np.arange(len(batch) + 1) * n)
-            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                out[q0 + j] = at[a:b][_nearest(d2[a:b], k)]
+            q = np.repeat(q, length)  # ascending, so q[order] is q
+            order = np.lexsort((at, np.repeat(d2, length), q))
+            first = np.searchsorted(q, np.arange(len(batch)))
+            out[q0 : q0 + len(batch)] = at[order[first[:, None] + np.arange(k)]]
         return out
 
     def _candidates(self, batch: np.ndarray, k: int):

@@ -220,10 +220,12 @@ _ASSIGN_ROWS = 256
 
 
 def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray):
-    """Per row of x, with xx its squared norms: the nearest centroid (ties
-    -> lowest id) by (xx + |c|^2) - 2 x.c clipped at 0, and that distance.
-    x @ c.T is taken _PRODUCT_ROWS rows at a time into one reused buffer,
-    so nothing of n x K is allocated."""
+    """Per row of x, with xx its squared norms: the nearest centroid by
+    (xx + |c|^2) - 2 x.c clipped at 0, and that distance. Equal values go to
+    the lowest id, but the BLAS may round x.c in one column otherwise than
+    in another, so even bit-identical centroids may split their rows
+    (assign_clusters joins them). x @ c.T is taken _PRODUCT_ROWS
+    rows at a time into one reused buffer, so nothing of n x K is allocated."""
     cc = (c * c).sum(axis=1)
     nearest = np.empty(len(x), dtype=np.intp)
     dist = np.empty(len(x))
@@ -245,9 +247,13 @@ def _nearest_centroids(x: np.ndarray, xx: np.ndarray, c: np.ndarray):
 
 
 def assign_clusters(model: ClusterModel, x: np.ndarray) -> np.ndarray:
-    """Nearest centroid id of each row of x; ties go to the lowest id."""
+    """Nearest centroid id of each row of x. Bit-identical centroids go to
+    the lowest of their ids; a tie between different centroids within the
+    last-bit rounding of x.c may go to either."""
     x = np.asarray(x, dtype=float)
-    return _nearest_centroids(x, (x * x).sum(axis=1), model.centroids)[0]
+    ids: dict = {}  # one bytes key per distinct centroid, as KnnIndex groups its rows
+    lowest = np.fromiter((ids.setdefault(c.tobytes(), j) for j, c in enumerate(model.centroids)), np.intp)
+    return lowest[_nearest_centroids(x, (x * x).sum(axis=1), model.centroids)[0]]
 
 
 def hip_heights(x: np.ndarray) -> np.ndarray:

@@ -198,10 +198,11 @@ def feature_windows(maps, centers, window: int, out: np.ndarray | None = None) -
     """(len(centers), 9 * (window - 1)) rows, each the maps of one center's
     window flattened row-major in time order; maps[i], a Homography or 3x3
     array, maps frame i to frame i + 1, and the window of center c spans frames
-    [c - floor((window-1)/2), c + ceil((window-1)/2)]. With out, an array of
-    that shape, the rows are written into it _COPY_ROWS at a time and out is
-    returned, so no array of all the rows is allocated. Raises OutOfRange when
-    window < 2 or a window does not fit."""
+    [c - floor((window-1)/2), c + ceil((window-1)/2)]. With out, a float64
+    array of that shape, the rows are written into it _COPY_ROWS at a time and
+    out is returned, so no array of all the rows is allocated. Raises
+    OutOfRange when window < 2 or a window does not fit, and ValueError,
+    before any row is written, for an out of another shape or dtype."""
     if window < 2:
         raise OutOfRange(f"window must be at least 2, got {window}")
     centers = np.asarray(centers, dtype=int)
@@ -212,8 +213,11 @@ def feature_windows(maps, centers, window: int, out: np.ndarray | None = None) -
     if bad.any():  # name the first misfit, as a per-center loop would
         b = np.argmax(bad)
         raise OutOfRange(f"window [{lo[b]}, {hi[b]}] outside available frames 0..{len(stack)}")
+    shape = (len(centers), 9 * (window - 1))
     if out is None:
-        out = np.empty((len(centers), 9 * (window - 1)))
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     if not len(centers):  # the view needs at least one whole window
         return out
     rows = sliding_window_view(stack.reshape(-1), 9 * (window - 1))[::9]  # (n - window + 2, 9 * (window - 1)), no copy

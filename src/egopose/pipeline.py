@@ -71,9 +71,7 @@ def valid_feature_centers(n_frames: int, window: int) -> np.ndarray:
     """Frame indices whose feature window fits inside the stream."""
     first = (window - 1) // 2
     last = (n_frames - 1) - (window // 2)
-    if last < first:
-        return np.empty(0, dtype=int)
-    return np.arange(first, last + 1)
+    return np.arange(first, last + 1)  # empty when the window does not fit
 
 
 @dataclass(frozen=True)

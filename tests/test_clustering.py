@@ -264,6 +264,20 @@ def test_assign_cluster_tie_takes_lower_id():
     assert assign_clusters(m, v[None])[0] == 0
 
 
+def test_assign_clusters_gives_bit_identical_centroids_the_lowest_id():
+    """With centroid 299 a copy of centroid 150, OpenBLAS 0.3.31 rounds
+    x @ c.T in the last bit otherwise in column 299 than in column 150, and
+    the argmin alone sent 42 of their 215 rows to 299."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(10800, 75))
+    centroids = x[rng.choice(len(x), size=300, replace=False)]
+    centroids[299] = centroids[150]
+    got = assign_clusters(ClusterModel(centroids), x)
+    assert not np.any(got == 299)
+    assert np.count_nonzero(got == 150) > 0
+    assert assign_clusters(ClusterModel(centroids), centroids[[150, 299]]).tolist() == [150, 150]
+
+
 def test_assign_cluster_matches_linear_scan():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(50, 75))

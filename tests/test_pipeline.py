@@ -273,6 +273,17 @@ def test_feature_windows_write_into_out_as_they_return():
     assert np.array_equal(out, _reference_features(hs, centers=centers)[0])
 
 
+@pytest.mark.parametrize("rows, dtype", [(260, float), (250, float), (256, np.float32)])
+def test_feature_windows_reject_an_out_of_another_shape_or_dtype(rows, dtype):
+    """A taller out used to come back with rows never written, a shorter one
+    failed partway through the copy, and a float32 one was downcast."""
+    hs = make_homographies(300, seed=8)
+    out = np.full((rows, 9 * 29), -1.0, dtype=dtype)
+    with pytest.raises(ValueError, match=re.escape("float64 array of shape (256, 261)")):
+        feature_windows(hs, valid_feature_centers(301, 30)[:256], 30, out)
+    assert np.all(out == -1.0)  # no row written
+
+
 def test_build_features_memory_is_its_output_and_one_streams_rows():
     """Six streams of 1 840 frames, window 30, the knn-bank10k training set's
     shape: the traced peak stays under the 22.7 MB output plus one stream's
